@@ -206,7 +206,7 @@ func (c *Client) Begin(readOnly bool) kv.Txn {
 	if rep.Kind != clientproto.ReplyOK {
 		return &Txn{err: replyError(rep)}
 	}
-	return &Txn{c: c, cn: cn, handle: rep.Txn}
+	return &Txn{c: c, cn: cn, handle: rep.Txn, readOnly: readOnly}
 }
 
 // pick returns a live pooled connection, redialing dead slots.
@@ -251,12 +251,21 @@ func (c *Client) slot(i int) (*conn, error) {
 // Txn is a client-side transaction handle. Like every kv.Txn it must be
 // driven by a single goroutine.
 type Txn struct {
-	c      *Client
-	cn     *conn
-	handle uint64
-	err    error // sticky: set by a failed begin or a broken connection
-	done   bool
+	c        *Client
+	cn       *conn
+	handle   uint64
+	readOnly bool
+	err      error // sticky: set by a failed begin or a broken connection
+	done     bool
+	// writes holds the reply channels of Writes started but not yet
+	// collected (see Write).
+	writes []chan clientproto.Reply
 }
+
+// maxPipelinedWrites bounds the Writes one transaction keeps in flight
+// before collecting: each occupies a server handler slot until its turn in
+// the handle's FIFO.
+const maxPipelinedWrites = 64
 
 var (
 	_ kv.Txn         = (*Txn)(nil)
@@ -266,6 +275,9 @@ var (
 // Read implements kv.Txn.
 func (t *Txn) Read(key string) ([]byte, bool, error) {
 	if err := t.usable(); err != nil {
+		return nil, false, err
+	}
+	if err := t.collectWrites(); err != nil {
 		return nil, false, err
 	}
 	rep, err := t.call(&clientproto.Request{Op: clientproto.OpRead, Txn: t.handle, Key: key})
@@ -290,6 +302,9 @@ func (t *Txn) MultiRead(keys []string) ([]kv.ReadResult, error) {
 	}
 	if len(keys) == 0 {
 		return nil, nil
+	}
+	if err := t.collectWrites(); err != nil {
+		return nil, err
 	}
 	reqs := make([]clientproto.Request, len(keys))
 	chs := make([]chan clientproto.Reply, len(keys))
@@ -319,23 +334,54 @@ func (t *Txn) MultiRead(keys []string) ([]kv.ReadResult, error) {
 	return out, nil
 }
 
-// Write implements kv.Txn. Oversized payloads are rejected client-side: an
+// Write implements kv.Txn without a round trip: the request starts on the
+// pipelined connection and its reply is collected by the transaction's next
+// Read, MultiRead, Commit or Abort — the server executes same-handle
+// requests in arrival order, so later operations still observe the write.
+// Everything the client can know is checked here (finished handle, read-only
+// handle, frame limit); any other failure of a Write surfaces at the
+// collecting call. Oversized payloads must fail alone without being sent: an
 // over-limit frame would make the server hang up on the whole multiplexed
-// connection, aborting every other transaction pipelined on it, so the
-// offending Write must fail alone without being sent.
+// connection, aborting every other transaction pipelined on it.
 func (t *Txn) Write(key string, val []byte) error {
 	if err := t.usable(); err != nil {
 		return err
 	}
+	if t.readOnly {
+		return kv.ErrReadOnlyWrite
+	}
 	if len(key)+len(val)+64 > clientproto.MaxFrame {
 		return fmt.Errorf("client: write of %d bytes exceeds the %d-byte frame limit", len(val), clientproto.MaxFrame)
 	}
-	rep, err := t.call(&clientproto.Request{Op: clientproto.OpWrite, Txn: t.handle, Key: key, Val: val})
+	if len(t.writes) >= maxPipelinedWrites {
+		if err := t.collectWrites(); err != nil {
+			return err
+		}
+	}
+	ch, err := t.cn.start(&clientproto.Request{Op: clientproto.OpWrite, Txn: t.handle, Key: key, Val: val})
 	if err != nil {
+		t.err = err
 		return err
 	}
-	if rep.Kind != clientproto.ReplyOK {
-		return replyError(rep)
+	t.writes = append(t.writes, ch)
+	return nil
+}
+
+// collectWrites awaits the replies of every Write still in flight and
+// returns the first failure. Replies behind a failed one land in their
+// buffered channels and are dropped with them.
+func (t *Txn) collectWrites() error {
+	writes := t.writes
+	t.writes = nil
+	for _, ch := range writes {
+		rep, err := t.cn.await(ch, t.c.opts.RequestTimeout)
+		if err != nil {
+			t.err = err
+			return err
+		}
+		if rep.Kind != clientproto.ReplyOK {
+			return replyError(rep)
+		}
 	}
 	return nil
 }
@@ -347,6 +393,13 @@ func (t *Txn) Commit() error {
 		return err
 	}
 	t.done = true
+	if err := t.collectWrites(); err != nil {
+		// A write the server refused must not commit without it.
+		if t.err == nil {
+			_, _ = t.call(&clientproto.Request{Op: clientproto.OpAbort, Txn: t.handle})
+		}
+		return err
+	}
 	rep, err := t.call(&clientproto.Request{Op: clientproto.OpCommit, Txn: t.handle})
 	if err != nil {
 		return err
@@ -365,6 +418,7 @@ func (t *Txn) Abort() error {
 		return nil
 	}
 	t.done = true
+	_ = t.collectWrites() // aborting either way
 	rep, err := t.call(&clientproto.Request{Op: clientproto.OpAbort, Txn: t.handle})
 	if err != nil {
 		return nil // connection gone: the server aborts it for us

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -572,5 +573,142 @@ func TestClientRedialUnderLoad(t *testing.T) {
 	wg.Wait()
 	if got := after.Load(); got < 8 {
 		t.Fatalf("only %d transactions succeeded after the bounce", got)
+	}
+}
+
+// gatedStore serves transactions whose Write parks on gate (when non-nil) or
+// fails with writeErr, and counts how each transaction ended.
+type gatedStore struct {
+	inner            kv.Store
+	gate             chan struct{}
+	writeErr         error
+	commits, aborts  atomic.Int64
+	writesInProgress atomic.Int64
+}
+
+type gatedTxn struct {
+	kv.Txn
+	s *gatedStore
+}
+
+func (s *gatedStore) Begin(ro bool) kv.Txn { return &gatedTxn{Txn: s.inner.Begin(ro), s: s} }
+
+func (t *gatedTxn) Write(key string, val []byte) error {
+	t.s.writesInProgress.Add(1)
+	if t.s.gate != nil {
+		<-t.s.gate
+	}
+	if t.s.writeErr != nil {
+		return t.s.writeErr
+	}
+	return t.Txn.Write(key, val)
+}
+
+func (t *gatedTxn) Commit() error { t.s.commits.Add(1); return t.Txn.Commit() }
+func (t *gatedTxn) Abort() error  { t.s.aborts.Add(1); return t.Txn.Abort() }
+
+func startGatedServer(t *testing.T, gs *gatedStore) string {
+	t.Helper()
+	net_ := transport.NewInProc(transport.InProcConfig{DisableLatency: true})
+	nd, err := engine.New(net_, 0, 1, cluster.NewLookup(1, 1), engine.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nd.Preload("k00", []byte("init"))
+	gs.inner = storeFunc(func(ro bool) kv.Txn { return nd.Begin(ro) })
+	srv := clientproto.NewServer(gs, clientproto.ServerOptions{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = srv.Serve(ln) }()
+	t.Cleanup(func() {
+		_ = srv.Close()
+		_ = nd.Close()
+		_ = net_.Close()
+	})
+	return ln.Addr().String()
+}
+
+// TestClientWritePipelined pins that Write costs no round trip: it returns
+// while the server is still executing it, and the next operation on the
+// handle — executed behind it by the server's per-handle FIFO — both collects
+// its reply and observes its effect.
+func TestClientWritePipelined(t *testing.T) {
+	gs := &gatedStore{gate: make(chan struct{})}
+	c, err := Dial(startGatedServer(t, gs), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+
+	tx := c.Begin(false)
+	if err := tx.Write("k00", []byte("piped")); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	// Write returned; the server is provably still inside it.
+	for gs.writesInProgress.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	close(gs.gate)
+	if v, ok, err := tx.Read("k00"); err != nil || !ok || string(v) != "piped" {
+		t.Fatalf("read-your-write behind a pipelined write: %q %v %v", v, ok, err)
+	}
+	// More writes than one collection window, then commit.
+	for i := 0; i < 3*maxPipelinedWrites; i++ {
+		if err := tx.Write(fmt.Sprintf("w%03d", i), []byte("x")); err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatalf("commit: %v", err)
+	}
+	res, err := c.SnapshotRead([]string{"k00", "w000", fmt.Sprintf("w%03d", 3*maxPipelinedWrites-1)})
+	if err != nil || string(res[0].Val) != "piped" || !res[1].Exists || !res[2].Exists {
+		t.Fatalf("after commit: %+v %v", res, err)
+	}
+}
+
+// TestClientWriteErrors pins where a Write's errors surface: what the client
+// can know fails in Write itself, without a request; what only the server
+// knows fails at the collecting call — and a Commit that collects a refused
+// write aborts the transaction instead of committing without it.
+func TestClientWriteErrors(t *testing.T) {
+	gs := &gatedStore{writeErr: errors.New("disk on fire")}
+	c, err := Dial(startGatedServer(t, gs), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+
+	ro := c.Begin(true)
+	tx := c.Begin(false)
+	reqs := c.Metrics().Requests.Load()
+	if err := ro.Write("k00", []byte("x")); !errors.Is(err, kv.ErrReadOnlyWrite) {
+		t.Fatalf("read-only write: %v", err)
+	}
+	if err := tx.Write("k00", make([]byte, clientproto.MaxFrame)); err == nil {
+		t.Fatal("oversized write accepted")
+	}
+	if got := c.Metrics().Requests.Load(); got != reqs {
+		t.Fatalf("client-side write failures issued %d requests", got-reqs)
+	}
+	_ = ro.Abort()
+
+	if err := tx.Write("k00", []byte("refused")); err != nil {
+		t.Fatalf("server-side failure surfaced at Write: %v", err)
+	}
+	err = tx.Commit()
+	if err == nil || !strings.Contains(err.Error(), "disk on fire") {
+		t.Fatalf("commit after a refused write: %v", err)
+	}
+	if err := tx.Write("k00", []byte("late")); !errors.Is(err, kv.ErrTxnDone) {
+		t.Fatalf("write after commit: %v", err)
+	}
+	if gs.commits.Load() != 0 || gs.aborts.Load() != 2 {
+		t.Fatalf("server saw %d commits, %d aborts; want 0 and 2", gs.commits.Load(), gs.aborts.Load())
+	}
+	if res, err := c.SnapshotRead([]string{"k00"}); err != nil || string(res[0].Val) != "init" {
+		t.Fatalf("k00 after the aborted commit: %+v %v", res, err)
 	}
 }

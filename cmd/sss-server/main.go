@@ -192,7 +192,9 @@ func main() {
 		reg := obs.NewRegistry()
 		reg.Register("", node.Stats())
 		reg.Register("", node.Durability())
-		reg.Register("transport", net_.Metrics())
+		// Metrics() merges the per-peer counters into a fresh struct per
+		// call, so the family is gathered at scrape time.
+		reg.RegisterFunc("transport", func() any { return net_.Metrics() })
 		reg.Register("client", srv.Metrics())
 		mux := http.NewServeMux()
 		mux.Handle("/metrics", reg.Handler())

@@ -382,18 +382,26 @@ func (nd *Node) handlePrepare(from wire.NodeID, rid uint64, m *wire.Prepare) {
 		// whatever else is in flight. On a sync failure the vote flips to
 		// no: promising a recoverable yes without the record would be the
 		// exact lie the WAL exists to prevent.
+		//
+		// The coordinator's own leg votes to itself, so nothing leaves the
+		// node on this vote: its record rides the decision fsync, which the
+		// sequential log orders after it and which precedes every Decide. A
+		// crash before that fsync is a presumed abort resolveInDoubt settles
+		// locally.
 		nd.wal.Append(&wal.Record{Type: wal.RecPrepare, Txn: m.Txn, Writes: m.Writes, Deps: m.Deps})
-		syncStart := time.Now()
-		err := nd.wal.Sync()
-		nd.stats.Stage.WalSync.Observe(time.Since(syncStart))
-		if err != nil {
-			st.mu.Lock()
-			delete(st.pending, m.Txn)
-			delete(st.walTxns, m.Txn)
-			st.mu.Unlock()
-			nd.locks.ReleaseAll(m.Txn, localWrites, localReads)
-			_ = nd.rpc.Reply(from, rid, &wire.Vote{Txn: m.Txn, VC: m.VC, OK: false})
-			return
+		if from != nd.id {
+			syncStart := time.Now()
+			err := nd.wal.Sync()
+			nd.stats.Stage.WalSync.Observe(time.Since(syncStart))
+			if err != nil {
+				st.mu.Lock()
+				delete(st.pending, m.Txn)
+				delete(st.walTxns, m.Txn)
+				st.mu.Unlock()
+				nd.locks.ReleaseAll(m.Txn, localWrites, localReads)
+				_ = nd.rpc.Reply(from, rid, &wire.Vote{Txn: m.Txn, VC: m.VC, OK: false})
+				return
+			}
 		}
 	}
 	prepVC := nd.log.Prepare(m.Txn, writeReplica, func(commitVC vclock.VC) {

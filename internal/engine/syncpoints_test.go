@@ -1,0 +1,403 @@
+package engine
+
+import (
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"github.com/sss-paper/sss/internal/cluster"
+	"github.com/sss-paper/sss/internal/mvstore"
+	"github.com/sss-paper/sss/internal/transport"
+	"github.com/sss-paper/sss/internal/wal"
+	"github.com/sss-paper/sss/internal/wire"
+	"github.com/sss-paper/sss/kv"
+)
+
+// The durable commit path has three serial fsync waits — remote participant
+// prepare, coordinator decision, freeze — and these tests pin them from the
+// outside: exact fsync counts per commit through a counting
+// wal.Options.OpenFile seam, crash images taken at the instant a given fsync
+// completes, and injected fsync failures at the two coordinator waits.
+
+// syncSeam counts one log's fsyncs and runs an optional hook inside each,
+// after the real fsync: the hook sees the log exactly as a crash at that
+// instant would leave it, and a non-nil return fails the fsync.
+type syncSeam struct {
+	dir  string
+	n    atomic.Int64
+	hook atomic.Pointer[func(k int64) error]
+}
+
+func (s *syncSeam) OpenFile(name string, flag int, perm os.FileMode) (wal.File, error) {
+	f, err := os.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return &seamFile{File: f, seam: s}, nil
+}
+
+// at arms fn for the k-th fsync from now.
+func (s *syncSeam) at(k int64, fn func() error) {
+	target := s.n.Load() + k
+	hook := func(n int64) error {
+		if n == target {
+			return fn()
+		}
+		return nil
+	}
+	s.hook.Store(&hook)
+}
+
+// imageAt copies the log directory into dst when the k-th fsync from now
+// completes: the disk a kill -9 at that instant leaves behind.
+func (s *syncSeam) imageAt(t *testing.T, k int64, dst string) {
+	s.at(k, func() error {
+		ents, err := os.ReadDir(s.dir)
+		if err != nil {
+			t.Error(err)
+			return nil
+		}
+		for _, e := range ents {
+			if !strings.HasSuffix(e.Name(), ".seg") {
+				continue
+			}
+			data, err := os.ReadFile(filepath.Join(s.dir, e.Name()))
+			if err == nil {
+				err = os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644)
+			}
+			if err != nil {
+				t.Error(err)
+			}
+		}
+		return nil
+	})
+}
+
+type seamFile struct {
+	*os.File
+	seam *syncSeam
+}
+
+func (f *seamFile) Sync() error {
+	err := f.File.Sync()
+	k := f.seam.n.Add(1)
+	if h := f.seam.hook.Load(); h != nil && err == nil {
+		err = (*h)(k)
+	}
+	return err
+}
+
+// durableCluster is a 3-node, replication-2 in-process cluster whose logs sit
+// in dirs (created when missing) behind one syncSeam each.
+type durableCluster struct {
+	nodes  []*Node
+	seams  []*syncSeam
+	lookup cluster.Lookup
+}
+
+func bootDurable(t *testing.T, dirs []string, cfg Config) *durableCluster {
+	t.Helper()
+	n := len(dirs)
+	dc := &durableCluster{lookup: cluster.NewLookup(n, 2)}
+	net := transport.NewInProc(transport.InProcConfig{DisableLatency: true})
+	logs := make([]*wal.Log, n)
+	for i, dir := range dirs {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		seam := &syncSeam{dir: dir}
+		w, err := wal.Open(dir, wal.Options{OpenFile: seam.OpenFile})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := cfg
+		c.WAL = w
+		nd, err := New(net, wire.NodeID(i), n, dc.lookup, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		logs[i] = w
+		dc.nodes = append(dc.nodes, nd)
+		dc.seams = append(dc.seams, seam)
+	}
+	t.Cleanup(func() {
+		for _, nd := range dc.nodes {
+			_ = nd.Close()
+		}
+		_ = net.Close()
+		for _, w := range logs {
+			_ = w.Close()
+		}
+	})
+	// Concurrently: an in-doubt participant's recovery queries a coordinator
+	// that is itself recovering.
+	var wg sync.WaitGroup
+	for _, nd := range dc.nodes {
+		wg.Add(1)
+		go func(nd *Node) {
+			defer wg.Done()
+			if err := nd.Recover(); err != nil {
+				t.Errorf("node %d recover: %v", nd.ID(), err)
+			}
+		}(nd)
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	return dc
+}
+
+func freshDirs(t *testing.T, n int) []string {
+	root := t.TempDir()
+	dirs := make([]string, n)
+	for i := range dirs {
+		dirs[i] = filepath.Join(root, fmt.Sprintf("node%d", i))
+	}
+	return dirs
+}
+
+// keyFor finds a key whose replica set does (or does not) include coord.
+func (dc *durableCluster) keyFor(t *testing.T, coord wire.NodeID, replicated bool) string {
+	t.Helper()
+	for i := 0; i < 1000; i++ {
+		k := fmt.Sprintf("k%d", i)
+		if dc.lookup.IsReplica(k, coord) == replicated {
+			return k
+		}
+	}
+	t.Fatal("no key with the wanted placement")
+	return ""
+}
+
+// blindWrite commits one single-key update coordinated at nd.
+func blindWrite(nd *Node, key, val string) (wire.TxnID, error) {
+	tx := nd.Begin(false)
+	if err := tx.Write(key, []byte(val)); err != nil {
+		return tx.ID(), err
+	}
+	return tx.ID(), tx.Commit()
+}
+
+func (dc *durableCluster) syncCounts() []int64 {
+	out := make([]int64, len(dc.seams))
+	for i, s := range dc.seams {
+		out[i] = s.n.Load()
+	}
+	return out
+}
+
+// stampOf returns the external-commit stamp nd recorded on txn's version of
+// key (0 when the version is missing or unstamped).
+func stampOf(nd *Node, key string, txn wire.TxnID) uint64 {
+	var stamp uint64
+	_ = nd.store.Dump(func(k string, v mvstore.VersionRec) error {
+		if k == key && v.Writer == txn {
+			stamp = v.ExtSID
+		}
+		return nil
+	})
+	return stamp
+}
+
+// TestFsyncsPerCommit pins the commit path's fsync budget per log, and that
+// Stage.WalSync keeps one observation per wait — the coordinator's covered
+// (zero-length) wait included.
+func TestFsyncsPerCommit(t *testing.T) {
+	const coord = wire.NodeID(0)
+	cases := []struct {
+		name       string
+		replicated bool // the coordinator is a write replica
+		// fsyncs and WalSync observations per commit, coordinator / each
+		// other write replica.
+		coordSyncs, coordWaits, replicaSyncs int64
+	}{
+		// Decision (covering the self-leg prepare) + one freeze fsync covering
+		// both the coordinator's and the replica's freeze record; waits:
+		// decision, replica freeze batch, covered coordinator wait.
+		{"coordinator-is-write-replica", true, 2, 3, 2},
+		// Decision + the coordinator freeze record, overlapped with the round.
+		{"coordinator-replicates-nothing", false, 2, 2, 2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dc := bootDurable(t, freshDirs(t, 3), Config{})
+			key := dc.keyFor(t, coord, tc.replicated)
+			nd := dc.nodes[coord]
+			for round := 0; round < 4; round++ {
+				before := dc.syncCounts()
+				waitsBefore := nd.Stats().Stage.WalSync.Count()
+				if _, err := blindWrite(nd, key, fmt.Sprintf("v%d", round)); err != nil {
+					t.Fatalf("round %d: %v", round, err)
+				}
+				after := dc.syncCounts()
+				for i := range after {
+					want := int64(0)
+					switch {
+					case wire.NodeID(i) == coord:
+						want = tc.coordSyncs
+					case dc.lookup.IsReplica(key, wire.NodeID(i)):
+						want = tc.replicaSyncs
+					}
+					if got := after[i] - before[i]; got != want {
+						t.Fatalf("round %d: node %d paid %d fsyncs, want %d", round, i, got, want)
+					}
+				}
+				if got := int64(nd.Stats().Stage.WalSync.Count() - waitsBefore); got != tc.coordWaits {
+					t.Fatalf("round %d: coordinator observed %d WalSync waits, want %d", round, got, tc.coordWaits)
+				}
+			}
+			st := nd.Stats()
+			if c := st.Commits.Load(); c != 4 || st.Stage.Freeze.Count() != c {
+				t.Fatalf("commits = %d, Stage.Freeze count = %d, want 4 and 4", c, st.Stage.Freeze.Count())
+			}
+		})
+	}
+}
+
+// TestCrashAfterCoordFreezeDurable kills the whole cluster at the instant the
+// coordinator's freeze record turns durable, before any replica saw the
+// freeze (their disks hold the prepare only). Recovery must commit the
+// in-doubt replicas and re-stamp them with the coordinator's durable freeze
+// vector — the stamps the live replicas recorded.
+func TestCrashAfterCoordFreezeDurable(t *testing.T) {
+	const coord = wire.NodeID(0)
+	dc := bootDurable(t, freshDirs(t, 3), Config{})
+	key := dc.keyFor(t, coord, false)
+	images := freshDirs(t, 3)
+	for i, dir := range images {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if wire.NodeID(i) == coord {
+			dc.seams[i].imageAt(t, 2, dir) // decision, then the freeze record
+		} else {
+			dc.seams[i].imageAt(t, 1, dir) // the prepare, before the yes vote
+		}
+	}
+	txn, err := blindWrite(dc.nodes[coord], key, "frozen")
+	if err != nil {
+		t.Fatal(err)
+	}
+	replicas := dc.lookup.Replicas(key)
+	live := make(map[wire.NodeID]uint64)
+	for _, r := range replicas {
+		live[r] = stampOf(dc.nodes[r], key, txn)
+		if live[r] == 0 {
+			t.Fatalf("live replica %d recorded no stamp", r)
+		}
+	}
+
+	rc := bootDurable(t, images, Config{VoteTimeout: 200 * time.Millisecond})
+	for _, r := range replicas {
+		nd := rc.nodes[r]
+		d := nd.Durability()
+		if d.InDoubt.Load() != 1 || d.InDoubtCommitted.Load() != 1 {
+			t.Fatalf("replica %d: inDoubt=%d committed=%d, want 1/1", r, d.InDoubt.Load(), d.InDoubtCommitted.Load())
+		}
+		if res := nd.store.Latest(key); !res.Exists || res.Writer != txn || string(res.Val) != "frozen" {
+			t.Fatalf("replica %d: %s = %q by %v after recovery", r, key, res.Val, res.Writer)
+		}
+		if got := stampOf(nd, key, txn); got != live[r] {
+			t.Fatalf("replica %d re-stamped %d, live replica stamped %d", r, got, live[r])
+		}
+	}
+	// The coordinator's external knowledge covers the vector it made durable.
+	ext := rc.nodes[coord].log.ExternalVC()
+	for _, r := range replicas {
+		if ext[r] < live[r] {
+			t.Fatalf("coordinator ExternalVC = %v after recovery, want slot %d >= %d", ext, r, live[r])
+		}
+	}
+}
+
+// TestCrashAfterDecisionSync kills the cluster right after the coordinator's
+// decision fsync — the first fsync of the commit on its log, so its own
+// prepare record can only have ridden it. Recovery must find both records,
+// commit the coordinator's own in-doubt leg locally, and land every replica
+// on the same (floor) stamp.
+func TestCrashAfterDecisionSync(t *testing.T) {
+	const coord = wire.NodeID(0)
+	dc := bootDurable(t, freshDirs(t, 3), Config{})
+	key := dc.keyFor(t, coord, true)
+	images := freshDirs(t, 3)
+	for i, dir := range images {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		dc.seams[i].imageAt(t, 1, dir)
+	}
+	txn, err := blindWrite(dc.nodes[coord], key, "decided")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rc := bootDurable(t, images, Config{VoteTimeout: 200 * time.Millisecond})
+	var stamps []uint64
+	for _, r := range rc.lookup.Replicas(key) {
+		nd := rc.nodes[r]
+		d := nd.Durability()
+		if d.InDoubt.Load() != 1 || d.InDoubtCommitted.Load() != 1 {
+			t.Fatalf("replica %d: inDoubt=%d committed=%d, want 1/1", r, d.InDoubt.Load(), d.InDoubtCommitted.Load())
+		}
+		if res := nd.store.Latest(key); !res.Exists || res.Writer != txn || string(res.Val) != "decided" {
+			t.Fatalf("replica %d: %s = %q by %v after recovery", r, key, res.Val, res.Writer)
+		}
+		stamps = append(stamps, stampOf(nd, key, txn))
+	}
+	if stamps[0] == 0 || stamps[0] != stamps[1] {
+		t.Fatalf("recovered stamps %v differ across replicas", stamps)
+	}
+}
+
+// TestCoordinatorSyncFailures injects an fsync failure at each coordinator
+// wait: a failed decision sync aborts (nothing irreversible left the node); a
+// failed freeze-record sync — the coordinator's own, or the replica-batch
+// fsync that covers it — leaves the transaction committed but withholds the
+// durable-sounding acknowledgement.
+func TestCoordinatorSyncFailures(t *testing.T) {
+	const coord = wire.NodeID(0)
+	diskErr := errors.New("injected fsync failure")
+	cases := []struct {
+		name       string
+		replicated bool
+		failAt     int64
+		wantAbort  bool
+	}{
+		{"decision", true, 1, true},
+		{"freeze-record-overlapped", false, 2, false},
+		{"freeze-record-covered-by-replica-batch", true, 2, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dc := bootDurable(t, freshDirs(t, 3), Config{VoteTimeout: 50 * time.Millisecond})
+			key := dc.keyFor(t, coord, tc.replicated)
+			dc.seams[coord].at(tc.failAt, func() error { return diskErr })
+			txn, err := blindWrite(dc.nodes[coord], key, "v")
+			if err == nil {
+				t.Fatal("commit acknowledged over a failed fsync")
+			}
+			if got := errors.Is(err, kv.ErrAborted); got != tc.wantAbort {
+				t.Fatalf("commit error = %v, aborted = %v, want %v", err, got, tc.wantAbort)
+			}
+			for _, r := range dc.lookup.Replicas(key) {
+				applied := dc.nodes[r].store.Latest(key).Writer == txn
+				if applied == tc.wantAbort {
+					t.Fatalf("replica %d: applied = %v after %v", r, applied, err)
+				}
+			}
+			if !tc.wantAbort && !strings.Contains(err.Error(), "freeze record not durable") {
+				t.Fatalf("commit error = %v, want the freeze-record error", err)
+			}
+			if got := dc.nodes[coord].Durability().WalSyncFailures.Load(); got != 1 {
+				t.Fatalf("WalSyncFailures = %d, want 1", got)
+			}
+		})
+	}
+}

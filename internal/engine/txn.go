@@ -789,27 +789,40 @@ func (t *Txn) commitUpdate() error {
 	// same replica coalesce into one batched envelope the replica applies
 	// with a single striped pass and clock republish (group commit).
 	freezeStart := time.Now()
-	waiters := nd.enqueueFreezes(t.id, writeNodes, freezeVC, sc.waiters[:0])
-	nd.awaitFreezes(waiters)
-	freezeDur := time.Since(freezeStart)
-	sc.waiters = waiters
-	var freezeSyncErr error
+	var coordSeq uint64
 	if nd.wal != nil {
 		// Coordinator freeze record (no keys): makes the freeze vector
 		// durable before the client reply, so an in-doubt participant
 		// recovering later re-stamps with the same replica-independent
-		// values, and replay restores this node's external knowledge. A
-		// sync failure fails the client reply below — the transaction is
+		// values, and replay restores this node's external knowledge. The
+		// vector is final here, so the record is appended before the freeze
+		// round and its durability wait overlaps that round instead of
+		// following it. Ledger first, so a checkpoint cutting between the two
+		// lines re-logs the vector rather than reclaiming it.
+		nd.recordCoordFreeze(t.id, freezeVC)
+		coordSeq = nd.wal.Append(&wal.Record{Type: wal.RecFreeze, Txn: t.id, VC: freezeVC})
+	}
+	waiters := nd.enqueueFreezes(t.id, writeNodes, freezeVC, sc.waiters[:0])
+	var freezeSyncErr error
+	if nd.wal != nil {
+		if containsNode(writeNodes, nd.id) {
+			// This node's own replica freeze (applyFreezeBatch) appends and
+			// fsyncs after the coordinator record entered the buffer: that one
+			// fsync covers both records, and the wait below finds it done.
+			nd.awaitFreezes(waiters)
+		}
+		// A sync failure fails the client reply below — the transaction is
 		// committed (the decision was durable before any decide left), but
 		// this node may not acknowledge an external commit whose freeze
 		// record it could not persist. The in-memory bookkeeping still runs:
 		// the vector is the true one and live peers may depend on it.
-		nd.wal.Append(&wal.Record{Type: wal.RecFreeze, Txn: t.id, VC: freezeVC})
 		syncStart := time.Now()
-		freezeSyncErr = nd.wal.Sync()
+		freezeSyncErr = nd.wal.SyncTo(coordSeq)
 		nd.stats.Stage.WalSync.Observe(time.Since(syncStart))
-		nd.recordCoordFreeze(t.id, freezeVC)
 	}
+	nd.awaitFreezes(waiters)
+	freezeDur := time.Since(freezeStart)
+	sc.waiters = waiters
 	// The external-commit point: transactions beginning on this node after
 	// the client reply below must serialize after us, so our commit clock —
 	// raised to each write replica's external-commit stamp, i.e. the

@@ -426,22 +426,24 @@ type Engine struct {
 // Vote, Decide, and Freeze are observed exactly once per external commit,
 // at the same instant Commits is incremented, so their counts reconcile
 // with Engine.Commits by construction. WalSync observes every commit-path
-// fsync leg (coordinator decide record, coordinator freeze record, replica
-// freeze batches), Purge observes enqueue→flush of replica purge
-// notifications, and ClientAck observes the client-protocol commit service
-// time (engine commit + reply write) on successful commits only.
+// wait on the log (remote participant prepare, coordinator decision, replica
+// freeze batch, coordinator freeze record — the last one usually covered by
+// a neighbour's fsync and ~0 long), Purge observes enqueue→flush of replica
+// purge notifications, and ClientAck observes the client-protocol commit
+// service time (engine commit + reply write) on successful commits only.
 type Stages struct {
 	// Vote: prepare broadcast → all votes collected (the 2PC first round).
 	Vote Histogram
 	// Decide: internal commit → drain barrier established, including the
 	// piggybacked drain acks and any standalone fallback drain round.
 	Decide Histogram
-	// Freeze: freeze-stamp enqueue → all replica freeze acks (the
-	// group-commit freeze leg that makes the commit externally visible).
+	// Freeze: freeze-stamp enqueue → all replica freeze acks and the
+	// coordinator's freeze record durable (the group-commit freeze leg that
+	// makes the commit externally visible).
 	Freeze Histogram
 	// Purge: purge-notification enqueue → batch flushed to the peer link.
 	Purge Histogram
-	// WalSync: duration of each commit-path WAL fsync.
+	// WalSync: duration of each commit-path wait for WAL durability.
 	WalSync Histogram
 	// ClientAck: client commit request accepted → reply written.
 	ClientAck Histogram

@@ -140,6 +140,46 @@ func TestRegisterPanicsOnDuplicate(t *testing.T) {
 	reg.Register("t", fam)
 }
 
+// TestRegisterFuncIsLive pins the scrape-time collector: a family gathered by
+// a function renders under the same names Register would give it, reflects
+// the values of the struct returned at *this* scrape (a merged copy
+// registered once would freeze), and claims its names against duplicates.
+func TestRegisterFuncIsLive(t *testing.T) {
+	var live testFamily
+	reg := NewRegistry()
+	reg.RegisterFunc("t", func() any {
+		merged := &testFamily{} // a fresh merge per scrape, as TCP.Metrics builds
+		merged.Hits.Add(live.Hits.Load())
+		merged.Rounds.SQDrops.Add(live.Rounds.SQDrops.Load())
+		return merged
+	})
+	scrape := func() *Page {
+		var buf bytes.Buffer
+		if err := reg.Render(&buf); err != nil {
+			t.Fatal(err)
+		}
+		page, err := ParsePage(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return page
+	}
+	if p := scrape(); !p.Has("sss_t_hits_total") || !p.Has("sss_t_lat_seconds") || p.Counter("sss_t_hits_total") != 0 {
+		t.Fatalf("first scrape: %+v", p.Counters)
+	}
+	live.Hits.Add(5)
+	live.Rounds.SQDrops.Add(2)
+	if p := scrape(); p.Counter("sss_t_hits_total") != 5 || p.Counter("sss_t_rounds_sq_drops_total") != 2 {
+		t.Fatalf("second scrape did not advance: %+v", p.Counters)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic: the collector's names are claimed")
+		}
+	}()
+	reg.Register("t", &live)
+}
+
 func TestParseRoundTrip(t *testing.T) {
 	reg, fam := newTestRegistry()
 	var buf bytes.Buffer

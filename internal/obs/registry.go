@@ -42,6 +42,9 @@ type metric struct {
 	counter *atomic.Uint64
 	gauge   *atomic.Int64
 	hist    *metrics.Histogram
+	// collect, when non-nil, makes the entry a whole family gathered at
+	// scrape time (RegisterFunc); name is then the family's series prefix.
+	collect func() any
 }
 
 // Registry holds the registered metric families in registration order;
@@ -68,17 +71,38 @@ func NewRegistry() *Registry {
 // duplicate series names — all misconfigurations that must fail at startup,
 // not scrape time.
 func (r *Registry) Register(subsystem string, root any) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	walk(seriesPrefix(subsystem), structOf(subsystem, root), r.add)
+}
+
+// RegisterFunc registers a family that has no single live struct to point
+// at: collect runs at every scrape and returns a pointer to a freshly
+// gathered metrics struct (the TCP transport's network-wide view is a merge
+// over its per-peer counters — registering one such merge would freeze the
+// page at its registration-time values). Naming, field shapes and the startup
+// panics are Register's; collect runs once here to claim the series names.
+func (r *Registry) RegisterFunc(subsystem string, collect func() any) {
+	prefix := seriesPrefix(subsystem)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	walk(prefix, structOf(subsystem, collect()), func(m metric) { r.claim(m.name) })
+	r.metrics = append(r.metrics, metric{name: prefix, collect: collect})
+}
+
+func seriesPrefix(subsystem string) string {
+	if subsystem == "" {
+		return namespace + "_"
+	}
+	return namespace + "_" + subsystem + "_"
+}
+
+func structOf(subsystem string, root any) reflect.Value {
 	v := reflect.ValueOf(root)
 	if v.Kind() != reflect.Pointer || v.Elem().Kind() != reflect.Struct {
 		panic(fmt.Sprintf("obs: Register(%q): root must be a pointer to a struct, got %T", subsystem, root))
 	}
-	prefix := namespace + "_"
-	if subsystem != "" {
-		prefix += subsystem + "_"
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.walk(prefix, v.Elem())
+	return v.Elem()
 }
 
 // RegisterGauge registers a single standalone gauge (e.g. a build-info or
@@ -89,7 +113,8 @@ func (r *Registry) RegisterGauge(name string, g *atomic.Int64) {
 	r.add(metric{name: namespace + "_" + name, kind: kindGauge, gauge: g})
 }
 
-func (r *Registry) walk(prefix string, v reflect.Value) {
+// walk hands add one metric per field of v, recursing into nested structs.
+func walk(prefix string, v reflect.Value, add func(metric)) {
 	t := v.Type()
 	for i := 0; i < t.NumField(); i++ {
 		f := t.Field(i)
@@ -99,14 +124,14 @@ func (r *Registry) walk(prefix string, v reflect.Value) {
 		name := prefix + snake(f.Name)
 		switch ptr := v.Field(i).Addr().Interface().(type) {
 		case *atomic.Uint64:
-			r.add(metric{name: name + "_total", kind: kindCounter, counter: ptr})
+			add(metric{name: name + "_total", kind: kindCounter, counter: ptr})
 		case *atomic.Int64:
-			r.add(metric{name: name, kind: kindGauge, gauge: ptr})
+			add(metric{name: name, kind: kindGauge, gauge: ptr})
 		case *metrics.Histogram:
-			r.add(metric{name: name + "_seconds", kind: kindHistogram, hist: ptr})
+			add(metric{name: name + "_seconds", kind: kindHistogram, hist: ptr})
 		default:
 			if f.Type.Kind() == reflect.Struct {
-				r.walk(name+"_", v.Field(i))
+				walk(name+"_", v.Field(i), add)
 				continue
 			}
 			panic(fmt.Sprintf("obs: unsupported metric field type %s for %s.%s", f.Type, t.Name(), f.Name))
@@ -115,11 +140,15 @@ func (r *Registry) walk(prefix string, v reflect.Value) {
 }
 
 func (r *Registry) add(m metric) {
-	if _, dup := r.names[m.name]; dup {
-		panic(fmt.Sprintf("obs: duplicate metric name %s", m.name))
-	}
-	r.names[m.name] = struct{}{}
+	r.claim(m.name)
 	r.metrics = append(r.metrics, m)
+}
+
+func (r *Registry) claim(name string) {
+	if _, dup := r.names[name]; dup {
+		panic(fmt.Sprintf("obs: duplicate metric name %s", name))
+	}
+	r.names[name] = struct{}{}
 }
 
 // snake converts a Go exported identifier to snake_case, keeping acronym
@@ -153,8 +182,11 @@ func (r *Registry) Render(w io.Writer) error {
 	ms := r.metrics
 	r.mu.Unlock()
 	var buckets [metrics.NumBuckets]uint64
-	for _, m := range ms {
-		var err error
+	var err error
+	render := func(m metric) {
+		if err != nil {
+			return
+		}
 		switch m.kind {
 		case kindCounter:
 			_, err = fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", m.name, m.name, m.counter.Load())
@@ -163,11 +195,15 @@ func (r *Registry) Render(w io.Writer) error {
 		case kindHistogram:
 			err = renderHistogram(w, m.name, m.hist, &buckets)
 		}
-		if err != nil {
-			return err
+	}
+	for _, m := range ms {
+		if m.collect != nil {
+			walk(m.name, reflect.ValueOf(m.collect()).Elem(), render)
+		} else {
+			render(m)
 		}
 	}
-	return nil
+	return err
 }
 
 func renderHistogram(w io.Writer, name string, h *metrics.Histogram, scratch *[metrics.NumBuckets]uint64) error {

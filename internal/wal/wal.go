@@ -7,11 +7,14 @@
 // boundary as the engine's per-peer commit-queue envelopes.
 //
 // Durability contract: Append alone promises nothing; a record is durable
-// only once a Sync that started after its Append has returned. The engine
-// syncs at the three points classic presumed-abort 2PC requires (participant
-// prepare before the yes vote, coordinator decision before the decide
-// broadcast, coordinator freeze before the client reply) and rides the
-// freeze/purge batches for everything else.
+// only once a Sync that started after its Append — or a SyncTo naming the
+// sequence number Append returned — has returned. The log is sequential, so
+// durability of record n implies durability of every record before it: the
+// engine waits at the points classic presumed-abort 2PC requires (remote
+// participant prepare before the yes vote, coordinator decision before the
+// decide broadcast, freeze records before the freeze ack and the client
+// reply) and lets every other record ride the next of those fsyncs (the
+// per-record table is in docs/ARCHITECTURE.md, "Durability").
 //
 // On open, the newest segment's tail is scanned and truncated at the first
 // frame that is short, oversized, or fails its CRC — a torn tail from a
@@ -35,6 +38,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -297,11 +301,12 @@ func frameAt(data []byte, off int64) (int64, []byte, error) {
 	return frameHeader + int64(ln), payload, nil
 }
 
-// Append buffers one record for the next Sync. It never blocks on I/O.
-// On a poisoned or closed log the record is dropped — the next Sync (which
-// every durability point in the engine issues before acting on the record)
-// reports the latched failure.
-func (l *Log) Append(r *Record) {
+// Append buffers one record for the next Sync and returns its sequence
+// number, the handle SyncTo waits on. It never blocks on I/O. On a poisoned
+// or closed log the record is dropped — the next Sync or SyncTo (which every
+// durability point in the engine issues before acting on the record) reports
+// the latched failure.
+func (l *Log) Append(r *Record) uint64 {
 	// Encode on a pooled wire buffer so the frame assembly allocates
 	// nothing on the steady-state path.
 	bp := wire.GetBuf()
@@ -311,10 +316,11 @@ func (l *Log) Append(r *Record) {
 
 	l.mu.Lock()
 	if l.failed != nil || l.closed {
+		seq := l.appendSeq
 		l.mu.Unlock()
 		*bp = payload
 		wire.PutBuf(bp)
-		return
+		return seq
 	}
 	l.buf = append(l.buf,
 		byte(ln), byte(ln>>8), byte(ln>>16), byte(ln>>24),
@@ -322,12 +328,14 @@ func (l *Log) Append(r *Record) {
 	l.buf = append(l.buf, payload...)
 	l.bufRecs++
 	l.appendSeq++
+	seq := l.appendSeq
 	l.mu.Unlock()
 
 	*bp = payload
 	wire.PutBuf(bp)
 	l.stats.WalAppends.Add(1)
 	l.stats.WalBytes.Add(uint64(len(payload)))
+	return seq
 }
 
 // Sync makes every record appended before this call durable. Concurrent
@@ -335,10 +343,18 @@ func (l *Log) Append(r *Record) {
 // while the rest wait on the same barrier, so the fsync cost amortizes over
 // the whole group. Once the log is poisoned Sync always fails — including
 // for records a poisoned Append silently dropped.
-func (l *Log) Sync() error {
+func (l *Log) Sync() error { return l.SyncTo(math.MaxUint64) }
+
+// SyncTo makes the record Append numbered seq — and, the log being
+// sequential, every record before it — durable. It returns at once, without
+// an fsync of its own, when a neighbour's fsync already covered seq; a waiter
+// whose record an in-flight fsync missed takes the next one. A seq beyond
+// the last append means everything appended so far. Failure semantics are
+// Sync's.
+func (l *Log) SyncTo(seq uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	target := l.appendSeq
+	target := min(seq, l.appendSeq)
 	for {
 		if l.failed != nil {
 			return l.failed

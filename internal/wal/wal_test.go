@@ -8,7 +8,9 @@ import (
 	"path/filepath"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/sss-paper/sss/internal/metrics"
 	"github.com/sss-paper/sss/internal/vclock"
@@ -402,5 +404,152 @@ func TestSegmentRotationBySize(t *testing.T) {
 	}
 	if got := len(replayAll(t, dir)); got != n {
 		t.Fatalf("replayed %d records across segments, want %d", got, n)
+	}
+}
+
+// gatedFile wraps a real segment file, counts its fsyncs, and parks each one
+// on gate (when non-nil) after announcing it on entered — the seam that lets
+// a test hold one fsync in flight while it appends behind it.
+type gatedFile struct {
+	*os.File
+	syncs   *atomic.Int64
+	entered chan struct{}
+	gate    chan struct{}
+}
+
+func (g *gatedFile) Sync() error {
+	g.syncs.Add(1)
+	if g.gate != nil {
+		g.entered <- struct{}{}
+		<-g.gate
+	}
+	return g.File.Sync()
+}
+
+func gatedOpts(syncs *atomic.Int64, entered, gate chan struct{}, stats *metrics.Durability) Options {
+	return Options{Stats: stats, OpenFile: func(name string, flag int, perm os.FileMode) (File, error) {
+		f, err := os.OpenFile(name, flag, perm)
+		if err != nil {
+			return nil, err
+		}
+		return &gatedFile{File: f, syncs: syncs, entered: entered, gate: gate}, nil
+	}}
+}
+
+// TestSyncToCovered pins the LSN wait's fast path: once a neighbour's fsync
+// covered a record, waiting for it costs no fsync — by sequence number or by
+// a Sync with nothing new behind it.
+func TestSyncToCovered(t *testing.T) {
+	var syncs atomic.Int64
+	stats := &metrics.Durability{}
+	l := openTest(t, t.TempDir(), gatedOpts(&syncs, nil, nil, stats))
+	first := l.Append(testRecord(0))
+	second := l.Append(testRecord(1))
+	if first != 1 || second != 2 {
+		t.Fatalf("Append sequence numbers = %d, %d, want 1, 2", first, second)
+	}
+	// Waiting on the older record flushes the whole buffer: one fsync covers
+	// the newer record too.
+	if err := l.SyncTo(first); err != nil {
+		t.Fatal(err)
+	}
+	for _, seq := range []uint64{first, second, second + 10} {
+		if err := l.SyncTo(seq); err != nil {
+			t.Fatalf("SyncTo(%d): %v", seq, err)
+		}
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if got := syncs.Load(); got != 1 {
+		t.Fatalf("file fsyncs = %d, want 1: covered waits must not sync", got)
+	}
+	if got := stats.WalSyncs.Load(); got != 1 {
+		t.Fatalf("WalSyncs = %d, want 1", got)
+	}
+}
+
+// TestSyncToMissedByInflight holds one fsync in flight, appends a record
+// behind it, and checks that the record's waiter is not released by the
+// in-flight fsync (which never saw the record) but by a second one.
+func TestSyncToMissedByInflight(t *testing.T) {
+	var syncs atomic.Int64
+	entered, gate := make(chan struct{}, 4), make(chan struct{})
+	dir := t.TempDir()
+	l := openTest(t, dir, gatedOpts(&syncs, entered, gate, nil))
+	first := l.Append(testRecord(0))
+	firstDone := make(chan error, 1)
+	go func() { firstDone <- l.SyncTo(first) }()
+	<-entered // the owner is inside its fsync, buffer already taken
+
+	second := l.Append(testRecord(1))
+	secondDone := make(chan error, 1)
+	go func() { secondDone <- l.SyncTo(second) }()
+	select {
+	case err := <-secondDone:
+		t.Fatalf("SyncTo of a record the in-flight fsync missed returned early (%v)", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+
+	gate <- struct{}{} // finish the first fsync
+	if err := <-firstDone; err != nil {
+		t.Fatal(err)
+	}
+	<-entered // the missed waiter took ownership of its own fsync
+	select {
+	case err := <-secondDone:
+		t.Fatalf("missed waiter released before its own fsync finished (%v)", err)
+	default:
+	}
+	gate <- struct{}{}
+	if err := <-secondDone; err != nil {
+		t.Fatal(err)
+	}
+	if got := syncs.Load(); got != 2 {
+		t.Fatalf("file fsyncs = %d, want 2", got)
+	}
+	close(gate) // Close's final sync must not park
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(replayAll(t, dir)); got != 2 {
+		t.Fatalf("replayed %d records, want 2", got)
+	}
+}
+
+// TestSyncToPoisonedAndClosed pins that the LSN wait shares Sync's failure
+// semantics: a poisoned log refuses even a record that became durable before
+// the failure, and a closed log answers exactly as Sync does.
+func TestSyncToPoisonedAndClosed(t *testing.T) {
+	l := openTest(t, t.TempDir(), Options{})
+	durable := l.Append(testRecord(0))
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	l.mu.Lock()
+	_ = l.f.Close() // sever the segment: the next write fails
+	l.mu.Unlock()
+	lost := l.Append(testRecord(1))
+	if err := l.SyncTo(lost); err == nil {
+		t.Fatal("SyncTo over a severed segment returned nil")
+	}
+	if err := l.SyncTo(durable); err == nil {
+		t.Fatal("SyncTo on a poisoned log returned nil")
+	}
+	if dropped := l.Append(testRecord(2)); dropped != lost {
+		t.Fatalf("post-poison Append returned %d, want the unchanged frontier %d", dropped, lost)
+	}
+
+	c := openTest(t, t.TempDir(), Options{})
+	seq := c.Append(testRecord(0))
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	dropped := c.Append(testRecord(1))
+	if dropped != seq {
+		t.Fatalf("post-close Append returned %d, want the unchanged frontier %d", dropped, seq)
+	}
+	if got, want := c.SyncTo(dropped), c.Sync(); (got == nil) != (want == nil) {
+		t.Fatalf("closed log: SyncTo = %v, Sync = %v", got, want)
 	}
 }

@@ -7,7 +7,8 @@
 #    and scrapes every node's /metrics: `sss-client top -once` gates the
 #    required-series contract, then a python check asserts the values
 #    reconcile (nonzero sss_commits_total, stage histogram counts equal to
-#    it, zero WAL sync failures).
+#    it, zero WAL sync failures) and that the page is live
+#    (sss_transport_flushes_total advances between two scrapes).
 # 3. Runs the multi-process e2e suite (internal/harness): boots a real
 #    3-node TCP cluster, checks cross-node write visibility, read-only
 #    snapshot coherence under concurrent transfers, that abrupt client
@@ -18,7 +19,7 @@
 # 4. Runs one short figure-3 point of `sss-bench -transport tcp` against a
 #    3-node cluster and checks the JSON snapshot materializes — once
 #    in-memory, once with `-durability wal` (real per-node WALs, durability
-#    counters harvested into the point).
+#    counters harvested into the point, at most 6.2 fsyncs per commit).
 #
 # Usage: scripts/e2e_smoke.sh
 set -euo pipefail
@@ -58,6 +59,15 @@ for i in 0 1 2; do
   done
   "$bin_dir/sss-client" -addr "127.0.0.1:846$i" ping >/dev/null
 done
+# First scrape, before the load: the transport counters must move past it.
+flushes_before="$(
+  for i in 0 1 2; do
+    python3 -c "
+import urllib.request
+page = urllib.request.urlopen('http://127.0.0.1:946$i/metrics', timeout=5).read().decode()
+print(next(l.split()[1] for l in page.splitlines() if l.startswith('sss_transport_flushes_total ')))"
+  done
+)"
 for i in 0 1 2; do
   for k in $(seq 1 8); do
     "$bin_dir/sss-client" -addr "127.0.0.1:846$i" set "smoke$i-$k" "v$k" >/dev/null
@@ -66,9 +76,11 @@ done
 # The top subcommand's -once mode is the series-presence gate: it exits
 # nonzero if any node is down or missing a required series.
 "$bin_dir/sss-client" top -once 127.0.0.1:9460 127.0.0.1:9461 127.0.0.1:9462
-python3 - <<'EOF'
+FLUSHES_BEFORE="$flushes_before" python3 - <<'EOF'
+import os
 import urllib.request
 
+flushes_before = [float(v) for v in os.environ["FLUSHES_BEFORE"].split()]
 total_commits = 0
 for i in range(3):
     page = urllib.request.urlopen(f"http://127.0.0.1:946{i}/metrics", timeout=5).read().decode()
@@ -85,9 +97,12 @@ for i in range(3):
             f"node {i}: sss_stage_{stage}_seconds_count {count} != sss_commits_total {commits}"
     assert samples["sss_wal_sync_failures_total"] == 0, \
         f"node {i}: WAL sync failures on a healthy cluster"
+    flushes = samples["sss_transport_flushes_total"]
+    assert flushes > flushes_before[i], \
+        f"node {i}: sss_transport_flushes_total frozen at {flushes} across the load"
     total_commits += commits
 assert total_commits >= 24, f"cluster committed {total_commits} < 24 issued updates"
-print(f"metrics gate: {total_commits:.0f} commits, stage counts reconcile on all 3 nodes")
+print(f"metrics gate: {total_commits:.0f} commits, stage counts reconcile and transport counters advance on all 3 nodes")
 EOF
 # shellcheck disable=SC2086
 kill $server_pids 2>/dev/null || true
@@ -139,7 +154,7 @@ echo "== figure-3 TCP durable smoke point (-durability wal) =="
 )
 test -s "$out_dir/BENCH_figure3_tcp.json"
 python3 -c "
-import json, sys
+import json, re, sys
 doc = json.load(open('$out_dir/BENCH_figure3_tcp.json'))
 pts = doc['points']
 assert len(pts) == 1, f'expected 1 point, got {len(pts)}'
@@ -149,7 +164,15 @@ assert p['throughput_txn_s'] > 0, 'durable cluster served no transactions'
 dur = p['durability']
 assert len(dur) == 3, f'expected 3 durability dumps, got {len(dur)}'
 assert all('walAppends=' in d and 'syncs=' in d for d in dur), dur
-print(f\"figure-3 tcp wal point: {p['throughput_txn_s']:.0f} txn/s durable on {p['nodes']} nodes\")
+# The fsync budget. Dumps and stage scrape both cover the cluster's whole life,
+# so their ratio is fsyncs per commit: ~5.5 on a serial commit path, less once
+# group commit shares them.
+syncs = sum(int(re.search(r'syncs=(\d+)', d).group(1)) for d in dur)
+commits = p['stages']['vote']['count']
+assert commits > 0 and syncs / commits <= 6.2, \
+    f'{syncs} fsyncs for {commits} commits = {syncs / commits:.2f} per commit, budget 6.2'
+print(f\"figure-3 tcp wal point: {p['throughput_txn_s']:.0f} txn/s durable on {p['nodes']} nodes, \"
+      f\"{syncs / commits:.2f} fsyncs/commit\")
 print('  ' + dur[0])
 "
 
