@@ -55,23 +55,17 @@ import (
 )
 
 var (
-	id            = flag.Int("id", 0, "this node's ID (index into -peers)")
-	peers         = flag.String("peers", "127.0.0.1:7000", "comma-separated node addresses")
-	clientAddr    = flag.String("client-addr", ":8000", "listen address for the client protocol")
-	metricsAddr   = flag.String("metrics-addr", "", "listen address for the Prometheus /metrics endpoint (empty = disabled)")
-	degree        = flag.Int("replication", 2, "replication degree")
-	batchMax      = flag.Int("batch-max", 0, "max envelopes per transport batch frame (0 = default 64)")
-	batchWin      = flag.Duration("batch-window", 0, "flush window per-peer senders wait to accumulate batches (0 = flush immediately)")
-	workers       = flag.Int("inbound-workers", 0, "inbound dispatch pool size (0 = 8×GOMAXPROCS, clamped to [32, 256])")
-	clientWorkers = flag.Int("client-workers", 0, "client request handler pool size (0 = same default)")
+	id          = flag.Int("id", 0, "this node's ID (index into -peers)")
+	peers       = flag.String("peers", "127.0.0.1:7000", "comma-separated node addresses")
+	clientAddr  = flag.String("client-addr", ":8000", "listen address for the client protocol")
+	metricsAddr = flag.String("metrics-addr", "", "listen address for the Prometheus /metrics endpoint (empty = disabled)")
+	degree      = flag.Int("replication", 2, "replication degree")
 
 	dataDir  = flag.String("data-dir", "", "WAL/checkpoint directory; enables durability and crash recovery (must exist)")
 	ckptIntv = flag.Duration("checkpoint-interval", 30*time.Second, "periodic checkpoint interval bounding WAL replay (0 disables; needs -data-dir)")
 
-	voteTimeout     = flag.Duration("vote-timeout", 0, "2PC vote collection timeout (0 = engine default)")
-	drainTimeout    = flag.Duration("drain-timeout", 0, "pre-commit snapshot-queue drain timeout (0 = engine default)")
-	freezeAckBudget = flag.Duration("freeze-ack-budget", 0, "how long the client ack is withheld while a freeze redelivers (0 = engine default 2×vote-timeout, negative disables)")
-	readerPark      = flag.Duration("reader-park", 0, "bound for read-only reads parking on decided-but-unstamped writers (0 = off)")
+	voteTimeout  = flag.Duration("vote-timeout", 0, "2PC vote collection timeout (0 = engine default)")
+	drainTimeout = flag.Duration("drain-timeout", 0, "pre-commit snapshot-queue drain timeout (0 = engine default)")
 
 	cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile to this file on SIGINT/SIGTERM")
 	mutexProfile = flag.String("mutexprofile", "", "write a mutex-contention profile to this file on SIGINT/SIGTERM")
@@ -107,18 +101,9 @@ func main() {
 	for i, a := range addrs {
 		book[wire.NodeID(i)] = strings.TrimSpace(a)
 	}
-	net_ := transport.NewTCPTuned(book, transport.Tuning{
-		MaxBatch:    *batchMax,
-		FlushWindow: *batchWin,
-		Workers:     *workers,
-	})
+	net_ := transport.NewTCP(book)
 	lookup := cluster.NewLookup(len(addrs), *degree)
-	cfg := engine.Config{
-		VoteTimeout:     *voteTimeout,
-		DrainTimeout:    *drainTimeout,
-		FreezeAckBudget: *freezeAckBudget,
-		ReaderPark:      *readerPark,
-	}
+	cfg := engine.Config{VoteTimeout: *voteTimeout, DrainTimeout: *drainTimeout}
 	var wlog *wal.Log
 	if *dataDir != "" {
 		walOpts := wal.Options{}
@@ -177,8 +162,7 @@ func main() {
 	}
 	logger.Info(fmt.Sprintf("client protocol on %s", ln.Addr()))
 	srv := clientproto.NewServer(engineStore{node}, clientproto.ServerOptions{
-		Workers: *clientWorkers,
-		Logf:    slogx.Logf(logger),
+		Logf: slogx.Logf(logger),
 		// The client-ack stage rides the engine's stage family so the
 		// protocol handoff appears in the same per-stage decomposition.
 		CommitAck: &node.Stats().Stage.ClientAck,

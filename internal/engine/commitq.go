@@ -32,7 +32,7 @@ const maxExtBatch = 128
 
 // extItem is one queued external-commit order: a freeze (vc non-nil, done
 // signalled once the replica acked) or a purge (vc nil, done nil).
-// deadline, when non-zero, is the freeze-ack budget: until it passes, a
+// deadline is a waited freeze's ack budget: until it passes, a
 // failed delivery requeues the item together with its waiter (the client
 // ack stays withheld); past it the waiter is released liveness-first.
 type extItem struct {
@@ -187,10 +187,9 @@ func (nd *Node) extSender(peer wire.NodeID, q *extQueue) {
 				// item's FreezeAckBudget deadline the waiter rides the
 				// requeue — the committer's client ack stays withheld, so
 				// the ack cannot outrun this replica's stamp across an
-				// outage shorter than the budget. Past the deadline (or
-				// with the budget disabled) the waiter releases
-				// liveness-first: a dead replica must not wedge the
-				// committer forever, and the expiry is counted.
+				// outage shorter than the budget. Past the deadline the
+				// waiter releases liveness-first: a dead replica must not
+				// wedge the committer forever, and the expiry is counted.
 				nd.stats.FreezeRetries.Add(1)
 				now := time.Now()
 				retry := make([]extItem, 0, len(batch))
@@ -200,7 +199,7 @@ func (nd *Node) extSender(peer wire.NodeID, q *extQueue) {
 						continue
 					}
 					keep := extItem{txn: it.txn, vc: it.vc}
-					if it.done != nil && !it.deadline.IsZero() {
+					if it.done != nil {
 						if now.Before(it.deadline) {
 							keep.done, keep.deadline = it.done, it.deadline
 							it.done = nil // withheld: not released below
@@ -242,10 +241,7 @@ func (nd *Node) extSender(peer wire.NodeID, q *extQueue) {
 // returns one completion channel per replica, in writeNodes order. dst is
 // reused caller scratch.
 func (nd *Node) enqueueFreezes(txn wire.TxnID, writeNodes []wire.NodeID, freezeVC vclock.VC, dst []chan struct{}) []chan struct{} {
-	var deadline time.Time
-	if nd.cfg.FreezeAckBudget > 0 {
-		deadline = time.Now().Add(nd.cfg.FreezeAckBudget)
-	}
+	deadline := time.Now().Add(nd.cfg.FreezeAckBudget)
 	for _, w := range writeNodes {
 		done := make(chan struct{})
 		if !nd.extq[w].enqueue(extItem{txn: txn, vc: freezeVC, done: done, deadline: deadline}) {

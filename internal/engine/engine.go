@@ -25,10 +25,6 @@
 //     writer's external-commit stamp at freeze arrival — reader verdicts
 //     key off that replica-independent stamp, never off local re-drain
 //     (flag) timing.
-//   - Optionally (Config.AnnounceWait > 0), a reader waits out the
-//     drain-barrier → freeze-arrival gap instead of deciding blind in it
-//     (see the Config field and docs/CONSISTENCY.md §5 for why this ships
-//     off by default).
 //   - A transaction that observed a provisional version completes only
 //     after that writer's external commit; Removes precede completion
 //     waits, keeping the wait graph acyclic.
@@ -76,62 +72,16 @@ type Config struct {
 	StarvationAge time.Duration
 	BackoffBase   time.Duration
 	BackoffMax    time.Duration
-	// MergeWait bounds how long a fan-out read waits for sibling replica
-	// replies after the fastest reply carried exclusions (the informed
-	// merge, docs/CONSISTENCY.md §5). The siblings are already in flight,
-	// so the bound only matters when a replica is down or badly delayed:
-	// on expiry the best reply received so far is adopted, preserving the
-	// read fast path instead of stalling until the read context's
-	// DrainTimeout.
-	MergeWait time.Duration
-	// AnnounceWait, when positive, makes a read-only read wait (bounded)
-	// for the freeze announcement of a writer whose drain round has
-	// completed here instead of deciding on it blind; expiry falls back
-	// to blanket exclusion. Off (0) by default: for the wait to buy its
-	// theoretical guarantee the bound must exceed the drain round's
-	// straggler time (reader lifetimes), which stalls contended reads
-	// for milliseconds, and measured violation rates under the stress
-	// suites were not reliably better than with the stamp machinery
-	// alone — see docs/CONSISTENCY.md §5 for the honest accounting.
-	AnnounceWait time.Duration
-	// PiggybackSkewBudget bounds how stale a piggybacked drain barrier may
-	// be when the freeze is issued. The drain stage normally rides the
-	// decide round (Decide.Drain), saving an acked round trip per commit;
-	// but the temporal-separation argument of docs/CONSISTENCY.md §5 wants
-	// the drain barrier within ~one message delay of the freeze arrival.
-	// When any write replica's pre-commit drain blocked or had readers
-	// parked on the written keys, or the earliest decide ack is older than
-	// this budget by freeze time, the coordinator re-tightens with a
-	// standalone drain round before freezing. Default 4ms — well above an
-	// uncontended decide round; genuinely contended commits are caught by
-	// the replica-side reader signals regardless of elapsed time.
-	PiggybackSkewBudget time.Duration
-	// FreezeAckBudget, when positive, applies the freeze-ack discipline:
-	// after a freeze delivery fails, the coordinator keeps withholding the
-	// committer's client ack — requeueing the freeze together with its
-	// waiter — until the budget elapses, and only then degrades to the
-	// liveness-first release (waiter closed, waiter-less redelivery,
+	// FreezeAckBudget bounds the freeze-ack discipline: after a freeze
+	// delivery fails, the coordinator keeps withholding the committer's
+	// client ack — requeueing the freeze together with its waiter — until
+	// the budget elapses, and only then degrades to the liveness-first
+	// release (waiter closed, waiter-less redelivery,
 	// FreezeAckBudgetExpired counted). A replica outage shorter than the
-	// budget can no longer let a client ack outrun that replica's stamp.
-	// Negative disables (always release on first failure, the pre-budget
-	// behavior); 0 selects the default of 2×VoteTimeout — one full retry
-	// cycle beyond the failed call.
+	// budget cannot let a client ack outrun that replica's stamp. 0 selects
+	// the default of 2×VoteTimeout — one full retry cycle beyond the failed
+	// call.
 	FreezeAckBudget time.Duration
-	// ReaderPark, when positive, is the mvstore-side alternative to the
-	// freeze-ack budget: a read-only read whose verdict would
-	// blanket-exclude a decided-but-unstamped writer parks (bounded by
-	// this wait) for the writer's stamp instead of deciding blind.
-	// Differs from AnnounceWait in scope: it applies to any W entry the
-	// reader would exclude with no stamp recorded — drained or not — so it
-	// also covers the freeze-redelivery window where the drain completed
-	// elsewhere but this replica's stamp is still in a retry queue. Off
-	// (0) by default: measured in the disk-full A/B it converts the
-	// ack-outrun anomaly into reader-side latency on every contended read
-	// rather than a coordinator-side wait on the rare failed freeze — see
-	// docs/CONSISTENCY.md for the numbers.
-	ReaderPark time.Duration
-	// NLogCapacity bounds the applied-commit log (0 = default).
-	NLogCapacity int
 	// MaxVersions bounds per-key version chains (0 = default).
 	MaxVersions int
 	// WAL, when non-nil, attaches a write-ahead log: commit-relevant records
@@ -164,13 +114,7 @@ func (c Config) withDefaults() Config {
 	if c.BackoffMax <= 0 {
 		c.BackoffMax = 2 * time.Millisecond
 	}
-	if c.MergeWait <= 0 {
-		c.MergeWait = 5 * time.Millisecond
-	}
-	if c.PiggybackSkewBudget <= 0 {
-		c.PiggybackSkewBudget = 4 * time.Millisecond
-	}
-	if c.FreezeAckBudget == 0 {
+	if c.FreezeAckBudget <= 0 {
 		c.FreezeAckBudget = 2 * c.VoteTimeout
 	}
 	return c
@@ -374,7 +318,7 @@ func New(net transport.Network, id wire.NodeID, n int, lookup cluster.Lookup, cf
 		n:      n,
 		cfg:    cfg,
 		lookup: lookup,
-		log:    commitlog.New(int(id), n, cfg.NLogCapacity),
+		log:    commitlog.New(int(id), n, commitlog.DefaultCapacity),
 		store:  mvstore.New(n, cfg.MaxVersions),
 		locks:  lockmgr.New(),
 		stats:  &metrics.Engine{},

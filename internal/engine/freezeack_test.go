@@ -20,10 +20,9 @@ import (
 //
 // cycle; here the lossy link is a puppet — an InProc Filter that swallows
 // freeze-carrying ExtBatches to the starved replica — and the closed window
-// is asserted directly on the two defenses the engine prototypes:
-// FreezeAckBudget (the ack is withheld while the freeze redelivers) and
-// ReaderPark (a reader at the starved replica parks on the unstamped entry
-// instead of deciding blind). No live cluster, no timing-dependent checker.
+// is asserted directly on the engine's defense, FreezeAckBudget (the ack is
+// withheld while the freeze redelivers). No live cluster, no
+// timing-dependent checker.
 
 // freezeStarver returns an InProc filter dropping freeze-carrying ExtBatch
 // envelopes addressed to victim while blocked holds, plus the flag itself.
@@ -108,13 +107,10 @@ func TestFreezeAckWithheldOnLostFreeze(t *testing.T) {
 	}
 
 	// The ack was withheld until the stamp landed: a post-ack read through
-	// the once-starved replica sees the write with no park and no blind
-	// exclusion — the rt edge of the checker cycle cannot form.
+	// the once-starved replica sees the write with no blind exclusion — the
+	// rt edge of the checker cycle cannot form.
 	if got := readKey(t, nodes[0], key); got != "v1" {
 		t.Fatalf("post-ack read through healed replica = %q, want v1", got)
-	}
-	if got := nodes[1].Stats().Contention.ReaderParks.Load(); got != 0 {
-		t.Fatalf("post-ack read parked %d times; stamp should have preceded the ack", got)
 	}
 }
 
@@ -142,46 +138,4 @@ func TestFreezeAckBudgetExpiryReleasesClient(t *testing.T) {
 		t.Fatal("liveness-first release not counted in FreezeAckBudgetExpired")
 	}
 	blocked.Store(false) // let the redelivery loop converge before teardown
-}
-
-// TestReaderParkOnLostFreeze: the B-side prototype. With the budget disabled
-// (legacy ack-on-first-failure) the window is open at the committer — so the
-// replica closes it instead: a read arriving at the starved replica parks on
-// the decided-but-unstamped W entry until the redelivered freeze stamps it,
-// and the verdict is then the replica-independent stamp compare rather than
-// the blind blanket exclusion that let replicas order the writer oppositely.
-func TestReaderParkOnLostFreeze(t *testing.T) {
-	blocked, filter := freezeStarver(1)
-	cfg := Config{
-		VoteTimeout:     100 * time.Millisecond,
-		FreezeAckBudget: -1, // legacy: ack releases on first failed delivery
-		ReaderPark:      10 * time.Second,
-	}
-	nodes := newClusterNet(t, 2, 1, cfg, transport.InProcConfig{DisableLatency: true, Filter: filter})
-	key := keyOwnedBy(t, nodes[0].lookup, 1)
-	preload(nodes, map[string]string{key: "v0"})
-
-	// With the budget disabled the commit returns after the first delivery
-	// failure — the client ack has outrun the victim replica's stamp.
-	writeKey(t, nodes[0], key, "v1")
-	if nodes[0].Stats().FreezeAckWithheld.Load() != 0 {
-		t.Fatal("disabled budget still withheld the ack")
-	}
-
-	// Heal the link shortly after the reader arrives: the park must resolve
-	// via the redelivered stamp, not its timeout.
-	go func() {
-		time.Sleep(200 * time.Millisecond)
-		blocked.Store(false)
-	}()
-	if got := readKey(t, nodes[0], key); got != "v1" {
-		t.Fatalf("parked read = %q, want v1 (ack already reached the client)", got)
-	}
-	st := &nodes[1].Stats().Contention
-	if st.ReaderParks.Load() == 0 {
-		t.Fatal("reader did not park on the unstamped entry")
-	}
-	if got := st.ReaderParkTimeouts.Load(); got != 0 {
-		t.Fatalf("park timed out %d times; the redelivered stamp should wake it", got)
-	}
 }

@@ -317,6 +317,17 @@ func TestPiggybackedDecideDrainReplicaIndependence(t *testing.T) {
 		stamp, _, _ := nodes[0].store.SQWriteState(kD, w2)
 		return stamp != 0
 	})
+	// The ungated halves of the same (un-awaited) freeze broadcasts: the
+	// readers below must not outrun them, or they blanket-exclude a writer
+	// whose freeze is merely still in flight.
+	waitUntil(t, "kA@0 stamped", func() bool {
+		stamp, _, _ := nodes[0].store.SQWriteState(kA, w1)
+		return stamp != 0
+	})
+	waitUntil(t, "kC@1 stamped", func() bool {
+		stamp, _, _ := nodes[1].store.SQWriteState(kC, w2)
+		return stamp != 0
+	})
 	// Gated replicas stamped exactly the freeze vector's entry, before
 	// their re-drain completed: the stamp is replica-independent.
 	if stamp, flagged, _ := nodes[1].store.SQWriteState(kB, w1); flagged || stamp != f1[1] {

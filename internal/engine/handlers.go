@@ -56,23 +56,6 @@ func (nd *Node) handleRead(from wire.NodeID, rid uint64, m *wire.ReadRequest) {
 		beforeIDs[b.Txn] = struct{}{}
 	}
 
-	// Optionally wait out the freeze announcement of a writer whose drain
-	// round completed here, instead of deciding on it blind inside the
-	// drain-barrier → freeze-arrival gap (AnnounceWait > 0; off by
-	// default — see the Config field and docs/CONSISTENCY.md §5 for the
-	// measured trade-off). ReadRO's verdict-point re-check receives only
-	// whatever budget this pre-pass left unspent, so one read never
-	// blocks longer than the configured bound in total.
-	var roWait time.Duration
-	if nd.cfg.AnnounceWait > 0 {
-		start := time.Now()
-		if nd.store.SQAwaitAnnounce(m.Key, seen, beforeIDs, nd.cfg.AnnounceWait) {
-			if rem := nd.cfg.AnnounceWait - time.Since(start); rem > 0 {
-				roWait = rem
-			}
-		}
-	}
-
 	var maxVC vclock.VC
 	if len(m.HasRead) > nd.idx && m.HasRead[nd.idx] {
 		// This node answered T before: T.VC[idx] is already a hard
@@ -161,7 +144,7 @@ func (nd *Node) handleRead(from wire.NodeID, rid uint64, m *wire.ReadRequest) {
 	// The first-contact probe is done with sc.excluded; hand it to ReadRO
 	// (cleared) as the scratch for the authoritative queue-exclusion set.
 	clear(sc.excluded)
-	ro := nd.store.ReadRO(m.Txn, m.Key, nd.idx, nd.n, stampBound, m.HasRead, maxVC, seen, beforeIDs, m.ObsVC, sc.excluded, roWait, nd.cfg.ReaderPark)
+	ro := nd.store.ReadRO(m.Txn, m.Key, nd.idx, nd.n, stampBound, m.HasRead, maxVC, seen, beforeIDs, m.ObsVC, sc.excluded)
 	res := ro.Res
 	before := sid
 	lower(ro.Skipped)
@@ -569,21 +552,19 @@ func (nd *Node) handleDecide(from wire.NodeID, rid uint64, m *wire.Decide) {
 		return
 	}
 	// Piggybacked drain stage: the pre-commit wait above already cleared
-	// this key's backlog, so the drain round's work reduces to marking the
-	// entries drained (freeze imminent — readers configured with an
-	// announce wait now hold for the stamp) and shipping the drain-stage
-	// frontier back in the same ack. The coordinator forms the freeze
-	// vector only after every write replica's ack, preserving the
+	// this key's backlog, so the drain round's work reduces to shipping the
+	// drain-stage frontier back in the same ack. The coordinator forms the
+	// freeze vector only after every write replica's ack, preserving the
 	// all-backlogs-clear barrier the standalone round provided — one acked
 	// round trip cheaper. Gated echoes whether the wait blocked *or*
 	// readers are currently parked on the written keys: either way readers
 	// are active around these keys, and the coordinator re-tightens with a
 	// standalone drain round before freezing (see commitUpdate).
 	for _, k := range pt.localWKey {
-		nd.store.SQMarkDrained(k, m.Txn)
-		if !gated && nd.store.SQHasReadEntries(k) {
-			gated = true
+		if gated {
+			break
 		}
+		gated = nd.store.SQHasReadEntries(k)
 	}
 	nd.stats.CommitRounds.DrainsPiggybacked.Add(1)
 	_ = nd.rpc.Reply(from, rid, &wire.DecideAck{Txn: m.Txn, Ext: nd.log.AppliedSelf(), Gated: gated})
@@ -657,9 +638,6 @@ func (nd *Node) handleExtCommit(from wire.NodeID, rid uint64, m *wire.ExtCommit)
 			if !nd.store.SQWaitDrain(k, m.Txn, ps.sid, nd.cfg.DrainTimeout) {
 				nd.stats.DrainTimeouts.Add(1)
 			}
-			// Freeze imminent: readers now wait for the stamp on this key
-			// instead of blanket-excluding the writer (SQAwaitAnnounce).
-			nd.store.SQMarkDrained(k, m.Txn)
 		}
 		nd.stats.CommitRounds.DrainRounds.Add(1)
 		_ = nd.rpc.Reply(from, rid, &wire.DecideAck{Txn: m.Txn, Ext: nd.log.AppliedSelf()})

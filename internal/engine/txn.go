@@ -415,6 +415,14 @@ func (t *Txn) readFanout(ctx context.Context, req *wire.ReadRequest, targets []w
 	return n
 }
 
+// mergeWait bounds how long a fan-out read waits for sibling replica
+// replies after the fastest reply carried exclusions (the informed merge,
+// docs/CONSISTENCY.md §5). The siblings are already in flight, so the bound
+// only matters when a replica is down or badly delayed: on expiry the best
+// reply received so far is adopted, preserving the read fast path instead of
+// stalling until the read context's DrainTimeout.
+const mergeWait = 5 * time.Millisecond
+
 // readMerge runs a fan-out read-only read: every replica is consulted,
 // the fastest exclusion-free reply is adopted immediately, and when
 // replies carry exclusions the informed merge picks the winner. A reply
@@ -426,7 +434,7 @@ func (t *Txn) readFanout(ctx context.Context, req *wire.ReadRequest, targets []w
 // excluded writer another reply observed is dropped: inclusion of a
 // queued writer is only possible once its freeze is announced, so the
 // including replica is strictly better informed. The straggler wait is
-// bounded by MergeWait: only a down or badly delayed replica can make the
+// bounded by mergeWait: only a down or badly delayed replica can make the
 // bound matter, and then the best reply received so far is adopted rather
 // than stalling the read.
 func (t *Txn) readMerge(ctx context.Context, key string, req *wire.ReadRequest, targets []wire.NodeID) (*wire.ReadReturn, wire.NodeID, error) {
@@ -460,7 +468,7 @@ collect:
 		}
 		withEx = append(withEx, a)
 		if mergeTimer == nil {
-			mergeTimer = time.NewTimer(t.nd.cfg.MergeWait)
+			mergeTimer = time.NewTimer(mergeWait)
 		}
 	}
 	if mergeTimer != nil {
@@ -589,6 +597,18 @@ func (t *Txn) sendRemoves() {
 	}
 	t.nd.stats.RemovesSent.Add(1)
 }
+
+// piggybackSkewBudget bounds how stale a piggybacked drain barrier may be
+// when the freeze is issued. The drain stage normally rides the decide round
+// (Decide.Drain), saving an acked round trip per commit; but the
+// temporal-separation argument of docs/CONSISTENCY.md §5 wants the drain
+// barrier within ~one message delay of the freeze arrival. When any write
+// replica's pre-commit drain blocked or had readers parked on the written
+// keys, or the earliest decide ack is older than this budget by freeze time,
+// the coordinator re-tightens with a standalone drain round before freezing.
+// 4ms is well above an uncontended decide round; genuinely contended commits
+// are caught by the replica-side reader signals regardless of elapsed time.
+const piggybackSkewBudget = 4 * time.Millisecond
 
 // commitUpdate runs the coordinator side of 2PC (Algorithm 1) followed by
 // the external-commit wait.
@@ -769,7 +789,7 @@ func (t *Txn) commitUpdate() error {
 	// temporal-separation argument of docs/CONSISTENCY.md §5 stays intact
 	// on the contended path while the uncontended path keeps the two-round
 	// commit.
-	stale := sc.firstAck.IsZero() || time.Since(sc.firstAck) > nd.cfg.PiggybackSkewBudget
+	stale := sc.firstAck.IsZero() || time.Since(sc.firstAck) > piggybackSkewBudget
 	if retighten || stale {
 		drainStart := time.Now()
 		dctx2, dcancel2 := context.WithTimeout(context.Background(), nd.cfg.DrainTimeout+time.Second)

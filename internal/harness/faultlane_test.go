@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"os"
-	"strings"
 	"testing"
 	"time"
 
@@ -61,14 +60,7 @@ func runFaultLane(t *testing.T, lane faultLane) {
 	// Short 2PC budgets keep fault-window stalls inside the lane's
 	// runtime; the read-budget split (engine/txn.go) is what lets
 	// reads fall back to live replicas within one vote slice.
-	// SSS_LANE_EXTRA_ARGS appends extra sss-server flags for config A/B
-	// experiments (e.g. "-freeze-ack-budget -1ns -reader-park 500ms" to
-	// swap the freeze-ack discipline for reader parking) without editing
-	// the committed lane defaults.
 	extraArgs := []string{"-vote-timeout", "250ms", "-drain-timeout", "3s"}
-	if extra := os.Getenv("SSS_LANE_EXTRA_ARGS"); extra != "" {
-		extraArgs = append(extraArgs, strings.Fields(extra)...)
-	}
 	c, err := Start(Config{
 		Nodes:           3,
 		Replication:     2,

@@ -55,10 +55,9 @@ type Config struct {
 	PeerLinkControl bool
 	// ClientNetDelay simulates a client↔server network round-trip time.
 	// Zero means direct loopback. Nonzero routes every client connection
-	// through an in-process delay relay adding half the value each way
-	// (see netdelay.go); with SSS_NET_DELAY_TC=1, root, and tc present, a
-	// netem qdisc on loopback is used instead. Inter-node traffic is only
-	// delayed on the netem path.
+	// through a per-node relay (linkrelay.go) adding half the value each
+	// way. Inter-node traffic is not delayed; that is what PeerLinkControl
+	// and SetLinkDelay are for.
 	ClientNetDelay time.Duration
 }
 
@@ -81,9 +80,8 @@ type Cluster struct {
 	clientAddrs  []string
 	metricsAddrs []string
 	procs        []*proc
-	relays       []*delayRelay  // client-path delay shims, nil entries impossible
+	relays       []*linkRelay   // per-node client-path delay relays; nil without ClientNetDelay
 	links        [][]*linkRelay // [from][to] peer-link relays; nil without PeerLinkControl
-	netemUndo    func()         // removes the loopback netem qdisc, if installed
 }
 
 // proc is one monitored server process.
@@ -127,36 +125,10 @@ func Start(cfg Config) (*Cluster, error) {
 		c.removeDir = true
 	}
 
-	// One allocation for all three address sets: all 3N listeners are held
-	// simultaneously, so the kernel cannot hand a just-freed peer port
-	// back out as a client or metrics port (or vice versa).
-	addrs, err := freeAddrs(3 * cfg.Nodes)
-	if err != nil {
+	if err := c.reserve(); err != nil {
 		c.cleanupDir()
 		return nil, err
 	}
-	c.peerAddrs, c.clientAddrs, c.metricsAddrs =
-		addrs[:cfg.Nodes], addrs[cfg.Nodes:2*cfg.Nodes], addrs[2*cfg.Nodes:]
-
-	if cfg.PeerLinkControl {
-		c.links = make([][]*linkRelay, cfg.Nodes)
-		for i := range c.links {
-			c.links[i] = make([]*linkRelay, cfg.Nodes)
-			for j := range c.links[i] {
-				if j == i {
-					continue
-				}
-				r, err := startLinkRelay(c.peerAddrs[j])
-				if err != nil {
-					c.closeLinks()
-					c.cleanupDir()
-					return nil, fmt.Errorf("harness: link relay %d->%d: %w", i, j, err)
-				}
-				c.links[i][j] = r
-			}
-		}
-	}
-
 	c.procs = make([]*proc, cfg.Nodes)
 	for i := 0; i < cfg.Nodes; i++ {
 		if err := c.spawn(i); err != nil {
@@ -164,41 +136,74 @@ func Start(cfg Config) (*Cluster, error) {
 			return nil, err
 		}
 	}
+	// Readiness is probed on the direct addresses, so startup never pays
+	// the client-path RTT tax.
 	if err := c.waitReady(cfg.StartTimeout); err != nil {
 		_ = c.Stop()
 		return nil, err
 	}
-	// Readiness is probed on the direct addresses; only after the cluster is
-	// up does the delay layer go in front, so startup never pays the RTT tax.
-	if cfg.ClientNetDelay > 0 {
-		if err := c.applyNetDelay(cfg.ClientNetDelay); err != nil {
-			_ = c.Stop()
-			return nil, err
-		}
-	}
 	return c, nil
 }
 
-// applyNetDelay interposes the configured client-path RTT: netem when the
-// opt-in environment allows it, one delay relay per node otherwise. On the
-// relay path ClientAddrs is rewritten to the relay listeners.
-func (c *Cluster) applyNetDelay(rtt time.Duration) error {
-	if netemAvailable() {
-		undo, err := netemApply(rtt)
-		if err == nil {
-			c.netemUndo = undo
-			return nil
-		}
-		// Fall through to the relay: netem was requested but unusable.
-		fmt.Fprintf(os.Stderr, "harness: %v; falling back to delay relay\n", err)
+// reserve opens every listener the cluster needs — 3N server ports plus one
+// per relay — while holding all of them, so the kernel cannot hand a server's
+// port to a relay (or a peer port back out as a client or metrics port).
+// Relays adopt their listeners still open; only the server ports are closed,
+// for the sss-server processes to bind. The usual tiny race (a stranger
+// grabbing a server port between that close and the server's listen) is
+// acceptable for tests and benchmarks.
+func (c *Cluster) reserve() error {
+	n := c.cfg.Nodes
+	total := 3 * n
+	if c.cfg.PeerLinkControl {
+		total += n * (n - 1)
 	}
-	for i, addr := range c.clientAddrs {
-		r, err := startDelayRelay(addr, rtt/2)
+	if c.cfg.ClientNetDelay > 0 {
+		total += n
+	}
+	lns := make([]net.Listener, 0, total)
+	for len(lns) < total {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			return fmt.Errorf("harness: delay relay for node %d: %w", i, err)
+			for _, ln := range lns {
+				_ = ln.Close()
+			}
+			return err
 		}
-		c.relays = append(c.relays, r)
-		c.clientAddrs[i] = r.Addr()
+		lns = append(lns, ln)
+	}
+	addrs := make([]string, 3*n)
+	for i := range addrs {
+		addrs[i] = lns[i].Addr().String()
+	}
+	c.peerAddrs, c.clientAddrs, c.metricsAddrs = addrs[:n], addrs[n:2*n], addrs[2*n:]
+
+	relayLns := lns[3*n:]
+	relayTo := func(target string) *linkRelay {
+		r := startLinkRelay(relayLns[0], target)
+		relayLns = relayLns[1:]
+		return r
+	}
+	if c.cfg.PeerLinkControl {
+		c.links = make([][]*linkRelay, n)
+		for i := range c.links {
+			c.links[i] = make([]*linkRelay, n)
+			for j := range c.links[i] {
+				if j != i {
+					c.links[i][j] = relayTo(c.peerAddrs[j])
+				}
+			}
+		}
+	}
+	if c.cfg.ClientNetDelay > 0 {
+		for _, addr := range c.clientAddrs {
+			r := relayTo(addr)
+			r.setDelay(c.cfg.ClientNetDelay / 2)
+			c.relays = append(c.relays, r)
+		}
+	}
+	for _, ln := range lns[:3*n] {
+		_ = ln.Close()
 	}
 	return nil
 }
@@ -438,8 +443,15 @@ func (c *Cluster) waitNode(i int, deadline time.Time) error {
 	}
 }
 
-// ClientAddrs returns the per-node client-protocol addresses.
-func (c *Cluster) ClientAddrs() []string { return append([]string(nil), c.clientAddrs...) }
+// ClientAddrs returns the per-node client-protocol addresses: the servers'
+// own, or their delay relays' under Config.ClientNetDelay.
+func (c *Cluster) ClientAddrs() []string {
+	addrs := append([]string(nil), c.clientAddrs...)
+	for i, r := range c.relays {
+		addrs[i] = r.Addr()
+	}
+	return addrs
+}
 
 // PeerAddrs returns the inter-node transport address book.
 func (c *Cluster) PeerAddrs() []string { return append([]string(nil), c.peerAddrs...) }
@@ -493,10 +505,6 @@ func (c *Cluster) Shutdown() error {
 	}
 	c.relays = nil
 	c.closeLinks()
-	if c.netemUndo != nil {
-		c.netemUndo()
-		c.netemUndo = nil
-	}
 	for _, p := range c.procs {
 		if p == nil {
 			continue
@@ -548,26 +556,4 @@ func (c *Cluster) cleanupDir() {
 		_ = os.RemoveAll(c.dir)
 		c.removeDir = false
 	}
-}
-
-// freeAddrs reserves n distinct loopback ports by listening on :0 and
-// closing. The usual tiny race (another process grabbing the port between
-// close and the server's listen) is acceptable for tests and benchmarks.
-func freeAddrs(n int) ([]string, error) {
-	addrs := make([]string, 0, n)
-	lns := make([]net.Listener, 0, n)
-	defer func() {
-		for _, ln := range lns {
-			_ = ln.Close()
-		}
-	}()
-	for i := 0; i < n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		lns = append(lns, ln)
-		addrs = append(addrs, ln.Addr().String())
-	}
-	return addrs, nil
 }

@@ -1,4 +1,7 @@
-// Controllable inter-node link shims for fault injection.
+// The harness's one TCP relay: a loopback proxy with a runtime-adjustable
+// one-way delay and a block switch. Config.ClientNetDelay puts one in front of
+// every node's client port (delay only); the rest of this comment is the
+// fault-injection use.
 //
 // With Config.PeerLinkControl, every directed peer link i→j is routed
 // through its own loopback TCP relay: node i's -peers address book lists
@@ -11,9 +14,10 @@
 //     dropped-packets partition, exercising the timeout paths rather than
 //     fast connection resets) and severs in-flight ones. Healing closes the
 //     parked connections so both transports redial through the open relay.
-//   - Delay: the same pipelined chunk scheme as the client-path delayRelay
-//     (netdelay.go), but mutable at runtime and per direction, which is what
-//     an asymmetric-delay nemesis needs.
+//   - Delay: chunks are timestamped at read and released at stamp+delay, so
+//     the relay adds latency without capping throughput (what netem does for
+//     a real NIC); mutable at runtime and per direction, which is what an
+//     asymmetric-delay nemesis needs.
 package harness
 
 import (
@@ -22,8 +26,8 @@ import (
 	"time"
 )
 
-// linkRelay proxies one directed peer link with runtime-adjustable delay
-// and a block switch.
+// linkRelay proxies one directed link with runtime-adjustable delay and a
+// block switch.
 type linkRelay struct {
 	ln     net.Listener
 	target string
@@ -36,18 +40,15 @@ type linkRelay struct {
 	closed  bool
 }
 
-// startLinkRelay listens on a fresh loopback port relaying to target.
-func startLinkRelay(target string) (*linkRelay, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
+// startLinkRelay adopts the already-open listener ln and relays its
+// connections to target (dialed per connection, so target need not be up yet).
+func startLinkRelay(ln net.Listener, target string) *linkRelay {
 	r := &linkRelay{ln: ln, target: target, conns: make(map[net.Conn]struct{})}
 	go r.acceptLoop()
-	return r, nil
+	return r
 }
 
-// Addr returns the relay's listening address — what the source node dials.
+// Addr returns the relay's listening address — what the source side dials.
 func (r *linkRelay) Addr() string { return r.ln.Addr().String() }
 
 func (r *linkRelay) acceptLoop() {

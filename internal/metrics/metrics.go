@@ -314,19 +314,6 @@ type Contention struct {
 	// the safety cap.
 	SQWaits        atomic.Uint64
 	SQWaitTimeouts atomic.Uint64
-	// AnnounceWaits counts read-only reads that found a drained writer whose
-	// freeze vector had not yet arrived and briefly waited for the
-	// announcement instead of deciding blind (docs/CONSISTENCY.md §5);
-	// AnnounceWaitTimeouts counts waits that expired and fell back to
-	// blanket exclusion.
-	AnnounceWaits        atomic.Uint64
-	AnnounceWaitTimeouts atomic.Uint64
-	// ReaderParks counts read-only reads that parked (Config.ReaderPark)
-	// on a decided-but-unstamped writer — any unstamped W entry, drained
-	// or not — instead of blanket-excluding it blind;
-	// ReaderParkTimeouts counts parks that expired without the stamp.
-	ReaderParks        atomic.Uint64
-	ReaderParkTimeouts atomic.Uint64
 }
 
 // Merge folds other's counters into c.
@@ -336,45 +323,32 @@ func (c *Contention) Merge(other *Contention) {
 	c.LogWaitTimeouts.Add(other.LogWaitTimeouts.Load())
 	c.SQWaits.Add(other.SQWaits.Load())
 	c.SQWaitTimeouts.Add(other.SQWaitTimeouts.Load())
-	c.AnnounceWaits.Add(other.AnnounceWaits.Load())
-	c.AnnounceWaitTimeouts.Add(other.AnnounceWaitTimeouts.Load())
-	c.ReaderParks.Add(other.ReaderParks.Load())
-	c.ReaderParkTimeouts.Add(other.ReaderParkTimeouts.Load())
 }
 
 // ContentionSnapshot is a point-in-time copy of the contention counters.
 type ContentionSnapshot struct {
-	LogWaits             uint64 `json:"log_waits"`
-	LogWakeups           uint64 `json:"log_wakeups"`
-	LogWaitTimeouts      uint64 `json:"log_wait_timeouts"`
-	SQWaits              uint64 `json:"sq_waits"`
-	SQWaitTimeouts       uint64 `json:"sq_wait_timeouts"`
-	AnnounceWaits        uint64 `json:"announce_waits"`
-	AnnounceWaitTimeouts uint64 `json:"announce_wait_timeouts"`
-	ReaderParks          uint64 `json:"reader_parks"`
-	ReaderParkTimeouts   uint64 `json:"reader_park_timeouts"`
+	LogWaits        uint64 `json:"log_waits"`
+	LogWakeups      uint64 `json:"log_wakeups"`
+	LogWaitTimeouts uint64 `json:"log_wait_timeouts"`
+	SQWaits         uint64 `json:"sq_waits"`
+	SQWaitTimeouts  uint64 `json:"sq_wait_timeouts"`
 }
 
 // Snapshot copies the counters into a plain struct.
 func (c *Contention) Snapshot() ContentionSnapshot {
 	return ContentionSnapshot{
-		LogWaits:             c.LogWaits.Load(),
-		LogWakeups:           c.LogWakeups.Load(),
-		LogWaitTimeouts:      c.LogWaitTimeouts.Load(),
-		SQWaits:              c.SQWaits.Load(),
-		SQWaitTimeouts:       c.SQWaitTimeouts.Load(),
-		AnnounceWaits:        c.AnnounceWaits.Load(),
-		AnnounceWaitTimeouts: c.AnnounceWaitTimeouts.Load(),
-		ReaderParks:          c.ReaderParks.Load(),
-		ReaderParkTimeouts:   c.ReaderParkTimeouts.Load(),
+		LogWaits:        c.LogWaits.Load(),
+		LogWakeups:      c.LogWakeups.Load(),
+		LogWaitTimeouts: c.LogWaitTimeouts.Load(),
+		SQWaits:         c.SQWaits.Load(),
+		SQWaitTimeouts:  c.SQWaitTimeouts.Load(),
 	}
 }
 
 // String renders the snapshot compactly.
 func (s ContentionSnapshot) String() string {
-	return fmt.Sprintf("logWaits=%d wakeups=%d timeouts=%d sqWaits=%d sqTimeouts=%d announceWaits=%d announceTimeouts=%d readerParks=%d readerParkTimeouts=%d",
-		s.LogWaits, s.LogWakeups, s.LogWaitTimeouts, s.SQWaits, s.SQWaitTimeouts,
-		s.AnnounceWaits, s.AnnounceWaitTimeouts, s.ReaderParks, s.ReaderParkTimeouts)
+	return fmt.Sprintf("logWaits=%d wakeups=%d timeouts=%d sqWaits=%d sqTimeouts=%d",
+		s.LogWaits, s.LogWakeups, s.LogWaitTimeouts, s.SQWaits, s.SQWaitTimeouts)
 }
 
 // Engine aggregates the per-engine counters the evaluation reports.

@@ -83,13 +83,6 @@ type sqItem struct {
 	// include/exclude verdict for a freezing writer regardless of how
 	// long its re-drain is gated locally.
 	stamp uint64
-	// drained marks a W entry whose drain round has completed here: the
-	// freeze announcement (the stamp) is at most one round-trip away.
-	// Readers configured with a positive announce wait block on such
-	// entries until the stamp lands (SQAwaitAnnounce) instead of deciding
-	// blind — the temporal-separation experiment of
-	// docs/CONSISTENCY.md §5.
-	drained bool
 	// committed marks a W entry whose freeze re-drain has completed
 	// (flag phase): it no longer blocks later writers' drains. The entry
 	// is purged asynchronously after the writer's client reply.
@@ -478,24 +471,14 @@ type RORead struct {
 // It is consumed under the shard lock and not retained; the caller may
 // clear and reuse it after the call.
 //
-// announceWait bounds the drained-writer announcement wait performed
-// atomically before the verdicts (see SQAwaitAnnounce): a verdict is never
-// made blind on a writer inside its drain-barrier → freeze-arrival gap.
+// The verdict never blocks: a decided writer whose stamp has not landed here
+// is excluded blind (why no bounded wait: docs/CONSISTENCY.md §5 and §7).
 //
-// parkWait, when positive, is the broader reader-park prototype
-// (Config.ReaderPark): the verdict additionally waits — bounded — on ANY
-// decided-but-unstamped writer, covering the freeze-redelivery window the
-// announce wait cannot see (drain not yet marked here, or stamp stuck in a
-// coordinator retry queue).
-func (s *Store) ReadRO(reader wire.TxnID, key string, self, n int, stampBound uint64, hasRead []bool, maxVC vclock.VC, seen, beforeIDs map[wire.TxnID]struct{}, obsVC vclock.VC, scratchEx map[wire.TxnID]struct{}, announceWait, parkWait time.Duration) RORead {
+// The ignored tail exists only for benchmark/probes.go, which still passes two wait budgets.
+func (s *Store) ReadRO(reader wire.TxnID, key string, self, n int, stampBound uint64, hasRead []bool, maxVC vclock.VC, seen, beforeIDs map[wire.TxnID]struct{}, obsVC vclock.VC, scratchEx map[wire.TxnID]struct{}, _ ...time.Duration) RORead {
 	sh := s.shard(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if parkWait > 0 {
-		s.awaitStampLocked(sh, key, seen, beforeIDs, parkWait, true)
-	} else if announceWait > 0 {
-		s.awaitAnnounceLocked(sh, key, seen, beforeIDs, announceWait)
-	}
 	ks := sh.keys[key]
 	if ks == nil {
 		return RORead{}
@@ -714,124 +697,8 @@ func (s *Store) stampLocked(sh *shard, key string, txn wire.TxnID, stamp uint64)
 			if ks.sqW[i].stamp == 0 || stamp < ks.sqW[i].stamp {
 				ks.sqW[i].stamp = stamp
 			}
-			// Wake readers parked in SQAwaitAnnounce for this writer.
-			sh.cond.Broadcast()
 			return
 		}
-	}
-}
-
-// SQMarkDrained records that txn's drain round completed on key: its freeze
-// announcement is imminent, so readers should wait for the stamp rather
-// than blanket-exclude (SQAwaitAnnounce). Called by the drain-phase handler
-// after the key's backlog cleared.
-func (s *Store) SQMarkDrained(key string, txn wire.TxnID) {
-	sh := s.shard(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	ks := sh.keys[key]
-	if ks == nil {
-		return
-	}
-	for i := range ks.sqW {
-		if ks.sqW[i].Txn == txn {
-			ks.sqW[i].drained = true
-			return
-		}
-	}
-}
-
-// SQAwaitAnnounce blocks while key's snapshot-queue holds a drained W entry
-// whose freeze vector has not arrived yet — a writer in the one-round-trip
-// gap between its drain barrier and its freeze broadcast — ignoring writers
-// in seen (they will be included regardless) and in before (stickily
-// excluded regardless). Deciding on such a writer blind is the last source
-// of replica-dependent verdicts: by waiting out the announcement, every
-// blanket exclusion of a writer is made strictly before its freeze round
-// was issued and every inclusion strictly after, which makes opposite
-// orderings of two freezing writers by two readers temporally impossible
-// (docs/CONSISTENCY.md §5). The wait is bounded by timeout (the freeze
-// always follows the drain by one round trip in a live run); on expiry the
-// caller proceeds with blanket exclusion. Reports whether no wait was
-// needed or the announcement arrived in time.
-func (s *Store) SQAwaitAnnounce(key string, seen, before map[wire.TxnID]struct{}, timeout time.Duration) bool {
-	sh := s.shard(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return s.awaitAnnounceLocked(sh, key, seen, before, timeout)
-}
-
-// awaitAnnounceLocked is SQAwaitAnnounce's body, for callers already holding
-// the shard lock (ReadRO runs it immediately before building the exclusion
-// set, so no verdict is ever made blind on a drained writer).
-func (s *Store) awaitAnnounceLocked(sh *shard, key string, seen, before map[wire.TxnID]struct{}, timeout time.Duration) bool {
-	return s.awaitStampLocked(sh, key, seen, before, timeout, false)
-}
-
-// awaitStampLocked blocks while key's queue holds an unstamped W entry the
-// verdict would otherwise blanket-exclude blind. With anyUnstamped false it
-// is the announce wait: only writers past their drain barrier (freeze
-// broadcast one round trip away) gate. With anyUnstamped true it is the
-// reader-park prototype (Config.ReaderPark): every decided-but-unstamped
-// writer gates — including one whose freeze is sitting in a coordinator's
-// redelivery queue after a failed delivery, the window where a client ack
-// could otherwise outrun this replica's stamp. Bounded by timeout; on
-// expiry the caller proceeds with blanket exclusion, counted.
-func (s *Store) awaitStampLocked(sh *shard, key string, seen, before map[wire.TxnID]struct{}, timeout time.Duration, anyUnstamped bool) bool {
-	var deadline time.Time
-	waited := false
-	for {
-		pending := false
-		if ks := sh.keys[key]; ks != nil {
-			for i := range ks.sqW {
-				e := &ks.sqW[i]
-				if (!e.drained && !anyUnstamped) || e.stamp != 0 {
-					continue
-				}
-				if _, ok := seen[e.Txn]; ok {
-					continue
-				}
-				if _, ok := before[e.Txn]; ok {
-					continue
-				}
-				pending = true
-				break
-			}
-		}
-		if !pending {
-			return true
-		}
-		if timeout <= 0 {
-			// A zero budget is a pure check (the caller already spent the
-			// budget): report the pending announcement without waiting or
-			// counting a timeout.
-			return false
-		}
-		if !waited {
-			waited = true
-			deadline = time.Now().Add(timeout)
-			if s.cstats != nil {
-				if anyUnstamped {
-					s.cstats.ReaderParks.Add(1)
-				} else {
-					s.cstats.AnnounceWaits.Add(1)
-				}
-			}
-		}
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			if s.cstats != nil {
-				if anyUnstamped {
-					s.cstats.ReaderParkTimeouts.Add(1)
-				} else {
-					s.cstats.AnnounceWaitTimeouts.Add(1)
-				}
-			}
-			return false
-		}
-		timer := time.AfterFunc(remain, sh.cond.Broadcast)
-		sh.cond.Wait()
-		timer.Stop()
 	}
 }
 

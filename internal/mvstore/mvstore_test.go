@@ -267,50 +267,41 @@ func TestSQUnstampedWritersInto(t *testing.T) {
 	}
 }
 
-// TestSQAwaitAnnounce pins the drained-writer wait: readers block on a
-// drained-but-unannounced writer until its stamp arrives (never on
-// undrained, seen, or stickily-excluded writers), and fall back to blanket
-// exclusion on timeout.
-func TestSQAwaitAnnounce(t *testing.T) {
+// TestReadROExcludesUnstampedWithoutBlocking pins the reader discipline: a
+// decided, applied writer whose stamp has not landed here is blanket-excluded
+// at once (the reader serializes before it and is told to keep excluding
+// it), and the stamp's arrival alone flips the verdict.
+func TestReadROExcludesUnstampedWithoutBlocking(t *testing.T) {
 	w := txn(0, 1)
+	reader := txn(1, 9)
 	s := New(1, 0)
+	s.Preload("k", []byte("v0"))
 	s.SQInsert("k", wire.SQEntry{Txn: w, SID: 5, Kind: wire.EntryWrite})
+	s.Apply("k", []byte("v1"), vclock.VC{5}, w, nil)
 
-	// Undrained parked writer: no wait (the blanket-exclusion era).
-	if !s.SQAwaitAnnounce("k", nil, nil, 50*time.Millisecond) {
-		t.Fatal("undrained writer must not cause a wait")
+	read := func() RORead {
+		t.Helper()
+		done := make(chan RORead, 1)
+		go func() { done <- s.ReadRO(reader, "k", 0, 1, 7, nil, vclock.VC{9}, nil, nil, nil, nil) }()
+		select {
+		case got := <-done:
+			return got
+		case <-time.After(5 * time.Second):
+			t.Fatal("ReadRO blocked on an unstamped writer")
+			return RORead{}
+		}
 	}
-	s.SQMarkDrained("k", w)
-	// Drained + in seen / in before: no wait (verdict already fixed).
-	if !s.SQAwaitAnnounce("k", map[wire.TxnID]struct{}{w: {}}, nil, 50*time.Millisecond) {
-		t.Fatal("seen writer must not cause a wait")
+	got := read()
+	if string(got.Res.Val) != "v0" || len(got.QueueSkips) != 1 || got.QueueSkips[0].Txn != w {
+		t.Fatalf("unstamped writer must be blanket-excluded: %+v", got)
 	}
-	if !s.SQAwaitAnnounce("k", nil, map[wire.TxnID]struct{}{w: {}}, 50*time.Millisecond) {
-		t.Fatal("before writer must not cause a wait")
-	}
-	// Drained, unannounced: wait until the stamp lands.
-	done := make(chan bool, 1)
-	go func() { done <- s.SQAwaitAnnounce("k", nil, nil, 5*time.Second) }()
-	select {
-	case <-done:
-		t.Fatal("drained unannounced writer must block the reader")
-	case <-time.After(10 * time.Millisecond):
+	if len(got.Skipped) != 1 || got.Skipped[0].Txn != w {
+		t.Fatalf("the skipped version must be reported for sticky exclusion: %+v", got.Skipped)
 	}
 	s.SQStampWrite("k", w, 7)
-	select {
-	case ok := <-done:
-		if !ok {
-			t.Fatal("announcement must release the wait as success")
-		}
-	case <-time.After(time.Second):
-		t.Fatal("stamp did not wake the announce waiter")
-	}
-	// Timeout path: a second drained writer that never announces.
-	w2 := txn(0, 2)
-	s.SQInsert("k", wire.SQEntry{Txn: w2, SID: 9, Kind: wire.EntryWrite})
-	s.SQMarkDrained("k", w2)
-	if s.SQAwaitAnnounce("k", nil, nil, 5*time.Millisecond) {
-		t.Fatal("unannounced writer must time out, not succeed")
+	got = read()
+	if got.Res.Writer != w || len(got.QueueSkips) != 0 || got.PendingWriter != w {
+		t.Fatalf("stamped writer beneath the cut must be included: %+v", got)
 	}
 }
 
@@ -330,7 +321,7 @@ func TestSQStampVerdictIgnoresFlag(t *testing.T) {
 			s.SQFlagWrite("k", w, 7)
 		}
 		// Cut covers the stamp: include (and report the writer pending).
-		got := s.ReadRO(reader, "k", 0, 1, 7, nil, vclock.VC{9}, nil, nil, nil, nil, 0, 0)
+		got := s.ReadRO(reader, "k", 0, 1, 7, nil, vclock.VC{9}, nil, nil, nil, nil)
 		if !got.Res.Exists || got.Res.Writer != w {
 			t.Fatalf("flagged=%v: stamped writer beneath the cut must be included, got %+v", flagged, got.Res)
 		}
@@ -338,7 +329,7 @@ func TestSQStampVerdictIgnoresFlag(t *testing.T) {
 			t.Fatalf("flagged=%v: included freezing writer must be pending", flagged)
 		}
 		// Cut beneath the stamp: exclude, stickily.
-		got = s.ReadRO(reader, "k", 0, 1, 6, nil, vclock.VC{9}, nil, nil, nil, nil, 0, 0)
+		got = s.ReadRO(reader, "k", 0, 1, 6, nil, vclock.VC{9}, nil, nil, nil, nil)
 		if got.Res.Exists && got.Res.Writer == w {
 			t.Fatalf("flagged=%v: stamped writer above the cut must be excluded", flagged)
 		}

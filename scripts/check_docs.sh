@@ -7,6 +7,11 @@
 # 2. Code blocks: every ```go fenced block that declares a package is
 #    extracted into a throwaway package directory inside the module and must
 #    `go build`. Snippet blocks without a package clause are skipped.
+# 3. Flags: every `-flag` token inside an inline code span of README.md,
+#    docs/*.md and the verify SKILL must be a flag some binary still has
+#    (the -h output of sss-server, sss-bench, sss-client and `sss-client
+#    top`), so a deleted flag cannot survive in prose. A short allowlist
+#    covers the flags of other tools the docs quote (go test, pgrep, pprof).
 #
 # Usage: scripts/check_docs.sh
 set -euo pipefail
@@ -70,6 +75,31 @@ for d in "$tmp"/block*/; do
     echo "ok: $d compiles"
   fi
 done
+
+# --- 3. flag-existence check ---
+for b in sss-server sss-bench sss-client; do
+  go build -o "$tmp/$b" "./cmd/$b"
+  "$tmp/$b" -h >> "$tmp/usage.txt" 2>&1 || true
+done
+"$tmp/sss-client" top -h >> "$tmp/usage.txt" 2>&1 || true
+
+python3 - "$tmp/usage.txt" <<'EOF' || status=1
+import glob, re, sys
+
+have = set(re.findall(r"^\s+-([a-z][a-z0-9-]*)", open(sys.argv[1]).read(), re.M))
+# Other tools' flags quoted in the docs: go test; pgrep/pkill; go tool pprof;
+# and `-wal`, the suffix sss-bench appends to durable series names.
+allow = {"count", "race", "run", "short", "v", "f", "x", "top", "wal"}
+fail = 0
+for f in ["README.md", ".claude/skills/verify/SKILL.md"] + sorted(glob.glob("docs/*.md")):
+    text = re.sub(r"^```.*?^```\s*$", "", open(f).read(), flags=re.M | re.S)
+    for span in re.findall(r"`([^`\n]+)`", text):
+        for flag in re.findall(r"(?:^|[\s/])-([a-z][a-z0-9-]*)", span):
+            if flag not in have and flag not in allow:
+                print(f"FAIL: {f}: `-{flag}` is not a flag of sss-server, sss-bench or sss-client")
+                fail = 1
+sys.exit(fail)
+EOF
 
 if [ "$status" -ne 0 ]; then
   exit 1
