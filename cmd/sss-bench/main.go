@@ -46,9 +46,6 @@ var (
 	nodesCSV = flag.String("nodes", "2,4,6", "node counts to sweep (paper: 5,10,15,20)")
 	clients  = flag.Int("clients", 10, "closed-loop clients per node (paper: 10)")
 	seed     = flag.Int64("seed", 1, "workload seed")
-	batchMax = flag.Int("batch-max", 0, "max envelopes per transport batch (0 = default 64)")
-	batchWin = flag.Duration("batch-window", 0, "sender flush window (0 = flush immediately)")
-	workers  = flag.Int("inbound-workers", 0, "inbound dispatch pool size per node (0 = default)")
 	netStats = flag.Bool("net-stats", false, "print per-point transport batching stats")
 	jsonOut  = flag.Bool("json", false, "write BENCH_figure<N>.json snapshots per figure")
 
@@ -236,12 +233,7 @@ func (r *reporter) flush() {
 
 // point runs one measurement and returns the result, recording it in rep.
 func point(rep *reporter, series string, eng sss.Engine, nodes, degree int, w ycsb.Config, clientsPerNode int) bench.Result {
-	c, err := sss.New(sss.Options{
-		Nodes: nodes, ReplicationDegree: degree, Engine: eng,
-		BatchMaxEnvelopes: *batchMax,
-		BatchFlushWindow:  *batchWin,
-		TransportWorkers:  *workers,
-	})
+	c, err := sss.New(sss.Options{Nodes: nodes, ReplicationDegree: degree, Engine: eng})
 	if err != nil {
 		log.Fatalf("cluster: %v", err)
 	}

@@ -116,11 +116,7 @@ func tcpPoint(rep *reporter, series, bin string, nodes, degree int, w ycsb.Confi
 
 	conns := make([]*client.Client, nodes)
 	for i, addr := range hc.ClientAddrs() {
-		conns[i], err = client.Dial(addr, client.Options{
-			Conns:            2,
-			BatchMaxRequests: *batchMax,
-			BatchFlushWindow: *batchWin,
-		})
+		conns[i], err = client.Dial(addr, client.Options{Conns: 2})
 		if err != nil {
 			log.Fatalf("tcp bench: dial node %d: %v", i, err)
 		}

@@ -25,9 +25,9 @@
 //	sss-server -id 1 -peers ...                                          -client-addr :8001 -metrics-addr :9001
 //	sss-server -id 2 -peers ...                                          -client-addr :8002 -metrics-addr :9002
 //
-// On SIGINT/SIGTERM the server drains client sessions (aborting open
-// transactions), prints the session-manager counters, flushes any requested
-// profiles, and exits.
+// On SIGINT/SIGTERM the server logs its transport (and, when durable, WAL)
+// counters, drains client sessions (aborting open transactions), flushes any
+// requested profiles, and exits.
 package main
 
 import (
@@ -202,14 +202,13 @@ func main() {
 	go func() {
 		defer close(shutdownDone)
 		<-sigs
-		// The "<family>: <counters>" message shapes below are load-bearing:
-		// the TCP bench harvester and the crash e2e grep these lines out of
-		// captured server logs.
-		logger.Info(fmt.Sprintf("shutting down: %s", srv.Metrics().Snapshot()))
+		// These two message shapes are load-bearing, byte for byte, because
+		// captured server logs are parsed: "transport:" by benchmark/stats.go
+		// (parseTransportDump; the crash e2e also greps batchResends= out of
+		// it) and "durability:" by benchmark/stats.go (parseDurabilityDump)
+		// and cmd/sss-bench/tcp.go (lastDurabilityLine). Every other family
+		// is on /metrics only.
 		logger.Info(fmt.Sprintf("transport: %s", net_.Metrics().Snapshot()))
-		logger.Info(fmt.Sprintf("engine: %s", node.Stats().CountersSnapshot()))
-		logger.Info(fmt.Sprintf("stages: %s", node.Stats().Stage.Snapshot()))
-		logger.Info(fmt.Sprintf("contention: %s", node.Stats().Contention.Snapshot()))
 		if wlog != nil {
 			logger.Info(fmt.Sprintf("durability: %s", node.Durability().Snapshot()))
 		}

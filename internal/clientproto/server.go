@@ -15,15 +15,8 @@ import (
 	"github.com/sss-paper/sss/kv"
 )
 
-// ServerOptions tunes a Server. The zero value selects defaults.
+// ServerOptions wires a Server's observers. The zero value is valid.
 type ServerOptions struct {
-	// Workers bounds the request-handler pool shared by all sessions
-	// (0 = 8×GOMAXPROCS clamped to [32, 256], matching the transport's
-	// inbound dispatcher). Requests that find the pool saturated spill to
-	// dedicated goroutines — handlers may block indefinitely (a Commit
-	// parks until external commit), so a hard bound could deadlock the
-	// Remove traffic that unblocks them.
-	Workers int
 	// Logf, when non-nil, receives session-level diagnostics (accept and
 	// teardown errors). Protocol-level errors are answered in-band, not
 	// logged.
@@ -35,23 +28,27 @@ type ServerOptions struct {
 	CommitAck *metrics.Histogram
 }
 
-func (o ServerOptions) withDefaults() ServerOptions {
-	if o.Workers <= 0 {
-		o.Workers = 8 * runtime.GOMAXPROCS(0)
-		if o.Workers < 32 {
-			o.Workers = 32
-		}
-		if o.Workers > 256 {
-			o.Workers = 256
-		}
+// saturationSlots is the number of concurrently running request handlers
+// above which a new request counts as a spill: 8×GOMAXPROCS clamped to
+// [32, 256], the size of the transport's inbound dispatcher. It bounds
+// nothing — handlers may block indefinitely (a Commit parks until external
+// commit), so a hard bound could deadlock the Remove traffic that unblocks
+// them.
+func saturationSlots() int {
+	n := 8 * runtime.GOMAXPROCS(0)
+	if n < 32 {
+		return 32
 	}
-	return o
+	if n > 256 {
+		return 256
+	}
+	return n
 }
 
 // Server is the session manager behind sss-server's client port: it accepts
-// connections, decodes pipelined binary-protocol requests, serves them on a
-// bounded goroutine pool (spilling under saturation), and multiplexes many
-// interleaved transactions per connection.
+// connections, decodes pipelined binary-protocol requests, serves each on its
+// own goroutine (counting those started beyond saturationSlots as spills),
+// and multiplexes many interleaved transactions per connection.
 //
 // Contract kept per session:
 //   - Requests on distinct transaction handles run concurrently; requests
@@ -67,7 +64,7 @@ type Server struct {
 	opts  ServerOptions
 	stats metrics.ClientNet
 
-	sem chan struct{} // handler pool slots
+	sem chan struct{} // saturationSlots tokens; a full sem makes dispatch count a spill
 
 	mu       sync.Mutex
 	ln       net.Listener
@@ -79,11 +76,10 @@ type Server struct {
 
 // NewServer builds a session manager serving transactions from store.
 func NewServer(store kv.Store, opts ServerOptions) *Server {
-	opts = opts.withDefaults()
 	return &Server{
 		store:    store,
 		opts:     opts,
-		sem:      make(chan struct{}, opts.Workers),
+		sem:      make(chan struct{}, saturationSlots()),
 		sessions: make(map[*session]struct{}),
 	}
 }
@@ -114,27 +110,18 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
-// ServeConn runs one session on an already-accepted connection (tests and
-// in-process harnesses). It returns when the session ends.
-func (s *Server) ServeConn(conn net.Conn) {
-	if sess := s.startSession(conn); sess != nil {
-		<-sess.done
-	}
-}
-
-func (s *Server) startSession(conn net.Conn) *session {
+func (s *Server) startSession(conn net.Conn) {
 	sess := &session{
 		srv:  s,
 		conn: conn,
 		bw:   newReplyWriter(conn, &s.stats),
 		txns: make(map[uint64]*sessTxn),
-		done: make(chan struct{}),
 	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		_ = conn.Close()
-		return nil
+		return
 	}
 	s.sessions[sess] = struct{}{}
 	s.wg.Add(1)
@@ -142,7 +129,6 @@ func (s *Server) startSession(conn net.Conn) *session {
 	s.stats.Sessions.Add(1)
 	s.stats.ActiveSessions.Add(1)
 	go sess.readLoop()
-	return sess
 }
 
 func (s *Server) isClosed() bool {
@@ -186,7 +172,6 @@ type session struct {
 	srv  *Server
 	conn net.Conn
 	bw   *replyWriter
-	done chan struct{}
 
 	mu     sync.Mutex
 	nextID uint64
@@ -270,24 +255,24 @@ func (ss *session) route(req Request) {
 	}
 }
 
-// dispatch runs fn on a pool slot, or on a dedicated goroutine when the
-// pool is saturated (handlers may block indefinitely; see ServerOptions).
+// dispatch runs fn on its own goroutine, holding a sem token when one is
+// free and counting a spill when none is (see saturationSlots).
 func (ss *session) dispatch(fn func()) {
 	ss.srv.wg.Add(1)
+	held := true
 	select {
 	case ss.srv.sem <- struct{}{}:
-		go func() {
-			defer ss.srv.wg.Done()
-			defer func() { <-ss.srv.sem }()
-			fn()
-		}()
 	default:
+		held = false
 		ss.srv.stats.Spills.Add(1)
-		go func() {
-			defer ss.srv.wg.Done()
-			fn()
-		}()
 	}
+	go func() {
+		defer ss.srv.wg.Done()
+		if held {
+			defer func() { <-ss.srv.sem }()
+		}
+		fn()
+	}()
 }
 
 // handleTxnOp executes one handle-targeted op. The caller holds the
@@ -462,7 +447,6 @@ func (ss *session) teardown() {
 		ss.srv.opts.Logf("clientproto: session %s closed (%d open txns aborted)",
 			ss.conn.RemoteAddr(), len(open))
 	}
-	close(ss.done)
 }
 
 func isEOF(err error) bool {

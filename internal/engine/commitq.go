@@ -325,11 +325,15 @@ func (fs *freezeScratch) sized(n int) ([]parkedState, []uint64, []bool) {
 	return fs.parked, fs.stamps, fs.visited
 }
 
-// applyFreezeBatch runs the freeze phase for every transaction in the
-// batch. Semantics per transaction are identical to the singleton freeze in
-// handleExtCommit — stamp at arrival, before the gated re-drain — but the
-// batch pays the striped-state walk once per stripe and republishes the
-// node's clock snapshot once instead of once per transaction.
+// applyFreezeBatch is the freeze phase of the external commit, for every
+// transaction in the batch (a batch of one included — there is no other
+// freeze applier). Each writer is stamped with this node's entry of the
+// coordinator-assigned freeze vector *on arrival*, before its gated
+// re-drain: the verdict for the writer turns deterministic in (stamp, reader
+// cut) the moment the broadcast lands, never whenever this replica's
+// re-drain completes — per-replica flag timing was the freeze-skew residue
+// (docs/CONSISTENCY.md §5). The batch pays the striped-state walk once per
+// stripe and republishes the node's clock snapshot once.
 //
 // A WAL sync failure is returned (after the local freeze work completes, so
 // no reader is left parked on a half-frozen writer) and the caller must
@@ -360,6 +364,7 @@ func (nd *Node) applyFreezeBatch(freezes []wire.ExtFreeze) error {
 	var ext vclock.VC
 	var maxStamp uint64
 	for i, f := range freezes {
+		// Fallback for a missing vector: the local applied frontier.
 		stamp := nd.log.AppliedSelf()
 		if len(f.VC) > nd.idx {
 			stamp = f.VC[nd.idx]
@@ -371,6 +376,9 @@ func (nd *Node) applyFreezeBatch(freezes []wire.ExtFreeze) error {
 		if stamp > maxStamp {
 			maxStamp = stamp
 		}
+		// The freezing transaction's clock, raised to its stamp, is safe to
+		// propagate into other transactions' clocks and read bounds: unlike
+		// the applied frontier, it names no parked stranger.
 		if vc := parked[i].vc; vc != nil {
 			if ext == nil {
 				ext = vc.Clone()
@@ -401,12 +409,7 @@ func (nd *Node) applyFreezeBatch(freezes []wire.ExtFreeze) error {
 		walErr = nd.wal.Sync()
 		nd.stats.Stage.WalSync.Observe(time.Since(syncStart))
 	}
-	for {
-		cur := nd.extFrontier.Load()
-		if maxStamp <= cur || nd.extFrontier.CompareAndSwap(cur, maxStamp) {
-			break
-		}
-	}
+	nd.raiseExtFrontier(maxStamp)
 	if ext != nil {
 		// RecordExternal is a monotone max-fold, so folding the batch's
 		// join in one call reaches the same clock as per-transaction folds
@@ -433,16 +436,25 @@ func (nd *Node) applyFreezeBatch(freezes []wire.ExtFreeze) error {
 }
 
 // redrainAndFlag completes one transaction's freeze phase: wait out any
-// reader that serialized before it (strictly smaller insertion-snapshot),
-// then flag its entries.
+// reader that serialized before it (a reader that excluded this writer
+// inserted an entry with a strictly smaller insertion-snapshot — the
+// late-insert window after the pre-commit drain), then flag its entries. The
+// flag, and hence the writer's client reply, waits for that reader.
 func (nd *Node) redrainAndFlag(txn wire.TxnID, ps parkedState, stamp uint64) {
+	nd.waitParkedDrain(txn, ps)
+	for _, k := range ps.keys {
+		nd.store.SQFlagWrite(k, txn, stamp)
+	}
+}
+
+// waitParkedDrain waits, on each of txn's parked keys, until no snapshot-queue
+// entry with a smaller insertion-snapshot remains (bounded by DrainTimeout,
+// counted when it expires).
+func (nd *Node) waitParkedDrain(txn wire.TxnID, ps parkedState) {
 	for _, k := range ps.keys {
 		if !nd.store.SQWaitDrain(k, txn, ps.sid, nd.cfg.DrainTimeout) {
 			nd.stats.DrainTimeouts.Add(1)
 		}
-	}
-	for _, k := range ps.keys {
-		nd.store.SQFlagWrite(k, txn, stamp)
 	}
 }
 

@@ -235,7 +235,7 @@ type stripe struct {
 	tombFIFO   []tombstone
 	// parked maps an internally-committed transaction to the local written
 	// keys whose snapshot-queues still hold its W entry (plus its local
-	// insertion-snapshot); cleared by the ExtCommit purge.
+	// insertion-snapshot); cleared by the purge (purgeParked).
 	parked map[wire.TxnID]parkedState
 	// inflight maps a locally-coordinated update transaction to a channel
 	// closed at its external commit; WaitExternal subscribers block on it.
@@ -457,7 +457,7 @@ func (nd *Node) serve(from wire.NodeID, rid uint64, msg wire.Msg) {
 	case *wire.FwdRemove:
 		nd.handleFwdRemove(m)
 	case *wire.ExtCommit:
-		nd.handleExtCommit(from, rid, m)
+		nd.handleDrainRound(from, rid, m)
 	case *wire.ExtBatch:
 		nd.handleExtBatch(from, rid, m)
 	case *wire.WaitExternal:

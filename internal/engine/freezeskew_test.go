@@ -223,7 +223,7 @@ func puppetDrain(t *testing.T, puppet *Node, txn wire.TxnID, commitVC vclock.VC,
 	defer cancel()
 	freezeVC := commitVC.Clone()
 	for _, to := range writeNodes {
-		resp, err := puppet.rpc.Call(ctx, to, &wire.ExtCommit{Txn: txn, Drain: true})
+		resp, err := puppet.rpc.Call(ctx, to, &wire.ExtCommit{Txn: txn})
 		if err != nil {
 			t.Fatalf("drain %v at %d: %v", txn, to, err)
 		}
@@ -234,8 +234,10 @@ func puppetDrain(t *testing.T, puppet *Node, txn wire.TxnID, commitVC vclock.VC,
 	return freezeVC
 }
 
-// puppetFreeze broadcasts the freeze round without waiting for its acks
-// (gated replicas block in their re-drain until the gate readers complete).
+// puppetFreeze broadcasts the freeze round — the one-element wire.ExtBatch a
+// real coordinator's commit queue sends for an uncoalesced freeze — without
+// waiting for its acks (gated replicas block in their re-drain until the gate
+// readers complete).
 func puppetFreeze(puppet *Node, txn wire.TxnID, freezeVC vclock.VC, writeNodes []wire.NodeID) {
 	for _, to := range writeNodes {
 		to := to
@@ -244,7 +246,7 @@ func puppetFreeze(puppet *Node, txn wire.TxnID, freezeVC vclock.VC, writeNodes [
 			defer puppet.wg.Done()
 			fctx, fcancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer fcancel()
-			_, _ = puppet.rpc.Call(fctx, to, &wire.ExtCommit{Txn: txn, VC: freezeVC})
+			_, _ = puppet.rpc.Call(fctx, to, &wire.ExtBatch{Freezes: []wire.ExtFreeze{{Txn: txn, VC: freezeVC}}})
 		}()
 	}
 }

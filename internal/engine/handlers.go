@@ -542,8 +542,8 @@ func (nd *Node) handleDecide(from wire.NodeID, rid uint64, m *wire.Decide) {
 	}
 
 	gated := nd.preCommit(m, pt)
-	// The W entries stay parked until the coordinator's ExtCommit; record
-	// which keys to freeze and purge then.
+	// The W entries stay parked until the coordinator's freeze and purge
+	// (wire.ExtBatch); record which keys they cover.
 	st.mu.Lock()
 	st.parked[m.Txn] = parkedState{keys: pt.localWKey, sid: m.VC[nd.idx], vc: m.VC.Clone()}
 	st.mu.Unlock()
@@ -603,9 +603,9 @@ func (nd *Node) enqueuePreCommit(m *wire.Decide, pt *participantTxn) {
 func (nd *Node) preCommit(m *wire.Decide, pt *participantTxn) bool {
 	sid := m.VC[nd.idx]
 	gated := false
-	// The W entry itself is *not* removed here: it persists until the
-	// ExtCommit purge so readers can tell provisional versions from
-	// externally-committed ones.
+	// The W entry itself is *not* removed here: it persists until the purge
+	// so readers can tell provisional versions from externally-committed
+	// ones.
 	for _, k := range pt.localWKey {
 		ok, g := nd.store.SQWaitDrainReport(k, m.Txn, sid, nd.cfg.DrainTimeout)
 		if !ok {
@@ -618,108 +618,21 @@ func (nd *Node) preCommit(m *wire.Decide, pt *participantTxn) bool {
 	return gated
 }
 
-// handleExtCommit runs one phase of the staged W-entry cleanup. The drain
-// round (acked) clears the snapshot-queue backlog and reports this node's
-// drain-stage frontier; the freeze round (acked, pre-client-reply) records
-// the coordinator-assigned external-commit stamp *on arrival*, re-drains,
-// and flags the entries; purge (one-way, post-reply) deletes them.
-func (nd *Node) handleExtCommit(from wire.NodeID, rid uint64, m *wire.ExtCommit) {
+// handleDrainRound serves the standalone drain round of the staged external
+// commit: complete the snapshot-queue waits without announcing anything, so
+// the coordinator can issue the freeze against replicas whose backlogs are
+// already clear. The ack returns this node's drain-stage frontier; the
+// coordinator joins the frontiers with the commit clock into the freeze
+// vector. (The stage normally rides the decide round, Decide.Drain; freeze
+// and purge arrive as wire.ExtBatch — handleExtBatch.)
+func (nd *Node) handleDrainRound(from wire.NodeID, rid uint64, m *wire.ExtCommit) {
 	st := nd.stripeOf(m.Txn)
-	if m.Drain {
-		// Drain round: complete the snapshot-queue waits without announcing
-		// anything, so the coordinator can issue the freeze round against
-		// replicas whose backlogs are already clear. The ack returns this
-		// node's drain-stage frontier; the coordinator joins the frontiers
-		// with the commit clock into the freeze vector.
-		st.mu.Lock()
-		ps := st.parked[m.Txn]
-		st.mu.Unlock()
-		for _, k := range ps.keys {
-			if !nd.store.SQWaitDrain(k, m.Txn, ps.sid, nd.cfg.DrainTimeout) {
-				nd.stats.DrainTimeouts.Add(1)
-			}
-		}
-		nd.stats.CommitRounds.DrainRounds.Add(1)
-		_ = nd.rpc.Reply(from, rid, &wire.DecideAck{Txn: m.Txn, Ext: nd.log.AppliedSelf()})
-		return
-	}
-	if !m.Purge {
-		st.mu.Lock()
-		ps := st.parked[m.Txn]
-		st.mu.Unlock()
-		// The external-commit stamp: this node's entry of the freeze vector
-		// the coordinator computed once for all replicas (commit clock ∨
-		// drain-stage frontiers). Readers whose cut at this node is beneath
-		// it exclude the versions, so external commits at this node stay
-		// totally ordered for readers regardless of how long the writer was
-		// parked — and because every replica stamps the same value, every
-		// replica reaches the same include/exclude verdict for any given
-		// reader cut. (Fallback for a missing vector: the local applied
-		// frontier, the pre-freeze-vector behavior.)
-		stamp := nd.log.AppliedSelf()
-		if len(m.VC) > nd.idx {
-			stamp = m.VC[nd.idx]
-		}
-		// Stamp *before* the re-drain: the verdict for this writer flips to
-		// deterministic the moment the freeze broadcast arrives, not
-		// whenever this replica's gated re-drain completes — per-replica
-		// gating was exactly the flag-timing divergence behind the
-		// freeze-skew residue.
-		var walErr error
-		if nd.wal != nil && len(ps.keys) > 0 {
-			// Singleton freeze (the batched path logs in applyFreezeBatch):
-			// durable before the ack so the coordinator's client reply never
-			// outruns this replica's stamp record. On a sync failure the ack
-			// below is withheld — the local freeze still completes (the
-			// vector is the true one; readers must not stay parked), but a
-			// node that could not persist it must look to the coordinator
-			// like a crashed one: a timeout, never a durable-sounding ack.
-			nd.wal.Append(&wal.Record{Type: wal.RecFreeze, Txn: m.Txn, Stamp: stamp,
-				Keys: ps.keys, VC: ps.vc})
-			syncStart := time.Now()
-			walErr = nd.wal.Sync()
-			nd.stats.Stage.WalSync.Observe(time.Since(syncStart))
-		}
-		for _, k := range ps.keys {
-			nd.store.SQStampWrite(k, m.Txn, stamp)
-		}
-		for {
-			cur := nd.extFrontier.Load()
-			if stamp <= cur || nd.extFrontier.CompareAndSwap(cur, stamp) {
-				break
-			}
-		}
-		// Fold the freezing transaction's clock (raised to its stamp here)
-		// into the node's externally-committed knowledge clock: it is now
-		// safe to propagate into other transactions' clocks and read
-		// bounds — unlike the applied frontier, it names no parked
-		// stranger.
-		if ps.vc != nil {
-			ext := ps.vc.Clone()
-			if stamp > ext[nd.idx] {
-				ext[nd.idx] = stamp
-			}
-			nd.log.RecordExternal(ext)
-		}
-		// Freeze re-drains: a reader that excluded this writer inserted an
-		// entry with a strictly smaller insertion-snapshot, so the flag —
-		// and hence the writer's client reply — waits until that reader
-		// completes. This closes the late-insert window after the
-		// pre-commit drain.
-		for _, k := range ps.keys {
-			if !nd.store.SQWaitDrain(k, m.Txn, ps.sid, nd.cfg.DrainTimeout) {
-				nd.stats.DrainTimeouts.Add(1)
-			}
-		}
-		for _, k := range ps.keys {
-			nd.store.SQFlagWrite(k, m.Txn, stamp)
-		}
-		if rid != 0 && walErr == nil {
-			_ = nd.rpc.Reply(from, rid, &wire.DecideAck{Txn: m.Txn, Ext: stamp})
-		}
-		return
-	}
-	nd.purgeParked(m.Txn)
+	st.mu.Lock()
+	ps := st.parked[m.Txn]
+	st.mu.Unlock()
+	nd.waitParkedDrain(m.Txn, ps)
+	nd.stats.CommitRounds.DrainRounds.Add(1)
+	_ = nd.rpc.Reply(from, rid, &wire.DecideAck{Txn: m.Txn, Ext: nd.log.AppliedSelf()})
 }
 
 // handleWaitExternal blocks until the named locally-coordinated transaction

@@ -111,7 +111,7 @@ func TestTombstoneBlocksLateReadEntry(t *testing.T) {
 	}
 }
 
-func TestExtCommitFreezeThenPurge(t *testing.T) {
+func TestCommitFreezeThenPurge(t *testing.T) {
 	nodes := newCluster(t, 1, 1, Config{})
 	nd := nodes[0]
 	nd.Preload("k", []byte("v0"))

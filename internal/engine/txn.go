@@ -793,7 +793,7 @@ func (t *Txn) commitUpdate() error {
 	if retighten || stale {
 		drainStart := time.Now()
 		dctx2, dcancel2 := context.WithTimeout(context.Background(), nd.cfg.DrainTimeout+time.Second)
-		drainAcks := t.broadcast(dctx2, writeNodes, &wire.ExtCommit{Txn: t.id, Drain: true}, sc)
+		drainAcks := t.broadcast(dctx2, writeNodes, &wire.ExtCommit{Txn: t.id}, sc)
 		dcancel2()
 		for i, a := range drainAcks {
 			if ack, ok := a.(*wire.DecideAck); ok && ack.Ext > freezeVC[writeNodes[i]] {

@@ -48,10 +48,10 @@ type Config struct {
 	// (default 30s).
 	StartTimeout time.Duration
 	// PeerLinkControl routes every directed inter-node link through its own
-	// controllable relay (see linkrelay.go), enabling SetLinkBlocked /
-	// SetLinkDelay / IsolateNode / HealLinks — the partition and
-	// asymmetric-delay nemeses. Adds one local TCP hop to peer traffic, so
-	// leave it off for latency-sensitive benchmarks.
+	// controllable relay (see linkrelay.go), enabling SetLinkDelay /
+	// IsolateNode / HealLinks — the partition and asymmetric-delay nemeses.
+	// Adds one local TCP hop to peer traffic, so leave it off for
+	// latency-sensitive benchmarks.
 	PeerLinkControl bool
 	// ClientNetDelay simulates a client↔server network round-trip time.
 	// Zero means direct loopback. Nonzero routes every client connection
@@ -329,18 +329,6 @@ func (c *Cluster) link(from, to int) (*linkRelay, error) {
 	return c.links[from][to], nil
 }
 
-// SetLinkBlocked blocks or heals the directed peer link from→to. Blocked
-// traffic blackholes (connects park unserviced); healing severs the parked
-// connections so both transports redial through the open link.
-func (c *Cluster) SetLinkBlocked(from, to int, blocked bool) error {
-	r, err := c.link(from, to)
-	if err != nil {
-		return err
-	}
-	r.setBlocked(blocked)
-	return nil
-}
-
 // SetLinkDelay sets the one-way delay on the directed peer link from→to.
 func (c *Cluster) SetLinkDelay(from, to int, d time.Duration) error {
 	r, err := c.link(from, to)
@@ -452,9 +440,6 @@ func (c *Cluster) ClientAddrs() []string {
 	}
 	return addrs
 }
-
-// PeerAddrs returns the inter-node transport address book.
-func (c *Cluster) PeerAddrs() []string { return append([]string(nil), c.peerAddrs...) }
 
 // MetricsAddrs returns the per-node Prometheus /metrics endpoint addresses
 // (every harness node is started with -metrics-addr).

@@ -248,49 +248,6 @@ func (s *Store) Latest(key string) ReadResult {
 	return ReadResult{Val: v.Val, Exists: true, VC: v.VC, Writer: v.Writer, Deps: v.Deps}
 }
 
-// LatestVID returns the i-th entry of the latest version's commit clock, or
-// 0 if the key has no versions. Used by 2PC validation (Algorithm 1 line
-// 29: abort if k.last.vid[i] > T.VC[i]).
-func (s *Store) LatestVID(key string, i int) uint64 {
-	sh := s.shard(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	ks := sh.keys[key]
-	if ks == nil || ks.last == nil {
-		return 0
-	}
-	return ks.last.VC[i]
-}
-
-// ReadVisible walks key's version chain from newest to oldest and returns
-// the first version v such that (a) for every node w with hasRead[w], v's
-// clock does not exceed maxVC[w], and (b) v was not written by an excluded
-// transaction (Algorithm 6 lines 11–14 / 18–21). excluded may be nil.
-func (s *Store) ReadVisible(key string, hasRead []bool, maxVC vclock.VC, excluded map[wire.TxnID]struct{}) ReadResult {
-	res, _ := s.ReadVisibleEx(key, hasRead, maxVC, excluded, nil)
-	return res
-}
-
-// ReadVisibleEx extends ReadVisible with sticky-exclusion support for
-// read-only transactions: a version is also skipped when one of its
-// read-from dependencies is excluded (a snapshot that is before writer W is
-// before everything that read from W, transitively), versions at or beneath
-// obsVC are never excluded nor bound-filtered (the reader already observed
-// something causally after them, so they are part of its snapshot), and the
-// writers actually skipped due to exclusion are reported so the reader can
-// keep excluding them.
-func (s *Store) ReadVisibleEx(key string, hasRead []bool, maxVC vclock.VC, excluded map[wire.TxnID]struct{}, obsVC vclock.VC) (ReadResult, []wire.ExWriter) {
-	sh := s.shard(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	ks := sh.keys[key]
-	if ks == nil {
-		return ReadResult{}, nil
-	}
-	res, skipped, _ := s.readVisibleLocked(wire.TxnID{}, "", ks, false, 0, hasRead, maxVC, nil, excluded, nil, obsVC)
-	return res, skipped
-}
-
 func queueStateLocked(ks *keyState, txn wire.TxnID) string {
 	for _, e := range ks.sqW {
 		if e.Txn == txn {
@@ -304,9 +261,8 @@ func queueStateLocked(ks *keyState, txn wire.TxnID) string {
 }
 
 // readVisibleLocked walks the version chain under the shard lock and selects
-// the version a read-only transaction observes. checkStamp enables the
-// external-commit stamp filter against stampBound. Precedence of the
-// filters:
+// the version a read-only transaction observes (Algorithm 6 lines 11–14 /
+// 18–21). Precedence of the filters:
 //
 //  1. Sticky exclusion (beforeIDs) wins over everything, including
 //     observation: once a reader serialized before a writer, that writer
@@ -337,7 +293,7 @@ func queueStateLocked(ks *keyState, txn wire.TxnID) string {
 // It reports the selected version, the writers skipped due to exclusion, and
 // the selected version's writer when its W entry is still in the queue (its
 // client reply may not have been released yet).
-func (s *Store) readVisibleLocked(reader wire.TxnID, key string, ks *keyState, checkStamp bool, stampBound uint64, hasRead []bool, maxVC vclock.VC, seen, excluded, beforeIDs map[wire.TxnID]struct{}, obsVC vclock.VC) (ReadResult, []wire.ExWriter, wire.TxnID) {
+func (s *Store) readVisibleLocked(reader wire.TxnID, key string, ks *keyState, stampBound uint64, hasRead []bool, maxVC vclock.VC, seen, excluded, beforeIDs map[wire.TxnID]struct{}, obsVC vclock.VC) (ReadResult, []wire.ExWriter, wire.TxnID) {
 	trace := func(v *Version, reason string) {
 		if s.Trace != nil {
 			s.Trace(TraceEvent{Reader: reader, Key: key, Writer: v.Writer, VC: v.VC,
@@ -394,7 +350,7 @@ func (s *Store) readVisibleLocked(reader wire.TxnID, key string, ks *keyState, c
 				skip(v)
 				continue
 			}
-			if checkStamp && v.ExtSID > stampBound && !observed {
+			if v.ExtSID > stampBound && !observed {
 				if _, ok := seen[v.Writer]; !ok {
 					trace(v, "stamp")
 					skip(v)
@@ -511,7 +467,7 @@ func (s *Store) ReadRO(reader wire.TxnID, key string, self, n int, stampBound ui
 		queueSkips = append(queueSkips, wire.ExWriter{Txn: e.Txn, VC: exVC})
 	}
 
-	res, skipped, pending := s.readVisibleLocked(reader, key, ks, true, stampBound, hasRead, maxVC, seen, excluded, beforeIDs, obsVC)
+	res, skipped, pending := s.readVisibleLocked(reader, key, ks, stampBound, hasRead, maxVC, seen, excluded, beforeIDs, obsVC)
 	return RORead{Res: res, Skipped: skipped, QueueSkips: queueSkips, PendingWriter: pending}
 }
 

@@ -16,6 +16,13 @@ func txn(node, seq int) wire.TxnID {
 	return wire.TxnID{Node: wire.NodeID(node), Seq: uint64(seq)}
 }
 
+// readRO is ReadRO for a reader with no history — no seen or sticky sets, no
+// observed clock — returning just the selected version. Stamp cut 0 passes
+// every unstamped version (ExtSID 0).
+func readRO(s *Store, key string, hasRead []bool, maxVC vclock.VC) ReadResult {
+	return s.ReadRO(txn(9, 9), key, 0, len(maxVC), 0, hasRead, maxVC, nil, nil, nil, nil).Res
+}
+
 func TestPreloadAndLatest(t *testing.T) {
 	s := New(2, 0)
 	s.Preload("k", []byte("v0"))
@@ -45,61 +52,47 @@ func TestApplyChainsVersions(t *testing.T) {
 	}
 }
 
-func TestLatestVID(t *testing.T) {
-	s := New(2, 0)
-	if s.LatestVID("k", 0) != 0 {
-		t.Fatal("missing key must have VID 0")
-	}
-	s.Preload("k", []byte("v0"))
-	s.Apply("k", []byte("v1"), vclock.VC{5, 3}, txn(0, 1), nil)
-	if got := s.LatestVID("k", 0); got != 5 {
-		t.Fatalf("LatestVID[0] = %d, want 5", got)
-	}
-	if got := s.LatestVID("k", 1); got != 3 {
-		t.Fatalf("LatestVID[1] = %d, want 3", got)
-	}
-}
-
-func TestReadVisibleBounds(t *testing.T) {
+func TestReadROBounds(t *testing.T) {
 	s := New(2, 0)
 	s.Preload("k", []byte("v0"))
 	s.Apply("k", []byte("v1"), vclock.VC{1, 0}, txn(0, 1), nil)
 	s.Apply("k", []byte("v2"), vclock.VC{3, 0}, txn(0, 2), nil)
 
 	// Reader bound to node 0 at clock 1 must see v1.
-	got := s.ReadVisible("k", []bool{true, false}, vclock.VC{1, 0}, nil)
+	got := readRO(s, "k", []bool{true, false}, vclock.VC{1, 0})
 	if string(got.Val) != "v1" {
-		t.Fatalf("ReadVisible = %q, want v1", got.Val)
+		t.Fatalf("ReadRO = %q, want v1", got.Val)
 	}
 	// Bound 0 sees only the preloaded version.
-	got = s.ReadVisible("k", []bool{true, false}, vclock.VC{0, 0}, nil)
+	got = readRO(s, "k", []bool{true, false}, vclock.VC{0, 0})
 	if string(got.Val) != "v0" {
-		t.Fatalf("ReadVisible = %q, want v0", got.Val)
+		t.Fatalf("ReadRO = %q, want v0", got.Val)
 	}
 	// No constraint on node 0 → latest.
-	got = s.ReadVisible("k", []bool{false, true}, vclock.VC{0, 0}, nil)
+	got = readRO(s, "k", []bool{false, true}, vclock.VC{0, 0})
 	if string(got.Val) != "v2" {
-		t.Fatalf("ReadVisible = %q, want v2", got.Val)
+		t.Fatalf("ReadRO = %q, want v2", got.Val)
 	}
 	// Missing key.
-	if got := s.ReadVisible("nope", []bool{false, false}, vclock.VC{0, 0}, nil); got.Exists {
+	if got := readRO(s, "nope", []bool{false, false}, vclock.VC{0, 0}); got.Exists {
 		t.Fatal("missing key should not exist")
 	}
 }
 
-func TestReadVisibleExcludesWriters(t *testing.T) {
+func TestReadROExcludesWriters(t *testing.T) {
 	s := New(2, 0)
 	s.Preload("k", []byte("v0"))
 	s.Apply("k", []byte("v1"), vclock.VC{1, 0}, txn(0, 1), nil)
 	s.Apply("k", []byte("v2"), vclock.VC{2, 0}, txn(0, 2), nil)
-	ex := map[wire.TxnID]struct{}{txn(0, 2): {}}
-	got := s.ReadVisible("k", []bool{false, false}, vclock.VC{9, 9}, ex)
+	// T2 is still parked (W entry, no stamp): blanket-excluded.
+	s.SQInsert("k", wire.SQEntry{Txn: txn(0, 2), SID: 2, Kind: wire.EntryWrite})
+	got := readRO(s, "k", []bool{false, false}, vclock.VC{9, 9})
 	if string(got.Val) != "v1" {
-		t.Fatalf("ReadVisible excluding T2 = %q, want v1", got.Val)
+		t.Fatalf("ReadRO excluding T2 = %q, want v1", got.Val)
 	}
 	// Excluding the genesis writer (zero TxnID) must not skip genesis.
 	exZero := map[wire.TxnID]struct{}{{}: {}}
-	got = s.ReadVisible("k", []bool{true, true}, vclock.VC{0, 0}, exZero)
+	got = s.ReadRO(txn(9, 9), "k", 0, 2, 0, []bool{true, true}, vclock.VC{0, 0}, nil, exZero, nil, nil).Res
 	if !got.Exists || string(got.Val) != "v0" {
 		t.Fatalf("genesis must never be excluded, got %+v", got)
 	}
@@ -115,12 +108,12 @@ func TestVersionChainPruning(t *testing.T) {
 		t.Fatalf("Depth = %d, want 4", d)
 	}
 	// Oldest retained version is v7; a read below that bound finds nothing.
-	got := s.ReadVisible("k", []bool{true}, vclock.VC{3}, nil)
+	got := readRO(s, "k", []bool{true}, vclock.VC{3})
 	if got.Exists {
 		t.Fatalf("pruned version unexpectedly visible: %+v", got)
 	}
-	if got := s.ReadVisible("k", []bool{true}, vclock.VC{7}, nil); string(got.Val) != "v7" {
-		t.Fatalf("ReadVisible = %q, want v7", got.Val)
+	if got := readRO(s, "k", []bool{true}, vclock.VC{7}); string(got.Val) != "v7" {
+		t.Fatalf("ReadRO = %q, want v7", got.Val)
 	}
 }
 
@@ -408,7 +401,7 @@ func TestConcurrentApplyAndRead(t *testing.T) {
 					t.Errorf("key %s vanished", key)
 					return
 				}
-				_ = s.ReadVisible(key, []bool{true, true}, vclock.VC{uint64(i), uint64(i)}, nil)
+				_ = readRO(s, key, []bool{true, true}, vclock.VC{uint64(i), uint64(i)})
 			}
 		}(r)
 	}
@@ -417,9 +410,9 @@ func TestConcurrentApplyAndRead(t *testing.T) {
 	wg.Wait()
 }
 
-// Property: ReadVisible never returns a version that violates the hasRead
+// Property: ReadRO never returns a version that violates the hasRead
 // bound, and always returns the newest version satisfying it (by vc[0]).
-func TestPropReadVisibleCorrectness(t *testing.T) {
+func TestPropReadROCorrectness(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		s := New(1, 0)
@@ -433,7 +426,7 @@ func TestPropReadVisibleCorrectness(t *testing.T) {
 			s.Apply("k", []byte(fmt.Sprintf("v%d", c)), vclock.VC{c}, txn(0, i+1), nil)
 		}
 		bound := uint64(r.Intn(int(c) + 2))
-		got := s.ReadVisible("k", []bool{true}, vclock.VC{bound}, nil)
+		got := readRO(s, "k", []bool{true}, vclock.VC{bound})
 		if !got.Exists {
 			return false // genesis always satisfies
 		}

@@ -105,14 +105,6 @@ func structOf(subsystem string, root any) reflect.Value {
 	return v.Elem()
 }
 
-// RegisterGauge registers a single standalone gauge (e.g. a build-info or
-// uptime value maintained by the caller).
-func (r *Registry) RegisterGauge(name string, g *atomic.Int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.add(metric{name: namespace + "_" + name, kind: kindGauge, gauge: g})
-}
-
 // walk hands add one metric per field of v, recursing into nested structs.
 func walk(prefix string, v reflect.Value, add func(metric)) {
 	t := v.Type()

@@ -64,11 +64,7 @@ func randomEnvelope(r *rand.Rand, n int) Envelope {
 	case 6:
 		msg = &Remove{Txn: txn}
 	case 7:
-		m := &ExtCommit{Txn: txn, Drain: r.Intn(2) == 0, Purge: r.Intn(2) == 0}
-		if r.Intn(2) == 0 {
-			m.VC = vc // the freeze phase carries the freeze vector
-		}
-		msg = m
+		msg = &ExtCommit{Txn: txn}
 	case 8:
 		msg = &WalterPropagate{Txn: txn, VC: vc, Writes: []KV{{Key: randKey(), Val: randVal()}}}
 	case 9:

@@ -113,9 +113,6 @@ func appendBody(buf []byte, msg Msg) ([]byte, error) {
 		buf = appendTxnID(buf, m.RO)
 	case *ExtCommit:
 		buf = appendTxnID(buf, m.Txn)
-		buf = appendBool(buf, m.Drain)
-		buf = appendBool(buf, m.Purge)
-		buf = m.VC.AppendBinary(buf)
 	case *ExtBatch:
 		buf = binary.AppendUvarint(buf, uint64(len(m.Freezes)))
 		for _, f := range m.Freezes {
@@ -265,7 +262,7 @@ func decodeBody(c *cursor, t MsgType) (Msg, error) {
 	case MsgFwdRemove:
 		return &FwdRemove{RO: c.txnID()}, c.err
 	case MsgExtCommit:
-		return &ExtCommit{Txn: c.txnID(), Drain: c.bool(), Purge: c.bool(), VC: c.vc()}, c.err
+		return &ExtCommit{Txn: c.txnID()}, c.err
 	case MsgExtBatch:
 		m := &ExtBatch{}
 		if n := int(c.uvarint()); n > 0 && c.err == nil {

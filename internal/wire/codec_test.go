@@ -45,9 +45,7 @@ func TestRoundTripAllMessageTypes(t *testing.T) {
 		{From: 3, RID: 8, Resp: true, Msg: &DecideAck{Txn: TxnID{0, 1}}},
 		{From: 1, Msg: &Remove{Txn: TxnID{1, 77}}},
 		{From: 1, Msg: &FwdRemove{RO: TxnID{2, 5}}},
-		{From: 0, RID: 11, Msg: &ExtCommit{Txn: TxnID{0, 1}, Drain: true}},
-		{From: 0, RID: 12, Msg: &ExtCommit{Txn: TxnID{0, 1}, VC: vc}},
-		{From: 0, Msg: &ExtCommit{Txn: TxnID{0, 1}, Purge: true}},
+		{From: 0, RID: 11, Msg: &ExtCommit{Txn: TxnID{0, 1}}},
 		{From: 0, RID: 14, Msg: &ExtBatch{
 			Freezes: []ExtFreeze{{Txn: TxnID{0, 1}, VC: vc}, {Txn: TxnID{0, 2}}},
 			Purges:  []TxnID{{1, 3}},

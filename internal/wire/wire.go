@@ -273,8 +273,7 @@ type Decide struct {
 // drain-stage frontier (its applied frontier once its snapshot-queue
 // backlog cleared); the coordinator joins these frontiers with the commit
 // clock into the replica-independent freeze vector it ships in the freeze
-// round. When acking a freeze, Ext echoes the stamp the participant
-// recorded. Gated, on a piggybacked decide+drain ack, reports that the
+// round. Gated, on a piggybacked decide+drain ack, reports that the
 // participant's pre-commit drain actually blocked on a queued entry: the
 // coordinator then falls back to the standalone drain round before
 // freezing, because a contended queue means the piggybacked drain barrier
@@ -293,41 +292,29 @@ type Remove struct {
 	Txn TxnID
 }
 
-// ExtCommit drives the cleanup of Txn's snapshot-queue W entries. W entries
-// persist from internal commit until *external* commit so that every reader
-// can tell whether the version it selected is still provisional. The drain
-// phase (Drain=true, acked) completes the snapshot-queue waits on every
-// write replica without announcing anything; each drain ack returns the
-// replica's drain-stage frontier (DecideAck.Ext). The coordinator normally
-// piggybacks this stage onto the decide round (Decide.Drain) instead of
-// paying a dedicated round trip; the standalone form remains for callers
-// that drive the stages separately. The freeze phase
-// (Drain=false, Purge=false, acked, completed before the coordinator
-// replies to its client) carries VC — the coordinator-assigned freeze
-// vector: the transaction's final commit clock joined, per write replica,
-// with that replica's drain-stage frontier. Every replica records
-// VC[self] as the writer's external-commit stamp *on arrival* (before its
-// own gated re-drain), re-drains, and flags the entries; the purge phase
-// (Purge=true, one-way, after the reply) deletes them.
-//
-// Because the freeze vector is computed once by the coordinator, every
-// replica of a key stamps the same value at the same protocol step, and
-// read-only inclusion verdicts — functions of (stamp, reader cut) only —
-// are replica-independent: no verdict ever keys off per-replica flag
-// timing, which used to let two read-only transactions order two
-// concurrently-freezing writers oppositely (the freeze-skew residue, see
-// docs/CONSISTENCY.md).
+// ExtCommit is the standalone drain round of Txn's staged external commit
+// (drain → freeze → purge; W entries persist from internal until *external*
+// commit so every reader can tell whether the version it selected is still
+// provisional). Acked: each write replica completes its snapshot-queue waits
+// without announcing anything and returns its drain-stage frontier in
+// DecideAck.Ext. The coordinator normally piggybacks this stage onto the
+// decide round (Decide.Drain) and sends this message only to re-tighten a
+// contended or stale barrier. Freeze and purge ship as ExtBatch.
 type ExtCommit struct {
-	Txn   TxnID
-	Drain bool
-	Purge bool
-	// VC is the freeze vector, set on the freeze phase only.
-	VC vclock.VC
+	Txn TxnID
 }
 
-// ExtFreeze is one transaction's freeze order inside an ExtBatch: the
-// transaction plus its coordinator-assigned freeze vector (see
-// ExtCommit.VC).
+// ExtFreeze is one transaction's freeze order inside an ExtBatch. VC is the
+// coordinator-assigned freeze vector: the transaction's final commit clock
+// joined, per write replica, with that replica's drain-stage frontier.
+//
+// Because the vector is computed once by the coordinator, every replica of a
+// key stamps the same value at the same protocol step, and read-only
+// inclusion verdicts — functions of (stamp, reader cut) only — are
+// replica-independent: no verdict ever keys off per-replica flag timing,
+// which used to let two read-only transactions order two
+// concurrently-freezing writers oppositely (the freeze-skew residue, see
+// docs/CONSISTENCY.md).
 type ExtFreeze struct {
 	Txn TxnID
 	VC  vclock.VC
@@ -337,11 +324,13 @@ type ExtFreeze struct {
 // to one write replica: the freeze orders of every update transaction whose
 // drain stage completed while the per-peer commit queue's previous flush was
 // in flight, plus any purge notifications that became due. The replica
-// stamps every freeze on arrival (same semantics as per-transaction
-// ExtCommit freezes), folds all their clocks into its external-knowledge
-// clock with a single republish, runs the gated re-drains concurrently, and
-// answers with one ExtBatchAck covering the whole batch — group commit for
-// the freeze round. A batch with no freezes is a one-way purge notification.
+// records VC[self] of every freeze as the writer's external-commit stamp *on
+// arrival* (before its own gated re-drain), folds all their clocks into its
+// external-knowledge clock with a single republish, runs the re-drains
+// concurrently, flags the entries, and answers with one ExtBatchAck covering
+// the whole batch (before the coordinator replies to its client) — group
+// commit for the freeze round. Purges (after the reply) delete the entries; a
+// batch with no freezes is a one-way purge notification.
 type ExtBatch struct {
 	Freezes []ExtFreeze
 	Purges  []TxnID

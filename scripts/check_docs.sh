@@ -13,6 +13,14 @@
 #    top`), so a deleted flag cannot survive in prose. A short allowlist
 #    covers the flags of other tools the docs quote (go test, pgrep, pprof).
 #
+# 4. Identifiers: every `pkg.Ident` inside an inline code span of the same
+#    files, for pkg under internal/, client or kv, must be declared in that
+#    package (a package-level name, or a field or method of one of its types;
+#    `pkg.Type.Member` must be a member of that type), and every bare
+#    `handle*`/`apply*` span must be a function somewhere — so a deleted
+#    handler or wire field cannot survive in prose. Allowlist: file names
+#    (`wire.go`) and benchmark rows (`wal.syncs_per_commit`).
+#
 # Usage: scripts/check_docs.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -97,6 +105,83 @@ for f in ["README.md", ".claude/skills/verify/SKILL.md"] + sorted(glob.glob("doc
         for flag in re.findall(r"(?:^|[\s/])-([a-z][a-z0-9-]*)", span):
             if flag not in have and flag not in allow:
                 print(f"FAIL: {f}: `-{flag}` is not a flag of sss-server, sss-bench or sss-client")
+                fail = 1
+sys.exit(fail)
+EOF
+
+# --- 4. identifier-existence check ---
+python3 - <<'EOF' || status=1
+import glob, os, re, sys
+
+# Declarations are read with line regexes, not a Go parser: gofmt guarantees
+# the shapes (top-level keywords at column 0, members one tab deep).
+pkg_dirs = {os.path.basename(d): d for d in glob.glob("internal/*") if os.path.isdir(d)}
+pkg_dirs.update({"client": "client", "kv": "kv"})
+
+def declarations(d):
+    """Returns (names declared at package level, members per type) of the
+    non-test Go files in directory d."""
+    names, members = set(), {}
+    for path in glob.glob(os.path.join(d, "*.go")):
+        if path.endswith("_test.go"):
+            continue
+        block = None  # the type whose body, or the const/var/type group, we are inside
+        for line in open(path):
+            if block is not None:
+                if line.startswith(")") or line.startswith("}"):
+                    block = None
+                elif re.match(r"\t\w", line):
+                    ids = re.match(r"\t\*?((?:\w+\.)?\w+(?:, \w+)*)", line).group(1)
+                    for name in ids.split(", "):
+                        name = name.split(".")[-1]  # embedded pkg.Type
+                        if block == "":
+                            names.add(name)
+                        else:
+                            members[block].add(name)
+                continue
+            m = re.match(r"func \((?:\w+ )?\*?(\w+)(?:\[[^\]]*\])?\) (\w+)", line)
+            if m:
+                members.setdefault(m.group(1), set()).add(m.group(2))
+                continue
+            m = re.match(r"(?:func|type|const|var) (\w+)", line)
+            if m:
+                names.add(m.group(1))
+                if re.match(r"type \w+(?:\[[^\]]*\])? (?:struct|interface) \{$", line):
+                    block = m.group(1)
+                    members.setdefault(block, set())
+            elif re.match(r"(?:type|const|var) \($", line):
+                block = ""
+    return names, members
+
+decls = {pkg: declarations(d) for pkg, d in pkg_dirs.items()}
+# anywhere[pkg]: package-level names plus every field and method name, since
+# the docs write methods as `mvstore.ReadRO`. everywhere: the same across all
+# packages, for the bare handle*/apply* spans.
+anywhere = {pkg: names.union(*members.values()) for pkg, (names, members) in decls.items()}
+everywhere = set().union(*anywhere.values())
+
+# Allowlist: file-name suffixes, which read as pkg.Ident (`wire.go`).
+not_idents = {"go", "md", "json", "sh", "yml"}
+
+fail = 0
+for f in ["README.md", ".claude/skills/verify/SKILL.md"] + sorted(glob.glob("docs/*.md")):
+    text = re.sub(r"^```.*?^```\s*$", "", open(f).read(), flags=re.M | re.S)
+    for span in re.findall(r"`([^`\n]+)`", text):
+        for pkg, ident, member in re.findall(r"(?<![\w./-])(?:internal/)?(\w+)\.([A-Za-z_]\w*)(?:\.([A-Za-z_]\w*))?", span):
+            # An underscore marks a benchmark row (`wal.syncs_per_commit`),
+            # not a Go name: this repo declares none with one.
+            if pkg not in decls or "_" in ident or ident in not_idents:
+                continue
+            names, members = decls[pkg]
+            if ident not in anywhere[pkg]:
+                print(f"FAIL: {f}: `{pkg}.{ident}` is not declared in {pkg_dirs[pkg]}")
+                fail = 1
+            elif member and "_" not in member and ident in names and ident in members and member not in members[ident]:
+                print(f"FAIL: {f}: `{pkg}.{ident}.{member}`: {ident} has no such field or method")
+                fail = 1
+        for fn in re.findall(r"(?<![\w.])((?:handle|apply)[A-Z]\w*)", span):
+            if fn not in everywhere:
+                print(f"FAIL: {f}: `{fn}` is not a function in any package")
                 fail = 1
 sys.exit(fail)
 EOF

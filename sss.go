@@ -82,18 +82,6 @@ type Options struct {
 	MaxVersions int
 	// Seed makes simulated-network jitter and workloads reproducible.
 	Seed int64
-	// BatchMaxEnvelopes caps the envelopes coalesced into one transport
-	// batch (0 = default 64).
-	BatchMaxEnvelopes int
-	// BatchFlushWindow makes per-peer senders wait this long to accumulate
-	// bigger batches before flushing. The default (0) flushes immediately,
-	// coalescing only what queued under backpressure — the right trade for
-	// the simulated 20µs network.
-	BatchFlushWindow time.Duration
-	// TransportWorkers bounds each endpoint's inbound dispatch pool
-	// (0 = default, 8×GOMAXPROCS clamped to [32, 256]). Overflow spills
-	// to dedicated goroutines, so blocking protocol handlers stay safe.
-	TransportWorkers int
 }
 
 // Cluster is a set of co-hosted protocol nodes connected by the simulated
@@ -135,11 +123,6 @@ func New(opts Options) (*Cluster, error) {
 		Latency:        opts.NetworkLatency,
 		DisableLatency: opts.DisableLatency,
 		Seed:           opts.Seed,
-		Tuning: transport.Tuning{
-			MaxBatch:    opts.BatchMaxEnvelopes,
-			FlushWindow: opts.BatchFlushWindow,
-			Workers:     opts.TransportWorkers,
-		},
 	})
 	c := &Cluster{opts: opts, lookup: lookup, net: net}
 	c.closer = append(c.closer, net.Close)
