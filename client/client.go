@@ -23,10 +23,9 @@
 // floor. Every connection runs a coalescing send queue (mirroring the
 // node-to-node transport's per-peer outq): concurrent transactions'
 // frames accumulated while the sender was busy go out as one buffered
-// write with a single flush, tunable via Options.BatchMaxRequests and
-// Options.BatchFlushWindow and observable via Metrics. And a whole
-// read-only transaction can be collapsed into one round trip with
-// SnapshotRead (kv.SnapshotReader), which begins, reads and finishes
+// write with a single flush (at most 64 frames), observable via Metrics.
+// And a whole read-only transaction can be collapsed into one round trip
+// with SnapshotRead (kv.SnapshotReader), which begins, reads and finishes
 // server-side; within an interactive transaction, Txn.MultiRead
 // (kv.MultiReader) pipelines independent read legs the same way.
 package client
@@ -57,18 +56,17 @@ type Options struct {
 	// An expired request marks its transaction broken and its connection
 	// suspect; both surface kv.ErrUnavailable.
 	RequestTimeout time.Duration
-	// BatchMaxRequests caps the request frames the per-connection send
-	// queue coalesces into one wire flush (default 64, the transport's
-	// MaxBatch). Concurrent transactions multiplexed on a connection
-	// batch naturally: an idle connection flushes a lone request
-	// immediately; a busy one amortizes the syscall over whatever
-	// accumulated while the sender was writing.
-	BatchMaxRequests int
-	// BatchFlushWindow, when positive, makes the sender wait this long for
-	// more requests before flushing a non-full batch — trading latency for
-	// larger batches, useful when the network round trip dwarfs the window.
-	// The default (0) flushes immediately.
-	BatchFlushWindow time.Duration
+	// batchMaxRequests caps the request frames the per-connection send
+	// queue coalesces into one wire flush (64, the transport's MaxBatch;
+	// overridable by same-package tests). Concurrent transactions
+	// multiplexed on a connection batch naturally: an idle connection
+	// flushes a lone request immediately; a busy one amortizes the syscall
+	// over whatever accumulated while the sender was writing.
+	batchMaxRequests int
+	// batchFlushWindow, when positive, makes the sender wait this long for
+	// more requests before flushing a non-full batch. Zero — what every
+	// caller outside this package's tests gets — flushes immediately.
+	batchFlushWindow time.Duration
 }
 
 func (o Options) withDefaults() Options {
@@ -81,8 +79,8 @@ func (o Options) withDefaults() Options {
 	if o.RequestTimeout <= 0 {
 		o.RequestTimeout = 60 * time.Second
 	}
-	if o.BatchMaxRequests <= 0 {
-		o.BatchMaxRequests = 64
+	if o.batchMaxRequests <= 0 {
+		o.batchMaxRequests = 64
 	}
 	return o
 }
@@ -576,7 +574,7 @@ func (cn *conn) demux() {
 // buffered write + flush per batch.
 func (cn *conn) sender() {
 	defer close(cn.sendDone)
-	max := cn.opts.BatchMaxRequests
+	max := cn.opts.batchMaxRequests
 	batch := make([]queuedReq, 0, max)
 	for {
 		cn.mu.Lock()
@@ -594,7 +592,7 @@ func (cn *conn) sender() {
 
 		// A window accumulates a bigger batch, but a full one flushes right
 		// away so the window never caps throughput below max/window.
-		if w := cn.opts.BatchFlushWindow; w > 0 && !full {
+		if w := cn.opts.batchFlushWindow; w > 0 && !full {
 			time.Sleep(w)
 		}
 

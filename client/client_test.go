@@ -333,7 +333,7 @@ func TestClientMultiRead(t *testing.T) {
 // than one request on average.
 func TestClientBatchCoalescing(t *testing.T) {
 	addr, _ := startServer(t)
-	c, err := Dial(addr, Options{Conns: 1, BatchMaxRequests: 8, BatchFlushWindow: 2 * time.Millisecond})
+	c, err := Dial(addr, Options{Conns: 1, batchMaxRequests: 8, batchFlushWindow: 2 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,11 +364,11 @@ func TestClientBatchCoalescing(t *testing.T) {
 	}
 }
 
-// TestClientBatchCapOne is the batching boundary: with BatchMaxRequests=1
+// TestClientBatchCapOne is the batching boundary: with batchMaxRequests=1
 // every request is its own flush, and everything still completes.
 func TestClientBatchCapOne(t *testing.T) {
 	addr, _ := startServer(t)
-	c, err := Dial(addr, Options{Conns: 1, BatchMaxRequests: 1})
+	c, err := Dial(addr, Options{Conns: 1, batchMaxRequests: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +399,7 @@ func TestClientBatchCapOne(t *testing.T) {
 // misrouted: every transaction reads back exactly what it wrote.
 func TestClientOrderingUnderBatching(t *testing.T) {
 	addr, _ := startServer(t)
-	c, err := Dial(addr, Options{Conns: 1, BatchMaxRequests: 4, BatchFlushWindow: time.Millisecond})
+	c, err := Dial(addr, Options{Conns: 1, batchMaxRequests: 4, batchFlushWindow: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +446,7 @@ func TestClientOrderingUnderBatching(t *testing.T) {
 // hanging on a never-flushed queue entry.
 func TestClientDrainOnClose(t *testing.T) {
 	addr, _ := startServer(t)
-	c, err := Dial(addr, Options{Conns: 1, BatchMaxRequests: 2, BatchFlushWindow: 5 * time.Millisecond})
+	c, err := Dial(addr, Options{Conns: 1, batchMaxRequests: 2, batchFlushWindow: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,7 +489,7 @@ func TestClientDrainOnClose(t *testing.T) {
 // makes progress again.
 func TestClientRedialUnderLoad(t *testing.T) {
 	addr, srv := startServer(t)
-	c, err := Dial(addr, Options{Conns: 2, BatchFlushWindow: time.Millisecond})
+	c, err := Dial(addr, Options{Conns: 2, batchFlushWindow: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

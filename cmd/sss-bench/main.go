@@ -6,13 +6,9 @@
 //	sss-bench -figure 3            # Figure 3: throughput vs nodes
 //	sss-bench -figure all -duration 2s
 //
-// With -transport tcp, the figure-3 sweep instead drives a real
-// multi-process deployment: internal/harness boots one sss-server process
-// per node on loopback TCP and closed-loop clients issue transactions
-// through the public client package — the paper's networked system shape,
-// not the in-process simulation. TCP mode supports figure 3 only (the
-// competitor engines have no server binary) and writes
-// BENCH_figure3_tcp.json with -json.
+// Everything here runs in one process, because the competitor engines have
+// no server binary; the multi-process TCP cluster is measured by
+// benchmark/run.sh (BENCHMARK.json).
 //
 // With -json, every figure additionally writes a machine-readable
 // BENCH_figure<N>.json snapshot (throughput, latency percentiles, transport
@@ -49,13 +45,6 @@ var (
 	netStats = flag.Bool("net-stats", false, "print per-point transport batching stats")
 	jsonOut  = flag.Bool("json", false, "write BENCH_figure<N>.json snapshots per figure")
 
-	transportKind = flag.String("transport", "inproc", "inproc (simulated network) | tcp (real multi-process cluster, figure 3 only)")
-	serverBin     = flag.String("server-bin", "", "sss-server binary for -transport tcp (empty = build once via go build)")
-	tcpKeys       = flag.String("tcp-keys", "5000,10000", "keyspace sizes for the tcp figure-3 sweep")
-	tcpRO         = flag.String("tcp-ro", "20,50,80", "read-only percentages for the tcp figure-3 sweep")
-	netDelay      = flag.String("net-delay", "", "client-path RTTs to sweep in tcp mode, CSV of durations (e.g. 0,500us,2ms); any nonzero value switches the snapshot to BENCH_figure3_tcp_rtt.json")
-	durability    = flag.String("durability", "off", "tcp mode: off (in-memory servers) | wal (per-node data dirs, group-committed WAL); wal appends -wal to series names")
-
 	cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	mutexProfile = flag.String("mutexprofile", "", "write a mutex-contention profile to this file")
 	blockProfile = flag.String("blockprofile", "", "write a blocking profile to this file")
@@ -63,6 +52,9 @@ var (
 
 func main() {
 	flag.Parse()
+	if err := checkFigure(*figure); err != nil {
+		log.Fatal(err)
+	}
 	nodeCounts, err := parseInts(*nodesCSV)
 	if err != nil {
 		log.Fatalf("-nodes: %v", err)
@@ -74,25 +66,6 @@ func main() {
 		log.Fatal(err)
 	}
 	run := func(f string) bool { return *figure == "all" || *figure == f }
-	if *durability != "off" && *durability != "wal" {
-		log.Fatalf("-durability must be off or wal, got %q", *durability)
-	}
-	if *durability == "wal" && *transportKind != "tcp" {
-		log.Fatalf("-durability wal requires -transport tcp (the WAL lives in the server processes)")
-	}
-	if *transportKind == "tcp" {
-		if !run("3") {
-			log.Fatalf("-transport tcp supports figure 3 only (got -figure %s)", *figure)
-		}
-		figure3TCP(nodeCounts)
-		if err := stopProf(); err != nil {
-			log.Fatalf("profiling: %v", err)
-		}
-		return
-	}
-	if *transportKind != "inproc" {
-		log.Fatalf("-transport must be inproc or tcp, got %q", *transportKind)
-	}
 	if run("3") {
 		figure3(nodeCounts)
 	}
@@ -116,25 +89,13 @@ func main() {
 	}
 }
 
-// parseDurations parses a CSV of time.Duration values; bare "0" is allowed.
-func parseDurations(csv string) ([]time.Duration, error) {
-	var out []time.Duration
-	for _, part := range strings.Split(csv, ",") {
-		part = strings.TrimSpace(part)
-		if part == "0" {
-			out = append(out, 0)
-			continue
-		}
-		d, err := time.ParseDuration(part)
-		if err != nil {
-			return nil, err
-		}
-		if d < 0 {
-			return nil, fmt.Errorf("negative delay %v", d)
-		}
-		out = append(out, d)
+// checkFigure rejects a -figure value no branch of main would run.
+func checkFigure(f string) error {
+	switch f {
+	case "3", "4", "5", "6", "7", "8", "all":
+		return nil
 	}
-	return out, nil
+	return fmt.Errorf("-figure %q: valid values are 3, 4, 5, 6, 7, 8, all", f)
 }
 
 func parseInts(csv string) ([]int, error) {
@@ -160,7 +121,6 @@ type benchPoint struct {
 	ReadOnlyPct       int                          `json:"read_only_pct"`
 	ReadOnlyOps       int                          `json:"read_only_ops,omitempty"`
 	Locality          float64                      `json:"locality,omitempty"`
-	NetDelay          time.Duration                `json:"net_delay_ns,omitempty"`
 	ThroughputTxnS    float64                      `json:"throughput_txn_s"`
 	AbortRate         float64                      `json:"abort_rate"`
 	Commits           uint64                       `json:"commits"`
@@ -175,16 +135,10 @@ type benchPoint struct {
 	Transport         metrics.TransportSnapshot    `json:"transport"`
 	Contention        metrics.ContentionSnapshot   `json:"contention"`
 	CommitRounds      metrics.CommitRoundsSnapshot `json:"commit_rounds"`
-	// EngineCounters is the aggregated scalar engine-counter dump; nil in
-	// tcp mode, where the counters live in the server processes and surface
-	// through their SIGTERM "engine:" log line instead.
-	EngineCounters *metrics.EngineCountersSnapshot `json:"engine_counters,omitempty"`
-	ClientNet      *metrics.ClientNetSnapshot      `json:"client_net,omitempty"`
-	Durability     []string                        `json:"durability,omitempty"`
+	// EngineCounters is the aggregated scalar engine-counter dump.
+	EngineCounters metrics.EngineCountersSnapshot `json:"engine_counters"`
 	// Stages is the per-stage commit decomposition (vote, decide/drain,
-	// freeze, purge, WAL sync, client ack). In-proc it comes from the
-	// engines directly; in tcp mode it is harvested by scraping the nodes'
-	// /metrics endpoints before shutdown. Nil for engines that don't
+	// freeze, purge, WAL sync, client ack). Nil for engines that don't
 	// instrument stages.
 	Stages *metrics.StagesSnapshot `json:"stages,omitempty"`
 }
@@ -282,7 +236,7 @@ func point(rep *reporter, series string, eng sss.Engine, nodes, degree int, w yc
 			Transport:         net,
 			Contention:        res.Contention,
 			CommitRounds:      res.CommitRounds,
-			EngineCounters:    &res.EngineCounters,
+			EngineCounters:    res.EngineCounters,
 			Stages:            stagesOrNil(res.Stages),
 		})
 	}

@@ -205,9 +205,8 @@ func main() {
 		// These two message shapes are load-bearing, byte for byte, because
 		// captured server logs are parsed: "transport:" by benchmark/stats.go
 		// (parseTransportDump; the crash e2e also greps batchResends= out of
-		// it) and "durability:" by benchmark/stats.go (parseDurabilityDump)
-		// and cmd/sss-bench/tcp.go (lastDurabilityLine). Every other family
-		// is on /metrics only.
+		// it) and "durability:" by benchmark/stats.go (parseDurabilityDump).
+		// Every other family is on /metrics only.
 		logger.Info(fmt.Sprintf("transport: %s", net_.Metrics().Snapshot()))
 		if wlog != nil {
 			logger.Info(fmt.Sprintf("durability: %s", node.Durability().Snapshot()))

@@ -19,15 +19,6 @@ import (
 
 // Node is one engine node as seen by the harness: a transaction factory
 // plus its metrics.
-//
-// A Node may additionally implement kv.SnapshotReader; read-only
-// transactions are then issued through it (one operation instead of
-// begin + reads + commit — on a networked node, one round trip). A node's
-// transactions may implement kv.MultiReader; an update transaction's
-// independent read legs are then issued as one pipelined operation. Both
-// capabilities keep the transaction semantics identical — they exist so the
-// closed loop measures the protocol, not the driver's one-request-per-step
-// synchrony.
 type Node interface {
 	Begin(readOnly bool) kv.Txn
 	Stats() *metrics.Engine
@@ -197,32 +188,7 @@ const (
 func runTxn(nd Node, gen *ycsb.Generator) txnOutcome {
 	tx := gen.Next()
 	readOnly := tx.Kind == ycsb.ReadOnlyTxn
-	if readOnly {
-		if sr, ok := nd.(kv.SnapshotReader); ok {
-			if _, err := sr.SnapshotRead(tx.Keys); err != nil {
-				return outcomeError
-			}
-			return outcomeReadOnly
-		}
-	}
 	t := nd.Begin(readOnly)
-	if !readOnly && len(tx.Keys) > 1 {
-		if mr, ok := t.(kv.MultiReader); ok {
-			// Read all legs concurrently, then write them — same keys, same
-			// snapshot, but the reads cost ~1 round trip instead of one each.
-			if _, err := mr.MultiRead(tx.Keys); err != nil {
-				_ = t.Abort()
-				return outcomeError
-			}
-			for _, k := range tx.Keys {
-				if err := t.Write(k, gen.Value()); err != nil {
-					_ = t.Abort()
-					return outcomeError
-				}
-			}
-			return finishTxn(t, readOnly)
-		}
-	}
 	for _, k := range tx.Keys {
 		if _, _, err := t.Read(k); err != nil {
 			_ = t.Abort()
@@ -235,11 +201,6 @@ func runTxn(nd Node, gen *ycsb.Generator) txnOutcome {
 			}
 		}
 	}
-	return finishTxn(t, readOnly)
-}
-
-// finishTxn commits and classifies the outcome.
-func finishTxn(t kv.Txn, readOnly bool) txnOutcome {
 	err := t.Commit()
 	switch {
 	case err == nil && readOnly:

@@ -1,6 +1,6 @@
 // Package harness spawns, monitors and tears down real multi-process SSS
 // clusters — N sss-server processes on loopback TCP — for end-to-end tests
-// and the distributed benchmark mode of sss-bench.
+// and the benchmark/ driver.
 //
 // The harness owns the whole process lifecycle: it allocates free ports for
 // the inter-node transport and the client protocol, starts one sss-server
@@ -53,12 +53,6 @@ type Config struct {
 	// Adds one local TCP hop to peer traffic, so leave it off for
 	// latency-sensitive benchmarks.
 	PeerLinkControl bool
-	// ClientNetDelay simulates a client↔server network round-trip time.
-	// Zero means direct loopback. Nonzero routes every client connection
-	// through a per-node relay (linkrelay.go) adding half the value each
-	// way. Inter-node traffic is not delayed; that is what PeerLinkControl
-	// and SetLinkDelay are for.
-	ClientNetDelay time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -80,7 +74,6 @@ type Cluster struct {
 	clientAddrs  []string
 	metricsAddrs []string
 	procs        []*proc
-	relays       []*linkRelay   // per-node client-path delay relays; nil without ClientNetDelay
 	links        [][]*linkRelay // [from][to] peer-link relays; nil without PeerLinkControl
 }
 
@@ -136,8 +129,6 @@ func Start(cfg Config) (*Cluster, error) {
 			return nil, err
 		}
 	}
-	// Readiness is probed on the direct addresses, so startup never pays
-	// the client-path RTT tax.
 	if err := c.waitReady(cfg.StartTimeout); err != nil {
 		_ = c.Stop()
 		return nil, err
@@ -158,9 +149,6 @@ func (c *Cluster) reserve() error {
 	if c.cfg.PeerLinkControl {
 		total += n * (n - 1)
 	}
-	if c.cfg.ClientNetDelay > 0 {
-		total += n
-	}
 	lns := make([]net.Listener, 0, total)
 	for len(lns) < total {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -178,28 +166,17 @@ func (c *Cluster) reserve() error {
 	}
 	c.peerAddrs, c.clientAddrs, c.metricsAddrs = addrs[:n], addrs[n:2*n], addrs[2*n:]
 
-	relayLns := lns[3*n:]
-	relayTo := func(target string) *linkRelay {
-		r := startLinkRelay(relayLns[0], target)
-		relayLns = relayLns[1:]
-		return r
-	}
 	if c.cfg.PeerLinkControl {
+		relayLns := lns[3*n:]
 		c.links = make([][]*linkRelay, n)
 		for i := range c.links {
 			c.links[i] = make([]*linkRelay, n)
 			for j := range c.links[i] {
 				if j != i {
-					c.links[i][j] = relayTo(c.peerAddrs[j])
+					c.links[i][j] = startLinkRelay(relayLns[0], c.peerAddrs[j])
+					relayLns = relayLns[1:]
 				}
 			}
-		}
-	}
-	if c.cfg.ClientNetDelay > 0 {
-		for _, addr := range c.clientAddrs {
-			r := relayTo(addr)
-			r.setDelay(c.cfg.ClientNetDelay / 2)
-			c.relays = append(c.relays, r)
 		}
 	}
 	for _, ln := range lns[:3*n] {
@@ -431,15 +408,8 @@ func (c *Cluster) waitNode(i int, deadline time.Time) error {
 	}
 }
 
-// ClientAddrs returns the per-node client-protocol addresses: the servers'
-// own, or their delay relays' under Config.ClientNetDelay.
-func (c *Cluster) ClientAddrs() []string {
-	addrs := append([]string(nil), c.clientAddrs...)
-	for i, r := range c.relays {
-		addrs[i] = r.Addr()
-	}
-	return addrs
-}
+// ClientAddrs returns the per-node client-protocol addresses.
+func (c *Cluster) ClientAddrs() []string { return append([]string(nil), c.clientAddrs...) }
 
 // MetricsAddrs returns the per-node Prometheus /metrics endpoint addresses
 // (every harness node is started with -metrics-addr).
@@ -485,10 +455,6 @@ func (c *Cluster) Alive(i int) bool {
 // responsible for cleanup and is safe to call afterwards.
 func (c *Cluster) Shutdown() error {
 	var firstErr error
-	for _, r := range c.relays {
-		r.close()
-	}
-	c.relays = nil
 	c.closeLinks()
 	for _, p := range c.procs {
 		if p == nil {

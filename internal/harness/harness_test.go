@@ -241,10 +241,9 @@ func TestServerAbortsOnClientDisconnect(t *testing.T) {
 }
 
 // TestSnapshotReadCoherence is the end-to-end gate for the one-round
-// read-only path: against a real 2-node cluster — reached through the
-// client-path delay relay, so the RTT shim is on the wire too — a
-// SnapshotRead must observe the same torn-state-free snapshots as the
-// interactive read-only form while concurrent transfers run.
+// read-only path: against a real 2-node cluster a SnapshotRead must observe
+// the same torn-state-free snapshots as the interactive read-only form
+// while concurrent transfers run.
 func TestSnapshotReadCoherence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process e2e")
@@ -253,7 +252,7 @@ func TestSnapshotReadCoherence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Start(Config{Nodes: 2, Replication: 2, BinPath: bin, ClientNetDelay: time.Millisecond})
+	c, err := Start(Config{Nodes: 2, Replication: 2, BinPath: bin})
 	if err != nil {
 		t.Fatal(err)
 	}

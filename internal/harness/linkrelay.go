@@ -1,7 +1,5 @@
 // The harness's one TCP relay: a loopback proxy with a runtime-adjustable
-// one-way delay and a block switch. Config.ClientNetDelay puts one in front of
-// every node's client port (delay only); the rest of this comment is the
-// fault-injection use.
+// one-way delay and a block switch.
 //
 // With Config.PeerLinkControl, every directed peer link i→j is routed
 // through its own loopback TCP relay: node i's -peers address book lists

@@ -146,6 +146,16 @@ func TestMetricsExposition(t *testing.T) {
 	if wals := merged.Hists["sss_stage_wal_sync_seconds"]; wals == nil || wals.Count == 0 {
 		t.Error("durable cluster recorded no sss_stage_wal_sync_seconds observations")
 	}
+	// The fsync budget of the durable commit path on real processes: the
+	// three serial sync points measure 570 fsyncs for these 120 serial
+	// commits (4.75 each); the four-point path before them cost 7.25 on the
+	// benchmark's update workload.
+	const fsyncBudget = 6.2
+	if syncs := merged.Counter("sss_wal_syncs_total"); syncs == 0 {
+		t.Error("durable cluster counted no sss_wal_syncs_total")
+	} else if perCommit := syncs / float64(total); perCommit > fsyncBudget {
+		t.Errorf("%.0f fsyncs for %d commits = %.2f per commit, budget %.1f", syncs, total, perCommit, fsyncBudget)
+	}
 
 	// Client-ack and purge observations land after the client reply /
 	// asynchronously behind the freeze queue, so give them a polled grace

@@ -455,15 +455,6 @@ func (s *Stages) Snapshot() StagesSnapshot {
 	}
 }
 
-// String renders the snapshot compactly (count + p50/p99 per stage).
-func (s StagesSnapshot) String() string {
-	f := func(h HistogramSnapshot) string {
-		return fmt.Sprintf("n=%d p50=%v p99=%v", h.Count, h.P50, h.P99)
-	}
-	return fmt.Sprintf("vote{%s} decide{%s} freeze{%s} purge{%s} walSync{%s} clientAck{%s}",
-		f(s.Vote), f(s.Decide), f(s.Freeze), f(s.Purge), f(s.WalSync), f(s.ClientAck))
-}
-
 // CommitRounds counts the acked round structure of the update-commit path.
 // DrainsPiggybacked/DrainRounds are replica-side counts of drain stages
 // served inside a decide ack vs by a standalone ExtCommit drain round;
@@ -518,9 +509,8 @@ func (s CommitRoundsSnapshot) String() string {
 		s.DrainsPiggybacked, s.DrainRounds, s.FreezeBatches, s.FreezesPerBatch, s.PurgeBatchTxns)
 }
 
-// EngineCountersSnapshot is the compact counter view for operational dumps
-// (the sss-server SIGTERM line) and bench-point harvesting: the scalar
-// engine counters without the latency histograms.
+// EngineCountersSnapshot is the scalar engine counters without the latency
+// histograms, as sss-bench's JSON points carry them.
 type EngineCountersSnapshot struct {
 	Commits                uint64 `json:"commits"`
 	Aborts                 uint64 `json:"aborts"`
@@ -542,13 +532,6 @@ func (e *Engine) CountersSnapshot() EngineCountersSnapshot {
 		FreezeAckWithheld:      e.FreezeAckWithheld.Load(),
 		FreezeAckBudgetExpired: e.FreezeAckBudgetExpired.Load(),
 	}
-}
-
-// String renders the snapshot compactly.
-func (s EngineCountersSnapshot) String() string {
-	return fmt.Sprintf("commits=%d aborts=%d readOnly=%d drainTimeouts=%d freezeRetries=%d freezeAckWithheld=%d freezeAckBudgetExpired=%d",
-		s.Commits, s.Aborts, s.ReadOnlyRuns, s.DrainTimeouts, s.FreezeRetries,
-		s.FreezeAckWithheld, s.FreezeAckBudgetExpired)
 }
 
 // AbortRate returns aborts / (commits + aborts) for update transactions.
@@ -603,62 +586,6 @@ func (c *ClientNet) RequestsPerFlush() float64 {
 		return 0
 	}
 	return float64(c.BatchRequests.Load()) / float64(f)
-}
-
-// Merge folds other's counters into c.
-func (c *ClientNet) Merge(other *ClientNet) {
-	c.Sessions.Add(other.Sessions.Load())
-	c.ActiveSessions.Add(other.ActiveSessions.Load())
-	c.Requests.Add(other.Requests.Load())
-	c.ProtocolErrors.Add(other.ProtocolErrors.Load())
-	c.DisconnectAborts.Add(other.DisconnectAborts.Load())
-	c.WriteErrors.Add(other.WriteErrors.Load())
-	c.Spills.Add(other.Spills.Load())
-	c.SnapshotReads.Add(other.SnapshotReads.Load())
-	c.BatchFlushes.Add(other.BatchFlushes.Load())
-	c.BatchRequests.Add(other.BatchRequests.Load())
-	c.BatchFlushLatency.Merge(&other.BatchFlushLatency)
-}
-
-// ClientNetSnapshot is a point-in-time copy for reporting.
-type ClientNetSnapshot struct {
-	Sessions         uint64            `json:"sessions"`
-	ActiveSessions   int64             `json:"active_sessions"`
-	Requests         uint64            `json:"requests"`
-	ProtocolErrors   uint64            `json:"protocol_errors"`
-	DisconnectAborts uint64            `json:"disconnect_aborts"`
-	WriteErrors      uint64            `json:"write_errors"`
-	Spills           uint64            `json:"spills"`
-	SnapshotReads    uint64            `json:"snapshot_reads"`
-	BatchFlushes     uint64            `json:"batch_flushes"`
-	BatchRequests    uint64            `json:"batch_requests"`
-	RequestsPerFlush float64           `json:"requests_per_flush"`
-	FlushLatency     HistogramSnapshot `json:"flush_latency"`
-}
-
-// Snapshot copies the counters into a plain struct.
-func (c *ClientNet) Snapshot() ClientNetSnapshot {
-	return ClientNetSnapshot{
-		Sessions:         c.Sessions.Load(),
-		ActiveSessions:   c.ActiveSessions.Load(),
-		Requests:         c.Requests.Load(),
-		ProtocolErrors:   c.ProtocolErrors.Load(),
-		DisconnectAborts: c.DisconnectAborts.Load(),
-		WriteErrors:      c.WriteErrors.Load(),
-		Spills:           c.Spills.Load(),
-		SnapshotReads:    c.SnapshotReads.Load(),
-		BatchFlushes:     c.BatchFlushes.Load(),
-		BatchRequests:    c.BatchRequests.Load(),
-		RequestsPerFlush: c.RequestsPerFlush(),
-		FlushLatency:     c.BatchFlushLatency.Snapshot(),
-	}
-}
-
-// String renders the snapshot compactly.
-func (s ClientNetSnapshot) String() string {
-	return fmt.Sprintf("sessions=%d (active %d) requests=%d protoErrs=%d disconnectAborts=%d writeErrs=%d spills=%d snapReads=%d batches=%d (%.2f req/flush) flushLat{%v}",
-		s.Sessions, s.ActiveSessions, s.Requests, s.ProtocolErrors, s.DisconnectAborts, s.WriteErrors, s.Spills,
-		s.SnapshotReads, s.BatchFlushes, s.RequestsPerFlush, s.FlushLatency)
 }
 
 // Durability aggregates the write-ahead-log and recovery counters of one
@@ -719,28 +646,6 @@ func (d *Durability) RecordsPerSync() float64 {
 		return 0
 	}
 	return float64(d.WalSyncedRecords.Load()) / float64(s)
-}
-
-// Merge folds other's counters into d.
-func (d *Durability) Merge(other *Durability) {
-	d.WalAppends.Add(other.WalAppends.Load())
-	d.WalBytes.Add(other.WalBytes.Load())
-	d.WalSyncs.Add(other.WalSyncs.Load())
-	d.WalSyncedRecords.Add(other.WalSyncedRecords.Load())
-	d.WalSyncFailures.Add(other.WalSyncFailures.Load())
-	d.SyncLatency.Merge(&other.SyncLatency)
-	d.Checkpoints.Add(other.Checkpoints.Load())
-	d.CheckpointRecords.Add(other.CheckpointRecords.Load())
-	d.CheckpointErrors.Add(other.CheckpointErrors.Load())
-	d.ReplayRecords.Add(other.ReplayRecords.Load())
-	d.ReplayedCommits.Add(other.ReplayedCommits.Load())
-	d.InDoubt.Add(other.InDoubt.Load())
-	d.InDoubtCommitted.Add(other.InDoubtCommitted.Load())
-	d.InDoubtAborted.Add(other.InDoubtAborted.Load())
-	d.FreezeResolved.Add(other.FreezeResolved.Load())
-	d.FreezeUnresolved.Add(other.FreezeUnresolved.Load())
-	d.ClockSyncPeers.Add(other.ClockSyncPeers.Load())
-	d.ClockSyncMisses.Add(other.ClockSyncMisses.Load())
 }
 
 // DurabilitySnapshot is a point-in-time copy for reporting.

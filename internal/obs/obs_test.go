@@ -261,15 +261,15 @@ func TestStagesFromPage(t *testing.T) {
 			t.Errorf("page missing %s", name)
 		}
 	}
-	st := page.Stages()
-	if st.Vote.Count != 2 {
-		t.Errorf("vote count = %d, want 2", st.Vote.Count)
+	vote := page.Hists["sss_stage_vote_seconds"].Snapshot()
+	if vote.Count != 2 {
+		t.Errorf("vote count = %d, want 2", vote.Count)
 	}
-	if st.WalSync.Count != 1 {
-		t.Errorf("walSync count = %d, want 1", st.WalSync.Count)
+	if n := page.Hists["sss_stage_wal_sync_seconds"].Count; n != 1 {
+		t.Errorf("walSync count = %d, want 1", n)
 	}
-	if st.Vote.P99 < time.Millisecond || st.Vote.P99 > 10*time.Millisecond {
-		t.Errorf("vote p99 = %v, out of range", st.Vote.P99)
+	if vote.P99 < time.Millisecond || vote.P99 > 10*time.Millisecond {
+		t.Errorf("vote p99 = %v, out of range", vote.P99)
 	}
 }
 

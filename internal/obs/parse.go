@@ -244,29 +244,9 @@ func secondsToDuration(s float64) time.Duration {
 	return time.Duration(s * float64(time.Second))
 }
 
-// Stages assembles the per-stage commit decomposition from the canonical
-// sss_stage_* series of one (or a merged) page; absent stages come back
-// zero.
-func (p *Page) Stages() metrics.StagesSnapshot {
-	get := func(stage string) metrics.HistogramSnapshot {
-		if h := p.Hists["sss_stage_"+stage+"_seconds"]; h != nil {
-			return h.Snapshot()
-		}
-		return metrics.HistogramSnapshot{}
-	}
-	return metrics.StagesSnapshot{
-		Vote:      get("vote"),
-		Decide:    get("decide"),
-		Freeze:    get("freeze"),
-		Purge:     get("purge"),
-		WalSync:   get("wal_sync"),
-		ClientAck: get("client_ack"),
-	}
-}
-
 // MergePages bucket-merges the named histogram across pages and sums
-// counters — the cluster-wide view `sss-client top` and the TCP bench
-// harvester aggregate from per-node scrapes.
+// counters — the cluster-wide view `sss-client top` and benchmark/
+// aggregate from per-node scrapes.
 func MergePages(pages []*Page) *Page {
 	out := &Page{
 		Counters: make(map[string]float64),

@@ -1,7 +1,7 @@
 // Package obs is the production observability surface: a dependency-free
 // Prometheus text-exposition registry over the internal/metrics families,
 // an HTTP handler serving it, and a parser for the same format (consumed by
-// `sss-client top`, the TCP bench harvester, and the e2e scrape checks).
+// `sss-client top`, benchmark/, and the e2e scrape checks).
 //
 // The registry is a seam, not a catalogue: Register reflects over a metrics
 // struct and exports every field — atomic.Uint64 as a counter, atomic.Int64

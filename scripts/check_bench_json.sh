@@ -9,8 +9,10 @@
 #     replication_degree, clients_per_node, keys), sane measurements
 #     (throughput >= 0, abort_rate in [0,1]), and complete latency
 #     histograms (count/mean_ns/p50_ns/p99_ns/max_ns with p50<=p99<=max)
-#   - monotone series labels: within one series, in file order, the node
-#     count strictly increases — the figure-3/5 x-axis contract
+#   - monotone series: within one series, in file order, the x-axis tuple
+#     (nodes, clients_per_node, read_only_ops) strictly increases — figures
+#     3, 6 and 7 sweep nodes, 4(b) and 5 clients per node, 8 the read-only
+#     size, each with the others fixed
 #   - optional per-stage breakdown ("stages"): same histogram shape per leg
 #
 # Usage: scripts/check_bench_json.sh [file...]   (default: BENCH_*.json)
@@ -58,7 +60,7 @@ def check_file(path):
     if not isinstance(points, list) or not points:
         fail(f"{path}: points must be a non-empty list")
 
-    last_nodes = {}  # series -> last node count seen, for monotonicity
+    last_x = {}  # series -> last x-axis tuple seen, for monotonicity
     for i, p in enumerate(points):
         where = f"{path} point {i}"
         for field, lo in (("nodes", 1), ("replication_degree", 1),
@@ -86,14 +88,16 @@ def check_file(path):
                 check_hist(f"{where} stages.{leg}", p["stages"][leg])
 
         series = p["series"]
-        if series in last_nodes and p["nodes"] <= last_nodes[series]:
-            fail(f"{where}: series {series!r} node count {p['nodes']} "
-                 f"does not increase past {last_nodes[series]} — "
-                 "trajectory points out of order or duplicated")
-        last_nodes[series] = p["nodes"]
+        x = (p["nodes"], p["clients_per_node"], p.get("read_only_ops", 0))
+        if series in last_x and x <= last_x[series]:
+            fail(f"{where}: series {series!r} (nodes, clients_per_node, "
+                 f"read_only_ops) = {x} does not increase past "
+                 f"{last_x[series]} — trajectory points out of order or "
+                 "duplicated")
+        last_x[series] = x
 
     print(f"check_bench_json: {path}: {len(points)} points, "
-          f"{len(last_nodes)} series OK")
+          f"{len(last_x)} series OK")
 
 
 for path in sys.argv[1:]:

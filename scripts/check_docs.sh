@@ -21,6 +21,13 @@
 #    handler or wire field cannot survive in prose. Allowlist: file names
 #    (`wire.go`) and benchmark rows (`wal.syncs_per_commit`).
 #
+# 5. Paths: every repo path inside a code span or fenced block of the same
+#    files — `BENCH_<name>.json` at the root, or a file or directory under
+#    scripts/, cmd/, internal/, benchmark/, examples/, docs/, client/ or kv/
+#    — must exist in the tree, so a deleted file cannot survive in prose.
+#    Patterns (`BENCH_figure<N>.json`, `scripts/*.sh`, `cmd/...`) are not
+#    paths and are skipped.
+#
 # Usage: scripts/check_docs.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -95,9 +102,8 @@ python3 - "$tmp/usage.txt" <<'EOF' || status=1
 import glob, re, sys
 
 have = set(re.findall(r"^\s+-([a-z][a-z0-9-]*)", open(sys.argv[1]).read(), re.M))
-# Other tools' flags quoted in the docs: go test; pgrep/pkill; go tool pprof;
-# and `-wal`, the suffix sss-bench appends to durable series names.
-allow = {"count", "race", "run", "short", "v", "f", "x", "top", "wal"}
+# Other tools' flags quoted in the docs: go test; pgrep/pkill; go tool pprof.
+allow = {"count", "race", "run", "short", "v", "f", "x", "top"}
 fail = 0
 for f in ["README.md", ".claude/skills/verify/SKILL.md"] + sorted(glob.glob("docs/*.md")):
     text = re.sub(r"^```.*?^```\s*$", "", open(f).read(), flags=re.M | re.S)
@@ -183,6 +189,30 @@ for f in ["README.md", ".claude/skills/verify/SKILL.md"] + sorted(glob.glob("doc
             if fn not in everywhere:
                 print(f"FAIL: {f}: `{fn}` is not a function in any package")
                 fail = 1
+sys.exit(fail)
+EOF
+
+# --- 5. path-existence check ---
+python3 - <<'EOF' || status=1
+import glob, os, re, sys
+
+# A path is a root BENCH_ snapshot, or a top-level source directory followed
+# by plain components and optionally a file name. A wildcard or placeholder
+# anywhere in the token makes it a pattern, which matches nothing here;
+# `internal/obs.Fetch` reads as internal/obs.
+path_re = re.compile(
+    r"(?<![\w./<>*-])(?:\./)?"
+    r"(BENCH_\w+\.json"
+    r"|(?:scripts|cmd|internal|benchmark|examples|docs|client|kv)(?:/[\w-]+)+"
+    r"(?:\.(?:go|sh|md|json|yml|mod)\b)?)"
+    r"(?![\w<*-]|/[\w<*.])")
+fail = 0
+for f in ["README.md", ".claude/skills/verify/SKILL.md"] + sorted(glob.glob("docs/*.md")):
+    code = re.findall(r"```.*?```|`[^`\n]+`", open(f).read(), flags=re.S)
+    for path in sorted(set(path_re.findall("\n".join(code)))):
+        if not os.path.exists(path):
+            print(f"FAIL: {f}: `{path}` does not exist in the tree")
+            fail = 1
 sys.exit(fail)
 EOF
 

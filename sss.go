@@ -70,10 +70,8 @@ type Options struct {
 	ReplicationDegree int
 	// Engine selects the protocol (default EngineSSS).
 	Engine Engine
-	// NetworkLatency is the simulated one-way message latency (default
-	// 20µs, the paper's testbed). DisableLatency turns simulation off for
-	// fast functional tests.
-	NetworkLatency time.Duration
+	// DisableLatency turns off the simulated one-way message latency
+	// (20µs, the paper's testbed) for fast functional tests.
 	DisableLatency bool
 	// LockTimeout bounds 2PC lock acquisition (deadlock prevention,
 	// §III-E; the paper uses 1ms on its 20µs network). Zero = default.
@@ -120,7 +118,6 @@ func New(opts Options) (*Cluster, error) {
 	}
 	lookup := cluster.NewLookup(opts.Nodes, opts.ReplicationDegree)
 	net := transport.NewInProc(transport.InProcConfig{
-		Latency:        opts.NetworkLatency,
 		DisableLatency: opts.DisableLatency,
 		Seed:           opts.Seed,
 	})
