@@ -335,7 +335,8 @@ func (t *Txn) MultiRead(keys []string) ([]kv.ReadResult, error) {
 // Write implements kv.Txn without a round trip: the request starts on the
 // pipelined connection and its reply is collected by the transaction's next
 // Read, MultiRead, Commit or Abort — the server executes same-handle
-// requests in arrival order, so later operations still observe the write.
+// requests in arrival order, so later operations still observe the write,
+// and it refuses to commit a handle on which it refused a Write.
 // Everything the client can know is checked here (finished handle, read-only
 // handle, frame limit); any other failure of a Write surfaces at the
 // collecting call. Oversized payloads must fail alone without being sent: an
@@ -385,19 +386,17 @@ func (t *Txn) collectWrites() error {
 }
 
 // Commit implements kv.Txn. Like the embedded engine, it returns only at
-// external commit.
+// external commit. The request rides the pipeline behind the Writes still in
+// flight instead of waiting a round trip for their acknowledgements: the
+// server runs same-handle requests in arrival order, and answers a Commit that
+// follows a Write it refused by aborting the transaction and repeating that
+// Write's error — so a refused write still never commits without it.
 func (t *Txn) Commit() error {
 	if err := t.usable(); err != nil {
 		return err
 	}
 	t.done = true
-	if err := t.collectWrites(); err != nil {
-		// A write the server refused must not commit without it.
-		if t.err == nil {
-			_, _ = t.call(&clientproto.Request{Op: clientproto.OpAbort, Txn: t.handle})
-		}
-		return err
-	}
+	t.writes = nil // the commit's reply answers for them; theirs land in buffered channels
 	rep, err := t.call(&clientproto.Request{Op: clientproto.OpCommit, Txn: t.handle})
 	if err != nil {
 		return err

@@ -356,8 +356,13 @@ func TestClientBatchCoalescing(t *testing.T) {
 	if got := m.Requests.Load(); got != n {
 		t.Fatalf("requests: %d", got)
 	}
-	if flushed := m.BatchRequests.Load(); flushed != n {
-		t.Fatalf("batched requests: %d of %d", flushed, n)
+	// The sender counts a batch after flushing it, so the last replies can
+	// beat the last count.
+	for deadline := time.Now().Add(5 * time.Second); m.BatchRequests.Load() != n; {
+		if time.Now().After(deadline) {
+			t.Fatalf("batched requests: %d of %d", m.BatchRequests.Load(), n)
+		}
+		time.Sleep(time.Millisecond)
 	}
 	if rpf := m.RequestsPerFlush(); rpf <= 1.5 {
 		t.Fatalf("no coalescing: %.2f requests/flush over %d flushes", rpf, m.BatchFlushes.Load())
@@ -607,7 +612,7 @@ func (t *gatedTxn) Write(key string, val []byte) error {
 func (t *gatedTxn) Commit() error { t.s.commits.Add(1); return t.Txn.Commit() }
 func (t *gatedTxn) Abort() error  { t.s.aborts.Add(1); return t.Txn.Abort() }
 
-func startGatedServer(t *testing.T, gs *gatedStore) string {
+func startGatedServer(t *testing.T, gs *gatedStore) (string, *clientproto.Server) {
 	t.Helper()
 	net_ := transport.NewInProc(transport.InProcConfig{DisableLatency: true})
 	nd, err := engine.New(net_, 0, 1, cluster.NewLookup(1, 1), engine.Config{})
@@ -627,7 +632,7 @@ func startGatedServer(t *testing.T, gs *gatedStore) string {
 		_ = nd.Close()
 		_ = net_.Close()
 	})
-	return ln.Addr().String()
+	return ln.Addr().String(), srv
 }
 
 // TestClientWritePipelined pins that Write costs no round trip: it returns
@@ -636,7 +641,8 @@ func startGatedServer(t *testing.T, gs *gatedStore) string {
 // its reply and observes its effect.
 func TestClientWritePipelined(t *testing.T) {
 	gs := &gatedStore{gate: make(chan struct{})}
-	c, err := Dial(startGatedServer(t, gs), Options{})
+	addr, _ := startGatedServer(t, gs)
+	c, err := Dial(addr, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -671,11 +677,13 @@ func TestClientWritePipelined(t *testing.T) {
 
 // TestClientWriteErrors pins where a Write's errors surface: what the client
 // can know fails in Write itself, without a request; what only the server
-// knows fails at the collecting call — and a Commit that collects a refused
-// write aborts the transaction instead of committing without it.
+// knows fails at the collecting call — and a Commit behind a refused write
+// returns that write's error, the server having aborted the transaction
+// instead of committing without it, for one request and no extra Abort.
 func TestClientWriteErrors(t *testing.T) {
 	gs := &gatedStore{writeErr: errors.New("disk on fire")}
-	c, err := Dial(startGatedServer(t, gs), Options{})
+	addr, srv := startGatedServer(t, gs)
+	c, err := Dial(addr, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -698,9 +706,14 @@ func TestClientWriteErrors(t *testing.T) {
 	if err := tx.Write("k00", []byte("refused")); err != nil {
 		t.Fatalf("server-side failure surfaced at Write: %v", err)
 	}
+	served := srv.Metrics().Requests.Load()
 	err = tx.Commit()
 	if err == nil || !strings.Contains(err.Error(), "disk on fire") {
 		t.Fatalf("commit after a refused write: %v", err)
+	}
+	// The Write may still have been in flight when served was sampled.
+	if got := srv.Metrics().Requests.Load() - served; got > 2 {
+		t.Fatalf("commit after a refused write cost %d requests, want the Commit alone", got)
 	}
 	if err := tx.Write("k00", []byte("late")); !errors.Is(err, kv.ErrTxnDone) {
 		t.Fatalf("write after commit: %v", err)
@@ -710,5 +723,48 @@ func TestClientWriteErrors(t *testing.T) {
 	}
 	if res, err := c.SnapshotRead([]string{"k00"}); err != nil || string(res[0].Val) != "init" {
 		t.Fatalf("k00 after the aborted commit: %+v %v", res, err)
+	}
+}
+
+// TestClientCommitPipelined pins that Commit costs one round trip: it is on
+// the wire while the server is still executing the Write before it — the
+// server has read both requests and entered neither Commit nor Abort — and it
+// succeeds once the Write does.
+func TestClientCommitPipelined(t *testing.T) {
+	gs := &gatedStore{gate: make(chan struct{})}
+	addr, srv := startGatedServer(t, gs)
+	c, err := Dial(addr, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+
+	release := sync.OnceFunc(func() { close(gs.gate) })
+	defer release() // a failure below must not leave the server's handler parked
+
+	tx := c.Begin(false)
+	served := srv.Metrics().Requests.Load()
+	if err := tx.Write("k00", []byte("piped")); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	committed := make(chan error, 1)
+	go func() { committed <- tx.Commit() }()
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.Metrics().Requests.Load() < served+2 || gs.writesInProgress.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("server read %d requests with the write parked; Commit is waiting for the Write's reply",
+				srv.Metrics().Requests.Load()-served)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if n := gs.commits.Load() + gs.aborts.Load(); n != 0 {
+		t.Fatalf("server ended the transaction (%d) ahead of its parked write", n)
+	}
+	release()
+	if err := <-committed; err != nil {
+		t.Fatalf("commit: %v", err)
+	}
+	if res, err := c.SnapshotRead([]string{"k00"}); err != nil || string(res[0].Val) != "piped" {
+		t.Fatalf("after commit: %+v %v", res, err)
 	}
 }

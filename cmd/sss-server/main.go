@@ -14,7 +14,9 @@
 // family — engine, per-stage commit histograms, transport, client sessions,
 // contention, durability — as a Prometheus text exposition page on
 // /metrics (see internal/obs). `sss-client top` polls these endpoints for
-// a live cluster view.
+// a live cluster view. The same listener serves net/http/pprof under
+// /debug/pprof/: `go tool pprof http://<metrics-addr>/debug/pprof/heap` (or
+// /profile?seconds=10, /goroutine) against a running node.
 //
 // Logs are structured key=value records (log/slog) on stderr with a
 // node=<id> field; SSS_LOG_LEVEL=debug|info|warn|error selects the level.
@@ -26,8 +28,7 @@
 //	sss-server -id 2 -peers ...                                          -client-addr :8002 -metrics-addr :9002
 //
 // On SIGINT/SIGTERM the server logs its transport (and, when durable, WAL)
-// counters, drains client sessions (aborting open transactions), flushes any
-// requested profiles, and exits.
+// counters, drains client sessions (aborting open transactions), and exits.
 package main
 
 import (
@@ -36,6 +37,7 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -47,7 +49,6 @@ import (
 	"github.com/sss-paper/sss/internal/engine"
 	"github.com/sss-paper/sss/internal/obs"
 	"github.com/sss-paper/sss/internal/obs/slogx"
-	"github.com/sss-paper/sss/internal/profiling"
 	"github.com/sss-paper/sss/internal/transport"
 	"github.com/sss-paper/sss/internal/wal"
 	"github.com/sss-paper/sss/internal/wire"
@@ -66,10 +67,6 @@ var (
 
 	voteTimeout  = flag.Duration("vote-timeout", 0, "2PC vote collection timeout (0 = engine default)")
 	drainTimeout = flag.Duration("drain-timeout", 0, "pre-commit snapshot-queue drain timeout (0 = engine default)")
-
-	cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile to this file on SIGINT/SIGTERM")
-	mutexProfile = flag.String("mutexprofile", "", "write a mutex-contention profile to this file on SIGINT/SIGTERM")
-	blockProfile = flag.String("blockprofile", "", "write a blocking profile to this file on SIGINT/SIGTERM")
 )
 
 // engineStore adapts the engine node to kv.Store for the session manager.
@@ -87,15 +84,6 @@ func main() {
 	addrs := strings.Split(*peers, ",")
 	if *id < 0 || *id >= len(addrs) {
 		fatal("node id out of range", "id", *id, "peers", len(addrs))
-	}
-	profCfg := profiling.Config{CPU: *cpuProfile, Mutex: *mutexProfile, Block: *blockProfile}
-	stopProf := func() error { return nil }
-	if profCfg.Enabled() {
-		var err error
-		stopProf, err = profiling.Start(profCfg)
-		if err != nil {
-			fatal("profiling", "err", err)
-		}
 	}
 	book := make(map[wire.NodeID]string, len(addrs))
 	for i, a := range addrs {
@@ -182,6 +170,12 @@ func main() {
 		reg.Register("client", srv.Metrics())
 		mux := http.NewServeMux()
 		mux.Handle("/metrics", reg.Handler())
+		// Index also serves the named profiles (heap, goroutine, allocs, ...).
+		mux.HandleFunc("/debug/pprof/", pprof.Index)
+		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		metricsLn, err = net.Listen("tcp", *metricsAddr)
 		if err != nil {
 			fatal("metrics listener", "err", err)
@@ -191,8 +185,8 @@ func main() {
 	}
 
 	// Graceful shutdown: drain sessions (aborting open transactions) so a
-	// killed server never strands snapshot-queue entries at its peers,
-	// then flush profiles. The drain is bounded: an in-flight Commit parks
+	// killed server never strands snapshot-queue entries at its peers. The
+	// drain is bounded: an in-flight Commit parks
 	// until external commit, which can never arrive if the peers were
 	// SIGTERMed in the same sweep (a whole-cluster shutdown), so after the
 	// bound we abandon the stuck handlers rather than hang forever.
@@ -231,11 +225,6 @@ func main() {
 		case <-time.After(5 * time.Second):
 			logger.Warn("session drain timed out (in-flight commits waiting on dead peers?); exiting anyway")
 		}
-		if err := stopProf(); err != nil {
-			logger.Error("profiling", "err", err)
-		} else if profCfg.Enabled() {
-			logger.Info("profiles written", "cpu", *cpuProfile, "mutex", *mutexProfile, "block", *blockProfile)
-		}
 	}()
 
 	if err := srv.Serve(ln); err != nil {
@@ -243,7 +232,7 @@ func main() {
 	}
 	// Serve returns once srv.Close() shuts the listener — i.e. mid-way
 	// through the signal goroutine's drain sequence. Falling off main here
-	// would kill the process before open transactions are aborted and
-	// profiles flushed; wait for the shutdown to actually finish.
+	// would kill the process before open transactions are aborted; wait for
+	// the shutdown to actually finish.
 	<-shutdownDone
 }

@@ -56,6 +56,9 @@ func saturationSlots() int {
 //     are single-goroutine objects).
 //   - Every request is acknowledged — including Write — either with its
 //     success reply or with a typed ReplyErr.
+//   - A Commit on a handle that had a Write refused aborts the transaction
+//     and is answered with that Write's error: a client may pipeline Commit
+//     behind its Writes without waiting to learn whether they were accepted.
 //   - When the connection drops (EOF, reset, or a failed reply write),
 //     every transaction still open on it is aborted, so a vanished client
 //     can never leave locks or snapshot-queue entries behind.
@@ -184,10 +187,12 @@ type session struct {
 // each handle-targeted request behind the previous one's completion
 // channel, so pipelined requests on the same handle execute in arrival
 // order even though each runs on its own pooled goroutine, while other
-// handles proceed concurrently. tail is guarded by session.mu.
+// handles proceed concurrently. tail is guarded by session.mu; writeErr, like
+// tx, by the handle's FIFO turn.
 type sessTxn struct {
-	tx   kv.Txn
-	tail chan struct{} // completion of the last enqueued op; nil when idle
+	tx       kv.Txn
+	tail     chan struct{} // completion of the last enqueued op; nil when idle
+	writeErr error         // the first Write the engine refused, for Commit to answer with
 }
 
 func (ss *session) readLoop() {
@@ -242,13 +247,12 @@ func (ss *session) route(req Request) {
 			})
 			return
 		}
-		tx := st.tx
 		ss.dispatch(func() {
 			if wait != nil {
 				<-wait
 			}
 			defer close(done)
-			ss.handleTxnOp(req, tx)
+			ss.handleTxnOp(req, st)
 		})
 	default:
 		ss.dispatch(func() { ss.handle(req) })
@@ -276,8 +280,9 @@ func (ss *session) dispatch(fn func()) {
 }
 
 // handleTxnOp executes one handle-targeted op. The caller holds the
-// handle's FIFO turn, so tx is never entered concurrently.
-func (ss *session) handleTxnOp(req Request, tx kv.Txn) {
+// handle's FIFO turn, so st.tx is never entered concurrently.
+func (ss *session) handleTxnOp(req Request, st *sessTxn) {
+	tx := st.tx
 	switch req.Op {
 	case OpRead:
 		val, exists, err := tx.Read(req.Key)
@@ -288,6 +293,9 @@ func (ss *session) handleTxnOp(req Request, tx kv.Txn) {
 		ss.reply(&Reply{Kind: ReplyValue, ReqID: req.ReqID, Exists: exists, Val: val})
 	case OpWrite:
 		if err := tx.Write(req.Key, req.Val); err != nil {
+			if st.writeErr == nil {
+				st.writeErr = err
+			}
 			ss.replyKvErr(req.ReqID, err)
 			return
 		}
@@ -295,13 +303,18 @@ func (ss *session) handleTxnOp(req Request, tx kv.Txn) {
 	case OpCommit, OpAbort:
 		var err error
 		var commitStart time.Time
-		if req.Op == OpCommit {
+		switch {
+		case req.Op == OpAbort:
+			err = tx.Abort()
+		case st.writeErr != nil:
+			// A write the server refused must not commit without it.
+			_ = tx.Abort()
+			err = st.writeErr
+		default:
 			if ss.srv.opts.CommitAck != nil {
 				commitStart = time.Now()
 			}
 			err = tx.Commit()
-		} else {
-			err = tx.Abort()
 		}
 		if err != nil {
 			ss.replyKvErr(req.ReqID, err)

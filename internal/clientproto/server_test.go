@@ -134,12 +134,30 @@ func TestServerTypedErrors(t *testing.T) {
 	if rep := tc.roundTrip(Request{Op: OpRead, Txn: 999, Key: "k01"}); rep.Kind != ReplyErr || rep.Code != CodeUnknownTxn {
 		t.Fatalf("unknown txn: %+v", rep)
 	}
-	// Commit is terminal: second commit on the same handle is unknown.
-	if rep := tc.roundTrip(Request{Op: OpCommit, Txn: ro}); rep.Kind != ReplyOK {
-		t.Fatalf("ro commit: %+v", rep)
+	// Commit after a refused write on the handle repeats that write's error
+	// instead of committing without it. (Until client.Txn.Commit was pipelined
+	// behind its Writes this expected ReplyOK here: the client collected every
+	// Write reply first and never sent the Commit. Now the Commit is already
+	// on the wire when the refusal arrives, so the server must hold the line.)
+	if rep := tc.roundTrip(Request{Op: OpCommit, Txn: ro}); rep.Kind != ReplyErr || rep.Code != CodeReadOnlyWrite {
+		t.Fatalf("commit after a refused write: %+v", rep)
 	}
+	// Commit is terminal either way: a second one finds the handle gone.
 	if rep := tc.roundTrip(Request{Op: OpCommit, Txn: ro}); rep.Kind != ReplyErr || rep.Code != CodeUnknownTxn {
 		t.Fatalf("double commit: %+v", rep)
+	}
+	// A handle nothing was refused on still commits, and Abort after a
+	// refused write is just an abort.
+	clean := tc.begin(true)
+	if rep := tc.roundTrip(Request{Op: OpCommit, Txn: clean}); rep.Kind != ReplyOK {
+		t.Fatalf("ro commit: %+v", rep)
+	}
+	refused := tc.begin(true)
+	if rep := tc.roundTrip(Request{Op: OpWrite, Txn: refused, Key: "k01", Val: []byte("x")}); rep.Kind != ReplyErr {
+		t.Fatalf("ro write: %+v", rep)
+	}
+	if rep := tc.roundTrip(Request{Op: OpAbort, Txn: refused}); rep.Kind != ReplyOK {
+		t.Fatalf("abort after a refused write: %+v", rep)
 	}
 }
 

@@ -31,13 +31,15 @@ import (
 const maxExtBatch = 128
 
 // extItem is one queued external-commit order: a freeze (vc non-nil, done
-// signalled once the replica acked) or a purge (vc nil, done nil).
+// signalled once the replica acked; know is its wire.ExtFreeze.Know) or a
+// purge (vc nil, done nil).
 // deadline is a waited freeze's ack budget: until it passes, a
 // failed delivery requeues the item together with its waiter (the client
 // ack stays withheld); past it the waiter is released liveness-first.
 type extItem struct {
 	txn      wire.TxnID
 	vc       vclock.VC
+	know     vclock.VC
 	done     chan struct{}
 	deadline time.Time
 	// enq is the enqueue instant of purge items, feeding the Purge stage
@@ -157,7 +159,7 @@ func (nd *Node) extSender(peer wire.NodeID, q *extQueue) {
 		msg.Freezes, msg.Purges = msg.Freezes[:0], msg.Purges[:0]
 		for _, it := range batch {
 			if it.vc != nil {
-				msg.Freezes = append(msg.Freezes, wire.ExtFreeze{Txn: it.txn, VC: it.vc})
+				msg.Freezes = append(msg.Freezes, wire.ExtFreeze{Txn: it.txn, VC: it.vc, Know: it.know})
 			} else {
 				msg.Purges = append(msg.Purges, it.txn)
 			}
@@ -198,7 +200,7 @@ func (nd *Node) extSender(peer wire.NodeID, q *extQueue) {
 					if it.vc == nil {
 						continue
 					}
-					keep := extItem{txn: it.txn, vc: it.vc}
+					keep := extItem{txn: it.txn, vc: it.vc, know: it.know}
 					if it.done != nil {
 						if now.Before(it.deadline) {
 							keep.done, keep.deadline = it.done, it.deadline
@@ -238,13 +240,14 @@ func (nd *Node) extSender(peer wire.NodeID, q *extQueue) {
 }
 
 // enqueueFreezes queues t's freeze order for every write replica and
-// returns one completion channel per replica, in writeNodes order. dst is
+// returns one completion channel per replica, in writeNodes order. know is
+// the order's wire.ExtFreeze.Know (nil when t waited for nobody); dst is
 // reused caller scratch.
-func (nd *Node) enqueueFreezes(txn wire.TxnID, writeNodes []wire.NodeID, freezeVC vclock.VC, dst []chan struct{}) []chan struct{} {
+func (nd *Node) enqueueFreezes(txn wire.TxnID, writeNodes []wire.NodeID, freezeVC, know vclock.VC, dst []chan struct{}) []chan struct{} {
 	deadline := time.Now().Add(nd.cfg.FreezeAckBudget)
 	for _, w := range writeNodes {
 		done := make(chan struct{})
-		if !nd.extq[w].enqueue(extItem{txn: txn, vc: freezeVC, done: done, deadline: deadline}) {
+		if !nd.extq[w].enqueue(extItem{txn: txn, vc: freezeVC, know: know, done: done, deadline: deadline}) {
 			close(done) // shutting down; don't park the committer
 		}
 		dst = append(dst, done)
@@ -388,6 +391,13 @@ func (nd *Node) applyFreezeBatch(freezes []wire.ExtFreeze) error {
 			if stamp > ext[nd.idx] {
 				ext[nd.idx] = stamp
 			}
+			// What the committer learned by waiting out its pending writers:
+			// folded before the flag (and so before the purge), it is what
+			// lets a reader of this version inherit no dependency set once
+			// the W entry is gone (handleUpdateRead).
+			if len(f.Know) == nd.n {
+				ext.MaxInto(f.Know)
+			}
 		}
 	}
 	var walErr error
@@ -402,8 +412,14 @@ func (nd *Node) applyFreezeBatch(freezes []wire.ExtFreeze) error {
 			if len(parked[i].keys) == 0 {
 				continue // duplicate freeze or non-replica; nothing to re-stamp
 			}
+			// VC is the record's external-clock contribution, so replay
+			// restores what the live fold above learned: Know included.
+			vc := parked[i].vc
+			if len(f.Know) == nd.n {
+				vc = vclock.Max(vc, f.Know)
+			}
 			nd.wal.Append(&wal.Record{Type: wal.RecFreeze, Txn: f.Txn, Stamp: stamps[i],
-				Keys: parked[i].keys, VC: parked[i].vc})
+				Keys: parked[i].keys, VC: vc})
 		}
 		syncStart := time.Now()
 		walErr = nd.wal.Sync()

@@ -158,7 +158,7 @@ func TestCommitQueueCloseNoDeadlock(t *testing.T) {
 		// harmless no-op, so the test isolates pure queue mechanics. Purges
 		// interleave so close also covers purge-only flush paths.
 		txn := wire.TxnID{Node: 0, Seq: uint64(1<<43 + i)}
-		waiters = nd.enqueueFreezes(txn, writeNodes, vc, waiters)
+		waiters = nd.enqueueFreezes(txn, writeNodes, vc, nil, waiters)
 		nd.enqueuePurges(txn, writeNodes)
 	}
 
@@ -186,7 +186,7 @@ func TestCommitQueueCloseNoDeadlock(t *testing.T) {
 
 	// The queues are closed: a late enqueue is refused and its waiter is
 	// completed by the caller path.
-	late := nd.enqueueFreezes(wire.TxnID{Node: 0, Seq: 1 << 44}, writeNodes, vc, nil)
+	late := nd.enqueueFreezes(wire.TxnID{Node: 0, Seq: 1 << 44}, writeNodes, vc, nil, nil)
 	for _, d := range late {
 		select {
 		case <-d:

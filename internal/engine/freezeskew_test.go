@@ -183,11 +183,19 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 // yet started) on every replica.
 func puppetCommit(t *testing.T, puppet *Node, txn wire.TxnID, writes []wire.KV, writeNodes []wire.NodeID) vclock.VC {
 	t.Helper()
+	return puppetPrepareDecide(t, puppet, &wire.Prepare{Txn: txn, VC: vclock.New(puppet.n), Writes: writes}, writeNodes)
+}
+
+// puppetPrepareDecide is puppetCommit for a caller-built Prepare — one that
+// carries the clock and dependency set of a read the puppet made first.
+func puppetPrepareDecide(t *testing.T, puppet *Node, prep *wire.Prepare, writeNodes []wire.NodeID) vclock.VC {
+	t.Helper()
+	txn := prep.Txn
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	commitVC := vclock.New(puppet.n)
+	commitVC := prep.VC.Clone()
 	for _, to := range writeNodes {
-		resp, err := puppet.rpc.Call(ctx, to, &wire.Prepare{Txn: txn, VC: vclock.New(puppet.n), Writes: writes})
+		resp, err := puppet.rpc.Call(ctx, to, prep)
 		if err != nil {
 			t.Fatalf("prepare %v at %d: %v", txn, to, err)
 		}

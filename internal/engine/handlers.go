@@ -98,6 +98,19 @@ func (nd *Node) handleRead(from wire.NodeID, rid uint64, m *wire.ReadRequest) {
 		// knowledge clock extends the same guarantee to the commits this
 		// node has merely witnessed).
 		nd.log.FoldExternalInto(maxVC)
+		// ... except up to a stamp the reader serialized before (ExWriter.VC).
+		// A writer excluded by stamp gates nothing: what read from it can
+		// commit and be purged while this reader runs, handing on a clock that
+		// covers the stamp in place of a dependency set (depsWhileParked), and
+		// only this column, kept beneath the stamp, then filters it out
+		// (docs/CONSISTENCY.md §4 item 1; TestLateStampExclusionClosure).
+		for _, b := range m.Before {
+			for w, stamp := range b.VC {
+				if stamp > 0 && w < len(m.HasRead) && m.HasRead[w] && w < len(maxVC) && maxVC[w] >= stamp {
+					maxVC[w] = stamp - 1
+				}
+			}
+		}
 		if ef := nd.extFrontier.Load(); ef > maxVC[nd.idx] {
 			maxVC[nd.idx] = ef
 		}
@@ -117,13 +130,6 @@ func (nd *Node) handleRead(from wire.NodeID, rid uint64, m *wire.ReadRequest) {
 	// unordered, so T's Remove may overtake a slow read request, and a
 	// late insert would otherwise park writers forever.
 	sid := maxVC[nd.idx]
-	lower := func(skips []wire.ExWriter) {
-		for _, ex := range skips {
-			if exSid := ex.VC[nd.idx]; exSid > 0 && sid >= exSid {
-				sid = exSid - 1
-			}
-		}
-	}
 	insert := func() {
 		st := nd.stripeOf(m.Txn)
 		st.mu.Lock()
@@ -146,10 +152,8 @@ func (nd *Node) handleRead(from wire.NodeID, rid uint64, m *wire.ReadRequest) {
 	clear(sc.excluded)
 	ro := nd.store.ReadRO(m.Txn, m.Key, nd.idx, nd.n, stampBound, m.HasRead, maxVC, seen, beforeIDs, m.ObsVC, sc.excluded)
 	res := ro.Res
-	before := sid
-	lower(ro.Skipped)
-	lower(ro.QueueSkips)
-	if sid < before {
+	if ro.LowSID > 0 && sid >= ro.LowSID {
+		sid = ro.LowSID - 1
 		insert() // SQInsert keeps the smaller insertion-snapshot
 	}
 	skipped := append(ro.Skipped, ro.QueueSkips...)
@@ -180,10 +184,21 @@ func (nd *Node) handleRead(from wire.NodeID, rid uint64, m *wire.ReadRequest) {
 		Writer:        res.Writer,
 		VC:            replyVC,
 		VerVC:         res.VC,
-		VerDeps:       res.Deps,
+		VerDeps:       depsWhileParked(ro.PendingWriter, res.Deps),
 		PendingWriter: ro.PendingWriter,
 		Excluded:      skipped,
 	})
+}
+
+// depsWhileParked is the dependency-lifetime rule (docs/CONSISTENCY.md §4
+// item 1): a version's stored set travels to its reader only while the
+// version's writer still holds its W entry here. Past the purge the reply
+// clock covers the writer's freeze and everything it waited out instead.
+func depsWhileParked(pending wire.TxnID, deps []wire.TxnID) []wire.TxnID {
+	if pending.IsZero() {
+		return nil
+	}
+	return deps
 }
 
 // pendingWriterOf reports the returned version's writer when it is still
@@ -242,6 +257,13 @@ func (nd *Node) handleUpdateRead(from wire.NodeID, rid uint64, m *wire.ReadReque
 	// applied here concurrently, and readers would later reject the
 	// updater's versions through those phantom columns, potentially
 	// inverting the external order.
+	//
+	// The parked verdict is taken before the clock, never after:
+	// depsWhileParked relies on "not parked here" meaning that this reply's
+	// clock covers the writer's freeze and its Know (the freeze folds both in
+	// before the purge can run). The other way round, a freeze and purge
+	// landing in between would pair "not parked" with a pre-stamp clock.
+	pending := nd.pendingWriterOf(m.Key, res)
 	replyVC := nd.log.ExternalVC()
 	if res.VC != nil {
 		replyVC.MaxInto(res.VC)
@@ -252,9 +274,9 @@ func (nd *Node) handleUpdateRead(from wire.NodeID, rid uint64, m *wire.ReadReque
 		Writer:        res.Writer,
 		VC:            replyVC,
 		VerVC:         res.VC,
-		VerDeps:       res.Deps,
+		VerDeps:       depsWhileParked(pending, res.Deps),
 		Propagated:    prop,
-		PendingWriter: nd.pendingWriterOf(m.Key, res),
+		PendingWriter: pending,
 	})
 }
 
@@ -639,18 +661,14 @@ func (nd *Node) handleDrainRound(from wire.NodeID, rid uint64, m *wire.ExtCommit
 // externally commits, then acks. Unknown transactions have already
 // finished (registration precedes any observable parked entry).
 func (nd *Node) handleWaitExternal(from wire.NodeID, rid uint64, m *wire.WaitExternal) {
-	st := nd.stripeOf(m.Txn)
-	st.mu.Lock()
-	ch := st.inflight[m.Txn]
-	st.mu.Unlock()
-	if ch != nil {
+	if ch := nd.externalDone(m.Txn); ch != nil {
 		select {
 		case <-ch:
 		case <-time.After(nd.cfg.DrainTimeout):
 			nd.stats.DrainTimeouts.Add(1)
 		}
 	}
-	_ = nd.rpc.Reply(from, rid, &wire.WaitExternalAck{Txn: m.Txn})
+	_ = nd.rpc.Reply(from, rid, &wire.WaitExternalAck{Txn: m.Txn, VC: nd.log.ExternalVC()})
 }
 
 // handleRemove implements the Remove message (§III-C): delete the read-only

@@ -644,3 +644,51 @@ func TestClockCatchup(t *testing.T) {
 		})
 	}
 }
+
+// TestRecoverRestoresFreezeKnow pins the WAL half of the dependency-lifetime
+// rule: what a committer learned by waiting out its pending writers reaches a
+// write replica's external-knowledge clock through ExtFreeze.Know, and — since
+// readers of the purged version rely on that clock instead of a dependency set
+// — it must come back from the replica's freeze record after a crash.
+func TestRecoverRestoresFreezeKnow(t *testing.T) {
+	root := t.TempDir()
+	lookup := cluster.NewLookup(1, 1)
+	boot := func() (*Node, func()) {
+		net := transport.NewInProc(transport.InProcConfig{DisableLatency: true})
+		w := openWAL(t, root, 0)
+		nd, err := New(net, 0, 1, lookup, Config{WAL: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := nd.Recover(); err != nil {
+			t.Fatalf("recover: %v", err)
+		}
+		return nd, func() {
+			_ = nd.Close()
+			_ = net.Close()
+			_ = w.Close()
+		}
+	}
+	nd1, stop1 := boot()
+	nd1.Preload("k", []byte("v0"))
+	txn := wire.TxnID{Node: 0, Seq: 1 << 40}
+	commitVC := puppetCommit(t, nd1, txn, []wire.KV{{Key: "k", Val: []byte("v1")}}, []wire.NodeID{0})
+	const learned = 1000 // far above any slot or stamp this node assigns
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if _, err := nd1.rpc.Call(ctx, 0, &wire.ExtBatch{Freezes: []wire.ExtFreeze{
+		{Txn: txn, VC: puppetDrain(t, nd1, txn, commitVC, []wire.NodeID{0}), Know: vclock.VC{learned}},
+	}}); err != nil {
+		t.Fatalf("freeze: %v", err)
+	}
+	if got := nd1.log.ExternalVC()[0]; got != learned {
+		t.Fatalf("live fold: external clock %d, want %d", got, learned)
+	}
+	stop1()
+
+	nd2, stop2 := boot()
+	defer stop2()
+	if got := nd2.log.ExternalVC()[0]; got != learned {
+		t.Fatalf("after restart: external clock %d, want %d (Know lost from the freeze record)", got, learned)
+	}
+}

@@ -43,14 +43,16 @@ type Txn struct {
 	// committed) transactions whose versions this transaction read; its
 	// own completion must wait for theirs.
 	pendingWriters map[wire.TxnID]struct{}
-	// deps is the update transaction's pruned transitive dependency set:
-	// parked writers it read from, plus the stored dep sets of the
-	// versions it read. Installed on the versions it writes.
+	// deps is the update transaction's dependency set: the writers that
+	// were parked when it read their versions, plus the stored sets of those
+	// versions (ReadReturn.VerDeps, sent only for a parked writer). Installed
+	// on the versions it writes.
 	deps map[wire.TxnID]struct{}
 	// seen lists writers whose versions this read-only transaction has
-	// observed; before lists writers it serialized before (and must keep
-	// excluding, with their version clocks for dependency closure); obs is
-	// the entry-wise max over observed versions' commit clocks.
+	// observed; before lists writers it serialized before and must keep
+	// excluding (the value is wire.ExWriter.VC: the stamp it excluded them
+	// by, if any); obs is the entry-wise max over observed versions' commit
+	// clocks.
 	seen   map[wire.TxnID]struct{}
 	before map[wire.TxnID]vclock.VC
 	obs    vclock.VC
@@ -181,20 +183,16 @@ func (t *Txn) Read(key string) ([]byte, bool, error) {
 		}
 		t.pendingWriters[resp.PendingWriter] = struct{}{}
 	}
-	if !t.readOnly {
-		// Accumulate the pruned transitive dependency set: writers that
-		// are still parked (their versions are provisional) plus the
-		// stored deps of whatever we read.
-		if !resp.PendingWriter.IsZero() || len(resp.VerDeps) > 0 {
-			if t.deps == nil {
-				t.deps = make(map[wire.TxnID]struct{})
-			}
-			if !resp.PendingWriter.IsZero() {
-				t.deps[resp.PendingWriter] = struct{}{}
-			}
-			for _, d := range resp.VerDeps {
-				t.deps[d] = struct{}{}
-			}
+	if !t.readOnly && !resp.PendingWriter.IsZero() {
+		// A dependency is taken only on a writer still parked, with the set
+		// stored on its version; a purged writer's version hands over
+		// nothing (resp.VC covers its freeze and all it waited out).
+		if t.deps == nil {
+			t.deps = make(map[wire.TxnID]struct{})
+		}
+		t.deps[resp.PendingWriter] = struct{}{}
+		for _, d := range resp.VerDeps {
+			t.deps[d] = struct{}{}
 		}
 	}
 	if t.readOnly {
@@ -209,6 +207,8 @@ func (t *Txn) Read(key string) ([]byte, bool, error) {
 			// having serialized after the version, the reader serialized
 			// after every writer it (transitively) read from, so those
 			// writers must never be excluded — even while still parked.
+			// (Past the version's own purge nothing is sent: the closure is
+			// then stamped everywhere and beneath the observed clock.)
 			for _, d := range resp.VerDeps {
 				t.seen[d] = struct{}{}
 			}
@@ -226,7 +226,8 @@ func (t *Txn) Read(key string) ([]byte, bool, error) {
 			if t.before == nil {
 				t.before = make(map[wire.TxnID]vclock.VC)
 			}
-			if _, dup := t.before[ex.Txn]; !dup {
+			// A record that carries a stamp replaces one that does not.
+			if prev, dup := t.before[ex.Txn]; !dup || prev == nil {
 				t.before[ex.Txn] = ex.VC
 			}
 		}
@@ -258,15 +259,22 @@ func (t *Txn) waitPendingWriters() {
 	}
 }
 
+// externalDone returns the channel closed at the external commit of w, an
+// update transaction this node coordinates, or nil once that has happened
+// (registration precedes any observable parked entry of w).
+func (nd *Node) externalDone(w wire.TxnID) chan struct{} {
+	st := nd.stripeOf(w)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.inflight[w]
+}
+
 // waitExternal blocks until transaction w (coordinated at w.Node)
 // externally commits.
 func (nd *Node) waitExternal(w wire.TxnID) {
 	nd.stats.ExternalWaits.Add(1)
 	if w.Node == nd.id {
-		st := nd.stripeOf(w)
-		st.mu.Lock()
-		ch := st.inflight[w]
-		st.mu.Unlock()
+		ch := nd.externalDone(w)
 		if ch == nil {
 			return
 		}
@@ -279,8 +287,15 @@ func (nd *Node) waitExternal(w wire.TxnID) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), nd.cfg.DrainTimeout)
 	defer cancel()
-	if _, err := nd.rpc.Call(ctx, w.Node, &wire.WaitExternal{Txn: w}); err != nil {
+	resp, err := nd.rpc.Call(ctx, w.Node, &wire.WaitExternal{Txn: w})
+	if err != nil {
 		nd.stats.DrainTimeouts.Add(1)
+		return
+	}
+	// What w's coordinator knew at w's external commit — w's freeze vector and
+	// whatever w waited out — is now known here: the committer's ExtFreeze.Know.
+	if ack, ok := resp.(*wire.WaitExternalAck); ok && len(ack.VC) == nd.n {
+		nd.log.RecordExternal(ack.VC)
 	}
 }
 
@@ -308,6 +323,8 @@ func (t *Txn) readRemote(key string) (*wire.ReadReturn, wire.NodeID, error) {
 			req.Before = append(req.Before, wire.ExWriter{Txn: id, VC: vc})
 		}
 		req.ObsVC = t.obs.Clone()
+		t.nd.stats.ReadRequests.Add(1)
+		t.nd.stats.ReadSeenEntries.Add(uint64(len(req.Seen)))
 	}
 	if t.readCtx == nil || !readCtxFresh(t.readCtx, t.nd.cfg.DrainTimeout) {
 		// Lazily created, and renewed once half the budget is gone — the
@@ -639,10 +656,12 @@ func (t *Txn) commitUpdate() error {
 			readFrom[i] = t.rs[k].writer
 		}
 	}
+	// A dependency this node coordinated to external commit is dropped: its
+	// freeze vector is in our external-knowledge clock, which our own vote
+	// folds into the commit clock, so our versions carry its stamps already.
 	var deps []wire.TxnID
-	if len(t.deps) > 0 {
-		deps = make([]wire.TxnID, 0, len(t.deps))
-		for d := range t.deps {
+	for d := range t.deps {
+		if d.Node != nd.id || nd.externalDone(d) != nil {
 			deps = append(deps, d)
 		}
 	}
@@ -650,6 +669,7 @@ func (t *Txn) commitUpdate() error {
 		Txn: t.id, VC: t.vc, ReadKeys: t.rsOrder, Writes: writes,
 		ReadFrom: readFrom, Deps: deps,
 	}
+	nd.stats.PrepareDeps.Add(uint64(len(deps)))
 
 	// --- prepare phase ---
 	voteStart := time.Now()
@@ -774,8 +794,15 @@ func (t *Txn) commitUpdate() error {
 	// snapshot queuing, already visible as PreCommitWait).
 	decideDur := time.Since(decided)
 
-	// Our completion must follow that of any parked writer we read from.
+	// Our completion must follow that of any parked writer we read from. What
+	// the waits taught this node travels with the freeze: whoever reads our
+	// version after our purge inherits no dependency set, so our write
+	// replicas' clocks must cover the stamps of what we read provisionally.
 	t.waitPendingWriters()
+	var know vclock.VC
+	if len(t.pendingWriters) > 0 {
+		know = nd.log.ExternalVC()
+	}
 
 	// Adaptive re-tightening: the piggybacked drain barrier is trusted
 	// only when it is provably fresh — no replica's drain blocked, and the
@@ -822,7 +849,7 @@ func (t *Txn) commitUpdate() error {
 		nd.recordCoordFreeze(t.id, freezeVC)
 		coordSeq = nd.wal.Append(&wal.Record{Type: wal.RecFreeze, Txn: t.id, VC: freezeVC})
 	}
-	waiters := nd.enqueueFreezes(t.id, writeNodes, freezeVC, sc.waiters[:0])
+	waiters := nd.enqueueFreezes(t.id, writeNodes, freezeVC, know, sc.waiters[:0])
 	var freezeSyncErr error
 	if nd.wal != nil {
 		if containsNode(writeNodes, nd.id) {

@@ -17,6 +17,9 @@ var requiredSeries = []string{
 	"sss_commits_total",
 	"sss_aborts_total",
 	"sss_read_only_runs_total",
+	"sss_read_requests_total",
+	"sss_read_seen_entries_total",
+	"sss_prepare_deps_total",
 	"sss_stage_vote_seconds",
 	"sss_stage_decide_seconds",
 	"sss_stage_freeze_seconds",
@@ -89,6 +92,17 @@ func TestMetricsExposition(t *testing.T) {
 		t.Fatalf("MetricsAddrs = %v, want 3 entries", addrs)
 	}
 
+	// The same listener serves net/http/pprof: a running node can be asked
+	// what it retains and where its CPU goes without a restart or a flag.
+	resp, err := httpc.Get("http://" + addrs[0] + "/debug/pprof/heap?debug=1")
+	if err != nil {
+		t.Fatalf("heap profile of node 0: %v", err)
+	}
+	_ = resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("GET /debug/pprof/heap?debug=1 on node 0's metrics port: %s", resp.Status)
+	}
+
 	// Per-node: the full series contract, exact stage-count parity with the
 	// commit counter (vote/decide/freeze are observed at the same instant
 	// as Commits, before the client reply, so no quiesce wait is needed),
@@ -133,6 +147,14 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	if ro := uint64(merged.Counter("sss_read_only_runs_total")); ro != 3*readsPerNode {
 		t.Errorf("cluster sss_read_only_runs_total = %d, want %d", ro, 3*readsPerNode)
+	}
+	// One read request per key read; the updates above run one at a time, so
+	// no dependency set has anything to hold.
+	if reads := uint64(merged.Counter("sss_read_requests_total")); reads != 3*readsPerNode {
+		t.Errorf("cluster sss_read_requests_total = %d, want %d", reads, 3*readsPerNode)
+	}
+	if seen, deps := merged.Counter("sss_read_seen_entries_total"), merged.Counter("sss_prepare_deps_total"); seen > 3*readsPerNode || deps > float64(total) {
+		t.Errorf("serial load shipped %.0f Seen entries and %.0f Prepare.Deps entries", seen, deps)
 	}
 	drains := merged.Counter("sss_commit_rounds_drains_piggybacked_total") +
 		merged.Counter("sss_commit_rounds_drain_rounds_total")

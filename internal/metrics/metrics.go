@@ -298,7 +298,7 @@ func (s TransportSnapshot) String() string {
 // Contention aggregates lock- and wait-contention counters on the node hot
 // path: how often the read-only read path actually blocked (vs the lock-free
 // fast path) and how often pre-commit drains parked. Together with the
-// -mutexprofile/-blockprofile flags of sss-bench and sss-server these locate
+// -mutexprofile/-blockprofile flags of sss-bench these locate
 // the serialization points the striped engine state and the commitlog
 // visibility index are meant to remove.
 type Contention struct {
@@ -362,6 +362,14 @@ type Engine struct {
 	DrainTimeouts atomic.Uint64 // pre-commit waits that hit the safety cap
 	ExternalWaits atomic.Uint64 // completions delayed behind a parked writer
 	FreezeRetries atomic.Uint64 // freeze batches requeued after a failed delivery
+
+	// The dependency-set layer, as list lengths put on the wire: read-only
+	// read requests built (one per key read), the sum of their Seen lists, and
+	// the sum of Prepare.Deps over every prepare (one per commit or abort).
+	// Entries per request must stay flat as commits accumulate on a key.
+	ReadRequests    atomic.Uint64
+	ReadSeenEntries atomic.Uint64
+	PrepareDeps     atomic.Uint64
 
 	// FreezeAckWithheld counts freeze waiters carried — client ack still
 	// withheld — across a failed delivery into a redelivery attempt (the

@@ -48,9 +48,10 @@ type Version struct {
 	Val    []byte
 	VC     vclock.VC
 	Writer wire.TxnID
-	// Deps lists the writers of the versions the producing transaction
-	// read (its read-from set): the true data dependencies used for
-	// sticky-exclusion closure.
+	// Deps is the producing transaction's dependency set (wire.Prepare.Deps):
+	// the writers still parked when it read their versions, and their stored
+	// sets in turn. Readers judge this version by it (sticky-exclusion
+	// closure); it is handed on only while Writer is itself parked here.
 	Deps []wire.TxnID
 	// ExtSID is the external-commit stamp for this node's column: the
 	// coordinator-assigned freeze vector's entry for this node
@@ -270,8 +271,10 @@ func queueStateLocked(ks *keyState, txn wire.TxnID) string {
 //     flag at other replicas while the reader runs). Versions that read
 //     from an excluded writer's parked version are skipped via their Deps
 //     closure; versions downstream of its *flagged* versions cannot exist
-//     before the reader completes, because the flag waits for the reader's
-//     R entries (freeze gating).
+//     before the reader completes when the flag waited for the reader's
+//     R entries (freeze gating), and otherwise — the writer was excluded by
+//     a stamp verdict after it flagged — carry a clock at or above that
+//     stamp, which rule 4 rejects (the engine holds maxVC beneath it).
 //  2. Blanket exclusion (excluded: parked, unflagged writers) applies
 //     unless the writer is in seen — the reader genuinely observed one of
 //     its versions, or a version that read from it, elsewhere (which
@@ -290,10 +293,11 @@ func queueStateLocked(ks *keyState, txn wire.TxnID) string {
 //     beneath obsVC: they are causally inside the snapshot already, and the
 //     bound was frozen before the observation.
 //
-// It reports the selected version, the writers skipped due to exclusion, and
-// the selected version's writer when its W entry is still in the queue (its
-// client reply may not have been released yet).
-func (s *Store) readVisibleLocked(reader wire.TxnID, key string, ks *keyState, stampBound uint64, hasRead []bool, maxVC vclock.VC, seen, excluded, beforeIDs map[wire.TxnID]struct{}, obsVC vclock.VC) (ReadResult, []wire.ExWriter, wire.TxnID) {
+// It reports the selected version, the writers skipped due to exclusion, the
+// smallest local slot among their versions (0 = none), and the selected
+// version's writer when its W entry is still in the queue (its client reply
+// may not have been released yet).
+func (s *Store) readVisibleLocked(reader wire.TxnID, key string, ks *keyState, self int, stampBound uint64, hasRead []bool, maxVC vclock.VC, seen, excluded, beforeIDs map[wire.TxnID]struct{}, obsVC vclock.VC) (ReadResult, []wire.ExWriter, uint64, wire.TxnID) {
 	trace := func(v *Version, reason string) {
 		if s.Trace != nil {
 			s.Trace(TraceEvent{Reader: reader, Key: key, Writer: v.Writer, VC: v.VC,
@@ -302,11 +306,18 @@ func (s *Store) readVisibleLocked(reader wire.TxnID, key string, ks *keyState, s
 		}
 	}
 	var skipped []wire.ExWriter
+	var lowSID uint64
 	var skippedIDs map[wire.TxnID]struct{}
 	skip := func(v *Version) {
-		// The version clock is shared, not cloned: ExWriter clocks travel
-		// read-only (into the reader's Before set and back in requests).
-		skipped = append(skipped, wire.ExWriter{Txn: v.Writer, VC: v.VC})
+		ex := wire.ExWriter{Txn: v.Writer}
+		if v.ExtSID > stampBound {
+			// Externally committing here above the reader's cut: the reader
+			// takes the stamp with it (wire.ExWriter).
+			ex.VC = vclock.New(len(v.VC))
+			ex.VC[self] = v.ExtSID
+		}
+		skipped = append(skipped, ex)
+		lowSID = lowerSID(lowSID, v.VC[self])
 		if skippedIDs == nil {
 			skippedIDs = make(map[wire.TxnID]struct{})
 		}
@@ -367,9 +378,17 @@ func (s *Store) readVisibleLocked(reader wire.TxnID, key string, ks *keyState, s
 			pending = v.Writer
 		}
 		trace(v, "chosen")
-		return ReadResult{Val: v.Val, Exists: true, VC: v.VC, Writer: v.Writer, Deps: v.Deps}, skipped, pending
+		return ReadResult{Val: v.Val, Exists: true, VC: v.VC, Writer: v.Writer, Deps: v.Deps}, skipped, lowSID, pending
 	}
-	return ReadResult{}, skipped, wire.TxnID{}
+	return ReadResult{}, skipped, lowSID, wire.TxnID{}
+}
+
+// lowerSID returns the smaller of two slots, 0 standing for "none".
+func lowerSID(low, sid uint64) uint64 {
+	if sid > 0 && (low == 0 || sid < low) {
+		return sid
+	}
+	return low
 }
 
 func hasWriteEntryLocked(ks *keyState, txn wire.TxnID) bool {
@@ -384,13 +403,16 @@ func hasWriteEntryLocked(ks *keyState, txn wire.TxnID) bool {
 // RORead is the outcome of an atomic read-only version selection.
 type RORead struct {
 	Res ReadResult
-	// Skipped lists the writers whose applied versions the walk excluded,
-	// with their commit clocks (sticky exclusion, §III-C).
+	// Skipped lists the writers whose applied versions the walk excluded
+	// (sticky exclusion, §III-C), in the form the reader carries them.
 	Skipped []wire.ExWriter
 	// QueueSkips lists parked writers excluded at queue level: their W entry
-	// is in the snapshot-queue but their version may not be applied yet. The
-	// clock is synthetic (only the local entry, at the insertion-snapshot).
+	// is in the snapshot-queue but their version may not be applied yet.
 	QueueSkips []wire.ExWriter
+	// LowSID is the smallest local slot or insertion-snapshot among Skipped
+	// and QueueSkips (0 = none): the reader's R entry must sit beneath it so
+	// that every writer it excluded drains behind it.
+	LowSID uint64
 	// PendingWriter names the returned version's writer when it is still
 	// parked (provisional); zero otherwise.
 	PendingWriter wire.TxnID
@@ -411,11 +433,11 @@ type RORead struct {
 // is at or beneath the reader's cut at this node (stampBound), exclude —
 // stickily — otherwise. The local committed flag (re-drain progress) never
 // participates, so all replicas of a key agree on the verdict for any
-// given cut. The queue-level exclusions are reported with synthetic clocks
-// so the reader keeps excluding them (and the engine parks their freezes
-// beneath the reader's R entry).
+// given cut. The queue-level exclusions are reported so the reader keeps
+// excluding them (and, through LowSID, the engine parks their freezes beneath
+// the reader's R entry).
 //
-// self/n size the synthetic clocks of queue-level exclusions; seen lists
+// self is this node's clock column; seen lists
 // writers the reader already observed (never re-excluded); beforeIDs
 // carries the sticky exclusion set (always excluded); obsVC is the
 // reader's observed clock. stampBound is the reader's external-commit cut
@@ -430,8 +452,9 @@ type RORead struct {
 // The verdict never blocks: a decided writer whose stamp has not landed here
 // is excluded blind (why no bounded wait: docs/CONSISTENCY.md §5 and §7).
 //
-// The ignored tail exists only for benchmark/probes.go, which still passes two wait budgets.
-func (s *Store) ReadRO(reader wire.TxnID, key string, self, n int, stampBound uint64, hasRead []bool, maxVC vclock.VC, seen, beforeIDs map[wire.TxnID]struct{}, obsVC vclock.VC, scratchEx map[wire.TxnID]struct{}, _ ...time.Duration) RORead {
+// The ignored int (once a clock width) and the ignored tail exist only for
+// benchmark/probes.go, which still passes a width and two wait budgets.
+func (s *Store) ReadRO(reader wire.TxnID, key string, self, _ int, stampBound uint64, hasRead []bool, maxVC vclock.VC, seen, beforeIDs map[wire.TxnID]struct{}, obsVC vclock.VC, scratchEx map[wire.TxnID]struct{}, _ ...time.Duration) RORead {
 	sh := s.shard(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -445,6 +468,7 @@ func (s *Store) ReadRO(reader wire.TxnID, key string, self, n int, stampBound ui
 		excluded = make(map[wire.TxnID]struct{}, len(ks.sqW))
 	}
 	var queueSkips []wire.ExWriter
+	var queueLow uint64
 	for _, e := range ks.sqW {
 		if e.stamp != 0 {
 			// Announced: the writer's version is applied and carries the
@@ -462,13 +486,12 @@ func (s *Store) ReadRO(reader wire.TxnID, key string, self, n int, stampBound ui
 			continue
 		}
 		excluded[e.Txn] = struct{}{}
-		exVC := vclock.New(n)
-		exVC[self] = e.SID
-		queueSkips = append(queueSkips, wire.ExWriter{Txn: e.Txn, VC: exVC})
+		queueSkips = append(queueSkips, wire.ExWriter{Txn: e.Txn})
+		queueLow = lowerSID(queueLow, e.SID)
 	}
 
-	res, skipped, pending := s.readVisibleLocked(reader, key, ks, stampBound, hasRead, maxVC, seen, excluded, beforeIDs, obsVC)
-	return RORead{Res: res, Skipped: skipped, QueueSkips: queueSkips, PendingWriter: pending}
+	res, skipped, low, pending := s.readVisibleLocked(reader, key, ks, self, stampBound, hasRead, maxVC, seen, excluded, beforeIDs, obsVC)
+	return RORead{Res: res, Skipped: skipped, QueueSkips: queueSkips, LowSID: lowerSID(low, queueLow), PendingWriter: pending}
 }
 
 func tooNew(vc vclock.VC, hasRead []bool, maxVC vclock.VC) bool {

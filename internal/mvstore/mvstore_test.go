@@ -291,6 +291,9 @@ func TestReadROExcludesUnstampedWithoutBlocking(t *testing.T) {
 	if len(got.Skipped) != 1 || got.Skipped[0].Txn != w {
 		t.Fatalf("the skipped version must be reported for sticky exclusion: %+v", got.Skipped)
 	}
+	if got.Skipped[0].VC != nil || got.QueueSkips[0].VC != nil || got.LowSID != 5 {
+		t.Fatalf("an unstamped writer is reported bare, with its slot for the R entry: %+v", got)
+	}
 	s.SQStampWrite("k", w, 7)
 	got = read()
 	if got.Res.Writer != w || len(got.QueueSkips) != 0 || got.PendingWriter != w {
@@ -326,14 +329,16 @@ func TestSQStampVerdictIgnoresFlag(t *testing.T) {
 		if got.Res.Exists && got.Res.Writer == w {
 			t.Fatalf("flagged=%v: stamped writer above the cut must be excluded", flagged)
 		}
+		// The report carries the stamp (in this node's column) for the reader
+		// to hold its bound beneath, and the slot its R entry must sit under.
 		found := false
 		for _, ex := range got.Skipped {
 			if ex.Txn == w {
-				found = true
+				found = len(ex.VC) == 1 && ex.VC[0] == 7
 			}
 		}
-		if !found {
-			t.Fatalf("flagged=%v: excluded writer must be reported for stickiness", flagged)
+		if !found || got.LowSID != 5 {
+			t.Fatalf("flagged=%v: excluded writer must be reported with its stamp 7 and slot 5: %+v", flagged, got)
 		}
 	}
 }

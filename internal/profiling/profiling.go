@@ -1,9 +1,9 @@
-// Package profiling wires the standard pprof profiles behind command-line
-// flags shared by sss-bench and sss-server. CPU, mutex-contention and
-// blocking profiles are the three views that matter for this codebase's
-// hot-path work: CPU for the visibility-index and codec costs, mutex for
-// stripe/shard lock contention, block for snapshot-queue and commit-drain
-// waits.
+// Package profiling wires the standard pprof profiles behind sss-bench's
+// command-line flags (sss-server serves net/http/pprof on its metrics
+// listener instead). CPU, mutex-contention and blocking profiles are the
+// three views that matter for this codebase's hot-path work: CPU for the
+// visibility-index and codec costs, mutex for stripe/shard lock contention,
+// block for snapshot-queue and commit-drain waits.
 package profiling
 
 import (
@@ -19,11 +19,6 @@ type Config struct {
 	CPU   string // -cpuprofile
 	Mutex string // -mutexprofile
 	Block string // -blockprofile
-}
-
-// Enabled reports whether any profile is requested.
-func (c Config) Enabled() bool {
-	return c.CPU != "" || c.Mutex != "" || c.Block != ""
 }
 
 // Start enables the requested profiles and returns a stop function that

@@ -35,7 +35,8 @@ const (
 	// RecFreeze: the coordinator-assigned freeze vector reached this node.
 	// Stamp is this node's external-commit stamp (the freeze vector's entry
 	// for this node), Keys the locally written keys to re-stamp on replay,
-	// and VC the external-clock contribution. The coordinator writes the
+	// and VC the external-clock contribution (the commit clock joined with
+	// the order's wire.ExtFreeze.Know). The coordinator writes the
 	// record with no keys (VC = full freeze vector) to make its external
 	// clock and the freeze vector durable for in-doubt replies.
 	RecFreeze

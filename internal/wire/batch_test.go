@@ -74,6 +74,9 @@ func randomEnvelope(r *rand.Rand, n int) Envelope {
 			if r.Intn(4) != 0 {
 				f.VC = vc
 			}
+			if r.Intn(2) == 0 {
+				f.Know = vc
+			}
 			m.Freezes = append(m.Freezes, f)
 		}
 		for i := 0; i < r.Intn(4); i++ {

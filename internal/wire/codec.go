@@ -118,6 +118,7 @@ func appendBody(buf []byte, msg Msg) ([]byte, error) {
 		for _, f := range m.Freezes {
 			buf = appendTxnID(buf, f.Txn)
 			buf = f.VC.AppendBinary(buf)
+			buf = f.Know.AppendBinary(buf)
 		}
 		buf = binary.AppendUvarint(buf, uint64(len(m.Purges)))
 		for _, p := range m.Purges {
@@ -129,6 +130,7 @@ func appendBody(buf []byte, msg Msg) ([]byte, error) {
 		buf = appendTxnID(buf, m.Txn)
 	case *WaitExternalAck:
 		buf = appendTxnID(buf, m.Txn)
+		buf = m.VC.AppendBinary(buf)
 	case *WalterPropagate:
 		buf = appendTxnID(buf, m.Txn)
 		buf = m.VC.AppendBinary(buf)
@@ -189,7 +191,7 @@ func decodeBody(c *cursor, t MsgType) (Msg, error) {
 		m.VC = c.vc()
 		m.HasRead = c.bools()
 		m.IsUpdate = c.bool()
-		if n := int(c.uvarint()); n > 0 && c.err == nil {
+		if n := c.count(); n > 0 && c.err == nil {
 			m.Seen = make([]TxnID, n)
 			for i := range m.Seen {
 				m.Seen[i] = c.txnID()
@@ -209,7 +211,7 @@ func decodeBody(c *cursor, t MsgType) (Msg, error) {
 		m.PendingWriter = c.txnID()
 		m.Excluded = c.exWriters()
 		m.VerVC = c.vc()
-		if n := int(c.uvarint()); n > 0 && c.err == nil {
+		if n := c.count(); n > 0 && c.err == nil {
 			m.VerDeps = make([]TxnID, n)
 			for i := range m.VerDeps {
 				m.VerDeps[i] = c.txnID()
@@ -222,19 +224,19 @@ func decodeBody(c *cursor, t MsgType) (Msg, error) {
 		m.VC = c.vc()
 		m.ReadKeys = c.strs()
 		m.Writes = c.kvs()
-		if n := int(c.uvarint()); n > 0 && c.err == nil {
+		if n := c.count(); n > 0 && c.err == nil {
 			m.ReadVers = make([]uint64, n)
 			for i := range m.ReadVers {
 				m.ReadVers[i] = c.uvarint()
 			}
 		}
-		if n := int(c.uvarint()); n > 0 && c.err == nil {
+		if n := c.count(); n > 0 && c.err == nil {
 			m.ReadFrom = make([]TxnID, n)
 			for i := range m.ReadFrom {
 				m.ReadFrom[i] = c.txnID()
 			}
 		}
-		if n := int(c.uvarint()); n > 0 && c.err == nil {
+		if n := c.count(); n > 0 && c.err == nil {
 			m.Deps = make([]TxnID, n)
 			for i := range m.Deps {
 				m.Deps[i] = c.txnID()
@@ -265,13 +267,13 @@ func decodeBody(c *cursor, t MsgType) (Msg, error) {
 		return &ExtCommit{Txn: c.txnID()}, c.err
 	case MsgExtBatch:
 		m := &ExtBatch{}
-		if n := int(c.uvarint()); n > 0 && c.err == nil {
+		if n := c.count(); n > 0 && c.err == nil {
 			m.Freezes = make([]ExtFreeze, n)
 			for i := range m.Freezes {
-				m.Freezes[i] = ExtFreeze{Txn: c.txnID(), VC: c.vc()}
+				m.Freezes[i] = ExtFreeze{Txn: c.txnID(), VC: c.vc(), Know: c.vc()}
 			}
 		}
-		if n := int(c.uvarint()); n > 0 && c.err == nil {
+		if n := c.count(); n > 0 && c.err == nil {
 			m.Purges = make([]TxnID, n)
 			for i := range m.Purges {
 				m.Purges[i] = c.txnID()
@@ -283,7 +285,7 @@ func decodeBody(c *cursor, t MsgType) (Msg, error) {
 	case MsgWaitExternal:
 		return &WaitExternal{Txn: c.txnID()}, c.err
 	case MsgWaitExternalAck:
-		return &WaitExternalAck{Txn: c.txnID()}, c.err
+		return &WaitExternalAck{Txn: c.txnID(), VC: c.vc()}, c.err
 	case MsgWalterPropagate:
 		m := &WalterPropagate{}
 		m.Txn = c.txnID()
@@ -300,21 +302,21 @@ func decodeBody(c *cursor, t MsgType) (Msg, error) {
 		m := &RococoDispatchReply{}
 		m.Txn = c.txnID()
 		m.Seq = c.uvarint()
-		n := int(c.uvarint())
+		n := c.count()
 		if n > 0 && c.err == nil {
 			m.Deps = make([]TxnID, n)
 			for i := range m.Deps {
 				m.Deps[i] = c.txnID()
 			}
 		}
-		n = int(c.uvarint())
+		n = c.count()
 		if n > 0 && c.err == nil {
 			m.Versions = make([]uint64, n)
 			for i := range m.Versions {
 				m.Versions[i] = c.uvarint()
 			}
 		}
-		n = int(c.uvarint())
+		n = c.count()
 		if n > 0 && c.err == nil {
 			m.Vals = make([][]byte, n)
 			for i := range m.Vals {
@@ -331,7 +333,7 @@ func decodeBody(c *cursor, t MsgType) (Msg, error) {
 	case MsgRococoCommitReply:
 		m := &RococoCommitReply{}
 		m.Txn = c.txnID()
-		n := int(c.uvarint())
+		n := c.count()
 		if n > 0 && c.err == nil {
 			m.Vals = make([][]byte, n)
 			for i := range m.Vals {
@@ -462,13 +464,20 @@ func (c *cursor) uvarint() uint64 {
 	return x
 }
 
-func (c *cursor) str() string {
-	n := int(c.uvarint())
-	if c.err != nil {
-		return ""
+// count reads a length prefix. Every element takes at least one byte, so a
+// length beyond the bytes left is corrupt: fail before allocating for it.
+func (c *cursor) count() int {
+	n := c.uvarint()
+	if c.err == nil && n > uint64(len(c.buf)-c.off) {
+		c.fail("length")
+		return 0
 	}
-	if c.off+n > len(c.buf) {
-		c.fail("string")
+	return int(n)
+}
+
+func (c *cursor) str() string {
+	n := c.count()
+	if c.err != nil {
 		return ""
 	}
 	s := string(c.buf[c.off : c.off+n])
@@ -477,12 +486,8 @@ func (c *cursor) str() string {
 }
 
 func (c *cursor) bytes() []byte {
-	n := int(c.uvarint())
+	n := c.count()
 	if c.err != nil {
-		return nil
-	}
-	if c.off+n > len(c.buf) {
-		c.fail("bytes")
 		return nil
 	}
 	if n == 0 {
@@ -495,7 +500,7 @@ func (c *cursor) bytes() []byte {
 }
 
 func (c *cursor) bools() []bool {
-	n := int(c.uvarint())
+	n := c.count()
 	if c.err != nil || n == 0 {
 		return nil
 	}
@@ -507,7 +512,7 @@ func (c *cursor) bools() []bool {
 }
 
 func (c *cursor) strs() []string {
-	n := int(c.uvarint())
+	n := c.count()
 	if c.err != nil || n == 0 {
 		return nil
 	}
@@ -539,7 +544,7 @@ func (c *cursor) vc() vclock.VC {
 }
 
 func (c *cursor) sqEntries() []SQEntry {
-	n := int(c.uvarint())
+	n := c.count()
 	if c.err != nil || n == 0 {
 		return nil
 	}
@@ -551,7 +556,7 @@ func (c *cursor) sqEntries() []SQEntry {
 }
 
 func (c *cursor) exWriters() []ExWriter {
-	n := int(c.uvarint())
+	n := c.count()
 	if c.err != nil || n == 0 {
 		return nil
 	}
@@ -563,7 +568,7 @@ func (c *cursor) exWriters() []ExWriter {
 }
 
 func (c *cursor) kvs() []KV {
-	n := int(c.uvarint())
+	n := c.count()
 	if c.err != nil || n == 0 {
 		return nil
 	}

@@ -47,13 +47,15 @@ func TestRoundTripAllMessageTypes(t *testing.T) {
 		{From: 1, Msg: &FwdRemove{RO: TxnID{2, 5}}},
 		{From: 0, RID: 11, Msg: &ExtCommit{Txn: TxnID{0, 1}}},
 		{From: 0, RID: 14, Msg: &ExtBatch{
-			Freezes: []ExtFreeze{{Txn: TxnID{0, 1}, VC: vc}, {Txn: TxnID{0, 2}}},
+			// A nil Know round-trips to nil (DeepEqual tells nil from empty).
+			Freezes: []ExtFreeze{{Txn: TxnID{0, 1}, VC: vc}, {Txn: TxnID{0, 2}}, {Txn: TxnID{0, 3}, VC: vc, Know: vclock.VC{9, 9, 4}}},
 			Purges:  []TxnID{{1, 3}},
 		}},
 		{From: 0, Msg: &ExtBatch{Purges: []TxnID{{1, 4}, {2, 5}}}},
 		{From: 1, RID: 14, Resp: true, Msg: &ExtBatchAck{Freezes: 2}},
 		{From: 2, RID: 13, Msg: &WaitExternal{Txn: TxnID{2, 9}}},
 		{From: 0, RID: 13, Resp: true, Msg: &WaitExternalAck{Txn: TxnID{2, 9}}},
+		{From: 0, RID: 13, Resp: true, Msg: &WaitExternalAck{Txn: TxnID{2, 9}, VC: vc}},
 		{From: 2, Msg: &WalterPropagate{Txn: TxnID{2, 5}, VC: vc, Writes: []KV{{Key: "k", Val: []byte("v")}}}},
 		{From: 0, RID: 9, Msg: &RococoDispatch{Txn: TxnID{0, 2}, ReadKeys: []string{"x"}, Writes: []KV{{Key: "y", Val: []byte("1")}}}},
 		{From: 1, RID: 9, Resp: true, Msg: &RococoDispatchReply{
@@ -219,4 +221,37 @@ func TestPropPrepareRoundTrip(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzDecodeEnvelope feeds the decoder arbitrary bytes: it must never panic,
+// and whatever it accepts must survive re-encoding unchanged. The seeds cover
+// the optional clocks — ExtFreeze.Know, WaitExternalAck.VC — set and nil.
+func FuzzDecodeEnvelope(f *testing.F) {
+	vc := vclock.VC{3, 7, 1}
+	for _, msg := range []Msg{
+		&ExtBatch{Freezes: []ExtFreeze{{Txn: TxnID{0, 1}, VC: vc, Know: vclock.VC{9, 9, 4}}, {Txn: TxnID{0, 2}, VC: vc}}},
+		&WaitExternalAck{Txn: TxnID{2, 9}, VC: vc},
+		&WaitExternalAck{Txn: TxnID{2, 9}},
+		&ReadRequest{Txn: TxnID{1, 9}, Key: "k", VC: vc, Before: []ExWriter{{Txn: TxnID{0, 1}}, {Txn: TxnID{0, 2}, VC: vclock.VC{0, 8, 0}}}},
+	} {
+		buf, err := EncodeEnvelope(nil, Envelope{From: 1, RID: 5, Msg: msg})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		env, err := DecodeEnvelope(data)
+		if err != nil {
+			return
+		}
+		buf, err := EncodeEnvelope(nil, env)
+		if err != nil {
+			t.Fatalf("re-encode %T: %v", env.Msg, err)
+		}
+		again, err := DecodeEnvelope(buf)
+		if err != nil || !reflect.DeepEqual(again, env) {
+			t.Fatalf("re-decode %T: %v\n got  %+v\n want %+v", env.Msg, err, again, env)
+		}
+	})
 }

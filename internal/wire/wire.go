@@ -164,9 +164,11 @@ type ReadRequest struct {
 	ObsVC vclock.VC
 }
 
-// ExWriter names a writer a reader serialized before, with the commit
-// vector clock of the version that was skipped (used for causal-dependency
-// closure: any version whose clock dominates it is skipped too).
+// ExWriter names a writer a reader serialized before. VC is nil unless the
+// serving replica had the writer's external-commit stamp, above the reader's
+// cut there: then it holds that stamp in the replica's column, zeros
+// elsewhere. The reader echoes it in Before, and no first contact lifts that
+// column of its bound to the stamp (docs/CONSISTENCY.md §4 item 1).
 type ExWriter struct {
 	Txn TxnID
 	VC  vclock.VC
@@ -199,10 +201,10 @@ type ReadReturn struct {
 	// VerVC is the returned version's commit vector clock (zero for the
 	// genesis version); readers fold it into their observed clock.
 	VerVC vclock.VC
-	// VerDeps is the returned version's (pruned, transitive) read-from
-	// dependency set: the writers that were still parked when the
-	// producing transaction read their versions, plus their own stored
-	// deps. Only these can appear in any reader's Before set.
+	// VerDeps is the returned version's stored dependency set
+	// (mvstore.Version.Deps), sent only while PendingWriter is set. Once
+	// that writer is purged at the serving replica the reply's VC covers
+	// every stamp in its ancestry instead (docs/CONSISTENCY.md §4 item 1).
 	VerDeps []TxnID
 }
 
@@ -230,8 +232,10 @@ type Prepare struct {
 	// two conflicting writers an identical vid[i]), so we check that the
 	// read version is still the latest by comparing writers instead.
 	ReadFrom []TxnID
-	// Deps is the transaction's pruned transitive dependency set (see
-	// ReadReturn.VerDeps); stored on the versions it installs.
+	// Deps is the transaction's dependency set: the writers that were
+	// parked at the serving replica when it read their versions, plus the
+	// VerDeps those reads returned. Stored on the versions it installs;
+	// bounded by the chain of simultaneously parked writers, not by history.
 	Deps []TxnID
 }
 
@@ -315,9 +319,16 @@ type ExtCommit struct {
 // which used to let two read-only transactions order two
 // concurrently-freezing writers oppositely (the freeze-skew residue, see
 // docs/CONSISTENCY.md).
+//
+// Know is set by a transaction that waited out pending writers: its
+// coordinator's external-knowledge clock after those waits, which covers their
+// freeze vectors. The replica joins it into its own, so a reader that meets
+// this transaction's version after its purge — and inherits no dependency set
+// — gets a clock covering every stamp in its ancestry. nil is one byte.
 type ExtFreeze struct {
-	Txn TxnID
-	VC  vclock.VC
+	Txn  TxnID
+	VC   vclock.VC
+	Know vclock.VC
 }
 
 // ExtBatch carries the coalesced external-commit traffic of one coordinator
@@ -351,9 +362,12 @@ type WaitExternal struct {
 	Txn TxnID
 }
 
-// WaitExternalAck answers WaitExternal.
+// WaitExternalAck answers WaitExternal. VC is the answering coordinator's
+// external-knowledge clock, which covers Txn's freeze vector (the coordinator
+// records it before releasing its waiters); the waiter folds it into its own.
 type WaitExternalAck struct {
 	Txn TxnID
+	VC  vclock.VC
 }
 
 // FwdRemove is sent to the coordinator of an update transaction that

@@ -3,7 +3,8 @@
 // that read and write two keys, and read-only transactions that read two or
 // more keys — over a keyspace of 5k or 10k keys, with a configurable
 // read-only percentage, uniform or locality-biased key selection, and an
-// optional Zipfian distribution.
+// optional Zipf-skewed distribution (math/rand's, which is much steeper than
+// YCSB's zipfian at the same parameter — see ZipfTheta).
 package ycsb
 
 import (
@@ -26,8 +27,9 @@ const (
 	// client's node, and uniformly otherwise (the 50%-locality runs of
 	// Figure 7).
 	Local
-	// Zipfian draws keys with a Zipf(θ) skew, YCSB's default hotspot
-	// model (an extension beyond the paper's uniform runs).
+	// Zipfian draws key i with probability ∝ (1+i)^-(1+ZipfTheta) — a
+	// hotspot extension beyond the paper's uniform runs. It is not YCSB's
+	// zipfian generator (see ZipfTheta).
 	Zipfian
 )
 
@@ -46,7 +48,11 @@ type Config struct {
 	// Distribution selects key skew; Locality is used by Local (0..1).
 	Distribution Distribution
 	Locality     float64
-	// ZipfTheta is the skew for Zipfian (default 0.99, YCSB's default).
+	// ZipfTheta sets the skew for Zipfian (default 0.99): rand.NewZipf gets
+	// the exponent s = 1+ZipfTheta (it requires s > 1), a far hotter spot
+	// than YCSB's zipfian(θ), whose exponent is θ. At 0.99 over 1 000 keys
+	// key 0 is drawn with p = 0.605 and the top four with 0.86 (measured,
+	// 10⁶ draws); YCSB's gives key 0 0.129. TestZipfianSkew pins it.
 	ZipfTheta float64
 	// ValueSize is the size of written values in bytes.
 	ValueSize int
@@ -134,7 +140,7 @@ func NewGenerator(cfg Config, node wire.NodeID, lookup cluster.Lookup, seed int6
 	return g
 }
 
-// zipfS maps YCSB's theta to rand.Zipf's s parameter (s > 1 required).
+// zipfS maps ZipfTheta to rand.Zipf's s parameter (s > 1 required).
 func zipfS(theta float64) float64 {
 	s := 1.0 + theta
 	if s <= 1 {
