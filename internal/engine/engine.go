@@ -186,11 +186,8 @@ type Node struct {
 	// and purge traffic); extSenders tracks their drainer goroutines.
 	extq       []*extQueue
 	extSenders sync.WaitGroup
-	// callers executes outbound RPC legs on warm pooled goroutines.
-	callers callerPool
 
 	closed atomic.Bool
-	wg     sync.WaitGroup
 }
 
 // stripeBits sets the number of state stripes (a power of two).
@@ -393,9 +390,9 @@ func (nd *Node) VersionWriters(key string) []wire.TxnID {
 	return nd.store.VersionWriters(key)
 }
 
-// Close detaches the node from the network and waits for local work. The
-// commit queues are closed first (their drainers exit after releasing every
-// parked freeze waiter), then the RPC endpoint, then in-flight handlers.
+// Close detaches the node from the network. The commit queues are closed
+// first (their drainers exit after releasing every parked freeze waiter),
+// then the RPC endpoint, which fails whatever a coordinator still awaits.
 func (nd *Node) Close() error {
 	nd.closed.Store(true)
 	if nd.ckptStop != nil {
@@ -407,10 +404,7 @@ func (nd *Node) Close() error {
 		q.close()
 	}
 	nd.extSenders.Wait()
-	err := nd.rpc.Close()
-	nd.wg.Wait()
-	nd.callers.close()
-	return err
+	return nd.rpc.Close()
 }
 
 // serve dispatches inbound protocol messages. It runs on a transport pool

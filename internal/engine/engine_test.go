@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -560,3 +561,39 @@ func atoi(s string) int {
 }
 
 func itoa(n int) string { return fmt.Sprintf("%d", n) }
+
+// TestRemoteCommitsSpawnNoGoroutines: a coordinator's fan-outs run on the
+// committing goroutine itself, so a run of remote update commits leaves the
+// process with no more goroutines than it had before the first one.
+func TestRemoteCommitsSpawnNoGoroutines(t *testing.T) {
+	nodes := newCluster(t, 3, 2, Config{})
+	lookup := cluster.NewLookup(3, 2)
+	var key string
+	for i := 0; key == ""; i++ {
+		if k := fmt.Sprintf("far%d", i); !lookup.IsReplica(k, 0) {
+			key = k
+		}
+	}
+	preload(nodes, map[string]string{key: "0"})
+	// Open every link first (one-way, so no call is involved): the network
+	// starts a pipe goroutine per sender→receiver pair on first use.
+	for _, from := range nodes {
+		for _, to := range nodes {
+			_ = from.rpc.Notify(to.id, &wire.Remove{Txn: wire.TxnID{Node: from.id, Seq: 1 << 40}})
+		}
+	}
+	time.Sleep(20 * time.Millisecond)
+	before := runtime.NumGoroutine()
+	for i := 0; i < 200; i++ {
+		writeKey(t, nodes[0], key, itoa(i))
+	}
+	// Handlers of the last commit's purge may still be running on spill
+	// goroutines; give them a moment to return.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines: %d before 200 remote commits, %d after", before, after)
+	}
+}

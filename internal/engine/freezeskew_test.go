@@ -245,13 +245,11 @@ func puppetDrain(t *testing.T, puppet *Node, txn wire.TxnID, commitVC vclock.VC,
 // puppetFreeze broadcasts the freeze round — the one-element wire.ExtBatch a
 // real coordinator's commit queue sends for an uncoalesced freeze — without
 // waiting for its acks (gated replicas block in their re-drain until the gate
-// readers complete).
+// readers complete; the puppet's Close fails whatever is still outstanding).
 func puppetFreeze(puppet *Node, txn wire.TxnID, freezeVC vclock.VC, writeNodes []wire.NodeID) {
 	for _, to := range writeNodes {
 		to := to
-		puppet.wg.Add(1)
 		go func() {
-			defer puppet.wg.Done()
 			fctx, fcancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer fcancel()
 			_, _ = puppet.rpc.Call(fctx, to, &wire.ExtBatch{Freezes: []wire.ExtFreeze{{Txn: txn, VC: freezeVC}}})

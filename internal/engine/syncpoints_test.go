@@ -369,19 +369,31 @@ func TestCoordinatorSyncFailures(t *testing.T) {
 		replicated bool
 		failAt     int64
 		wantAbort  bool
+		// voteTimeout is short only where the case needs a fast batch-call
+		// expiry. The decision case's commit waits on no timeout, and a
+		// 50ms vote budget let a slow prepare round on a loaded box abort the
+		// transaction before the injected fsync was ever reached; it keeps
+		// the default (0), like every other fresh boot in this file — boot
+		// itself costs about one VoteTimeout, so longer is not free.
+		voteTimeout time.Duration
 	}{
-		{"decision", true, 1, true},
-		{"freeze-record-overlapped", false, 2, false},
-		{"freeze-record-covered-by-replica-batch", true, 2, false},
+		{"decision", true, 1, true, 0},
+		{"freeze-record-overlapped", false, 2, false, 50 * time.Millisecond},
+		{"freeze-record-covered-by-replica-batch", true, 2, false, 50 * time.Millisecond},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			dc := bootDurable(t, freshDirs(t, 3), Config{VoteTimeout: 50 * time.Millisecond})
+			dc := bootDurable(t, freshDirs(t, 3), Config{VoteTimeout: tc.voteTimeout})
 			key := dc.keyFor(t, coord, tc.replicated)
 			dc.seams[coord].at(tc.failAt, func() error { return diskErr })
 			txn, err := blindWrite(dc.nodes[coord], key, "v")
 			if err == nil {
 				t.Fatal("commit acknowledged over a failed fsync")
+			}
+			// First, so an abort for any other reason is not mistaken for the
+			// injected one.
+			if got := dc.nodes[coord].Durability().WalSyncFailures.Load(); got != 1 {
+				t.Fatalf("WalSyncFailures = %d, want 1", got)
 			}
 			if got := errors.Is(err, kv.ErrAborted); got != tc.wantAbort {
 				t.Fatalf("commit error = %v, aborted = %v, want %v", err, got, tc.wantAbort)
@@ -394,9 +406,6 @@ func TestCoordinatorSyncFailures(t *testing.T) {
 			}
 			if !tc.wantAbort && !strings.Contains(err.Error(), "freeze record not durable") {
 				t.Fatalf("commit error = %v, want the freeze-record error", err)
-			}
-			if got := dc.nodes[coord].Durability().WalSyncFailures.Load(); got != 1 {
-				t.Fatalf("WalSyncFailures = %d, want 1", got)
 			}
 		})
 	}

@@ -393,43 +393,30 @@ func (t *Txn) readRemote(key string) (*wire.ReadReturn, wire.NodeID, error) {
 		}
 		return rr, preferred, nil
 	}
-	ch := make(chan readAnswer, len(targets))
-	remaining := t.readFanout(ctx, req, targets, preferred, ch)
-	for ; remaining > 0; remaining-- {
-		a := <-ch
-		if a.err != nil {
-			lastErr = a.err
-			continue
+	rest := make([]wire.NodeID, 0, len(targets)-1)
+	for _, to := range targets {
+		if to != preferred {
+			rest = append(rest, to)
 		}
-		return a.resp, a.from, nil
 	}
-	return nil, 0, fmt.Errorf("%w: read %q: %v", kv.ErrUnavailable, key, lastErr)
+	m := t.nd.rpc.Multi(rest, req)
+	defer m.Release()
+	for {
+		leg, resp, err := m.Next(ctx)
+		if err != nil {
+			return nil, 0, fmt.Errorf("%w: read %q: %v", kv.ErrUnavailable, key, lastErr)
+		}
+		if rr, ok := resp.(*wire.ReadReturn); ok {
+			return rr, rest[leg], nil
+		}
+		lastErr = fmt.Errorf("engine: unexpected read response %T", resp)
+	}
 }
 
-// readFanout issues req to every target except skip (-1 = none), on warm
-// pooled callers (the self replica, when present, runs inline — its
-// dispatch pays no simulated latency, so it is the presumptive fastest
-// reply). It returns the number of answers that will arrive on ch.
-func (t *Txn) readFanout(ctx context.Context, req *wire.ReadRequest, targets []wire.NodeID, skip wire.NodeID, ch chan readAnswer) int {
-	n := 0
-	selfTarget := false
-	for _, to := range targets {
-		if to == skip {
-			continue
-		}
-		n++
-		if to == t.nd.id {
-			selfTarget = true
-			continue
-		}
-		t.nd.wg.Add(1)
-		t.nd.callers.submit(callTask{ctx: ctx, nd: t.nd, to: to, msg: req, rch: ch})
-	}
-	if selfTarget {
-		t.nd.wg.Add(1)
-		callTask{ctx: ctx, nd: t.nd, to: t.nd.id, msg: req, rch: ch}.run()
-	}
-	return n
+// readAnswer is one replica's reply in a fan-out read.
+type readAnswer struct {
+	resp *wire.ReadReturn
+	from wire.NodeID
 }
 
 // mergeWait bounds how long a fan-out read waits for sibling replica
@@ -455,41 +442,35 @@ const mergeWait = 5 * time.Millisecond
 // bound matter, and then the best reply received so far is adopted rather
 // than stalling the read.
 func (t *Txn) readMerge(ctx context.Context, key string, req *wire.ReadRequest, targets []wire.NodeID) (*wire.ReadReturn, wire.NodeID, error) {
-	ch := make(chan readAnswer, len(targets))
-	remaining := t.readFanout(ctx, req, targets, -1, ch)
+	// Returning early releases the losing legs at once: nothing of this read
+	// stays registered with the RPC layer.
+	m := t.nd.rpc.Multi(targets, req)
+	defer m.Release()
 
 	var lastErr error
 	var withEx []readAnswer
-	var mergeTimer *time.Timer
-collect:
-	for ; remaining > 0; remaining-- {
-		var a readAnswer
-		if mergeTimer == nil {
-			a = <-ch
-		} else {
-			select {
-			case a = <-ch:
-			case <-mergeTimer.C:
-				break collect
+	for {
+		leg, resp, err := m.Next(ctx)
+		if err != nil {
+			if lastErr == nil {
+				lastErr = err
 			}
+			break
 		}
-		if a.err != nil {
-			lastErr = a.err
+		rr, ok := resp.(*wire.ReadReturn)
+		if !ok {
+			lastErr = fmt.Errorf("engine: unexpected read response %T", resp)
 			continue
 		}
-		if len(a.resp.Excluded) == 0 {
-			if mergeTimer != nil {
-				mergeTimer.Stop()
-			}
-			return a.resp, a.from, nil
+		if len(rr.Excluded) == 0 {
+			return rr, targets[leg], nil
 		}
-		withEx = append(withEx, a)
-		if mergeTimer == nil {
-			mergeTimer = time.NewTimer(mergeWait)
+		withEx = append(withEx, readAnswer{resp: rr, from: targets[leg]})
+		if len(withEx) == 1 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, mergeWait)
+			defer cancel()
 		}
-	}
-	if mergeTimer != nil {
-		mergeTimer.Stop()
 	}
 	for _, a := range withEx {
 		dominated := false
@@ -674,7 +655,7 @@ func (t *Txn) commitUpdate() error {
 	// --- prepare phase ---
 	voteStart := time.Now()
 	ctx, cancel := context.WithTimeout(context.Background(), nd.cfg.VoteTimeout)
-	votes := t.broadcast(ctx, participants, prep, sc)
+	votes, _ := nd.rpc.Gather(ctx, participants, prep, sc.out)
 	cancel()
 	voteDur := time.Since(voteStart)
 
@@ -761,7 +742,7 @@ func (t *Txn) commitUpdate() error {
 	dctx, dcancel := context.WithTimeout(context.Background(), nd.cfg.DrainTimeout+time.Second)
 	defer dcancel()
 	decide := &wire.Decide{Txn: t.id, VC: commitVC, Commit: true, Propagated: prop, Drain: true}
-	acks := t.broadcast(dctx, participants, decide, sc)
+	acks, firstAck := nd.rpc.Gather(dctx, participants, decide, sc.out)
 
 	// External commit, staged cleanup. Join the drain-stage frontiers the
 	// decide acks report with the commit clock into the freeze vector —
@@ -816,11 +797,11 @@ func (t *Txn) commitUpdate() error {
 	// temporal-separation argument of docs/CONSISTENCY.md §5 stays intact
 	// on the contended path while the uncontended path keeps the two-round
 	// commit.
-	stale := sc.firstAck.IsZero() || time.Since(sc.firstAck) > piggybackSkewBudget
+	stale := firstAck.IsZero() || time.Since(firstAck) > piggybackSkewBudget
 	if retighten || stale {
 		drainStart := time.Now()
 		dctx2, dcancel2 := context.WithTimeout(context.Background(), nd.cfg.DrainTimeout+time.Second)
-		drainAcks := t.broadcast(dctx2, writeNodes, &wire.ExtCommit{Txn: t.id}, sc)
+		drainAcks, _ := nd.rpc.Gather(dctx2, writeNodes, &wire.ExtCommit{Txn: t.id}, sc.out)
 		dcancel2()
 		for i, a := range drainAcks {
 			if ack, ok := a.(*wire.DecideAck); ok && ack.Ext > freezeVC[writeNodes[i]] {
@@ -916,29 +897,17 @@ func (t *Txn) finishAbort(participants []wire.NodeID, sc *commitScratch) {
 	nd := t.nd
 	ctx, cancel := context.WithTimeout(context.Background(), nd.cfg.VoteTimeout)
 	defer cancel()
-	t.broadcast(ctx, participants, &wire.Decide{Txn: t.id, Commit: false}, sc)
+	nd.rpc.Gather(ctx, participants, &wire.Decide{Txn: t.id, Commit: false}, sc.out)
 	nd.stats.Aborts.Add(1)
 }
 
 // commitScratch is the pooled coordinator-side scratch of one update
-// commit: the broadcast result array and completion channel (drained fully
-// by every broadcast, so they are reusable) and the freeze-waiter slice.
-// firstAck records when the latest broadcast observed its first response —
-// the participant with the widest ack→freeze gap. Message payloads are
+// commit: the reply array every Gather of the commit reuses (valid only
+// until the next one) and the freeze-waiter slice. Message payloads are
 // never pooled — see commitUpdate.
 type commitScratch struct {
-	out      []wire.Msg
-	done     chan ackEvent
-	waiters  []chan struct{}
-	firstAck time.Time
-}
-
-// ackEvent timestamps one broadcast leg's completion at arrival, so the
-// coordinator can bound the ack→freeze gap of the earliest-acking
-// participant without being skewed by its own inline leg's duration.
-type ackEvent struct {
-	i  int
-	at time.Time
+	out     []wire.Msg
+	waiters []chan struct{}
 }
 
 // newCommitScratch sizes the scratch for a cluster of n nodes: no
@@ -946,7 +915,6 @@ type ackEvent struct {
 func newCommitScratch(n int) *commitScratch {
 	return &commitScratch{
 		out:     make([]wire.Msg, 0, n),
-		done:    make(chan ackEvent, n),
 		waiters: make([]chan struct{}, 0, n),
 	}
 }
@@ -961,53 +929,6 @@ func (nd *Node) putCommitScratch(sc *commitScratch) {
 	}
 	sc.waiters = sc.waiters[:0]
 	nd.commitScratch.Put(sc)
-}
-
-// broadcast sends msg to every participant concurrently and returns the
-// responses in participant order (nil for failures). The result slice is
-// scratch owned by sc: it is only valid until the next broadcast with the
-// same scratch.
-func (t *Txn) broadcast(ctx context.Context, participants []wire.NodeID, msg wire.Msg, sc *commitScratch) []wire.Msg {
-	out := sc.out[:0]
-	for range participants {
-		out = append(out, nil)
-	}
-	sc.out = out
-	done := sc.done
-	// The self leg runs inline on this goroutine: a self-send dispatches
-	// directly (no pipe, no latency), so there is nothing to overlap, and
-	// the spawn plus its stack growth is the single biggest per-leg cost
-	// on small machines.
-	remote := 0
-	self := false
-	for i, to := range participants {
-		if to == t.nd.id {
-			continue
-		}
-		remote++
-		t.nd.wg.Add(1)
-		t.nd.callers.submit(callTask{ctx: ctx, nd: t.nd, to: to, msg: msg, out: out, i: i, done: done})
-	}
-	for i, to := range participants {
-		if to != t.nd.id {
-			continue
-		}
-		self = true
-		if resp, err := t.nd.rpc.Call(ctx, to, msg); err == nil {
-			out[i] = resp
-		}
-	}
-	sc.firstAck = time.Time{}
-	if self {
-		sc.firstAck = time.Now()
-	}
-	for ; remote > 0; remote-- {
-		ev := <-done
-		if sc.firstAck.IsZero() || ev.at.Before(sc.firstAck) {
-			sc.firstAck = ev.at
-		}
-	}
-	return out
 }
 
 func containsNode(nodes []wire.NodeID, id wire.NodeID) bool {

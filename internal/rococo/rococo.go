@@ -19,7 +19,6 @@
 package rococo
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -81,7 +80,6 @@ type Node struct {
 
 	txnSeq atomic.Uint64
 	closed atomic.Bool
-	wg     sync.WaitGroup
 }
 
 // New creates a ROCOCO node with the given ID on net.
@@ -124,7 +122,6 @@ func (nd *Node) Close() error {
 	nd.closed.Store(true)
 	err := nd.rpc.Close()
 	nd.cond.Broadcast()
-	nd.wg.Wait()
 	return err
 }
 
@@ -333,26 +330,5 @@ func (nd *Node) localKeys(keys []string) []string {
 		}
 	}
 	sort.Strings(out)
-	return out
-}
-
-func (nd *Node) broadcastCall(ctx context.Context, targets []wire.NodeID, msg wire.Msg) []wire.Msg {
-	out := make([]wire.Msg, len(targets))
-	done := make(chan struct{}, len(targets))
-	for i, to := range targets {
-		i, to := i, to
-		nd.wg.Add(1)
-		go func() {
-			defer nd.wg.Done()
-			resp, err := nd.rpc.Call(ctx, to, msg)
-			if err == nil {
-				out[i] = resp
-			}
-			done <- struct{}{}
-		}()
-	}
-	for range targets {
-		<-done
-	}
 	return out
 }

@@ -201,9 +201,9 @@ func (t *Txn) commitUpdate() error {
 	servers := nd.lookup.ReplicaSet(t.rsOrder, t.wsOrder)
 
 	ctx, cancel := context.WithTimeout(context.Background(), nd.cfg.RPCTimeout)
-	replies := nd.broadcastCall(ctx, servers, &wire.RococoDispatch{
+	replies, _ := nd.rpc.Gather(ctx, servers, &wire.RococoDispatch{
 		Txn: t.id, ReadKeys: t.rsOrder, Writes: writes,
-	})
+	}, nil)
 	cancel()
 
 	var seq uint64
@@ -219,7 +219,7 @@ func (t *Txn) commitUpdate() error {
 
 	cctx, ccancel := context.WithTimeout(context.Background(), nd.cfg.ExecTimeout)
 	defer ccancel()
-	acks := nd.broadcastCall(cctx, servers, &wire.RococoCommit{Txn: t.id, Seq: seq})
+	acks, _ := nd.rpc.Gather(cctx, servers, &wire.RococoCommit{Txn: t.id, Seq: seq}, nil)
 	for _, a := range acks {
 		if _, ok := a.(*wire.RococoCommitReply); !ok {
 			return fmt.Errorf("%w: commit round failed", kv.ErrUnavailable)

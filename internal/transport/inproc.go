@@ -26,8 +26,8 @@ type InProcConfig struct {
 	// Seed seeds the jitter source; 0 means a fixed default seed, keeping
 	// simulations reproducible.
 	Seed int64
-	// Tuning configures the batching runtime (flush window, batch size,
-	// inbound worker pool).
+	// Tuning configures the batching runtime (batch size, inbound worker
+	// pool).
 	Tuning Tuning
 	// DuplicateDeliveries, when true, delivers every remote message twice
 	// — the resend-amplifier seam: engine suites run under it to prove
@@ -351,20 +351,10 @@ func (p *inprocPipe) run() {
 			p.mu.Lock()
 		}
 		head := p.buf[0].at.Add(p.buf[0].lag)
-		full := len(p.buf) >= p.maxBatch
-		closed := p.closed
 		p.mu.Unlock()
 
-		// Sleep until the head is due, plus the configured flush window:
-		// the window trades head latency for a bigger coalesced batch,
-		// exactly like the TCP sender's. A full batch skips the window
-		// (it must never cap throughput below MaxBatch/window), and
-		// shutdown drains without the extra latency.
-		wait := time.Until(head)
-		if w := p.net.cfg.Tuning.FlushWindow; w > 0 && !full && !closed {
-			wait += w
-		}
-		if wait > 0 {
+		// Sleep until the head is due.
+		if wait := time.Until(head); wait > 0 {
 			if timer == nil {
 				timer = time.NewTimer(wait)
 			} else {

@@ -2,9 +2,11 @@ package transport
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"github.com/sss-paper/sss/internal/wire"
 )
@@ -24,10 +26,24 @@ type RPC struct {
 	srv ServerFunc
 
 	nextRID atomic.Uint64
+	closing chan struct{} // closed by Close: fails every outstanding wait
 
 	mu      sync.Mutex
-	pending map[uint64]chan wire.Msg
+	pending map[uint64]slot
 	closed  bool
+}
+
+// slot routes one awaited response to the leg of the Multi that sent it.
+type slot struct {
+	ch  chan reply
+	leg int
+}
+
+// reply is one matched response; at is the instant handle matched it.
+type reply struct {
+	leg int
+	msg wire.Msg
+	at  time.Time
 }
 
 // NewRPC joins network net as node id, dispatching inbound requests to srv.
@@ -35,7 +51,7 @@ func NewRPC(net Network, id wire.NodeID, srv ServerFunc) (*RPC, error) {
 	if srv == nil {
 		return nil, fmt.Errorf("transport: nil server func for node %d", id)
 	}
-	r := &RPC{srv: srv, pending: make(map[uint64]chan wire.Msg)}
+	r := &RPC{srv: srv, pending: make(map[uint64]slot), closing: make(chan struct{})}
 	ep, err := net.Join(id, r.handle)
 	if err != nil {
 		return nil, err
@@ -50,65 +66,164 @@ func (r *RPC) ID() wire.NodeID { return r.ep.ID() }
 func (r *RPC) handle(env wire.Envelope) {
 	if env.Resp {
 		r.mu.Lock()
-		ch := r.pending[env.RID]
+		s, ok := r.pending[env.RID]
 		delete(r.pending, env.RID)
 		r.mu.Unlock()
-		if ch != nil {
-			ch <- env.Msg // buffered; never blocks
+		if ok {
+			// Never blocks: the channel holds one reply per leg, and the
+			// delete above makes this the leg's only send (a duplicate or
+			// late response finds no slot and is dropped).
+			s.ch <- reply{leg: s.leg, msg: env.Msg, at: time.Now()}
 		}
 		return
 	}
 	r.srv(env.From, env.RID, env.Msg)
 }
 
-// respChans pools the per-call response channels: a call that completes
-// (or deregisters before any reply was matched) returns its channel for
-// reuse, so the RPC hot path allocates nothing per call.
-var respChans = sync.Pool{New: func() any { return make(chan wire.Msg, 1) }}
+// Multi is one fan-out in flight: the same request sent to several nodes
+// from the calling goroutine, which then collects the responses itself with
+// Next — no goroutine per leg. It is owned by that one goroutine and must be
+// released.
+type Multi struct {
+	r     *RPC
+	ch    chan reply
+	rids  []uint64 // per leg; 0 once its response was read or its send failed
+	open  int      // legs still awaited
+	err   error    // why a leg is missing (closed, send failure), else errDone
+	first time.Time
+	// dirty marks ch unfit for reuse: some leg's response was matched but
+	// never read, so handle owns a send on it that may not have landed yet.
+	dirty bool
+}
+
+var errDone = errors.New("transport: no response outstanding")
+
+// multis pools Multi values with their reply channels, so the RPC hot path
+// allocates nothing per call.
+var multis = sync.Pool{New: func() any { return new(Multi) }}
+
+// Multi registers one response slot per target, sends msg to each, and
+// returns the fan-out to collect from. A leg whose send fails is not awaited;
+// Next reports the failure once the other legs are in.
+func (r *RPC) Multi(targets []wire.NodeID, msg wire.Msg) *Multi {
+	m := multis.Get().(*Multi)
+	m.r, m.err = r, errDone
+	if cap(m.ch) < len(targets) {
+		m.ch = make(chan reply, len(targets)) // one slot per leg: handle never blocks
+	}
+	n := uint64(len(targets))
+	base := r.nextRID.Add(n) - n
+	r.mu.Lock()
+	if r.closed {
+		r.mu.Unlock()
+		m.err = ErrClosed
+		return m
+	}
+	for leg := range targets {
+		rid := base + uint64(leg) + 1
+		m.rids = append(m.rids, rid)
+		r.pending[rid] = slot{ch: m.ch, leg: leg}
+	}
+	r.mu.Unlock()
+	m.open = len(targets)
+	for leg, to := range targets {
+		if err := r.ep.Send(to, wire.Envelope{RID: m.rids[leg], Msg: msg}); err != nil {
+			r.mu.Lock()
+			m.withdrawLocked(leg)
+			r.mu.Unlock()
+			m.err = err
+		}
+	}
+	return m
+}
+
+// Next returns the next response in arrival order: the index in targets of
+// the leg it answers, and the message. It fails with ctx's error on expiry,
+// ErrClosed once the RPC is closed, and — when no leg is awaited anymore —
+// the reason one went missing, if any.
+func (m *Multi) Next(ctx context.Context) (int, wire.Msg, error) {
+	if m.open == 0 {
+		return -1, nil, m.err
+	}
+	select {
+	case rep := <-m.ch:
+		m.rids[rep.leg] = 0
+		m.open--
+		if m.first.IsZero() || rep.at.Before(m.first) {
+			m.first = rep.at
+		}
+		return rep.leg, rep.msg, nil
+	case <-ctx.Done():
+		return -1, nil, ctx.Err()
+	case <-m.r.closing:
+		return -1, nil, ErrClosed
+	}
+}
+
+// withdrawLocked stops awaiting leg. When its slot was still registered, no
+// response was (or will be) matched to it and the channel stays clean; when
+// it was already gone, a racing handle owns a send on the channel.
+func (m *Multi) withdrawLocked(leg int) {
+	rid := m.rids[leg]
+	if _, registered := m.r.pending[rid]; registered {
+		delete(m.r.pending, rid)
+	} else {
+		m.dirty = true
+	}
+	m.rids[leg] = 0
+	m.open--
+}
+
+// Release ends the fan-out: every leg still awaited is deregistered at once,
+// so a response arriving later is dropped. The reply channel is reused only
+// if every leg was read or withdrawn while registered — a straggler of this
+// fan-out can never surface in the next one.
+func (m *Multi) Release() {
+	if m.open > 0 {
+		m.r.mu.Lock()
+		for leg, rid := range m.rids {
+			if rid != 0 {
+				m.withdrawLocked(leg)
+			}
+		}
+		m.r.mu.Unlock()
+	}
+	if m.dirty {
+		m.ch, m.dirty = nil, false
+	}
+	m.r, m.rids, m.first = nil, m.rids[:0], time.Time{}
+	multis.Put(m)
+}
 
 // Call sends msg to node to and waits for the correlated response or ctx
 // expiry. A response arriving after expiry is dropped.
 func (r *RPC) Call(ctx context.Context, to wire.NodeID, msg wire.Msg) (wire.Msg, error) {
-	rid := r.nextRID.Add(1)
-	ch := respChans.Get().(chan wire.Msg)
-
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		respChans.Put(ch)
-		return nil, ErrClosed
+	m := r.Multi([]wire.NodeID{to}, msg)
+	defer m.Release()
+	_, resp, err := m.Next(ctx)
+	if err != nil {
+		return nil, fmt.Errorf("transport: call %v to node %d: %w", msg.Type(), to, err)
 	}
-	r.pending[rid] = ch
-	r.mu.Unlock()
-
-	if err := r.ep.Send(to, wire.Envelope{RID: rid, Msg: msg}); err != nil {
-		r.deregister(rid)
-		return nil, err
-	}
-
-	select {
-	case resp := <-ch:
-		// handle deregistered rid before sending, so no second send can
-		// ever land on ch: it is empty again and safe to reuse.
-		respChans.Put(ch)
-		return resp, nil
-	case <-ctx.Done():
-		r.deregister(rid)
-		return nil, fmt.Errorf("transport: call %v to node %d: %w", msg.Type(), to, ctx.Err())
-	}
+	return resp, nil
 }
 
-// deregister withdraws rid. When the entry was still registered, no reply
-// was (or will be) matched to it, so its channel is clean and returns to
-// the pool; when it was already gone, a racing handle owns the channel and
-// may still send — the channel is abandoned to the GC.
-func (r *RPC) deregister(rid uint64) {
-	r.mu.Lock()
-	ch, registered := r.pending[rid]
-	delete(r.pending, rid)
-	r.mu.Unlock()
-	if registered {
-		respChans.Put(ch)
+// Gather sends msg to every target and waits for all responses or ctx
+// expiry. replies[i] answers targets[i], nil where none came; replies reuses
+// buf's array. first is the instant the earliest response was matched on
+// arrival — not when this goroutine got round to reading it.
+func (r *RPC) Gather(ctx context.Context, targets []wire.NodeID, msg wire.Msg, buf []wire.Msg) (replies []wire.Msg, first time.Time) {
+	replies = buf[:0]
+	for range targets {
+		replies = append(replies, nil)
+	}
+	m := r.Multi(targets, msg)
+	defer m.Release()
+	for {
+		leg, resp, err := m.Next(ctx)
+		if err != nil {
+			return replies, m.first
+		}
+		replies[leg] = resp
 	}
 }
 
@@ -122,11 +237,13 @@ func (r *RPC) Reply(to wire.NodeID, rid uint64, msg wire.Msg) error {
 	return r.ep.Send(to, wire.Envelope{RID: rid, Resp: true, Msg: msg})
 }
 
-// Close detaches from the network. Outstanding Calls fail when their
-// contexts expire.
+// Close detaches from the network. Outstanding calls fail with ErrClosed.
 func (r *RPC) Close() error {
 	r.mu.Lock()
-	r.closed = true
+	if !r.closed {
+		r.closed = true
+		close(r.closing)
+	}
 	r.mu.Unlock()
 	return r.ep.Close()
 }

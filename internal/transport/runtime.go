@@ -4,8 +4,7 @@
 // that coalesces whatever accumulated while it was busy into one batch
 // frame — natural batching: an idle sender flushes a single envelope
 // immediately, a busy one amortizes framing, allocation, and syscalls over
-// the queue depth. A flush window can be configured to trade latency for
-// larger batches.
+// the queue depth.
 //
 // Inbound, a bounded worker pool replaces goroutine-per-message dispatch.
 // Handlers are still allowed to block indefinitely (the SSS Decide handler
@@ -30,12 +29,6 @@ type Tuning struct {
 	// MaxBatch caps the envelopes coalesced into one batch frame
 	// (default 64).
 	MaxBatch int
-	// FlushWindow, when positive, makes a sender that just picked up work
-	// wait this long for more envelopes before flushing. The default (0)
-	// flushes immediately: batches then form only under backpressure,
-	// which adds no latency on an idle system — the right trade for a
-	// 20µs-latency fabric.
-	FlushWindow time.Duration
 	// Workers bounds the inbound dispatch pool per endpoint (default
 	// 8×GOMAXPROCS, clamped to [32, 256]). Protocol handlers block by
 	// design (drain waits, lock waits), so the pool is sized for parked
@@ -217,18 +210,6 @@ func (q *outq) sender() {
 			}
 			q.mu.Lock()
 		}
-		full := len(q.buf) >= q.tune.MaxBatch
-		closed := q.closed
-		q.mu.Unlock()
-
-		// Accumulate a bigger batch — but a full batch flushes right away
-		// (the window must never cap throughput below MaxBatch/window),
-		// and shutdown drains without the extra latency.
-		if w := q.tune.FlushWindow; w > 0 && !full && !closed {
-			time.Sleep(w)
-		}
-
-		q.mu.Lock()
 		n := len(q.buf)
 		if n > q.tune.MaxBatch {
 			n = q.tune.MaxBatch

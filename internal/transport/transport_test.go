@@ -359,3 +359,218 @@ func TestTCPSelfSend(t *testing.T) {
 		t.Fatal("loopback not delivered")
 	}
 }
+
+// multiNet is a client (node 0) and three servers (nodes 1..3) on one
+// network. Each server answers a request with a DecideAck naming itself
+// (Txn.Node), so a reply shows which leg it belongs to; a server with a hold
+// channel delays its answers until the channel is closed.
+type multiNet struct {
+	cli  *RPC
+	hold [4]chan struct{}
+}
+
+var multiTargets = []wire.NodeID{1, 2, 3}
+
+// forEachMultiNet runs f on a fresh multiNet, with the servers in held
+// holding their answers, over the in-process back end (built from cfg) and
+// over TCP.
+func forEachMultiNet(t *testing.T, cfg InProcConfig, held []wire.NodeID, f func(t *testing.T, mn *multiNet)) {
+	backends := []struct {
+		name string
+		mk   func(t *testing.T) Network
+	}{
+		{"inproc", func(*testing.T) Network { return NewInProc(cfg) }},
+		{"tcp", func(t *testing.T) Network {
+			book := make(map[wire.NodeID]string)
+			for i, a := range freePorts(t, 4) {
+				book[wire.NodeID(i)] = a
+			}
+			return NewTCP(book)
+		}},
+	}
+	for _, be := range backends {
+		be := be
+		t.Run(be.name, func(t *testing.T) {
+			nw := be.mk(t)
+			mn := &multiNet{}
+			for _, id := range held {
+				mn.hold[id] = make(chan struct{})
+			}
+			var rpcs [4]*RPC
+			t.Cleanup(func() {
+				for _, id := range held {
+					mn.release(id)
+				}
+				for _, r := range rpcs {
+					if r != nil {
+						_ = r.Close()
+					}
+				}
+				_ = nw.Close()
+			})
+			for id := wire.NodeID(0); id < 4; id++ {
+				id := id
+				r, err := NewRPC(nw, id, func(from wire.NodeID, rid uint64, _ wire.Msg) {
+					if rid == 0 {
+						return
+					}
+					if ch := mn.hold[id]; ch != nil {
+						<-ch
+					}
+					_ = rpcs[id].Reply(from, rid, &wire.DecideAck{Txn: wire.TxnID{Node: id}})
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				rpcs[id] = r
+			}
+			mn.cli = rpcs[0]
+			f(t, mn)
+		})
+	}
+}
+
+// release lets held server id answer; it is idempotent.
+func (mn *multiNet) release(id wire.NodeID) {
+	select {
+	case <-mn.hold[id]:
+	default:
+		close(mn.hold[id])
+	}
+}
+
+func pendingLen(r *RPC) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.pending)
+}
+
+// collect reads m to exhaustion and checks every reply sits on the leg of
+// the server that sent it, one reply per leg.
+func collect(t *testing.T, m *Multi, targets []wire.NodeID) int {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	seen := make(map[int]bool)
+	for {
+		leg, resp, err := m.Next(ctx)
+		if err != nil {
+			if errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("multi-call stalled after %d replies", len(seen))
+			}
+			return len(seen)
+		}
+		if seen[leg] {
+			t.Fatalf("leg %d answered twice", leg)
+		}
+		seen[leg] = true
+		if from := resp.(*wire.DecideAck).Txn.Node; from != targets[leg] {
+			t.Fatalf("leg %d (node %d) carries node %d's reply", leg, targets[leg], from)
+		}
+	}
+}
+
+// TestMultiTagsRepliesByLeg: replies come back tagged with the index of the
+// target that sent them, exactly one per leg — also when the network
+// delivers every request and every reply twice.
+func TestMultiTagsRepliesByLeg(t *testing.T) {
+	cfg := InProcConfig{DisableLatency: true, DuplicateDeliveries: true}
+	forEachMultiNet(t, cfg, nil, func(t *testing.T, mn *multiNet) {
+		for round := 0; round < 20; round++ {
+			m := mn.cli.Multi(multiTargets, &wire.Remove{})
+			if got := collect(t, m, multiTargets); got != len(multiTargets) {
+				t.Fatalf("round %d: %d replies, want %d", round, got, len(multiTargets))
+			}
+			m.Release()
+			if n := pendingLen(mn.cli); n != 0 {
+				t.Fatalf("round %d: %d slots left registered", round, n)
+			}
+		}
+	})
+}
+
+// TestMultiExpiryLeavesNothingBehind: a fan-out whose context expires with
+// one leg unanswered returns the answered legs and deregisters the rest, and
+// the straggler's late reply is not read by the next fan-out issued from the
+// same goroutine (which may well reuse the reply channel).
+func TestMultiExpiryLeavesNothingBehind(t *testing.T) {
+	forEachMultiNet(t, InProcConfig{DisableLatency: true}, []wire.NodeID{3}, func(t *testing.T, mn *multiNet) {
+		// Warm the links first so the short budget below is not spent dialing.
+		warm := mn.cli.Multi(multiTargets[:2], &wire.Remove{})
+		collect(t, warm, multiTargets)
+		warm.Release()
+
+		ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+		replies, first := mn.cli.Gather(ctx, multiTargets, &wire.Remove{}, nil)
+		cancel()
+		if replies[0] == nil || replies[1] == nil || replies[2] != nil {
+			t.Fatalf("replies = %v, want the first two legs only", replies)
+		}
+		if first.IsZero() {
+			t.Fatal("no first-reply instant with two legs answered")
+		}
+		if n := pendingLen(mn.cli); n != 0 {
+			t.Fatalf("%d slots left registered after expiry", n)
+		}
+
+		next := mn.cli.Multi(multiTargets[:2], &wire.Remove{})
+		defer next.Release()
+		mn.release(3) // the straggler answers now
+		// Links deliver in order: once node 3 has answered this call, its
+		// late reply has reached the client too.
+		cctx, ccancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer ccancel()
+		if _, err := mn.cli.Call(cctx, 3, &wire.Remove{}); err != nil {
+			t.Fatal(err)
+		}
+		if got := collect(t, next, multiTargets); got != 2 {
+			t.Fatalf("next fan-out read %d replies, want 2", got)
+		}
+	})
+}
+
+// TestMultiReleaseAfterFirstReply: a fastest-reply caller that returns on
+// the first of three answers leaves no slot registered.
+func TestMultiReleaseAfterFirstReply(t *testing.T) {
+	forEachMultiNet(t, InProcConfig{DisableLatency: true}, []wire.NodeID{2, 3}, func(t *testing.T, mn *multiNet) {
+		m := mn.cli.Multi(multiTargets, &wire.Remove{})
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if leg, _, err := m.Next(ctx); err != nil || leg != 0 {
+			t.Fatalf("first reply: leg %d, err %v; want leg 0", leg, err)
+		}
+		if n := pendingLen(mn.cli); n != 2 {
+			t.Fatalf("%d slots registered while two legs are out, want 2", n)
+		}
+		m.Release()
+		if n := pendingLen(mn.cli); n != 0 {
+			t.Fatalf("%d slots left registered after release", n)
+		}
+	})
+}
+
+// TestRPCCloseFailsOutstandingCalls: closing the RPC ends a call parked on a
+// peer that never answers, long before the call's own context would.
+func TestRPCCloseFailsOutstandingCalls(t *testing.T) {
+	forEachMultiNet(t, InProcConfig{DisableLatency: true}, []wire.NodeID{1}, func(t *testing.T, mn *multiNet) {
+		errc := make(chan error, 1)
+		go func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			_, err := mn.cli.Call(ctx, 1, &wire.Remove{})
+			errc <- err
+		}()
+		for pendingLen(mn.cli) == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		_ = mn.cli.Close()
+		select {
+		case err := <-errc:
+			if !errors.Is(err, ErrClosed) {
+				t.Fatalf("err = %v, want ErrClosed", err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("call still parked 2s after Close")
+		}
+	})
+}

@@ -70,7 +70,6 @@ type Node struct {
 	pending map[wire.TxnID]*pendingTxn
 
 	closed atomic.Bool
-	wg     sync.WaitGroup
 }
 
 type pendingTxn struct {
@@ -121,9 +120,7 @@ func (nd *Node) Preload(key string, val []byte) {
 // Close detaches the node from the network.
 func (nd *Node) Close() error {
 	nd.closed.Store(true)
-	err := nd.rpc.Close()
-	nd.wg.Wait()
-	return err
+	return nd.rpc.Close()
 }
 
 func (nd *Node) shard(key string) *shard {
@@ -312,40 +309,25 @@ func (t *Txn) Read(key string) ([]byte, bool, error) {
 	targets := t.nd.lookup.Replicas(key)
 	ctx, cancel := context.WithTimeout(context.Background(), t.nd.cfg.VoteTimeout)
 	defer cancel()
-	type answer struct {
-		resp *wire.ReadReturn
-		err  error
-	}
-	ch := make(chan answer, len(targets))
-	req := &wire.ReadRequest{Txn: t.id, Key: key}
-	for _, to := range targets {
-		to := to
-		t.nd.wg.Add(1)
-		go func() {
-			defer t.nd.wg.Done()
-			resp, err := t.nd.rpc.Call(ctx, to, req)
-			if err != nil {
-				ch <- answer{err: err}
-				return
-			}
-			rr, ok := resp.(*wire.ReadReturn)
-			if !ok {
-				ch <- answer{err: fmt.Errorf("twopc: unexpected response %T", resp)}
-				return
-			}
-			ch <- answer{resp: rr}
-		}()
-	}
+	m := t.nd.rpc.Multi(targets, &wire.ReadRequest{Txn: t.id, Key: key})
+	defer m.Release()
 	var lastErr error
-	for range targets {
-		a := <-ch
-		if a.err != nil {
-			lastErr = a.err
+	for {
+		_, resp, err := m.Next(ctx)
+		if err != nil {
+			if lastErr == nil {
+				lastErr = err
+			}
+			break
+		}
+		rr, ok := resp.(*wire.ReadReturn)
+		if !ok {
+			lastErr = fmt.Errorf("twopc: unexpected response %T", resp)
 			continue
 		}
-		t.rs[key] = readVal{val: a.resp.Val, ver: a.resp.Ver, exists: a.resp.Exists}
+		t.rs[key] = readVal{val: rr.Val, ver: rr.Ver, exists: rr.Exists}
 		t.rsOrder = append(t.rsOrder, key)
-		return a.resp.Val, a.resp.Exists, nil
+		return rr.Val, rr.Exists, nil
 	}
 	return nil, false, fmt.Errorf("%w: read %q: %v", kv.ErrUnavailable, key, lastErr)
 }
@@ -395,7 +377,7 @@ func (t *Txn) Commit() error {
 	prep := &wire.Prepare{Txn: t.id, ReadKeys: t.rsOrder, Writes: writes, ReadVers: vers}
 
 	ctx, cancel := context.WithTimeout(context.Background(), nd.cfg.VoteTimeout)
-	votes := broadcast(nd, ctx, participants, prep)
+	votes, _ := nd.rpc.Gather(ctx, participants, prep, nil)
 	cancel()
 
 	outcome := true
@@ -409,7 +391,7 @@ func (t *Txn) Commit() error {
 
 	dctx, dcancel := context.WithTimeout(context.Background(), nd.cfg.VoteTimeout)
 	defer dcancel()
-	broadcast(nd, dctx, participants, &wire.Decide{Txn: t.id, Commit: outcome})
+	nd.rpc.Gather(dctx, participants, &wire.Decide{Txn: t.id, Commit: outcome}, nil)
 
 	now := time.Now()
 	if !outcome {
@@ -425,25 +407,4 @@ func (t *Txn) Commit() error {
 	nd.stats.CommitLatency.Observe(now.Sub(t.begin))
 	nd.stats.InternalLatency.Observe(now.Sub(t.begin))
 	return nil
-}
-
-func broadcast(nd *Node, ctx context.Context, participants []wire.NodeID, msg wire.Msg) []wire.Msg {
-	out := make([]wire.Msg, len(participants))
-	done := make(chan struct{}, len(participants))
-	for i, to := range participants {
-		i, to := i, to
-		nd.wg.Add(1)
-		go func() {
-			defer nd.wg.Done()
-			resp, err := nd.rpc.Call(ctx, to, msg)
-			if err == nil {
-				out[i] = resp
-			}
-			done <- struct{}{}
-		}()
-	}
-	for range participants {
-		<-done
-	}
-	return out
 }

@@ -178,7 +178,7 @@ func (t *Txn) slowCommit(writes []wire.KV, prefSet map[wire.NodeID]struct{}) err
 	prep := &wire.Prepare{Txn: t.id, VC: t.snap, Writes: writes}
 
 	ctx, cancel := context.WithTimeout(context.Background(), nd.cfg.VoteTimeout)
-	votes := t.broadcast(ctx, participants, prep)
+	votes, _ := t.nd.rpc.Gather(ctx, participants, prep, nil)
 	cancel()
 	outcome := true
 	for _, v := range votes {
@@ -201,7 +201,7 @@ func (t *Txn) slowCommit(writes []wire.KV, prefSet map[wire.NodeID]struct{}) err
 	}
 	dctx, dcancel := context.WithTimeout(context.Background(), nd.cfg.VoteTimeout)
 	defer dcancel()
-	t.broadcast(dctx, participants, &wire.Decide{Txn: t.id, VC: stamp, Commit: outcome})
+	t.nd.rpc.Gather(dctx, participants, &wire.Decide{Txn: t.id, VC: stamp, Commit: outcome}, nil)
 
 	if !outcome {
 		return kv.ErrAborted
@@ -233,25 +233,4 @@ func (t *Txn) propagate(seq uint64, writes []wire.KV, skip map[wire.NodeID]struc
 		}
 		_ = nd.rpc.Notify(r, msg)
 	}
-}
-
-func (t *Txn) broadcast(ctx context.Context, participants []wire.NodeID, msg wire.Msg) []wire.Msg {
-	out := make([]wire.Msg, len(participants))
-	done := make(chan struct{}, len(participants))
-	for i, to := range participants {
-		i, to := i, to
-		t.nd.wg.Add(1)
-		go func() {
-			defer t.nd.wg.Done()
-			resp, err := t.nd.rpc.Call(ctx, to, msg)
-			if err == nil {
-				out[i] = resp
-			}
-			done <- struct{}{}
-		}()
-	}
-	for range participants {
-		<-done
-	}
-	return out
 }

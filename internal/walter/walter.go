@@ -92,7 +92,6 @@ type Node struct {
 	pending map[wire.TxnID]*pendingTxn
 
 	closed atomic.Bool
-	wg     sync.WaitGroup
 }
 
 // New creates a Walter node with the given ID on net.
@@ -138,9 +137,7 @@ func (nd *Node) Preload(key string, val []byte) {
 // Close detaches the node from the network.
 func (nd *Node) Close() error {
 	nd.closed.Store(true)
-	err := nd.rpc.Close()
-	nd.wg.Wait()
-	return err
+	return nd.rpc.Close()
 }
 
 func (nd *Node) shard(key string) *shard {

@@ -40,17 +40,18 @@ check() {
 }
 
 # Read-only transaction end-to-end (Begin + reads + Commit). Seed was 33
-# (ops=1) and 100 (ops=4) allocs/op; the PR-2 diet brought them to 27/64 and
-# the PR-4 transport-channel pooling + warm caller pool to 25/58.
+# (ops=1) and 100 (ops=4) allocs/op; the PR-2 diet brought them to 27/64, the
+# PR-4 transport-channel pooling to 25/58, and they measure 25/56 with the
+# goroutine-free fan-out (transport.Multi).
 check ./internal/engine 'BenchmarkReadOnlyTxn/ops' 2000x \
   'BenchmarkReadOnlyTxn/ops=1' 28 \
-  'BenchmarkReadOnlyTxn/ops=4' 64
+  'BenchmarkReadOnlyTxn/ops=4' 62
 
 # Update transaction end-to-end (Begin + read-modify-writes + Commit through
 # prepare, piggybacked decide+drain, queued freeze/purge). Pre-diet baseline
 # was 114/133 (local) and 184 (remote) allocs/op; the write-side diet
-# (commit scratch, pooled RPC channels, warm callers, batch reuse,
-# single-replica update reads) measures 78/95 and 116.
+# (commit scratch, pooled RPC reply channels, goroutine-free fan-out, batch
+# reuse, single-replica update reads) measures 79/96 and 124.
 check ./internal/engine 'BenchmarkUpdateTxnCommit' 2000x \
   'BenchmarkUpdateTxnCommit/ops=1' 85 \
   'BenchmarkUpdateTxnCommit/ops=2' 105 \
