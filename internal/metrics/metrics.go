@@ -7,6 +7,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync/atomic"
 	"time"
 )
@@ -42,25 +43,10 @@ func (h *Histogram) Observe(d time.Duration) {
 }
 
 func bucketOf(ns uint64) int {
-	if ns == 0 {
-		return 0
+	if b := bits.Len64(ns); b < numBuckets {
+		return b
 	}
-	b := 64 - leadingZeros(ns)
-	if b >= numBuckets {
-		return numBuckets - 1
-	}
-	return b
-}
-
-func leadingZeros(x uint64) int {
-	n := 0
-	for i := 63; i >= 0; i-- {
-		if x&(1<<uint(i)) != 0 {
-			return n
-		}
-		n++
-	}
-	return 64
+	return numBuckets - 1
 }
 
 // Merge folds other's observations into h.

@@ -64,6 +64,20 @@ func TestBucketOf(t *testing.T) {
 	if b := bucketOf(1 << 63); b != numBuckets-1 {
 		t.Fatalf("bucketOf(huge) = %d", b)
 	}
+	// Every bucket edge below the last bucket agrees with BucketUpperBound:
+	// 2^i-1 is bucket i's inclusive bound and 2^i opens bucket i+1.
+	for i := 0; i < numBuckets-1; i++ {
+		ub := BucketUpperBound(i)
+		if ub != 1<<uint(i)-1 {
+			t.Fatalf("BucketUpperBound(%d) = %d, want 2^%d-1", i, ub, i)
+		}
+		if b := bucketOf(ub); b != i {
+			t.Fatalf("bucketOf(2^%d-1) = %d, want %d", i, b, i)
+		}
+		if b := bucketOf(ub + 1); b != i+1 {
+			t.Fatalf("bucketOf(2^%d) = %d, want %d", i, b, i+1)
+		}
+	}
 }
 
 func TestHistogramConcurrent(t *testing.T) {

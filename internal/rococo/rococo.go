@@ -22,33 +22,21 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"github.com/sss-paper/sss/internal/baseline"
 	"github.com/sss-paper/sss/internal/cluster"
-	"github.com/sss-paper/sss/internal/metrics"
 	"github.com/sss-paper/sss/internal/transport"
 	"github.com/sss-paper/sss/internal/wire"
 )
 
-// Config tunes a ROCOCO node.
-type Config struct {
-	// RPCTimeout bounds each protocol round.
-	RPCTimeout time.Duration
-	// ExecTimeout bounds the wait for conflicting transactions during
+const (
+	// rpcTimeout bounds the dispatch round of an update transaction.
+	rpcTimeout = time.Second
+	// execTimeout bounds the wait for conflicting transactions during
 	// piece execution and read-only probes.
-	ExecTimeout time.Duration
-}
-
-func (c Config) withDefaults() Config {
-	if c.RPCTimeout <= 0 {
-		c.RPCTimeout = time.Second
-	}
-	if c.ExecTimeout <= 0 {
-		c.ExecTimeout = 10 * time.Second
-	}
-	return c
-}
+	execTimeout = 10 * time.Second
+)
 
 type entry struct {
 	val []byte
@@ -65,62 +53,41 @@ type ptxn struct {
 
 // Node is one ROCOCO server.
 type Node struct {
-	id     wire.NodeID
-	n      int
-	cfg    Config
-	lookup cluster.Lookup
-	rpc    *transport.RPC
-	stats  *metrics.Engine
+	baseline.Node
 
 	mu      sync.Mutex
 	cond    *sync.Cond
 	clock   uint64
 	pending map[wire.TxnID]*ptxn
 	store   map[string]*entry
-
-	txnSeq atomic.Uint64
-	closed atomic.Bool
 }
 
 // New creates a ROCOCO node with the given ID on net.
-func New(net transport.Network, id wire.NodeID, n int, lookup cluster.Lookup, cfg Config) (*Node, error) {
+func New(net transport.Network, id wire.NodeID, n int, lookup cluster.Lookup) (*Node, error) {
 	nd := &Node{
-		id:      id,
-		n:       n,
-		cfg:     cfg.withDefaults(),
-		lookup:  lookup,
-		stats:   &metrics.Engine{},
 		pending: make(map[wire.TxnID]*ptxn),
 		store:   make(map[string]*entry),
 	}
 	nd.cond = sync.NewCond(&nd.mu)
-	rpc, err := transport.NewRPC(net, id, nd.serve)
-	if err != nil {
-		return nil, fmt.Errorf("rococo: node %d: %w", id, err)
+	if err := nd.Join(net, id, n, lookup, nd.serve); err != nil {
+		return nil, fmt.Errorf("rococo: %w", err)
 	}
-	nd.rpc = rpc
 	return nd, nil
 }
 
-// ID returns the node's identifier.
-func (nd *Node) ID() wire.NodeID { return nd.id }
-
-// Stats exposes the node's metrics.
-func (nd *Node) Stats() *metrics.Engine { return nd.stats }
-
 // Preload installs an initial value for key if this node replicates it.
 func (nd *Node) Preload(key string, val []byte) {
-	if nd.lookup.IsReplica(key, nd.id) {
+	if nd.Lookup.IsReplica(key, nd.ID()) {
 		nd.mu.Lock()
 		nd.store[key] = &entry{val: val, ver: 1}
 		nd.mu.Unlock()
 	}
 }
 
-// Close detaches the node from the network.
+// Close detaches the node from the network and wakes every handler waiting
+// on the executor.
 func (nd *Node) Close() error {
-	nd.closed.Store(true)
-	err := nd.rpc.Close()
+	err := nd.Node.Close()
 	nd.cond.Broadcast()
 	return err
 }
@@ -129,9 +96,6 @@ func (nd *Node) Close() error {
 // worker (or a spill goroutine under saturation), so the commit waits in
 // the dispatch/commit handlers are safe.
 func (nd *Node) serve(from wire.NodeID, rid uint64, msg wire.Msg) {
-	if nd.closed.Load() {
-		return
-	}
 	switch m := msg.(type) {
 	case *wire.RococoDispatch:
 		if len(m.Writes) == 0 {
@@ -152,7 +116,7 @@ func (nd *Node) handleDispatch(from wire.NodeID, rid uint64, m *wire.RococoDispa
 	localReads := nd.localKeys(m.ReadKeys)
 	localWrites := make([]wire.KV, 0, len(m.Writes))
 	for _, w := range m.Writes {
-		if nd.lookup.IsReplica(w.Key, nd.id) {
+		if nd.Lookup.IsReplica(w.Key, nd.ID()) {
 			localWrites = append(localWrites, w)
 		}
 	}
@@ -170,19 +134,19 @@ func (nd *Node) handleDispatch(from wire.NodeID, rid uint64, m *wire.RococoDispa
 	seq := pt.proposed
 	nd.mu.Unlock()
 
-	_ = nd.rpc.Reply(from, rid, &wire.RococoDispatchReply{Txn: m.Txn, Seq: seq, Deps: deps})
+	_ = nd.RPC.Reply(from, rid, &wire.RococoDispatchReply{Txn: m.Txn, Seq: seq, Deps: deps})
 }
 
 // handleCommit fixes the final sequence number and executes the pieces once
 // every conflicting transaction that must precede this one has executed.
 // The reply carries the read pieces' results.
 func (nd *Node) handleCommit(from wire.NodeID, rid uint64, m *wire.RococoCommit) {
-	deadline := time.Now().Add(nd.cfg.ExecTimeout)
+	deadline := time.Now().Add(execTimeout)
 	nd.mu.Lock()
 	pt := nd.pending[m.Txn]
 	if pt == nil {
 		nd.mu.Unlock()
-		_ = nd.rpc.Reply(from, rid, &wire.RococoCommitReply{Txn: m.Txn})
+		_ = nd.RPC.Reply(from, rid, &wire.RococoCommitReply{Txn: m.Txn})
 		return
 	}
 	pt.final = m.Seq
@@ -192,7 +156,7 @@ func (nd *Node) handleCommit(from wire.NodeID, rid uint64, m *wire.RococoCommit)
 	nd.cond.Broadcast()
 
 	for !nd.executableLocked(m.Txn, pt) {
-		if time.Now().After(deadline) || nd.closed.Load() {
+		if time.Now().After(deadline) || nd.Closed() {
 			break
 		}
 		timer := time.AfterFunc(10*time.Millisecond, nd.cond.Broadcast)
@@ -220,7 +184,7 @@ func (nd *Node) handleCommit(from wire.NodeID, rid uint64, m *wire.RococoCommit)
 	nd.cond.Broadcast()
 	nd.mu.Unlock()
 
-	_ = nd.rpc.Reply(from, rid, &wire.RococoCommitReply{Txn: m.Txn, Vals: vals})
+	_ = nd.RPC.Reply(from, rid, &wire.RococoCommitReply{Txn: m.Txn, Vals: vals})
 }
 
 // executableLocked reports whether txn may execute now: every conflicting
@@ -282,12 +246,12 @@ func conflicts(a, b *ptxn) bool {
 // handleROProbe serves one round of a read-only transaction: wait until no
 // conflicting writer is in flight, then return values and versions.
 func (nd *Node) handleROProbe(from wire.NodeID, rid uint64, m *wire.RococoDispatch) {
-	deadline := time.Now().Add(nd.cfg.ExecTimeout)
+	deadline := time.Now().Add(execTimeout)
 	local := nd.localKeys(m.ReadKeys)
 
 	nd.mu.Lock()
 	for nd.writerPendingLocked(local) {
-		if time.Now().After(deadline) || nd.closed.Load() {
+		if time.Now().After(deadline) || nd.Closed() {
 			break
 		}
 		timer := time.AfterFunc(10*time.Millisecond, nd.cond.Broadcast)
@@ -304,7 +268,7 @@ func (nd *Node) handleROProbe(from wire.NodeID, rid uint64, m *wire.RococoDispat
 	}
 	nd.mu.Unlock()
 
-	_ = nd.rpc.Reply(from, rid, &wire.RococoDispatchReply{
+	_ = nd.RPC.Reply(from, rid, &wire.RococoDispatchReply{
 		Txn: m.Txn, Vals: vals, Versions: vers, Exists: exists,
 	})
 }
@@ -325,7 +289,7 @@ func (nd *Node) writerPendingLocked(keys []string) bool {
 func (nd *Node) localKeys(keys []string) []string {
 	var out []string
 	for _, k := range keys {
-		if nd.lookup.IsReplica(k, nd.id) {
+		if nd.Lookup.IsReplica(k, nd.ID()) {
 			out = append(out, k)
 		}
 	}

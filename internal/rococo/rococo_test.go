@@ -19,7 +19,7 @@ func newCluster(t *testing.T, n int) []*Node {
 	lookup := cluster.NewLookup(n, 1) // the paper runs ROCOCO unreplicated
 	nodes := make([]*Node, n)
 	for i := 0; i < n; i++ {
-		nd, err := New(net, wire.NodeID(i), n, lookup, Config{})
+		nd, err := New(net, wire.NodeID(i), n, lookup)
 		if err != nil {
 			t.Fatal(err)
 		}

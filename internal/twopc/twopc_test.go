@@ -19,7 +19,7 @@ func newCluster(t *testing.T, n, degree int) []*Node {
 	lookup := cluster.NewLookup(n, degree)
 	nodes := make([]*Node, n)
 	for i := 0; i < n; i++ {
-		nd, err := New(net, wire.NodeID(i), n, lookup, Config{})
+		nd, err := New(net, wire.NodeID(i), n, lookup)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,10 +205,10 @@ func TestReplicasConverge(t *testing.T) {
 	lookup := cluster.NewLookup(4, 2)
 	for _, r := range lookup.Replicas("k") {
 		nd := nodes[r]
-		sh := nd.shard("k")
-		sh.mu.Lock()
-		e := sh.keys["k"]
-		sh.mu.Unlock()
+		sh := nd.shards.Of("k")
+		sh.Mu.Lock()
+		e := sh.Keys["k"]
+		sh.Mu.Unlock()
 		if e == nil {
 			t.Fatalf("replica %d missing k", r)
 		}

@@ -3,8 +3,8 @@ package walter
 import (
 	"context"
 	"fmt"
-	"time"
 
+	"github.com/sss-paper/sss/internal/baseline"
 	"github.com/sss-paper/sss/internal/vclock"
 	"github.com/sss-paper/sss/internal/wire"
 	"github.com/sss-paper/sss/kv"
@@ -12,18 +12,11 @@ import (
 
 // Txn is a Walter transaction running under PSI. It implements kv.Txn.
 type Txn struct {
-	nd       *Node
-	id       wire.TxnID
-	readOnly bool
+	baseline.Txn
+	nd *Node
 
 	snap vclock.VC // snapshot taken at Begin
-
-	rs      map[string]readVal
-	ws      map[string][]byte
-	wsOrder []string
-
-	begin time.Time
-	done  bool
+	rs   map[string]readVal
 }
 
 type readVal struct {
@@ -35,24 +28,13 @@ var _ kv.Txn = (*Txn)(nil)
 
 // Begin starts a transaction with the site-local snapshot.
 func (nd *Node) Begin(readOnly bool) *Txn {
-	return &Txn{
-		nd:       nd,
-		id:       wire.TxnID{Node: nd.id, Seq: nd.txnSeq.Add(1)},
-		readOnly: readOnly,
-		snap:     nd.snapshot(),
-		rs:       make(map[string]readVal),
-		ws:       make(map[string][]byte),
-		begin:    time.Now(),
-	}
+	return &Txn{Txn: nd.NewTxn(readOnly), nd: nd, snap: nd.snapshot(), rs: make(map[string]readVal)}
 }
 
 // Read implements kv.Txn: a snapshot read served by the fastest replica.
 func (t *Txn) Read(key string) ([]byte, bool, error) {
-	if t.done {
-		return nil, false, kv.ErrTxnDone
-	}
-	if v, ok := t.ws[key]; ok {
-		return v, true, nil
+	if v, ok, err := t.Buffered(key); ok || err != nil {
+		return v, ok, err
 	}
 	if v, ok := t.rs[key]; ok {
 		return v.val, v.exists, nil
@@ -61,13 +43,13 @@ func (t *Txn) Read(key string) ([]byte, bool, error) {
 	// Walter reads site-locally when the site replicates the key (that is
 	// what makes its reads cheap and what the locality experiment of
 	// Figure 7 rewards); otherwise it asks the key's preferred site.
-	target := t.nd.id
-	if !t.nd.lookup.IsReplica(key, t.nd.id) {
-		target = t.nd.lookup.Primary(key)
+	target := t.nd.ID()
+	if !t.nd.Lookup.IsReplica(key, target) {
+		target = t.nd.Lookup.Primary(key)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), t.nd.cfg.VoteTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), baseline.VoteTimeout)
 	defer cancel()
-	resp, err := t.nd.rpc.Call(ctx, target, &wire.ReadRequest{Txn: t.id, Key: key, VC: t.snap})
+	resp, err := t.nd.RPC.Call(ctx, target, &wire.ReadRequest{Txn: t.ID, Key: key, VC: t.snap})
 	if err != nil {
 		return nil, false, fmt.Errorf("%w: read %q: %v", kv.ErrUnavailable, key, err)
 	}
@@ -79,83 +61,40 @@ func (t *Txn) Read(key string) ([]byte, bool, error) {
 	return rr.Val, rr.Exists, nil
 }
 
-// Write implements kv.Txn.
-func (t *Txn) Write(key string, val []byte) error {
-	if t.done {
-		return kv.ErrTxnDone
-	}
-	if t.readOnly {
-		return kv.ErrReadOnlyWrite
-	}
-	if _, dup := t.ws[key]; !dup {
-		t.wsOrder = append(t.wsOrder, key)
-	}
-	t.ws[key] = val
-	return nil
-}
-
-// Abort implements kv.Txn.
-func (t *Txn) Abort() error {
-	t.done = true
-	return nil
-}
-
 // Commit implements kv.Txn: read-only transactions finish locally;
 // update transactions take the fast path when every written key prefers
 // this site, else the slow (2PC) path against the preferred sites.
-func (t *Txn) Commit() error {
-	if t.done {
-		return kv.ErrTxnDone
-	}
-	t.done = true
-	nd := t.nd
-	now := time.Now
-	if len(t.ws) == 0 {
-		nd.stats.ReadOnlyRuns.Add(1)
-		nd.stats.ReadOnlyLatency.Observe(now().Sub(t.begin))
+func (t *Txn) Commit() error { return t.Finish(t.commit) }
+
+func (t *Txn) commit() error {
+	writes := t.Writes()
+	if len(writes) == 0 {
 		return nil
 	}
-
-	writes := make([]wire.KV, 0, len(t.wsOrder))
+	nd := t.nd
 	allLocal := true
 	prefSet := map[wire.NodeID]struct{}{}
-	for _, k := range t.wsOrder {
-		writes = append(writes, wire.KV{Key: k, Val: t.ws[k]})
-		p := nd.lookup.Primary(k)
+	for _, w := range writes {
+		p := nd.Lookup.Primary(w.Key)
 		prefSet[p] = struct{}{}
-		if p != nd.id {
+		if p != nd.ID() {
 			allLocal = false
 		}
 	}
-
-	var err error
 	if allLocal {
-		err = t.fastCommit(writes)
-	} else {
-		err = t.slowCommit(writes, prefSet)
+		return t.fastCommit(writes)
 	}
-	end := now()
-	if err != nil {
-		nd.stats.Aborts.Add(1)
-		return err
-	}
-	nd.stats.Commits.Add(1)
-	nd.stats.CommitLatency.Observe(end.Sub(t.begin))
-	nd.stats.InternalLatency.Observe(end.Sub(t.begin))
-	return nil
+	return t.slowCommit(writes, prefSet)
 }
 
 // fastCommit commits entirely at the local preferred site.
 func (t *Txn) fastCommit(writes []wire.KV) error {
 	nd := t.nd
-	keys := make([]string, len(writes))
-	for i, w := range writes {
-		keys[i] = w.Key
-	}
-	if !nd.locks.AcquireAll(t.id, keys, nil, nd.cfg.LockTimeout) {
+	keys := t.WriteKeys()
+	if !nd.locks.AcquireAll(t.ID, keys, nil, baseline.LockTimeout) {
 		return kv.ErrAborted
 	}
-	defer nd.locks.ReleaseAll(t.id, keys, nil)
+	defer nd.locks.ReleaseAll(t.ID, keys, nil)
 	if !nd.noWriteConflict(keys, t.snap) {
 		return kv.ErrAborted
 	}
@@ -163,8 +102,8 @@ func (t *Txn) fastCommit(writes []wire.KV) error {
 	nd.ownSeq++
 	seq := nd.ownSeq
 	nd.clockMu.Unlock()
-	nd.applyWrites(nd.id, seq, writes)
-	t.propagate(seq, writes, map[wire.NodeID]struct{}{nd.id: {}})
+	nd.applyWrites(nd.ID(), seq, writes)
+	t.propagate(seq, writes, map[wire.NodeID]struct{}{nd.ID(): {}})
 	return nil
 }
 
@@ -175,19 +114,12 @@ func (t *Txn) slowCommit(writes []wire.KV, prefSet map[wire.NodeID]struct{}) err
 	for p := range prefSet {
 		participants = append(participants, p)
 	}
-	prep := &wire.Prepare{Txn: t.id, VC: t.snap, Writes: writes}
+	prep := &wire.Prepare{Txn: t.ID, VC: t.snap, Writes: writes}
 
-	ctx, cancel := context.WithTimeout(context.Background(), nd.cfg.VoteTimeout)
-	votes, _ := t.nd.rpc.Gather(ctx, participants, prep, nil)
+	ctx, cancel := context.WithTimeout(context.Background(), baseline.VoteTimeout)
+	votes, _ := nd.RPC.Gather(ctx, participants, prep, nil)
 	cancel()
-	outcome := true
-	for _, v := range votes {
-		vote, ok := v.(*wire.Vote)
-		if !ok || !vote.OK {
-			outcome = false
-			break
-		}
-	}
+	outcome := baseline.AllYes(votes)
 
 	var stamp vclock.VC
 	var seq uint64
@@ -196,12 +128,12 @@ func (t *Txn) slowCommit(writes []wire.KV, prefSet map[wire.NodeID]struct{}) err
 		nd.ownSeq++
 		seq = nd.ownSeq
 		nd.clockMu.Unlock()
-		stamp = vclock.New(nd.n)
-		stamp[nd.id] = seq
+		stamp = vclock.New(nd.N)
+		stamp[nd.ID()] = seq
 	}
-	dctx, dcancel := context.WithTimeout(context.Background(), nd.cfg.VoteTimeout)
+	dctx, dcancel := context.WithTimeout(context.Background(), baseline.VoteTimeout)
 	defer dcancel()
-	t.nd.rpc.Gather(dctx, participants, &wire.Decide{Txn: t.id, VC: stamp, Commit: outcome}, nil)
+	nd.RPC.Gather(dctx, participants, &wire.Decide{Txn: t.ID, VC: stamp, Commit: outcome}, nil)
 
 	if !outcome {
 		return kv.ErrAborted
@@ -214,12 +146,12 @@ func (t *Txn) slowCommit(writes []wire.KV, prefSet map[wire.NodeID]struct{}) err
 // did not already apply them during the commit itself (skip).
 func (t *Txn) propagate(seq uint64, writes []wire.KV, skip map[wire.NodeID]struct{}) {
 	nd := t.nd
-	stamp := vclock.New(nd.n)
-	stamp[nd.id] = seq
-	msg := &wire.WalterPropagate{Txn: t.id, VC: stamp, Writes: writes}
+	stamp := vclock.New(nd.N)
+	stamp[nd.ID()] = seq
+	msg := &wire.WalterPropagate{Txn: t.ID, VC: stamp, Writes: writes}
 	targets := map[wire.NodeID]struct{}{}
 	for _, w := range writes {
-		for _, r := range nd.lookup.Replicas(w.Key) {
+		for _, r := range nd.Lookup.Replicas(w.Key) {
 			if _, s := skip[r]; s {
 				continue
 			}
@@ -227,10 +159,10 @@ func (t *Txn) propagate(seq uint64, writes []wire.KV, skip map[wire.NodeID]struc
 		}
 	}
 	for r := range targets {
-		if r == nd.id {
-			nd.applyWrites(nd.id, seq, writes)
+		if r == nd.ID() {
+			nd.applyWrites(nd.ID(), seq, writes)
 			continue
 		}
-		_ = nd.rpc.Notify(r, msg)
+		_ = nd.RPC.Notify(r, msg)
 	}
 }

@@ -23,37 +23,15 @@ package walter
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
-	"time"
 
+	"github.com/sss-paper/sss/internal/baseline"
 	"github.com/sss-paper/sss/internal/cluster"
 	"github.com/sss-paper/sss/internal/lockmgr"
-	"github.com/sss-paper/sss/internal/metrics"
+	"github.com/sss-paper/sss/internal/mvstore"
 	"github.com/sss-paper/sss/internal/transport"
 	"github.com/sss-paper/sss/internal/vclock"
 	"github.com/sss-paper/sss/internal/wire"
 )
-
-// Config tunes a Walter node.
-type Config struct {
-	LockTimeout time.Duration
-	VoteTimeout time.Duration
-	// MaxVersions bounds per-key version chains.
-	MaxVersions int
-}
-
-func (c Config) withDefaults() Config {
-	if c.LockTimeout <= 0 {
-		c.LockTimeout = 2 * time.Millisecond
-	}
-	if c.VoteTimeout <= 0 {
-		c.VoteTimeout = 500 * time.Millisecond
-	}
-	if c.MaxVersions <= 0 {
-		c.MaxVersions = 64
-	}
-	return c
-}
 
 // version is one committed version stamped by its coordinator site.
 type version struct {
@@ -63,98 +41,42 @@ type version struct {
 	prev *version
 }
 
-const numShards = 128
-
-type shard struct {
-	mu   sync.Mutex
-	keys map[string]*version // newest first
-}
-
 // Node is one Walter site.
 type Node struct {
-	id     wire.NodeID
-	n      int
-	cfg    Config
-	lookup cluster.Lookup
-	rpc    *transport.RPC
+	baseline.Node
 	locks  *lockmgr.Table
-	stats  *metrics.Engine
-
-	shards []shard
+	shards baseline.Shards[*version] // chains newest first
 
 	clockMu sync.Mutex
 	nodeVC  vclock.VC // per-site applied sequence numbers
 	ownSeq  uint64    // sequence numbers this site has handed out
 
-	txnSeq atomic.Uint64
-
 	mu      sync.Mutex
 	pending map[wire.TxnID]*pendingTxn
-
-	closed atomic.Bool
 }
 
 // New creates a Walter node with the given ID on net.
-func New(net transport.Network, id wire.NodeID, n int, lookup cluster.Lookup, cfg Config) (*Node, error) {
+func New(net transport.Network, id wire.NodeID, n int, lookup cluster.Lookup) (*Node, error) {
 	nd := &Node{
-		id:      id,
-		n:       n,
-		cfg:     cfg.withDefaults(),
-		lookup:  lookup,
 		locks:   lockmgr.New(),
-		stats:   &metrics.Engine{},
-		shards:  make([]shard, numShards),
+		shards:  baseline.NewShards[*version](),
 		nodeVC:  vclock.New(n),
 		pending: make(map[wire.TxnID]*pendingTxn),
 	}
-	for i := range nd.shards {
-		nd.shards[i].keys = make(map[string]*version)
+	if err := nd.Join(net, id, n, lookup, nd.serve); err != nil {
+		return nil, fmt.Errorf("walter: %w", err)
 	}
-	rpc, err := transport.NewRPC(net, id, nd.serve)
-	if err != nil {
-		return nil, fmt.Errorf("walter: node %d: %w", id, err)
-	}
-	nd.rpc = rpc
 	return nd, nil
 }
 
-// ID returns the node's identifier.
-func (nd *Node) ID() wire.NodeID { return nd.id }
-
-// Stats exposes the node's metrics.
-func (nd *Node) Stats() *metrics.Engine { return nd.stats }
-
 // Preload installs an initial value for key if this node replicates it.
 func (nd *Node) Preload(key string, val []byte) {
-	if nd.lookup.IsReplica(key, nd.id) {
-		sh := nd.shard(key)
-		sh.mu.Lock()
-		sh.keys[key] = &version{val: val}
-		sh.mu.Unlock()
+	if nd.Lookup.IsReplica(key, nd.ID()) {
+		sh := nd.shards.Of(key)
+		sh.Mu.Lock()
+		sh.Keys[key] = &version{val: val}
+		sh.Mu.Unlock()
 	}
-}
-
-// Close detaches the node from the network.
-func (nd *Node) Close() error {
-	nd.closed.Store(true)
-	return nd.rpc.Close()
-}
-
-func (nd *Node) shard(key string) *shard {
-	return &nd.shards[fnv32(key)%numShards]
-}
-
-func fnv32(s string) uint32 {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= prime32
-	}
-	return h
 }
 
 func (nd *Node) snapshot() vclock.VC {
@@ -167,9 +89,6 @@ func (nd *Node) snapshot() vclock.VC {
 // worker (or a spill goroutine under saturation), so blocking in handlers
 // is safe.
 func (nd *Node) serve(from wire.NodeID, rid uint64, msg wire.Msg) {
-	if nd.closed.Load() {
-		return
-	}
 	switch m := msg.(type) {
 	case *wire.ReadRequest:
 		nd.handleRead(from, rid, m)
@@ -190,20 +109,20 @@ func (nd *Node) serve(from wire.NodeID, rid uint64, msg wire.Msg) {
 // site observe that site's snapshot — PSI's site-local semantics).
 func (nd *Node) handleRead(from wire.NodeID, rid uint64, m *wire.ReadRequest) {
 	snap := m.VC
-	if from != nd.id {
+	if from != nd.ID() {
 		snap = vclock.Max(m.VC, nd.snapshot())
 	}
-	sh := nd.shard(m.Key)
-	sh.mu.Lock()
+	sh := nd.shards.Of(m.Key)
+	sh.Mu.Lock()
 	var resp wire.ReadReturn
-	for v := sh.keys[m.Key]; v != nil; v = v.prev {
+	for v := sh.Keys[m.Key]; v != nil; v = v.prev {
 		if v.seq <= snap[v.site] {
 			resp = wire.ReadReturn{Val: v.val, Exists: true}
 			break
 		}
 	}
-	sh.mu.Unlock()
-	_ = nd.rpc.Reply(from, rid, &resp)
+	sh.Mu.Unlock()
+	_ = nd.RPC.Reply(from, rid, &resp)
 }
 
 // handlePrepare runs the slow-commit prepare at a preferred site: lock the
@@ -212,11 +131,11 @@ func (nd *Node) handleRead(from wire.NodeID, rid uint64, m *wire.ReadRequest) {
 func (nd *Node) handlePrepare(from wire.NodeID, rid uint64, m *wire.Prepare) {
 	var localWrites []string
 	for _, kvp := range m.Writes {
-		if nd.lookup.Primary(kvp.Key) == nd.id {
+		if nd.Lookup.Primary(kvp.Key) == nd.ID() {
 			localWrites = append(localWrites, kvp.Key)
 		}
 	}
-	ok := nd.locks.AcquireAll(m.Txn, localWrites, nil, nd.cfg.LockTimeout)
+	ok := nd.locks.AcquireAll(m.Txn, localWrites, nil, baseline.LockTimeout)
 	if ok && !nd.noWriteConflict(localWrites, m.VC) {
 		nd.locks.ReleaseAll(m.Txn, localWrites, nil)
 		ok = false
@@ -226,7 +145,7 @@ func (nd *Node) handlePrepare(from wire.NodeID, rid uint64, m *wire.Prepare) {
 		nd.pending[m.Txn] = &pendingTxn{writes: m.Writes, locked: localWrites}
 		nd.mu.Unlock()
 	}
-	_ = nd.rpc.Reply(from, rid, &wire.Vote{Txn: m.Txn, OK: ok})
+	_ = nd.RPC.Reply(from, rid, &wire.Vote{Txn: m.Txn, OK: ok})
 }
 
 // pendingTxn is the participant-side state of a slow commit.
@@ -240,11 +159,11 @@ type pendingTxn struct {
 // checked — that is PSI).
 func (nd *Node) noWriteConflict(keys []string, snap vclock.VC) bool {
 	for _, k := range keys {
-		sh := nd.shard(k)
-		sh.mu.Lock()
-		v := sh.keys[k]
+		sh := nd.shards.Of(k)
+		sh.Mu.Lock()
+		v := sh.Keys[k]
 		conflict := v != nil && v.seq > snap[v.site]
-		sh.mu.Unlock()
+		sh.Mu.Unlock()
 		if conflict {
 			return false
 		}
@@ -266,24 +185,25 @@ func (nd *Node) handleDecide(from wire.NodeID, rid uint64, m *wire.Decide) {
 		}
 		nd.locks.ReleaseAll(m.Txn, pt.locked, nil)
 	}
-	_ = nd.rpc.Reply(from, rid, &wire.DecideAck{Txn: m.Txn})
+	_ = nd.RPC.Reply(from, rid, &wire.DecideAck{Txn: m.Txn})
 }
 
 // applyWrites installs a committed transaction's writes stamped
-// (site, seq), keeping per-site descending order in each chain, then
+// (site, seq), keeping per-site descending order in each chain and at most
+// mvstore.DefaultMaxDepth versions per key, as the SSS engine does, then
 // advances the local view of the stamping site's clock.
 func (nd *Node) applyWrites(site wire.NodeID, seq uint64, writes []wire.KV) {
 	for _, kvp := range writes {
-		if !nd.lookup.IsReplica(kvp.Key, nd.id) {
+		if !nd.Lookup.IsReplica(kvp.Key, nd.ID()) {
 			continue
 		}
-		sh := nd.shard(kvp.Key)
-		sh.mu.Lock()
+		sh := nd.shards.Of(kvp.Key)
+		sh.Mu.Lock()
 		nv := &version{val: kvp.Val, site: site, seq: seq}
-		head := sh.keys[kvp.Key]
+		head := sh.Keys[kvp.Key]
 		if head == nil || head.site != site || head.seq <= seq {
 			nv.prev = head
-			sh.keys[kvp.Key] = nv
+			sh.Keys[kvp.Key] = nv
 		} else {
 			// Late delivery from the same site: keep per-site order.
 			cur := head
@@ -293,16 +213,16 @@ func (nd *Node) applyWrites(site wire.NodeID, seq uint64, writes []wire.KV) {
 			nv.prev = cur.prev
 			cur.prev = nv
 		}
-		// Prune.
-		depth := 1
-		for v := sh.keys[kvp.Key]; v.prev != nil; v = v.prev {
-			depth++
-			if depth >= nd.cfg.MaxVersions {
+		// Prune: v is the depth-th version.
+		v := sh.Keys[kvp.Key]
+		for depth := 1; v.prev != nil; depth++ {
+			if depth == mvstore.DefaultMaxDepth {
 				v.prev = nil
 				break
 			}
+			v = v.prev
 		}
-		sh.mu.Unlock()
+		sh.Mu.Unlock()
 	}
 	nd.clockMu.Lock()
 	if seq > nd.nodeVC[site] {

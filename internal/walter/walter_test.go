@@ -3,11 +3,13 @@ package walter
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/sss-paper/sss/internal/cluster"
+	"github.com/sss-paper/sss/internal/mvstore"
 	"github.com/sss-paper/sss/internal/transport"
 	"github.com/sss-paper/sss/internal/wire"
 	"github.com/sss-paper/sss/kv"
@@ -19,7 +21,7 @@ func newCluster(t *testing.T, n, degree int) []*Node {
 	lookup := cluster.NewLookup(n, degree)
 	nodes := make([]*Node, n)
 	for i := 0; i < n; i++ {
-		nd, err := New(net, wire.NodeID(i), n, lookup, Config{})
+		nd, err := New(net, wire.NodeID(i), n, lookup)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,6 +220,32 @@ func TestSnapshotStableWithinTxn(t *testing.T) {
 		t.Fatalf("snapshot moved within txn: %q -> %q", v1, v2)
 	}
 	_ = ro.Commit()
+}
+
+func TestVersionChainKeepsDefaultDepth(t *testing.T) {
+	// Walter prunes at the SSS engine's depth: the two multi-version
+	// engines of figures 3 and 7 keep the same number of versions.
+	nodes := newCluster(t, 1, 1)
+	for i := 1; i <= 100; i++ {
+		tx := nodes[0].Begin(false)
+		_ = tx.Write("k", []byte(strconv.Itoa(i)))
+		if err := tx.Commit(); err != nil {
+			t.Fatalf("fast commit %d: %v", i, err)
+		}
+	}
+	sh := nodes[0].shards.Of("k")
+	sh.Mu.Lock()
+	defer sh.Mu.Unlock()
+	depth := 0
+	for v := sh.Keys["k"]; v != nil; v = v.prev {
+		if want := strconv.Itoa(100 - depth); string(v.val) != want {
+			t.Fatalf("version %d = %q, want %q (newest first)", depth, v.val, want)
+		}
+		depth++
+	}
+	if depth != mvstore.DefaultMaxDepth {
+		t.Fatalf("chain keeps %d versions, want %d", depth, mvstore.DefaultMaxDepth)
+	}
 }
 
 func TestStateErrors(t *testing.T) {

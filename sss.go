@@ -73,10 +73,12 @@ type Options struct {
 	// DisableLatency turns off the simulated one-way message latency
 	// (20µs, the paper's testbed) for fast functional tests.
 	DisableLatency bool
-	// LockTimeout bounds 2PC lock acquisition (deadlock prevention,
-	// §III-E; the paper uses 1ms on its 20µs network). Zero = default.
+	// LockTimeout bounds the SSS engine's 2PC lock acquisition (deadlock
+	// prevention, §III-E; the paper uses 1ms on its 20µs network). Zero =
+	// default. The competitors use their fixed default.
 	LockTimeout time.Duration
-	// MaxVersions bounds per-key version chains (multi-version engines).
+	// MaxVersions bounds the SSS engine's per-key version chains. Zero =
+	// default (64, which Walter keeps too).
 	MaxVersions int
 	// Seed makes simulated-network jitter and workloads reproducible.
 	Seed int64
@@ -126,60 +128,50 @@ func New(opts Options) (*Cluster, error) {
 
 	for i := 0; i < opts.Nodes; i++ {
 		id := wire.NodeID(i)
-		var nd *Node
+		nd := &Node{id: id}
+		// Each arm constructs its engine's node and says how to Begin.
+		var m member
+		var err error
 		switch opts.Engine {
 		case EngineSSS:
-			en, err := engine.New(net, id, opts.Nodes, lookup, engine.Config{
+			var en *engine.Node
+			en, err = engine.New(net, id, opts.Nodes, lookup, engine.Config{
 				LockTimeout: opts.LockTimeout,
 				MaxVersions: opts.MaxVersions,
 			})
-			if err != nil {
-				return nil, c.failNew(err)
-			}
-			nd = &Node{
-				id:             id,
-				begin:          func(ro bool) kv.Txn { return en.Begin(ro) },
-				stats:          en.Stats(),
-				versionWriters: en.VersionWriters,
-			}
-			c.closer = append(c.closer, en.Close)
-			c.preloaders = append(c.preloaders, en.Preload)
+			m, nd.begin, nd.versionWriters = en, func(ro bool) kv.Txn { return en.Begin(ro) }, en.VersionWriters
 		case Engine2PC:
-			en, err := twopc.New(net, id, opts.Nodes, lookup, twopc.Config{
-				LockTimeout: opts.LockTimeout,
-			})
-			if err != nil {
-				return nil, c.failNew(err)
-			}
-			nd = &Node{id: id, begin: func(ro bool) kv.Txn { return en.Begin(ro) }, stats: en.Stats()}
-			c.closer = append(c.closer, en.Close)
-			c.preloaders = append(c.preloaders, en.Preload)
+			var en *twopc.Node
+			en, err = twopc.New(net, id, opts.Nodes, lookup)
+			m, nd.begin = en, func(ro bool) kv.Txn { return en.Begin(ro) }
 		case EngineWalter:
-			en, err := walter.New(net, id, opts.Nodes, lookup, walter.Config{
-				LockTimeout: opts.LockTimeout,
-				MaxVersions: opts.MaxVersions,
-			})
-			if err != nil {
-				return nil, c.failNew(err)
-			}
-			nd = &Node{id: id, begin: func(ro bool) kv.Txn { return en.Begin(ro) }, stats: en.Stats()}
-			c.closer = append(c.closer, en.Close)
-			c.preloaders = append(c.preloaders, en.Preload)
+			var en *walter.Node
+			en, err = walter.New(net, id, opts.Nodes, lookup)
+			m, nd.begin = en, func(ro bool) kv.Txn { return en.Begin(ro) }
 		case EngineROCOCO:
-			en, err := rococo.New(net, id, opts.Nodes, lookup, rococo.Config{})
-			if err != nil {
-				return nil, c.failNew(err)
-			}
-			nd = &Node{id: id, begin: func(ro bool) kv.Txn { return en.Begin(ro) }, stats: en.Stats()}
-			c.closer = append(c.closer, en.Close)
-			c.preloaders = append(c.preloaders, en.Preload)
+			var en *rococo.Node
+			en, err = rococo.New(net, id, opts.Nodes, lookup)
+			m, nd.begin = en, func(ro bool) kv.Txn { return en.Begin(ro) }
 		default:
-			return nil, c.failNew(fmt.Errorf("sss: unknown engine %q", opts.Engine))
+			err = fmt.Errorf("sss: unknown engine %q", opts.Engine)
 		}
+		if err != nil {
+			return nil, c.failNew(err)
+		}
+		nd.stats = m.Stats()
+		c.closer = append(c.closer, m.Close)
+		c.preloaders = append(c.preloaders, m.Preload)
 		c.nodes = append(c.nodes, nd)
 	}
 
 	return c, nil
+}
+
+// member is what a cluster needs of every engine's node besides Begin.
+type member interface {
+	Stats() *metrics.Engine
+	Preload(key string, val []byte)
+	Close() error
 }
 
 func (c *Cluster) failNew(err error) error {
