@@ -201,14 +201,5 @@ func NewShards[E any]() Shards[E] {
 
 // Of returns the stripe holding key.
 func (s Shards[E]) Of(key string) *Shard[E] {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= prime32
-	}
-	return &s[h%numShards]
+	return &s[cluster.KeyHash(key)%numShards]
 }

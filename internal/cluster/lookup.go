@@ -40,7 +40,7 @@ func (l Lookup) Degree() int { return l.degree }
 
 // Primary returns the key's primary node (Walter's "preferred site").
 func (l Lookup) Primary(key string) wire.NodeID {
-	return wire.NodeID(hash(key) % uint32(l.n))
+	return wire.NodeID(KeyHash(key) % uint32(l.n))
 }
 
 // Replicas returns the nodes storing key, primary first.
@@ -79,7 +79,10 @@ func (l Lookup) ReplicaSet(keys ...[]string) []wire.NodeID {
 	return out
 }
 
-func hash(s string) uint32 {
+// KeyHash is the 32-bit FNV-1a hash of key: the one key hash of the tree,
+// behind replica placement here and the lock, version-store and baseline
+// stripe tables. Changing it moves every key.
+func KeyHash(s string) uint32 {
 	const (
 		offset32 = 2166136261
 		prime32  = 16777619

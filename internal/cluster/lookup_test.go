@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"hash/fnv"
 	"testing"
 	"testing/quick"
 
@@ -110,5 +111,26 @@ func TestLookupDeterministic(t *testing.T) {
 				t.Fatalf("lookup not deterministic for %q", k)
 			}
 		}
+	}
+}
+
+// TestKeyHashIsFNV1a pins the shared key hash to the standard library's
+// FNV-1a: replica placement and every stripe table key off it, so a drift
+// would silently move keys between nodes and stripes.
+func TestKeyHashIsFNV1a(t *testing.T) {
+	keys := []string{"", "a", "k0", "k1", "user:42", "héllo", "ключ", "キー", "\x00\xff", string(make([]byte, 300))}
+	for _, k := range keys {
+		h := fnv.New32a()
+		_, _ = h.Write([]byte(k))
+		if got, want := KeyHash(k), h.Sum32(); got != want {
+			t.Errorf("KeyHash(%q) = %#x, FNV-1a = %#x", k, got, want)
+		}
+	}
+	if err := quick.Check(func(k string) bool {
+		h := fnv.New32a()
+		_, _ = h.Write([]byte(k))
+		return KeyHash(k) == h.Sum32()
+	}, nil); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -294,11 +294,10 @@ func (nd *Node) handleExtBatch(from wire.NodeID, rid uint64, m *wire.ExtBatch) {
 		nd.applyPurgeBatch(m.Purges)
 		nd.stats.CommitRounds.PurgeBatchTxns.Add(uint64(len(m.Purges)))
 	}
-	// No ack without durable freeze records: on a WAL sync failure the
-	// coordinator's batch call must time out instead, the same signal a
-	// crashed replica gives it. (The local stamps above still applied — the
-	// vector is the true one — but this now-poisoned node may not vouch for
-	// having persisted it.)
+	// No ack from a poisoned log: the coordinator's batch call must time
+	// out instead, the same signal a crashed replica gives it. (The local
+	// stamps above still applied — the vector is the true one — but this
+	// node may no longer vouch for durable work.)
 	if rid != 0 && freezeErr == nil {
 		_ = nd.rpc.Reply(from, rid, &wire.ExtBatchAck{Freezes: uint64(len(m.Freezes))})
 	}
@@ -338,9 +337,9 @@ func (fs *freezeScratch) sized(n int) ([]parkedState, []uint64, []bool) {
 // (docs/CONSISTENCY.md §5). The batch pays the striped-state walk once per
 // stripe and republishes the node's clock snapshot once.
 //
-// A WAL sync failure is returned (after the local freeze work completes, so
-// no reader is left parked on a half-frozen writer) and the caller must
-// withhold the batch ack: the records were never durable.
+// A poisoned WAL's latched failure is returned (after the local freeze work
+// completes, so no reader is left parked on a half-frozen writer) and the
+// caller must withhold the batch ack.
 func (nd *Node) applyFreezeBatch(freezes []wire.ExtFreeze) error {
 	fs := freezeScratchPool.Get().(*freezeScratch)
 	defer freezeScratchPool.Put(fs)
@@ -402,12 +401,13 @@ func (nd *Node) applyFreezeBatch(freezes []wire.ExtFreeze) error {
 	}
 	var walErr error
 	if nd.wal != nil {
-		// The WAL ride-along: one freeze record per transaction in the
-		// batch, one Sync for the whole envelope — the fsync amortizes over
-		// exactly the same group the wire batch coalesced. Durable before
-		// the ExtBatchAck (withheld by the caller on failure), so a
-		// coordinator's client reply never outruns this replica's stamp
-		// record.
+		// One freeze record per transaction in the batch, unsynced: it and
+		// the decide record before it ride this node's next fsync (at most
+		// the WAL's lag bound away), and nobody waits for them. Before the
+		// client reply everything they carry is durable at the coordinator
+		// — the commit clock in its decision record, the freeze vector and
+		// Know in its freeze record — and recovery phases 3/3b rebuild this
+		// record from there when a crash loses it.
 		for i, f := range freezes {
 			if len(parked[i].keys) == 0 {
 				continue // duplicate freeze or non-replica; nothing to re-stamp
@@ -421,9 +421,7 @@ func (nd *Node) applyFreezeBatch(freezes []wire.ExtFreeze) error {
 			nd.wal.Append(&wal.Record{Type: wal.RecFreeze, Txn: f.Txn, Stamp: stamps[i],
 				Keys: parked[i].keys, VC: vc})
 		}
-		syncStart := time.Now()
-		walErr = nd.wal.Sync()
-		nd.stats.Stage.WalSync.Observe(time.Since(syncStart))
+		walErr = nd.wal.Err()
 	}
 	nd.raiseExtFrontier(maxStamp)
 	if ext != nil {

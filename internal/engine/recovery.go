@@ -36,6 +36,7 @@ type walTxn struct {
 type coordRecord struct {
 	commitVC vclock.VC
 	freezeVC vclock.VC // nil until the freeze vector is formed
+	know     vclock.VC // the freeze order's ExtFreeze.Know; nil when none
 }
 
 // maxCoordStatus bounds the coordinator-status table. Eviction is FIFO: an
@@ -60,20 +61,21 @@ func (nd *Node) recordCoordDecision(txn wire.TxnID, commitVC vclock.VC) {
 	nd.coordMu.Unlock()
 }
 
-// recordCoordFreeze attaches the freeze vector to a retained decision.
-func (nd *Node) recordCoordFreeze(txn wire.TxnID, freezeVC vclock.VC) {
+// recordCoordFreeze attaches the freeze vector and Know to a retained
+// decision.
+func (nd *Node) recordCoordFreeze(txn wire.TxnID, freezeVC, know vclock.VC) {
 	nd.coordMu.Lock()
 	if cr, ok := nd.coordStatus[txn]; ok {
-		cr.freezeVC = freezeVC
+		cr.freezeVC, cr.know = freezeVC, know
 		nd.coordStatus[txn] = cr
 	}
 	nd.coordMu.Unlock()
 }
 
 // handleTxnStatus answers a recovering peer's in-doubt query: commit with
-// the commit (and, when formed, freeze) vector when this node coordinated
-// txn to a commit decision; otherwise unknown, which the peer treats as
-// presumed abort. The NLog is the fallback source for decisions evicted
+// the commit vector (and, when formed, the freeze vector and Know) when this
+// node coordinated txn to a commit decision; otherwise unknown, which the
+// peer treats as presumed abort. The NLog is the fallback source for decisions evicted
 // from the status table but still retained as applied commits.
 //
 // While this node is itself mid-recovery (serve routes TxnStatus here once
@@ -88,7 +90,7 @@ func (nd *Node) handleTxnStatus(from wire.NodeID, rid uint64, m *wire.TxnStatus)
 	nd.coordMu.Lock()
 	if cr, ok := nd.coordStatus[m.Txn]; ok {
 		rep.Known, rep.Commit = true, true
-		rep.VC, rep.FreezeVC = cr.commitVC, cr.freezeVC
+		rep.VC, rep.FreezeVC, rep.Know = cr.commitVC, cr.freezeVC, cr.know
 	}
 	nd.coordMu.Unlock()
 	if !rep.Known {
@@ -170,15 +172,12 @@ func (nd *Node) clockCatchup() {
 // premature unknown, so the retries back off exponentially — scaled to
 // VoteTimeout, roughly 30 timeouts' worth in total — to ride out a peer's
 // checkpoint-load and replay before presuming abort.
-func (nd *Node) resolveInDoubt(txn wire.TxnID) (commitVC, freezeVC vclock.VC, commit bool) {
+func (nd *Node) resolveInDoubt(txn wire.TxnID) (cr coordRecord, commit bool) {
 	if txn.Node == nd.id {
 		nd.coordMu.Lock()
 		cr, ok := nd.coordStatus[txn]
 		nd.coordMu.Unlock()
-		if ok {
-			return cr.commitVC, cr.freezeVC, true
-		}
-		return nil, nil, false
+		return cr, ok
 	}
 	backoff := nd.cfg.VoteTimeout / 4
 	maxBackoff := 4 * nd.cfg.VoteTimeout
@@ -200,28 +199,25 @@ func (nd *Node) resolveInDoubt(txn wire.TxnID) (commitVC, freezeVC vclock.VC, co
 			continue
 		}
 		if rep.Known && rep.Commit {
-			return rep.VC, rep.FreezeVC, true
+			return coordRecord{commitVC: rep.VC, freezeVC: rep.FreezeVC, know: rep.Know}, true
 		}
-		return nil, nil, false
+		return coordRecord{}, false
 	}
-	return nil, nil, false
+	return coordRecord{}, false
 }
 
-// resolveFreeze recovers the freeze vector of a transaction whose commit
-// verdict is already known but whose freeze record never became durable
-// here. Own transactions read the local coordinator ledger; others query
-// the coordinator with a smaller retry budget than resolveInDoubt — a
+// resolveFreeze recovers the freeze vector and Know of a transaction whose
+// commit verdict is already known but whose freeze record never became
+// durable here. Own transactions read the local coordinator ledger; others
+// query the coordinator with a smaller retry budget than resolveInDoubt — a
 // missing vector has a sound local fallback (the phase-4 floor stamp), so
 // recovery must not wedge on a dead coordinator.
-func (nd *Node) resolveFreeze(txn wire.TxnID) vclock.VC {
+func (nd *Node) resolveFreeze(txn wire.TxnID) (freezeVC, know vclock.VC) {
 	if txn.Node == nd.id {
 		nd.coordMu.Lock()
-		cr, ok := nd.coordStatus[txn]
+		cr := nd.coordStatus[txn]
 		nd.coordMu.Unlock()
-		if ok {
-			return cr.freezeVC
-		}
-		return nil
+		return cr.freezeVC, cr.know
 	}
 	backoff := nd.cfg.VoteTimeout / 4
 	for attempt := 0; attempt < 6; attempt++ {
@@ -240,11 +236,11 @@ func (nd *Node) resolveFreeze(txn wire.TxnID) vclock.VC {
 			continue
 		}
 		if rep.Known && rep.Commit {
-			return rep.FreezeVC
+			return rep.FreezeVC, rep.Know
 		}
-		return nil
+		return nil, nil
 	}
-	return nil
+	return nil, nil
 }
 
 // Recover restores the node from its WAL and checkpoint, then opens it for
@@ -328,10 +324,15 @@ func (nd *Node) Recover() error {
 			if len(r.Keys) > 0 {
 				freezes[r.Txn] = &freezeInfo{stamp: r.Stamp, keys: r.Keys, vc: r.VC}
 			} else if len(r.VC) == nd.n {
-				// Coordinator freeze: the freeze vector is durable for
-				// in-doubt replies and folds into the node's externally-
+				// Coordinator freeze: the freeze vector and Know are durable
+				// for in-doubt replies and fold into the node's externally-
 				// committed knowledge.
-				nd.recordCoordFreeze(r.Txn, r.VC)
+				var know vclock.VC
+				if len(r.VC2) == nd.n {
+					know = r.VC2
+					nd.log.RecordExternal(know)
+				}
+				nd.recordCoordFreeze(r.Txn, r.VC, know)
 				nd.log.RecordExternal(r.VC)
 			}
 		case wal.RecPurge:
@@ -353,38 +354,35 @@ func (nd *Node) Recover() error {
 	nd.statusReady.Store(true)
 
 	// Phase 3: resolve in-doubt transactions — prepared here, no decide
-	// logged — before applying, because a commit verdict's clock decides
+	// logged, which includes a client-acked commit whose unsynced decide
+	// record this crash lost — before applying, because a commit verdict's clock decides
 	// its position in the apply order.
 	for txn, p := range prepared {
 		nd.dstats.InDoubt.Add(1)
-		commitVC, freezeVC, commit := nd.resolveInDoubt(txn)
+		cr, commit := nd.resolveInDoubt(txn)
 		if !commit {
 			nd.dstats.InDoubtAborted.Add(1)
 			continue
 		}
-		if len(commitVC) != nd.n {
+		if len(cr.commitVC) != nd.n {
 			return fmt.Errorf("engine: recover node %d: in-doubt %v commit clock width %d, want %d",
-				nd.id, txn, len(commitVC), nd.n)
+				nd.id, txn, len(cr.commitVC), nd.n)
 		}
 		nd.dstats.InDoubtCommitted.Add(1)
-		decided[txn] = &decideInfo{vc: commitVC, writes: p.writes, deps: p.deps}
-		if len(freezeVC) == nd.n {
-			var keys []string
-			for _, kvp := range p.writes {
-				if nd.lookup.IsReplica(kvp.Key, nd.id) {
-					keys = append(keys, kvp.Key)
-				}
-			}
-			freezes[txn] = &freezeInfo{stamp: freezeVC[nd.idx], keys: keys, vc: commitVC}
+		decided[txn] = &decideInfo{vc: cr.commitVC, writes: p.writes, deps: p.deps}
+		if len(cr.freezeVC) == nd.n {
+			freezes[txn] = &freezeInfo{stamp: cr.freezeVC[nd.idx], keys: nd.localWrites(p.writes),
+				vc: nd.withKnow(cr.commitVC, cr.know)}
 		}
 	}
 
 	// Phase 3b: recover missing freeze vectors. A transaction can be
-	// decided here with no freeze record durable: the coordinator's freeze
-	// call raced this node's crash — or hit its failing disk and got no
-	// ack — and the commit queue releases its waiters on a freeze-call
-	// error rather than wedging the commit (commitq.go extSender), so the
-	// client was acked anyway. Re-stamping such versions at the local
+	// decided here with no freeze record durable: this replica acked its
+	// freeze before the record's fsync (applyFreezeBatch) and crashed within
+	// the WAL's lag bound, or the coordinator's freeze call raced this
+	// node's crash and the commit queue released its waiters on the
+	// freeze-call error rather than wedging the commit (commitq.go
+	// extSender) — either way the client was acked. Re-stamping such versions at the local
 	// floor is not enough: the freeze vector would never fold back into
 	// this node's external-knowledge clock, and the restarted node would
 	// coordinate read-only snapshots with a regressed clock — serving
@@ -396,18 +394,13 @@ func (nd *Node) Recover() error {
 		if freezes[txn] != nil || d.vc[nd.idx] <= frontier {
 			continue
 		}
-		var keys []string
-		for _, kvp := range d.writes {
-			if nd.lookup.IsReplica(kvp.Key, nd.id) {
-				keys = append(keys, kvp.Key)
-			}
-		}
+		keys := nd.localWrites(d.writes)
 		if len(keys) == 0 {
 			continue
 		}
-		if fvc := nd.resolveFreeze(txn); len(fvc) == nd.n {
+		if fvc, know := nd.resolveFreeze(txn); len(fvc) == nd.n {
 			nd.dstats.FreezeResolved.Add(1)
-			freezes[txn] = &freezeInfo{stamp: fvc[nd.idx], keys: keys, vc: d.vc}
+			freezes[txn] = &freezeInfo{stamp: fvc[nd.idx], keys: keys, vc: nd.withKnow(d.vc, know)}
 		} else {
 			nd.dstats.FreezeUnresolved.Add(1)
 		}
@@ -498,6 +491,27 @@ func (nd *Node) Recover() error {
 	return nil
 }
 
+// localWrites returns the written keys this node replicates.
+func (nd *Node) localWrites(writes []wire.KV) []string {
+	var keys []string
+	for _, kvp := range writes {
+		if nd.lookup.IsReplica(kvp.Key, nd.id) {
+			keys = append(keys, kvp.Key)
+		}
+	}
+	return keys
+}
+
+// withKnow is a recovered freeze's external-clock contribution: the commit
+// clock joined with the order's Know — exactly the VC a write replica's own
+// freeze record would have carried (applyFreezeBatch).
+func (nd *Node) withKnow(commitVC, know vclock.VC) vclock.VC {
+	if len(know) != nd.n {
+		return commitVC
+	}
+	return vclock.Max(commitVC, know)
+}
+
 func (nd *Node) raiseExtFrontier(stamp uint64) {
 	for {
 		cur := nd.extFrontier.Load()
@@ -538,7 +552,7 @@ func (nd *Node) Checkpoint() error {
 		for txn, cr := range nd.coordStatus {
 			nd.wal.Append(&wal.Record{Type: wal.RecCoordCommit, Txn: txn, VC: cr.commitVC})
 			if cr.freezeVC != nil {
-				nd.wal.Append(&wal.Record{Type: wal.RecFreeze, Txn: txn, VC: cr.freezeVC})
+				nd.wal.Append(&wal.Record{Type: wal.RecFreeze, Txn: txn, VC: cr.freezeVC, VC2: cr.know})
 			}
 		}
 		nd.coordMu.Unlock()

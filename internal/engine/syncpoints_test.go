@@ -20,10 +20,12 @@ import (
 )
 
 // The durable commit path has three serial fsync waits — remote participant
-// prepare, coordinator decision, freeze — and these tests pin them from the
-// outside: exact fsync counts per commit through a counting
-// wal.Options.OpenFile seam, crash images taken at the instant a given fsync
-// completes, and injected fsync failures at the two coordinator waits.
+// prepare, coordinator decision, the coordinator's own freeze record (which
+// overlaps the freeze round) — and these tests pin them from the outside:
+// exact fsync counts per commit through a counting wal.Options.OpenFile seam,
+// crash images taken at the instant a given fsync completes or right after
+// the client reply, a write replica's later fsyncs blocked outright, and
+// injected fsync failures at the two coordinator waits.
 
 // syncSeam counts one log's fsyncs and runs an optional hook inside each,
 // after the real fsync: the hook sees the log exactly as a crash at that
@@ -58,22 +60,8 @@ func (s *syncSeam) at(k int64, fn func() error) {
 // completes: the disk a kill -9 at that instant leaves behind.
 func (s *syncSeam) imageAt(t *testing.T, k int64, dst string) {
 	s.at(k, func() error {
-		ents, err := os.ReadDir(s.dir)
-		if err != nil {
+		if err := copySegments(s.dir, dst); err != nil {
 			t.Error(err)
-			return nil
-		}
-		for _, e := range ents {
-			if !strings.HasSuffix(e.Name(), ".seg") {
-				continue
-			}
-			data, err := os.ReadFile(filepath.Join(s.dir, e.Name()))
-			if err == nil {
-				err = os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644)
-			}
-			if err != nil {
-				t.Error(err)
-			}
 		}
 		return nil
 	})
@@ -103,9 +91,16 @@ type durableCluster struct {
 
 func bootDurable(t *testing.T, dirs []string, cfg Config) *durableCluster {
 	t.Helper()
+	return bootDurableNet(t, dirs, cfg, transport.InProcConfig{DisableLatency: true})
+}
+
+// bootDurableNet is bootDurable over an explicit network configuration, for
+// tests that drop messages through its Filter.
+func bootDurableNet(t *testing.T, dirs []string, cfg Config, netCfg transport.InProcConfig) *durableCluster {
+	t.Helper()
 	n := len(dirs)
 	dc := &durableCluster{lookup: cluster.NewLookup(n, 2)}
-	net := transport.NewInProc(transport.InProcConfig{DisableLatency: true})
+	net := transport.NewInProc(netCfg)
 	logs := make([]*wal.Log, n)
 	for i, dir := range dirs {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -207,8 +202,9 @@ func stampOf(nd *Node, key string, txn wire.TxnID) uint64 {
 }
 
 // TestFsyncsPerCommit pins the commit path's fsync budget per log, and that
-// Stage.WalSync keeps one observation per wait — the coordinator's covered
-// (zero-length) wait included.
+// Stage.WalSync keeps one observation per wait. A write replica pays only its
+// prepare fsync: its decide and freeze records ride the next one, here the
+// next round's prepare (the rounds run well inside the WAL's lag bound).
 func TestFsyncsPerCommit(t *testing.T) {
 	const coord = wire.NodeID(0)
 	cases := []struct {
@@ -218,12 +214,13 @@ func TestFsyncsPerCommit(t *testing.T) {
 		// other write replica.
 		coordSyncs, coordWaits, replicaSyncs int64
 	}{
-		// Decision (covering the self-leg prepare) + one freeze fsync covering
-		// both the coordinator's and the replica's freeze record; waits:
-		// decision, replica freeze batch, covered coordinator wait.
-		{"coordinator-is-write-replica", true, 2, 3, 2},
+		// Decision (covering the self-leg prepare and the previous round's
+		// replica records) + the coordinator freeze record, overlapped with
+		// the round; the own replica's freeze record rides the next round's
+		// decision fsync.
+		{"coordinator-is-write-replica", true, 2, 2, 1},
 		// Decision + the coordinator freeze record, overlapped with the round.
-		{"coordinator-replicates-nothing", false, 2, 2, 2},
+		{"coordinator-replicates-nothing", false, 2, 2, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -358,8 +355,8 @@ func TestCrashAfterDecisionSync(t *testing.T) {
 
 // TestCoordinatorSyncFailures injects an fsync failure at each coordinator
 // wait: a failed decision sync aborts (nothing irreversible left the node); a
-// failed freeze-record sync — the coordinator's own, or the replica-batch
-// fsync that covers it — leaves the transaction committed but withholds the
+// failed freeze-record sync — whether or not the coordinator is also a write
+// replica — leaves the transaction committed but withholds the
 // durable-sounding acknowledgement.
 func TestCoordinatorSyncFailures(t *testing.T) {
 	const coord = wire.NodeID(0)
@@ -379,7 +376,7 @@ func TestCoordinatorSyncFailures(t *testing.T) {
 	}{
 		{"decision", true, 1, true, 0},
 		{"freeze-record-overlapped", false, 2, false, 50 * time.Millisecond},
-		{"freeze-record-covered-by-replica-batch", true, 2, false, 50 * time.Millisecond},
+		{"coordinator-own-freeze-fsync", true, 2, false, 50 * time.Millisecond},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -409,4 +406,180 @@ func TestCoordinatorSyncFailures(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestFreezeAckWaitsForNoReplicaFsync blocks every write replica's first
+// fsync after its prepare fsync: the freeze acks, and so the client reply,
+// must not wait for it. The blocked fsync is then reached anyway — the
+// replicas' decide and freeze records are synced within the WAL's lag bound
+// although nobody waits for them.
+func TestFreezeAckWaitsForNoReplicaFsync(t *testing.T) {
+	const coord = wire.NodeID(0)
+	// A long ack budget: a withheld ack would hold the reply far past the
+	// deadline below instead of releasing it liveness-first.
+	dc := bootDurable(t, freshDirs(t, 3), Config{FreezeAckBudget: time.Minute})
+	key := dc.keyFor(t, coord, false)
+	replicas := dc.lookup.Replicas(key)
+	release := make(chan struct{})
+	t.Cleanup(func() { close(release) }) // before the cluster's Close
+	for _, r := range replicas {
+		dc.seams[r].at(2, func() error { <-release; return nil })
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := blindWrite(dc.nodes[coord], key, "v")
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("client reply waited on a write replica's post-prepare fsync")
+	}
+	for _, r := range replicas {
+		waitUntil(t, fmt.Sprintf("replica %d's lag sync", r), func() bool { return dc.seams[r].n.Load() >= 2 })
+	}
+}
+
+// TestCrashAfterReplyRestoresKnow crashes the cluster right after the client
+// reply of a committer T that waited out a pending writer d, and checks that
+// what T learned by waiting (its freeze order's Know) survives on the write
+// replicas through the coordinator alone: their own freeze records are not
+// waited for, and clock catch-up is cut off, so only the coordinator's
+// freeze record (VC2) and its TxnStatusReply.Know can carry it.
+//
+// Placement over 4 nodes, replication 2: d (coordinated at X) writes c on
+// {0,1}; T (coordinated at 0) reads c and writes w on {1,2}. d's freeze to
+// node 1 is dropped until, while T waits for d, X commits e on {3,0}: e's
+// stamp at node 3, outside T's participants, reaches T only through X's
+// WaitExternal answer, so Know exceeds T's commit clock there.
+func TestCrashAfterReplyRestoresKnow(t *testing.T) {
+	const coord, X = wire.NodeID(0), wire.NodeID(3)
+	var dID atomic.Pointer[wire.TxnID]
+	var holdD atomic.Bool
+	holdD.Store(true)
+	filter := func(from, to wire.NodeID, env wire.Envelope) bool {
+		b, ok := env.Msg.(*wire.ExtBatch)
+		if !ok || !holdD.Load() || from != X || to != 1 {
+			return true
+		}
+		for _, f := range b.Freezes {
+			if d := dID.Load(); d != nil && f.Txn == *d {
+				return false
+			}
+		}
+		return true
+	}
+	dc := bootDurableNet(t, freshDirs(t, 4),
+		Config{VoteTimeout: 200 * time.Millisecond, FreezeAckBudget: time.Minute},
+		transport.InProcConfig{DisableLatency: true, Filter: filter})
+	kC := keyWithPrimary(t, dc.lookup, 0, "knowC")
+	kW := keyWithPrimary(t, dc.lookup, 1, "knowW")
+	kE := keyWithPrimary(t, dc.lookup, 3, "knowE")
+
+	d := dc.nodes[X].Begin(false)
+	if err := d.Write(kC, []byte("d")); err != nil {
+		t.Fatal(err)
+	}
+	id := d.ID()
+	dID.Store(&id)
+	dDone := make(chan error, 1)
+	go func() { dDone <- d.Commit() }()
+	// d is decided everywhere once its freeze round starts.
+	waitUntil(t, "d's freeze round", func() bool { return dc.nodes[X].Stats().FreezeRetries.Load() > 0 })
+
+	tx := dc.nodes[coord].Begin(false)
+	if v := mustRead(t, tx, kC); v != "d" {
+		t.Fatalf("T read %s = %q, want d's version", kC, v)
+	}
+	if _, pending := tx.pendingWriters[id]; !pending {
+		t.Fatalf("T's pending writers %v miss d %v", tx.pendingWriters, id)
+	}
+	if err := tx.Write(kW, []byte("T")); err != nil {
+		t.Fatal(err)
+	}
+	waits := dc.nodes[coord].Stats().ExternalWaits.Load()
+	tDone := make(chan error, 1)
+	go func() { tDone <- tx.Commit() }()
+	waitUntil(t, "T's wait for d", func() bool { return dc.nodes[coord].Stats().ExternalWaits.Load() > waits })
+
+	eID, err := blindWrite(dc.nodes[X], kE, "e")
+	if err != nil {
+		t.Fatal(err)
+	}
+	holdD.Store(false)
+	if err := <-tDone; err != nil {
+		t.Fatalf("T: %v", err)
+	}
+	images := freshDirs(t, 4)
+	for i, dir := range images {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := copySegments(dc.seams[i].dir, dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := <-dDone; err != nil {
+		t.Fatalf("d: %v", err)
+	}
+
+	dc.nodes[coord].coordMu.Lock()
+	cr := dc.nodes[coord].coordStatus[tx.ID()]
+	dc.nodes[coord].coordMu.Unlock()
+	eStamp := stampOf(dc.nodes[X], kE, eID)
+	if len(cr.know) != 4 || cr.know[X] < eStamp || cr.know[X] <= cr.commitVC[X] {
+		t.Fatalf("T's Know %v, commit clock %v, e's stamp %d: the construction needs Know above the commit clock at %d",
+			cr.know, cr.commitVC, eStamp, X)
+	}
+	live := make(map[wire.NodeID]uint64)
+	for _, r := range dc.lookup.Replicas(kW) {
+		live[r] = stampOf(dc.nodes[r], kW, tx.ID())
+	}
+
+	noCatchup := func(_, _ wire.NodeID, env wire.Envelope) bool {
+		_, sync := env.Msg.(*wire.ClockSync)
+		return !sync
+	}
+	rc := bootDurableNet(t, images, Config{VoteTimeout: 200 * time.Millisecond},
+		transport.InProcConfig{DisableLatency: true, Filter: noCatchup})
+	for _, r := range rc.lookup.Replicas(kW) {
+		nd := rc.nodes[r]
+		if res := nd.store.Latest(kW); !res.Exists || res.Writer != tx.ID() {
+			t.Fatalf("replica %d: %s written by %v after recovery, want %v", r, kW, res.Writer, tx.ID())
+		}
+		if got := stampOf(nd, kW, tx.ID()); got != live[r] {
+			t.Fatalf("replica %d re-stamped %d, live replica stamped %d", r, got, live[r])
+		}
+		ext := nd.log.ExternalVC()
+		for i := range cr.know {
+			if ext[i] < cr.know[i] {
+				t.Fatalf("replica %d: ExternalVC = %v after recovery, does not cover Know %v", r, ext, cr.know)
+			}
+		}
+	}
+}
+
+// copySegments copies the log segments in src to dst: the disk a kill -9 at
+// this instant leaves behind.
+func copySegments(src, dst string) error {
+	ents, err := os.ReadDir(src)
+	if err != nil {
+		return err
+	}
+	for _, e := range ents {
+		if !strings.HasSuffix(e.Name(), ".seg") {
+			continue
+		}
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err == nil {
+			err = os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

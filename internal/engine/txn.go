@@ -819,26 +819,22 @@ func (t *Txn) commitUpdate() error {
 	freezeStart := time.Now()
 	var coordSeq uint64
 	if nd.wal != nil {
-		// Coordinator freeze record (no keys): makes the freeze vector
-		// durable before the client reply, so an in-doubt participant
+		// Coordinator freeze record (no keys): the only freeze record the
+		// client reply waits for. It holds the freeze vector and Know (VC2),
+		// everything a write replica's own, unsynced freeze record carries
+		// beyond the commit clock, so an in-doubt or frozenless replica
 		// recovering later re-stamps with the same replica-independent
-		// values, and replay restores this node's external knowledge. The
-		// vector is final here, so the record is appended before the freeze
-		// round and its durability wait overlaps that round instead of
-		// following it. Ledger first, so a checkpoint cutting between the two
-		// lines re-logs the vector rather than reclaiming it.
-		nd.recordCoordFreeze(t.id, freezeVC)
-		coordSeq = nd.wal.Append(&wal.Record{Type: wal.RecFreeze, Txn: t.id, VC: freezeVC})
+		// values and regains the same external knowledge; replay restores
+		// this node's. The vector is final here, so the record is appended
+		// before the freeze round and its durability wait overlaps that
+		// round. Ledger first, so a checkpoint cutting between the two
+		// lines re-logs the record rather than reclaiming it.
+		nd.recordCoordFreeze(t.id, freezeVC, know)
+		coordSeq = nd.wal.Append(&wal.Record{Type: wal.RecFreeze, Txn: t.id, VC: freezeVC, VC2: know})
 	}
 	waiters := nd.enqueueFreezes(t.id, writeNodes, freezeVC, know, sc.waiters[:0])
 	var freezeSyncErr error
 	if nd.wal != nil {
-		if containsNode(writeNodes, nd.id) {
-			// This node's own replica freeze (applyFreezeBatch) appends and
-			// fsyncs after the coordinator record entered the buffer: that one
-			// fsync covers both records, and the wait below finds it done.
-			nd.awaitFreezes(waiters)
-		}
 		// A sync failure fails the client reply below — the transaction is
 		// committed (the decision was durable before any decide left), but
 		// this node may not acknowledge an external commit whose freeze

@@ -20,6 +20,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/sss-paper/sss/internal/cluster"
 	"github.com/sss-paper/sss/internal/wire"
 )
 
@@ -75,20 +76,7 @@ func New() *Table {
 }
 
 func (t *Table) shard(key string) *shard {
-	return &t.shards[fnv32(key)%numShards]
-}
-
-func fnv32(s string) uint32 {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= prime32
-	}
-	return h
+	return &t.shards[cluster.KeyHash(key)%numShards]
 }
 
 // AcquireAll takes exclusive locks on writeKeys and shared locks on

@@ -394,9 +394,9 @@ type Engine struct {
 // Vote, Decide, and Freeze are observed exactly once per external commit,
 // at the same instant Commits is incremented, so their counts reconcile
 // with Engine.Commits by construction. WalSync observes every commit-path
-// wait on the log (remote participant prepare, coordinator decision, replica
-// freeze batch, coordinator freeze record — the last one usually covered by
-// a neighbour's fsync and ~0 long), Purge observes enqueue→flush of replica
+// wait on the log (remote participant prepare, coordinator decision,
+// coordinator freeze record — the last one overlapped with the freeze
+// round), Purge observes enqueue→flush of replica
 // purge notifications, and ClientAck observes the client-protocol commit
 // service time (engine commit + reply write) on successful commits only.
 type Stages struct {

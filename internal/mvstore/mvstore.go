@@ -33,6 +33,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/sss-paper/sss/internal/cluster"
 	"github.com/sss-paper/sss/internal/metrics"
 	"github.com/sss-paper/sss/internal/vclock"
 	"github.com/sss-paper/sss/internal/wire"
@@ -166,20 +167,7 @@ func New(n, maxDepth int) *Store {
 }
 
 func (s *Store) shard(key string) *shard {
-	return &s.shards[fnv32(key)%numShards]
-}
-
-func fnv32(str string) uint32 {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(str); i++ {
-		h ^= uint32(str[i])
-		h *= prime32
-	}
-	return h
+	return &s.shards[cluster.KeyHash(key)%numShards]
 }
 
 func (sh *shard) state(key string) *keyState {

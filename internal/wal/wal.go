@@ -6,15 +6,17 @@
 // many commit-path events are in flight — by design the same batching
 // boundary as the engine's per-peer commit-queue envelopes.
 //
-// Durability contract: Append alone promises nothing; a record is durable
-// only once a Sync that started after its Append — or a SyncTo naming the
-// sequence number Append returned — has returned. The log is sequential, so
-// durability of record n implies durability of every record before it: the
-// engine waits at the points classic presumed-abort 2PC requires (remote
-// participant prepare before the yes vote, coordinator decision before the
-// decide broadcast, freeze records before the freeze ack and the client
-// reply) and lets every other record ride the next of those fsyncs (the
-// per-record table is in docs/ARCHITECTURE.md, "Durability").
+// Durability contract: a record is durable once a Sync that started after
+// its Append — or a SyncTo naming the sequence number Append returned — has
+// returned. The log is sequential, so durability of record n implies
+// durability of every record before it: the engine waits at the points
+// classic presumed-abort 2PC requires (remote participant prepare before the
+// yes vote, coordinator decision before the decide broadcast, the
+// coordinator's freeze record before the client reply) and lets every other
+// record ride the next of those fsyncs (the per-record table is in
+// docs/ARCHITECTURE.md, "Durability"). A record nobody waits on is still
+// durable within maxUnsyncedLag of its Append: the log syncs it itself when
+// no neighbour's fsync covered it by then.
 //
 // On open, the newest segment's tail is scanned and truncated at the first
 // frame that is short, oversized, or fails its CRC — a torn tail from a
@@ -62,6 +64,17 @@ const (
 	// maxFrame bounds one record's payload so a corrupt length field fails
 	// loudly instead of driving a giant allocation.
 	maxFrame = 64 << 20
+
+	// maxUnsyncedLag bounds how long an appended record waits for an fsync
+	// when no caller waits on it. Under load a neighbour's fsync covers it
+	// long before, and the lag sync costs nothing; on a quiet node it is
+	// what makes an unwaited record durable at all, and a quiet node evicts
+	// no coordinator decision an in-doubt peer could still ask for. It is
+	// longer than a vote round may last (the engine's default vote timeout
+	// is 500 ms), so the one record a commit appends ahead of its first
+	// waited fsync — the coordinator's own-leg prepare, covered by the
+	// decision fsync — never costs an fsync of its own.
+	maxUnsyncedLag = time.Second
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -127,6 +140,11 @@ type Log struct {
 	syncing   bool   // a Sync owner is mid write+fsync
 	failed    error  // sticky first write/fsync/rotate error; poisons the log
 	closed    bool
+	// bufSince is when buf last turned non-empty; lag fires maxUnsyncedLag
+	// after it unless a neighbour's sync took the buffer first.
+	bufSince time.Time
+	lag      *time.Timer
+	lagArmed bool
 }
 
 // Open opens (or initializes) the write-ahead log in dir. The directory
@@ -153,6 +171,8 @@ func Open(dir string, opts Options) (*Log, error) {
 	}
 	l := &Log{dir: dir, opts: opts, stats: stats}
 	l.cond = sync.NewCond(&l.mu)
+	l.lag = time.AfterFunc(time.Hour, l.lagSync)
+	l.lag.Stop()
 
 	// Exclusive, non-blocking flock: two live servers on one data dir is
 	// silent corruption waiting to happen, so the second one must fail fast.
@@ -208,6 +228,7 @@ func Open(dir string, opts Options) (*Log, error) {
 }
 
 func (l *Log) release() {
+	l.lag.Stop()
 	if l.lockF != nil {
 		_ = syscall.Flock(int(l.lockF.Fd()), syscall.LOCK_UN)
 		_ = l.lockF.Close()
@@ -220,6 +241,15 @@ func (l *Log) Dir() string { return l.dir }
 
 // Stats returns the log's durability counters.
 func (l *Log) Stats() *metrics.Durability { return l.stats }
+
+// Err returns the latched failure that poisoned the log, or nil while it is
+// healthy. It never syncs: a caller that acts on an unwaited record checks
+// only that the node may still vouch for durable work.
+func (l *Log) Err() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.failed
+}
 
 func (l *Log) segPath(seq uint64) string {
 	return filepath.Join(l.dir, fmt.Sprintf("%s%016d%s", segPrefix, seq, segSuffix))
@@ -302,10 +332,10 @@ func frameAt(data []byte, off int64) (int64, []byte, error) {
 }
 
 // Append buffers one record for the next Sync and returns its sequence
-// number, the handle SyncTo waits on. It never blocks on I/O. On a poisoned
-// or closed log the record is dropped — the next Sync or SyncTo (which every
-// durability point in the engine issues before acting on the record) reports
-// the latched failure.
+// number, the handle SyncTo waits on. It never blocks on I/O; unwaited, the
+// record is durable within maxUnsyncedLag. On a poisoned or closed log the
+// record is dropped — the next Sync or SyncTo, or Err, reports the latched
+// failure.
 func (l *Log) Append(r *Record) uint64 {
 	// Encode on a pooled wire buffer so the frame assembly allocates
 	// nothing on the steady-state path.
@@ -326,6 +356,10 @@ func (l *Log) Append(r *Record) uint64 {
 		byte(ln), byte(ln>>8), byte(ln>>16), byte(ln>>24),
 		byte(crc), byte(crc>>8), byte(crc>>16), byte(crc>>24))
 	l.buf = append(l.buf, payload...)
+	if l.bufRecs == 0 {
+		l.bufSince = time.Now()
+		l.armLagLocked(maxUnsyncedLag)
+	}
 	l.bufRecs++
 	l.appendSeq++
 	seq := l.appendSeq
@@ -373,6 +407,36 @@ func (l *Log) SyncTo(seq uint64) error {
 			return err
 		}
 	}
+}
+
+// armLagLocked schedules the lag sync d from now unless one is pending: a
+// pending fire re-arms itself for whatever buffer it finds. Caller holds l.mu.
+func (l *Log) armLagLocked(d time.Duration) {
+	if !l.lagArmed {
+		l.lagArmed = true
+		l.lag.Reset(d)
+	}
+}
+
+// lagSync is the lag timer's body. A neighbour's sync that took the buffer
+// since the timer was armed makes it a no-op, or a re-arm for records
+// appended after that sync; only a buffer older than maxUnsyncedLag costs an
+// fsync of its own.
+func (l *Log) lagSync() {
+	l.mu.Lock()
+	l.lagArmed = false
+	if l.bufRecs == 0 || l.failed != nil || l.closed {
+		l.mu.Unlock()
+		return
+	}
+	if wait := maxUnsyncedLag - time.Since(l.bufSince); wait > 0 {
+		l.armLagLocked(wait)
+		l.mu.Unlock()
+		return
+	}
+	seq := l.appendSeq
+	l.mu.Unlock()
+	_ = l.SyncTo(seq) // a failure is latched for every later caller
 }
 
 // syncOnceLocked takes sync ownership, flushes the current buffer outside

@@ -469,6 +469,50 @@ func TestSyncToCovered(t *testing.T) {
 	}
 }
 
+// TestUnwaitedAppendLagBound pins the lag bound: a record nobody syncs
+// reaches the disk on its own once it has waited maxUnsyncedLag, and a
+// record a neighbour's fsync already covered costs no fsync of its own.
+func TestUnwaitedAppendLagBound(t *testing.T) {
+	var syncs atomic.Int64
+	stats := &metrics.Durability{}
+	dir := t.TempDir()
+	l := openTest(t, dir, gatedOpts(&syncs, nil, nil, stats))
+	start := time.Now()
+	l.Append(testRecord(0))
+	// The slack past the bound only absorbs scheduler noise on a loaded box.
+	for stats.WalSyncedRecords.Load() < 1 {
+		if time.Since(start) > maxUnsyncedLag+2*time.Second {
+			t.Fatalf("unwaited record not synced %v after its Append", time.Since(start))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if elapsed := time.Since(start); elapsed < maxUnsyncedLag {
+		t.Fatalf("unwaited record synced after %v, inside the lag bound %v: Append itself must not sync",
+			elapsed, maxUnsyncedLag)
+	}
+	if got := syncs.Load(); got != 1 {
+		t.Fatalf("file fsyncs = %d, want 1", got)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, segPrefix+"*"+segSuffix))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segments = %v, %v", segs, err)
+	}
+	if fi, err := os.Stat(segs[0]); err != nil || fi.Size() == 0 {
+		t.Fatalf("segment after the lag sync: %v, %v", fi, err)
+	}
+
+	// A neighbour's Sync covers the next record before its lag expires: the
+	// timer armed by its Append finds nothing left to do.
+	l.Append(testRecord(1))
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(maxUnsyncedLag + 200*time.Millisecond)
+	if got := syncs.Load(); got != 2 {
+		t.Fatalf("file fsyncs = %d, want 2: a covered record must cost no lag sync", got)
+	}
+}
+
 // TestSyncToMissedByInflight holds one fsync in flight, appends a record
 // behind it, and checks that the record's waiter is not released by the
 // in-flight fsync (which never saw the record) but by a second one.
@@ -535,6 +579,9 @@ func TestSyncToPoisonedAndClosed(t *testing.T) {
 	}
 	if err := l.SyncTo(durable); err == nil {
 		t.Fatal("SyncTo on a poisoned log returned nil")
+	}
+	if l.Err() == nil {
+		t.Fatal("Err on a poisoned log returned nil")
 	}
 	if dropped := l.Append(testRecord(2)); dropped != lost {
 		t.Fatalf("post-poison Append returned %d, want the unchanged frontier %d", dropped, lost)

@@ -172,6 +172,7 @@ func appendBody(buf []byte, msg Msg) ([]byte, error) {
 		buf = appendBool(buf, m.Commit)
 		buf = m.VC.AppendBinary(buf)
 		buf = m.FreezeVC.AppendBinary(buf)
+		buf = m.Know.AppendBinary(buf)
 	case *ClockSync:
 		// No body.
 	case *ClockSyncReply:
@@ -345,7 +346,7 @@ func decodeBody(c *cursor, t MsgType) (Msg, error) {
 		return &TxnStatus{Txn: c.txnID()}, c.err
 	case MsgTxnStatusReply:
 		return &TxnStatusReply{Txn: c.txnID(), Known: c.bool(), Commit: c.bool(),
-			VC: c.vc(), FreezeVC: c.vc()}, c.err
+			VC: c.vc(), FreezeVC: c.vc(), Know: c.vc()}, c.err
 	case MsgClockSync:
 		return &ClockSync{}, c.err
 	case MsgClockSyncReply:

@@ -67,6 +67,10 @@ func TestRoundTripAllMessageTypes(t *testing.T) {
 		{From: 2, RID: 15, Msg: &TxnStatus{Txn: TxnID{1, 6}}},
 		{From: 1, RID: 15, Resp: true, Msg: &TxnStatusReply{
 			Txn: TxnID{1, 6}, Known: true, Commit: true, VC: vc, FreezeVC: vclock.VC{4, 8, 2},
+			Know: vclock.VC{5, 9, 3},
+		}},
+		{From: 1, RID: 17, Resp: true, Msg: &TxnStatusReply{
+			Txn: TxnID{1, 7}, Known: true, Commit: true, VC: vc, FreezeVC: vclock.VC{4, 8, 2},
 		}},
 		{From: 2, RID: 16, Msg: &ClockSync{}},
 		{From: 0, RID: 16, Resp: true, Msg: &ClockSyncReply{Ext: vc}},
@@ -225,13 +229,16 @@ func TestPropPrepareRoundTrip(t *testing.T) {
 
 // FuzzDecodeEnvelope feeds the decoder arbitrary bytes: it must never panic,
 // and whatever it accepts must survive re-encoding unchanged. The seeds cover
-// the optional clocks — ExtFreeze.Know, WaitExternalAck.VC — set and nil.
+// the optional clocks — ExtFreeze.Know, WaitExternalAck.VC,
+// TxnStatusReply.Know — set and nil.
 func FuzzDecodeEnvelope(f *testing.F) {
 	vc := vclock.VC{3, 7, 1}
 	for _, msg := range []Msg{
 		&ExtBatch{Freezes: []ExtFreeze{{Txn: TxnID{0, 1}, VC: vc, Know: vclock.VC{9, 9, 4}}, {Txn: TxnID{0, 2}, VC: vc}}},
 		&WaitExternalAck{Txn: TxnID{2, 9}, VC: vc},
 		&WaitExternalAck{Txn: TxnID{2, 9}},
+		&TxnStatusReply{Txn: TxnID{1, 6}, Known: true, Commit: true, VC: vc, FreezeVC: vc, Know: vclock.VC{9, 9, 4}},
+		&TxnStatusReply{Txn: TxnID{1, 6}, Known: true, Commit: true, VC: vc},
 		&ReadRequest{Txn: TxnID{1, 9}, Key: "k", VC: vc, Before: []ExWriter{{Txn: TxnID{0, 1}}, {Txn: TxnID{0, 2}, VC: vclock.VC{0, 8, 0}}}},
 	} {
 		buf, err := EncodeEnvelope(nil, Envelope{From: 1, RID: 5, Msg: msg})

@@ -432,13 +432,17 @@ type TxnStatus struct {
 // VC carries the commit vector clock and FreezeVC — when the freeze round
 // already ran — the coordinator-assigned freeze vector, so the recovering
 // replica re-stamps the transaction's versions with the same
-// replica-independent stamp every live replica recorded.
+// replica-independent stamp every live replica recorded. Know is the freeze
+// order's ExtFreeze.Know (nil when the committer waited for nobody): the
+// replica folds it into its external clock as the lost freeze record would
+// have.
 type TxnStatusReply struct {
 	Txn      TxnID
 	Known    bool
 	Commit   bool
 	VC       vclock.VC
 	FreezeVC vclock.VC
+	Know     vclock.VC
 }
 
 // ClockSync asks a peer for its externally-committed knowledge clock. A

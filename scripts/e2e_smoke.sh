@@ -7,8 +7,9 @@
 #    and scrapes every node's /metrics: `sss-client top -once` gates the
 #    required-series contract, then a python check asserts the values
 #    reconcile (nonzero sss_commits_total, stage histogram counts equal to
-#    it, zero WAL sync failures) and that the page is live
-#    (sss_transport_flushes_total advances between two scrapes).
+#    it, a WAL that synced and never failed — the nodes run durable, with
+#    -data-dir) and that the page is live (sss_transport_flushes_total
+#    advances between two scrapes).
 # 3. Runs the multi-process e2e suite (internal/harness): boots a real
 #    3-node TCP cluster, checks cross-node write visibility, read-only
 #    snapshot coherence under concurrent transfers, that abrupt client
@@ -44,10 +45,12 @@ echo "== live /metrics scrape gate (3-node cluster) =="
 # CI tests the surface it just shipped: boot a real cluster with the
 # metrics endpoint on, drive commits through it, and assert the exposition
 # page carries the load-bearing series with reconciling values — nonzero
-# commit counter, stage histogram counts equal to it, a clean WAL.
+# commit counter, stage histogram counts equal to it, a WAL that synced and
+# never failed. The nodes run durable so the WAL series carry real values.
 peers="127.0.0.1:7460,127.0.0.1:7461,127.0.0.1:7462"
 for i in 0 1 2; do
-  "$bin_dir/sss-server" -id "$i" -peers "$peers" \
+  mkdir -p "$out_dir/data$i"
+  "$bin_dir/sss-server" -id "$i" -peers "$peers" -data-dir "$out_dir/data$i" \
     -client-addr "127.0.0.1:846$i" -metrics-addr "127.0.0.1:946$i" \
     > "$out_dir/metrics-node$i.log" 2>&1 &
   server_pids="$server_pids $!"
@@ -97,12 +100,14 @@ for i in range(3):
             f"node {i}: sss_stage_{stage}_seconds_count {count} != sss_commits_total {commits}"
     assert samples["sss_wal_sync_failures_total"] == 0, \
         f"node {i}: WAL sync failures on a healthy cluster"
+    assert samples["sss_wal_syncs_total"] > 0, \
+        f"node {i}: no WAL syncs on a durable cluster"
     flushes = samples["sss_transport_flushes_total"]
     assert flushes > flushes_before[i], \
         f"node {i}: sss_transport_flushes_total frozen at {flushes} across the load"
     total_commits += commits
 assert total_commits >= 24, f"cluster committed {total_commits} < 24 issued updates"
-print(f"metrics gate: {total_commits:.0f} commits, stage counts reconcile and transport counters advance on all 3 nodes")
+print(f"metrics gate: {total_commits:.0f} commits, stage counts reconcile, WALs sync and transport counters advance on all 3 nodes")
 EOF
 # shellcheck disable=SC2086
 kill $server_pids 2>/dev/null || true
