@@ -120,3 +120,14 @@ func BenchmarkClockReads(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkNew measures building a node's commit machinery at the default
+// capacity. The ring and its txn→seq index grow with the retained entries,
+// so construction must not allocate for the capacity up front;
+// scripts/check_allocs.sh holds its bytes/op under a ceiling.
+func BenchmarkNew(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = New(0, 3, 0)
+	}
+}

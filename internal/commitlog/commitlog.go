@@ -148,9 +148,12 @@ type Log struct {
 	nodeVC vclock.VC
 	q      []*qEntry // ordered by vc[self], ties by TxnID
 
-	genesis    Entry   // always-retained zero entry
-	entries    []Entry // ring buffer of applied commits
-	start      int     // ring start index
+	genesis Entry // always-retained zero entry
+	// entries is the ring of applied commits. It grows by appending until
+	// it holds capacity entries (start stays 0 until then), so a node's
+	// footprint follows what it has retained, not the retention cap.
+	entries    []Entry
+	start      int // ring start index
 	count      int
 	capacity   int
 	mostRecent vclock.VC // entry-wise max over all applied commits
@@ -193,7 +196,9 @@ type Log struct {
 const DefaultCapacity = 65536
 
 // New builds the commit machinery for node self of an n-node cluster.
-// capacity bounds NLog retention; 0 selects DefaultCapacity.
+// capacity bounds NLog retention; 0 selects DefaultCapacity. Neither the
+// ring nor the txn→seq index is pre-sized: both grow with the retained
+// entries, up to capacity.
 func New(self, n, capacity int) *Log {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
@@ -202,13 +207,12 @@ func New(self, n, capacity int) *Log {
 		self:       self,
 		n:          n,
 		nodeVC:     vclock.New(n),
-		entries:    make([]Entry, capacity),
 		capacity:   capacity,
 		mostRecent: vclock.New(n),
 		external:   vclock.New(n),
 		// The genesis entry makes the visible set non-empty for any bound.
 		genesis: Entry{VC: vclock.New(n)},
-		txnSeq:  make(map[wire.TxnID]uint64, capacity),
+		txnSeq:  make(map[wire.TxnID]uint64),
 	}
 	// Bucket width ~sqrt(capacity), clamped to [1, 256]: a query folds
 	// ~capacity/width bucket maxima plus at most one partially-evicted head
@@ -223,9 +227,10 @@ func New(self, n, capacity int) *Log {
 	// regardless of capacity/width divisibility.
 	slots := capacity/width + 2
 	l.buckets = make([]bucketAgg, slots)
+	clocks := make([]uint64, 2*slots*n) // one backing array for every aggregate
 	for i := range l.buckets {
-		l.buckets[i].max = vclock.New(n)
-		l.buckets[i].min = vclock.New(n)
+		l.buckets[i].max = vclock.VC(clocks[2*i*n : (2*i+1)*n : (2*i+1)*n])
+		l.buckets[i].min = vclock.VC(clocks[(2*i+1)*n : (2*i+2)*n : (2*i+2)*n])
 	}
 	l.publishLocked()
 	return l
@@ -446,12 +451,26 @@ func (l *Log) appendLocked(e Entry) {
 		l.entries[l.start] = e
 		l.start = (l.start + 1) % l.capacity
 	} else {
-		l.entries[(l.start+l.count)%l.capacity] = e
+		// Not yet full: start is 0 and the ring is the slice itself.
+		l.growLocked()
+		l.entries = append(l.entries, e)
 		l.count++
 	}
 	l.mostRecent.MaxInto(e.VC)
 	l.applied++
 	l.indexAppendLocked(e, l.applied)
+}
+
+// growLocked makes room for one more entry while the ring is below
+// capacity, doubling its backing array but never past capacity, so a full
+// ring costs exactly capacity entries.
+func (l *Log) growLocked() {
+	if len(l.entries) < cap(l.entries) {
+		return
+	}
+	grown := make([]Entry, len(l.entries), min(max(2*cap(l.entries), 16), l.capacity))
+	copy(grown, l.entries)
+	l.entries = grown
 }
 
 // indexAppendLocked folds the appended entry (seq = its 1-based apply
@@ -721,6 +740,13 @@ func (l *Log) CommitClock(txn wire.TxnID) (vclock.VC, bool) {
 	}
 	e := &l.entries[(seq-1)%uint64(l.capacity)]
 	return e.VC.Clone(), true
+}
+
+// Len returns the number of retained NLog entries (excluding genesis).
+func (l *Log) Len() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.count
 }
 
 // QueueLen returns the current CommitQ length (for tests and stats).

@@ -224,12 +224,14 @@ type stripe struct {
 	// where this node (as update coordinator) propagated its entries.
 	propTargets map[wire.TxnID]map[wire.NodeID]struct{}
 	// removedROs tombstones read-only transactions whose Remove has been
-	// seen, so a racing propagation cannot resurrect their entries.
-	// tombFIFO records insertion order for capped eviction; a re-tombstoned
-	// transaction leaves a stale FIFO entry that eviction skips by
-	// timestamp mismatch.
-	removedROs map[wire.TxnID]time.Time
+	// seen, so a racing propagation cannot resurrect their entries; the
+	// value is the tombstone's stamp (see tombStamp). tombFIFO[tombHead:]
+	// records insertion order for capped eviction; a re-tombstoned
+	// transaction leaves a stale FIFO entry that eviction skips by stamp
+	// mismatch.
+	removedROs map[wire.TxnID]int64
 	tombFIFO   []tombstone
+	tombHead   int
 	// parked maps an internally-committed transaction to the local written
 	// keys whose snapshot-queues still hold its W entry (plus its local
 	// insertion-snapshot); cleared by the purge (purgeParked).
@@ -244,10 +246,18 @@ type stripe struct {
 	walTxns map[wire.TxnID]*walTxn
 }
 
+// tombstone is one FIFO entry: 24 bytes, the same as a removedROs entry.
 type tombstone struct {
 	txn wire.TxnID
-	at  time.Time
+	at  int64
 }
+
+// tombEpoch anchors tombstone stamps: a stamp is the monotonic time since
+// it in nanoseconds, which is all the age floor needs and a third of a
+// time.Time's size.
+var tombEpoch = time.Now()
+
+func tombStamp(t time.Time) int64 { return int64(t.Sub(tombEpoch)) }
 
 // stripeOf returns the stripe owning txn's state.
 func (nd *Node) stripeOf(txn wire.TxnID) *stripe {
@@ -258,15 +268,24 @@ func (nd *Node) stripeOf(txn wire.TxnID) *stripe {
 // tombstoneLocked records that ro's Remove has been processed, evicting the
 // oldest tombstones beyond the per-stripe cap. Called with st.mu held.
 func (st *stripe) tombstoneLocked(ro wire.TxnID, now time.Time) {
-	st.removedROs[ro] = now
-	st.tombFIFO = append(st.tombFIFO, tombstone{txn: ro, at: now})
-	for len(st.removedROs) > maxTombstonesPerStripe && len(st.tombFIFO) > 0 {
-		head := st.tombFIFO[0]
-		if now.Sub(head.at) < tombstoneMinAge && len(st.removedROs) <= hardMaxTombstonesPerStripe {
+	at := tombStamp(now)
+	st.removedROs[ro] = at
+	if len(st.tombFIFO) == cap(st.tombFIFO) && st.tombHead >= len(st.tombFIFO)/2 {
+		// Reuse the evicted prefix instead of growing: the live half moves
+		// down, so the FIFO's backing array stays within twice its live
+		// entries and nothing evicted stays pinned behind the head.
+		n := copy(st.tombFIFO, st.tombFIFO[st.tombHead:])
+		st.tombFIFO = st.tombFIFO[:n]
+		st.tombHead = 0
+	}
+	st.tombFIFO = append(st.tombFIFO, tombstone{txn: ro, at: at})
+	for len(st.removedROs) > maxTombstonesPerStripe && st.tombHead < len(st.tombFIFO) {
+		head := st.tombFIFO[st.tombHead]
+		if time.Duration(at-head.at) < tombstoneMinAge && len(st.removedROs) <= hardMaxTombstonesPerStripe {
 			break // everything older is gone; spare the young ones
 		}
-		st.tombFIFO = st.tombFIFO[1:]
-		if at, ok := st.removedROs[head.txn]; ok && at.Equal(head.at) {
+		st.tombHead++
+		if stamp, ok := st.removedROs[head.txn]; ok && stamp == head.at {
 			delete(st.removedROs, head.txn)
 		}
 	}
@@ -338,7 +357,7 @@ func New(net transport.Network, id wire.NodeID, n int, lookup cluster.Lookup, cf
 		st.pending = make(map[wire.TxnID]*participantTxn)
 		st.fwd = make(map[wire.TxnID]map[wire.NodeID]struct{})
 		st.propTargets = make(map[wire.TxnID]map[wire.NodeID]struct{})
-		st.removedROs = make(map[wire.TxnID]time.Time)
+		st.removedROs = make(map[wire.TxnID]int64)
 		st.parked = make(map[wire.TxnID]parkedState)
 		st.inflight = make(map[wire.TxnID]chan struct{})
 		if cfg.WAL != nil {
@@ -375,6 +394,16 @@ func (nd *Node) Stats() *metrics.Engine { return nd.stats }
 // Durability exposes the node's durability counters (shared with the
 // attached WAL; a private zero-valued sink when durability is off).
 func (nd *Node) Durability() *metrics.Durability { return nd.dstats }
+
+// Retained gathers the node's retained-state gauges: NLog entries and
+// remove tombstones. It takes the log and every stripe lock once, so call it
+// at scrape rate, not per transaction.
+func (nd *Node) Retained() *metrics.Retained {
+	r := &metrics.Retained{}
+	r.CommitlogEntries.Store(int64(nd.log.Len()))
+	r.Tombstones.Store(int64(nd.tombstoneCount()))
+	return r
+}
 
 // Preload installs an initial value for key if this node replicates it.
 // Call on every node with the full dataset before starting clients.
@@ -502,7 +531,7 @@ func (nd *Node) putScratch(sc *roScratch) {
 	nd.readScratch.Put(sc)
 }
 
-// --- test helpers (stripe-aware accessors) ---
+// --- stripe-aware accessors (tests, and Retained's tombstone count) ---
 
 func (nd *Node) tombstoned(ro wire.TxnID) bool {
 	return nd.stripeOf(ro).tombstoned(ro)

@@ -112,6 +112,10 @@ func (nd *Node) handleClockSync(from wire.NodeID, rid uint64, _ *wire.ClockSync)
 	_ = nd.rpc.Reply(from, rid, &wire.ClockSyncReply{Ext: nd.log.ExternalVC()})
 }
 
+// clockSyncFirstTry is the first clock catch-up attempt's timeout; each
+// retry doubles it.
+const clockSyncFirstTry = 10 * time.Millisecond
+
 // clockCatchup is the final recovery phase: fold every live peer's
 // external-knowledge clock into this node's. Clock knowledge acquired
 // through reads and votes is volatile — it reaches the WAL only when a
@@ -121,34 +125,39 @@ func (nd *Node) handleClockSync(from wire.NodeID, rid uint64, _ *wire.ClockSync)
 // real-time cycle in the fault-lane client histories). Any stamp this node
 // ever learned originated from some peer's durable freeze state, so in a
 // single-victim fault regime the join over live peers restores a superset
-// of the pre-crash knowledge. Best-effort with a small per-peer budget:
+// of the pre-crash knowledge. Best-effort with a bounded per-peer budget:
 // recovery must not wedge on a dead peer, and a missed peer only costs
 // freshness that the first post-restart read re-acquires.
+//
+// A peer still scanning its own WAL drops the query (it answers only once
+// statusReady), so each attempt's timeout starts at clockSyncFirstTry and
+// doubles: a peer that becomes ready a few milliseconds in is caught up a
+// few milliseconds later, not a whole VoteTimeout later. The per-peer
+// budget, 3.75 VoteTimeouts, is what three VoteTimeout attempts with
+// VoteTimeout/4 and VoteTimeout/2 backoffs between them used to spend.
 func (nd *Node) clockCatchup() {
+	budget := nd.cfg.VoteTimeout * 15 / 4
 	for peer := 0; peer < nd.n; peer++ {
 		if wire.NodeID(peer) == nd.id {
 			continue
 		}
 		synced := false
-		backoff := nd.cfg.VoteTimeout / 4
-		for attempt := 0; attempt < 3 && !synced; attempt++ {
-			if attempt > 0 {
-				time.Sleep(backoff)
-				backoff *= 2
+		deadline := time.Now().Add(budget)
+		for try := clockSyncFirstTry; !synced; try *= 2 {
+			left := time.Until(deadline)
+			if left <= 0 {
+				break
 			}
-			ctx, cancel := context.WithTimeout(context.Background(), nd.cfg.VoteTimeout)
+			ctx, cancel := context.WithTimeout(context.Background(), min(try, left))
 			resp, err := nd.rpc.Call(ctx, wire.NodeID(peer), &wire.ClockSync{})
+			if rep, ok := resp.(*wire.ClockSyncReply); err == nil && ok && len(rep.Ext) == nd.n {
+				nd.log.FoldKnowledge(rep.Ext)
+				nd.raiseExtFrontier(rep.Ext[nd.idx])
+				synced = true
+			} else {
+				<-ctx.Done() // a call that fails fast still spends its slot
+			}
 			cancel()
-			if err != nil {
-				continue
-			}
-			rep, ok := resp.(*wire.ClockSyncReply)
-			if !ok || len(rep.Ext) != nd.n {
-				continue
-			}
-			nd.log.FoldKnowledge(rep.Ext)
-			nd.raiseExtFrontier(rep.Ext[nd.idx])
-			synced = true
 		}
 		if synced {
 			nd.dstats.ClockSyncPeers.Add(1)

@@ -645,6 +645,59 @@ func TestClockCatchup(t *testing.T) {
 	}
 }
 
+// TestClockCatchupPeerReadyLate pins the cold-boot case: a peer still
+// scanning its own WAL drops ClockSync until its statusReady flips, here 50
+// ms in. The restarting node must retry on a short, doubling timeout and be
+// caught up well before one VoteTimeout, not wait out a whole VoteTimeout
+// per dropped attempt.
+func TestClockCatchupPeerReadyLate(t *testing.T) {
+	root := t.TempDir()
+	lookup := cluster.NewLookup(2, 2)
+	net := transport.NewInProc(transport.InProcConfig{DisableLatency: true})
+	w0, w1 := openWAL(t, root, 0), openWAL(t, root, 1)
+	nd0, err := New(net, 0, 2, lookup, Config{WAL: w0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The peer boots recovering, as every durable node does, and never runs
+	// Recover here: only its statusReady gate decides whether it answers.
+	peer, err := New(net, 1, 2, lookup, Config{WAL: w1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		_ = nd0.Close()
+		_ = peer.Close()
+		_ = net.Close()
+		_ = w0.Close()
+		_ = w1.Close()
+	})
+	peerExt := vclock.VC{5, 9}
+	peer.log.RecordExternal(peerExt)
+
+	start := time.Now()
+	flip := time.AfterFunc(50*time.Millisecond, func() { peer.statusReady.Store(true) })
+	defer flip.Stop()
+	if err := nd0.Recover(); err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	took := time.Since(start)
+
+	d := nd0.Durability()
+	if got := d.ClockSyncMisses.Load(); got != 0 {
+		t.Fatalf("ClockSyncMisses = %d, want 0", got)
+	}
+	if got := d.ClockSyncPeers.Load(); got != 1 {
+		t.Fatalf("ClockSyncPeers = %d, want 1", got)
+	}
+	if ext := nd0.log.ExternalVC(); ext[0] < peerExt[0] || ext[1] < peerExt[1] {
+		t.Fatalf("ExternalVC = %v after catch-up, want >= %v", ext, peerExt)
+	}
+	if took >= 150*time.Millisecond {
+		t.Fatalf("recovery took %v behind a peer ready at 50ms, want < 150ms", took)
+	}
+}
+
 // TestRecoverRestoresFreezeKnow pins the WAL half of the dependency-lifetime
 // rule: what a committer learned by waiting out its pending writers reaches a
 // write replica's external-knowledge clock through ExtFreeze.Know, and — since

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -184,5 +185,45 @@ func TestTombstoneCapViaHandlers(t *testing.T) {
 	}
 	if got, bound := nd.tombstoneCount(), stripeCount*hardMaxTombstonesPerStripe; got > bound {
 		t.Fatalf("tombstones = %d, want <= %d", got, bound)
+	}
+}
+
+// TestTombstoneBytesBounded bounds what a live tombstone costs the heap: its
+// removedROs entry plus its FIFO slot, with the map's and the FIFO's spare
+// capacity, at the soft cap after sustained churn. Measured at 64–91 B on
+// amd64 (24 B entries in both structures; 160 B with time.Time stamps). A
+// fatter stamp in either structure, or a FIFO that pins its evicted prefix,
+// lands above the bound. Allocations elsewhere only add to a reading, so
+// the smallest of three fresh stripes is the measurement.
+func TestTombstoneBytesBounded(t *testing.T) {
+	const bound = 112
+	nodes := newCluster(t, 1, 1, Config{})
+	perEntry := int64(-1)
+	for round := 0; round < 3; round++ {
+		st := &nodes[0].stripes[round]
+		now := time.Now()
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		st.mu.Lock()
+		for i := 1; i <= 8*maxTombstonesPerStripe; i++ {
+			st.tombstoneLocked(wire.TxnID{Node: 7, Seq: uint64(i)}, now.Add(time.Duration(i)*time.Minute))
+		}
+		live := len(st.removedROs)
+		st.mu.Unlock()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		if live != maxTombstonesPerStripe {
+			t.Fatalf("live tombstones = %d, want the soft cap %d", live, maxTombstonesPerStripe)
+		}
+		b := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / int64(live)
+		if perEntry < 0 || b < perEntry {
+			perEntry = b
+		}
+	}
+	runtime.KeepAlive(nodes)
+	t.Logf("%d B per live tombstone", perEntry)
+	if perEntry > bound {
+		t.Fatalf("%d B per live tombstone, want <= %d", perEntry, bound)
 	}
 }

@@ -582,6 +582,14 @@ func (c *ClientNet) RequestsPerFlush() float64 {
 	return float64(c.BatchRequests.Load()) / float64(f)
 }
 
+// Retained gauges what a node holds in memory right now, gathered at scrape
+// time: the NLog entries its commit log retains (up to the ring capacity)
+// and its remove tombstones (capped per stripe).
+type Retained struct {
+	CommitlogEntries atomic.Int64
+	Tombstones       atomic.Int64
+}
+
 // Durability aggregates the write-ahead-log and recovery counters of one
 // node (internal/wal + the engine's recovery path): append/fsync volume and
 // the group-commit amortization factor on the write side, checkpoint and

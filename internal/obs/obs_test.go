@@ -92,6 +92,14 @@ func newTestRegistry() (*Registry, *testFamily) {
 	fam.Rounds.SQDrops.Add(2)
 	reg := NewRegistry()
 	reg.Register("t", fam)
+	// A scrape-time family at the root: the retained-state gauges
+	// sss-server serves this way.
+	reg.RegisterFunc("", func() any {
+		r := &metrics.Retained{}
+		r.CommitlogEntries.Store(5)
+		r.Tombstones.Store(2)
+		return r
+	})
 	return reg, fam
 }
 

@@ -43,7 +43,10 @@ type Tuning struct {
 	// leg never burns its budget on a stale link; negative disables).
 	PingInterval time.Duration
 	// tickFn is the idle-timer source, overridable by same-package tests
-	// to drive the pinger with a fake clock. nil selects time.After.
+	// to drive the pinger with a fake clock. nil selects one reusable
+	// timer per sender: a busy sender idles between most batches, so a
+	// fresh timer per idle wait would be a large share of a node's
+	// allocated bytes.
 	tickFn func(time.Duration) <-chan time.Time
 }
 
@@ -62,9 +65,6 @@ func (t Tuning) withDefaults() Tuning {
 	}
 	if t.PingInterval == 0 {
 		t.PingInterval = 250 * time.Millisecond
-	}
-	if t.tickFn == nil {
-		t.tickFn = time.After
 	}
 	return t
 }
@@ -191,6 +191,14 @@ func (q *outq) enqueue(env wire.Envelope) bool {
 func (q *outq) sender() {
 	defer q.drained.Done()
 	batch := make([]wire.Envelope, 0, q.tune.MaxBatch)
+	tick := q.tune.tickFn
+	if tick == nil {
+		// One timer per sender, re-armed on every idle wait (since go 1.23
+		// no stale tick survives a Reset).
+		idle := time.NewTimer(q.tune.PingInterval)
+		defer idle.Stop()
+		tick = func(d time.Duration) <-chan time.Time { idle.Reset(d); return idle.C }
+	}
 	for {
 		q.mu.Lock()
 		for len(q.buf) == 0 {
@@ -202,7 +210,7 @@ func (q *outq) sender() {
 			if q.ping != nil && q.tune.PingInterval > 0 {
 				select {
 				case <-q.wake:
-				case <-q.tune.tickFn(q.tune.PingInterval):
+				case <-tick(q.tune.PingInterval):
 					q.ping()
 				}
 			} else {

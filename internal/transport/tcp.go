@@ -344,12 +344,20 @@ const maxDialsPerSend = 2
 var pingFrame = []byte{0}
 
 // tcpFrame is one encoded, retained batch frame. bp is the pooled encode
-// buffer (*bp is the frame); it returns to the pool only when the frame
-// rotates out of the tail or is dropped from pending.
+// buffer; it returns to the pool only when the frame rotates out of the
+// tail or is dropped from pending. The bytes on the wire, length prefix
+// included, are (*bp)[off:]: see flush.
 type tcpFrame struct {
 	bp     *[]byte
+	off    int
 	resend bool // written before, on a connection that later died
 }
+
+func (f tcpFrame) wire() []byte { return (*f.bp)[f.off:] }
+
+// prefixRoom is the headroom flush leaves in front of an encoded frame for
+// its uvarint length prefix.
+const prefixRoom = binary.MaxVarintLen64
 
 // tcpStream is one outbound (peer, priority) stream: a lazily-dialed
 // connection plus the retained-frame state of the at-least-once resend
@@ -364,7 +372,6 @@ type tcpStream struct {
 	stats *metrics.Transport
 
 	c       net.Conn
-	w       *bufio.Writer
 	healing bool // a previous connection was discarded; next dial is a redial
 
 	// pending holds encoded frames not yet written on a live connection
@@ -386,10 +393,16 @@ func newTCPStream(e *tcpEndpoint, to wire.NodeID, addr string, stats *metrics.Tr
 // a dial that replaces a discarded connection is a Redial, the first
 // successful write on it is a HealedWrite, and every retained frame
 // rewritten after a write error is a BatchResend.
+//
+// The frame is encoded behind prefixRoom bytes and its length prefix is
+// then written in place just in front of it, so each frame goes out as one
+// write straight from the pooled buffer: no per-stream write buffer and no
+// copy.
 func (s *tcpStream) flush(batch []wire.Envelope) {
 	bp := wire.GetBuf()
 	var err error
-	frame := *bp
+	var room [prefixRoom]byte
+	frame := append(*bp, room[:]...)
 	if len(batch) == 1 {
 		frame, err = wire.EncodeEnvelope(frame, batch[0])
 	} else {
@@ -400,7 +413,10 @@ func (s *tcpStream) flush(batch []wire.Envelope) {
 		wire.PutBuf(bp)
 		return
 	}
-	s.pending = append(s.pending, tcpFrame{bp: bp})
+	n := binary.PutUvarint(room[:], uint64(len(frame)-prefixRoom))
+	off := prefixRoom - n
+	copy(frame[off:], room[:n])
+	s.pending = append(s.pending, tcpFrame{bp: bp, off: off})
 	s.sendPending()
 }
 
@@ -420,7 +436,7 @@ func (s *tcpStream) sendPending() {
 			dials++
 		}
 		f := s.pending[0]
-		if err := s.writeFrame(*f.bp); err != nil {
+		if _, err := s.c.Write(f.wire()); err != nil {
 			if debugTCP {
 				debugLog.Info("tcpdebug: peer write failed, frame retained for resend",
 					"node", int(s.e.id), "peer", int(s.to), "err", err)
@@ -454,11 +470,7 @@ func (s *tcpStream) ping() {
 		return // nothing to keep alive; the next batch dials fresh
 	}
 	s.stats.PingsSent.Add(1)
-	var err error
-	if _, err = s.w.Write(pingFrame); err == nil {
-		err = s.w.Flush()
-	}
-	if err != nil {
+	if _, err := s.c.Write(pingFrame); err != nil {
 		s.stats.PeerUnresponsive.Add(1)
 		if debugTCP {
 			debugLog.Info("tcpdebug: ping failed, conn discarded",
@@ -479,7 +491,6 @@ func (s *tcpStream) dial() bool {
 		return false
 	}
 	s.c = conn
-	s.w = bufio.NewWriterSize(conn, 64<<10)
 	s.e.track(conn)
 	s.stats.Dials.Add(1)
 	if s.healing {
@@ -492,22 +503,6 @@ func (s *tcpStream) dial() bool {
 	return true
 }
 
-func (s *tcpStream) writeFrame(frame []byte) error {
-	var hdr [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(frame)))
-	// Assign, don't declare: a `:=` here would shadow err and swallow
-	// write failures, leaving the sender wedged on a dead connection
-	// forever instead of redialing (a restarted peer would never be
-	// reached again).
-	var err error
-	if _, err = s.w.Write(hdr[:n]); err == nil {
-		if _, err = s.w.Write(frame); err == nil {
-			err = s.w.Flush()
-		}
-	}
-	return err
-}
-
 // discardConn drops the connection after a failed write and re-queues the
 // tail in front of the failed frame: everything recently written may have
 // died unread in the old connection's kernel buffer, so all of it is
@@ -517,7 +512,7 @@ func (s *tcpStream) discardConn() {
 	s.stats.DiscardedConns.Add(1)
 	s.healing = true
 	_ = s.c.Close()
-	s.c, s.w = nil, nil
+	s.c = nil
 	if len(s.pending) > 0 {
 		s.pending[0].resend = true
 	}

@@ -2,9 +2,10 @@
 # check_allocs.sh — allocs/op regression guard for the hot paths.
 #
 # Runs the named benchmarks with -benchmem and fails if any exceeds its
-# recorded allocs/op ceiling. Ceilings are the measured value plus slack for
-# cross-machine variance; lower them when the paths get leaner, never raise
-# them without a recorded justification in the PR.
+# recorded allocs/op ceiling (check) or B/op ceiling (check_bytes).
+# Ceilings are the measured value plus slack for cross-machine variance;
+# lower them when the paths get leaner, never raise them without a recorded
+# justification in the change that raises them.
 #
 # Usage: scripts/check_allocs.sh
 set -euo pipefail
@@ -37,6 +38,24 @@ check() {
       echo "ok: $name allocs/op = $allocs (ceiling $ceiling)"
     fi
   done
+}
+
+# check_bytes <package> <bench regex> <benchtime> <bench-name-substring> <ceiling B/op>
+check_bytes() {
+  local pkg=$1 regex=$2 benchtime=$3 name=$4 ceiling=$5
+  local out bytes
+  out=$(go test -run xxx -bench "$regex" -benchtime "$benchtime" -benchmem "$pkg")
+  echo "$out" | grep -E '^Benchmark' || true
+  bytes=$(echo "$out" | awk -v name="$name" '$1 ~ name { print $(NF-3); exit }')
+  if [[ -z "$bytes" ]]; then
+    echo "FAIL: benchmark matching $name not found in $pkg output" >&2
+    fail=1
+  elif ((bytes > ceiling)); then
+    echo "FAIL: $name B/op = $bytes exceeds ceiling $ceiling" >&2
+    fail=1
+  else
+    echo "ok: $name B/op = $bytes (ceiling $ceiling)"
+  fi
 }
 
 # Read-only transaction end-to-end (Begin + reads + Commit). Seed was 33
@@ -85,5 +104,11 @@ check ./internal/commitlog 'BenchmarkClockReads' 2000x \
   'BenchmarkClockReads/SnapshotVC' 1 \
   'BenchmarkClockReads/AppliedSelf' 0 \
   'BenchmarkClockReads/FoldExternalInto' 0
+
+# Commitlog construction at the default capacity: the NLog ring and its
+# txn→seq index grow with the retained entries, so an idle node's log is
+# its bucket index only. Measured 30 624 B/op; the pre-sized ring and
+# index were 6 145 922.
+check_bytes ./internal/commitlog '^BenchmarkNew$' 2000x 'BenchmarkNew' 65536
 
 exit $fail

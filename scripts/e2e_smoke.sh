@@ -8,7 +8,8 @@
 #    required-series contract, then a python check asserts the values
 #    reconcile (nonzero sss_commits_total, stage histogram counts equal to
 #    it, a WAL that synced and never failed — the nodes run durable, with
-#    -data-dir) and that the page is live (sss_transport_flushes_total
+#    -data-dir — and nonzero sss_commitlog_entries and sss_tombstones
+#    gauges) and that the page is live (sss_transport_flushes_total
 #    advances between two scrapes).
 # 3. Runs the multi-process e2e suite (internal/harness): boots a real
 #    3-node TCP cluster, checks cross-node write visibility, read-only
@@ -102,12 +103,17 @@ for i in range(3):
         f"node {i}: WAL sync failures on a healthy cluster"
     assert samples["sss_wal_syncs_total"] > 0, \
         f"node {i}: no WAL syncs on a durable cluster"
+    # Retained-state gauges: every node is a write replica of some smoke
+    # key, so each retains NLog entries and decide tombstones.
+    for gauge in ("sss_commitlog_entries", "sss_tombstones"):
+        assert gauge in samples, f"node {i}: {gauge} missing from /metrics"
+        assert samples[gauge] > 0, f"node {i}: {gauge} = {samples[gauge]} after the load"
     flushes = samples["sss_transport_flushes_total"]
     assert flushes > flushes_before[i], \
         f"node {i}: sss_transport_flushes_total frozen at {flushes} across the load"
     total_commits += commits
 assert total_commits >= 24, f"cluster committed {total_commits} < 24 issued updates"
-print(f"metrics gate: {total_commits:.0f} commits, stage counts reconcile, WALs sync and transport counters advance on all 3 nodes")
+print(f"metrics gate: {total_commits:.0f} commits, stage counts reconcile, WALs sync, retained-state gauges nonzero and transport counters advance on all 3 nodes")
 EOF
 # shellcheck disable=SC2086
 kill $server_pids 2>/dev/null || true
