@@ -20,8 +20,8 @@
 // surfaces kv.ErrUnavailable and the server aborts the transaction.
 //
 // Two mechanisms keep the wire cost of a transaction near its round-trip
-// floor. Every connection runs a coalescing send queue (mirroring the
-// node-to-node transport's per-peer outq): concurrent transactions'
+// floor. Every connection runs a coalescing send queue (the batchq.Queue
+// the node-to-node transport's peer links use): concurrent transactions'
 // frames accumulated while the sender was busy go out as one buffered
 // write with a single flush (at most 64 frames), observable via Metrics.
 // And a whole read-only transaction can be collapsed into one round trip
@@ -39,6 +39,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/sss-paper/sss/internal/batchq"
 	"github.com/sss-paper/sss/internal/clientproto"
 	"github.com/sss-paper/sss/internal/metrics"
 	"github.com/sss-paper/sss/kv"
@@ -64,8 +65,8 @@ type Options struct {
 	// over whatever accumulated while the sender was writing.
 	batchMaxRequests int
 	// batchFlushWindow, when positive, makes the sender wait this long for
-	// more requests before flushing a non-full batch. Zero — what every
-	// caller outside this package's tests gets — flushes immediately.
+	// more requests before flushing a batch. Zero — what every caller
+	// outside this package's tests gets — flushes immediately.
 	batchFlushWindow time.Duration
 }
 
@@ -471,8 +472,8 @@ func replyError(rep clientproto.Reply) error {
 // sender goroutine, plus a demux goroutine matching pipelined replies to
 // waiting callers by request ID.
 //
-// The send queue mirrors the transport's per-peer outq: callers enqueue and
-// wake the sender; the sender writes whatever accumulated while it was busy
+// The send queue is the batchq.Queue the node-to-node transport uses:
+// callers push and the sender writes whatever accumulated while it was busy
 // as one buffered write with a single flush. An idle connection flushes a
 // lone request immediately — coalescing costs nothing without concurrency —
 // while concurrent transactions multiplexed on the connection share wire
@@ -482,16 +483,13 @@ type conn struct {
 	bw    *bufio.Writer // owned by the sender goroutine
 	opts  Options
 	stats *metrics.ClientNet
+	q     *batchq.Queue[queuedReq] // pushed and closed under mu
 
 	mu      sync.Mutex
 	nextID  uint64
 	pending map[uint64]chan clientproto.Reply
-	queue   []queuedReq
 	dead    bool
 	err     error
-
-	wake     chan struct{} // capacity 1: enqueue/close nudge the sender
-	sendDone chan struct{} // closed when the sender goroutine exits
 }
 
 type queuedReq struct {
@@ -501,13 +499,12 @@ type queuedReq struct {
 
 func newConn(nc net.Conn, opts Options, stats *metrics.ClientNet) *conn {
 	cn := &conn{
-		nc:       nc,
-		bw:       bufio.NewWriterSize(nc, 64<<10),
-		opts:     opts,
-		stats:    stats,
-		pending:  make(map[uint64]chan clientproto.Reply),
-		wake:     make(chan struct{}, 1),
-		sendDone: make(chan struct{}),
+		nc:      nc,
+		bw:      bufio.NewWriterSize(nc, 64<<10),
+		opts:    opts,
+		stats:   stats,
+		q:       batchq.New[queuedReq](),
+		pending: make(map[uint64]chan clientproto.Reply),
 	}
 	stats.Sessions.Add(1)
 	stats.ActiveSessions.Add(1)
@@ -537,14 +534,10 @@ func (cn *conn) close(cause error) {
 	cn.err = cause
 	pending := cn.pending
 	cn.pending = make(map[uint64]chan clientproto.Reply)
-	cn.queue = nil
+	cn.q.Close()
 	cn.mu.Unlock()
 	cn.stats.ActiveSessions.Add(-1)
 	_ = cn.nc.Close()
-	select {
-	case cn.wake <- struct{}{}:
-	default:
-	}
 	for _, ch := range pending {
 		close(ch)
 	}
@@ -572,49 +565,19 @@ func (cn *conn) demux() {
 // sender drains the queue, coalescing accumulated requests into one
 // buffered write + flush per batch.
 func (cn *conn) sender() {
-	defer close(cn.sendDone)
-	max := cn.opts.batchMaxRequests
-	batch := make([]queuedReq, 0, max)
+	var batch []queuedReq
 	for {
-		cn.mu.Lock()
-		for len(cn.queue) == 0 {
-			if cn.dead {
-				cn.mu.Unlock()
-				return
-			}
-			cn.mu.Unlock()
-			<-cn.wake
-			cn.mu.Lock()
+		if w := cn.opts.batchFlushWindow; w > 0 {
+			cn.q.Wait(nil)
+			time.Sleep(w) // accumulate a bigger batch
 		}
-		full := len(cn.queue) >= max
-		cn.mu.Unlock()
-
-		// A window accumulates a bigger batch, but a full one flushes right
-		// away so the window never caps throughput below max/window.
-		if w := cn.opts.batchFlushWindow; w > 0 && !full {
-			time.Sleep(w)
-		}
-
-		cn.mu.Lock()
-		if cn.dead {
+		var open bool
+		batch, open = cn.q.Take(batch[:0], cn.opts.batchMaxRequests)
+		if !open {
 			// close() already failed the queued callers; don't write into a
 			// closed socket.
-			cn.mu.Unlock()
 			return
 		}
-		n := len(cn.queue)
-		if n > max {
-			n = max
-		}
-		batch = append(batch[:0], cn.queue[:n]...)
-		rest := copy(cn.queue, cn.queue[n:])
-		for i := rest; i < len(cn.queue); i++ {
-			cn.queue[i] = queuedReq{} // don't retain written requests
-		}
-		cn.queue = cn.queue[:rest]
-		cn.mu.Unlock()
-
-		oldest := batch[0].at
 		var err error
 		for i := range batch {
 			if err = clientproto.WriteRequest(cn.bw, batch[i].req); err != nil {
@@ -630,7 +593,8 @@ func (cn *conn) sender() {
 		}
 		cn.stats.BatchFlushes.Add(1)
 		cn.stats.BatchRequests.Add(uint64(len(batch)))
-		cn.stats.BatchFlushLatency.Observe(time.Since(oldest))
+		cn.stats.BatchFlushLatency.Observe(time.Since(batch[0].at))
+		clear(batch) // don't retain written requests
 	}
 }
 
@@ -651,13 +615,9 @@ func (cn *conn) start(req *clientproto.Request) (chan clientproto.Reply, error) 
 	cn.nextID++
 	req.ReqID = cn.nextID
 	cn.pending[req.ReqID] = ch
-	cn.queue = append(cn.queue, queuedReq{req: req, at: time.Now()})
+	cn.q.Push(queuedReq{req: req, at: time.Now()}) // open while !dead
 	cn.mu.Unlock()
 	cn.stats.Requests.Add(1)
-	select {
-	case cn.wake <- struct{}{}:
-	default:
-	}
 	return ch, nil
 }
 

@@ -5,17 +5,18 @@ import (
 	"sync"
 	"time"
 
+	"github.com/sss-paper/sss/internal/batchq"
 	"github.com/sss-paper/sss/internal/vclock"
 	"github.com/sss-paper/sss/internal/wal"
 	"github.com/sss-paper/sss/internal/wire"
 )
 
 // Per-replica commit pipelining (group commit) for the external-commit
-// traffic. Every peer gets one extQueue drained by a single sender
-// goroutine, mirroring the transport outq: concurrent update transactions'
-// freeze orders — and the purge notifications that follow — accumulate
-// while the previous flush is in flight and are coalesced into one
-// wire.ExtBatch envelope. The replica applies the batch's freezes with one
+// traffic. Every peer gets one batchq.Queue drained by a single sender
+// goroutine, the same queue the transport's peer streams use: concurrent
+// update transactions' freeze orders — and the purge notifications that
+// follow — accumulate while the previous flush is in flight and are
+// coalesced into one wire.ExtBatch envelope. The replica applies the batch's freezes with one
 // grouped pass over its striped state and a single clock republish
 // (handleExtBatch), and answers with one ack covering every freeze in it.
 //
@@ -47,83 +48,12 @@ type extItem struct {
 	enq time.Time
 }
 
-// extQueue is the per-peer commit queue. Senders never block on the
-// network: enqueue appends and wakes the drainer.
-type extQueue struct {
-	mu     sync.Mutex
-	items  []extItem
-	closed bool
-	wake   chan struct{}
-}
-
-func newExtQueue() *extQueue {
-	return &extQueue{wake: make(chan struct{}, 1)}
-}
-
-// enqueue appends it for delivery. Returns false when the queue is closed
-// (node shutting down); the caller must complete the item locally.
-func (q *extQueue) enqueue(it extItem) bool {
-	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		return false
-	}
-	q.items = append(q.items, it)
-	q.mu.Unlock()
-	select {
-	case q.wake <- struct{}{}:
-	default:
-	}
-	return true
-}
-
-// requeueFront prepends items for redelivery, ahead of everything enqueued
-// since they were taken. Keeping failed freezes at the front preserves the
-// queue's only ordering contract: a transaction's freeze is delivered
-// before its purge (the purge enqueues after the freeze waiters release,
-// so it can only be behind us).
-func (q *extQueue) requeueFront(items []extItem) {
-	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		// Shutdown raced the redelivery: the queue will never drain again,
-		// so any waiter still riding the requeue (its ack withheld under
-		// the freeze-ack budget) must release here — same policy as the
-		// closing sender, which never drops a waiter.
-		for i := range items {
-			if items[i].done != nil {
-				close(items[i].done)
-			}
-		}
-		return
-	}
-	q.items = append(items, q.items...)
-	q.mu.Unlock()
-	select {
-	case q.wake <- struct{}{}:
-	default:
-	}
-}
-
-// close marks the queue closed and wakes the sender so it can drain and
-// exit. Items still queued are completed without network delivery (the
-// cluster is tearing down; pending Calls could only time out).
-func (q *extQueue) close() {
-	q.mu.Lock()
-	q.closed = true
-	q.mu.Unlock()
-	select {
-	case q.wake <- struct{}{}:
-	default:
-	}
-}
-
 // extSender drains one peer's commit queue: it coalesces whatever
 // accumulated into a single ExtBatch, issues it as one acked call when it
 // carries freezes (one-way when purge-only), and releases every freeze
 // waiter on the ack. One in-flight batch per peer: the next batch forms
 // while the current one is on the wire — pipelined group commit.
-func (nd *Node) extSender(peer wire.NodeID, q *extQueue) {
+func (nd *Node) extSender(peer wire.NodeID, q *batchq.Queue[extItem]) {
 	defer nd.extSenders.Done()
 	var batch []extItem
 	// msg is reused across acked flushes: once the batch ack returned, no
@@ -133,29 +63,11 @@ func (nd *Node) extSender(peer wire.NodeID, q *extQueue) {
 	// hold the reference.
 	msg := &wire.ExtBatch{}
 	for {
-		q.mu.Lock()
-		for len(q.items) == 0 {
-			if q.closed {
-				q.mu.Unlock()
-				return
-			}
-			q.mu.Unlock()
-			<-q.wake
-			q.mu.Lock()
+		var open bool
+		batch, open = q.Take(batch[:0], maxExtBatch)
+		if len(batch) == 0 {
+			return
 		}
-		n := len(q.items)
-		if n > maxExtBatch {
-			n = maxExtBatch
-		}
-		batch = append(batch[:0], q.items[:n]...)
-		rest := copy(q.items, q.items[n:])
-		for i := rest; i < len(q.items); i++ {
-			q.items[i] = extItem{} // release clocks and channels
-		}
-		q.items = q.items[:rest]
-		closed := q.closed
-		q.mu.Unlock()
-
 		msg.Freezes, msg.Purges = msg.Freezes[:0], msg.Purges[:0]
 		for _, it := range batch {
 			if it.vc != nil {
@@ -165,7 +77,7 @@ func (nd *Node) extSender(peer wire.NodeID, q *extQueue) {
 			}
 		}
 		switch {
-		case closed:
+		case !open:
 			// Shutdown: drop the sends (peers may be gone; a Call would
 			// only park until its timeout) but never a waiter.
 		case len(msg.Freezes) > 0:
@@ -212,7 +124,19 @@ func (nd *Node) extSender(peer wire.NodeID, q *extQueue) {
 					}
 					retry = append(retry, keep)
 				}
-				q.requeueFront(retry)
+				// Requeued at the front, ahead of everything enqueued since:
+				// a transaction's purge enqueues only after its freeze
+				// waiters release, so it can only be behind its freeze.
+				if !q.PushFront(retry...) {
+					// Shutdown raced the redelivery: the queue will never
+					// drain again, so a waiter riding the requeue releases
+					// here — the closing sender never drops a waiter.
+					for i := range retry {
+						if retry[i].done != nil {
+							close(retry[i].done)
+						}
+					}
+				}
 				msg = &wire.ExtBatch{} // in flight somewhere; abandon
 				for i := range batch {
 					if batch[i].done != nil {
@@ -231,7 +155,7 @@ func (nd *Node) extSender(peer wire.NodeID, q *extQueue) {
 			if batch[i].done != nil {
 				close(batch[i].done)
 			}
-			if !closed && batch[i].vc == nil && !batch[i].enq.IsZero() {
+			if open && batch[i].vc == nil && !batch[i].enq.IsZero() {
 				nd.stats.Stage.Purge.Observe(time.Since(batch[i].enq))
 			}
 			batch[i] = extItem{}
@@ -247,7 +171,7 @@ func (nd *Node) enqueueFreezes(txn wire.TxnID, writeNodes []wire.NodeID, freezeV
 	deadline := time.Now().Add(nd.cfg.FreezeAckBudget)
 	for _, w := range writeNodes {
 		done := make(chan struct{})
-		if !nd.extq[w].enqueue(extItem{txn: txn, vc: freezeVC, know: know, done: done, deadline: deadline}) {
+		if !nd.extq[w].Push(extItem{txn: txn, vc: freezeVC, know: know, done: done, deadline: deadline}) {
 			close(done) // shutting down; don't park the committer
 		}
 		dst = append(dst, done)
@@ -268,7 +192,7 @@ func (nd *Node) awaitFreezes(waiters []chan struct{}) {
 // enqueuePurges queues t's purge notification for every write replica.
 func (nd *Node) enqueuePurges(txn wire.TxnID, writeNodes []wire.NodeID) {
 	for _, w := range writeNodes {
-		if !nd.extq[w].enqueue(extItem{txn: txn, enq: time.Now()}) {
+		if !nd.extq[w].Push(extItem{txn: txn, enq: time.Now()}) {
 			// Shutting down: purge locally when possible so tests tearing
 			// down observe empty queues; remote peers are gone anyway.
 			if w == nd.id {

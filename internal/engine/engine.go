@@ -39,6 +39,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/sss-paper/sss/internal/batchq"
 	"github.com/sss-paper/sss/internal/cluster"
 	"github.com/sss-paper/sss/internal/commitlog"
 	"github.com/sss-paper/sss/internal/lockmgr"
@@ -184,7 +185,7 @@ type Node struct {
 
 	// extq holds one per-peer commit queue (group commit for the freeze
 	// and purge traffic); extSenders tracks their drainer goroutines.
-	extq       []*extQueue
+	extq       []*batchq.Queue[extItem]
 	extSenders sync.WaitGroup
 
 	closed atomic.Bool
@@ -371,9 +372,9 @@ func New(net transport.Network, id wire.NodeID, n int, lookup cluster.Lookup, cf
 		return nil, fmt.Errorf("engine: node %d: %w", id, err)
 	}
 	nd.rpc = rpc
-	nd.extq = make([]*extQueue, n)
+	nd.extq = make([]*batchq.Queue[extItem], n)
 	for i := range nd.extq {
-		nd.extq[i] = newExtQueue()
+		nd.extq[i] = batchq.New[extItem]()
 		nd.extSenders.Add(1)
 		go nd.extSender(wire.NodeID(i), nd.extq[i])
 	}
@@ -430,7 +431,7 @@ func (nd *Node) Close() error {
 		nd.ckptStop = nil
 	}
 	for _, q := range nd.extq {
-		q.close()
+		q.Close()
 	}
 	nd.extSenders.Wait()
 	return nd.rpc.Close()

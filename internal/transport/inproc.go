@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/sss-paper/sss/internal/batchq"
 	"github.com/sss-paper/sss/internal/metrics"
 	"github.com/sss-paper/sss/internal/wire"
 )
@@ -26,9 +27,9 @@ type InProcConfig struct {
 	// Seed seeds the jitter source; 0 means a fixed default seed, keeping
 	// simulations reproducible.
 	Seed int64
-	// Tuning configures the batching runtime (batch size, inbound worker
-	// pool).
-	Tuning Tuning
+	// tuning configures the batching runtime (batch size, inbound worker
+	// pool); a same-package test seam.
+	tuning tuning
 	// DuplicateDeliveries, when true, delivers every remote message twice
 	// — the resend-amplifier seam: engine suites run under it to prove
 	// every peer wire message kind tolerates the at-least-once delivery
@@ -88,7 +89,7 @@ func NewInProc(cfg InProcConfig) *InProc {
 	if cfg.Latency == 0 && !cfg.DisableLatency {
 		cfg.Latency = DefaultLatency
 	}
-	cfg.Tuning = cfg.Tuning.withDefaults()
+	cfg.tuning = cfg.tuning.withDefaults()
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = 1
@@ -116,7 +117,7 @@ func (n *InProc) Join(id wire.NodeID, h Handler) (Endpoint, error) {
 		return nil, fmt.Errorf("transport: node %d already joined", id)
 	}
 	n.nodes[id] = &inprocNode{
-		disp:  newDispatcher(n.cfg.Tuning.Workers, h, &n.wg, &n.stats),
+		disp:  newDispatcher(n.cfg.tuning.Workers, h, &n.wg, &n.stats),
 		stats: &n.stats,
 	}
 	return &inprocEndpoint{net: n, id: id}, nil
@@ -244,7 +245,9 @@ func (n *InProc) send(from, to wire.NodeID, env wire.Envelope) error {
 			}
 			send = clone
 		}
-		if !pipe.enqueue(send, delay) {
+		// A closed pipe refuses the push: release the delivery slots of
+		// this copy and the ones not yet sent.
+		if !pipe.q.Push(timedEnv{env: send, at: time.Now(), lag: delay}) {
 			for ; i < copies; i++ {
 				n.wg.Done()
 			}
@@ -274,7 +277,7 @@ func (n *InProc) makePipe(key [2]wire.NodeID, dst *inprocNode) *inprocPipe {
 	if p := n.pipes[key]; p != nil {
 		return p
 	}
-	p := newInprocPipe(n, dst, n.cfg.Tuning.MaxBatch)
+	p := newInprocPipe(n, dst, n.cfg.tuning.MaxBatch)
 	n.pipes[key] = p
 	return p
 }
@@ -287,18 +290,15 @@ func (n *InProc) deliver(dst *inprocNode, env wire.Envelope) {
 }
 
 // inprocPipe is the ordered delivery channel of one sender→receiver pair:
-// a queue of (envelope, due time) drained by one goroutine that sleeps
-// until the head is due, then delivers *every* due message as one batch —
-// the in-process analogue of the TCP sender's frame coalescing.
+// a queue of (envelope, due time) drained by one goroutine that takes
+// whatever accumulated, then delivers each envelope at its own due instant,
+// first in, first out — the in-process analogue of the TCP sender's frame
+// coalescing.
 type inprocPipe struct {
-	net *InProc
-	dst *inprocNode
-
-	mu     sync.Mutex
-	buf    []timedEnv
-	closed bool
-	wake   chan struct{}
-	done   sync.WaitGroup
+	net  *InProc
+	dst  *inprocNode
+	q    *batchq.Queue[timedEnv]
+	done sync.WaitGroup
 
 	maxBatch int
 	stats    metrics.Transport
@@ -311,102 +311,49 @@ type timedEnv struct {
 }
 
 func newInprocPipe(n *InProc, dst *inprocNode, maxBatch int) *inprocPipe {
-	p := &inprocPipe{net: n, dst: dst, wake: make(chan struct{}, 1), maxBatch: maxBatch}
+	p := &inprocPipe{net: n, dst: dst, q: batchq.New[timedEnv](), maxBatch: maxBatch}
 	p.done.Add(1)
 	go p.run()
 	return p
 }
 
-// enqueue schedules env for delivery after lag. The caller must already
-// hold a delivery slot in the network's WaitGroup; enqueue returns false
-// (without releasing it) when the pipe is closed.
-func (p *inprocPipe) enqueue(env wire.Envelope, lag time.Duration) bool {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return false
-	}
-	p.buf = append(p.buf, timedEnv{env: env, at: time.Now(), lag: lag})
-	p.mu.Unlock()
-	select {
-	case p.wake <- struct{}{}:
-	default:
-	}
-	return true
-}
-
 func (p *inprocPipe) run() {
 	defer p.done.Done()
 	var timer *time.Timer
-	batch := make([]timedEnv, 0, p.maxBatch)
+	var batch []timedEnv
 	for {
-		p.mu.Lock()
-		for len(p.buf) == 0 {
-			if p.closed {
-				p.mu.Unlock()
-				return
-			}
-			p.mu.Unlock()
-			<-p.wake
-			p.mu.Lock()
+		batch, _ = p.q.Take(batch[:0], p.maxBatch)
+		if len(batch) == 0 {
+			return
 		}
-		head := p.buf[0].at.Add(p.buf[0].lag)
-		p.mu.Unlock()
-
-		// Sleep until the head is due.
-		if wait := time.Until(head); wait > 0 {
-			if timer == nil {
-				timer = time.NewTimer(wait)
-			} else {
-				timer.Reset(wait)
-			}
-			select {
-			case <-timer.C:
-			case <-p.net.closing:
-				// Shutting down: deliveries already enqueued still drain
-				// (Close waits for them), just without the remaining delay.
-				if !timer.Stop() {
-					<-timer.C
+		for _, te := range batch {
+			if wait := time.Until(te.at.Add(te.lag)); wait > 0 {
+				if timer == nil {
+					timer = time.NewTimer(wait)
+				} else {
+					timer.Reset(wait)
+				}
+				select {
+				case <-timer.C:
+				case <-p.net.closing:
+					// Shutting down: deliveries already enqueued still drain
+					// (Close waits for them), just without the remaining delay.
+					timer.Stop()
 				}
 			}
-		}
-
-		// Deliver every message now due — the natural batch that built up
-		// while this pipe slept or the receiver was busy.
-		now := time.Now()
-		p.mu.Lock()
-		n := 0
-		for n < len(p.buf) && n < p.maxBatch && !p.buf[n].at.Add(p.buf[n].lag).After(now) {
-			n++
-		}
-		if n == 0 && len(p.buf) > 0 {
-			n = 1 // closing fast path: the head is delivered regardless
-		}
-		batch = append(batch[:0], p.buf[:n]...)
-		rest := copy(p.buf, p.buf[n:])
-		p.buf = p.buf[:rest]
-		p.mu.Unlock()
-
-		oldest := batch[0].at
-		for _, te := range batch {
 			p.net.deliver(p.dst, te.env)
 		}
 		for _, s := range []*metrics.Transport{&p.stats, &p.net.stats} {
 			s.Flushes.Add(1)
 			s.Envelopes.Add(uint64(len(batch)))
-			s.FlushLatency.Observe(time.Since(oldest))
+			s.FlushLatency.Observe(time.Since(batch[0].at))
 		}
+		clear(batch)
 	}
 }
 
 func (p *inprocPipe) stop() {
-	p.mu.Lock()
-	p.closed = true
-	p.mu.Unlock()
-	select {
-	case p.wake <- struct{}{}:
-	default:
-	}
+	p.q.Close()
 	p.done.Wait()
 }
 

@@ -20,8 +20,8 @@ func TestPingDetectsDeadIdleConn(t *testing.T) {
 	book := map[wire.NodeID]string{0: addrs[0], 1: addrs[1]}
 
 	ticks := make(chan time.Time)
-	tune := Tuning{tickFn: func(time.Duration) <-chan time.Time { return ticks }}
-	net0 := NewTCPTuned(book, tune)
+	tune := tuning{tickFn: func(time.Duration) <-chan time.Time { return ticks }}
+	net0 := newTCPTuned(book, tune)
 	defer func() { _ = net0.Close() }()
 	var rpc0 *RPC
 	rpc0, err := NewRPC(net0, 0, func(from wire.NodeID, rid uint64, msg wire.Msg) {
@@ -86,7 +86,7 @@ func TestWriteErrorResendsRetainedFrames(t *testing.T) {
 	book := map[wire.NodeID]string{0: addrs[0], 1: addrs[1]}
 
 	// Pings off: this test exercises the write-error path alone.
-	net0 := NewTCPTuned(book, Tuning{PingInterval: -1})
+	net0 := newTCPTuned(book, tuning{PingInterval: -1})
 	defer func() { _ = net0.Close() }()
 	ep0, err := net0.Join(0, func(wire.Envelope) {})
 	if err != nil {
@@ -248,7 +248,7 @@ func TestInProcFilterSeam(t *testing.T) {
 // neither errors nor disturbs the framing of the traffic after it.
 func TestTCPLargeFrameAndPingRoundTrip(t *testing.T) {
 	ticks := make(chan time.Time)
-	nw, _, cli := newTCPPairTuned(t, Tuning{tickFn: func(time.Duration) <-chan time.Time { return ticks }})
+	nw, _, cli := newTCPPairTuned(t, tuning{tickFn: func(time.Duration) <-chan time.Time { return ticks }})
 	call := func(val []byte) {
 		t.Helper()
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -289,7 +289,7 @@ func TestTCPLargeFrameAndPingRoundTrip(t *testing.T) {
 // warmed link must be probed again and again, so the timer is re-armed
 // after every tick and after every batch that interrupts the idle wait.
 func TestIdlePingerRearms(t *testing.T) {
-	nw, _, cli := newTCPPairTuned(t, Tuning{PingInterval: 5 * time.Millisecond})
+	nw, _, cli := newTCPPairTuned(t, tuning{PingInterval: 5 * time.Millisecond})
 	deadline := time.Now().Add(5 * time.Second)
 	for round := 1; round <= 3; round++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)

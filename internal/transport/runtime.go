@@ -1,8 +1,8 @@
 // Batched, pooled messaging runtime shared by the transport back ends.
 //
-// Outbound, every peer gets a queue drained by a single sender goroutine
-// that coalesces whatever accumulated while it was busy into one batch
-// frame — natural batching: an idle sender flushes a single envelope
+// Outbound, every TCP stream and every in-process pipe is a batchq.Queue
+// drained by one goroutine that takes whatever accumulated while it was
+// busy — natural batching: an idle sender flushes a single envelope
 // immediately, a busy one amortizes framing, allocation, and syscalls over
 // the queue depth.
 //
@@ -19,13 +19,15 @@ import (
 	"sync"
 	"time"
 
+	"github.com/sss-paper/sss/internal/batchq"
 	"github.com/sss-paper/sss/internal/metrics"
 	"github.com/sss-paper/sss/internal/wire"
 )
 
-// Tuning configures the messaging runtime of a Network. The zero value
-// selects defaults tuned for the simulated 20µs network.
-type Tuning struct {
+// tuning configures the messaging runtime of a Network: a same-package
+// test seam (NewTCP and NewInProc use the defaults). The zero value selects
+// defaults tuned for the simulated 20µs network.
+type tuning struct {
 	// MaxBatch caps the envelopes coalesced into one batch frame
 	// (default 64).
 	MaxBatch int
@@ -50,7 +52,7 @@ type Tuning struct {
 	tickFn func(time.Duration) <-chan time.Time
 }
 
-func (t Tuning) withDefaults() Tuning {
+func (t tuning) withDefaults() tuning {
 	if t.MaxBatch <= 0 {
 		t.MaxBatch = 64
 	}
@@ -134,119 +136,48 @@ func (d *dispatcher) stop() {
 	d.workers.Wait()
 }
 
-// outq is a per-peer outbound queue drained by one sender goroutine that
-// coalesces queued envelopes into batches handed to flush. flush owns the
-// batch slice only for the duration of the call. ping, when non-nil, is
-// invoked on the sender goroutine after PingInterval of idle — the
-// liveness hook for back ends with real connections.
-type outq struct {
-	mu      sync.Mutex
-	buf     []queued
-	closed  bool
-	wake    chan struct{}
-	tune    Tuning
-	flush   func(batch []wire.Envelope)
-	ping    func()
-	stats   *metrics.Transport
-	drained sync.WaitGroup // the sender goroutine
-}
-
+// queued is one envelope waiting in a TCP stream's send queue.
 type queued struct {
 	env wire.Envelope
-	at  time.Time
+	at  time.Time // enqueue instant, for FlushLatency
 }
 
-// newOutq starts the sender goroutine. ping may be nil (no liveness
-// probing; in-proc back ends have no connections to probe).
-func newOutq(tune Tuning, stats *metrics.Transport, flush func([]wire.Envelope), ping func()) *outq {
-	q := &outq{
-		wake:  make(chan struct{}, 1),
-		tune:  tune,
-		flush: flush,
-		ping:  ping,
-		stats: stats,
-	}
-	q.drained.Add(1)
-	go q.sender()
-	return q
-}
-
-// enqueue appends env for delivery. It never blocks on the network or the
-// receiver. Returns false when the queue is closed.
-func (q *outq) enqueue(env wire.Envelope) bool {
-	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		return false
-	}
-	q.buf = append(q.buf, queued{env: env, at: time.Now()})
-	q.mu.Unlock()
-	select {
-	case q.wake <- struct{}{}:
-	default:
-	}
-	return true
-}
-
-func (q *outq) sender() {
-	defer q.drained.Done()
-	batch := make([]wire.Envelope, 0, q.tune.MaxBatch)
-	tick := q.tune.tickFn
+// runSender is a TCP stream's sender goroutine. It coalesces what
+// accumulated in q into batches of at most tune.MaxBatch, handed to flush,
+// which owns the batch only for the duration of the call; after
+// PingInterval of idle it calls ping, the stream's liveness probe. It
+// returns once q is closed and every envelope queued before the close has
+// been flushed.
+func runSender(q *batchq.Queue[queued], tune tuning, stats *metrics.Transport, flush func([]wire.Envelope), ping func()) {
+	var taken []queued
+	batch := make([]wire.Envelope, 0, tune.MaxBatch)
+	tick := tune.tickFn
 	if tick == nil {
 		// One timer per sender, re-armed on every idle wait (since go 1.23
 		// no stale tick survives a Reset).
-		idle := time.NewTimer(q.tune.PingInterval)
+		idle := time.NewTimer(tune.PingInterval)
 		defer idle.Stop()
 		tick = func(d time.Duration) <-chan time.Time { idle.Reset(d); return idle.C }
 	}
 	for {
-		q.mu.Lock()
-		for len(q.buf) == 0 {
-			if q.closed {
-				q.mu.Unlock()
-				return
+		if tune.PingInterval > 0 {
+			for !q.Wait(tick(tune.PingInterval)) {
+				ping()
 			}
-			q.mu.Unlock()
-			if q.ping != nil && q.tune.PingInterval > 0 {
-				select {
-				case <-q.wake:
-				case <-tick(q.tune.PingInterval):
-					q.ping()
-				}
-			} else {
-				<-q.wake
-			}
-			q.mu.Lock()
 		}
-		n := len(q.buf)
-		if n > q.tune.MaxBatch {
-			n = q.tune.MaxBatch
+		taken, _ = q.Take(taken[:0], tune.MaxBatch)
+		if len(taken) == 0 {
+			return
 		}
 		batch = batch[:0]
-		oldest := q.buf[0].at
-		for i := 0; i < n; i++ {
-			batch = append(batch, q.buf[i].env)
+		for _, it := range taken {
+			batch = append(batch, it.env)
 		}
-		rest := copy(q.buf, q.buf[n:])
-		q.buf = q.buf[:rest]
-		q.mu.Unlock()
-
-		q.flush(batch)
-		q.stats.Flushes.Add(1)
-		q.stats.Envelopes.Add(uint64(len(batch)))
-		q.stats.FlushLatency.Observe(time.Since(oldest))
+		flush(batch)
+		stats.Flushes.Add(1)
+		stats.Envelopes.Add(uint64(len(batch)))
+		stats.FlushLatency.Observe(time.Since(taken[0].at))
+		clear(taken)
+		clear(batch)
 	}
-}
-
-// close drains the queue (pending envelopes are still flushed) and stops
-// the sender.
-func (q *outq) close() {
-	q.mu.Lock()
-	q.closed = true
-	q.mu.Unlock()
-	select {
-	case q.wake <- struct{}{}:
-	default:
-	}
-	q.drained.Wait()
 }

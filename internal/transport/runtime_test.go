@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/sss-paper/sss/internal/batchq"
 	"github.com/sss-paper/sss/internal/metrics"
 	"github.com/sss-paper/sss/internal/wire"
 )
@@ -17,7 +18,7 @@ import (
 // under -race in CI; it must neither lose messages nor deadlock.
 func TestInboundPoolSaturationNoLoss(t *testing.T) {
 	const total = 200
-	nw := NewInProc(InProcConfig{DisableLatency: true, Tuning: Tuning{Workers: 2}})
+	nw := NewInProc(InProcConfig{DisableLatency: true, tuning: tuning{Workers: 2}})
 	defer func() { _ = nw.Close() }()
 
 	var arrived atomic.Int32
@@ -57,7 +58,7 @@ func TestInboundPoolSaturationNoLoss(t *testing.T) {
 // first message's handler blocks until the second message is handled. With
 // a single worker this deadlocks unless dispatch spills.
 func TestBlockedHandlerCannotStallUnblocker(t *testing.T) {
-	nw := NewInProc(InProcConfig{DisableLatency: true, Tuning: Tuning{Workers: 1}})
+	nw := NewInProc(InProcConfig{DisableLatency: true, tuning: tuning{Workers: 1}})
 	defer func() { _ = nw.Close() }()
 
 	unblock := make(chan struct{})
@@ -131,7 +132,7 @@ func TestInProcCoalescesUnderBackpressure(t *testing.T) {
 // TestTCPBatchedCallsUnderLoad drives many concurrent RPCs over TCP and
 // checks correctness plus batch accounting on the sender side.
 func TestTCPBatchedCallsUnderLoad(t *testing.T) {
-	nw := NewTCPTuned(map[wire.NodeID]string{0: "127.0.0.1:0", 1: "127.0.0.1:0"}, Tuning{MaxBatch: 16})
+	nw := newTCPTuned(map[wire.NodeID]string{0: "127.0.0.1:0", 1: "127.0.0.1:0"}, tuning{MaxBatch: 16})
 	var srv *RPC
 	s, err := NewRPC(nw, 0, func(from wire.NodeID, rid uint64, msg wire.Msg) {
 		if rid != 0 {
@@ -186,31 +187,37 @@ func TestTCPBatchedCallsUnderLoad(t *testing.T) {
 }
 
 // TestOutqDrainsOnClose verifies already-enqueued envelopes still flush
-// during shutdown.
+// during shutdown: a TCP stream's sender keeps draining its closed queue.
 func TestOutqDrainsOnClose(t *testing.T) {
 	var stats metrics.Transport
 	var mu sync.Mutex
 	var flushed []wire.Envelope
 	blocker := make(chan struct{})
-	q := newOutq(Tuning{}.withDefaults(), &stats, func(batch []wire.Envelope) {
-		<-blocker // hold the sender so everything queues behind it
-		mu.Lock()
-		flushed = append(flushed, batch...)
-		mu.Unlock()
-	}, nil)
+	q := batchq.New[queued]()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		runSender(q, tuning{}.withDefaults(), &stats, func(batch []wire.Envelope) {
+			<-blocker // hold the sender so everything queues behind it
+			mu.Lock()
+			flushed = append(flushed, batch...)
+			mu.Unlock()
+		}, func() {})
+	}()
 	for i := 0; i < 10; i++ {
-		if !q.enqueue(wire.Envelope{Msg: &wire.Remove{Txn: wire.TxnID{Seq: uint64(i)}}}) {
+		if !q.Push(queued{env: wire.Envelope{Msg: &wire.Remove{Txn: wire.TxnID{Seq: uint64(i)}}}, at: time.Now()}) {
 			t.Fatalf("enqueue %d refused", i)
 		}
 	}
 	close(blocker)
-	q.close()
+	q.Close()
+	<-done
 	mu.Lock()
 	defer mu.Unlock()
 	if len(flushed) != 10 {
 		t.Fatalf("flushed %d/10 envelopes at close", len(flushed))
 	}
-	if q.enqueue(wire.Envelope{Msg: &wire.Remove{}}) {
+	if q.Push(queued{env: wire.Envelope{Msg: &wire.Remove{}}}) {
 		t.Fatal("enqueue after close should refuse")
 	}
 	if stats.Envelopes.Load() != 10 {

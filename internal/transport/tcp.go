@@ -9,7 +9,9 @@ import (
 	"net"
 	"os"
 	"sync"
+	"time"
 
+	"github.com/sss-paper/sss/internal/batchq"
 	"github.com/sss-paper/sss/internal/metrics"
 	"github.com/sss-paper/sss/internal/obs/slogx"
 	"github.com/sss-paper/sss/internal/wire"
@@ -30,7 +32,7 @@ const maxFrame = 64 << 20
 // goroutines under saturation (handlers may block indefinitely).
 type TCP struct {
 	addrs map[wire.NodeID]string
-	tune  Tuning
+	tune  tuning
 
 	mu     sync.Mutex
 	eps    map[wire.NodeID]*tcpEndpoint
@@ -44,11 +46,11 @@ var _ Network = (*TCP)(nil)
 // NewTCP builds a TCP network over the given node address book, with
 // default tuning.
 func NewTCP(addrs map[wire.NodeID]string) *TCP {
-	return NewTCPTuned(addrs, Tuning{})
+	return newTCPTuned(addrs, tuning{})
 }
 
-// NewTCPTuned builds a TCP network with explicit batching/pool tuning.
-func NewTCPTuned(addrs map[wire.NodeID]string, tune Tuning) *TCP {
+// newTCPTuned builds a TCP network with explicit batching/pool tuning.
+func newTCPTuned(addrs map[wire.NodeID]string, tune tuning) *TCP {
 	book := make(map[wire.NodeID]string, len(addrs))
 	for id, a := range addrs {
 		book[id] = a
@@ -163,8 +165,9 @@ func (t *TCP) PeerMetrics(from, to wire.NodeID) *metrics.Transport {
 // tcpPeer is one peer's outbound state: a queue per priority class, each
 // drained by its own sender goroutine over its own connection.
 type tcpPeer struct {
-	queues [wire.NumPriorities]*outq
-	stats  metrics.Transport
+	queues  [wire.NumPriorities]*batchq.Queue[queued]
+	senders sync.WaitGroup
+	stats   metrics.Transport
 }
 
 type tcpEndpoint struct {
@@ -291,7 +294,7 @@ func (e *tcpEndpoint) Send(to wire.NodeID, env wire.Envelope) error {
 	if err != nil {
 		return err
 	}
-	if !peer.queues[wire.PriorityOf(env.Msg.Type())].enqueue(env) {
+	if !peer.queues[wire.PriorityOf(env.Msg.Type())].Push(queued{env: env, at: time.Now()}) {
 		return ErrClosed
 	}
 	return nil
@@ -314,7 +317,13 @@ func (e *tcpEndpoint) peer(to wire.NodeID) (*tcpPeer, error) {
 	p := &tcpPeer{}
 	for prio := range p.queues {
 		st := newTCPStream(e, to, addr, &p.stats)
-		p.queues[prio] = newOutq(e.net.tune, &p.stats, st.flush, st.ping)
+		q := batchq.New[queued]()
+		p.queues[prio] = q
+		p.senders.Add(1)
+		go func() {
+			defer p.senders.Done()
+			runSender(q, e.net.tune, &p.stats, st.flush, st.ping)
+		}()
 	}
 	e.peers[to] = p
 	return p, nil
@@ -582,8 +591,11 @@ func (e *tcpEndpoint) Close() error {
 	// connections.
 	for _, p := range peers {
 		for _, q := range p.queues {
-			q.close()
+			q.Close()
 		}
+	}
+	for _, p := range peers {
+		p.senders.Wait()
 	}
 
 	e.mu.Lock()

@@ -277,12 +277,12 @@ func TestRPCConcurrentCalls(t *testing.T) {
 
 func newTCPPair(t *testing.T) (*TCP, *RPC, *RPC) {
 	t.Helper()
-	return newTCPPairTuned(t, Tuning{})
+	return newTCPPairTuned(t, tuning{})
 }
 
-func newTCPPairTuned(t *testing.T, tune Tuning) (*TCP, *RPC, *RPC) {
+func newTCPPairTuned(t *testing.T, tune tuning) (*TCP, *RPC, *RPC) {
 	t.Helper()
-	nw := NewTCPTuned(map[wire.NodeID]string{0: "127.0.0.1:0", 1: "127.0.0.1:0"}, tune)
+	nw := newTCPTuned(map[wire.NodeID]string{0: "127.0.0.1:0", 1: "127.0.0.1:0"}, tune)
 	// Join with port 0 requires re-resolution: join node 0 first, then
 	// rewrite the book with the bound address so node 1 can dial it.
 	var srv *RPC

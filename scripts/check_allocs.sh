@@ -111,4 +111,11 @@ check ./internal/commitlog 'BenchmarkClockReads' 2000x \
 # index were 6 145 922.
 check_bytes ./internal/commitlog '^BenchmarkNew$' 2000x 'BenchmarkNew' 65536
 
+# The shared send queue (internal/batchq) behind the TCP peer streams,
+# in-process pipes, engine commit queues and client connections: a
+# steady-state push and take reuse the queue's and the batch's backing
+# arrays, so they allocate nothing.
+check ./internal/batchq 'BenchmarkQueue' 10000x \
+  'BenchmarkQueue' 0
+
 exit $fail
