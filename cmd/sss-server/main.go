@@ -167,8 +167,8 @@ func main() {
 		// Metrics() merges the per-peer counters into a fresh struct per
 		// call, so the family is gathered at scrape time.
 		reg.RegisterFunc("transport", func() any { return net_.Metrics() })
-		// Retained-state gauges (sss_commitlog_entries, sss_tombstones) are
-		// counted from live structures at scrape time.
+		// Retained-state gauges (sss_commitlog_entries, sss_tombstones,
+		// sss_rpc_pending) are counted from live structures at scrape time.
 		reg.RegisterFunc("", func() any { return node.Retained() })
 		reg.Register("client", srv.Metrics())
 		mux := http.NewServeMux()

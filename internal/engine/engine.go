@@ -197,20 +197,6 @@ const (
 	stripeCount = 1 << stripeBits
 )
 
-// maxTombstonesPerStripe soft-caps removedROs per stripe; the oldest
-// tombstones beyond it are evicted FIFO (amortized O(1) per insert, no
-// full-map rescans — the seed rescanned all 2^16 entries per handler call
-// once full). 64 stripes × 1024 matches the seed's 2^16 global bound.
-// Tombstones younger than tombstoneMinAge are spared (the Remove-vs-read
-// reorder race they guard is only live for the delivery delay of a read
-// request) unless the stripe exceeds hardMaxTombstonesPerStripe, which
-// bounds memory even under bursts of young removals.
-const (
-	maxTombstonesPerStripe     = 1024
-	hardMaxTombstonesPerStripe = 4 * maxTombstonesPerStripe
-	tombstoneMinAge            = 10 * time.Second
-)
-
 // stripe holds the per-transaction state of one TxnID shard.
 type stripe struct {
 	mu sync.Mutex
@@ -224,15 +210,13 @@ type stripe struct {
 	// propTargets maps a read-only transaction to the write-replica nodes
 	// where this node (as update coordinator) propagated its entries.
 	propTargets map[wire.TxnID]map[wire.NodeID]struct{}
-	// removedROs tombstones read-only transactions whose Remove has been
-	// seen, so a racing propagation cannot resurrect their entries; the
-	// value is the tombstone's stamp (see tombStamp). tombFIFO[tombHead:]
-	// records insertion order for capped eviction; a re-tombstoned
-	// transaction leaves a stale FIFO entry that eviction skips by stamp
-	// mismatch.
-	removedROs map[wire.TxnID]int64
-	tombFIFO   []tombstone
-	tombHead   int
+	// tombs tombstones the transactions whose Remove (read-only) or
+	// Decide (update) this stripe has processed, so a late read cannot
+	// resurrect a finished reader's entries and a redelivered Prepare or
+	// Decide is dropped: one seqWindow per coordinator epoch, at most
+	// tombEpochs per coordinator. ntombs counts the set bits.
+	tombs  []seqWindow
+	ntombs int
 	// parked maps an internally-committed transaction to the local written
 	// keys whose snapshot-queues still hold its W entry (plus its local
 	// insertion-snapshot); cleared by the purge (purgeParked).
@@ -247,63 +231,12 @@ type stripe struct {
 	walTxns map[wire.TxnID]*walTxn
 }
 
-// tombstone is one FIFO entry: 24 bytes, the same as a removedROs entry.
-type tombstone struct {
-	txn wire.TxnID
-	at  int64
-}
-
-// tombEpoch anchors tombstone stamps: a stamp is the monotonic time since
-// it in nanoseconds, which is all the age floor needs and a third of a
-// time.Time's size.
-var tombEpoch = time.Now()
-
-func tombStamp(t time.Time) int64 { return int64(t.Sub(tombEpoch)) }
-
-// stripeOf returns the stripe owning txn's state.
+// stripeOf returns the stripe owning txn's state. A coordinator's
+// consecutive transactions land in consecutive stripes, so within one
+// stripe Seq>>stripeBits is dense and unique per coordinator: the slot of
+// its tombstone bit.
 func (nd *Node) stripeOf(txn wire.TxnID) *stripe {
-	h := (txn.Seq ^ uint64(uint32(txn.Node))<<32) * 0x9E3779B97F4A7C15
-	return &nd.stripes[h>>(64-stripeBits)] // top stripeBits bits
-}
-
-// tombstoneLocked records that ro's Remove has been processed, evicting the
-// oldest tombstones beyond the per-stripe cap. Called with st.mu held.
-func (st *stripe) tombstoneLocked(ro wire.TxnID, now time.Time) {
-	at := tombStamp(now)
-	st.removedROs[ro] = at
-	if len(st.tombFIFO) == cap(st.tombFIFO) && st.tombHead >= len(st.tombFIFO)/2 {
-		// Reuse the evicted prefix instead of growing: the live half moves
-		// down, so the FIFO's backing array stays within twice its live
-		// entries and nothing evicted stays pinned behind the head.
-		n := copy(st.tombFIFO, st.tombFIFO[st.tombHead:])
-		st.tombFIFO = st.tombFIFO[:n]
-		st.tombHead = 0
-	}
-	st.tombFIFO = append(st.tombFIFO, tombstone{txn: ro, at: at})
-	for len(st.removedROs) > maxTombstonesPerStripe && st.tombHead < len(st.tombFIFO) {
-		head := st.tombFIFO[st.tombHead]
-		if time.Duration(at-head.at) < tombstoneMinAge && len(st.removedROs) <= hardMaxTombstonesPerStripe {
-			break // everything older is gone; spare the young ones
-		}
-		st.tombHead++
-		if stamp, ok := st.removedROs[head.txn]; ok && stamp == head.at {
-			delete(st.removedROs, head.txn)
-		}
-	}
-}
-
-// tombstonedLocked reports whether ro's Remove has been processed. Callers
-// needing atomicity with an insert (handleRead) hold the stripe lock across
-// both; tombstoned is the standalone form.
-func (st *stripe) tombstonedLocked(ro wire.TxnID) bool {
-	_, gone := st.removedROs[ro]
-	return gone
-}
-
-func (st *stripe) tombstoned(ro wire.TxnID) bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.tombstonedLocked(ro)
+	return &nd.stripes[(txn.Seq+uint64(uint32(txn.Node)))&(stripeCount-1)]
 }
 
 // parkedState tracks a transaction between internal and external commit at
@@ -358,7 +291,6 @@ func New(net transport.Network, id wire.NodeID, n int, lookup cluster.Lookup, cf
 		st.pending = make(map[wire.TxnID]*participantTxn)
 		st.fwd = make(map[wire.TxnID]map[wire.NodeID]struct{})
 		st.propTargets = make(map[wire.TxnID]map[wire.NodeID]struct{})
-		st.removedROs = make(map[wire.TxnID]int64)
 		st.parked = make(map[wire.TxnID]parkedState)
 		st.inflight = make(map[wire.TxnID]chan struct{})
 		if cfg.WAL != nil {
@@ -396,13 +328,15 @@ func (nd *Node) Stats() *metrics.Engine { return nd.stats }
 // attached WAL; a private zero-valued sink when durability is off).
 func (nd *Node) Durability() *metrics.Durability { return nd.dstats }
 
-// Retained gathers the node's retained-state gauges: NLog entries and
-// remove tombstones. It takes the log and every stripe lock once, so call it
-// at scrape rate, not per transaction.
+// Retained gathers the node's retained-state gauges: NLog entries,
+// tombstones and pending RPC calls. It takes the log, every stripe lock and
+// the RPC table's lock once, so call it at scrape rate, not per
+// transaction.
 func (nd *Node) Retained() *metrics.Retained {
 	r := &metrics.Retained{}
 	r.CommitlogEntries.Store(int64(nd.log.Len()))
 	r.Tombstones.Store(int64(nd.tombstoneCount()))
+	r.RPCPending.Store(int64(nd.rpc.Pending()))
 	return r
 }
 
@@ -535,7 +469,10 @@ func (nd *Node) putScratch(sc *roScratch) {
 // --- stripe-aware accessors (tests, and Retained's tombstone count) ---
 
 func (nd *Node) tombstoned(ro wire.TxnID) bool {
-	return nd.stripeOf(ro).tombstoned(ro)
+	st := nd.stripeOf(ro)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.tombstonedLocked(ro)
 }
 
 func (nd *Node) parkedCount() int {
@@ -565,7 +502,7 @@ func (nd *Node) tombstoneCount() int {
 	for i := range nd.stripes {
 		st := &nd.stripes[i]
 		st.mu.Lock()
-		total += len(st.removedROs)
+		total += st.ntombs
 		st.mu.Unlock()
 	}
 	return total

@@ -487,7 +487,7 @@ func (nd *Node) handleDecide(from wire.NodeID, rid uint64, m *wire.Decide) {
 	// (the transport's at-least-once resend, or a slow copy of the original)
 	// finds the tombstone and drops instead of re-running a decided
 	// transaction's protocol.
-	st.tombstoneLocked(m.Txn, time.Now())
+	st.tombstoneLocked(m.Txn)
 	st.mu.Unlock()
 
 	if pt == nil || pt == prepareInFlight {
@@ -680,7 +680,7 @@ func (nd *Node) handleRemove(m *wire.Remove) {
 	nd.store.SQRemoveRead(m.Txn)
 	targets := st.fwd[m.Txn]
 	delete(st.fwd, m.Txn)
-	st.tombstoneLocked(m.Txn, time.Now())
+	st.tombstoneLocked(m.Txn)
 	st.mu.Unlock()
 
 	for to := range targets {
@@ -701,7 +701,7 @@ func (nd *Node) handleFwdRemove(m *wire.FwdRemove) {
 	st.mu.Lock()
 	targets := st.propTargets[m.RO]
 	delete(st.propTargets, m.RO)
-	st.tombstoneLocked(m.RO, time.Now())
+	st.tombstoneLocked(m.RO)
 	st.mu.Unlock()
 
 	for to := range targets {

@@ -2,10 +2,10 @@ package engine
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/sss-paper/sss/internal/wire"
 )
@@ -85,145 +85,189 @@ func TestStripedStateStress(t *testing.T) {
 	}
 }
 
-// TestTombstoneCapAmortized checks the capped tombstone eviction: sustained
-// removes must never grow removedROs beyond the cap, the newest tombstones
-// must survive, and the oldest must be evicted — without any full-map
-// rescan (the seed rescanned all 2^16 entries per handler call once full).
-func TestTombstoneCapAmortized(t *testing.T) {
-	nodes := newCluster(t, 1, 1, Config{})
-	nd := nodes[0]
-
-	var st *stripe
-	// All tombstones land in one stripe to exercise its cap: pick TxnIDs
-	// that hash to stripe 0... easier: drive one stripe directly. Inserts
-	// are minutes apart so every FIFO head is past the age floor and the
-	// soft cap governs.
-	st = &nd.stripes[0]
-	now := time.Now()
-	total := 3 * maxTombstonesPerStripe
+// tomb tombstones id under its stripe lock, as the handlers do.
+func tomb(nd *Node, id wire.TxnID) {
+	st := nd.stripeOf(id)
 	st.mu.Lock()
-	for i := 1; i <= total; i++ {
-		st.tombstoneLocked(wire.TxnID{Node: 7, Seq: uint64(i)}, now.Add(time.Duration(i)*time.Minute))
-	}
-	size := len(st.removedROs)
-	_, oldestGone := st.removedROs[wire.TxnID{Node: 7, Seq: 1}]
-	_, newestKept := st.removedROs[wire.TxnID{Node: 7, Seq: uint64(total)}]
+	st.tombstoneLocked(id)
 	st.mu.Unlock()
-
-	if size > maxTombstonesPerStripe {
-		t.Fatalf("stripe tombstones = %d, want <= %d", size, maxTombstonesPerStripe)
-	}
-	if oldestGone {
-		t.Fatal("oldest tombstone survived past the cap")
-	}
-	if !newestKept {
-		t.Fatal("newest tombstone evicted")
-	}
-
-	// Re-tombstoning a transaction (Remove plus a later FwdRemove) leaves a
-	// stale FIFO entry at its old position. When the cap pops that stale
-	// entry, the eviction must skip it by timestamp mismatch — evicting the
-	// next-oldest instead — so the refreshed tombstone lives out its full
-	// FIFO term.
-	st.mu.Lock()
-	oldest := wire.TxnID{Node: 7, Seq: uint64(total - maxTombstonesPerStripe + 1)}
-	second := wire.TxnID{Node: 7, Seq: uint64(total - maxTombstonesPerStripe + 2)}
-	// Refresh the oldest survivor, then insert one more (both past every
-	// prior stamp so FIFO order stays time-ordered).
-	st.tombstoneLocked(oldest, now.Add(time.Duration(total+1)*time.Minute))
-	st.tombstoneLocked(wire.TxnID{Node: 8, Seq: 1}, now.Add(time.Duration(total+2)*time.Minute))
-	_, oldestKept := st.removedROs[oldest]
-	_, secondKept := st.removedROs[second]
-	size = len(st.removedROs)
-	st.mu.Unlock()
-	if size > maxTombstonesPerStripe {
-		t.Fatalf("stripe tombstones after churn = %d, want <= %d", size, maxTombstonesPerStripe)
-	}
-	if !oldestKept {
-		t.Fatal("refreshed tombstone evicted through its stale FIFO entry")
-	}
-	if secondKept {
-		t.Fatal("eviction did not advance past the stale FIFO entry")
-	}
 }
 
-// TestTombstoneYoungBurstSparedUpToHardCap checks the age floor: a burst of
-// tombstones younger than tombstoneMinAge is never evicted at the soft cap
-// (the Remove-vs-late-read race they guard is still live), but the hard cap
-// still bounds the stripe.
-func TestTombstoneYoungBurstSparedUpToHardCap(t *testing.T) {
-	nodes := newCluster(t, 1, 1, Config{})
-	st := &nodes[0].stripes[0]
-	now := time.Now()
-	st.mu.Lock()
-	for i := 1; i <= 2*hardMaxTombstonesPerStripe; i++ {
-		st.tombstoneLocked(wire.TxnID{Node: 7, Seq: uint64(i)}, now)
-	}
-	size := len(st.removedROs)
-	_, newestKept := st.removedROs[wire.TxnID{Node: 7, Seq: uint64(2 * hardMaxTombstonesPerStripe)}]
-	st.mu.Unlock()
-	if size != hardMaxTombstonesPerStripe {
-		t.Fatalf("young burst size = %d, want hard cap %d", size, hardMaxTombstonesPerStripe)
-	}
-	if !newestKept {
-		t.Fatal("newest tombstone evicted")
-	}
-}
-
-// TestTombstoneCapViaHandlers drives the cap through the real Remove path.
-// All tombstones are younger than the age floor here, so the hard cap is
-// the binding bound.
-func TestTombstoneCapViaHandlers(t *testing.T) {
-	nodes := newCluster(t, 1, 1, Config{})
-	nd := nodes[0]
-	total := stripeCount*hardMaxTombstonesPerStripe + 5000
-	if testing.Short() {
-		total = stripeCount * 8
-	}
-	for i := 1; i <= total; i++ {
-		nd.handleRemove(&wire.Remove{Txn: wire.TxnID{Node: 0, Seq: uint64(i)}})
-	}
-	if got, bound := nd.tombstoneCount(), stripeCount*hardMaxTombstonesPerStripe; got > bound {
-		t.Fatalf("tombstones = %d, want <= %d", got, bound)
-	}
-}
-
-// TestTombstoneBytesBounded bounds what a live tombstone costs the heap: its
-// removedROs entry plus its FIFO slot, with the map's and the FIFO's spare
-// capacity, at the soft cap after sustained churn. Measured at 64–91 B on
-// amd64 (24 B entries in both structures; 160 B with time.Time stamps). A
-// fatter stamp in either structure, or a FIFO that pins its evicted prefix,
-// lands above the bound. Allocations elsewhere only add to a reading, so
-// the smallest of three fresh stripes is the measurement.
-func TestTombstoneBytesBounded(t *testing.T) {
-	const bound = 112
-	nodes := newCluster(t, 1, 1, Config{})
-	perEntry := int64(-1)
-	for round := 0; round < 3; round++ {
-		st := &nodes[0].stripes[round]
-		now := time.Now()
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
+// windowCaps returns the largest word capacity any tombstone window holds.
+func windowCaps(nd *Node) int {
+	most := 0
+	for i := range nd.stripes {
+		st := &nd.stripes[i]
 		st.mu.Lock()
-		for i := 1; i <= 8*maxTombstonesPerStripe; i++ {
-			st.tombstoneLocked(wire.TxnID{Node: 7, Seq: uint64(i)}, now.Add(time.Duration(i)*time.Minute))
+		for _, w := range st.tombs {
+			most = max(most, cap(w.words))
 		}
-		live := len(st.removedROs)
 		st.mu.Unlock()
-		runtime.GC()
-		runtime.ReadMemStats(&after)
-		if live != maxTombstonesPerStripe {
-			t.Fatalf("live tombstones = %d, want the soft cap %d", live, maxTombstonesPerStripe)
-		}
-		b := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / int64(live)
-		if perEntry < 0 || b < perEntry {
-			perEntry = b
+	}
+	return most
+}
+
+// TestTombstoneCapAmortized checks the window rule under sustained
+// tombstoning by one coordinator: the count never passes tombWindow, the
+// newest tombWindow/2 always survive, everything older than the window is
+// gone, no window grows past its tombWords share (the window slides instead
+// of growing), and re-tombstoning a kept transaction changes nothing.
+func TestTombstoneCapAmortized(t *testing.T) {
+	nd := newCluster(t, 1, 1, Config{})[0]
+	total := 3 * tombWindow
+	if testing.Short() {
+		total = tombWindow + tombWindow/2
+	}
+	id := func(seq int) wire.TxnID { return wire.TxnID{Node: 7, Seq: uint64(seq)} }
+	for seq := 1; seq <= total; seq++ {
+		tomb(nd, id(seq))
+		if seq%4096 == 0 {
+			if got := nd.tombstoneCount(); got > tombWindow {
+				t.Fatalf("after %d tombstones: count %d, want <= %d", seq, got, tombWindow)
+			}
 		}
 	}
-	runtime.KeepAlive(nodes)
-	t.Logf("%d B per live tombstone", perEntry)
-	if perEntry > bound {
-		t.Fatalf("%d B per live tombstone, want <= %d", perEntry, bound)
+	for seq := total - tombWindow/2 + 1; seq <= total; seq++ {
+		if !nd.tombstoned(id(seq)) {
+			t.Fatalf("tombstone %d of the newest %d forgotten (newest %d)", seq, tombWindow/2, total)
+		}
+	}
+	// A stripe's window spans tombWindow/stripeCount of its slots, so
+	// nothing a window and a stripe's worth of slots older than the newest
+	// survives.
+	for seq := 1; seq <= total-tombWindow-2*stripeCount; seq++ {
+		if nd.tombstoned(id(seq)) {
+			t.Fatalf("tombstone %d older than the window survived (newest %d)", seq, total)
+		}
+	}
+	if got := windowCaps(nd); got > tombWords {
+		t.Fatalf("a window holds %d words, want <= %d", got, tombWords)
+	}
+	before := nd.tombstoneCount()
+	tomb(nd, id(total))
+	tomb(nd, id(total-1))
+	if got := nd.tombstoneCount(); got != before {
+		t.Fatalf("re-tombstoning changed the count %d -> %d", before, got)
+	}
+}
+
+// TestTombstoneBurstSparesOtherCoordinators checks that windows are per
+// coordinator epoch: a burst from one coordinator slides only its own
+// window, never another coordinator's or its own other epoch's.
+func TestTombstoneBurstSparesOtherCoordinators(t *testing.T) {
+	nd := newCluster(t, 1, 1, Config{})[0]
+	const few = 100
+	for seq := uint64(1); seq <= few; seq++ {
+		tomb(nd, wire.TxnID{Node: 3, Seq: seq})
+		tomb(nd, wire.TxnID{Node: 7, Seq: 1<<32 + seq})
+	}
+	burst := 2 * tombWindow
+	if testing.Short() {
+		burst = tombWindow + tombWindow/2
+	}
+	for seq := 1; seq <= burst; seq++ {
+		tomb(nd, wire.TxnID{Node: 7, Seq: uint64(seq)})
+	}
+	for seq := uint64(1); seq <= few; seq++ {
+		if !nd.tombstoned(wire.TxnID{Node: 3, Seq: seq}) {
+			t.Fatalf("coordinator 3's tombstone %d evicted by coordinator 7's burst", seq)
+		}
+		if !nd.tombstoned(wire.TxnID{Node: 7, Seq: 1<<32 + seq}) {
+			t.Fatalf("coordinator 7's epoch-1 tombstone %d evicted by its epoch-0 burst", seq)
+		}
+	}
+	if nd.tombstoned(wire.TxnID{Node: 7, Seq: 1}) {
+		t.Fatal("the burst's oldest tombstone survived a slide")
+	}
+	if got, bound := nd.tombstoneCount(), 2*few+tombWindow; got > bound {
+		t.Fatalf("count %d, want <= %d", got, bound)
+	}
+}
+
+// TestTombstoneCapViaHandlers drives the window rule through the real
+// Remove path, on one stripe's transactions so it stays cheap under -race:
+// that stripe's count never passes its tombWindow/stripeCount share, and
+// the newest half of the share survives.
+func TestTombstoneCapViaHandlers(t *testing.T) {
+	nd := newCluster(t, 1, 1, Config{})[0]
+	const share = tombWindow / stripeCount
+	total := share + share/2 + 5000
+	if testing.Short() {
+		total = share / 8
+	}
+	id := func(k int) wire.TxnID { return wire.TxnID{Node: 0, Seq: uint64(k) * stripeCount} }
+	for k := 1; k <= total; k++ {
+		nd.handleRemove(&wire.Remove{Txn: id(k)})
+	}
+	if got := nd.tombstoneCount(); got > share {
+		t.Fatalf("tombstones = %d, want <= %d", got, share)
+	}
+	for k := max(1, total-share/2+1); k <= total; k++ {
+		if !nd.tombstoned(id(k)) {
+			t.Fatalf("tombstone %v of the newest half window forgotten", id(k))
+		}
+	}
+	if total > share && nd.tombstoned(id(1)) {
+		t.Fatal("the oldest tombstone survived a slide")
+	}
+}
+
+// tombstoneBytes is the heap the tombstone bitmaps hold: every window's
+// words at capacity plus the window headers.
+func tombstoneBytes(nd *Node) int {
+	total := 0
+	for i := range nd.stripes {
+		st := &nd.stripes[i]
+		st.mu.Lock()
+		total += cap(st.tombs) * int(unsafe.Sizeof(seqWindow{}))
+		for _, w := range st.tombs {
+			total += 8 * cap(w.words)
+		}
+		st.mu.Unlock()
+	}
+	return total
+}
+
+// TestTombstoneBytesBounded bounds the tombstones' heap from the words the
+// bitmaps hold. Dense churn from one coordinator costs a fraction of a
+// byte per live tombstone (the map-plus-FIFO layout cost 64-91 B); a
+// window that grows instead of sliding, or pins its evicted words, lands
+// above the bound. Three coordinators with two epochs each, every window
+// at its cap, stay within the worst case of 2 KiB per window.
+func TestTombstoneBytesBounded(t *testing.T) {
+	nd := newCluster(t, 1, 1, Config{})[0]
+	for seq := 1; seq <= tombWindow+tombWindow/2; seq++ {
+		tomb(nd, wire.TxnID{Node: 0, Seq: uint64(seq)})
+	}
+	live, bytes := nd.tombstoneCount(), tombstoneBytes(nd)
+	t.Logf("%d live tombstones in %d B", live, bytes)
+	if live < tombWindow/2 {
+		t.Fatalf("live tombstones = %d, want >= %d", live, tombWindow/2)
+	}
+	if 2*bytes > live { // half a byte per live tombstone
+		t.Fatalf("%d B for %d live tombstones, want <= 0.5 B each", bytes, live)
+	}
+
+	// Worst case: a tombstone at the far end of every window of three
+	// coordinators' two epochs opens each window at its full capacity.
+	const coords = 3
+	for node := wire.NodeID(0); node < coords; node++ {
+		for epoch := uint64(0); epoch < tombEpochs; epoch++ {
+			for r := uint64(0); r < stripeCount; r++ {
+				tomb(nd, wire.TxnID{Node: node, Seq: epoch<<32 + tombWindow - 1 - r})
+			}
+		}
+	}
+	windows := coords * tombEpochs * stripeCount
+	words := 8 * tombWords * windows
+	// Window headers, with up to as many spare slots again as append leaves.
+	bound := words + 2*windows*int(unsafe.Sizeof(seqWindow{}))
+	bytes = tombstoneBytes(nd)
+	t.Logf("worst case: %d B for %d windows", bytes, windows)
+	if got := windowCaps(nd); got > tombWords {
+		t.Fatalf("a window holds %d words, want <= %d", got, tombWords)
+	}
+	if bytes > bound || bytes < words {
+		t.Fatalf("worst case %d B, want within [%d, %d]", bytes, words, bound)
 	}
 }

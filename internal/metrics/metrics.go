@@ -583,11 +583,14 @@ func (c *ClientNet) RequestsPerFlush() float64 {
 }
 
 // Retained gauges what a node holds in memory right now, gathered at scrape
-// time: the NLog entries its commit log retains (up to the ring capacity)
-// and its remove tombstones (capped per stripe).
+// time: the NLog entries its commit log retains (up to the ring capacity),
+// its tombstones (one bit each, at most a sliding window of sequence
+// numbers per coordinator epoch) and the calls its RPC layer still awaits
+// a reply for.
 type Retained struct {
 	CommitlogEntries atomic.Int64
 	Tombstones       atomic.Int64
+	RPCPending       atomic.Int64
 }
 
 // Durability aggregates the write-ahead-log and recovery counters of one

@@ -98,6 +98,7 @@ func newTestRegistry() (*Registry, *testFamily) {
 		r := &metrics.Retained{}
 		r.CommitlogEntries.Store(5)
 		r.Tombstones.Store(2)
+		r.RPCPending.Store(1)
 		return r
 	})
 	return reg, fam

@@ -237,6 +237,14 @@ func (r *RPC) Reply(to wire.NodeID, rid uint64, msg wire.Msg) error {
 	return r.ep.Send(to, wire.Envelope{RID: rid, Resp: true, Msg: msg})
 }
 
+// Pending returns the number of calls awaiting a reply: the size of the
+// pending-call table.
+func (r *RPC) Pending() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.pending)
+}
+
 // Close detaches from the network. Outstanding calls fail with ErrClosed.
 func (r *RPC) Close() error {
 	r.mu.Lock()

@@ -444,12 +444,6 @@ func (mn *multiNet) release(id wire.NodeID) {
 	}
 }
 
-func pendingLen(r *RPC) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.pending)
-}
-
 // collect reads m to exhaustion and checks every reply sits on the leg of
 // the server that sent it, one reply per leg.
 func collect(t *testing.T, m *Multi, targets []wire.NodeID) int {
@@ -487,7 +481,7 @@ func TestMultiTagsRepliesByLeg(t *testing.T) {
 				t.Fatalf("round %d: %d replies, want %d", round, got, len(multiTargets))
 			}
 			m.Release()
-			if n := pendingLen(mn.cli); n != 0 {
+			if n := mn.cli.Pending(); n != 0 {
 				t.Fatalf("round %d: %d slots left registered", round, n)
 			}
 		}
@@ -514,7 +508,7 @@ func TestMultiExpiryLeavesNothingBehind(t *testing.T) {
 		if first.IsZero() {
 			t.Fatal("no first-reply instant with two legs answered")
 		}
-		if n := pendingLen(mn.cli); n != 0 {
+		if n := mn.cli.Pending(); n != 0 {
 			t.Fatalf("%d slots left registered after expiry", n)
 		}
 
@@ -544,11 +538,11 @@ func TestMultiReleaseAfterFirstReply(t *testing.T) {
 		if leg, _, err := m.Next(ctx); err != nil || leg != 0 {
 			t.Fatalf("first reply: leg %d, err %v; want leg 0", leg, err)
 		}
-		if n := pendingLen(mn.cli); n != 2 {
+		if n := mn.cli.Pending(); n != 2 {
 			t.Fatalf("%d slots registered while two legs are out, want 2", n)
 		}
 		m.Release()
-		if n := pendingLen(mn.cli); n != 0 {
+		if n := mn.cli.Pending(); n != 0 {
 			t.Fatalf("%d slots left registered after release", n)
 		}
 	})
@@ -565,7 +559,7 @@ func TestRPCCloseFailsOutstandingCalls(t *testing.T) {
 			_, err := mn.cli.Call(ctx, 1, &wire.Remove{})
 			errc <- err
 		}()
-		for pendingLen(mn.cli) == 0 {
+		for mn.cli.Pending() == 0 {
 			time.Sleep(time.Millisecond)
 		}
 		_ = mn.cli.Close()

@@ -70,11 +70,12 @@ check ./internal/engine 'BenchmarkReadOnlyTxn/ops' 2000x \
 # prepare, piggybacked decide+drain, queued freeze/purge). Pre-diet baseline
 # was 114/133 (local) and 184 (remote) allocs/op; the write-side diet
 # (commit scratch, pooled RPC reply channels, goroutine-free fan-out, batch
-# reuse, single-replica update reads) measures 79/96 and 124.
+# reuse, single-replica update reads) measured 79/96 and 124, and 78/96 and
+# 123 once a decide's tombstone became a bit instead of a map entry.
 check ./internal/engine 'BenchmarkUpdateTxnCommit' 2000x \
-  'BenchmarkUpdateTxnCommit/ops=1' 85 \
+  'BenchmarkUpdateTxnCommit/ops=1' 84 \
   'BenchmarkUpdateTxnCommit/ops=2' 105 \
-  'BenchmarkUpdateTxnCommitRemote' 130
+  'BenchmarkUpdateTxnCommitRemote' 129
 
 # Client path over loopback TCP (wire codec, coalescing send queue, reply
 # demux; the server side of the connection is included). Measured 60/73/130
@@ -110,6 +111,11 @@ check ./internal/commitlog 'BenchmarkClockReads' 2000x \
 # its bucket index only. Measured 30 624 B/op; the pre-sized ring and
 # index were 6 145 922.
 check_bytes ./internal/commitlog '^BenchmarkNew$' 2000x 'BenchmarkNew' 65536
+
+# Tombstones: a steady-state tombstone and lookup reuse the window's
+# words (a window slides in place at its cap), so they allocate nothing.
+check ./internal/engine 'BenchmarkTombstone' 200000x \
+  'BenchmarkTombstone' 0
 
 # The shared send queue (internal/batchq) behind the TCP peer streams,
 # in-process pipes, engine commit queues and client connections: a
