@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"sync"
 	"time"
 
@@ -81,9 +80,7 @@ func (nd *Node) extSender(peer wire.NodeID, q *batchq.Queue[extItem]) {
 			// Shutdown: drop the sends (peers may be gone; a Call would
 			// only park until its timeout) but never a waiter.
 		case len(msg.Freezes) > 0:
-			ctx, cancel := context.WithTimeout(context.Background(), nd.cfg.VoteTimeout)
-			_, err := nd.rpc.Call(ctx, peer, msg)
-			cancel()
+			_, err := nd.rpc.CallWithin(nd.cfg.VoteTimeout, peer, msg)
 			if err != nil {
 				nd.stats.DrainTimeouts.Add(1)
 				// The freezes are NOT abandonable: an unstamped version at

@@ -66,13 +66,6 @@ type Config struct {
 	// the cap turns a protocol bug or lost message into a counted,
 	// non-wedging event.
 	DrainTimeout time.Duration
-	// StarvationAge and BackoffBase/BackoffMax implement §III-E's
-	// admission control: a read-only read touching a key whose queue has
-	// a writer parked longer than StarvationAge is delayed with
-	// exponential backoff so the writer can drain.
-	StarvationAge time.Duration
-	BackoffBase   time.Duration
-	BackoffMax    time.Duration
 	// FreezeAckBudget bounds the freeze-ack discipline: after a freeze
 	// delivery fails, the coordinator keeps withholding the committer's
 	// client ack — requeueing the freeze together with its waiter — until
@@ -105,15 +98,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 30 * time.Second
-	}
-	if c.StarvationAge <= 0 {
-		c.StarvationAge = 10 * time.Millisecond
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 100 * time.Microsecond
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 2 * time.Millisecond
 	}
 	if c.FreezeAckBudget <= 0 {
 		c.FreezeAckBudget = 2 * c.VoteTimeout

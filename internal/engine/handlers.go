@@ -280,19 +280,27 @@ func (nd *Node) handleUpdateRead(from wire.NodeID, rid uint64, m *wire.ReadReque
 	})
 }
 
+// roAdmission's schedule: a writer parked longer than starvationAge delays
+// a read-only read by backoffBase, doubling while within backoffMax.
+const (
+	starvationAge = 10 * time.Millisecond
+	backoffBase   = 100 * time.Microsecond
+	backoffMax    = 2 * time.Millisecond
+)
+
 // roAdmission applies §III-E's starvation control: delay a read-only read
 // with exponential backoff while the key has an update transaction parked
-// in its snapshot-queue for longer than the threshold.
+// in its snapshot-queue for longer than starvationAge.
 func (nd *Node) roAdmission(key string) {
-	backoff := nd.cfg.BackoffBase
+	backoff := backoffBase
 	for {
 		age, ok := nd.store.SQOldestWriteAge(key)
-		if !ok || age < nd.cfg.StarvationAge {
+		if !ok || age < starvationAge {
 			return
 		}
 		time.Sleep(backoff)
 		backoff *= 2
-		if backoff > nd.cfg.BackoffMax {
+		if backoff > backoffMax {
 			return
 		}
 	}

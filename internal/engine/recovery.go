@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -148,16 +147,16 @@ func (nd *Node) clockCatchup() {
 			if left <= 0 {
 				break
 			}
-			ctx, cancel := context.WithTimeout(context.Background(), min(try, left))
-			resp, err := nd.rpc.Call(ctx, wire.NodeID(peer), &wire.ClockSync{})
+			slot := min(try, left)
+			end := time.Now().Add(slot)
+			resp, err := nd.rpc.CallWithin(slot, wire.NodeID(peer), &wire.ClockSync{})
 			if rep, ok := resp.(*wire.ClockSyncReply); err == nil && ok && len(rep.Ext) == nd.n {
 				nd.log.FoldKnowledge(rep.Ext)
 				nd.raiseExtFrontier(rep.Ext[nd.idx])
 				synced = true
 			} else {
-				<-ctx.Done() // a call that fails fast still spends its slot
+				time.Sleep(time.Until(end)) // a call that fails fast still spends its slot
 			}
-			cancel()
 		}
 		if synced {
 			nd.dstats.ClockSyncPeers.Add(1)
@@ -197,9 +196,7 @@ func (nd *Node) resolveInDoubt(txn wire.TxnID) (cr coordRecord, commit bool) {
 				backoff *= 2
 			}
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), nd.cfg.VoteTimeout)
-		resp, err := nd.rpc.Call(ctx, txn.Node, &wire.TxnStatus{Txn: txn})
-		cancel()
+		resp, err := nd.rpc.CallWithin(nd.cfg.VoteTimeout, txn.Node, &wire.TxnStatus{Txn: txn})
 		if err != nil {
 			continue
 		}
@@ -234,9 +231,7 @@ func (nd *Node) resolveFreeze(txn wire.TxnID) (freezeVC, know vclock.VC) {
 			time.Sleep(backoff)
 			backoff *= 2
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), nd.cfg.VoteTimeout)
-		resp, err := nd.rpc.Call(ctx, txn.Node, &wire.TxnStatus{Txn: txn})
-		cancel()
+		resp, err := nd.rpc.CallWithin(nd.cfg.VoteTimeout, txn.Node, &wire.TxnStatus{Txn: txn})
 		if err != nil {
 			continue
 		}

@@ -140,19 +140,18 @@ func TestCommitFreezeThenPurge(t *testing.T) {
 }
 
 func TestStarvationBackoffDelaysReads(t *testing.T) {
-	nodes := newCluster(t, 1, 1, Config{
-		StarvationAge: time.Nanosecond, // any parked writer triggers backoff
-		BackoffBase:   5 * time.Millisecond,
-		BackoffMax:    10 * time.Millisecond,
-	})
+	nodes := newCluster(t, 1, 1, Config{})
 	nd := nodes[0]
 	nd.Preload("k", []byte("v"))
 	nd.store.SQInsert("k", wire.SQEntry{Txn: wire.TxnID{Node: 0, Seq: 7}, SID: 1, Kind: wire.EntryWrite})
+	time.Sleep(starvationAge + time.Millisecond) // the parked writer is starving
 
+	// The whole schedule runs: backoffBase doubling while within backoffMax
+	// is 100+200+400+800+1600 µs, and a sleep never returns early.
 	start := time.Now()
 	nd.roAdmission("k")
-	if d := time.Since(start); d < 5*time.Millisecond {
-		t.Fatalf("admission control did not delay: %v", d)
+	if d := time.Since(start); d < 3100*time.Microsecond {
+		t.Fatalf("admission control delayed %v, want the full 3.1ms schedule", d)
 	}
 	nd.store.SQRemoveWrite("k", wire.TxnID{Node: 0, Seq: 7})
 	start = time.Now()

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -56,13 +55,6 @@ type Txn struct {
 	seen   map[wire.TxnID]struct{}
 	before map[wire.TxnID]vclock.VC
 	obs    vclock.VC
-
-	// readCtx bounds every read RPC of this transaction with one shared
-	// DrainTimeout budget, created lazily on the first remote read and
-	// canceled when the transaction completes — one context and timer per
-	// transaction instead of one per read.
-	readCtx    context.Context
-	readCancel context.CancelFunc
 
 	begin time.Time
 	done  bool
@@ -285,9 +277,7 @@ func (nd *Node) waitExternal(w wire.TxnID) {
 		}
 		return
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), nd.cfg.DrainTimeout)
-	defer cancel()
-	resp, err := nd.rpc.Call(ctx, w.Node, &wire.WaitExternal{Txn: w})
+	resp, err := nd.rpc.CallWithin(nd.cfg.DrainTimeout, w.Node, &wire.WaitExternal{Txn: w})
 	if err != nil {
 		nd.stats.DrainTimeouts.Add(1)
 		return
@@ -326,19 +316,12 @@ func (t *Txn) readRemote(key string) (*wire.ReadReturn, wire.NodeID, error) {
 		t.nd.stats.ReadRequests.Add(1)
 		t.nd.stats.ReadSeenEntries.Add(uint64(len(req.Seen)))
 	}
-	if t.readCtx == nil || !readCtxFresh(t.readCtx, t.nd.cfg.DrainTimeout) {
-		// Lazily created, and renewed once half the budget is gone — the
-		// shared context is an allocation saving for bursts of reads, not
-		// a transaction deadline: every read starts with at least half the
-		// configured DrainTimeout ahead of it.
-		t.releaseReadCtx()
-		t.readCtx, t.readCancel = context.WithTimeout(context.Background(), t.nd.cfg.DrainTimeout)
-	}
-	ctx := t.readCtx
+	budget := t.nd.cfg.DrainTimeout
+	deadline := time.Now().Add(budget)
 
 	if len(targets) == 1 {
 		// Single replica: no fan-out race to win, call synchronously.
-		resp, err := t.nd.rpc.Call(ctx, targets[0], req)
+		resp, err := t.nd.rpc.CallWithin(budget, targets[0], req)
 		if err != nil {
 			return nil, 0, fmt.Errorf("%w: read %q: %v", kv.ErrUnavailable, key, err)
 		}
@@ -358,7 +341,7 @@ func (t *Txn) readRemote(key string) (*wire.ReadReturn, wire.NodeID, error) {
 		// keeps blanket exclusions temporally separated from the freeze
 		// issue (docs/CONSISTENCY.md §5). A single-replica read-only read
 		// measurably widens the residual freeze-skew window.
-		return t.readMerge(ctx, key, req, targets)
+		return t.readMerge(deadline, key, req, targets)
 	}
 
 	// Update reads go to a single replica — the local one when it
@@ -379,13 +362,11 @@ func (t *Txn) readRemote(key string) (*wire.ReadReturn, wire.NodeID, error) {
 	}
 	// The preferred call gets one VoteTimeout-scale slice of the budget, not
 	// all of it: against a dead or mid-restart replica the call only ends at
-	// context expiry, and burning the whole DrainTimeout on one dead leg
-	// turns a single restart into a 30s read stall (ROADMAP lever (a)). On
-	// expiry the fan-out below races the remaining replicas with the rest of
-	// the budget.
-	pctx, pcancel := context.WithTimeout(ctx, t.nd.cfg.VoteTimeout)
-	resp, lastErr := t.nd.rpc.Call(pctx, preferred, req)
-	pcancel()
+	// its deadline, and burning the whole DrainTimeout on one dead leg turns
+	// a single restart into a 30s read stall (ROADMAP lever (a)). On expiry
+	// the fan-out below races the remaining replicas with the rest of the
+	// budget.
+	resp, lastErr := t.nd.rpc.CallWithin(min(budget, t.nd.cfg.VoteTimeout), preferred, req)
 	if lastErr == nil {
 		rr, ok := resp.(*wire.ReadReturn)
 		if !ok {
@@ -402,7 +383,7 @@ func (t *Txn) readRemote(key string) (*wire.ReadReturn, wire.NodeID, error) {
 	m := t.nd.rpc.Multi(rest, req)
 	defer m.Release()
 	for {
-		leg, resp, err := m.Next(ctx)
+		leg, resp, err := m.Next(deadline)
 		if err != nil {
 			return nil, 0, fmt.Errorf("%w: read %q: %v", kv.ErrUnavailable, key, lastErr)
 		}
@@ -424,7 +405,7 @@ type readAnswer struct {
 // docs/CONSISTENCY.md §5). The siblings are already in flight, so the bound
 // only matters when a replica is down or badly delayed: on expiry the best
 // reply received so far is adopted, preserving the read fast path instead of
-// stalling until the read context's DrainTimeout.
+// stalling until the read's DrainTimeout deadline.
 const mergeWait = 5 * time.Millisecond
 
 // readMerge runs a fan-out read-only read: every replica is consulted,
@@ -441,7 +422,7 @@ const mergeWait = 5 * time.Millisecond
 // bounded by mergeWait: only a down or badly delayed replica can make the
 // bound matter, and then the best reply received so far is adopted rather
 // than stalling the read.
-func (t *Txn) readMerge(ctx context.Context, key string, req *wire.ReadRequest, targets []wire.NodeID) (*wire.ReadReturn, wire.NodeID, error) {
+func (t *Txn) readMerge(deadline time.Time, key string, req *wire.ReadRequest, targets []wire.NodeID) (*wire.ReadReturn, wire.NodeID, error) {
 	// Returning early releases the losing legs at once: nothing of this read
 	// stays registered with the RPC layer.
 	m := t.nd.rpc.Multi(targets, req)
@@ -450,7 +431,7 @@ func (t *Txn) readMerge(ctx context.Context, key string, req *wire.ReadRequest, 
 	var lastErr error
 	var withEx []readAnswer
 	for {
-		leg, resp, err := m.Next(ctx)
+		leg, resp, err := m.Next(deadline)
 		if err != nil {
 			if lastErr == nil {
 				lastErr = err
@@ -467,9 +448,9 @@ func (t *Txn) readMerge(ctx context.Context, key string, req *wire.ReadRequest, 
 		}
 		withEx = append(withEx, readAnswer{resp: rr, from: targets[leg]})
 		if len(withEx) == 1 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, mergeWait)
-			defer cancel()
+			if merge := time.Now().Add(mergeWait); merge.Before(deadline) {
+				deadline = merge
+			}
 		}
 	}
 	for _, a := range withEx {
@@ -529,30 +510,10 @@ func (t *Txn) Abort() error {
 		return nil
 	}
 	t.done = true
-	t.releaseReadCtx()
 	if len(t.touched) > 0 && t.readOnly {
 		t.sendRemoves()
 	}
 	return nil
-}
-
-// releaseReadCtx cancels the transaction-scoped read context, releasing its
-// timer.
-func (t *Txn) releaseReadCtx() {
-	if t.readCancel != nil {
-		t.readCancel()
-		t.readCancel = nil
-	}
-}
-
-// readCtxFresh reports whether ctx is alive with at least half of budget
-// remaining.
-func readCtxFresh(ctx context.Context, budget time.Duration) bool {
-	if ctx.Err() != nil {
-		return false
-	}
-	deadline, ok := ctx.Deadline()
-	return !ok || time.Until(deadline) >= budget/2
 }
 
 // Commit implements kv.Txn (Algorithm 1).
@@ -561,7 +522,6 @@ func (t *Txn) Commit() error {
 		return kv.ErrTxnDone
 	}
 	t.done = true
-	t.releaseReadCtx()
 
 	if len(t.ws) == 0 {
 		// Read-only (declared or effectively): reply to the client
@@ -654,9 +614,7 @@ func (t *Txn) commitUpdate() error {
 
 	// --- prepare phase ---
 	voteStart := time.Now()
-	ctx, cancel := context.WithTimeout(context.Background(), nd.cfg.VoteTimeout)
-	votes, _ := nd.rpc.Gather(ctx, participants, prep, sc.out)
-	cancel()
+	votes, _ := nd.rpc.Gather(nd.cfg.VoteTimeout, participants, prep, sc.out)
 	voteDur := time.Since(voteStart)
 
 	commitVC := t.vc.Clone()
@@ -739,10 +697,8 @@ func (t *Txn) commitUpdate() error {
 	// so its acks arrive after each write replica's pre-commit drain and
 	// carry that replica's drain-stage frontier: the vote → drain → freeze
 	// chain costs two acked round trips instead of three.
-	dctx, dcancel := context.WithTimeout(context.Background(), nd.cfg.DrainTimeout+time.Second)
-	defer dcancel()
 	decide := &wire.Decide{Txn: t.id, VC: commitVC, Commit: true, Propagated: prop, Drain: true}
-	acks, firstAck := nd.rpc.Gather(dctx, participants, decide, sc.out)
+	acks, firstAck := nd.rpc.Gather(nd.cfg.DrainTimeout+time.Second, participants, decide, sc.out)
 
 	// External commit, staged cleanup. Join the drain-stage frontiers the
 	// decide acks report with the commit clock into the freeze vector —
@@ -800,9 +756,7 @@ func (t *Txn) commitUpdate() error {
 	stale := firstAck.IsZero() || time.Since(firstAck) > piggybackSkewBudget
 	if retighten || stale {
 		drainStart := time.Now()
-		dctx2, dcancel2 := context.WithTimeout(context.Background(), nd.cfg.DrainTimeout+time.Second)
-		drainAcks, _ := nd.rpc.Gather(dctx2, writeNodes, &wire.ExtCommit{Txn: t.id}, sc.out)
-		dcancel2()
+		drainAcks, _ := nd.rpc.Gather(nd.cfg.DrainTimeout+time.Second, writeNodes, &wire.ExtCommit{Txn: t.id}, sc.out)
 		for i, a := range drainAcks {
 			if ack, ok := a.(*wire.DecideAck); ok && ack.Ext > freezeVC[writeNodes[i]] {
 				freezeVC[writeNodes[i]] = ack.Ext
@@ -891,9 +845,7 @@ func (t *Txn) commitUpdate() error {
 
 func (t *Txn) finishAbort(participants []wire.NodeID, sc *commitScratch) {
 	nd := t.nd
-	ctx, cancel := context.WithTimeout(context.Background(), nd.cfg.VoteTimeout)
-	defer cancel()
-	nd.rpc.Gather(ctx, participants, &wire.Decide{Txn: t.id, Commit: false}, sc.out)
+	nd.rpc.Gather(nd.cfg.VoteTimeout, participants, &wire.Decide{Txn: t.id, Commit: false}, sc.out)
 	nd.stats.Aborts.Add(1)
 }
 

@@ -2,9 +2,9 @@ package rococo
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"sort"
+	"time"
 
 	"github.com/sss-paper/sss/internal/baseline"
 	"github.com/sss-paper/sss/internal/wire"
@@ -67,9 +67,7 @@ func (t *Txn) Read(key string) ([]byte, bool, error) {
 // in-flight conflicting writers.
 func (t *Txn) probe(key string) ([]byte, uint64, bool, error) {
 	nd := t.nd
-	ctx, cancel := context.WithTimeout(context.Background(), execTimeout)
-	defer cancel()
-	resp, err := nd.RPC.Call(ctx, nd.Lookup.Primary(key), &wire.RococoDispatch{
+	resp, err := nd.RPC.CallWithin(execTimeout, nd.Lookup.Primary(key), &wire.RococoDispatch{
 		Txn: t.ID, ReadKeys: []string{key},
 	})
 	if err != nil {
@@ -105,10 +103,9 @@ func (t *Txn) commitReadOnly() error {
 		p := nd.Lookup.Primary(k)
 		byNode[p] = append(byNode[p], k)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), execTimeout)
-	defer cancel()
+	deadline := time.Now().Add(execTimeout)
 	for node, keys := range byNode {
-		resp, err := nd.RPC.Call(ctx, node, &wire.RococoDispatch{Txn: t.ID, ReadKeys: keys})
+		resp, err := nd.RPC.CallWithin(time.Until(deadline), node, &wire.RococoDispatch{Txn: t.ID, ReadKeys: keys})
 		if err != nil {
 			return fmt.Errorf("%w: validate: %v", kv.ErrUnavailable, err)
 		}
@@ -135,11 +132,9 @@ func (t *Txn) commitUpdate() error {
 	nd := t.nd
 	servers := nd.Lookup.ReplicaSet(t.rsOrder, t.WriteKeys())
 
-	ctx, cancel := context.WithTimeout(context.Background(), rpcTimeout)
-	replies, _ := nd.RPC.Gather(ctx, servers, &wire.RococoDispatch{
+	replies, _ := nd.RPC.Gather(rpcTimeout, servers, &wire.RococoDispatch{
 		Txn: t.ID, ReadKeys: t.rsOrder, Writes: t.Writes(),
 	}, nil)
-	cancel()
 
 	var seq uint64
 	for _, r := range replies {
@@ -152,9 +147,7 @@ func (t *Txn) commitUpdate() error {
 		}
 	}
 
-	cctx, ccancel := context.WithTimeout(context.Background(), execTimeout)
-	defer ccancel()
-	acks, _ := nd.RPC.Gather(cctx, servers, &wire.RococoCommit{Txn: t.ID, Seq: seq}, nil)
+	acks, _ := nd.RPC.Gather(execTimeout, servers, &wire.RococoCommit{Txn: t.ID, Seq: seq}, nil)
 	for _, a := range acks {
 		if _, ok := a.(*wire.RococoCommitReply); !ok {
 			return fmt.Errorf("%w: commit round failed", kv.ErrUnavailable)

@@ -201,8 +201,8 @@ func TestRPCCallTimeout(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	if _, err := cli.Call(ctx, 1, &wire.Remove{}); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want DeadlineExceeded", err)
+	if _, err := cli.Call(ctx, 1, &wire.Remove{}); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
 }
 
@@ -448,13 +448,12 @@ func (mn *multiNet) release(id wire.NodeID) {
 // the server that sent it, one reply per leg.
 func collect(t *testing.T, m *Multi, targets []wire.NodeID) int {
 	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
+	deadline := time.Now().Add(5 * time.Second)
 	seen := make(map[int]bool)
 	for {
-		leg, resp, err := m.Next(ctx)
+		leg, resp, err := m.Next(deadline)
 		if err != nil {
-			if errors.Is(err, context.DeadlineExceeded) {
+			if errors.Is(err, ErrTimeout) {
 				t.Fatalf("multi-call stalled after %d replies", len(seen))
 			}
 			return len(seen)
@@ -488,7 +487,7 @@ func TestMultiTagsRepliesByLeg(t *testing.T) {
 	})
 }
 
-// TestMultiExpiryLeavesNothingBehind: a fan-out whose context expires with
+// TestMultiExpiryLeavesNothingBehind: a fan-out whose deadline passes with
 // one leg unanswered returns the answered legs and deregisters the rest, and
 // the straggler's late reply is not read by the next fan-out issued from the
 // same goroutine (which may well reuse the reply channel).
@@ -499,9 +498,7 @@ func TestMultiExpiryLeavesNothingBehind(t *testing.T) {
 		collect(t, warm, multiTargets)
 		warm.Release()
 
-		ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
-		replies, first := mn.cli.Gather(ctx, multiTargets, &wire.Remove{}, nil)
-		cancel()
+		replies, first := mn.cli.Gather(200*time.Millisecond, multiTargets, &wire.Remove{}, nil)
 		if replies[0] == nil || replies[1] == nil || replies[2] != nil {
 			t.Fatalf("replies = %v, want the first two legs only", replies)
 		}
@@ -533,9 +530,7 @@ func TestMultiExpiryLeavesNothingBehind(t *testing.T) {
 func TestMultiReleaseAfterFirstReply(t *testing.T) {
 	forEachMultiNet(t, InProcConfig{DisableLatency: true}, []wire.NodeID{2, 3}, func(t *testing.T, mn *multiNet) {
 		m := mn.cli.Multi(multiTargets, &wire.Remove{})
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if leg, _, err := m.Next(ctx); err != nil || leg != 0 {
+		if leg, _, err := m.Next(time.Now().Add(5 * time.Second)); err != nil || leg != 0 {
 			t.Fatalf("first reply: leg %d, err %v; want leg 0", leg, err)
 		}
 		if n := mn.cli.Pending(); n != 2 {

@@ -8,9 +8,9 @@
 package twopc
 
 import (
-	"context"
 	"fmt"
 	"sync"
+	"time"
 
 	"github.com/sss-paper/sss/internal/baseline"
 	"github.com/sss-paper/sss/internal/cluster"
@@ -212,13 +212,12 @@ func (t *Txn) Read(key string) ([]byte, bool, error) {
 	}
 
 	targets := t.nd.Lookup.Replicas(key)
-	ctx, cancel := context.WithTimeout(context.Background(), baseline.VoteTimeout)
-	defer cancel()
+	deadline := time.Now().Add(baseline.VoteTimeout)
 	m := t.nd.RPC.Multi(targets, &wire.ReadRequest{Txn: t.ID, Key: key})
 	defer m.Release()
 	var lastErr error
 	for {
-		_, resp, err := m.Next(ctx)
+		_, resp, err := m.Next(deadline)
 		if err != nil {
 			if lastErr == nil {
 				lastErr = err
@@ -254,14 +253,10 @@ func (t *Txn) commit() error {
 	participants := nd.Lookup.ReplicaSet(t.rsOrder, t.WriteKeys())
 	prep := &wire.Prepare{Txn: t.ID, ReadKeys: t.rsOrder, Writes: t.Writes(), ReadVers: vers}
 
-	ctx, cancel := context.WithTimeout(context.Background(), baseline.VoteTimeout)
-	votes, _ := nd.RPC.Gather(ctx, participants, prep, nil)
-	cancel()
+	votes, _ := nd.RPC.Gather(baseline.VoteTimeout, participants, prep, nil)
 	outcome := baseline.AllYes(votes)
 
-	dctx, dcancel := context.WithTimeout(context.Background(), baseline.VoteTimeout)
-	defer dcancel()
-	nd.RPC.Gather(dctx, participants, &wire.Decide{Txn: t.ID, Commit: outcome}, nil)
+	nd.RPC.Gather(baseline.VoteTimeout, participants, &wire.Decide{Txn: t.ID, Commit: outcome}, nil)
 
 	if !outcome {
 		return kv.ErrAborted

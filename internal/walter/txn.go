@@ -1,7 +1,6 @@
 package walter
 
 import (
-	"context"
 	"fmt"
 
 	"github.com/sss-paper/sss/internal/baseline"
@@ -47,9 +46,7 @@ func (t *Txn) Read(key string) ([]byte, bool, error) {
 	if !t.nd.Lookup.IsReplica(key, target) {
 		target = t.nd.Lookup.Primary(key)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), baseline.VoteTimeout)
-	defer cancel()
-	resp, err := t.nd.RPC.Call(ctx, target, &wire.ReadRequest{Txn: t.ID, Key: key, VC: t.snap})
+	resp, err := t.nd.RPC.CallWithin(baseline.VoteTimeout, target, &wire.ReadRequest{Txn: t.ID, Key: key, VC: t.snap})
 	if err != nil {
 		return nil, false, fmt.Errorf("%w: read %q: %v", kv.ErrUnavailable, key, err)
 	}
@@ -116,9 +113,7 @@ func (t *Txn) slowCommit(writes []wire.KV, prefSet map[wire.NodeID]struct{}) err
 	}
 	prep := &wire.Prepare{Txn: t.ID, VC: t.snap, Writes: writes}
 
-	ctx, cancel := context.WithTimeout(context.Background(), baseline.VoteTimeout)
-	votes, _ := nd.RPC.Gather(ctx, participants, prep, nil)
-	cancel()
+	votes, _ := nd.RPC.Gather(baseline.VoteTimeout, participants, prep, nil)
 	outcome := baseline.AllYes(votes)
 
 	var stamp vclock.VC
@@ -131,9 +126,7 @@ func (t *Txn) slowCommit(writes []wire.KV, prefSet map[wire.NodeID]struct{}) err
 		stamp = vclock.New(nd.N)
 		stamp[nd.ID()] = seq
 	}
-	dctx, dcancel := context.WithTimeout(context.Background(), baseline.VoteTimeout)
-	defer dcancel()
-	nd.RPC.Gather(dctx, participants, &wire.Decide{Txn: t.ID, VC: stamp, Commit: outcome}, nil)
+	nd.RPC.Gather(baseline.VoteTimeout, participants, &wire.Decide{Txn: t.ID, VC: stamp, Commit: outcome}, nil)
 
 	if !outcome {
 		return kv.ErrAborted

@@ -60,22 +60,30 @@ check_bytes() {
 
 # Read-only transaction end-to-end (Begin + reads + Commit). Seed was 33
 # (ops=1) and 100 (ops=4) allocs/op; the PR-2 diet brought them to 27/64, the
-# PR-4 transport-channel pooling to 25/58, and they measure 25/56 with the
-# goroutine-free fan-out (transport.Multi).
+# PR-4 transport-channel pooling to 25/58, they measured 25/56 with the
+# goroutine-free fan-out (transport.Multi), and 20/51 once an RPC deadline
+# became a time on the fan-out's pooled timer instead of a context.
 check ./internal/engine 'BenchmarkReadOnlyTxn/ops' 2000x \
-  'BenchmarkReadOnlyTxn/ops=1' 28 \
-  'BenchmarkReadOnlyTxn/ops=4' 62
+  'BenchmarkReadOnlyTxn/ops=1' 23 \
+  'BenchmarkReadOnlyTxn/ops=4' 57
 
 # Update transaction end-to-end (Begin + read-modify-writes + Commit through
 # prepare, piggybacked decide+drain, queued freeze/purge). Pre-diet baseline
 # was 114/133 (local) and 184 (remote) allocs/op; the write-side diet
 # (commit scratch, pooled RPC reply channels, goroutine-free fan-out, batch
-# reuse, single-replica update reads) measured 79/96 and 124, and 78/96 and
-# 123 once a decide's tombstone became a bit instead of a map entry.
+# reuse, single-replica update reads) measured 79/96 and 124, 78/96 and
+# 123 once a decide's tombstone became a bit instead of a map entry, and
+# 58/76 and 91 once RPC deadlines stopped allocating a context each.
 check ./internal/engine 'BenchmarkUpdateTxnCommit' 2000x \
-  'BenchmarkUpdateTxnCommit/ops=1' 84 \
-  'BenchmarkUpdateTxnCommit/ops=2' 105 \
-  'BenchmarkUpdateTxnCommitRemote' 129
+  'BenchmarkUpdateTxnCommit/ops=1' 64 \
+  'BenchmarkUpdateTxnCommit/ops=2' 85 \
+  'BenchmarkUpdateTxnCommitRemote' 97
+
+# One three-leg RPC fan-out and its wait (transport.RPC.Gather, in-process,
+# latency off): the pooled Multi carries its reply channel and deadline
+# timer, so a call allocates nothing. A context per call cost 5 allocs/op.
+check ./internal/transport 'BenchmarkRPCGather' 5000x \
+  'BenchmarkRPCGather' 0
 
 # Client path over loopback TCP (wire codec, coalescing send queue, reply
 # demux; the server side of the connection is included). Measured 60/73/130
