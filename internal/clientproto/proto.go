@@ -5,9 +5,10 @@
 // protocol — clientproto frames the five transactional verbs a client
 // program needs (Begin, Read, Write, Commit, Abort, plus Ping for health
 // probes) over a single multiplexed TCP connection. Frames are
-// length-prefixed and ride the same pooled codec buffers as the node-to-node
-// transport, so the steady-state encode/decode path allocates nothing
-// beyond the decoded payloads.
+// length-prefixed; bodies are written with internal/wire's append helpers,
+// read with its Decoder and framed in by its ReadFrame, on the same pooled
+// buffers as the node-to-node transport, so the steady-state encode/decode
+// path allocates nothing beyond the decoded payloads.
 //
 // Framing (all integers uvarint, strings/bytes length-prefixed):
 //
@@ -26,7 +27,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"io"
 
 	"github.com/sss-paper/sss/internal/wire"
 	"github.com/sss-paper/sss/kv"
@@ -173,22 +173,19 @@ func AppendRequest(buf []byte, req *Request) []byte {
 	buf = binary.AppendUvarint(buf, req.ReqID)
 	switch req.Op {
 	case OpBegin:
-		buf = appendBool(buf, req.ReadOnly)
+		buf = wire.AppendBool(buf, req.ReadOnly)
 	case OpRead:
 		buf = binary.AppendUvarint(buf, req.Txn)
-		buf = appendString(buf, req.Key)
+		buf = wire.AppendString(buf, req.Key)
 	case OpWrite:
 		buf = binary.AppendUvarint(buf, req.Txn)
-		buf = appendString(buf, req.Key)
-		buf = appendBytes(buf, req.Val)
+		buf = wire.AppendString(buf, req.Key)
+		buf = wire.AppendBytes(buf, req.Val)
 	case OpCommit, OpAbort:
 		buf = binary.AppendUvarint(buf, req.Txn)
 	case OpPing:
 	case OpSnapshotRead:
-		buf = binary.AppendUvarint(buf, uint64(len(req.Keys)))
-		for _, k := range req.Keys {
-			buf = appendString(buf, k)
-		}
+		buf = wire.AppendStrings(buf, req.Keys)
 	}
 	return buf
 }
@@ -196,42 +193,42 @@ func AppendRequest(buf []byte, req *Request) []byte {
 // DecodeRequest parses one request body. The returned request does not
 // retain buf.
 func DecodeRequest(buf []byte) (Request, error) {
-	c := cursor{buf: buf}
-	req := Request{Op: Op(c.byte()), ReqID: c.uvarint()}
+	d := wire.NewDecoder(buf)
+	req := Request{Op: Op(d.Byte()), ReqID: d.Uvarint()}
 	switch req.Op {
 	case OpBegin:
-		req.ReadOnly = c.bool()
+		req.ReadOnly = d.Bool()
 	case OpRead:
-		req.Txn = c.uvarint()
-		req.Key = c.str()
+		req.Txn = d.Uvarint()
+		req.Key = d.Str()
 	case OpWrite:
-		req.Txn = c.uvarint()
-		req.Key = c.str()
-		req.Val = c.bytes()
+		req.Txn = d.Uvarint()
+		req.Key = d.Str()
+		req.Val = d.Bytes()
 	case OpCommit, OpAbort:
-		req.Txn = c.uvarint()
+		req.Txn = d.Uvarint()
 	case OpPing:
 	case OpSnapshotRead:
-		n := int(c.uvarint())
+		n := d.Uvarint()
 		// The count bound keeps a hostile frame from forcing a huge
-		// allocation before the per-key cursor checks run.
-		if c.err == nil && (n < 0 || n > MaxSnapshotKeys) {
+		// allocation before the per-key checks run.
+		if n > MaxSnapshotKeys {
 			return Request{}, fmt.Errorf("clientproto: snapshot-read of %d keys exceeds limit %d", n, MaxSnapshotKeys)
 		}
-		if c.err == nil && n > 0 {
+		if n > 0 {
 			req.Keys = make([]string, n)
 			for i := range req.Keys {
-				req.Keys[i] = c.str()
+				req.Keys[i] = d.Str()
 			}
 		}
 	default:
 		return Request{}, fmt.Errorf("clientproto: unknown op %d", uint8(req.Op))
 	}
-	if c.err != nil {
-		return Request{}, c.err
+	if err := d.Err(); err != nil {
+		return Request{}, fmt.Errorf("clientproto: %w", err)
 	}
-	if c.off != len(buf) {
-		return Request{}, fmt.Errorf("clientproto: %d trailing bytes after %v", len(buf)-c.off, req.Op)
+	if rest := len(d.Rest()); rest != 0 {
+		return Request{}, fmt.Errorf("clientproto: %d trailing bytes after %v", rest, req.Op)
 	}
 	return req, nil
 }
@@ -244,16 +241,16 @@ func AppendReply(buf []byte, rep *Reply) []byte {
 	case ReplyOK:
 		buf = binary.AppendUvarint(buf, rep.Txn)
 	case ReplyValue:
-		buf = appendBool(buf, rep.Exists)
-		buf = appendBytes(buf, rep.Val)
+		buf = wire.AppendBool(buf, rep.Exists)
+		buf = wire.AppendBytes(buf, rep.Val)
 	case ReplyErr:
 		buf = append(buf, byte(rep.Code))
-		buf = appendString(buf, rep.Msg)
+		buf = wire.AppendString(buf, rep.Msg)
 	case ReplyValues:
 		buf = binary.AppendUvarint(buf, uint64(len(rep.Vals)))
 		for _, v := range rep.Vals {
-			buf = appendBool(buf, v.Exists)
-			buf = appendBytes(buf, v.Val)
+			buf = wire.AppendBool(buf, v.Exists)
+			buf = wire.AppendBytes(buf, v.Val)
 		}
 	}
 	return buf
@@ -261,37 +258,37 @@ func AppendReply(buf []byte, rep *Reply) []byte {
 
 // DecodeReply parses one reply body. The returned reply does not retain buf.
 func DecodeReply(buf []byte) (Reply, error) {
-	c := cursor{buf: buf}
-	rep := Reply{Kind: ReplyKind(c.byte()), ReqID: c.uvarint()}
+	d := wire.NewDecoder(buf)
+	rep := Reply{Kind: ReplyKind(d.Byte()), ReqID: d.Uvarint()}
 	switch rep.Kind {
 	case ReplyOK:
-		rep.Txn = c.uvarint()
+		rep.Txn = d.Uvarint()
 	case ReplyValue:
-		rep.Exists = c.bool()
-		rep.Val = c.bytes()
+		rep.Exists = d.Bool()
+		rep.Val = d.Bytes()
 	case ReplyErr:
-		rep.Code = ErrCode(c.byte())
-		rep.Msg = c.str()
+		rep.Code = ErrCode(d.Byte())
+		rep.Msg = d.Str()
 	case ReplyValues:
-		n := int(c.uvarint())
-		if c.err == nil && (n < 0 || n > MaxSnapshotKeys) {
+		n := d.Uvarint()
+		if n > MaxSnapshotKeys {
 			return Reply{}, fmt.Errorf("clientproto: snapshot-read reply of %d values exceeds limit %d", n, MaxSnapshotKeys)
 		}
-		if c.err == nil && n > 0 {
+		if n > 0 {
 			rep.Vals = make([]kv.ReadResult, n)
 			for i := range rep.Vals {
-				rep.Vals[i].Exists = c.bool()
-				rep.Vals[i].Val = c.bytes()
+				rep.Vals[i].Exists = d.Bool()
+				rep.Vals[i].Val = d.Bytes()
 			}
 		}
 	default:
 		return Reply{}, fmt.Errorf("clientproto: unknown reply kind %d", uint8(rep.Kind))
 	}
-	if c.err != nil {
-		return Reply{}, c.err
+	if err := d.Err(); err != nil {
+		return Reply{}, fmt.Errorf("clientproto: %w", err)
 	}
-	if c.off != len(buf) {
-		return Reply{}, fmt.Errorf("clientproto: %d trailing bytes after reply", len(buf)-c.off)
+	if rest := len(d.Rest()); rest != 0 {
+		return Reply{}, fmt.Errorf("clientproto: %d trailing bytes after reply", rest)
 	}
 	return rep, nil
 }
@@ -327,7 +324,7 @@ func writeFrame(w *bufio.Writer, body []byte) error {
 func ReadRequest(r *bufio.Reader) (Request, error) {
 	bp := wire.GetBuf()
 	defer wire.PutBuf(bp)
-	if err := readFrame(r, bp); err != nil {
+	if err := wire.ReadFrame(r, bp, MaxFrame); err != nil {
 		return Request{}, err
 	}
 	return DecodeRequest(*bp)
@@ -337,118 +334,8 @@ func ReadRequest(r *bufio.Reader) (Request, error) {
 func ReadReply(r *bufio.Reader) (Reply, error) {
 	bp := wire.GetBuf()
 	defer wire.PutBuf(bp)
-	if err := readFrame(r, bp); err != nil {
+	if err := wire.ReadFrame(r, bp, MaxFrame); err != nil {
 		return Reply{}, err
 	}
 	return DecodeReply(*bp)
-}
-
-// readFrame reads one length-prefixed frame into *bp (resized as needed).
-func readFrame(r *bufio.Reader, bp *[]byte) error {
-	size, err := binary.ReadUvarint(r)
-	if err != nil {
-		return err
-	}
-	if size > MaxFrame {
-		return fmt.Errorf("clientproto: frame of %d bytes exceeds limit", size)
-	}
-	buf := *bp
-	if cap(buf) < int(size) {
-		buf = make([]byte, size)
-	} else {
-		buf = buf[:size]
-	}
-	*bp = buf
-	_, err = io.ReadFull(r, buf)
-	return err
-}
-
-// --- codec helpers (mirroring internal/wire's cursor idiom) ---
-
-func appendBool(buf []byte, b bool) []byte {
-	if b {
-		return append(buf, 1)
-	}
-	return append(buf, 0)
-}
-
-func appendString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-func appendBytes(buf, b []byte) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(b)))
-	return append(buf, b...)
-}
-
-// cursor walks a buffer accumulating the first error; reads after an error
-// return zero values, keeping decode paths linear.
-type cursor struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (c *cursor) fail(what string) {
-	if c.err == nil {
-		c.err = fmt.Errorf("clientproto: truncated %s at offset %d", what, c.off)
-	}
-}
-
-func (c *cursor) byte() byte {
-	if c.err != nil || c.off >= len(c.buf) {
-		c.fail("byte")
-		return 0
-	}
-	b := c.buf[c.off]
-	c.off++
-	return b
-}
-
-func (c *cursor) bool() bool { return c.byte() != 0 }
-
-func (c *cursor) uvarint() uint64 {
-	if c.err != nil {
-		return 0
-	}
-	x, n := binary.Uvarint(c.buf[c.off:])
-	if n <= 0 {
-		c.fail("uvarint")
-		return 0
-	}
-	c.off += n
-	return x
-}
-
-func (c *cursor) str() string {
-	n := int(c.uvarint())
-	if c.err != nil {
-		return ""
-	}
-	if n < 0 || c.off+n > len(c.buf) || c.off+n < 0 {
-		c.fail("string")
-		return ""
-	}
-	s := string(c.buf[c.off : c.off+n])
-	c.off += n
-	return s
-}
-
-func (c *cursor) bytes() []byte {
-	n := int(c.uvarint())
-	if c.err != nil {
-		return nil
-	}
-	if n < 0 || c.off+n > len(c.buf) || c.off+n < 0 {
-		c.fail("bytes")
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	b := make([]byte, n)
-	copy(b, c.buf[c.off:c.off+n])
-	c.off += n
-	return b
 }

@@ -399,7 +399,7 @@ func (nd *Node) handlePrepare(from wire.NodeID, rid uint64, m *wire.Prepare) {
 		// The coordinator's own leg votes to itself, so nothing leaves the
 		// node on this vote: its record rides the decision fsync, which the
 		// sequential log orders after it and which precedes every Decide. A
-		// crash before that fsync is a presumed abort resolveInDoubt settles
+		// crash before that fsync is a presumed abort askCoordinator settles
 		// locally.
 		nd.wal.Append(&wal.Record{Type: wal.RecPrepare, Txn: m.Txn, Writes: m.Writes, Deps: m.Deps})
 		if from != nd.id {

@@ -166,21 +166,26 @@ func (nd *Node) clockCatchup() {
 	}
 }
 
-// resolveInDoubt resolves one prepared-but-undecided transaction. Own
-// transactions resolve against the local coordinator ledger; others query
-// the coordinator with bounded retries. No commit evidence means presumed
-// abort — sound because the coordinator syncs its commit decision before
-// any decide leaves it. The unreachable-coordinator presumption is the one
+// askCoordinator learns txn's commit verdict and, for a commit, its clocks.
+// Own transactions read the local coordinator ledger; others query the
+// coordinator up to attempts times, sleeping VoteTimeout/4 before the
+// second and doubling each sleep up to 4×VoteTimeout, first reached at the
+// fifth. No commit evidence means commit=false, which in-doubt resolution
+// (12 attempts) takes as presumed abort — sound because the coordinator
+// syncs its commit decision before any decide leaves it. The unreachable-coordinator presumption is the one
 // documented conservatism: if the coordinator is down past the retry budget
 // its decision cannot be learned, and recovery must not wedge.
 //
-// The budget is sized for the concurrent-restart case, not just a dead
+// That budget is sized for the concurrent-restart case, not just a dead
 // coordinator: a coordinator that is itself recovering drops the query
 // (timeout here) until its WAL scan completes rather than answering a
-// premature unknown, so the retries back off exponentially — scaled to
-// VoteTimeout, roughly 30 timeouts' worth in total — to ride out a peer's
-// checkpoint-load and replay before presuming abort.
-func (nd *Node) resolveInDoubt(txn wire.TxnID) (cr coordRecord, commit bool) {
+// premature unknown, so the retries back off exponentially — roughly 30
+// timeouts' worth in total — to ride out a peer's checkpoint-load and
+// replay before presuming abort. Recovering a lost freeze vector for an
+// already-known commit takes 6 attempts: a missing vector has a sound local
+// fallback (the phase-4 floor stamp), so recovery must not wedge on a dead
+// coordinator.
+func (nd *Node) askCoordinator(txn wire.TxnID, attempts int) (cr coordRecord, commit bool) {
 	if txn.Node == nd.id {
 		nd.coordMu.Lock()
 		cr, ok := nd.coordStatus[txn]
@@ -189,7 +194,7 @@ func (nd *Node) resolveInDoubt(txn wire.TxnID) (cr coordRecord, commit bool) {
 	}
 	backoff := nd.cfg.VoteTimeout / 4
 	maxBackoff := 4 * nd.cfg.VoteTimeout
-	for attempt := 0; attempt < 12; attempt++ {
+	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
 			time.Sleep(backoff)
 			if backoff < maxBackoff {
@@ -210,41 +215,6 @@ func (nd *Node) resolveInDoubt(txn wire.TxnID) (cr coordRecord, commit bool) {
 		return coordRecord{}, false
 	}
 	return coordRecord{}, false
-}
-
-// resolveFreeze recovers the freeze vector and Know of a transaction whose
-// commit verdict is already known but whose freeze record never became
-// durable here. Own transactions read the local coordinator ledger; others
-// query the coordinator with a smaller retry budget than resolveInDoubt — a
-// missing vector has a sound local fallback (the phase-4 floor stamp), so
-// recovery must not wedge on a dead coordinator.
-func (nd *Node) resolveFreeze(txn wire.TxnID) (freezeVC, know vclock.VC) {
-	if txn.Node == nd.id {
-		nd.coordMu.Lock()
-		cr := nd.coordStatus[txn]
-		nd.coordMu.Unlock()
-		return cr.freezeVC, cr.know
-	}
-	backoff := nd.cfg.VoteTimeout / 4
-	for attempt := 0; attempt < 6; attempt++ {
-		if attempt > 0 {
-			time.Sleep(backoff)
-			backoff *= 2
-		}
-		resp, err := nd.rpc.CallWithin(nd.cfg.VoteTimeout, txn.Node, &wire.TxnStatus{Txn: txn})
-		if err != nil {
-			continue
-		}
-		rep, ok := resp.(*wire.TxnStatusReply)
-		if !ok {
-			continue
-		}
-		if rep.Known && rep.Commit {
-			return rep.FreezeVC, rep.Know
-		}
-		return nil, nil
-	}
-	return nil, nil
 }
 
 // Recover restores the node from its WAL and checkpoint, then opens it for
@@ -363,7 +333,7 @@ func (nd *Node) Recover() error {
 	// its position in the apply order.
 	for txn, p := range prepared {
 		nd.dstats.InDoubt.Add(1)
-		cr, commit := nd.resolveInDoubt(txn)
+		cr, commit := nd.askCoordinator(txn, 12)
 		if !commit {
 			nd.dstats.InDoubtAborted.Add(1)
 			continue
@@ -402,9 +372,9 @@ func (nd *Node) Recover() error {
 		if len(keys) == 0 {
 			continue
 		}
-		if fvc, know := nd.resolveFreeze(txn); len(fvc) == nd.n {
+		if cr, _ := nd.askCoordinator(txn, 6); len(cr.freezeVC) == nd.n {
 			nd.dstats.FreezeResolved.Add(1)
-			freezes[txn] = &freezeInfo{stamp: fvc[nd.idx], keys: keys, vc: nd.withKnow(d.vc, know)}
+			freezes[txn] = &freezeInfo{stamp: cr.freezeVC[nd.idx], keys: keys, vc: nd.withKnow(d.vc, cr.know)}
 		} else {
 			nd.dstats.FreezeUnresolved.Add(1)
 		}

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"os"
 	"sync"
@@ -219,35 +218,20 @@ func (e *tcpEndpoint) readLoop(c net.Conn) {
 	}()
 	br := bufio.NewReaderSize(c, 64<<10)
 	for {
-		size, err := binary.ReadUvarint(br)
-		if err != nil {
-			return
-		}
-		if size == 0 {
-			continue // liveness ping: no payload, nothing to dispatch
-		}
-		if size > maxFrame {
-			return
-		}
 		// Frames are decoded from a pooled buffer; DecodeEnvelope copies
 		// every string/byte payload, so the buffer can be recycled as soon
 		// as decoding finishes.
 		bp := wire.GetBuf()
+		if err := wire.ReadFrame(br, bp, maxFrame); err != nil || e.isClosed() {
+			wire.PutBuf(bp)
+			return
+		}
 		frame := *bp
-		if cap(frame) < int(size) {
-			frame = make([]byte, size)
-		} else {
-			frame = frame[:size]
-		}
-		*bp = frame
-		if _, err := io.ReadFull(br, frame); err != nil {
+		if len(frame) == 0 {
 			wire.PutBuf(bp)
-			return
+			continue // liveness ping: no payload, nothing to dispatch
 		}
-		if e.isClosed() {
-			wire.PutBuf(bp)
-			return
-		}
+		var err error
 		if wire.IsBatch(frame) {
 			_, err = wire.DecodeBatch(frame, func(env wire.Envelope) error {
 				e.inflight.Add(1)

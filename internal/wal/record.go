@@ -98,183 +98,33 @@ type Record struct {
 }
 
 // appendPayload appends r's encoded payload (everything the per-record CRC
-// covers) to buf, in the same uvarint/length-prefix idiom as the wire codec.
+// covers) to buf, with the wire codec's append helpers.
 func appendPayload(buf []byte, r *Record) []byte {
 	buf = append(buf, byte(r.Type))
-	buf = binary.AppendUvarint(buf, uint64(r.Txn.Node))
-	buf = binary.AppendUvarint(buf, r.Txn.Seq)
-	if r.Commit {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
+	buf = wire.AppendTxnID(buf, r.Txn)
+	buf = wire.AppendBool(buf, r.Commit)
 	buf = binary.AppendUvarint(buf, r.Stamp)
 	buf = binary.AppendUvarint(buf, r.Seq)
-	buf = binary.AppendUvarint(buf, uint64(len(r.Key)))
-	buf = append(buf, r.Key...)
-	buf = binary.AppendUvarint(buf, uint64(len(r.Val)))
-	buf = append(buf, r.Val...)
+	buf = wire.AppendString(buf, r.Key)
+	buf = wire.AppendBytes(buf, r.Val)
 	buf = r.VC.AppendBinary(buf)
 	buf = r.VC2.AppendBinary(buf)
-	buf = binary.AppendUvarint(buf, uint64(len(r.Keys)))
-	for _, k := range r.Keys {
-		buf = binary.AppendUvarint(buf, uint64(len(k)))
-		buf = append(buf, k...)
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(r.Writes)))
-	for _, kv := range r.Writes {
-		buf = binary.AppendUvarint(buf, uint64(len(kv.Key)))
-		buf = append(buf, kv.Key...)
-		buf = binary.AppendUvarint(buf, uint64(len(kv.Val)))
-		buf = append(buf, kv.Val...)
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(r.Deps)))
-	for _, d := range r.Deps {
-		buf = binary.AppendUvarint(buf, uint64(d.Node))
-		buf = binary.AppendUvarint(buf, d.Seq)
-	}
-	return buf
-}
-
-// cursor is an error-accumulating payload reader, mirroring the wire
-// codec's decode discipline: all reads after the first failure return zero
-// values, so decode paths stay linear and the caller checks err once.
-type cursor struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (c *cursor) fail(what string) {
-	if c.err == nil {
-		c.err = fmt.Errorf("wal: truncated %s at offset %d", what, c.off)
-	}
-}
-
-func (c *cursor) byte() byte {
-	if c.err != nil || c.off >= len(c.buf) {
-		c.fail("byte")
-		return 0
-	}
-	b := c.buf[c.off]
-	c.off++
-	return b
-}
-
-func (c *cursor) uvarint() uint64 {
-	if c.err != nil {
-		return 0
-	}
-	x, n := binary.Uvarint(c.buf[c.off:])
-	if n <= 0 {
-		c.fail("uvarint")
-		return 0
-	}
-	c.off += n
-	return x
-}
-
-func (c *cursor) str() string {
-	n := int(c.uvarint())
-	if c.err != nil {
-		return ""
-	}
-	if n < 0 || c.off+n > len(c.buf) {
-		c.fail("string")
-		return ""
-	}
-	s := string(c.buf[c.off : c.off+n])
-	c.off += n
-	return s
-}
-
-func (c *cursor) bytes() []byte {
-	n := int(c.uvarint())
-	if c.err != nil {
-		return nil
-	}
-	if n < 0 || c.off+n > len(c.buf) {
-		c.fail("bytes")
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	b := make([]byte, n)
-	copy(b, c.buf[c.off:c.off+n])
-	c.off += n
-	return b
-}
-
-func (c *cursor) vc() vclock.VC {
-	if c.err != nil {
-		return nil
-	}
-	v, n, err := vclock.DecodeFrom(c.buf[c.off:])
-	if err != nil {
-		c.err = err
-		return nil
-	}
-	c.off += n
-	if len(v) == 0 {
-		return nil
-	}
-	return v
-}
-
-// maxSliceLen caps decoded slice headers: a corrupted length that survived
-// the CRC (or a record decoded outside CRC protection in tests) must fail
-// loudly, never allocate garbage.
-const maxSliceLen = 1 << 22
-
-func (c *cursor) sliceLen(what string) int {
-	n := c.uvarint()
-	if c.err != nil {
-		return 0
-	}
-	if n > maxSliceLen {
-		c.err = fmt.Errorf("wal: implausible %s length %d", what, n)
-		return 0
-	}
-	return int(n)
+	buf = wire.AppendStrings(buf, r.Keys)
+	buf = wire.AppendKVs(buf, r.Writes)
+	return wire.AppendTxnIDs(buf, r.Deps)
 }
 
 // decodePayload parses one record payload produced by appendPayload.
 func decodePayload(buf []byte) (*Record, error) {
-	c := cursor{buf: buf}
-	r := &Record{}
-	r.Type = RecType(c.byte())
-	r.Txn = wire.TxnID{Node: wire.NodeID(c.uvarint()), Seq: c.uvarint()}
-	r.Commit = c.byte() != 0
-	r.Stamp = c.uvarint()
-	r.Seq = c.uvarint()
-	r.Key = c.str()
-	r.Val = c.bytes()
-	r.VC = c.vc()
-	r.VC2 = c.vc()
-	if n := c.sliceLen("keys"); n > 0 && c.err == nil {
-		r.Keys = make([]string, n)
-		for i := range r.Keys {
-			r.Keys[i] = c.str()
-		}
+	d := wire.NewDecoder(buf)
+	r := &Record{Type: RecType(d.Byte()), Txn: d.TxnID(), Commit: d.Bool(),
+		Stamp: d.Uvarint(), Seq: d.Uvarint(), Key: d.Str(), Val: d.Bytes(),
+		VC: d.VC(), VC2: d.VC(), Keys: d.Strs(), Writes: d.KVs(), Deps: d.TxnIDs()}
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("wal: %w", err)
 	}
-	if n := c.sliceLen("writes"); n > 0 && c.err == nil {
-		r.Writes = make([]wire.KV, n)
-		for i := range r.Writes {
-			r.Writes[i] = wire.KV{Key: c.str(), Val: c.bytes()}
-		}
-	}
-	if n := c.sliceLen("deps"); n > 0 && c.err == nil {
-		r.Deps = make([]wire.TxnID, n)
-		for i := range r.Deps {
-			r.Deps[i] = wire.TxnID{Node: wire.NodeID(c.uvarint()), Seq: c.uvarint()}
-		}
-	}
-	if c.err != nil {
-		return nil, c.err
-	}
-	if c.off != len(buf) {
-		return nil, fmt.Errorf("wal: %d trailing bytes after %v record", len(buf)-c.off, r.Type)
+	if rest := len(d.Rest()); rest != 0 {
+		return nil, fmt.Errorf("wal: %d trailing bytes after %v record", rest, r.Type)
 	}
 	return r, nil
 }

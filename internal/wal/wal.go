@@ -36,6 +36,7 @@
 package wal
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -316,8 +317,8 @@ func frameAt(data []byte, off int64) (int64, []byte, error) {
 	if len(rest) < frameHeader {
 		return 0, nil, errors.New("wal: short frame header")
 	}
-	ln := uint32(rest[0]) | uint32(rest[1])<<8 | uint32(rest[2])<<16 | uint32(rest[3])<<24
-	crc := uint32(rest[4]) | uint32(rest[5])<<8 | uint32(rest[6])<<16 | uint32(rest[7])<<24
+	ln := binary.LittleEndian.Uint32(rest)
+	crc := binary.LittleEndian.Uint32(rest[4:])
 	if ln == 0 || ln > maxFrame {
 		return 0, nil, fmt.Errorf("wal: implausible frame length %d", ln)
 	}
@@ -331,6 +332,17 @@ func frameAt(data []byte, off int64) (int64, []byte, error) {
 	return frameHeader + int64(ln), payload, nil
 }
 
+// appendFrame appends r to buf as one frame: the frameHeader, then the
+// payload it describes.
+func appendFrame(buf []byte, r *Record) []byte {
+	start := len(buf)
+	buf = appendPayload(append(buf, make([]byte, frameHeader)...), r)
+	payload := buf[start+frameHeader:]
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(payload, crcTable))
+	return buf
+}
+
 // Append buffers one record for the next Sync and returns its sequence
 // number, the handle SyncTo waits on. It never blocks on I/O; unwaited, the
 // record is durable within maxUnsyncedLag. On a poisoned or closed log the
@@ -340,22 +352,17 @@ func (l *Log) Append(r *Record) uint64 {
 	// Encode on a pooled wire buffer so the frame assembly allocates
 	// nothing on the steady-state path.
 	bp := wire.GetBuf()
-	payload := appendPayload((*bp)[:0], r)
-	crc := crc32.Checksum(payload, crcTable)
-	ln := uint32(len(payload))
+	frame := appendFrame((*bp)[:0], r)
+	*bp = frame
 
 	l.mu.Lock()
 	if l.failed != nil || l.closed {
 		seq := l.appendSeq
 		l.mu.Unlock()
-		*bp = payload
 		wire.PutBuf(bp)
 		return seq
 	}
-	l.buf = append(l.buf,
-		byte(ln), byte(ln>>8), byte(ln>>16), byte(ln>>24),
-		byte(crc), byte(crc>>8), byte(crc>>16), byte(crc>>24))
-	l.buf = append(l.buf, payload...)
+	l.buf = append(l.buf, frame...)
 	if l.bufRecs == 0 {
 		l.bufSince = time.Now()
 		l.armLagLocked(maxUnsyncedLag)
@@ -365,10 +372,9 @@ func (l *Log) Append(r *Record) uint64 {
 	seq := l.appendSeq
 	l.mu.Unlock()
 
-	*bp = payload
 	wire.PutBuf(bp)
 	l.stats.WalAppends.Add(1)
-	l.stats.WalBytes.Add(uint64(len(payload)))
+	l.stats.WalBytes.Add(uint64(len(frame) - frameHeader))
 	return seq
 }
 
@@ -595,17 +601,8 @@ func (l *Log) WriteCheckpoint(fill func(emit func(*Record) error) error) error {
 	var recs uint64
 	var wbuf []byte
 	emit := func(r *Record) error {
-		payload := appendPayload(wbuf[:0], r)
-		wbuf = payload
-		crc := crc32.Checksum(payload, crcTable)
-		ln := uint32(len(payload))
-		hdr := [frameHeader]byte{
-			byte(ln), byte(ln >> 8), byte(ln >> 16), byte(ln >> 24),
-			byte(crc), byte(crc >> 8), byte(crc >> 16), byte(crc >> 24)}
-		if _, err := f.Write(hdr[:]); err != nil {
-			return err
-		}
-		if _, err := f.Write(payload); err != nil {
+		wbuf = appendFrame(wbuf[:0], r)
+		if _, err := f.Write(wbuf); err != nil {
 			return err
 		}
 		recs++

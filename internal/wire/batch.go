@@ -1,8 +1,10 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"sync"
 )
 
@@ -39,6 +41,27 @@ func PutBuf(b *[]byte) {
 	}
 	*b = (*b)[:0]
 	bufPool.Put(b)
+}
+
+// ReadFrame reads one frame, a uvarint length and then that many bytes,
+// from r into *bp, growing the buffer as needed. A length above limit fails
+// before anything is allocated for it. A zero-length frame leaves *bp
+// empty: the peer links send one as a liveness ping.
+func ReadFrame(r *bufio.Reader, bp *[]byte, limit uint64) error {
+	size, err := binary.ReadUvarint(r)
+	if err != nil {
+		return err
+	}
+	if size > limit {
+		return fmt.Errorf("wire: frame of %d bytes exceeds limit %d", size, limit)
+	}
+	if uint64(cap(*bp)) < size {
+		*bp = make([]byte, size)
+	} else {
+		*bp = (*bp)[:size]
+	}
+	_, err = io.ReadFull(r, *bp)
+	return err
 }
 
 // EncodeBatch appends a batch frame packing envs to buf and returns the

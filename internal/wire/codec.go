@@ -20,29 +20,26 @@ func EncodeEnvelope(buf []byte, env Envelope) ([]byte, error) {
 	buf = append(buf, byte(env.Msg.Type()))
 	buf = binary.AppendUvarint(buf, uint64(env.From))
 	buf = binary.AppendUvarint(buf, env.RID)
-	buf = appendBool(buf, env.Resp)
+	buf = AppendBool(buf, env.Resp)
 	return appendBody(buf, env.Msg)
 }
 
 // DecodeEnvelope parses one envelope from buf, which must contain exactly
 // one encoded envelope.
 func DecodeEnvelope(buf []byte) (Envelope, error) {
-	c := cursor{buf: buf}
-	t := MsgType(c.byte())
+	d := NewDecoder(buf)
+	t := MsgType(d.Byte())
 	env := Envelope{
-		From: NodeID(c.uvarint()),
-		RID:  c.uvarint(),
-		Resp: c.bool(),
+		From: NodeID(d.Uvarint()),
+		RID:  d.Uvarint(),
+		Resp: d.Bool(),
 	}
-	msg, err := decodeBody(&c, t)
+	msg, err := decodeBody(d, t)
 	if err != nil {
 		return Envelope{}, err
 	}
-	if c.err != nil {
-		return Envelope{}, c.err
-	}
-	if c.off != len(buf) {
-		return Envelope{}, fmt.Errorf("wire: %d trailing bytes after %v", len(buf)-c.off, t)
+	if rest := len(d.Rest()); rest != 0 {
+		return Envelope{}, fmt.Errorf("wire: %d trailing bytes after %v", rest, t)
 	}
 	env.Msg = msg
 	return env, nil
@@ -51,125 +48,107 @@ func DecodeEnvelope(buf []byte) (Envelope, error) {
 func appendBody(buf []byte, msg Msg) ([]byte, error) {
 	switch m := msg.(type) {
 	case *ReadRequest:
-		buf = appendTxnID(buf, m.Txn)
-		buf = appendString(buf, m.Key)
+		buf = AppendTxnID(buf, m.Txn)
+		buf = AppendString(buf, m.Key)
 		buf = m.VC.AppendBinary(buf)
 		buf = appendBools(buf, m.HasRead)
-		buf = appendBool(buf, m.IsUpdate)
-		buf = binary.AppendUvarint(buf, uint64(len(m.Seen)))
-		for _, s := range m.Seen {
-			buf = appendTxnID(buf, s)
-		}
+		buf = AppendBool(buf, m.IsUpdate)
+		buf = AppendTxnIDs(buf, m.Seen)
 		buf = appendExWriters(buf, m.Before)
 		buf = m.ObsVC.AppendBinary(buf)
 	case *ReadReturn:
-		buf = appendBytes(buf, m.Val)
-		buf = appendBool(buf, m.Exists)
-		buf = appendTxnID(buf, m.Writer)
+		buf = AppendBytes(buf, m.Val)
+		buf = AppendBool(buf, m.Exists)
+		buf = AppendTxnID(buf, m.Writer)
 		buf = m.VC.AppendBinary(buf)
 		buf = appendSQEntries(buf, m.Propagated)
 		buf = binary.AppendUvarint(buf, m.Ver)
-		buf = appendTxnID(buf, m.PendingWriter)
+		buf = AppendTxnID(buf, m.PendingWriter)
 		buf = appendExWriters(buf, m.Excluded)
 		buf = m.VerVC.AppendBinary(buf)
-		buf = binary.AppendUvarint(buf, uint64(len(m.VerDeps)))
-		for _, d := range m.VerDeps {
-			buf = appendTxnID(buf, d)
-		}
+		buf = AppendTxnIDs(buf, m.VerDeps)
 	case *Prepare:
-		buf = appendTxnID(buf, m.Txn)
+		buf = AppendTxnID(buf, m.Txn)
 		buf = m.VC.AppendBinary(buf)
-		buf = appendStrings(buf, m.ReadKeys)
-		buf = appendKVs(buf, m.Writes)
+		buf = AppendStrings(buf, m.ReadKeys)
+		buf = AppendKVs(buf, m.Writes)
 		buf = binary.AppendUvarint(buf, uint64(len(m.ReadVers)))
 		for _, v := range m.ReadVers {
 			buf = binary.AppendUvarint(buf, v)
 		}
-		buf = binary.AppendUvarint(buf, uint64(len(m.ReadFrom)))
-		for _, w := range m.ReadFrom {
-			buf = appendTxnID(buf, w)
-		}
-		buf = binary.AppendUvarint(buf, uint64(len(m.Deps)))
-		for _, w := range m.Deps {
-			buf = appendTxnID(buf, w)
-		}
+		buf = AppendTxnIDs(buf, m.ReadFrom)
+		buf = AppendTxnIDs(buf, m.Deps)
 	case *Vote:
-		buf = appendTxnID(buf, m.Txn)
+		buf = AppendTxnID(buf, m.Txn)
 		buf = m.VC.AppendBinary(buf)
-		buf = appendBool(buf, m.OK)
+		buf = AppendBool(buf, m.OK)
 	case *Decide:
-		buf = appendTxnID(buf, m.Txn)
+		buf = AppendTxnID(buf, m.Txn)
 		buf = m.VC.AppendBinary(buf)
-		buf = appendBool(buf, m.Commit)
+		buf = AppendBool(buf, m.Commit)
 		buf = appendSQEntries(buf, m.Propagated)
-		buf = appendBool(buf, m.Drain)
+		buf = AppendBool(buf, m.Drain)
 	case *DecideAck:
-		buf = appendTxnID(buf, m.Txn)
+		buf = AppendTxnID(buf, m.Txn)
 		buf = binary.AppendUvarint(buf, m.Ext)
-		buf = appendBool(buf, m.Gated)
+		buf = AppendBool(buf, m.Gated)
 	case *Remove:
-		buf = appendTxnID(buf, m.Txn)
+		buf = AppendTxnID(buf, m.Txn)
 	case *FwdRemove:
-		buf = appendTxnID(buf, m.RO)
+		buf = AppendTxnID(buf, m.RO)
 	case *ExtCommit:
-		buf = appendTxnID(buf, m.Txn)
+		buf = AppendTxnID(buf, m.Txn)
 	case *ExtBatch:
 		buf = binary.AppendUvarint(buf, uint64(len(m.Freezes)))
 		for _, f := range m.Freezes {
-			buf = appendTxnID(buf, f.Txn)
+			buf = AppendTxnID(buf, f.Txn)
 			buf = f.VC.AppendBinary(buf)
 			buf = f.Know.AppendBinary(buf)
 		}
-		buf = binary.AppendUvarint(buf, uint64(len(m.Purges)))
-		for _, p := range m.Purges {
-			buf = appendTxnID(buf, p)
-		}
+		buf = AppendTxnIDs(buf, m.Purges)
 	case *ExtBatchAck:
 		buf = binary.AppendUvarint(buf, m.Freezes)
 	case *WaitExternal:
-		buf = appendTxnID(buf, m.Txn)
+		buf = AppendTxnID(buf, m.Txn)
 	case *WaitExternalAck:
-		buf = appendTxnID(buf, m.Txn)
+		buf = AppendTxnID(buf, m.Txn)
 		buf = m.VC.AppendBinary(buf)
 	case *WalterPropagate:
-		buf = appendTxnID(buf, m.Txn)
+		buf = AppendTxnID(buf, m.Txn)
 		buf = m.VC.AppendBinary(buf)
-		buf = appendKVs(buf, m.Writes)
+		buf = AppendKVs(buf, m.Writes)
 	case *RococoDispatch:
-		buf = appendTxnID(buf, m.Txn)
-		buf = appendStrings(buf, m.ReadKeys)
-		buf = appendKVs(buf, m.Writes)
+		buf = AppendTxnID(buf, m.Txn)
+		buf = AppendStrings(buf, m.ReadKeys)
+		buf = AppendKVs(buf, m.Writes)
 	case *RococoDispatchReply:
-		buf = appendTxnID(buf, m.Txn)
+		buf = AppendTxnID(buf, m.Txn)
 		buf = binary.AppendUvarint(buf, m.Seq)
-		buf = binary.AppendUvarint(buf, uint64(len(m.Deps)))
-		for _, d := range m.Deps {
-			buf = appendTxnID(buf, d)
-		}
+		buf = AppendTxnIDs(buf, m.Deps)
 		buf = binary.AppendUvarint(buf, uint64(len(m.Versions)))
 		for _, v := range m.Versions {
 			buf = binary.AppendUvarint(buf, v)
 		}
 		buf = binary.AppendUvarint(buf, uint64(len(m.Vals)))
 		for _, v := range m.Vals {
-			buf = appendBytes(buf, v)
+			buf = AppendBytes(buf, v)
 		}
 		buf = appendBools(buf, m.Exists)
 	case *RococoCommit:
-		buf = appendTxnID(buf, m.Txn)
+		buf = AppendTxnID(buf, m.Txn)
 		buf = binary.AppendUvarint(buf, m.Seq)
 	case *RococoCommitReply:
-		buf = appendTxnID(buf, m.Txn)
+		buf = AppendTxnID(buf, m.Txn)
 		buf = binary.AppendUvarint(buf, uint64(len(m.Vals)))
 		for _, v := range m.Vals {
-			buf = appendBytes(buf, v)
+			buf = AppendBytes(buf, v)
 		}
 	case *TxnStatus:
-		buf = appendTxnID(buf, m.Txn)
+		buf = AppendTxnID(buf, m.Txn)
 	case *TxnStatusReply:
-		buf = appendTxnID(buf, m.Txn)
-		buf = appendBool(buf, m.Known)
-		buf = appendBool(buf, m.Commit)
+		buf = AppendTxnID(buf, m.Txn)
+		buf = AppendBool(buf, m.Known)
+		buf = AppendBool(buf, m.Commit)
 		buf = m.VC.AppendBinary(buf)
 		buf = m.FreezeVC.AppendBinary(buf)
 		buf = m.Know.AppendBinary(buf)
@@ -183,182 +162,149 @@ func appendBody(buf []byte, msg Msg) ([]byte, error) {
 	return buf, nil
 }
 
-func decodeBody(c *cursor, t MsgType) (Msg, error) {
+func decodeBody(d *Decoder, t MsgType) (Msg, error) {
 	switch t {
 	case MsgReadRequest:
 		m := &ReadRequest{}
-		m.Txn = c.txnID()
-		m.Key = c.str()
-		m.VC = c.vc()
-		m.HasRead = c.bools()
-		m.IsUpdate = c.bool()
-		if n := c.count(); n > 0 && c.err == nil {
-			m.Seen = make([]TxnID, n)
-			for i := range m.Seen {
-				m.Seen[i] = c.txnID()
-			}
-		}
-		m.Before = c.exWriters()
-		m.ObsVC = c.vc()
-		return m, c.err
+		m.Txn = d.TxnID()
+		m.Key = d.Str()
+		m.VC = d.VC()
+		m.HasRead = d.bools()
+		m.IsUpdate = d.Bool()
+		m.Seen = d.TxnIDs()
+		m.Before = d.exWriters()
+		m.ObsVC = d.VC()
+		return m, d.err
 	case MsgReadReturn:
 		m := &ReadReturn{}
-		m.Val = c.bytes()
-		m.Exists = c.bool()
-		m.Writer = c.txnID()
-		m.VC = c.vc()
-		m.Propagated = c.sqEntries()
-		m.Ver = c.uvarint()
-		m.PendingWriter = c.txnID()
-		m.Excluded = c.exWriters()
-		m.VerVC = c.vc()
-		if n := c.count(); n > 0 && c.err == nil {
-			m.VerDeps = make([]TxnID, n)
-			for i := range m.VerDeps {
-				m.VerDeps[i] = c.txnID()
-			}
-		}
-		return m, c.err
+		m.Val = d.Bytes()
+		m.Exists = d.Bool()
+		m.Writer = d.TxnID()
+		m.VC = d.VC()
+		m.Propagated = d.sqEntries()
+		m.Ver = d.Uvarint()
+		m.PendingWriter = d.TxnID()
+		m.Excluded = d.exWriters()
+		m.VerVC = d.VC()
+		m.VerDeps = d.TxnIDs()
+		return m, d.err
 	case MsgPrepare:
 		m := &Prepare{}
-		m.Txn = c.txnID()
-		m.VC = c.vc()
-		m.ReadKeys = c.strs()
-		m.Writes = c.kvs()
-		if n := c.count(); n > 0 && c.err == nil {
+		m.Txn = d.TxnID()
+		m.VC = d.VC()
+		m.ReadKeys = d.Strs()
+		m.Writes = d.KVs()
+		if n := d.Count(); n > 0 {
 			m.ReadVers = make([]uint64, n)
 			for i := range m.ReadVers {
-				m.ReadVers[i] = c.uvarint()
+				m.ReadVers[i] = d.Uvarint()
 			}
 		}
-		if n := c.count(); n > 0 && c.err == nil {
-			m.ReadFrom = make([]TxnID, n)
-			for i := range m.ReadFrom {
-				m.ReadFrom[i] = c.txnID()
-			}
-		}
-		if n := c.count(); n > 0 && c.err == nil {
-			m.Deps = make([]TxnID, n)
-			for i := range m.Deps {
-				m.Deps[i] = c.txnID()
-			}
-		}
-		return m, c.err
+		m.ReadFrom = d.TxnIDs()
+		m.Deps = d.TxnIDs()
+		return m, d.err
 	case MsgVote:
 		m := &Vote{}
-		m.Txn = c.txnID()
-		m.VC = c.vc()
-		m.OK = c.bool()
-		return m, c.err
+		m.Txn = d.TxnID()
+		m.VC = d.VC()
+		m.OK = d.Bool()
+		return m, d.err
 	case MsgDecide:
 		m := &Decide{}
-		m.Txn = c.txnID()
-		m.VC = c.vc()
-		m.Commit = c.bool()
-		m.Propagated = c.sqEntries()
-		m.Drain = c.bool()
-		return m, c.err
+		m.Txn = d.TxnID()
+		m.VC = d.VC()
+		m.Commit = d.Bool()
+		m.Propagated = d.sqEntries()
+		m.Drain = d.Bool()
+		return m, d.err
 	case MsgDecideAck:
-		return &DecideAck{Txn: c.txnID(), Ext: c.uvarint(), Gated: c.bool()}, c.err
+		return &DecideAck{Txn: d.TxnID(), Ext: d.Uvarint(), Gated: d.Bool()}, d.err
 	case MsgRemove:
-		return &Remove{Txn: c.txnID()}, c.err
+		return &Remove{Txn: d.TxnID()}, d.err
 	case MsgFwdRemove:
-		return &FwdRemove{RO: c.txnID()}, c.err
+		return &FwdRemove{RO: d.TxnID()}, d.err
 	case MsgExtCommit:
-		return &ExtCommit{Txn: c.txnID()}, c.err
+		return &ExtCommit{Txn: d.TxnID()}, d.err
 	case MsgExtBatch:
 		m := &ExtBatch{}
-		if n := c.count(); n > 0 && c.err == nil {
+		if n := d.Count(); n > 0 {
 			m.Freezes = make([]ExtFreeze, n)
 			for i := range m.Freezes {
-				m.Freezes[i] = ExtFreeze{Txn: c.txnID(), VC: c.vc(), Know: c.vc()}
+				m.Freezes[i] = ExtFreeze{Txn: d.TxnID(), VC: d.VC(), Know: d.VC()}
 			}
 		}
-		if n := c.count(); n > 0 && c.err == nil {
-			m.Purges = make([]TxnID, n)
-			for i := range m.Purges {
-				m.Purges[i] = c.txnID()
-			}
-		}
-		return m, c.err
+		m.Purges = d.TxnIDs()
+		return m, d.err
 	case MsgExtBatchAck:
-		return &ExtBatchAck{Freezes: c.uvarint()}, c.err
+		return &ExtBatchAck{Freezes: d.Uvarint()}, d.err
 	case MsgWaitExternal:
-		return &WaitExternal{Txn: c.txnID()}, c.err
+		return &WaitExternal{Txn: d.TxnID()}, d.err
 	case MsgWaitExternalAck:
-		return &WaitExternalAck{Txn: c.txnID(), VC: c.vc()}, c.err
+		return &WaitExternalAck{Txn: d.TxnID(), VC: d.VC()}, d.err
 	case MsgWalterPropagate:
 		m := &WalterPropagate{}
-		m.Txn = c.txnID()
-		m.VC = c.vc()
-		m.Writes = c.kvs()
-		return m, c.err
+		m.Txn = d.TxnID()
+		m.VC = d.VC()
+		m.Writes = d.KVs()
+		return m, d.err
 	case MsgRococoDispatch:
 		m := &RococoDispatch{}
-		m.Txn = c.txnID()
-		m.ReadKeys = c.strs()
-		m.Writes = c.kvs()
-		return m, c.err
+		m.Txn = d.TxnID()
+		m.ReadKeys = d.Strs()
+		m.Writes = d.KVs()
+		return m, d.err
 	case MsgRococoDispatchReply:
 		m := &RococoDispatchReply{}
-		m.Txn = c.txnID()
-		m.Seq = c.uvarint()
-		n := c.count()
-		if n > 0 && c.err == nil {
-			m.Deps = make([]TxnID, n)
-			for i := range m.Deps {
-				m.Deps[i] = c.txnID()
-			}
-		}
-		n = c.count()
-		if n > 0 && c.err == nil {
+		m.Txn = d.TxnID()
+		m.Seq = d.Uvarint()
+		m.Deps = d.TxnIDs()
+		if n := d.Count(); n > 0 {
 			m.Versions = make([]uint64, n)
 			for i := range m.Versions {
-				m.Versions[i] = c.uvarint()
+				m.Versions[i] = d.Uvarint()
 			}
 		}
-		n = c.count()
-		if n > 0 && c.err == nil {
+		if n := d.Count(); n > 0 {
 			m.Vals = make([][]byte, n)
 			for i := range m.Vals {
-				m.Vals[i] = c.bytes()
+				m.Vals[i] = d.Bytes()
 			}
 		}
-		m.Exists = c.bools()
-		return m, c.err
+		m.Exists = d.bools()
+		return m, d.err
 	case MsgRococoCommit:
 		m := &RococoCommit{}
-		m.Txn = c.txnID()
-		m.Seq = c.uvarint()
-		return m, c.err
+		m.Txn = d.TxnID()
+		m.Seq = d.Uvarint()
+		return m, d.err
 	case MsgRococoCommitReply:
 		m := &RococoCommitReply{}
-		m.Txn = c.txnID()
-		n := c.count()
-		if n > 0 && c.err == nil {
+		m.Txn = d.TxnID()
+		if n := d.Count(); n > 0 {
 			m.Vals = make([][]byte, n)
 			for i := range m.Vals {
-				m.Vals[i] = c.bytes()
+				m.Vals[i] = d.Bytes()
 			}
 		}
-		return m, c.err
+		return m, d.err
 	case MsgTxnStatus:
-		return &TxnStatus{Txn: c.txnID()}, c.err
+		return &TxnStatus{Txn: d.TxnID()}, d.err
 	case MsgTxnStatusReply:
-		return &TxnStatusReply{Txn: c.txnID(), Known: c.bool(), Commit: c.bool(),
-			VC: c.vc(), FreezeVC: c.vc(), Know: c.vc()}, c.err
+		return &TxnStatusReply{Txn: d.TxnID(), Known: d.Bool(), Commit: d.Bool(),
+			VC: d.VC(), FreezeVC: d.VC(), Know: d.VC()}, d.err
 	case MsgClockSync:
-		return &ClockSync{}, c.err
+		return &ClockSync{}, d.err
 	case MsgClockSyncReply:
-		return &ClockSyncReply{Ext: c.vc()}, c.err
+		return &ClockSyncReply{Ext: d.VC()}, d.err
 	default:
 		return nil, fmt.Errorf("wire: unknown message type %d", t)
 	}
 }
 
-// --- append helpers ---
+// --- append helpers, shared with the WAL and the client protocol ---
 
-func appendBool(buf []byte, b bool) []byte {
+// AppendBool appends b as one byte, 1 or 0.
+func AppendBool(buf []byte, b bool) []byte {
 	if b {
 		return append(buf, 1)
 	}
@@ -368,38 +314,51 @@ func appendBool(buf []byte, b bool) []byte {
 func appendBools(buf []byte, bs []bool) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(bs)))
 	for _, b := range bs {
-		buf = appendBool(buf, b)
+		buf = AppendBool(buf, b)
 	}
 	return buf
 }
 
-func appendString(buf []byte, s string) []byte {
+// AppendString appends s behind its uvarint length.
+func AppendString(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))
 	return append(buf, s...)
 }
 
-func appendStrings(buf []byte, ss []string) []byte {
+// AppendStrings appends the count of ss, then each string.
+func AppendStrings(buf []byte, ss []string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(ss)))
 	for _, s := range ss {
-		buf = appendString(buf, s)
+		buf = AppendString(buf, s)
 	}
 	return buf
 }
 
-func appendBytes(buf, b []byte) []byte {
+// AppendBytes appends b behind its uvarint length.
+func AppendBytes(buf, b []byte) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(b)))
 	return append(buf, b...)
 }
 
-func appendTxnID(buf []byte, t TxnID) []byte {
+// AppendTxnID appends t as two uvarints, node then sequence.
+func AppendTxnID(buf []byte, t TxnID) []byte {
 	buf = binary.AppendUvarint(buf, uint64(t.Node))
 	return binary.AppendUvarint(buf, t.Seq)
+}
+
+// AppendTxnIDs appends the count of ts, then each id.
+func AppendTxnIDs(buf []byte, ts []TxnID) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(ts)))
+	for _, t := range ts {
+		buf = AppendTxnID(buf, t)
+	}
+	return buf
 }
 
 func appendSQEntries(buf []byte, es []SQEntry) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(es)))
 	for _, e := range es {
-		buf = appendTxnID(buf, e.Txn)
+		buf = AppendTxnID(buf, e.Txn)
 		buf = binary.AppendUvarint(buf, e.SID)
 		buf = append(buf, byte(e.Kind))
 	}
@@ -409,173 +368,220 @@ func appendSQEntries(buf []byte, es []SQEntry) []byte {
 func appendExWriters(buf []byte, es []ExWriter) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(es)))
 	for _, e := range es {
-		buf = appendTxnID(buf, e.Txn)
+		buf = AppendTxnID(buf, e.Txn)
 		buf = e.VC.AppendBinary(buf)
 	}
 	return buf
 }
 
-func appendKVs(buf []byte, kvs []KV) []byte {
+// AppendKVs appends the count of kvs, then each key and value.
+func AppendKVs(buf []byte, kvs []KV) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(kvs)))
 	for _, kv := range kvs {
-		buf = appendString(buf, kv.Key)
-		buf = appendBytes(buf, kv.Val)
+		buf = AppendString(buf, kv.Key)
+		buf = AppendBytes(buf, kv.Val)
 	}
 	return buf
 }
 
-// --- decode cursor ---
+// --- decoder ---
 
-// cursor walks a buffer accumulating the first error; all reads after an
-// error return zero values, so decode paths stay linear.
-type cursor struct {
+// maxCount bounds a decoded element count, whatever the bytes left: a
+// corrupt count that survived a checksum must fail, never size an
+// allocation.
+const maxCount = 1 << 22
+
+// Decoder reads what the Append helpers write. It keeps the first error:
+// every read after a failure returns a zero value, so a decode path stays
+// linear and checks Err once at its end. Decoded strings and byte slices
+// are copies; none retains the buffer.
+type Decoder struct {
 	buf []byte
 	off int
 	err error
 }
 
-func (c *cursor) fail(what string) {
-	if c.err == nil {
-		c.err = fmt.Errorf("wire: truncated %s at offset %d", what, c.off)
+// NewDecoder returns a decoder reading buf from its start.
+func NewDecoder(buf []byte) *Decoder { return &Decoder{buf: buf} }
+
+// Err returns the first failure, or nil.
+func (d *Decoder) Err() error { return d.err }
+
+// Rest returns the bytes not read yet.
+func (d *Decoder) Rest() []byte { return d.buf[d.off:] }
+
+func (d *Decoder) fail(what string) {
+	if d.err == nil {
+		d.err = fmt.Errorf("wire: truncated %s at offset %d", what, d.off)
 	}
 }
 
-func (c *cursor) byte() byte {
-	if c.err != nil || c.off >= len(c.buf) {
-		c.fail("byte")
+// Byte reads one byte.
+func (d *Decoder) Byte() byte {
+	if d.err != nil || d.off >= len(d.buf) {
+		d.fail("byte")
 		return 0
 	}
-	b := c.buf[c.off]
-	c.off++
+	b := d.buf[d.off]
+	d.off++
 	return b
 }
 
-func (c *cursor) bool() bool { return c.byte() != 0 }
+// Bool reads one byte; any nonzero value is true.
+func (d *Decoder) Bool() bool { return d.Byte() != 0 }
 
-func (c *cursor) uvarint() uint64 {
-	if c.err != nil {
+// Uvarint reads one uvarint.
+func (d *Decoder) Uvarint() uint64 {
+	if d.err != nil {
 		return 0
 	}
-	x, n := binary.Uvarint(c.buf[c.off:])
+	x, n := binary.Uvarint(d.buf[d.off:])
 	if n <= 0 {
-		c.fail("uvarint")
+		d.fail("uvarint")
 		return 0
 	}
-	c.off += n
+	d.off += n
 	return x
 }
 
-// count reads a length prefix. Every element takes at least one byte, so a
-// length beyond the bytes left is corrupt: fail before allocating for it.
-func (c *cursor) count() int {
-	n := c.uvarint()
-	if c.err == nil && n > uint64(len(c.buf)-c.off) {
-		c.fail("length")
+// Count reads an element count. Every element takes at least one byte, so a
+// count beyond the bytes left is corrupt, as is one above maxCount: either
+// fails before the caller allocates for it.
+func (d *Decoder) Count() int {
+	n := d.Uvarint()
+	if d.err == nil && (n > uint64(len(d.buf)-d.off) || n > maxCount) {
+		d.err = fmt.Errorf("wire: implausible count %d at offset %d", n, d.off)
 		return 0
 	}
 	return int(n)
 }
 
-func (c *cursor) str() string {
-	n := c.count()
-	if c.err != nil {
-		return ""
-	}
-	s := string(c.buf[c.off : c.off+n])
-	c.off += n
-	return s
-}
-
-func (c *cursor) bytes() []byte {
-	n := c.count()
-	if c.err != nil {
+// span reads a length and returns that many bytes of the buffer. The length
+// is compared in uint64 space, so a value near 2^64 cannot overflow the
+// bound.
+func (d *Decoder) span(what string) []byte {
+	n := d.Uvarint()
+	if d.err != nil {
 		return nil
 	}
-	if n == 0 {
+	if n > uint64(len(d.buf)-d.off) {
+		d.fail(what)
 		return nil
 	}
-	b := make([]byte, n)
-	copy(b, c.buf[c.off:c.off+n])
-	c.off += n
+	b := d.buf[d.off : d.off+int(n)]
+	d.off += int(n)
 	return b
 }
 
-func (c *cursor) bools() []bool {
-	n := c.count()
-	if c.err != nil || n == 0 {
+// Str reads a length-prefixed string.
+func (d *Decoder) Str() string { return string(d.span("string")) }
+
+// Bytes reads a length-prefixed byte slice; an empty one decodes to nil.
+func (d *Decoder) Bytes() []byte {
+	s := d.span("bytes")
+	if len(s) == 0 {
+		return nil
+	}
+	b := make([]byte, len(s))
+	copy(b, s)
+	return b
+}
+
+func (d *Decoder) bools() []bool {
+	n := d.Count()
+	if n == 0 {
 		return nil
 	}
 	out := make([]bool, n)
 	for i := range out {
-		out[i] = c.bool()
+		out[i] = d.Bool()
 	}
 	return out
 }
 
-func (c *cursor) strs() []string {
-	n := c.count()
-	if c.err != nil || n == 0 {
+// Strs reads a counted list of strings; an empty one decodes to nil.
+func (d *Decoder) Strs() []string {
+	n := d.Count()
+	if n == 0 {
 		return nil
 	}
 	out := make([]string, n)
 	for i := range out {
-		out[i] = c.str()
+		out[i] = d.Str()
 	}
 	return out
 }
 
-func (c *cursor) txnID() TxnID {
-	return TxnID{Node: NodeID(c.uvarint()), Seq: c.uvarint()}
+// TxnID reads a transaction id.
+func (d *Decoder) TxnID() TxnID {
+	return TxnID{Node: NodeID(d.Uvarint()), Seq: d.Uvarint()}
 }
 
-func (c *cursor) vc() vclock.VC {
-	if c.err != nil {
+// TxnIDs reads a counted list of transaction ids; an empty one decodes to
+// nil.
+func (d *Decoder) TxnIDs() []TxnID {
+	n := d.Count()
+	if n == 0 {
 		return nil
 	}
-	v, n, err := vclock.DecodeFrom(c.buf[c.off:])
+	out := make([]TxnID, n)
+	for i := range out {
+		out[i] = d.TxnID()
+	}
+	return out
+}
+
+// VC reads a vector clock; an empty one decodes to nil, so a nil clock
+// round-trips to nil.
+func (d *Decoder) VC() vclock.VC {
+	if d.err != nil {
+		return nil
+	}
+	v, n, err := vclock.DecodeFrom(d.buf[d.off:])
 	if err != nil {
-		c.err = err
+		d.err = err
 		return nil
 	}
-	c.off += n
+	d.off += n
 	if len(v) == 0 {
-		return nil // canonical form: a nil clock round-trips to nil
+		return nil
 	}
 	return v
 }
 
-func (c *cursor) sqEntries() []SQEntry {
-	n := c.count()
-	if c.err != nil || n == 0 {
+func (d *Decoder) sqEntries() []SQEntry {
+	n := d.Count()
+	if n == 0 {
 		return nil
 	}
 	out := make([]SQEntry, n)
 	for i := range out {
-		out[i] = SQEntry{Txn: c.txnID(), SID: c.uvarint(), Kind: EntryKind(c.byte())}
+		out[i] = SQEntry{Txn: d.TxnID(), SID: d.Uvarint(), Kind: EntryKind(d.Byte())}
 	}
 	return out
 }
 
-func (c *cursor) exWriters() []ExWriter {
-	n := c.count()
-	if c.err != nil || n == 0 {
+func (d *Decoder) exWriters() []ExWriter {
+	n := d.Count()
+	if n == 0 {
 		return nil
 	}
 	out := make([]ExWriter, n)
 	for i := range out {
-		out[i] = ExWriter{Txn: c.txnID(), VC: c.vc()}
+		out[i] = ExWriter{Txn: d.TxnID(), VC: d.VC()}
 	}
 	return out
 }
 
-func (c *cursor) kvs() []KV {
-	n := c.count()
-	if c.err != nil || n == 0 {
+// KVs reads a counted list of key-value pairs; an empty one decodes to nil.
+func (d *Decoder) KVs() []KV {
+	n := d.Count()
+	if n == 0 {
 		return nil
 	}
 	out := make([]KV, n)
 	for i := range out {
-		out[i] = KV{Key: c.str(), Val: c.bytes()}
+		out[i] = KV{Key: d.Str(), Val: d.Bytes()}
 	}
 	return out
 }

@@ -132,4 +132,15 @@ check ./internal/engine 'BenchmarkTombstone' 200000x \
 check ./internal/batchq 'BenchmarkQueue' 10000x \
   'BenchmarkQueue' 0
 
+# Client protocol codec: a framed Write request and Value reply (100-byte
+# values) written and read back. Measured 5 allocs/op: the decoded key and
+# two decoded values, and one frame header per pooled frame write.
+check ./internal/clientproto '^BenchmarkCodecRoundTrip$' 20000x \
+  'BenchmarkCodecRoundTrip' 5
+
+# WAL record encoding: a prepare of three writes and two dependencies into
+# a reused buffer allocates nothing.
+check ./internal/wal '^BenchmarkAppendPayload$' 20000x \
+  'BenchmarkAppendPayload' 0
+
 exit $fail
