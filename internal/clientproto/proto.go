@@ -310,10 +310,11 @@ func WriteReply(w *bufio.Writer, rep *Reply) error {
 	return writeFrame(w, *bp)
 }
 
+// writeFrame writes body behind its uvarint length. The header is built in
+// the writer's own spare buffer, so it does not escape to the heap.
 func writeFrame(w *bufio.Writer, body []byte) error {
-	var hdr [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(body)))
-	if _, err := w.Write(hdr[:n]); err != nil {
+	hdr := binary.AppendUvarint(w.AvailableBuffer(), uint64(len(body)))
+	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
 	_, err := w.Write(body)

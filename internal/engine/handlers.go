@@ -220,6 +220,17 @@ func (nd *Node) pendingWriterOf(key string, res mvstore.ReadResult) wire.TxnID {
 // transactions (PropagatedSet) — their anti-dependencies must travel with
 // the writer.
 func (nd *Node) handleUpdateRead(from wire.NodeID, rid uint64, m *wire.ReadRequest) {
+	// A writer prepared on the key is about to replace its latest version,
+	// and a read of that version could only fail validation. Wait, within
+	// the lock timeout, for the writer's apply or abort to release the key:
+	// the read then returns the writer's version (a parked writer, handled
+	// below) or a version that is still current. The reader holds no lock,
+	// so the wait cannot deadlock; prepare validation still judges
+	// staleness.
+	if waited, _ := nd.locks.WaitUnlocked(m.Key, nd.cfg.LockTimeout); waited {
+		nd.stats.UpdateReadWaits.Add(1)
+	}
+
 	// The fwd-record for each propagated reader must be atomic with respect
 	// to that reader's handleRemove: taking the reader's stripe lock for
 	// the tombstone check plus the record guarantees a concurrent Remove
@@ -349,8 +360,11 @@ func (nd *Node) handlePrepare(from wire.NodeID, rid uint64, m *wire.Prepare) {
 	}
 
 	ok := nd.locks.AcquireAll(m.Txn, localWrites, localReads, nd.cfg.LockTimeout)
-	if ok && !nd.validate(localReads, localFrom) {
+	if !ok {
+		nd.stats.NoVoteLocks.Add(1)
+	} else if !nd.validate(localReads, localFrom) {
 		nd.locks.ReleaseAll(m.Txn, localWrites, localReads)
+		nd.stats.NoVoteStale.Add(1)
 		ok = false
 	}
 	if !ok {

@@ -60,6 +60,19 @@ func BenchmarkRelease(b *testing.B) {
 	}
 }
 
+// BenchmarkWaitUnlocked measures an update read's lock check on a free key,
+// the common case: one shard lookup, no clock read, no allocation (gated at
+// 0 allocs/op by scripts/check_allocs.sh).
+func BenchmarkWaitUnlocked(b *testing.B) {
+	tbl := New()
+	b.ReportAllocs()
+	for b.Loop() {
+		if waited, _ := tbl.WaitUnlocked("k1", time.Millisecond); waited {
+			b.Fatal("free key reported a wait")
+		}
+	}
+}
+
 // BenchmarkAcquireContended measures the parked path: GOMAXPROCS goroutines
 // fighting over a small keyspace, so waits, waiter accounting and wakeups
 // are all exercised.

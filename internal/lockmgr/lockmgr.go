@@ -284,6 +284,36 @@ func (t *Table) release(txn wire.TxnID, key string, exclusive bool) {
 	}
 }
 
+// WaitUnlocked waits, up to timeout, until no transaction holds key
+// exclusively; shared holders are ignored. waited reports whether the key
+// was held exclusively on arrival, free whether it was not held
+// exclusively on return (false only at the bound). The caller takes no
+// lock, so the wait cannot join a deadlock. A free key costs one shard
+// lookup, with no clock read and no allocation.
+func (t *Table) WaitUnlocked(key string, timeout time.Duration) (waited, free bool) {
+	s := t.shard(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var deadline time.Time
+	for {
+		ls := s.locks[key]
+		if ls == nil || ls.owner.IsZero() {
+			return waited, true
+		}
+		if deadline.IsZero() {
+			waited = true
+			deadline = time.Now().Add(timeout)
+		}
+		wait := time.Until(deadline)
+		if wait <= 0 {
+			return waited, false
+		}
+		s.waiters++
+		waitCond(s.cond, wait)
+		s.waiters--
+	}
+}
+
 // Held reports whether any lock is held on key (for tests and debugging).
 func (t *Table) Held(key string) bool {
 	s := t.shard(key)

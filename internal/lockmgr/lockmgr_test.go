@@ -227,3 +227,81 @@ func TestSortedUnique(t *testing.T) {
 		t.Fatalf("sortedUniqueInto into scratch = %v", first)
 	}
 }
+
+// waitUnlockedTimed runs WaitUnlocked on key and reports its results and
+// how long it took.
+func waitUnlockedTimed(tbl *Table, key string, timeout time.Duration) (waited, free bool, took time.Duration) {
+	start := time.Now()
+	waited, free = tbl.WaitUnlocked(key, timeout)
+	return waited, free, time.Since(start)
+}
+
+func TestWaitUnlockedFreeKey(t *testing.T) {
+	tbl := New()
+	waited, free, took := waitUnlockedTimed(tbl, "k", 5*time.Second)
+	if waited || !free || took > time.Second {
+		t.Fatalf("free key: waited=%v free=%v after %v, want an immediate free return", waited, free, took)
+	}
+}
+
+func TestWaitUnlockedIgnoresShared(t *testing.T) {
+	tbl := New()
+	if !tbl.AcquireAll(t1, nil, []string{"k"}, tick) || !tbl.AcquireAll(t2, nil, []string{"k"}, tick) {
+		t.Fatal("shared setup failed")
+	}
+	waited, free, took := waitUnlockedTimed(tbl, "k", 5*time.Second)
+	if waited || !free || took > time.Second {
+		t.Fatalf("shared-only key: waited=%v free=%v after %v, want an immediate free return", waited, free, took)
+	}
+}
+
+func TestWaitUnlockedWakesOnRelease(t *testing.T) {
+	tbl := New()
+	if !tbl.AcquireAll(t1, []string{"k"}, nil, tick) {
+		t.Fatal("setup failed")
+	}
+	type result struct {
+		waited, free bool
+		took         time.Duration
+	}
+	const bound = 5 * time.Second
+	done := make(chan result, 1)
+	go func() {
+		w, f, d := waitUnlockedTimed(tbl, "k", bound)
+		done <- result{w, f, d}
+	}()
+	time.Sleep(10 * time.Millisecond)
+	tbl.ReleaseAll(t1, []string{"k"}, nil)
+	select {
+	case r := <-done:
+		if !r.waited || !r.free {
+			t.Fatalf("waited=%v free=%v, want a wait ended by the release", r.waited, r.free)
+		}
+		if r.took >= bound/2 {
+			t.Fatalf("release woke the waiter only after %v (bound %v)", r.took, bound)
+		}
+	case <-time.After(bound):
+		t.Fatal("waiter never woke")
+	}
+	if s := tbl.shard("k"); s.waiters != 0 {
+		t.Fatalf("shard waiter count %d after the wait, want 0", s.waiters)
+	}
+}
+
+func TestWaitUnlockedTimesOut(t *testing.T) {
+	tbl := New()
+	if !tbl.AcquireAll(t1, []string{"k"}, nil, tick) {
+		t.Fatal("setup failed")
+	}
+	const bound, slack = 50 * time.Millisecond, 500 * time.Millisecond
+	waited, free, took := waitUnlockedTimed(tbl, "k", bound)
+	if !waited || free {
+		t.Fatalf("held key: waited=%v free=%v, want a wait that times out", waited, free)
+	}
+	if took < bound || took > bound+slack {
+		t.Fatalf("timed out after %v, want %v (+%v slack)", took, bound, slack)
+	}
+	if !tbl.Held("k") {
+		t.Fatal("the waiter must not disturb the holder's lock")
+	}
+}

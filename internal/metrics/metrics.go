@@ -349,6 +349,15 @@ type Engine struct {
 	ExternalWaits atomic.Uint64 // completions delayed behind a parked writer
 	FreezeRetries atomic.Uint64 // freeze batches requeued after a failed delivery
 
+	// The abort causes, counted where they arise. UpdateReadWaits counts
+	// update reads that found their key held exclusively by a prepared
+	// writer (and waited for its release); NoVoteLocks counts no-votes
+	// whose lock acquisition timed out, NoVoteStale no-votes whose read
+	// validation failed (a newer version was installed).
+	UpdateReadWaits atomic.Uint64
+	NoVoteLocks     atomic.Uint64
+	NoVoteStale     atomic.Uint64
+
 	// The dependency-set layer, as list lengths put on the wire: read-only
 	// read requests built (one per key read), the sum of their Seen lists, and
 	// the sum of Prepare.Deps over every prepare (one per commit or abort).

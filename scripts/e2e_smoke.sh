@@ -9,7 +9,9 @@
 #    reconcile (nonzero sss_commits_total, stage histogram counts equal to
 #    it, a WAL that synced and never failed — the nodes run durable, with
 #    -data-dir — nonzero sss_commitlog_entries and sss_tombstones gauges,
-#    and an sss_rpc_pending gauge) and that the page is live
+#    an sss_rpc_pending gauge, and the three abort-cause counters
+#    sss_update_read_waits_total, sss_no_vote_locks_total and
+#    sss_no_vote_stale_total) and that the page is live
 #    (sss_transport_flushes_total advances between two scrapes).
 # 3. Runs the multi-process e2e suite (internal/harness): boots a real
 #    3-node TCP cluster, checks cross-node write visibility, read-only
@@ -111,12 +113,17 @@ for i in range(3):
     # The pending-call table may be empty once the load settles; the gauge
     # must still be served.
     assert "sss_rpc_pending" in samples, f"node {i}: sss_rpc_pending missing from /metrics"
+    # The abort causes: update reads that waited out a prepared writer, and
+    # no-votes split by lock timeout and failed validation. A smoke load
+    # may leave them all zero; they must still be served.
+    for counter in ("sss_update_read_waits_total", "sss_no_vote_locks_total", "sss_no_vote_stale_total"):
+        assert counter in samples, f"node {i}: {counter} missing from /metrics"
     flushes = samples["sss_transport_flushes_total"]
     assert flushes > flushes_before[i], \
         f"node {i}: sss_transport_flushes_total frozen at {flushes} across the load"
     total_commits += commits
 assert total_commits >= 24, f"cluster committed {total_commits} < 24 issued updates"
-print(f"metrics gate: {total_commits:.0f} commits, stage counts reconcile, WALs sync, retained-state gauges served (NLog and tombstones nonzero) and transport counters advance on all 3 nodes")
+print(f"metrics gate: {total_commits:.0f} commits, stage counts reconcile, WALs sync, retained-state gauges (NLog and tombstones nonzero) and abort-cause counters served, and transport counters advance on all 3 nodes")
 EOF
 # shellcheck disable=SC2086
 kill $server_pids 2>/dev/null || true
