@@ -16,20 +16,13 @@ import (
 
 	"github.com/sss-paper/sss/internal/bench"
 	"github.com/sss-paper/sss/internal/cluster"
-	"github.com/sss-paper/sss/internal/metrics"
 	"github.com/sss-paper/sss/internal/ycsb"
-	"github.com/sss-paper/sss/kv"
 )
 
-// benchNode adapts the public Node to the harness interface.
-type benchNode struct{ n *Node }
-
-func (b benchNode) Begin(readOnly bool) kv.Txn { return b.n.Begin(readOnly) }
-func (b benchNode) Stats() *metrics.Engine     { return b.n.engineMetrics() }
-func harnessNodes(c *Cluster) []bench.Node     { return mapNodes(c) }
+func harnessNodes(c *Cluster) []bench.Node { return mapNodes(c) }
 func mapNodes(c *Cluster) (out []bench.Node) {
 	for i := 0; i < c.NumNodes(); i++ {
-		out = append(out, benchNode{c.Node(i)})
+		out = append(out, HarnessNode(c.Node(i)))
 	}
 	return out
 }

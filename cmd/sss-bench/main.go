@@ -110,37 +110,20 @@ func parseInts(csv string) ([]int, error) {
 	return out, nil
 }
 
-// benchPoint is one measurement in the machine-readable snapshot.
+// benchPoint is one measurement in the machine-readable snapshot: the
+// point's identity, the harness result and the network's transport counters.
 type benchPoint struct {
-	Series            string                       `json:"series"`
-	Engine            string                       `json:"engine"`
-	Nodes             int                          `json:"nodes"`
-	ReplicationDegree int                          `json:"replication_degree"`
-	ClientsPerNode    int                          `json:"clients_per_node"`
-	Keys              int                          `json:"keys"`
-	ReadOnlyPct       int                          `json:"read_only_pct"`
-	ReadOnlyOps       int                          `json:"read_only_ops,omitempty"`
-	Locality          float64                      `json:"locality,omitempty"`
-	ThroughputTxnS    float64                      `json:"throughput_txn_s"`
-	AbortRate         float64                      `json:"abort_rate"`
-	Commits           uint64                       `json:"commits"`
-	ReadOnly          uint64                       `json:"read_only"`
-	Aborts            uint64                       `json:"aborts"`
-	UpdateLatency     metrics.HistogramSnapshot    `json:"update_latency"`
-	ReadOnlyLatency   metrics.HistogramSnapshot    `json:"read_only_latency"`
-	InternalLatency   metrics.HistogramSnapshot    `json:"internal_latency"`
-	PreCommitWait     metrics.HistogramSnapshot    `json:"pre_commit_wait"`
-	ExternalWaits     uint64                       `json:"external_waits"`
-	DrainTimeouts     uint64                       `json:"drain_timeouts"`
-	Transport         metrics.TransportSnapshot    `json:"transport"`
-	Contention        metrics.ContentionSnapshot   `json:"contention"`
-	CommitRounds      metrics.CommitRoundsSnapshot `json:"commit_rounds"`
-	// EngineCounters is the aggregated scalar engine-counter dump.
-	EngineCounters metrics.EngineCountersSnapshot `json:"engine_counters"`
-	// Stages is the per-stage commit decomposition (vote, decide/drain,
-	// freeze, purge, WAL sync, client ack). Nil for engines that don't
-	// instrument stages.
-	Stages *metrics.StagesSnapshot `json:"stages,omitempty"`
+	Series            string  `json:"series"`
+	Engine            string  `json:"engine"`
+	Nodes             int     `json:"nodes"`
+	ReplicationDegree int     `json:"replication_degree"`
+	ClientsPerNode    int     `json:"clients_per_node"`
+	Keys              int     `json:"keys"`
+	ReadOnlyPct       int     `json:"read_only_pct"`
+	ReadOnlyOps       int     `json:"read_only_ops,omitempty"`
+	Locality          float64 `json:"locality,omitempty"`
+	bench.Result
+	Transport metrics.TransportSnapshot `json:"transport"`
 }
 
 // benchReport is the BENCH_<name>.json document: one figure's points plus
@@ -222,35 +205,11 @@ func point(rep *reporter, series string, eng sss.Engine, nodes, degree int, w yc
 			ReadOnlyPct:       w.ReadOnlyPct,
 			ReadOnlyOps:       w.ReadOnlyOps,
 			Locality:          w.Locality,
-			ThroughputTxnS:    res.Throughput,
-			AbortRate:         res.AbortRate,
-			Commits:           res.Commits,
-			ReadOnly:          res.ReadOnly,
-			Aborts:            res.Aborts,
-			UpdateLatency:     res.UpdateLatency,
-			ReadOnlyLatency:   res.ReadOnlyLatency,
-			InternalLatency:   res.InternalLatency,
-			PreCommitWait:     res.PreCommitWait,
-			ExternalWaits:     res.ExternalWaits,
-			DrainTimeouts:     res.DrainTimeouts,
+			Result:            res,
 			Transport:         net,
-			Contention:        res.Contention,
-			CommitRounds:      res.CommitRounds,
-			EngineCounters:    res.EngineCounters,
-			Stages:            stagesOrNil(res.Stages),
 		})
 	}
 	return res
-}
-
-// stagesOrNil drops an all-zero stage snapshot from the JSON (engines that
-// don't instrument stages, or pure-RO points with no update commits).
-func stagesOrNil(s metrics.StagesSnapshot) *metrics.StagesSnapshot {
-	if s.Vote.Count == 0 && s.Decide.Count == 0 && s.Freeze.Count == 0 &&
-		s.Purge.Count == 0 && s.WalSync.Count == 0 && s.ClientAck.Count == 0 {
-		return nil
-	}
-	return &s
 }
 
 func header(title string) {

@@ -40,43 +40,45 @@ type Options struct {
 	Lookup cluster.Lookup
 }
 
-// Result summarizes one run.
+// Result summarizes one run. Its JSON form is the measurement part of a
+// sss-bench snapshot point.
 type Result struct {
 	// Throughput is committed transactions (update + read-only) per
 	// second over the measured window.
-	Throughput float64
+	Throughput float64 `json:"throughput_txn_s"`
 	// AbortRate is aborts / (aborts + update commits + read-only runs).
-	AbortRate float64
-	Commits   uint64 // committed update transactions
-	ReadOnly  uint64 // completed read-only transactions
-	Aborts    uint64
-	Elapsed   time.Duration
+	AbortRate float64       `json:"abort_rate"`
+	Commits   uint64        `json:"commits"`   // committed update transactions
+	ReadOnly  uint64        `json:"read_only"` // completed read-only transactions
+	Aborts    uint64        `json:"aborts"`
+	Elapsed   time.Duration `json:"-"`
 
-	UpdateLatency   metrics.HistogramSnapshot
-	ReadOnlyLatency metrics.HistogramSnapshot
+	UpdateLatency   metrics.HistogramSnapshot `json:"update_latency"`
+	ReadOnlyLatency metrics.HistogramSnapshot `json:"read_only_latency"`
 	// InternalLatency is begin → commit decision; PreCommitWait is the
 	// decision → external-commit interval (snapshot-queuing delay).
-	InternalLatency metrics.HistogramSnapshot
-	PreCommitWait   metrics.HistogramSnapshot
-	ExternalWaits   uint64
-	DrainTimeouts   uint64
+	InternalLatency metrics.HistogramSnapshot `json:"internal_latency"`
+	PreCommitWait   metrics.HistogramSnapshot `json:"pre_commit_wait"`
+	ExternalWaits   uint64                    `json:"external_waits"`
+	DrainTimeouts   uint64                    `json:"drain_timeouts"`
 	// Contention aggregates the nodes' lock/wait contention counters
 	// (commitlog waiter registry, snapshot-queue drains).
-	Contention metrics.ContentionSnapshot
+	Contention metrics.ContentionSnapshot `json:"contention"`
 	// CommitRounds aggregates the update-commit round structure:
 	// piggybacked vs standalone drain stages and the freeze/purge
 	// group-commit batching factors.
-	CommitRounds metrics.CommitRoundsSnapshot
+	CommitRounds metrics.CommitRoundsSnapshot `json:"commit_rounds"`
 	// EngineCounters is the nodes' aggregated scalar counter dump — the
 	// same view the sss-server SIGTERM line prints. Carries the freeze-ack
 	// discipline counters (withheld/budget-expired) so bench snapshots
 	// record how often the ack-vs-stamp window was exercised.
-	EngineCounters metrics.EngineCountersSnapshot
+	EngineCounters metrics.EngineCountersSnapshot `json:"engine_counters"`
 	// Stages is the per-stage commit-path decomposition (vote, decide/drain,
 	// freeze, purge, WAL sync, client ack), aggregated across nodes — the
 	// live-exposition taxonomy mirrored into bench snapshots so the figure-3
-	// trajectory carries a stage breakdown.
-	Stages metrics.StagesSnapshot
+	// trajectory carries a stage breakdown. Nil when no stage observed
+	// anything (engines that don't instrument stages, pure read-only runs).
+	Stages *metrics.StagesSnapshot `json:"stages,omitempty"`
 }
 
 // Run executes the workload against the given nodes and aggregates results.
@@ -171,8 +173,16 @@ func Run(nodes []Node, opts Options) Result {
 	res.Contention = agg.Contention.Snapshot()
 	res.CommitRounds = agg.CommitRounds.Snapshot()
 	res.EngineCounters = agg.CountersSnapshot()
-	res.Stages = agg.Stage.Snapshot()
+	res.Stages = stagesOrNil(agg.Stage.Snapshot())
 	return res
+}
+
+// stagesOrNil drops a stage snapshot that observed nothing.
+func stagesOrNil(s metrics.StagesSnapshot) *metrics.StagesSnapshot {
+	if s == (metrics.StagesSnapshot{}) {
+		return nil
+	}
+	return &s
 }
 
 type txnOutcome uint8
@@ -218,22 +228,7 @@ func runTxn(nd Node, gen *ycsb.Generator) txnOutcome {
 func aggregate(nodes []Node) *metrics.Engine {
 	out := &metrics.Engine{}
 	for _, nd := range nodes {
-		s := nd.Stats()
-		out.Commits.Add(s.Commits.Load())
-		out.Aborts.Add(s.Aborts.Load())
-		out.ReadOnlyRuns.Add(s.ReadOnlyRuns.Load())
-		out.ExternalWaits.Add(s.ExternalWaits.Load())
-		out.DrainTimeouts.Add(s.DrainTimeouts.Load())
-		out.FreezeRetries.Add(s.FreezeRetries.Load())
-		out.FreezeAckWithheld.Add(s.FreezeAckWithheld.Load())
-		out.FreezeAckBudgetExpired.Add(s.FreezeAckBudgetExpired.Load())
-		out.CommitLatency.Merge(&s.CommitLatency)
-		out.ReadOnlyLatency.Merge(&s.ReadOnlyLatency)
-		out.InternalLatency.Merge(&s.InternalLatency)
-		out.PreCommitWait.Merge(&s.PreCommitWait)
-		out.Contention.Merge(&s.Contention)
-		out.CommitRounds.Merge(&s.CommitRounds)
-		out.Stage.Merge(&s.Stage)
+		metrics.Merge(out, nd.Stats())
 	}
 	return out
 }

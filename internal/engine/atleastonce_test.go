@@ -16,7 +16,7 @@ import (
 // serializable and the replicas convergent. Runs under -race in CI.
 func TestCheckedWorkloadDuplicateDelivery(t *testing.T) {
 	runCheckedWorkloadNet(t, 3, 2, 4, 6, 40, 50, 7,
-		transport.InProcConfig{DisableLatency: true, DuplicateDeliveries: true})
+		transport.InProcConfig{DisableLatency: true, DuplicateDeliveries: true}, nil)
 }
 
 // TestCheckedWorkloadDuplicateDeliveryReplicated widens the amplifier to a
@@ -25,5 +25,5 @@ func TestCheckedWorkloadDuplicateDelivery(t *testing.T) {
 func TestCheckedWorkloadDuplicateDeliveryReplicated(t *testing.T) {
 	stressEnabled(t)
 	runCheckedWorkloadNet(t, 4, 2, 6, 8, 40, 50, 8,
-		transport.InProcConfig{DisableLatency: true, DuplicateDeliveries: true})
+		transport.InProcConfig{DisableLatency: true, DuplicateDeliveries: true}, nil)
 }

@@ -4,13 +4,17 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/sss-paper/sss/internal/checker"
 	"github.com/sss-paper/sss/internal/cluster"
+	"github.com/sss-paper/sss/internal/mvstore"
 	"github.com/sss-paper/sss/internal/transport"
+	"github.com/sss-paper/sss/internal/wire"
 	"github.com/sss-paper/sss/kv"
 )
 
@@ -20,16 +24,20 @@ import (
 func runCheckedWorkload(t *testing.T, nNodes, degree, nKeys, clients, txnsPerClient int, readPct int, seed int64) {
 	t.Helper()
 	runCheckedWorkloadNet(t, nNodes, degree, nKeys, clients, txnsPerClient, readPct, seed,
-		transport.InProcConfig{DisableLatency: true})
+		transport.InProcConfig{DisableLatency: true}, nil)
 }
 
 // runCheckedWorkloadNet is runCheckedWorkload over an explicit network
 // configuration — the hook for transport-seam suites (the
-// duplicate-delivery amplifier proving per-message-kind idempotency).
-func runCheckedWorkloadNet(t *testing.T, nNodes, degree, nKeys, clients, txnsPerClient int, readPct int, seed int64, netCfg transport.InProcConfig) {
+// duplicate-delivery amplifier proving per-message-kind idempotency). A
+// non-nil views also checks every read-only view against the stamp order.
+func runCheckedWorkloadNet(t *testing.T, nNodes, degree, nKeys, clients, txnsPerClient int, readPct int, seed int64, netCfg transport.InProcConfig, views *viewLog) {
 	t.Helper()
 	// Large version chains so the checker sees the full ww order.
 	nodes := newClusterNet(t, nNodes, degree, Config{MaxVersions: 1 << 20}, netCfg)
+	if views != nil {
+		views.install(nodes)
+	}
 	keys := make([]string, nKeys)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("key%d", i)
@@ -125,6 +133,11 @@ func runCheckedWorkloadNet(t *testing.T, nNodes, degree, nKeys, clients, txnsPer
 	if hist.Len() == 0 {
 		t.Fatal("no transactions committed")
 	}
+	if views != nil {
+		if err := views.check(nodes); err != nil {
+			t.Error(err)
+		}
+	}
 	if err := hist.Check(); err != nil {
 		t.Fatal(err)
 	}
@@ -158,6 +171,16 @@ func TestCheckedWorkloadSingleNode(t *testing.T) {
 	runCheckedWorkload(t, 1, 1, 3, 4, 50, 50, 6)
 }
 
+// TestViewPrefixSingleNode runs TestCheckedWorkloadSingleNode's shape with
+// the view-prefix check on. The check fails far more often than the checker
+// (docs/CONSISTENCY.md §6: a blind exclusion of an unstamped writer, or two
+// writers on one stamp, breaks the prefix), so it waits behind SSS_STRESS,
+// outside the thresholded stress lanes, until the stamp order is total.
+func TestViewPrefixSingleNode(t *testing.T) {
+	stressEnabled(t)
+	runCheckedWorkloadNet(t, 1, 1, 3, 4, 50, 50, 6, transport.InProcConfig{DisableLatency: true}, &viewLog{})
+}
+
 func TestCheckedWorkloadManySeeds(t *testing.T) {
 	stressEnabled(t)
 	if testing.Short() {
@@ -169,4 +192,93 @@ func TestCheckedWorkloadManySeeds(t *testing.T) {
 			runCheckedWorkload(t, 3, 2, 3, 6, 30, 50, seed)
 		})
 	}
+}
+
+// viewLog records every read-only version verdict of a run through the
+// mvstore Trace hook, so that the run can check each read-only view against
+// the stamp order: at one node, a reader that includes writer A must also
+// include every writer B it met whose (stamp, TxnID) is below A's. A view
+// that includes and excludes the same writer — a fractured read — fails
+// too. Stamps are each writer's final ExtSID, read from its version chain
+// after the run, not what the reader saw when it decided.
+type viewLog struct {
+	mu    sync.Mutex
+	views map[viewKey]*readerView
+}
+
+type viewKey struct {
+	node   wire.NodeID
+	reader wire.TxnID
+}
+
+// readerView maps each writer one reader met at one node to the key and
+// reason of the verdict, split by verdict.
+type readerView struct{ in, out map[wire.TxnID]string }
+
+func (vl *viewLog) install(nodes []*Node) {
+	vl.views = make(map[viewKey]*readerView)
+	for _, nd := range nodes {
+		id := nd.id
+		nd.store.Trace = func(ev mvstore.TraceEvent) {
+			if ev.Writer.IsZero() {
+				return // a preloaded version orders below every writer
+			}
+			vl.mu.Lock()
+			defer vl.mu.Unlock()
+			k := viewKey{id, ev.Reader}
+			v := vl.views[k]
+			if v == nil {
+				v = &readerView{in: map[wire.TxnID]string{}, out: map[wire.TxnID]string{}}
+				vl.views[k] = v
+			}
+			verdict := v.out
+			if ev.Reason == "chosen" {
+				verdict = v.in
+			}
+			verdict[ev.Writer] = ev.Key + " " + ev.Reason
+		}
+	}
+}
+
+func (vl *viewLog) check(nodes []*Node) error {
+	stamps := make(map[wire.NodeID]map[wire.TxnID]uint64, len(nodes))
+	for _, nd := range nodes {
+		st := make(map[wire.TxnID]uint64)
+		_ = nd.store.Dump(func(_ string, v mvstore.VersionRec) error {
+			st[v.Writer] = v.ExtSID
+			return nil
+		})
+		stamps[nd.id] = st
+	}
+	var bad []string
+	for k, v := range vl.views {
+		st := stamps[k.node]
+		below := func(b, a wire.TxnID) bool {
+			if st[b] != st[a] {
+				return st[b] < st[a]
+			}
+			if b.Node != a.Node {
+				return b.Node < a.Node
+			}
+			return b.Seq < a.Seq
+		}
+		var shape string
+		for a, whyA := range v.in {
+			for b, whyB := range v.out {
+				if b == a || below(b, a) {
+					shape = fmt.Sprintf("%v at N%d includes %v (stamp %d, %s) but excludes %v (stamp %d, %s)",
+						k.reader, k.node, a, st[a], whyA, b, st[b], whyB)
+				}
+			}
+		}
+		if shape != "" {
+			bad = append(bad, shape)
+		}
+	}
+	if len(bad) == 0 {
+		return nil
+	}
+	sort.Strings(bad)
+	return fmt.Errorf("%d of %d read-only views are not a prefix of the (stamp, TxnID) order, e.g. %s",
+		len(bad), len(vl.views), strings.Join(bad[:min(3, len(bad))], "; "))
 }

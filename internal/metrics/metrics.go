@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"reflect"
 	"sync/atomic"
 	"time"
 )
@@ -169,6 +170,81 @@ func (h *Histogram) Buckets(dst []uint64) int {
 	return n
 }
 
+// Leaf is one metric of a family as Walk finds it: Path names the field from
+// the family's root down ({"Stage", "Vote"} for Engine.Stage.Vote), and
+// exactly one of Counter, Gauge and Histogram is set.
+type Leaf struct {
+	Path      []string
+	Counter   *atomic.Uint64
+	Gauge     *atomic.Int64
+	Histogram *Histogram
+}
+
+// Walk hands visit every metric of family, a pointer to a metrics struct,
+// in field order: atomic.Uint64 fields are counters, atomic.Int64 gauges,
+// Histogram fields histograms, and nested structs are walked in place.
+// Walk panics on any other field, on an unexported one and on a root that
+// is not a pointer to a struct, so a family no walk can account for fails
+// at its first use.
+func Walk(family any, visit func(Leaf)) {
+	v := reflect.ValueOf(family)
+	if v.Kind() != reflect.Pointer || v.Elem().Kind() != reflect.Struct {
+		panic(fmt.Sprintf("metrics: a family must be a pointer to a struct, got %T", family))
+	}
+	walk(v.Elem(), nil, visit)
+}
+
+func walk(v reflect.Value, path []string, visit func(Leaf)) {
+	t := v.Type()
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		if !f.IsExported() {
+			panic(fmt.Sprintf("metrics: unexported metric field %s.%s", t.Name(), f.Name))
+		}
+		l := Leaf{Path: append(path[:len(path):len(path)], f.Name)}
+		switch ptr := v.Field(i).Addr().Interface().(type) {
+		case *atomic.Uint64:
+			l.Counter = ptr
+		case *atomic.Int64:
+			l.Gauge = ptr
+		case *Histogram:
+			l.Histogram = ptr
+		default:
+			if f.Type.Kind() != reflect.Struct {
+				panic(fmt.Sprintf("metrics: unsupported metric field type %s for %s.%s", f.Type, t.Name(), f.Name))
+			}
+			walk(v.Field(i), l.Path, visit)
+			continue
+		}
+		visit(l)
+	}
+}
+
+// Merge folds every metric of src into the same metric of dst: counters and
+// gauges add, histograms merge. dst and src must be pointers to the same
+// metrics struct. Merge is for reports and scrapes; it reflects, so no
+// transaction path calls it.
+func Merge(dst, src any) {
+	if reflect.TypeOf(dst) != reflect.TypeOf(src) {
+		panic(fmt.Sprintf("metrics: Merge(%T, %T): not the same family", dst, src))
+	}
+	var from []Leaf
+	Walk(src, func(l Leaf) { from = append(from, l) })
+	i := 0
+	Walk(dst, func(l Leaf) {
+		s := from[i]
+		i++
+		switch {
+		case l.Counter != nil:
+			l.Counter.Add(s.Counter.Load())
+		case l.Gauge != nil:
+			l.Gauge.Add(s.Gauge.Load())
+		default:
+			l.Histogram.Merge(s.Histogram)
+		}
+	})
+}
+
 // Transport aggregates the batching/pooling counters of one messaging path
 // (one peer of one endpoint, or a whole network when merged).
 type Transport struct {
@@ -219,22 +295,6 @@ func (t *Transport) EnvelopesPerFlush() float64 {
 		return 0
 	}
 	return float64(t.Envelopes.Load()) / float64(f)
-}
-
-// Merge folds other's counters into t.
-func (t *Transport) Merge(other *Transport) {
-	t.Flushes.Add(other.Flushes.Load())
-	t.Envelopes.Add(other.Envelopes.Load())
-	t.Spills.Add(other.Spills.Load())
-	t.Dials.Add(other.Dials.Load())
-	t.Redials.Add(other.Redials.Load())
-	t.DiscardedConns.Add(other.DiscardedConns.Load())
-	t.LostBatches.Add(other.LostBatches.Load())
-	t.HealedWrites.Add(other.HealedWrites.Load())
-	t.BatchResends.Add(other.BatchResends.Load())
-	t.PingsSent.Add(other.PingsSent.Load())
-	t.PeerUnresponsive.Add(other.PeerUnresponsive.Load())
-	t.FlushLatency.Merge(&other.FlushLatency)
 }
 
 // TransportSnapshot is a point-in-time transport summary for reporting.
@@ -300,15 +360,6 @@ type Contention struct {
 	// the safety cap.
 	SQWaits        atomic.Uint64
 	SQWaitTimeouts atomic.Uint64
-}
-
-// Merge folds other's counters into c.
-func (c *Contention) Merge(other *Contention) {
-	c.LogWaits.Add(other.LogWaits.Load())
-	c.LogWakeups.Add(other.LogWakeups.Load())
-	c.LogWaitTimeouts.Add(other.LogWaitTimeouts.Load())
-	c.SQWaits.Add(other.SQWaits.Load())
-	c.SQWaitTimeouts.Add(other.SQWaitTimeouts.Load())
 }
 
 // ContentionSnapshot is a point-in-time copy of the contention counters.
@@ -426,16 +477,6 @@ type Stages struct {
 	ClientAck Histogram
 }
 
-// Merge folds other's observations into s.
-func (s *Stages) Merge(other *Stages) {
-	s.Vote.Merge(&other.Vote)
-	s.Decide.Merge(&other.Decide)
-	s.Freeze.Merge(&other.Freeze)
-	s.Purge.Merge(&other.Purge)
-	s.WalSync.Merge(&other.WalSync)
-	s.ClientAck.Merge(&other.ClientAck)
-}
-
 // StagesSnapshot is a point-in-time copy of the per-stage histograms.
 type StagesSnapshot struct {
 	Vote      HistogramSnapshot `json:"vote"`
@@ -470,15 +511,6 @@ type CommitRounds struct {
 	FreezeBatches     atomic.Uint64
 	FreezeBatchTxns   atomic.Uint64
 	PurgeBatchTxns    atomic.Uint64
-}
-
-// Merge folds other's counters into c.
-func (c *CommitRounds) Merge(other *CommitRounds) {
-	c.DrainsPiggybacked.Add(other.DrainsPiggybacked.Load())
-	c.DrainRounds.Add(other.DrainRounds.Load())
-	c.FreezeBatches.Add(other.FreezeBatches.Load())
-	c.FreezeBatchTxns.Add(other.FreezeBatchTxns.Load())
-	c.PurgeBatchTxns.Add(other.PurgeBatchTxns.Load())
 }
 
 // CommitRoundsSnapshot is a point-in-time copy of the commit-round counters.

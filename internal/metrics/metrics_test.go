@@ -1,7 +1,11 @@
 package metrics
 
 import (
+	"reflect"
+	"slices"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -116,5 +120,121 @@ func TestEngineAbortRate(t *testing.T) {
 	e.Aborts.Store(10)
 	if got := e.AbortRate(); got != 0.1 {
 		t.Fatalf("AbortRate = %v, want 0.1", got)
+	}
+}
+
+// leafCount counts the metric fields of t the way a reader of the struct
+// would: every atomic.Uint64, atomic.Int64 and Histogram field, nested
+// structs included.
+func leafCount(t reflect.Type) int {
+	n := 0
+	for i := 0; i < t.NumField(); i++ {
+		switch ft := t.Field(i).Type; ft {
+		case reflect.TypeOf(atomic.Uint64{}), reflect.TypeOf(atomic.Int64{}), reflect.TypeOf(Histogram{}):
+			n++
+		default:
+			n += leafCount(ft)
+		}
+	}
+	return n
+}
+
+// families are the metrics structs the server registers or merges.
+func families() []any {
+	return []any{&Engine{}, &Transport{}, &Durability{}, &ClientNet{}, &Retained{}}
+}
+
+func TestWalkVisitsEveryLeaf(t *testing.T) {
+	for _, fam := range families() {
+		root := reflect.ValueOf(fam).Elem()
+		seen := map[string]bool{}
+		Walk(fam, func(l Leaf) {
+			path := strings.Join(l.Path, ".")
+			if seen[path] {
+				t.Errorf("%T: %s visited twice", fam, path)
+			}
+			seen[path] = true
+			f := root
+			for _, name := range l.Path {
+				f = f.FieldByName(name)
+			}
+			var ptrs []uintptr
+			if l.Counter != nil {
+				ptrs = append(ptrs, reflect.ValueOf(l.Counter).Pointer())
+			}
+			if l.Gauge != nil {
+				ptrs = append(ptrs, reflect.ValueOf(l.Gauge).Pointer())
+			}
+			if l.Histogram != nil {
+				ptrs = append(ptrs, reflect.ValueOf(l.Histogram).Pointer())
+			}
+			if len(ptrs) != 1 || ptrs[0] != f.Addr().Pointer() {
+				t.Errorf("%T: leaf %s is not exactly one pointer at its field", fam, path)
+			}
+		})
+		if want := leafCount(root.Type()); len(seen) != want {
+			t.Errorf("%T: Walk visited %d leaves, the struct has %d", fam, len(seen), want)
+		}
+	}
+	var paths []string
+	Walk(&Engine{}, func(l Leaf) { paths = append(paths, strings.Join(l.Path, ".")) })
+	for _, want := range []string{"Commits", "CommitRounds.DrainRounds", "Stage.Vote", "Contention.SQWaits"} {
+		if !slices.Contains(paths, want) {
+			t.Errorf("Engine walk lacks %s: %v", want, paths)
+		}
+	}
+}
+
+func TestMergeAddsEveryLeaf(t *testing.T) {
+	for _, src := range families() {
+		Walk(src, func(l Leaf) {
+			switch {
+			case l.Counter != nil:
+				l.Counter.Store(1)
+			case l.Gauge != nil:
+				l.Gauge.Store(1)
+			default:
+				l.Histogram.Observe(1)
+			}
+		})
+		dst := reflect.New(reflect.TypeOf(src).Elem()).Interface()
+		Merge(dst, src) // a copy of src
+		Merge(dst, src)
+		Walk(dst, func(l Leaf) {
+			path := strings.Join(l.Path, ".")
+			switch {
+			case l.Counter != nil:
+				if got := l.Counter.Load(); got != 2 {
+					t.Errorf("%T.%s = %d, want 2", src, path, got)
+				}
+			case l.Gauge != nil:
+				if got := l.Gauge.Load(); got != 2 {
+					t.Errorf("%T.%s = %d, want 2", src, path, got)
+				}
+			default:
+				h := l.Histogram
+				if h.Count() != 2 || h.Sum() != 2 || h.Max() != 1 {
+					t.Errorf("%T.%s: count %d sum %v max %v, want 2, 2ns, 1ns", src, path, h.Count(), h.Sum(), h.Max())
+				}
+			}
+		})
+	}
+}
+
+func TestMergePanics(t *testing.T) {
+	for name, merge := range map[string]func(){
+		"mismatched families": func() { Merge(&Transport{}, &Contention{}) },
+		"value, not pointer":  func() { Merge(Retained{}, Retained{}) },
+		"unsupported field":   func() { Merge(&struct{ N int }{}, &struct{ N int }{}) },
+		"unexported field":    func() { Merge(&struct{ n atomic.Uint64 }{}, &struct{ n atomic.Uint64 }{}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Merge did not panic", name)
+				}
+			}()
+			merge()
+		}()
 	}
 }

@@ -3,23 +3,20 @@
 // an HTTP handler serving it, and a parser for the same format (consumed by
 // `sss-client top`, benchmark/, and the e2e scrape checks).
 //
-// The registry is a seam, not a catalogue: Register reflects over a metrics
-// struct and exports every field — atomic.Uint64 as a counter, atomic.Int64
-// as a gauge, metrics.Histogram as a cumulative-bucket histogram, nested
-// structs recursively with a prefixed name. A new counter added to any
-// registered family is exported by construction; a field of any other type
-// panics at registration (startup) so it cannot be silently dropped.
+// The registry is a seam, not a catalogue: Register exports every leaf that
+// metrics.Walk finds in a family — a counter, a gauge or a cumulative-bucket
+// histogram — so a new counter added to any registered family is exported by
+// construction, and a field Walk cannot classify panics at registration
+// (startup) instead of being silently dropped.
 package obs
 
 import (
 	"fmt"
 	"io"
 	"net/http"
-	"reflect"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"unicode"
 
 	"github.com/sss-paper/sss/internal/metrics"
@@ -28,20 +25,11 @@ import (
 // namespace prefixes every exported series.
 const namespace = "sss"
 
-type metricKind int
-
-const (
-	kindCounter metricKind = iota
-	kindGauge
-	kindHistogram
-)
-
+// metric is one series of the page: a leaf of a registered family under its
+// exposition name.
 type metric struct {
-	name    string
-	kind    metricKind
-	counter *atomic.Uint64
-	gauge   *atomic.Int64
-	hist    *metrics.Histogram
+	name string
+	leaf metrics.Leaf
 	// collect, when non-nil, makes the entry a whole family gathered at
 	// scrape time (RegisterFunc); name is then the family's series prefix.
 	collect func() any
@@ -73,7 +61,7 @@ func NewRegistry() *Registry {
 func (r *Registry) Register(subsystem string, root any) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	walk(seriesPrefix(subsystem), structOf(subsystem, root), r.add)
+	walk(seriesPrefix(subsystem), root, r.add)
 }
 
 // RegisterFunc registers a family that has no single live struct to point
@@ -86,7 +74,7 @@ func (r *Registry) RegisterFunc(subsystem string, collect func() any) {
 	prefix := seriesPrefix(subsystem)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	walk(prefix, structOf(subsystem, collect()), func(m metric) { r.claim(m.name) })
+	walk(prefix, collect(), func(m metric) { r.claim(m.name) })
 	r.metrics = append(r.metrics, metric{name: prefix, collect: collect})
 }
 
@@ -97,38 +85,26 @@ func seriesPrefix(subsystem string) string {
 	return namespace + "_" + subsystem + "_"
 }
 
-func structOf(subsystem string, root any) reflect.Value {
-	v := reflect.ValueOf(root)
-	if v.Kind() != reflect.Pointer || v.Elem().Kind() != reflect.Struct {
-		panic(fmt.Sprintf("obs: Register(%q): root must be a pointer to a struct, got %T", subsystem, root))
-	}
-	return v.Elem()
-}
-
-// walk hands add one metric per field of v, recursing into nested structs.
-func walk(prefix string, v reflect.Value, add func(metric)) {
-	t := v.Type()
-	for i := 0; i < t.NumField(); i++ {
-		f := t.Field(i)
-		if !f.IsExported() {
-			panic(fmt.Sprintf("obs: unexported metric field %s.%s", t.Name(), f.Name))
-		}
-		name := prefix + snake(f.Name)
-		switch ptr := v.Field(i).Addr().Interface().(type) {
-		case *atomic.Uint64:
-			add(metric{name: name + "_total", kind: kindCounter, counter: ptr})
-		case *atomic.Int64:
-			add(metric{name: name, kind: kindGauge, gauge: ptr})
-		case *metrics.Histogram:
-			add(metric{name: name + "_seconds", kind: kindHistogram, hist: ptr})
-		default:
-			if f.Type.Kind() == reflect.Struct {
-				walk(name+"_", v.Field(i), add)
-				continue
+// walk hands add one metric per leaf of family (metrics.Walk), named
+// prefix + the snake-cased field path, with the _total suffix on counters
+// and _seconds on histograms.
+func walk(prefix string, family any, add func(metric)) {
+	metrics.Walk(family, func(l metrics.Leaf) {
+		name := prefix
+		for i, f := range l.Path {
+			if i > 0 {
+				name += "_"
 			}
-			panic(fmt.Sprintf("obs: unsupported metric field type %s for %s.%s", f.Type, t.Name(), f.Name))
+			name += snake(f)
 		}
-	}
+		switch {
+		case l.Counter != nil:
+			name += "_total"
+		case l.Histogram != nil:
+			name += "_seconds"
+		}
+		add(metric{name: name, leaf: l})
+	})
 }
 
 func (r *Registry) add(m metric) {
@@ -179,18 +155,18 @@ func (r *Registry) Render(w io.Writer) error {
 		if err != nil {
 			return
 		}
-		switch m.kind {
-		case kindCounter:
-			_, err = fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", m.name, m.name, m.counter.Load())
-		case kindGauge:
-			_, err = fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", m.name, m.name, m.gauge.Load())
-		case kindHistogram:
-			err = renderHistogram(w, m.name, m.hist, &buckets)
+		switch l := m.leaf; {
+		case l.Counter != nil:
+			_, err = fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", m.name, m.name, l.Counter.Load())
+		case l.Gauge != nil:
+			_, err = fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", m.name, m.name, l.Gauge.Load())
+		default:
+			err = renderHistogram(w, m.name, l.Histogram, &buckets)
 		}
 	}
 	for _, m := range ms {
 		if m.collect != nil {
-			walk(m.name, reflect.ValueOf(m.collect()).Elem(), render)
+			walk(m.name, m.collect(), render)
 		} else {
 			render(m)
 		}

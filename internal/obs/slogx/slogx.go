@@ -3,8 +3,8 @@
 // construction (node id for sss-server) and per-event fields at the call
 // site (txn id, epoch, peer). It exists so every binary builds its logger
 // the same way — level from SSS_LOG_LEVEL, consistent output — and so
-// printf-style logging seams (clientproto's Logf, the transport debug
-// hooks) can be bridged into the same stream.
+// printf-style logging seams (clientproto's Logf) can be bridged into the
+// same stream.
 package slogx
 
 import (

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,15 +17,9 @@ type InProcConfig struct {
 	// default (when zero and DisableLatency is false) is 20µs, the
 	// approximate message latency of the paper's testbed.
 	Latency time.Duration
-	// Jitter, if non-zero, adds a uniform random delay in [0, Jitter) to
-	// every remote delivery.
-	Jitter time.Duration
 	// DisableLatency delivers messages immediately; used by unit tests
 	// that don't measure time.
 	DisableLatency bool
-	// Seed seeds the jitter source; 0 means a fixed default seed, keeping
-	// simulations reproducible.
-	Seed int64
 	// tuning configures the batching runtime (batch size, inbound worker
 	// pool); a same-package test seam.
 	tuning tuning
@@ -68,9 +61,6 @@ type InProc struct {
 
 	wg sync.WaitGroup // in-flight deliveries
 
-	jitterMu sync.Mutex
-	jitter   *rand.Rand
-
 	// delivered counts messages per priority class, for observability.
 	delivered [wire.NumPriorities]atomic.Uint64
 
@@ -90,16 +80,11 @@ func NewInProc(cfg InProcConfig) *InProc {
 		cfg.Latency = DefaultLatency
 	}
 	cfg.tuning = cfg.tuning.withDefaults()
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 1
-	}
 	return &InProc{
 		cfg:     cfg,
 		nodes:   make(map[wire.NodeID]*inprocNode),
 		pipes:   make(map[[2]wire.NodeID]*inprocPipe),
 		closing: make(chan struct{}),
-		jitter:  rand.New(rand.NewSource(seed)),
 	}
 }
 
@@ -222,11 +207,6 @@ func (n *InProc) send(from, to wire.NodeID, env wire.Envelope) error {
 	delay := time.Duration(0)
 	if !n.cfg.DisableLatency {
 		delay = n.cfg.Latency
-		if n.cfg.Jitter > 0 {
-			n.jitterMu.Lock()
-			delay += time.Duration(n.jitter.Int63n(int64(n.cfg.Jitter)))
-			n.jitterMu.Unlock()
-		}
 	}
 	for i := 0; i < copies; i++ {
 		send := env

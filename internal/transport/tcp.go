@@ -127,7 +127,7 @@ func (t *TCP) Addr(id wire.NodeID) (string, bool) {
 // spill count.
 func (t *TCP) Metrics() *metrics.Transport {
 	out := &metrics.Transport{}
-	out.Merge(&t.stats)
+	metrics.Merge(out, &t.stats)
 	t.mu.Lock()
 	eps := make([]*tcpEndpoint, 0, len(t.eps))
 	for _, ep := range t.eps {
@@ -137,7 +137,7 @@ func (t *TCP) Metrics() *metrics.Transport {
 	for _, ep := range eps {
 		ep.mu.Lock()
 		for _, p := range ep.peers {
-			out.Merge(&p.stats)
+			metrics.Merge(out, &p.stats)
 		}
 		ep.mu.Unlock()
 	}
@@ -430,10 +430,8 @@ func (s *tcpStream) sendPending() {
 		}
 		f := s.pending[0]
 		if _, err := s.c.Write(f.wire()); err != nil {
-			if debugTCP {
-				debugLog.Info("tcpdebug: peer write failed, frame retained for resend",
-					"node", int(s.e.id), "peer", int(s.to), "err", err)
-			}
+			debugLog.Debug("tcp: peer write failed, frame retained for resend",
+				"node", int(s.e.id), "peer", int(s.to), "err", err)
 			s.discardConn()
 			continue
 		}
@@ -465,10 +463,8 @@ func (s *tcpStream) ping() {
 	s.stats.PingsSent.Add(1)
 	if _, err := s.c.Write(pingFrame); err != nil {
 		s.stats.PeerUnresponsive.Add(1)
-		if debugTCP {
-			debugLog.Info("tcpdebug: ping failed, conn discarded",
-				"node", int(s.e.id), "peer", int(s.to), "err", err)
-		}
+		debugLog.Debug("tcp: ping failed, conn discarded",
+			"node", int(s.e.id), "peer", int(s.to), "err", err)
 		s.discardConn()
 		s.sendPending() // rewrite the re-queued tail on a fresh conn now
 	}
@@ -477,10 +473,8 @@ func (s *tcpStream) ping() {
 func (s *tcpStream) dial() bool {
 	conn, err := net.Dial("tcp", s.addr)
 	if err != nil {
-		if debugTCP {
-			debugLog.Info("tcpdebug: dial failed",
-				"node", int(s.e.id), "peer", int(s.to), "addr", s.addr, "err", err, "pending", len(s.pending))
-		}
+		debugLog.Debug("tcp: dial failed",
+			"node", int(s.e.id), "peer", int(s.to), "addr", s.addr, "err", err, "pending", len(s.pending))
 		return false
 	}
 	s.c = conn
@@ -489,10 +483,8 @@ func (s *tcpStream) dial() bool {
 	if s.healing {
 		s.stats.Redials.Add(1)
 	}
-	if debugTCP {
-		debugLog.Info("tcpdebug: dialed peer",
-			"node", int(s.e.id), "peer", int(s.to), "addr", s.addr)
-	}
+	debugLog.Debug("tcp: dialed peer",
+		"node", int(s.e.id), "peer", int(s.to), "addr", s.addr)
 	return true
 }
 
@@ -543,9 +535,7 @@ func (s *tcpStream) dropOverflow() {
 	}
 }
 
-var debugTCP = os.Getenv("SSS_TCP_DEBUG") != ""
-
-// debugLog emits the SSS_TCP_DEBUG link diagnostics as structured records
+// debugLog emits the link diagnostics as debug records (SSS_LOG_LEVEL=debug)
 // on the same stderr stream as the server's logger.
 var debugLog = slogx.New(os.Stderr)
 

@@ -5,8 +5,9 @@
 // source — and never aborts read-only transactions.
 //
 // The package assembles a cluster of protocol nodes over an in-process
-// simulated network (configurable message latency, 20µs by default,
-// matching the paper's testbed) and exposes per-node transactional handles.
+// simulated network (20µs one-way message latency, matching the paper's
+// testbed, unless Options.DisableLatency) and exposes per-node
+// transactional handles.
 // Clients are co-located with nodes, as in the paper's system model:
 //
 //	c, err := sss.New(sss.Options{Nodes: 4, ReplicationDegree: 2})
@@ -80,8 +81,6 @@ type Options struct {
 	// MaxVersions bounds the SSS engine's per-key version chains. Zero =
 	// default (64, which Walter keeps too).
 	MaxVersions int
-	// Seed makes simulated-network jitter and workloads reproducible.
-	Seed int64
 }
 
 // Cluster is a set of co-hosted protocol nodes connected by the simulated
@@ -119,10 +118,7 @@ func New(opts Options) (*Cluster, error) {
 		opts.Engine = EngineSSS
 	}
 	lookup := cluster.NewLookup(opts.Nodes, opts.ReplicationDegree)
-	net := transport.NewInProc(transport.InProcConfig{
-		DisableLatency: opts.DisableLatency,
-		Seed:           opts.Seed,
-	})
+	net := transport.NewInProc(transport.InProcConfig{DisableLatency: opts.DisableLatency})
 	c := &Cluster{opts: opts, lookup: lookup, net: net}
 	c.closer = append(c.closer, net.Close)
 

@@ -45,8 +45,18 @@ type NodeStats struct {
 }
 
 // Stats returns a snapshot of the node's counters.
-func (n *Node) Stats() NodeStats {
-	s := n.stats
+func (n *Node) Stats() NodeStats { return statsOf(n.stats) }
+
+// Stats aggregates all nodes' snapshots.
+func (c *Cluster) Stats() NodeStats {
+	agg := &metrics.Engine{}
+	for _, n := range c.nodes {
+		metrics.Merge(agg, n.stats)
+	}
+	return statsOf(agg)
+}
+
+func statsOf(s *metrics.Engine) NodeStats {
 	return NodeStats{
 		Commits:         s.Commits.Load(),
 		ReadOnly:        s.ReadOnlyRuns.Load(),
@@ -61,40 +71,7 @@ func (n *Node) Stats() NodeStats {
 	}
 }
 
-// Stats aggregates all nodes' snapshots.
-func (c *Cluster) Stats() NodeStats {
-	agg := &metrics.Engine{}
-	var out NodeStats
-	for _, n := range c.nodes {
-		s := n.stats
-		out.Commits += s.Commits.Load()
-		out.ReadOnly += s.ReadOnlyRuns.Load()
-		out.Aborts += s.Aborts.Load()
-		out.ExternalWaits += s.ExternalWaits.Load()
-		out.DrainTimeouts += s.DrainTimeouts.Load()
-		agg.CommitLatency.Merge(&s.CommitLatency)
-		agg.InternalLatency.Merge(&s.InternalLatency)
-		agg.PreCommitWait.Merge(&s.PreCommitWait)
-		agg.ReadOnlyLatency.Merge(&s.ReadOnlyLatency)
-	}
-	if out.Commits+out.Aborts > 0 {
-		out.AbortRate = float64(out.Aborts) / float64(out.Commits+out.Aborts)
-	}
-	out.UpdateLatency = summary(&agg.CommitLatency)
-	out.InternalLatency = summary(&agg.InternalLatency)
-	out.PreCommitWait = summary(&agg.PreCommitWait)
-	out.ReadOnlyLatency = summary(&agg.ReadOnlyLatency)
-	return out
-}
-
-func summary(h *metrics.Histogram) LatencySummary {
-	s := h.Snapshot()
-	return LatencySummary{Count: s.Count, Mean: s.Mean, P50: s.P50, P99: s.P99, Max: s.Max}
-}
-
-// engineMetrics exposes the raw metrics to in-module harness code (the
-// benchmark runner); not part of the public API surface.
-func (n *Node) engineMetrics() *metrics.Engine { return n.stats }
+func summary(h *metrics.Histogram) LatencySummary { return LatencySummary(h.Snapshot()) }
 
 // HarnessNode adapts a Node for the internal benchmark harness
 // (cmd/sss-bench and bench_test.go). The returned value's type lives in an
