@@ -1,17 +1,15 @@
 // Package batchq is the send queue behind every asynchronous outbound path:
-// the TCP peer streams, the in-process pipes, the engine's freeze/purge
-// commit queues and the client's connections. Producers append without
-// blocking; one consumer goroutine takes whatever accumulated while its
-// previous flush was in flight — natural batching: an idle consumer flushes
-// a single item immediately, a busy one amortizes its flush over the queue
-// depth.
+// the TCP peer streams, the in-process pipes and the client's connections.
+// Producers append without blocking; one consumer goroutine takes whatever
+// accumulated while its previous flush was in flight — natural batching: an
+// idle consumer flushes a single item immediately, a busy one amortizes its
+// flush over the queue depth.
 //
 // The queue holds no policy: each consumer owns its flush, its statistics
 // and what it does with items still queued at Close.
 package batchq
 
 import (
-	"slices"
 	"sync"
 	"time"
 )
@@ -47,21 +45,6 @@ func (q *Queue[T]) Push(it T) bool {
 		return false
 	}
 	q.items = append(q.items, it)
-	q.mu.Unlock()
-	q.nudge()
-	return true
-}
-
-// PushFront puts items, in order, ahead of everything queued: a consumer's
-// requeue of work it took but could not deliver. It returns false, and
-// queues nothing, once the queue is closed.
-func (q *Queue[T]) PushFront(items ...T) bool {
-	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		return false
-	}
-	q.items = slices.Insert(q.items, 0, items...)
 	q.mu.Unlock()
 	q.nudge()
 	return true

@@ -32,22 +32,6 @@ func TestFIFOAndMaxCap(t *testing.T) {
 	}
 }
 
-func TestPushFrontAheadOfNewerPushes(t *testing.T) {
-	q := New[int]()
-	q.Push(1)
-	q.Push(2)
-	taken, _ := q.Take(nil, 2)
-	q.Push(3)
-	if !q.PushFront(taken...) {
-		t.Fatal("PushFront refused on an open queue")
-	}
-	q.Push(4)
-	batch, _ := q.Take(nil, 8)
-	if want := []int{1, 2, 3, 4}; !slices.Equal(batch, want) {
-		t.Fatalf("got %v, want %v", batch, want)
-	}
-}
-
 func TestCloseDrainsThenReportsClosed(t *testing.T) {
 	q := New[int]()
 	for i := 0; i < 5; i++ {
@@ -72,9 +56,6 @@ func TestCloseDrainsThenReportsClosed(t *testing.T) {
 	if q.Push(9) {
 		t.Fatal("Push after Close accepted")
 	}
-	if q.PushFront(9) {
-		t.Fatal("PushFront after Close accepted")
-	}
 	if batch, _ := q.Take(nil, 2); len(batch) != 0 {
 		t.Fatalf("refused push was queued: %v", batch)
 	}
@@ -91,7 +72,8 @@ func TestTakeReleasesDrainedItems(t *testing.T) {
 		batch, _ := q.Take(nil, 7)
 		n += len(batch)
 	}
-	q.PushFront(new(int), new(int))
+	q.Push(new(int))
+	q.Push(new(int))
 	q.Take(nil, 2)
 	for i, p := range q.items[:cap(q.items)] {
 		if p != nil {

@@ -7,7 +7,7 @@ import (
 
 // BenchmarkUpdateTxnCommit measures the end-to-end update path — Begin,
 // `ops` read-modify-writes, Commit through prepare, piggybacked
-// decide+drain, queued freeze and purge — on a single node so transport
+// decide+drain, freeze fan-out and purge — on a single node so transport
 // noise is minimal. allocs/op here is the write-side allocation-diet
 // regression metric guarded by scripts/check_allocs.sh.
 func BenchmarkUpdateTxnCommit(b *testing.B) {
@@ -39,7 +39,7 @@ func BenchmarkUpdateTxnCommit(b *testing.B) {
 
 // BenchmarkUpdateTxnCommitRemote drives the same path across a 2-node
 // cluster with replication, so every commit pays real broadcasts, the
-// piggybacked drain ack, and the per-peer freeze queue.
+// piggybacked drain ack, and the freeze fan-out to both replicas.
 func BenchmarkUpdateTxnCommitRemote(b *testing.B) {
 	nodes := newBenchCluster(b, 2, 2, 64)
 	nd := nodes[0]

@@ -1,209 +1,130 @@
 package engine
 
 import (
-	"sync"
 	"time"
 
-	"github.com/sss-paper/sss/internal/batchq"
+	"github.com/sss-paper/sss/internal/transport"
 	"github.com/sss-paper/sss/internal/vclock"
 	"github.com/sss-paper/sss/internal/wal"
 	"github.com/sss-paper/sss/internal/wire"
 )
 
-// Per-replica commit pipelining (group commit) for the external-commit
-// traffic. Every peer gets one batchq.Queue drained by a single sender
-// goroutine, the same queue the transport's peer streams use: concurrent
-// update transactions' freeze orders — and the purge notifications that
-// follow — accumulate while the previous flush is in flight and are
-// coalesced into one wire.ExtBatch envelope. The replica applies the batch's freezes with one
-// grouped pass over its striped state and a single clock republish
-// (handleExtBatch), and answers with one ack covering every freeze in it.
-//
-// Ordering: a transaction's purge is enqueued only after its freeze ack
-// returned, so queue FIFO order preserves the per-transaction
-// freeze-before-purge requirement; freezes of distinct transactions carry
-// independent, coordinator-assigned freeze vectors and may batch in any
-// order.
+// The external commit's freeze and purge rounds. The coordinator sends a
+// transaction's freeze as one acked fan-out to its write replicas — a
+// wire.ExtBatch carrying that one freeze — and each replica's purge as one
+// notification after that replica's freeze ack, so no purge precedes its
+// freeze. Nothing here batches the freezes of concurrent commits: the
+// transport already coalesces whatever envelopes queue for one peer into
+// one frame.
 
-// maxExtBatch caps the freezes+purges coalesced into one ExtBatch. It only
-// bounds pathological backlogs; natural batch sizes track the commit
-// concurrency per peer.
-const maxExtBatch = 128
-
-// extItem is one queued external-commit order: a freeze (vc non-nil, done
-// signalled once the replica acked; know is its wire.ExtFreeze.Know) or a
-// purge (vc nil, done nil).
-// deadline is a waited freeze's ack budget: until it passes, a
-// failed delivery requeues the item together with its waiter (the client
-// ack stays withheld); past it the waiter is released liveness-first.
-type extItem struct {
-	txn      wire.TxnID
-	vc       vclock.VC
-	know     vclock.VC
-	done     chan struct{}
-	deadline time.Time
-	// enq is the enqueue instant of purge items, feeding the Purge stage
-	// histogram (enqueue → batch flushed); zero for freezes.
-	enq time.Time
+// extMsgs is one transaction's freeze and purge messages, an ExtBatch each
+// carrying that one transaction, in a single allocation.
+type extMsgs struct {
+	freeze, purge wire.ExtBatch
+	freezes       [1]wire.ExtFreeze
+	purges        [1]wire.TxnID
 }
 
-// extSender drains one peer's commit queue: it coalesces whatever
-// accumulated into a single ExtBatch, issues it as one acked call when it
-// carries freezes (one-way when purge-only), and releases every freeze
-// waiter on the ack. One in-flight batch per peer: the next batch forms
-// while the current one is on the wire — pipelined group commit.
-func (nd *Node) extSender(peer wire.NodeID, q *batchq.Queue[extItem]) {
-	defer nd.extSenders.Done()
-	var batch []extItem
-	// msg is reused across acked flushes: once the batch ack returned, no
-	// handler references the message anymore (the reply is the handler's
-	// last action), on either transport. One-way purge flushes and errored
-	// calls abandon it — the receiver (or the in-flight encode) may still
-	// hold the reference.
-	msg := &wire.ExtBatch{}
+func newExtMsgs(f wire.ExtFreeze) *extMsgs {
+	m := &extMsgs{freezes: [1]wire.ExtFreeze{f}, purges: [1]wire.TxnID{f.Txn}}
+	m.freeze.Freezes, m.purge.Purges = m.freezes[:], m.purges[:]
+	return m
+}
+
+// awaitFreezeAcks collects the acks of freeze under the freeze-ack
+// discipline (docs/CONSISTENCY.md §7) and returns the write replicas among
+// targets that have not acked, nil once all have. fan is the freeze's first
+// fan-out to targets, collected until deadline; nil means that round
+// already failed. A freeze is not abandonable — an unstamped version at one
+// replica while another carries the stamp makes read-only verdicts
+// replica-dependent — so each failed round counts FreezeRetries and, after a
+// VoteTimeout/2 back-off, resends freeze to the replicas still missing,
+// each resend awaited for VoteTimeout (a duplicate after an acked-but-late
+// delivery re-stamps the same value). Before budget passes, every missing
+// leg counts FreezeAckWithheld: the caller's client reply waits. Past it the
+// missing legs count FreezeAckBudgetExpired and are returned, so the reply
+// is released liveness-first; a zero budget never passes. Close ends the
+// wait as well. acked is scratch of at least len(targets).
+func (nd *Node) awaitFreezeAcks(fan *transport.Multi, freeze *wire.ExtBatch, targets []wire.NodeID, deadline, budget time.Time, acked []bool) []wire.NodeID {
 	for {
-		var open bool
-		batch, open = q.Take(batch[:0], maxExtBatch)
-		if len(batch) == 0 {
-			return
+		if fan == nil {
+			select {
+			case <-time.After(nd.cfg.VoteTimeout / 2):
+			case <-nd.stop:
+				return targets
+			}
+			fan = nd.rpc.Multi(targets, freeze)
+			deadline = time.Now().Add(nd.cfg.VoteTimeout)
 		}
-		msg.Freezes, msg.Purges = msg.Freezes[:0], msg.Purges[:0]
-		for _, it := range batch {
-			if it.vc != nil {
-				msg.Freezes = append(msg.Freezes, wire.ExtFreeze{Txn: it.txn, VC: it.vc, Know: it.know})
-			} else {
-				msg.Purges = append(msg.Purges, it.txn)
-			}
+		targets, fan = unacked(fan, targets, deadline, acked), nil
+		if len(targets) == 0 || nd.closed.Load() {
+			return targets
 		}
-		switch {
-		case !open:
-			// Shutdown: drop the sends (peers may be gone; a Call would
-			// only park until its timeout) but never a waiter.
-		case len(msg.Freezes) > 0:
-			_, err := nd.rpc.CallWithin(nd.cfg.VoteTimeout, peer, msg)
-			if err != nil {
-				nd.stats.DrainTimeouts.Add(1)
-				// The freezes are NOT abandonable: an unstamped version at
-				// one replica while another replica carries the stamp means
-				// replica-dependent read-only verdicts — a consistency
-				// hole, not a performance loss. Requeue them at the queue
-				// front and back off; duplicates after an acked-but-timed-
-				// out delivery are absorbed by applyFreezeBatch's dedupe.
-				// Purges are advisory and can drop. A down replica
-				// generates no new freezes (its prepares fail), so the
-				// requeue set is bounded by the in-flight window at
-				// failure time.
-				//
-				// Waiter policy is the freeze-ack discipline: within the
-				// item's FreezeAckBudget deadline the waiter rides the
-				// requeue — the committer's client ack stays withheld, so
-				// the ack cannot outrun this replica's stamp across an
-				// outage shorter than the budget. Past the deadline the
-				// waiter releases liveness-first: a dead replica must not
-				// wedge the committer forever, and the expiry is counted.
-				nd.stats.FreezeRetries.Add(1)
-				now := time.Now()
-				retry := make([]extItem, 0, len(batch))
-				for i := range batch {
-					it := &batch[i]
-					if it.vc == nil {
-						continue
-					}
-					keep := extItem{txn: it.txn, vc: it.vc, know: it.know}
-					if it.done != nil {
-						if now.Before(it.deadline) {
-							keep.done, keep.deadline = it.done, it.deadline
-							it.done = nil // withheld: not released below
-							nd.stats.FreezeAckWithheld.Add(1)
-						} else {
-							nd.stats.FreezeAckBudgetExpired.Add(1)
-						}
-					}
-					retry = append(retry, keep)
-				}
-				// Requeued at the front, ahead of everything enqueued since:
-				// a transaction's purge enqueues only after its freeze
-				// waiters release, so it can only be behind its freeze.
-				if !q.PushFront(retry...) {
-					// Shutdown raced the redelivery: the queue will never
-					// drain again, so a waiter riding the requeue releases
-					// here — the closing sender never drops a waiter.
-					for i := range retry {
-						if retry[i].done != nil {
-							close(retry[i].done)
-						}
-					}
-				}
-				msg = &wire.ExtBatch{} // in flight somewhere; abandon
-				for i := range batch {
-					if batch[i].done != nil {
-						close(batch[i].done)
-					}
-					batch[i] = extItem{}
-				}
-				time.Sleep(nd.cfg.VoteTimeout / 2)
-				continue
+		nd.stats.FreezeRetries.Add(1)
+		if !budget.IsZero() {
+			if !time.Now().Before(budget) {
+				nd.stats.FreezeAckBudgetExpired.Add(uint64(len(targets)))
+				return targets
 			}
-		default:
-			_ = nd.rpc.Notify(peer, msg)
-			msg = &wire.ExtBatch{} // one-way: the receiver still holds it
-		}
-		for i := range batch {
-			if batch[i].done != nil {
-				close(batch[i].done)
-			}
-			if open && batch[i].vc == nil && !batch[i].enq.IsZero() {
-				nd.stats.Stage.Purge.Observe(time.Since(batch[i].enq))
-			}
-			batch[i] = extItem{}
+			nd.stats.FreezeAckWithheld.Add(uint64(len(targets)))
 		}
 	}
 }
 
-// enqueueFreezes queues t's freeze order for every write replica and
-// returns one completion channel per replica, in writeNodes order. know is
-// the order's wire.ExtFreeze.Know (nil when t waited for nobody); dst is
-// reused caller scratch.
-func (nd *Node) enqueueFreezes(txn wire.TxnID, writeNodes []wire.NodeID, freezeVC, know vclock.VC, dst []chan struct{}) []chan struct{} {
-	deadline := time.Now().Add(nd.cfg.FreezeAckBudget)
+// unacked collects fan's replies until every leg answered or deadline
+// passed, releases fan, and returns the targets that did not answer, in
+// order; nil when all did.
+func unacked(fan *transport.Multi, targets []wire.NodeID, deadline time.Time, acked []bool) []wire.NodeID {
+	defer fan.Release()
+	acked = acked[:len(targets)]
+	clear(acked)
+	n := 0
+	for {
+		leg, _, err := fan.Next(deadline)
+		if err != nil {
+			break
+		}
+		acked[leg] = true
+		n++
+	}
+	if n == len(targets) {
+		return nil
+	}
+	missing := make([]wire.NodeID, 0, len(targets)-n)
+	for i, ok := range acked {
+		if !ok {
+			missing = append(missing, targets[i])
+		}
+	}
+	return missing
+}
+
+// purgeFrozen sends the purge of m to every write replica not in missing —
+// the ones that acked its freeze, at acked. The missing ones get theirs from
+// a goroutine that keeps redelivering the freeze until they ack or the node
+// closes; a replica is purged only after its freeze ack.
+func (nd *Node) purgeFrozen(m *extMsgs, writeNodes, missing []wire.NodeID, acked time.Time) {
 	for _, w := range writeNodes {
-		done := make(chan struct{})
-		if !nd.extq[w].Push(extItem{txn: txn, vc: freezeVC, know: know, done: done, deadline: deadline}) {
-			close(done) // shutting down; don't park the committer
-		}
-		dst = append(dst, done)
-	}
-	return dst
-}
-
-// awaitFreezes waits for every freeze completion. No own timer: each
-// waiter is closed unconditionally by its peer's sender once the batch
-// call returns, and that call is bounded by VoteTimeout (queue close
-// releases waiters immediately), so the wait is already bounded.
-func (nd *Node) awaitFreezes(waiters []chan struct{}) {
-	for _, d := range waiters {
-		<-d
-	}
-}
-
-// enqueuePurges queues t's purge notification for every write replica.
-func (nd *Node) enqueuePurges(txn wire.TxnID, writeNodes []wire.NodeID) {
-	for _, w := range writeNodes {
-		if !nd.extq[w].Push(extItem{txn: txn, enq: time.Now()}) {
-			// Shutting down: purge locally when possible so tests tearing
-			// down observe empty queues; remote peers are gone anyway.
-			if w == nd.id {
-				nd.purgeParked(txn)
-			}
+		if !containsNode(missing, w) {
+			_ = nd.rpc.Notify(w, &m.purge)
+			nd.stats.Stage.Purge.Observe(time.Since(acked))
 		}
 	}
+	if len(missing) == 0 {
+		return
+	}
+	nd.spawn(func() {
+		late := nd.awaitFreezeAcks(nil, &m.freeze, missing, time.Time{}, time.Time{}, make([]bool, len(missing)))
+		if len(late) == 0 {
+			nd.purgeFrozen(m, missing, nil, time.Now())
+		}
+	})
 }
 
-// handleExtBatch applies one coalesced external-commit batch: every freeze
-// is stamped on arrival (grouped by stripe, one striped-lock acquisition
-// per distinct stripe), the batch's clocks fold into the external-knowledge
-// clock with a single republish, the gated re-drains and flags run
-// concurrently, and one ack answers for all freezes. Purges ride behind.
+// handleExtBatch applies one external-commit batch: every freeze is stamped
+// on arrival, the batch's clocks fold into the external-knowledge clock
+// with a single republish, the gated re-drains and flags run one after
+// another, and one ack answers for all freezes. Purges ride behind.
 func (nd *Node) handleExtBatch(from wire.NodeID, rid uint64, m *wire.ExtBatch) {
 	var freezeErr error
 	if len(m.Freezes) > 0 {
@@ -224,30 +145,6 @@ func (nd *Node) handleExtBatch(from wire.NodeID, rid uint64, m *wire.ExtBatch) {
 	}
 }
 
-// freezeScratch pools the replica-side batch-apply arrays.
-type freezeScratch struct {
-	parked  []parkedState
-	stamps  []uint64
-	visited []bool
-}
-
-var freezeScratchPool = sync.Pool{New: func() any { return &freezeScratch{} }}
-
-func (fs *freezeScratch) sized(n int) ([]parkedState, []uint64, []bool) {
-	if cap(fs.parked) < n {
-		fs.parked = make([]parkedState, n)
-		fs.stamps = make([]uint64, n)
-		fs.visited = make([]bool, n)
-	}
-	fs.parked, fs.stamps, fs.visited = fs.parked[:n], fs.stamps[:n], fs.visited[:n]
-	for i := 0; i < n; i++ {
-		fs.parked[i] = parkedState{}
-		fs.stamps[i] = 0
-		fs.visited[i] = false
-	}
-	return fs.parked, fs.stamps, fs.visited
-}
-
 // applyFreezeBatch is the freeze phase of the external commit, for every
 // transaction in the batch (a batch of one included — there is no other
 // freeze applier). Each writer is stamped with this node's entry of the
@@ -255,33 +152,25 @@ func (fs *freezeScratch) sized(n int) ([]parkedState, []uint64, []bool) {
 // re-drain: the verdict for the writer turns deterministic in (stamp, reader
 // cut) the moment the broadcast lands, never whenever this replica's
 // re-drain completes — per-replica flag timing was the freeze-skew residue
-// (docs/CONSISTENCY.md §5). The batch pays the striped-state walk once per
-// stripe and republishes the node's clock snapshot once.
+// (docs/CONSISTENCY.md §5). The batch republishes the node's clock snapshot
+// once.
 //
 // A poisoned WAL's latched failure is returned (after the local freeze work
 // completes, so no reader is left parked on a half-frozen writer) and the
 // caller must withhold the batch ack.
 func (nd *Node) applyFreezeBatch(freezes []wire.ExtFreeze) error {
-	fs := freezeScratchPool.Get().(*freezeScratch)
-	defer freezeScratchPool.Put(fs)
-	parked, stamps, visited := fs.sized(len(freezes))
-	// Phase 1a: collect parked states, one striped-lock acquisition per
-	// distinct stripe (the batch's transactions hash across stripes).
-	for i := range freezes {
-		if visited[i] {
-			continue
-		}
-		st := nd.stripeOf(freezes[i].Txn)
+	// A coordinator sends one freeze per batch: the one-element arrays keep
+	// that case off the heap.
+	var parkedOne [1]parkedState
+	var stampOne [1]uint64
+	parked, stamps := parkedOne[:0], stampOne[:0]
+	for _, f := range freezes {
+		st := nd.stripeOf(f.Txn)
 		st.mu.Lock()
-		for j := i; j < len(freezes); j++ {
-			if !visited[j] && nd.stripeOf(freezes[j].Txn) == st {
-				parked[j] = st.parked[freezes[j].Txn]
-				visited[j] = true
-			}
-		}
+		parked = append(parked, st.parked[f.Txn])
 		st.mu.Unlock()
 	}
-	// Phase 1b: stamp every entry and version at arrival — the moment the
+	// Stamp every entry and version at arrival — the moment the
 	// verdict for each writer becomes deterministic at this replica — and
 	// fold the batch's externally-committed knowledge into one clock.
 	var ext vclock.VC
@@ -292,7 +181,7 @@ func (nd *Node) applyFreezeBatch(freezes []wire.ExtFreeze) error {
 		if len(f.VC) > nd.idx {
 			stamp = f.VC[nd.idx]
 		}
-		stamps[i] = stamp
+		stamps = append(stamps, stamp)
 		for _, k := range parked[i].keys {
 			nd.store.SQStampWrite(k, f.Txn, stamp)
 		}
@@ -351,22 +240,13 @@ func (nd *Node) applyFreezeBatch(freezes []wire.ExtFreeze) error {
 		// — with a single snapshot republish.
 		nd.log.RecordExternal(ext)
 	}
-	// Phase 2: gated re-drains + flags. Concurrent per transaction so one
-	// reader-gated writer cannot serialize the batch behind its wait; the
-	// single batch ack still waits for the slowest (group commit).
-	if len(freezes) == 1 {
-		nd.redrainAndFlag(freezes[0].Txn, parked[0], stamps[0])
-		return walErr
+	// Then the gated re-drains and flags, one transaction after another. A
+	// reader-gated writer may hold the rest of the batch behind its wait,
+	// but only their flags and the batch ack: reader verdicts use the
+	// stamps set above, and no reader ever waits on a flag.
+	for i, f := range freezes {
+		nd.redrainAndFlag(f.Txn, parked[i], stamps[i])
 	}
-	var wg sync.WaitGroup
-	for i := range freezes {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			nd.redrainAndFlag(freezes[i].Txn, parked[i], stamps[i])
-		}(i)
-	}
-	wg.Wait()
 	return walErr
 }
 

@@ -39,7 +39,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/sss-paper/sss/internal/batchq"
 	"github.com/sss-paper/sss/internal/cluster"
 	"github.com/sss-paper/sss/internal/commitlog"
 	"github.com/sss-paper/sss/internal/lockmgr"
@@ -68,13 +67,12 @@ type Config struct {
 	DrainTimeout time.Duration
 	// FreezeAckBudget bounds the freeze-ack discipline: after a freeze
 	// delivery fails, the coordinator keeps withholding the committer's
-	// client ack — requeueing the freeze together with its waiter — until
-	// the budget elapses, and only then degrades to the liveness-first
-	// release (waiter closed, waiter-less redelivery,
-	// FreezeAckBudgetExpired counted). A replica outage shorter than the
-	// budget cannot let a client ack outrun that replica's stamp. 0 selects
-	// the default of 2×VoteTimeout — one full retry cycle beyond the failed
-	// call.
+	// client ack — resending the freeze — until the budget elapses, and
+	// only then degrades to the liveness-first release (reply released,
+	// redelivery continued in the background, FreezeAckBudgetExpired
+	// counted). A replica outage shorter than the budget cannot let a
+	// client ack outrun that replica's stamp. 0 selects the default of
+	// 2×VoteTimeout — one full retry cycle beyond the failed call.
 	FreezeAckBudget time.Duration
 	// MaxVersions bounds per-key version chains (0 = default).
 	MaxVersions int
@@ -128,7 +126,7 @@ type Node struct {
 	// wal is the optional write-ahead log (Config.WAL); dstats its
 	// durability counters. recovering gates serve: a durable node drops
 	// inbound traffic between New and the end of Recover, so no handler can
-	// touch half-restored state. ckptStop ends the checkpoint loop.
+	// touch half-restored state.
 	wal        *wal.Log
 	dstats     *metrics.Durability
 	recovering atomic.Bool
@@ -138,8 +136,6 @@ type Node struct {
 	// so concurrently restarting nodes never presume-abort a transaction
 	// this node durably committed just because its replay was slow.
 	statusReady atomic.Bool
-	ckptStop    chan struct{}
-	ckptDone    chan struct{}
 
 	// coordStatus answers peers' in-doubt TxnStatus queries (presumed-abort
 	// 2PC): transactions this node coordinated to a commit decision, with
@@ -163,16 +159,17 @@ type Node struct {
 	// allocating them per message.
 	readScratch sync.Pool
 	// commitScratch pools the coordinator-side per-commit scratch of
-	// commitUpdate (prepare slices, broadcast result arrays, freeze
-	// waiters), so the update hot path stops allocating them per txn.
+	// commitUpdate (broadcast result arrays, freeze-ack flags), so the
+	// update hot path stops allocating them per txn.
 	commitScratch sync.Pool
 
-	// extq holds one per-peer commit queue (group commit for the freeze
-	// and purge traffic); extSenders tracks their drainer goroutines.
-	extq       []*batchq.Queue[extItem]
-	extSenders sync.WaitGroup
-
+	// closed is set once Close begins; stop is closed with it. bg counts
+	// the goroutines Close waits for (spawn), and bgMu orders their start
+	// against closed.
 	closed atomic.Bool
+	stop   chan struct{}
+	bg     sync.WaitGroup
+	bgMu   sync.Mutex
 }
 
 // stripeBits sets the number of state stripes (a power of two).
@@ -256,6 +253,7 @@ func New(net transport.Network, id wire.NodeID, n int, lookup cluster.Lookup, cf
 		store:  mvstore.New(n, cfg.MaxVersions),
 		locks:  lockmgr.New(),
 		stats:  &metrics.Engine{},
+		stop:   make(chan struct{}),
 	}
 	nd.log.SetContention(&nd.stats.Contention)
 	nd.store.SetContention(&nd.stats.Contention)
@@ -288,16 +286,8 @@ func New(net transport.Network, id wire.NodeID, n int, lookup cluster.Lookup, cf
 		return nil, fmt.Errorf("engine: node %d: %w", id, err)
 	}
 	nd.rpc = rpc
-	nd.extq = make([]*batchq.Queue[extItem], n)
-	for i := range nd.extq {
-		nd.extq[i] = batchq.New[extItem]()
-		nd.extSenders.Add(1)
-		go nd.extSender(wire.NodeID(i), nd.extq[i])
-	}
 	if cfg.WAL != nil && cfg.CheckpointInterval > 0 {
-		nd.ckptStop = make(chan struct{})
-		nd.ckptDone = make(chan struct{})
-		go nd.checkpointLoop()
+		nd.spawn(nd.checkpointLoop)
 	}
 	return nd, nil
 }
@@ -338,21 +328,33 @@ func (nd *Node) VersionWriters(key string) []wire.TxnID {
 	return nd.store.VersionWriters(key)
 }
 
-// Close detaches the node from the network. The commit queues are closed
-// first (their drainers exit after releasing every parked freeze waiter),
-// then the RPC endpoint, which fails whatever a coordinator still awaits.
+// Close detaches the node from the network: it stops the spawned
+// goroutines, closes the RPC endpoint, which fails whatever a coordinator
+// still awaits, and returns once those goroutines have exited.
 func (nd *Node) Close() error {
-	nd.closed.Store(true)
-	if nd.ckptStop != nil {
-		close(nd.ckptStop)
-		<-nd.ckptDone
-		nd.ckptStop = nil
+	nd.bgMu.Lock()
+	if !nd.closed.Swap(true) {
+		close(nd.stop)
 	}
-	for _, q := range nd.extq {
-		q.Close()
+	nd.bgMu.Unlock()
+	err := nd.rpc.Close()
+	nd.bg.Wait()
+	return err
+}
+
+// spawn runs f on a goroutine that Close waits for; f must return soon
+// after stop closes. Once Close has begun it runs nothing.
+func (nd *Node) spawn(f func()) {
+	nd.bgMu.Lock()
+	defer nd.bgMu.Unlock()
+	if nd.closed.Load() {
+		return
 	}
-	nd.extSenders.Wait()
-	return nd.rpc.Close()
+	nd.bg.Add(1)
+	go func() {
+		defer nd.bg.Done()
+		f()
+	}()
 }
 
 // serve dispatches inbound protocol messages. It runs on a transport pool

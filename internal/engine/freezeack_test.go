@@ -1,11 +1,13 @@
 package engine
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/sss-paper/sss/internal/cluster"
+	"github.com/sss-paper/sss/internal/mvstore"
 	"github.com/sss-paper/sss/internal/transport"
 	"github.com/sss-paper/sss/internal/wire"
 )
@@ -56,7 +58,7 @@ func keyOwnedBy(t *testing.T, lk cluster.Lookup, v wire.NodeID) string {
 
 // TestFreezeAckWithheldOnLostFreeze: with FreezeAckBudget active, the
 // committer's client ack must not be released while the victim replica's
-// freeze is still in the redelivery queue — the ack-vs-stamp window stays
+// freeze is still being redelivered — the ack-vs-stamp window stays
 // closed, so no post-ack reader can catch the replica unstamped.
 func TestFreezeAckWithheldOnLostFreeze(t *testing.T) {
 	blocked, filter := freezeStarver(1)
@@ -79,7 +81,7 @@ func TestFreezeAckWithheldOnLostFreeze(t *testing.T) {
 		committed <- tx.Commit()
 	}()
 
-	// The first delivery times out after VoteTimeout; the withheld requeue
+	// The first delivery times out after VoteTimeout; the withheld leg
 	// is counted before the retry. Wait for proof the discipline engaged.
 	deadline := time.Now().Add(10 * time.Second)
 	for nodes[0].Stats().FreezeAckWithheld.Load() == 0 {
@@ -93,7 +95,7 @@ func TestFreezeAckWithheldOnLostFreeze(t *testing.T) {
 		}
 	}
 
-	blocked.Store(false) // link heals; the queued freeze redelivers
+	blocked.Store(false) // link heals; the withheld freeze redelivers
 	select {
 	case err := <-committed:
 		if err != nil {
@@ -137,5 +139,62 @@ func TestFreezeAckBudgetExpiryReleasesClient(t *testing.T) {
 	if got := nodes[0].Stats().FreezeAckBudgetExpired.Load(); got == 0 {
 		t.Fatal("liveness-first release not counted in FreezeAckBudgetExpired")
 	}
-	blocked.Store(false) // let the redelivery loop converge before teardown
+	blocked.Store(false)
+
+	// The release did not abandon the freeze: redelivery stamps the starved
+	// replica, and its purge, which comes only after that ack, clears the
+	// parked W entry.
+	waitUntil(t, "the starved replica's purge", func() bool { return nodes[1].parkedCount() == 0 })
+	if got := readKey(t, nodes[1], key); got != "v1" {
+		t.Fatalf("read at the once-starved replica = %q, want v1", got)
+	}
+	var stamp uint64
+	_ = nodes[1].store.Dump(func(k string, v mvstore.VersionRec) error {
+		if k == key && string(v.Val) == "v1" {
+			stamp = v.ExtSID
+		}
+		return nil
+	})
+	if stamp == 0 {
+		t.Fatal("v1 purged at the once-starved replica without its freeze stamp")
+	}
+}
+
+// TestCloseDuringFreezeRedelivery: a commit released past its freeze-ack
+// budget leaves a goroutine redelivering the starved replica's freeze. Close
+// must end it — return promptly and leave no goroutine behind.
+func TestCloseDuringFreezeRedelivery(t *testing.T) {
+	_, filter := freezeStarver(1)
+	cfg := Config{VoteTimeout: 100 * time.Millisecond, FreezeAckBudget: time.Millisecond}
+	nodes := newClusterNet(t, 2, 1, cfg, transport.InProcConfig{DisableLatency: true, Filter: filter})
+	key := keyOwnedBy(t, nodes[0].lookup, 1)
+	own := keyOwnedBy(t, nodes[0].lookup, 0)
+	preload(nodes, map[string]string{key: "v0", own: "v0"})
+	// Warm every link the commit uses, so the baseline counts their
+	// transport goroutines.
+	writeKey(t, nodes[0], own, "w")
+	_ = readKey(t, nodes[0], key)
+	base := runtime.NumGoroutine()
+
+	writeKey(t, nodes[0], key, "v1")
+	if nodes[0].Stats().FreezeAckBudgetExpired.Load() == 0 {
+		t.Fatal("commit returned without the budget expiring")
+	}
+	closed := make(chan struct{})
+	go func() {
+		_ = nodes[0].Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close blocked on the freeze redelivery")
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before the commit", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }

@@ -243,7 +243,7 @@ func puppetDrain(t *testing.T, puppet *Node, txn wire.TxnID, commitVC vclock.VC,
 }
 
 // puppetFreeze broadcasts the freeze round — the one-element wire.ExtBatch a
-// real coordinator's commit queue sends for an uncoalesced freeze — without
+// real coordinator's freeze fan-out sends — without
 // waiting for its acks (gated replicas block in their re-drain until the gate
 // readers complete; the puppet's Close fails whatever is still outstanding).
 func puppetFreeze(puppet *Node, txn wire.TxnID, freezeVC vclock.VC, writeNodes []wire.NodeID) {

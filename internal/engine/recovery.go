@@ -353,11 +353,11 @@ func (nd *Node) Recover() error {
 	// Phase 3b: recover missing freeze vectors. A transaction can be
 	// decided here with no freeze record durable: this replica acked its
 	// freeze before the record's fsync (applyFreezeBatch) and crashed within
-	// the WAL's lag bound, or the coordinator's freeze call raced this
-	// node's crash and the commit queue released its waiters on the
-	// freeze-call error rather than wedging the commit (commitq.go
-	// extSender) — either way the client was acked. Re-stamping such versions at the local
-	// floor is not enough: the freeze vector would never fold back into
+	// the WAL's lag bound, or this node crashed before the coordinator's
+	// freeze reached it and the freeze-ack budget released the client reply
+	// rather than wedging the commit (awaitFreezeAcks) — either way the
+	// client was acked. Re-stamping such versions at the local floor is not
+	// enough: the freeze vector would never fold back into
 	// this node's external-knowledge clock, and the restarted node would
 	// coordinate read-only snapshots with a regressed clock — serving
 	// client-acked writes stale (the disk-fault lanes catch this as a
@@ -549,12 +549,11 @@ func (nd *Node) Checkpoint() error {
 
 // checkpointLoop cuts periodic checkpoints until Close.
 func (nd *Node) checkpointLoop() {
-	defer close(nd.ckptDone)
 	t := time.NewTicker(nd.cfg.CheckpointInterval)
 	defer t.Stop()
 	for {
 		select {
-		case <-nd.ckptStop:
+		case <-nd.stop:
 			return
 		case <-t.C:
 			if nd.recovering.Load() {

@@ -125,8 +125,8 @@ func TestCommitFreezeThenPurge(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	// The purge is asynchronous (it rides the per-peer commit queue after
-	// the client reply); wait for the W entry to clear.
+	// The purge is asynchronous (a one-way notification after the client
+	// reply); wait for the W entry to clear.
 	waitUntil(t, "W entry purged", func() bool {
 		_, w := nd.store.SQLen("k")
 		return w == 0

@@ -576,8 +576,8 @@ func (t *Txn) commitUpdate() error {
 		// Blind writer that never read: bound is the local snapshot.
 		t.vc = nd.log.SnapshotVC()
 	}
-	sc := nd.getCommitScratch()
-	defer nd.putCommitScratch(sc)
+	sc := nd.commitScratch.Get().(*commitScratch)
+	defer nd.commitScratch.Put(sc)
 
 	// Message payload slices are freshly allocated, never pooled: over the
 	// in-process transport they are shared by reference with handler
@@ -766,10 +766,8 @@ func (t *Txn) commitUpdate() error {
 	}
 
 	// Freeze the parked W entries everywhere (acked, pre-client-reply) so
-	// no transaction starting after our reply can exclude us. The freeze
-	// rides the per-peer commit queue: freezes of concurrent commits to the
-	// same replica coalesce into one batched envelope the replica applies
-	// with a single striped pass and clock republish (group commit).
+	// no transaction starting after our reply can exclude us: one fan-out
+	// to the write replicas, collected under the freeze-ack discipline.
 	freezeStart := time.Now()
 	var coordSeq uint64
 	if nd.wal != nil {
@@ -786,7 +784,8 @@ func (t *Txn) commitUpdate() error {
 		nd.recordCoordFreeze(t.id, freezeVC, know)
 		coordSeq = nd.wal.Append(&wal.Record{Type: wal.RecFreeze, Txn: t.id, VC: freezeVC, VC2: know})
 	}
-	waiters := nd.enqueueFreezes(t.id, writeNodes, freezeVC, know, sc.waiters[:0])
+	msgs := newExtMsgs(wire.ExtFreeze{Txn: t.id, VC: freezeVC, Know: know})
+	fan := nd.rpc.Multi(writeNodes, &msgs.freeze)
 	var freezeSyncErr error
 	if nd.wal != nil {
 		// A sync failure fails the client reply below — the transaction is
@@ -798,9 +797,10 @@ func (t *Txn) commitUpdate() error {
 		freezeSyncErr = nd.wal.SyncTo(coordSeq)
 		nd.stats.Stage.WalSync.Observe(time.Since(syncStart))
 	}
-	nd.awaitFreezes(waiters)
-	freezeDur := time.Since(freezeStart)
-	sc.waiters = waiters
+	missing := nd.awaitFreezeAcks(fan, &msgs.freeze, writeNodes, freezeStart.Add(nd.cfg.VoteTimeout),
+		freezeStart.Add(nd.cfg.FreezeAckBudget), sc.acked)
+	frozen := time.Now()
+	freezeDur := frozen.Sub(freezeStart)
 	// The external-commit point: transactions beginning on this node after
 	// the client reply below must serialize after us, so our commit clock —
 	// raised to each write replica's external-commit stamp, i.e. the
@@ -813,9 +813,9 @@ func (t *Txn) commitUpdate() error {
 	delete(selfStripe.inflight, t.id)
 	selfStripe.mu.Unlock()
 	close(extDone)
-	// Purge is asynchronous, after the reply; it rides the same queue, so
-	// it can never overtake this transaction's own freeze.
-	nd.enqueuePurges(t.id, writeNodes)
+	// Purge: one-way, and each write replica gets it only after its freeze
+	// ack.
+	nd.purgeFrozen(msgs, writeNodes, missing, frozen)
 
 	if freezeSyncErr != nil {
 		// Deliberately not kv.ErrAborted: the writes are committed and
@@ -851,32 +851,20 @@ func (t *Txn) finishAbort(participants []wire.NodeID, sc *commitScratch) {
 
 // commitScratch is the pooled coordinator-side scratch of one update
 // commit: the reply array every Gather of the commit reuses (valid only
-// until the next one) and the freeze-waiter slice. Message payloads are
-// never pooled — see commitUpdate.
+// until the next one) and the freeze round's per-leg ack flags. Message
+// payloads are never pooled — see commitUpdate.
 type commitScratch struct {
-	out     []wire.Msg
-	waiters []chan struct{}
+	out   []wire.Msg
+	acked []bool
 }
 
 // newCommitScratch sizes the scratch for a cluster of n nodes: no
 // participant set or write-replica set can exceed n.
 func newCommitScratch(n int) *commitScratch {
 	return &commitScratch{
-		out:     make([]wire.Msg, 0, n),
-		waiters: make([]chan struct{}, 0, n),
+		out:   make([]wire.Msg, 0, n),
+		acked: make([]bool, n),
 	}
-}
-
-func (nd *Node) getCommitScratch() *commitScratch {
-	return nd.commitScratch.Get().(*commitScratch)
-}
-
-func (nd *Node) putCommitScratch(sc *commitScratch) {
-	for i := range sc.waiters {
-		sc.waiters[i] = nil
-	}
-	sc.waiters = sc.waiters[:0]
-	nd.commitScratch.Put(sc)
 }
 
 func containsNode(nodes []wire.NodeID, id wire.NodeID) bool {

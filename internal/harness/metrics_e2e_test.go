@@ -183,7 +183,7 @@ func TestMetricsExposition(t *testing.T) {
 	}
 
 	// Client-ack and purge observations land after the client reply /
-	// asynchronously behind the freeze queue, so give them a polled grace
+	// asynchronously after the freeze ack, so give them a polled grace
 	// window instead of asserting instantaneously.
 	deadline := time.Now().Add(5 * time.Second)
 	for {

@@ -398,7 +398,7 @@ type Engine struct {
 	PreCommitHold atomic.Uint64 // update txns that actually waited in a queue
 	DrainTimeouts atomic.Uint64 // pre-commit waits that hit the safety cap
 	ExternalWaits atomic.Uint64 // completions delayed behind a parked writer
-	FreezeRetries atomic.Uint64 // freeze batches requeued after a failed delivery
+	FreezeRetries atomic.Uint64 // freeze rounds resent after a leg went unacked
 
 	// The abort causes, counted where they arise. UpdateReadWaits counts
 	// update reads that found their key held exclusively by a prepared
@@ -417,18 +417,18 @@ type Engine struct {
 	ReadSeenEntries atomic.Uint64
 	PrepareDeps     atomic.Uint64
 
-	// FreezeAckWithheld counts freeze waiters carried — client ack still
-	// withheld — across a failed delivery into a redelivery attempt (the
-	// FreezeAckBudget discipline); FreezeAckBudgetExpired counts waiters
+	// FreezeAckWithheld counts unacked freeze legs whose resend keeps the
+	// client reply withheld (the FreezeAckBudget discipline);
+	// FreezeAckBudgetExpired counts unacked legs at which the reply was
 	// finally released liveness-first because the budget ran out with the
 	// replica still unreachable (each one reopens the ack-vs-stamp window
-	// the budget normally closes).
+	// the budget normally closes; the freeze keeps redelivering).
 	FreezeAckWithheld      atomic.Uint64
 	FreezeAckBudgetExpired atomic.Uint64
 
 	// CommitRounds breaks down the update-commit round structure: how many
 	// drain stages rode a decide ack vs paid a standalone round trip, and
-	// how the per-peer commit queue batched the freeze and purge traffic.
+	// how many freezes and purges the replicas' ExtBatches carried.
 	CommitRounds CommitRounds
 
 	// Latency (begin → external commit), the paper's Figure 4(b).
@@ -456,9 +456,10 @@ type Engine struct {
 // with Engine.Commits by construction. WalSync observes every commit-path
 // wait on the log (remote participant prepare, coordinator decision,
 // coordinator freeze record — the last one overlapped with the freeze
-// round), Purge observes enqueue→flush of replica
-// purge notifications, and ClientAck observes the client-protocol commit
-// service time (engine commit + reply write) on successful commits only.
+// round), Purge observes a write replica's freeze ack → its purge
+// notification handed to the transport, and ClientAck observes the
+// client-protocol commit service time (engine commit + reply write) on
+// successful commits only.
 type Stages struct {
 	// Vote: prepare broadcast → all votes collected (the 2PC first round).
 	Vote Histogram
@@ -469,7 +470,8 @@ type Stages struct {
 	// coordinator's freeze record durable (the group-commit freeze leg that
 	// makes the commit externally visible).
 	Freeze Histogram
-	// Purge: purge-notification enqueue → batch flushed to the peer link.
+	// Purge: a write replica's freeze ack → its purge notification handed
+	// to the transport.
 	Purge Histogram
 	// WalSync: duration of each commit-path wait for WAL durability.
 	WalSync Histogram
@@ -503,8 +505,8 @@ func (s *Stages) Snapshot() StagesSnapshot {
 // DrainsPiggybacked/DrainRounds are replica-side counts of drain stages
 // served inside a decide ack vs by a standalone ExtCommit drain round;
 // FreezeBatches/FreezeBatchTxns/PurgeBatchTxns count the replica-side
-// ExtBatch group-commit envelopes and the freezes/purges they carried
-// (txns per batch is the group-commit amortization factor).
+// ExtBatch envelopes carrying freezes and the freezes/purges they carried
+// (a coordinator sends one freeze per batch, so txns per batch reads 1).
 type CommitRounds struct {
 	DrainsPiggybacked atomic.Uint64
 	DrainRounds       atomic.Uint64

@@ -211,11 +211,10 @@ func (n *InProc) send(from, to wire.NodeID, env wire.Envelope) error {
 	for i := 0; i < copies; i++ {
 		send := env
 		if copies > 1 {
-			// Neither copy may alias the caller's message: senders
-			// legitimately reuse message objects once the first delivery's
-			// reply returns (e.g. the engine's ExtBatch), and whichever copy
-			// replies first releases the sender while the other copy's
-			// handler may still be reading. A TCP resend delivers a fresh
+			// Neither copy may alias the caller's message: a sender may
+			// legitimately reuse a message object once the first delivery's
+			// reply returns, and whichever copy replies first releases the
+			// sender while the other copy's handler may still be reading. A TCP resend delivers a fresh
 			// decode of the retained frame, not the original pointer; model
 			// that with a codec round trip per copy.
 			clone, err := cloneEnvelope(env)

@@ -15,9 +15,10 @@
 //     sender goroutine that coalesces queued envelopes into batch frames.
 //
 // On top of either, RPC provides request/response correlation with
-// context-based timeouts — a fan-out (Multi) is N sends and one wait on the
-// calling goroutine, and Call is its one-target case; one-way notifications
-// share the same path.
+// deadlines given as a time.Time — a fan-out (Multi) is N sends and one wait
+// on the calling goroutine, its deadline served by the fan-out's one pooled
+// timer, and Call is its one-target case; one-way notifications share the
+// same path.
 package transport
 
 import (

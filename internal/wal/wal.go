@@ -3,8 +3,7 @@
 // CRC-framed records (see record.go); appends are buffered in memory and
 // made durable by Sync, which group-commits: concurrent Sync callers
 // coalesce behind one write+fsync, so the fsync amortizes across however
-// many commit-path events are in flight — by design the same batching
-// boundary as the engine's per-peer commit-queue envelopes.
+// many commit-path events are in flight.
 //
 // Durability contract: a record is durable once a Sync that started after
 // its Append — or a SyncTo naming the sequence number Append returned — has

@@ -331,17 +331,17 @@ type ExtFreeze struct {
 	Know vclock.VC
 }
 
-// ExtBatch carries the coalesced external-commit traffic of one coordinator
-// to one write replica: the freeze orders of every update transaction whose
-// drain stage completed while the per-peer commit queue's previous flush was
-// in flight, plus any purge notifications that became due. The replica
+// ExtBatch carries external-commit traffic from a coordinator to a write
+// replica: freeze orders and purge notifications. The engine's coordinator
+// sends each transaction's freeze as an acked batch of one, before it
+// replies to its client, and its purge as a one-way batch of one after that
+// replica's freeze ack; a batch may carry several of either. The replica
 // records VC[self] of every freeze as the writer's external-commit stamp *on
 // arrival* (before its own gated re-drain), folds all their clocks into its
-// external-knowledge clock with a single republish, runs the re-drains
-// concurrently, flags the entries, and answers with one ExtBatchAck covering
-// the whole batch (before the coordinator replies to its client) — group
-// commit for the freeze round. Purges (after the reply) delete the entries; a
-// batch with no freezes is a one-way purge notification.
+// external-knowledge clock with a single republish, runs the re-drains one
+// after another, flags the entries, and answers with one ExtBatchAck
+// covering the whole batch. Purges delete the entries; a batch with no
+// freezes is a one-way purge notification.
 type ExtBatch struct {
 	Freezes []ExtFreeze
 	Purges  []TxnID

@@ -68,16 +68,20 @@ check ./internal/engine 'BenchmarkReadOnlyTxn/ops' 2000x \
   'BenchmarkReadOnlyTxn/ops=4' 57
 
 # Update transaction end-to-end (Begin + read-modify-writes + Commit through
-# prepare, piggybacked decide+drain, queued freeze/purge). Pre-diet baseline
-# was 114/133 (local) and 184 (remote) allocs/op; the write-side diet
-# (commit scratch, pooled RPC reply channels, goroutine-free fan-out, batch
-# reuse, single-replica update reads) measured 79/96 and 124, 78/96 and
-# 123 once a decide's tombstone became a bit instead of a map entry, and
-# 58/76 and 91 once RPC deadlines stopped allocating a context each.
+# prepare, piggybacked decide+drain, the freeze fan-out and the purge
+# notifications). Pre-diet baseline was 114/133 (local) and 184 (remote)
+# allocs/op; the write-side diet (commit scratch, pooled RPC reply channels,
+# goroutine-free fan-out, batch reuse, single-replica update reads) measured
+# 79/96 and 124, 78/96 and 123 once a decide's tombstone became a bit instead
+# of a map entry, 58/76 and 91 once RPC deadlines stopped allocating a
+# context each, and 59-60/77-78 and 84 once the freeze became a plain fan-out
+# instead of a per-peer commit queue: no waiter channel per write replica,
+# but a local commit's purge is its own envelope, which sometimes spills
+# onto a transport goroutine.
 check ./internal/engine 'BenchmarkUpdateTxnCommit' 2000x \
   'BenchmarkUpdateTxnCommit/ops=1' 64 \
   'BenchmarkUpdateTxnCommit/ops=2' 85 \
-  'BenchmarkUpdateTxnCommitRemote' 97
+  'BenchmarkUpdateTxnCommitRemote' 90
 
 # One three-leg RPC fan-out and its wait (transport.RPC.Gather, in-process,
 # latency off): the pooled Multi carries its reply channel and deadline
@@ -127,7 +131,7 @@ check ./internal/engine 'BenchmarkTombstone' 200000x \
   'BenchmarkTombstone' 0
 
 # The shared send queue (internal/batchq) behind the TCP peer streams,
-# in-process pipes, engine commit queues and client connections: a
+# in-process pipes and client connections: a
 # steady-state push and take reuse the queue's and the batch's backing
 # arrays, so they allocate nothing.
 check ./internal/batchq 'BenchmarkQueue' 10000x \
