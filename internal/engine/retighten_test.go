@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/sss-paper/sss/internal/cluster"
 	"github.com/sss-paper/sss/internal/transport"
@@ -77,5 +79,48 @@ func TestRetightenDrainRound(t *testing.T) {
 	}
 	if got := nodes[coord].Stats().CommitRounds.DrainRounds.Load(); got != 0 {
 		t.Fatalf("coordinator (no written key) served %d drain rounds, want 0", got)
+	}
+}
+
+// TestLostDecideAckRetightensWithoutDrainTimeout drops the one DecideAck a
+// write replica sends for a decide. The coordinator's decide leg then
+// returns no ack; the commit must still complete through the standalone
+// drain round (counted at the replica as DrainRounds), and no node may
+// count a DrainTimeouts — no drain hit its cap, an ack was merely lost.
+func TestLostDecideAckRetightensWithoutDrainTimeout(t *testing.T) {
+	var dropped atomic.Bool
+	filter := func(from, to wire.NodeID, env wire.Envelope) bool {
+		if _, ok := env.Msg.(*wire.DecideAck); ok && from == 1 && to == 0 {
+			return !dropped.CompareAndSwap(false, true) // drop the first only
+		}
+		return true
+	}
+	cfg := Config{DrainTimeout: 200 * time.Millisecond}
+	nodes := newClusterNet(t, 2, 1, cfg, transport.InProcConfig{DisableLatency: true, Filter: filter})
+	key := keyOwnedBy(t, nodes[0].lookup, 1)
+	preload(nodes, map[string]string{key: "v0"})
+
+	tx := nodes[0].Begin(false)
+	if v := mustRead(t, tx, key); v != "v0" {
+		t.Fatalf("read %s = %q, want v0", key, v)
+	}
+	if err := tx.Write(key, []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	mustCommit(t, tx)
+
+	if !dropped.Load() {
+		t.Fatal("no DecideAck was dropped: the test exercised nothing")
+	}
+	if got := nodes[1].Stats().CommitRounds.DrainRounds.Load(); got < 1 {
+		t.Fatalf("replica served %d standalone drain rounds, want >= 1 (the lost ack re-tightens)", got)
+	}
+	for i, nd := range nodes {
+		if got := nd.Stats().DrainTimeouts.Load(); got != 0 {
+			t.Fatalf("node %d: DrainTimeouts = %d, want 0 (a lost ack is not a drain that hit its cap)", i, got)
+		}
+	}
+	if got := readKey(t, nodes[0], key); got != "v1" {
+		t.Fatalf("read after commit = %q, want v1", got)
 	}
 }

@@ -710,8 +710,11 @@ func (t *Txn) commitUpdate() error {
 	retighten := false
 	for i, a := range acks {
 		if a == nil {
-			nd.stats.DrainTimeouts.Add(1)
-			retighten = true // unknown drain state at that participant
+			// Unknown drain state at that participant (a lost or late
+			// ack): the standalone drain round below re-asks it, counted
+			// as that replica's CommitRounds.DrainRounds; a drain there
+			// that hits its cap counts its own DrainTimeouts.
+			retighten = true
 			continue
 		}
 		ack, ok := a.(*wire.DecideAck)

@@ -270,7 +270,7 @@ type Transport struct {
 	DiscardedConns atomic.Uint64
 	LostBatches    atomic.Uint64
 	// HealedWrites counts the first successful flush on a redialed
-	// connection — the moment a (peer, priority) link measurably healed.
+	// connection — the moment a peer link measurably healed.
 	HealedWrites atomic.Uint64
 	// BatchResends counts retained batch frames rewritten on a fresh
 	// connection after a write error — the at-least-once path that closes
@@ -396,7 +396,13 @@ type Engine struct {
 	RemovesSent   atomic.Uint64
 	FwdRemoves    atomic.Uint64
 	PreCommitHold atomic.Uint64 // update txns that actually waited in a queue
-	DrainTimeouts atomic.Uint64 // pre-commit waits that hit the safety cap
+	// DrainTimeouts counts this node's waits that hit their DrainTimeout
+	// safety cap: a write replica's snapshot-queue drain of one written
+	// key (pre-commit, standalone drain round, or freeze re-drain), a
+	// decide waiting for its CommitQ apply, and a completion waiting for
+	// a parked writer's external commit (local or WaitExternal). 0 in
+	// healthy runs; an unacked decide leg is not one (it re-tightens).
+	DrainTimeouts atomic.Uint64
 	ExternalWaits atomic.Uint64 // completions delayed behind a parked writer
 	FreezeRetries atomic.Uint64 // freeze rounds resent after a leg went unacked
 

@@ -48,8 +48,7 @@ const DefaultLatency = 20 * time.Microsecond
 // every endpoint dispatches inbound messages through a bounded worker pool
 // (spilling to fresh goroutines under saturation, so blocking handlers are
 // safe). Remote deliveries happen after the configured latency, modelling
-// asynchronous reliable channels (§II); per-priority counters expose
-// traffic shape.
+// asynchronous reliable channels (§II).
 type InProc struct {
 	cfg InProcConfig
 
@@ -60,9 +59,6 @@ type InProc struct {
 	closing chan struct{}
 
 	wg sync.WaitGroup // in-flight deliveries
-
-	// delivered counts messages per priority class, for observability.
-	delivered [wire.NumPriorities]atomic.Uint64
 
 	stats metrics.Transport
 }
@@ -137,15 +133,6 @@ func (n *InProc) Close() error {
 	return nil
 }
 
-// Delivered returns the number of messages delivered in each priority class.
-func (n *InProc) Delivered() [wire.NumPriorities]uint64 {
-	var out [wire.NumPriorities]uint64
-	for i := range out {
-		out[i] = n.delivered[i].Load()
-	}
-	return out
-}
-
 // Metrics returns the network-wide batching counters.
 func (n *InProc) Metrics() *metrics.Transport { return &n.stats }
 
@@ -176,7 +163,7 @@ func (n *InProc) send(from, to wire.NodeID, env wire.Envelope) error {
 	if from == to {
 		n.wg.Add(1)
 		n.mu.RUnlock()
-		n.deliver(dst, env)
+		dst.disp.dispatch(env)
 		return nil
 	}
 	if n.cfg.Filter != nil && !n.cfg.Filter(from, to, env) {
@@ -261,13 +248,6 @@ func (n *InProc) makePipe(key [2]wire.NodeID, dst *inprocNode) *inprocPipe {
 	return p
 }
 
-// deliver hands env to dst's worker pool, counting it. Callers hold a wg
-// slot; the dispatcher releases it after the handler returns.
-func (n *InProc) deliver(dst *inprocNode, env wire.Envelope) {
-	n.delivered[wire.PriorityOf(env.Msg.Type())].Add(1)
-	dst.disp.dispatch(env)
-}
-
 // inprocPipe is the ordered delivery channel of one sender→receiver pair:
 // a queue of (envelope, due time) drained by one goroutine that takes
 // whatever accumulated, then delivers each envelope at its own due instant,
@@ -320,7 +300,7 @@ func (p *inprocPipe) run() {
 					timer.Stop()
 				}
 			}
-			p.net.deliver(p.dst, te.env)
+			p.dst.disp.dispatch(te.env)
 		}
 		for _, s := range []*metrics.Transport{&p.stats, &p.net.stats} {
 			s.Flushes.Add(1)

@@ -1,6 +1,6 @@
 // Batched, pooled messaging runtime shared by the transport back ends.
 //
-// Outbound, every TCP stream and every in-process pipe is a batchq.Queue
+// Outbound, every TCP peer link and every in-process pipe is a batchq.Queue
 // drained by one goroutine that takes whatever accumulated while it was
 // busy — natural batching: an idle sender flushes a single envelope
 // immediately, a busy one amortizes framing, allocation, and syscalls over
@@ -136,16 +136,16 @@ func (d *dispatcher) stop() {
 	d.workers.Wait()
 }
 
-// queued is one envelope waiting in a TCP stream's send queue.
+// queued is one envelope waiting in a TCP peer link's send queue.
 type queued struct {
 	env wire.Envelope
 	at  time.Time // enqueue instant, for FlushLatency
 }
 
-// runSender is a TCP stream's sender goroutine. It coalesces what
+// runSender is a TCP peer link's sender goroutine. It coalesces what
 // accumulated in q into batches of at most tune.MaxBatch, handed to flush,
 // which owns the batch only for the duration of the call; after
-// PingInterval of idle it calls ping, the stream's liveness probe. It
+// PingInterval of idle it calls ping, the link's liveness probe. It
 // returns once q is closed and every envelope queued before the close has
 // been flushed.
 func runSender(q *batchq.Queue[queued], tune tuning, stats *metrics.Transport, flush func([]wire.Envelope), ping func()) {

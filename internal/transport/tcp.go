@@ -20,15 +20,15 @@ import (
 const maxFrame = 64 << 20
 
 // TCP is a Network over real TCP connections, for multi-process
-// deployments (cmd/sss-server). Each endpoint maintains one outbound stream
-// per priority class per peer, so Remove traffic is never queued behind
-// bulk reads (paper §V). Every stream is drained by a single sender
-// goroutine that coalesces queued envelopes into batch frames — one
-// length-prefixed write per batch instead of one per message — with
-// sync.Pool-recycled encode buffers, so the steady-state send path
-// allocates nothing. Inbound frames are decoded from pooled buffers and
-// dispatched through a bounded worker pool that spills to dedicated
-// goroutines under saturation (handlers may block indefinitely).
+// deployments (cmd/sss-server). Each endpoint keeps one outbound link per
+// peer — one FIFO queue, one sender goroutine, one connection — the TCP
+// form of InProc's ordered pipe, shared by every message kind. The sender
+// coalesces queued envelopes into batch frames — one length-prefixed write
+// per batch instead of one per message — with sync.Pool-recycled encode
+// buffers, so the steady-state send path allocates nothing. Inbound frames
+// are decoded from pooled buffers and dispatched through a bounded worker
+// pool that spills to dedicated goroutines under saturation (handlers may
+// block indefinitely).
 type TCP struct {
 	addrs map[wire.NodeID]string
 	tune  tuning
@@ -144,31 +144,6 @@ func (t *TCP) Metrics() *metrics.Transport {
 	return out
 }
 
-// PeerMetrics returns the batching counters for traffic sent from node
-// `from` to node `to`, or nil if no such traffic has flowed.
-func (t *TCP) PeerMetrics(from, to wire.NodeID) *metrics.Transport {
-	t.mu.Lock()
-	ep := t.eps[from]
-	t.mu.Unlock()
-	if ep == nil {
-		return nil
-	}
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	if p := ep.peers[to]; p != nil {
-		return &p.stats
-	}
-	return nil
-}
-
-// tcpPeer is one peer's outbound state: a queue per priority class, each
-// drained by its own sender goroutine over its own connection.
-type tcpPeer struct {
-	queues  [wire.NumPriorities]*batchq.Queue[queued]
-	senders sync.WaitGroup
-	stats   metrics.Transport
-}
-
 type tcpEndpoint struct {
 	net  *TCP
 	id   wire.NodeID
@@ -278,7 +253,7 @@ func (e *tcpEndpoint) Send(to wire.NodeID, env wire.Envelope) error {
 	if err != nil {
 		return err
 	}
-	if !peer.queues[wire.PriorityOf(env.Msg.Type())].Push(queued{env: env, at: time.Now()}) {
+	if !peer.q.Push(queued{env: env, at: time.Now()}) {
 		return ErrClosed
 	}
 	return nil
@@ -298,31 +273,27 @@ func (e *tcpEndpoint) peer(to wire.NodeID) (*tcpPeer, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownNode, to)
 	}
-	p := &tcpPeer{}
-	for prio := range p.queues {
-		st := newTCPStream(e, to, addr, &p.stats)
-		q := batchq.New[queued]()
-		p.queues[prio] = q
-		p.senders.Add(1)
-		go func() {
-			defer p.senders.Done()
-			runSender(q, e.net.tune, &p.stats, st.flush, st.ping)
-		}()
-	}
+	p := &tcpPeer{q: batchq.New[queued](), e: e, to: to, addr: addr}
+	p.sender.Add(1)
+	go func() {
+		defer p.sender.Done()
+		runSender(p.q, e.net.tune, &p.stats, p.flush, p.ping)
+	}()
 	e.peers[to] = p
 	return p, nil
 }
 
-// retainTail bounds the encoded frames a stream keeps *after* writing them:
+// retainTail bounds the encoded frames a link keeps *after* writing them:
 // on a loopback peer death the write that actually loses data is the one
 // that "succeeds" into the dead connection's kernel buffer — only the next
 // write errors — so closing the one-lost-batch window requires rewriting
 // not just the errored frame but the frames written immediately before it.
 const retainTail = 2
 
-// retainPending bounds the frames a stream holds for resend while its peer
-// is unreachable; beyond it the oldest frames are dropped and counted as
-// LostBatches (their envelopes surface as RPC timeouts, as before).
+// retainPending bounds the frames a peer link holds for resend while the
+// peer is unreachable — one bound per peer, since every message kind shares
+// the link; beyond it the oldest frames are dropped and counted as
+// LostBatches (their envelopes surface as RPC timeouts at the caller).
 const retainPending = 8
 
 // maxDialsPerSend bounds redials inside one send attempt so a peer that
@@ -352,17 +323,21 @@ func (f tcpFrame) wire() []byte { return (*f.bp)[f.off:] }
 // its uvarint length prefix.
 const prefixRoom = binary.MaxVarintLen64
 
-// tcpStream is one outbound (peer, priority) stream: a lazily-dialed
-// connection plus the retained-frame state of the at-least-once resend
-// path. All methods run on the stream's single sender goroutine, so no
-// locking is needed. Resends rewrite the retained encoded bytes — never
-// re-encode from Msg pointers, which senders may mutate or reuse after
-// the original Send returned.
-type tcpStream struct {
-	e     *tcpEndpoint
-	to    wire.NodeID
-	addr  string
-	stats *metrics.Transport
+// tcpPeer is one outbound peer link: the send queue Send pushes to, the
+// sender goroutine draining it over a lazily-dialed connection, and the
+// retained-frame state of the at-least-once resend path. The connection
+// and frame state are owned by the sender goroutine (flush, ping and what
+// they call), so no locking is needed. Resends rewrite the retained encoded
+// bytes — never re-encode from Msg pointers, which senders may mutate or
+// reuse after the original Send returned.
+type tcpPeer struct {
+	q      *batchq.Queue[queued]
+	sender sync.WaitGroup
+	stats  metrics.Transport
+
+	e    *tcpEndpoint
+	to   wire.NodeID
+	addr string
 
 	c       net.Conn
 	healing bool // a previous connection was discarded; next dial is a redial
@@ -376,10 +351,6 @@ type tcpStream struct {
 	tail    []tcpFrame
 }
 
-func newTCPStream(e *tcpEndpoint, to wire.NodeID, addr string, stats *metrics.Transport) *tcpStream {
-	return &tcpStream{e: e, to: to, addr: addr, stats: stats}
-}
-
 // flush encodes batch into a retained pooled buffer (single envelopes skip
 // the batch framing) and drives the send loop. Link transitions are counted
 // on the peer's stats so the post-restart healing transient is observable:
@@ -389,9 +360,9 @@ func newTCPStream(e *tcpEndpoint, to wire.NodeID, addr string, stats *metrics.Tr
 //
 // The frame is encoded behind prefixRoom bytes and its length prefix is
 // then written in place just in front of it, so each frame goes out as one
-// write straight from the pooled buffer: no per-stream write buffer and no
+// write straight from the pooled buffer: no per-peer write buffer and no
 // copy.
-func (s *tcpStream) flush(batch []wire.Envelope) {
+func (p *tcpPeer) flush(batch []wire.Envelope) {
 	bp := wire.GetBuf()
 	var err error
 	var room [prefixRoom]byte
@@ -409,8 +380,8 @@ func (s *tcpStream) flush(batch []wire.Envelope) {
 	n := binary.PutUvarint(room[:], uint64(len(frame)-prefixRoom))
 	off := prefixRoom - n
 	copy(frame[off:], room[:n])
-	s.pending = append(s.pending, tcpFrame{bp: bp, off: off})
-	s.sendPending()
+	p.pending = append(p.pending, tcpFrame{bp: bp, off: off})
+	p.sendPending()
 }
 
 // sendPending writes queued frames in order, redialing and rewriting
@@ -418,73 +389,73 @@ func (s *tcpStream) flush(batch []wire.Envelope) {
 // pending (bounded by retainPending) and are retried by the next flush or
 // ping — which is what makes a batch queued across a peer's death arrive
 // after its restart instead of vanishing.
-func (s *tcpStream) sendPending() {
+func (p *tcpPeer) sendPending() {
 	dials := 0
-	for len(s.pending) > 0 {
-		if s.c == nil {
-			if dials >= maxDialsPerSend || !s.dial() {
-				s.dropOverflow()
+	for len(p.pending) > 0 {
+		if p.c == nil {
+			if dials >= maxDialsPerSend || !p.dial() {
+				p.dropOverflow()
 				return
 			}
 			dials++
 		}
-		f := s.pending[0]
-		if _, err := s.c.Write(f.wire()); err != nil {
+		f := p.pending[0]
+		if _, err := p.c.Write(f.wire()); err != nil {
 			debugLog.Debug("tcp: peer write failed, frame retained for resend",
-				"node", int(s.e.id), "peer", int(s.to), "err", err)
-			s.discardConn()
+				"node", int(p.e.id), "peer", int(p.to), "err", err)
+			p.discardConn()
 			continue
 		}
-		s.pending = s.pending[1:]
+		p.pending = p.pending[1:]
 		if f.resend {
 			f.resend = false
-			s.stats.BatchResends.Add(1)
+			p.stats.BatchResends.Add(1)
 		}
-		if s.healing {
-			s.healing = false
-			s.stats.HealedWrites.Add(1)
+		if p.healing {
+			p.healing = false
+			p.stats.HealedWrites.Add(1)
 		}
-		s.pushTail(f)
+		p.pushTail(f)
 	}
 }
 
 // ping probes an idle connection with a zero-length frame, discarding it on
 // write failure so the next batch dials fresh instead of dying in a dead
 // kernel buffer. Called by the sender goroutine after PingInterval of idle.
-func (s *tcpStream) ping() {
-	if len(s.pending) > 0 {
+func (p *tcpPeer) ping() {
+	if len(p.pending) > 0 {
 		// A backlog is a better probe than a ping: try to move it.
-		s.sendPending()
+		p.sendPending()
 		return
 	}
-	if s.c == nil {
+	if p.c == nil {
 		return // nothing to keep alive; the next batch dials fresh
 	}
-	s.stats.PingsSent.Add(1)
-	if _, err := s.c.Write(pingFrame); err != nil {
-		s.stats.PeerUnresponsive.Add(1)
+	p.stats.PingsSent.Add(1)
+	if _, err := p.c.Write(pingFrame); err != nil {
+		p.stats.PeerUnresponsive.Add(1)
 		debugLog.Debug("tcp: ping failed, conn discarded",
-			"node", int(s.e.id), "peer", int(s.to), "err", err)
-		s.discardConn()
-		s.sendPending() // rewrite the re-queued tail on a fresh conn now
+			"node", int(p.e.id), "peer", int(p.to), "err", err)
+		p.discardConn()
+		p.sendPending() // rewrite the re-queued tail on a fresh conn now
 	}
 }
 
-func (s *tcpStream) dial() bool {
-	conn, err := net.Dial("tcp", s.addr)
+func (p *tcpPeer) dial() bool {
+	conn, err := net.Dial("tcp", p.addr)
 	if err != nil {
 		debugLog.Debug("tcp: dial failed",
-			"node", int(s.e.id), "peer", int(s.to), "addr", s.addr, "err", err, "pending", len(s.pending))
+			"node", int(p.e.id), "peer", int(p.to), "addr", p.addr, "err", err, "pending", len(p.pending))
 		return false
 	}
-	s.c = conn
-	s.e.track(conn)
-	s.stats.Dials.Add(1)
-	if s.healing {
-		s.stats.Redials.Add(1)
+	p.c = conn
+	p.e.track(conn)
+	p.stats.Dials.Add(1)
+	if p.healing {
+		p.stats.Redials.Add(1)
 	}
 	debugLog.Debug("tcp: dialed peer",
-		"node", int(s.e.id), "peer", int(s.to), "addr", s.addr)
+		"node", int(p.e.id), "peer", int(p.to), "addr", p.addr)
 	return true
 }
 
@@ -493,45 +464,45 @@ func (s *tcpStream) dial() bool {
 // died unread in the old connection's kernel buffer, so all of it is
 // rewritten — duplicates are safe, receivers dedupe per message kind (see
 // docs/ARCHITECTURE.md, "Peer-link liveness & at-least-once delivery").
-func (s *tcpStream) discardConn() {
-	s.stats.DiscardedConns.Add(1)
-	s.healing = true
-	_ = s.c.Close()
-	s.c = nil
-	if len(s.pending) > 0 {
-		s.pending[0].resend = true
+func (p *tcpPeer) discardConn() {
+	p.stats.DiscardedConns.Add(1)
+	p.healing = true
+	_ = p.c.Close()
+	p.c = nil
+	if len(p.pending) > 0 {
+		p.pending[0].resend = true
 	}
-	if len(s.tail) > 0 {
-		for i := range s.tail {
-			s.tail[i].resend = true
+	if len(p.tail) > 0 {
+		for i := range p.tail {
+			p.tail[i].resend = true
 		}
-		requeued := make([]tcpFrame, 0, len(s.tail)+len(s.pending))
-		requeued = append(requeued, s.tail...)
-		s.pending = append(requeued, s.pending...)
-		s.tail = s.tail[:0]
+		requeued := make([]tcpFrame, 0, len(p.tail)+len(p.pending))
+		requeued = append(requeued, p.tail...)
+		p.pending = append(requeued, p.pending...)
+		p.tail = p.tail[:0]
 	}
 }
 
 // pushTail retains f as recently-written, recycling the frame that rotates
 // out.
-func (s *tcpStream) pushTail(f tcpFrame) {
-	if len(s.tail) == retainTail {
-		wire.PutBuf(s.tail[0].bp)
-		copy(s.tail, s.tail[1:])
-		s.tail[len(s.tail)-1] = f
+func (p *tcpPeer) pushTail(f tcpFrame) {
+	if len(p.tail) == retainTail {
+		wire.PutBuf(p.tail[0].bp)
+		copy(p.tail, p.tail[1:])
+		p.tail[len(p.tail)-1] = f
 		return
 	}
-	s.tail = append(s.tail, f)
+	p.tail = append(p.tail, f)
 }
 
 // dropOverflow bounds the pending queue while the peer is unreachable,
 // dropping oldest-first (their senders have long since timed out and
 // retried at the RPC layer).
-func (s *tcpStream) dropOverflow() {
-	for len(s.pending) > retainPending {
-		wire.PutBuf(s.pending[0].bp)
-		s.pending = s.pending[1:]
-		s.stats.LostBatches.Add(1)
+func (p *tcpPeer) dropOverflow() {
+	for len(p.pending) > retainPending {
+		wire.PutBuf(p.pending[0].bp)
+		p.pending = p.pending[1:]
+		p.stats.LostBatches.Add(1)
 	}
 }
 
@@ -564,12 +535,10 @@ func (e *tcpEndpoint) Close() error {
 	// Stop senders first so pending envelopes still flush over live
 	// connections.
 	for _, p := range peers {
-		for _, q := range p.queues {
-			q.Close()
-		}
+		p.q.Close()
 	}
 	for _, p := range peers {
-		p.senders.Wait()
+		p.sender.Wait()
 	}
 
 	e.mu.Lock()

@@ -4,15 +4,17 @@
 //
 //   - InProc: an in-process simulated network with configurable one-way
 //     delivery latency (default 20µs, matching the paper's InfiniBand
-//     testbed) and per-priority-class delivery accounting. This is the
-//     substrate used by tests and by the benchmark harness; it substitutes
-//     for the paper's physical cluster while exercising exactly the same
-//     message-passing code paths, including per-peer batch coalescing.
-//   - TCP: a real transport for multi-process deployments, with one TCP
-//     stream per priority class per peer so that high-priority messages
-//     (Remove above all) never queue behind bulk read traffic — the
-//     paper's "optimized network component" — each stream drained by a
-//     sender goroutine that coalesces queued envelopes into batch frames.
+//     testbed). This is the substrate used by tests and by the benchmark
+//     harness; it substitutes for the paper's physical cluster while
+//     exercising exactly the same message-passing code paths, including
+//     per-peer batch coalescing.
+//   - TCP: a real transport for multi-process deployments, with one outbound
+//     TCP connection per peer, drained by one sender goroutine that coalesces
+//     queued envelopes into batch frames.
+//
+// Either way a node reaches each peer over one ordered link that every
+// message kind shares: the paper's prioritized network component (§V) is
+// not reproduced (docs/ARCHITECTURE.md says why).
 //
 // On top of either, RPC provides request/response correlation with
 // deadlines given as a time.Time — a fan-out (Multi) is N sends and one wait

@@ -129,28 +129,47 @@ func TestInProcCloseStopsDelivery(t *testing.T) {
 	}
 }
 
-func TestInProcPriorityCounters(t *testing.T) {
-	nw := NewInProc(InProcConfig{DisableLatency: true})
+// TestTCPOneConnectionPerPeer pins the link shape: a Remove, a 2PC message
+// and a read sent to one peer share one connection — every message kind
+// travels the same ordered stream, as it does over an in-process pipe.
+func TestTCPOneConnectionPerPeer(t *testing.T) {
+	addrs := freePorts(t, 2)
+	nw := NewTCP(map[wire.NodeID]string{0: addrs[0], 1: addrs[1]})
 	defer func() { _ = nw.Close() }()
-	var wg sync.WaitGroup
-	wg.Add(2)
-	if _, err := nw.Join(1, func(wire.Envelope) { wg.Done() }); err != nil {
+	got := make(chan wire.MsgType, 3)
+	if _, err := nw.Join(1, func(env wire.Envelope) { got <- env.Msg.Type() }); err != nil {
 		t.Fatal(err)
 	}
 	ep0, err := nw.Join(0, func(wire.Envelope) {})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ep0.Send(1, wire.Envelope{Msg: &wire.Remove{}}); err != nil {
-		t.Fatal(err)
+	sent := []wire.Msg{
+		&wire.Remove{Txn: wire.TxnID{Node: 0, Seq: 1}},
+		&wire.Prepare{Txn: wire.TxnID{Node: 0, Seq: 2}},
+		&wire.ReadRequest{Key: "k"},
 	}
-	if err := ep0.Send(1, wire.Envelope{Msg: &wire.ReadRequest{Key: "k"}}); err != nil {
-		t.Fatal(err)
+	for _, m := range sent {
+		if err := ep0.Send(1, wire.Envelope{Msg: m}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	wg.Wait()
-	d := nw.Delivered()
-	if d[wire.PrioRemove] != 1 || d[wire.PrioRead] != 1 {
-		t.Fatalf("Delivered = %v", d)
+	arrived := make(map[wire.MsgType]bool)
+	for range sent {
+		select {
+		case mt := <-got:
+			arrived[mt] = true
+		case <-time.After(5 * time.Second):
+			t.Fatalf("only %d of %d messages arrived", len(arrived), len(sent))
+		}
+	}
+	for _, m := range sent {
+		if !arrived[m.Type()] {
+			t.Fatalf("message type %d never arrived (got %v)", m.Type(), arrived)
+		}
+	}
+	if d := nw.Metrics().Dials.Load(); d != 1 {
+		t.Fatalf("Dials = %d, want 1: one connection carries every message kind to a peer", d)
 	}
 }
 

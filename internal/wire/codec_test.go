@@ -121,20 +121,6 @@ func TestDecodeUnknownType(t *testing.T) {
 	}
 }
 
-func TestPriorityClassification(t *testing.T) {
-	if PriorityOf(MsgRemove) != PrioRemove || PriorityOf(MsgFwdRemove) != PrioRemove {
-		t.Fatal("Remove traffic must be highest priority (paper §V)")
-	}
-	for _, mt := range []MsgType{MsgPrepare, MsgVote, MsgDecide, MsgDecideAck} {
-		if PriorityOf(mt) != PrioCommit {
-			t.Fatalf("%d should be commit priority", mt)
-		}
-	}
-	if PriorityOf(MsgReadRequest) != PrioRead || PriorityOf(MsgReadReturn) != PrioRead {
-		t.Fatal("read traffic should be lowest priority")
-	}
-}
-
 func TestTxnIDString(t *testing.T) {
 	if got := (TxnID{Node: 3, Seq: 14}).String(); got != "N3.14" {
 		t.Fatalf("String = %q", got)

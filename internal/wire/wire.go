@@ -3,10 +3,8 @@
 // transport (the paper's "metadata compression").
 //
 // Messages are deliberately plain data: all protocol logic lives in the
-// engine packages. Every message type is assigned a priority class; the
-// transport maintains one queue (and, over TCP, one stream) per class so
-// that latency-critical messages — above all Remove, which unblocks external
-// commits — are never stuck behind bulk traffic (paper §V).
+// engine packages. The transport gives no message type precedence over
+// another: every kind shares one ordered link per peer.
 package wire
 
 import (
@@ -61,7 +59,7 @@ type SQEntry struct {
 	Kind EntryKind
 }
 
-// MsgType tags every wire message for the codec and the priority classifier.
+// MsgType tags every wire message for the codec.
 type MsgType uint8
 
 // Message types. The set covers SSS (read, 2PC, pre-commit acks, remove
@@ -92,42 +90,9 @@ const (
 	MsgClockSyncReply
 )
 
-// Priority is the transport service class of a message, lower is served
-// first.
-type Priority uint8
-
-// Priority classes, per the paper's optimized network component: Remove
-// messages get the highest priority because they enable external commits;
-// 2PC control traffic comes next; bulk read traffic last.
-const (
-	PrioRemove Priority = iota
-	PrioCommit
-	PrioRead
-	numPriorities
-)
-
-// NumPriorities is the number of transport service classes.
-const NumPriorities = int(numPriorities)
-
 // Msg is implemented by every wire message.
 type Msg interface {
 	Type() MsgType
-}
-
-// PriorityOf classifies a message type into its transport service class.
-func PriorityOf(t MsgType) Priority {
-	switch t {
-	case MsgRemove, MsgFwdRemove, MsgExtCommit, MsgExtBatch, MsgExtBatchAck:
-		return PrioRemove
-	case MsgPrepare, MsgVote, MsgDecide, MsgDecideAck,
-		MsgWaitExternal, MsgWaitExternalAck,
-		MsgTxnStatus, MsgTxnStatusReply,
-		MsgClockSync, MsgClockSyncReply,
-		MsgRococoCommit, MsgRococoCommitReply, MsgWalterPropagate:
-		return PrioCommit
-	default:
-		return PrioRead
-	}
 }
 
 // Envelope frames a message for transport: the sender, an RPC correlation ID
@@ -291,7 +256,7 @@ type DecideAck struct {
 
 // Remove tells a node that read-only transaction Txn completed: every
 // snapshot-queue entry it owns on that node must be deleted, unblocking
-// parked update transactions. It is the highest-priority message.
+// parked update transactions.
 type Remove struct {
 	Txn TxnID
 }

@@ -11,8 +11,10 @@
 #    -data-dir — nonzero sss_commitlog_entries and sss_tombstones gauges,
 #    an sss_rpc_pending gauge, and the three abort-cause counters
 #    sss_update_read_waits_total, sss_no_vote_locks_total and
-#    sss_no_vote_stale_total) and that the page is live
-#    (sss_transport_flushes_total advances between two scrapes).
+#    sss_no_vote_stale_total), that the page is live
+#    (sss_transport_flushes_total advances between two scrapes), and that
+#    each node keeps one outbound link per peer (sss_transport_dials_total
+#    <= 2 on the healthy, never-restarted cluster).
 # 3. Runs the multi-process e2e suite (internal/harness): boots a real
 #    3-node TCP cluster, checks cross-node write visibility, read-only
 #    snapshot coherence under concurrent transfers, that abrupt client
@@ -121,9 +123,15 @@ for i in range(3):
     flushes = samples["sss_transport_flushes_total"]
     assert flushes > flushes_before[i], \
         f"node {i}: sss_transport_flushes_total frozen at {flushes} across the load"
+    # One outbound connection per peer carries every message kind: on this
+    # healthy cluster (no node restarted) a node dials each of its two
+    # peers at most once.
+    dials = samples["sss_transport_dials_total"]
+    assert dials <= 2, \
+        f"node {i}: sss_transport_dials_total {dials} > 2: more than one link per peer"
     total_commits += commits
 assert total_commits >= 24, f"cluster committed {total_commits} < 24 issued updates"
-print(f"metrics gate: {total_commits:.0f} commits, stage counts reconcile, WALs sync, retained-state gauges (NLog and tombstones nonzero) and abort-cause counters served, and transport counters advance on all 3 nodes")
+print(f"metrics gate: {total_commits:.0f} commits, stage counts reconcile, WALs sync, retained-state gauges (NLog and tombstones nonzero) and abort-cause counters served, transport counters advance, and at most one dial per peer on all 3 nodes")
 EOF
 # shellcheck disable=SC2086
 kill $server_pids 2>/dev/null || true

@@ -39,7 +39,11 @@ type NodeStats struct {
 	ReadOnlyLatency LatencySummary
 
 	// ExternalWaits counts completions delayed behind a parked writer;
-	// DrainTimeouts counts safety-cap expirations (0 in healthy runs).
+	// DrainTimeouts counts waits that hit their DrainTimeout safety cap: a
+	// write replica's snapshot-queue drain of one written key, a decide
+	// waiting for its CommitQ apply, a completion waiting for a parked
+	// writer's external commit (0 in healthy runs; an unacked decide leg
+	// is not counted here).
 	ExternalWaits uint64
 	DrainTimeouts uint64
 }
