@@ -10,25 +10,21 @@ import (
 )
 
 // The external commit's freeze and purge rounds. The coordinator sends a
-// transaction's freeze as one acked fan-out to its write replicas — a
-// wire.ExtBatch carrying that one freeze — and each replica's purge as one
-// notification after that replica's freeze ack, so no purge precedes its
-// freeze. Nothing here batches the freezes of concurrent commits: the
-// transport already coalesces whatever envelopes queue for one peer into
-// one frame.
+// transaction's freeze as one acked fan-out of a wire.Freeze to its write
+// replicas, and each replica's wire.Purge as one notification after that
+// replica's freeze ack, so no purge precedes its freeze. Nothing here
+// batches the freezes of concurrent commits: the transport already coalesces
+// whatever envelopes queue for one peer into one frame.
 
-// extMsgs is one transaction's freeze and purge messages, an ExtBatch each
-// carrying that one transaction, in a single allocation.
+// extMsgs is one transaction's freeze and purge messages in a single
+// allocation.
 type extMsgs struct {
-	freeze, purge wire.ExtBatch
-	freezes       [1]wire.ExtFreeze
-	purges        [1]wire.TxnID
+	freeze wire.Freeze
+	purge  wire.Purge
 }
 
-func newExtMsgs(f wire.ExtFreeze) *extMsgs {
-	m := &extMsgs{freezes: [1]wire.ExtFreeze{f}, purges: [1]wire.TxnID{f.Txn}}
-	m.freeze.Freezes, m.purge.Purges = m.freezes[:], m.purges[:]
-	return m
+func newExtMsgs(f wire.Freeze) *extMsgs {
+	return &extMsgs{freeze: f, purge: wire.Purge{Txn: f.Txn}}
 }
 
 // awaitFreezeAcks collects the acks of freeze under the freeze-ack
@@ -45,7 +41,7 @@ func newExtMsgs(f wire.ExtFreeze) *extMsgs {
 // missing legs count FreezeAckBudgetExpired and are returned, so the reply
 // is released liveness-first; a zero budget never passes. Close ends the
 // wait as well. acked is scratch of at least len(targets).
-func (nd *Node) awaitFreezeAcks(fan *transport.Multi, freeze *wire.ExtBatch, targets []wire.NodeID, deadline, budget time.Time, acked []bool) []wire.NodeID {
+func (nd *Node) awaitFreezeAcks(fan *transport.Multi, freeze *wire.Freeze, targets []wire.NodeID, deadline, budget time.Time, acked []bool) []wire.NodeID {
 	for {
 		if fan == nil {
 			select {
@@ -121,132 +117,88 @@ func (nd *Node) purgeFrozen(m *extMsgs, writeNodes, missing []wire.NodeID, acked
 	})
 }
 
-// handleExtBatch applies one external-commit batch: every freeze is stamped
-// on arrival, the batch's clocks fold into the external-knowledge clock
-// with a single republish, the gated re-drains and flags run one after
-// another, and one ack answers for all freezes. Purges ride behind.
-func (nd *Node) handleExtBatch(from wire.NodeID, rid uint64, m *wire.ExtBatch) {
-	var freezeErr error
-	if len(m.Freezes) > 0 {
-		freezeErr = nd.applyFreezeBatch(m.Freezes)
-		nd.stats.CommitRounds.FreezeBatches.Add(1)
-		nd.stats.CommitRounds.FreezeBatchTxns.Add(uint64(len(m.Freezes)))
-	}
-	if len(m.Purges) > 0 {
-		nd.applyPurgeBatch(m.Purges)
-		nd.stats.CommitRounds.PurgeBatchTxns.Add(uint64(len(m.Purges)))
-	}
-	// No ack from a poisoned log: the coordinator's batch call must time
-	// out instead, the same signal a crashed replica gives it. (The local
-	// stamps above still applied — the vector is the true one — but this
-	// node may no longer vouch for durable work.)
-	if rid != 0 && freezeErr == nil {
-		_ = nd.rpc.Reply(from, rid, &wire.ExtBatchAck{Freezes: uint64(len(m.Freezes))})
+// handleFreeze applies one freeze order and acks it. No ack from a
+// poisoned log: the coordinator's call must time out instead, the same
+// signal a crashed replica gives it. (The local stamps still applied — the
+// vector is the true one — but this node may no longer vouch for durable
+// work.)
+func (nd *Node) handleFreeze(from wire.NodeID, rid uint64, f *wire.Freeze) {
+	err := nd.applyFreeze(*f)
+	nd.stats.CommitRounds.FreezeBatches.Add(1)
+	nd.stats.CommitRounds.FreezeBatchTxns.Add(1)
+	if rid != 0 && err == nil {
+		_ = nd.rpc.Reply(from, rid, &wire.FreezeAck{})
 	}
 }
 
-// applyFreezeBatch is the freeze phase of the external commit, for every
-// transaction in the batch (a batch of one included — there is no other
-// freeze applier). Each writer is stamped with this node's entry of the
-// coordinator-assigned freeze vector *on arrival*, before its gated
-// re-drain: the verdict for the writer turns deterministic in (stamp, reader
-// cut) the moment the broadcast lands, never whenever this replica's
-// re-drain completes — per-replica flag timing was the freeze-skew residue
-// (docs/CONSISTENCY.md §5). The batch republishes the node's clock snapshot
-// once.
+// applyFreeze is the freeze phase of the external commit at a write replica.
+// The writer is stamped with this node's entry of the coordinator-assigned
+// freeze vector *on arrival*, before its gated re-drain: the verdict for the
+// writer turns deterministic in (stamp, reader cut) the moment the broadcast
+// lands, never whenever this replica's re-drain completes — per-replica flag
+// timing was the freeze-skew residue (docs/CONSISTENCY.md §5).
 //
 // A poisoned WAL's latched failure is returned (after the local freeze work
 // completes, so no reader is left parked on a half-frozen writer) and the
-// caller must withhold the batch ack.
-func (nd *Node) applyFreezeBatch(freezes []wire.ExtFreeze) error {
-	// A coordinator sends one freeze per batch: the one-element arrays keep
-	// that case off the heap.
-	var parkedOne [1]parkedState
-	var stampOne [1]uint64
-	parked, stamps := parkedOne[:0], stampOne[:0]
-	for _, f := range freezes {
-		st := nd.stripeOf(f.Txn)
-		st.mu.Lock()
-		parked = append(parked, st.parked[f.Txn])
-		st.mu.Unlock()
+// caller must withhold the ack.
+func (nd *Node) applyFreeze(f wire.Freeze) error {
+	st := nd.stripeOf(f.Txn)
+	st.mu.Lock()
+	parked := st.parked[f.Txn]
+	st.mu.Unlock()
+	// Fallback for a missing vector: the local applied frontier.
+	stamp := nd.log.AppliedSelf()
+	if len(f.VC) > nd.idx {
+		stamp = f.VC[nd.idx]
 	}
-	// Stamp every entry and version at arrival — the moment the
-	// verdict for each writer becomes deterministic at this replica — and
-	// fold the batch's externally-committed knowledge into one clock.
+	for _, k := range parked.keys {
+		nd.store.SQStampWrite(k, f.Txn, stamp)
+	}
+	// The freezing transaction's clock, raised to its stamp, is safe to
+	// propagate into other transactions' clocks and read bounds: unlike the
+	// applied frontier, it names no parked stranger. What the committer
+	// learned by waiting out its pending writers (Know), folded before the
+	// flag (and so before the purge), is what lets a reader of this version
+	// inherit no dependency set once the W entry is gone (handleUpdateRead).
 	var ext vclock.VC
-	var maxStamp uint64
-	for i, f := range freezes {
-		// Fallback for a missing vector: the local applied frontier.
-		stamp := nd.log.AppliedSelf()
-		if len(f.VC) > nd.idx {
-			stamp = f.VC[nd.idx]
+	if parked.vc != nil {
+		ext = parked.vc.Clone()
+		if stamp > ext[nd.idx] {
+			ext[nd.idx] = stamp
 		}
-		stamps = append(stamps, stamp)
-		for _, k := range parked[i].keys {
-			nd.store.SQStampWrite(k, f.Txn, stamp)
-		}
-		if stamp > maxStamp {
-			maxStamp = stamp
-		}
-		// The freezing transaction's clock, raised to its stamp, is safe to
-		// propagate into other transactions' clocks and read bounds: unlike
-		// the applied frontier, it names no parked stranger.
-		if vc := parked[i].vc; vc != nil {
-			if ext == nil {
-				ext = vc.Clone()
-			} else {
-				ext.MaxInto(vc)
-			}
-			if stamp > ext[nd.idx] {
-				ext[nd.idx] = stamp
-			}
-			// What the committer learned by waiting out its pending writers:
-			// folded before the flag (and so before the purge), it is what
-			// lets a reader of this version inherit no dependency set once
-			// the W entry is gone (handleUpdateRead).
-			if len(f.Know) == nd.n {
-				ext.MaxInto(f.Know)
-			}
+		if len(f.Know) == nd.n {
+			ext.MaxInto(f.Know)
 		}
 	}
 	var walErr error
 	if nd.wal != nil {
-		// One freeze record per transaction in the batch, unsynced: it and
-		// the decide record before it ride this node's next fsync (at most
-		// the WAL's lag bound away), and nobody waits for them. Before the
-		// client reply everything they carry is durable at the coordinator
-		// — the commit clock in its decision record, the freeze vector and
-		// Know in its freeze record — and recovery phases 3/3b rebuild this
-		// record from there when a crash loses it.
-		for i, f := range freezes {
-			if len(parked[i].keys) == 0 {
-				continue // duplicate freeze or non-replica; nothing to re-stamp
-			}
+		// One freeze record, unsynced: it and the decide record before it
+		// ride this node's next fsync (at most the WAL's lag bound away), and
+		// nobody waits for them. Before the client reply everything they
+		// carry is durable at the coordinator — the commit clock in its
+		// decision record, the freeze vector and Know in its freeze record —
+		// and recovery phases 3/3b rebuild this record from there when a
+		// crash loses it. A duplicate freeze or a non-replica has nothing to
+		// re-stamp and logs nothing.
+		if len(parked.keys) > 0 {
 			// VC is the record's external-clock contribution, so replay
 			// restores what the live fold above learned: Know included.
-			vc := parked[i].vc
+			vc := parked.vc
 			if len(f.Know) == nd.n {
 				vc = vclock.Max(vc, f.Know)
 			}
-			nd.wal.Append(&wal.Record{Type: wal.RecFreeze, Txn: f.Txn, Stamp: stamps[i],
-				Keys: parked[i].keys, VC: vc})
+			nd.wal.Append(&wal.Record{Type: wal.RecFreeze, Txn: f.Txn, Stamp: stamp,
+				Keys: parked.keys, VC: vc})
 		}
 		walErr = nd.wal.Err()
 	}
-	nd.raiseExtFrontier(maxStamp)
+	nd.raiseExtFrontier(stamp)
 	if ext != nil {
-		// RecordExternal is a monotone max-fold, so folding the batch's
-		// join in one call reaches the same clock as per-transaction folds
-		// — with a single snapshot republish.
 		nd.log.RecordExternal(ext)
 	}
-	// Then the gated re-drains and flags, one transaction after another. A
-	// reader-gated writer may hold the rest of the batch behind its wait,
-	// but only their flags and the batch ack: reader verdicts use the
-	// stamps set above, and no reader ever waits on a flag.
-	for i, f := range freezes {
-		nd.redrainAndFlag(f.Txn, parked[i], stamps[i])
-	}
+	// Then the gated re-drain and the flags. Reader verdicts use the stamp
+	// set above, and no reader ever waits on a flag.
+	nd.redrainAndFlag(f.Txn, parked, stamp)
 	return walErr
 }
 
@@ -273,17 +225,10 @@ func (nd *Node) waitParkedDrain(txn wire.TxnID, ps parkedState) {
 	}
 }
 
-// applyPurgeBatch deletes the batch's W entries, one transaction at a
-// time (the purge win of ExtBatch is envelope coalescing; the per-txn
-// stripe work is too small to be worth grouping).
-func (nd *Node) applyPurgeBatch(purges []wire.TxnID) {
-	for _, txn := range purges {
-		nd.purgeParked(txn)
-	}
-}
-
 // purgeParked removes txn's parked state and snapshot-queue W entries (the
-// purge phase of the external commit).
+// purge phase of the external commit, a wire.Purge). A duplicate purge, or
+// one for a transaction this node never parked, finds nothing and does
+// nothing.
 func (nd *Node) purgeParked(txn wire.TxnID) {
 	st := nd.stripeOf(txn)
 	st.mu.Lock()

@@ -26,7 +26,7 @@ import (
 // freezing a bound b ≥ s that covers no stamp of d. d then freezes at Y with
 // freezeVC[Y] > b, flags and purges; T — after its completion wait, whose
 // acknowledgement told its coordinator d's freeze vector — freezes (shipping
-// that knowledge as ExtFreeze.Know) and purges. T′ reads e at X: T is purged
+// that knowledge as Freeze.Know) and purges. T′ reads e at X: T is purged
 // there, nothing is inherited. It writes g@Z and completes. R re-reads Y for c,
 // stamp-excluding d (sticky), and then first-contacts Z for g: returning T′'s
 // version would close R -rw(c)→ d -wr→ T -wr→ T′ -wr(g)→ R.
@@ -47,12 +47,12 @@ func TestLateStampExclusionClosure(t *testing.T) {
 	puppet := nodes[3]
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	freezeAndPurge := func(f wire.ExtFreeze, at wire.NodeID, key string) {
+	freezeAndPurge := func(f wire.Freeze, at wire.NodeID, key string) {
 		t.Helper()
-		if _, err := puppet.rpc.Call(ctx, at, &wire.ExtBatch{Freezes: []wire.ExtFreeze{f}}); err != nil {
+		if _, err := puppet.rpc.Call(ctx, at, &f); err != nil {
 			t.Fatalf("freeze %v at %d: %v", f.Txn, at, err)
 		}
-		if err := puppet.rpc.Notify(at, &wire.ExtBatch{Purges: []wire.TxnID{f.Txn}}); err != nil {
+		if err := puppet.rpc.Notify(at, &wire.Purge{Txn: f.Txn}); err != nil {
 			t.Fatalf("purge %v at %d: %v", f.Txn, at, err)
 		}
 		waitUntil(t, "purge of "+f.Txn.String(), func() bool {
@@ -100,11 +100,11 @@ func TestLateStampExclusionClosure(t *testing.T) {
 	if fd[Y] <= b {
 		t.Fatalf("d's stamp at Y is %d, not above R's bound %d", fd[Y], b)
 	}
-	freezeAndPurge(wire.ExtFreeze{Txn: d, VC: fd}, Y, kC)
+	freezeAndPurge(wire.Freeze{Txn: d, VC: fd}, Y, kC)
 
 	// T completes behind d.
 	fT := puppetDrain(t, puppet, tID, tVC, []wire.NodeID{X})
-	freezeAndPurge(wire.ExtFreeze{Txn: tID, VC: fT, Know: fd}, X, kE)
+	freezeAndPurge(wire.Freeze{Txn: tID, VC: fT, Know: fd}, X, kE)
 
 	// T′ is a real transaction: it reads e at X with T purged.
 	t2 := nodes[Z].Begin(false)
@@ -243,7 +243,7 @@ func TestDependencySetsStayBounded(t *testing.T) {
 // with a real committer: T reads d's version before d has any stamp, so T's
 // commit clock knows d's slot only; T's completion wait is answered with d's
 // coordinator's external-knowledge clock (WaitExternalAck.VC), T's node folds
-// it, and T's freeze carries it (ExtFreeze.Know) to a write replica that never
+// it, and T's freeze carries it (Freeze.Know) to a write replica that never
 // heard of d — whose clock must then cover d's stamp.
 func TestCommitterShipsWhatItWaitedOut(t *testing.T) {
 	nodes := newCluster(t, 4, 1, Config{MaxVersions: 1 << 20, DrainTimeout: 5 * time.Second})
@@ -293,7 +293,7 @@ func TestCommitterShipsWhatItWaitedOut(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if _, err := puppet.rpc.Call(ctx, Y, &wire.ExtBatch{Freezes: []wire.ExtFreeze{{Txn: d, VC: fd}}}); err != nil {
+	if _, err := puppet.rpc.Call(ctx, Y, &wire.Freeze{Txn: d, VC: fd}); err != nil {
 		t.Fatalf("freeze d: %v", err)
 	}
 	puppet.log.RecordExternal(fd)

@@ -402,8 +402,11 @@ func (nd *Node) serve(from wire.NodeID, rid uint64, msg wire.Msg) {
 		nd.handleFwdRemove(m)
 	case *wire.ExtCommit:
 		nd.handleDrainRound(from, rid, m)
-	case *wire.ExtBatch:
-		nd.handleExtBatch(from, rid, m)
+	case *wire.Freeze:
+		nd.handleFreeze(from, rid, m)
+	case *wire.Purge:
+		nd.purgeParked(m.Txn)
+		nd.stats.CommitRounds.PurgeBatchTxns.Add(1)
 	case *wire.WaitExternal:
 		nd.handleWaitExternal(from, rid, m)
 	case *wire.TxnStatus:

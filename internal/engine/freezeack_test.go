@@ -21,13 +21,13 @@ import (
 //	A -rt-> B -rw-> C -wr-> D -rw-> A
 //
 // cycle; here the lossy link is a puppet — an InProc Filter that swallows
-// freeze-carrying ExtBatches to the starved replica — and the closed window
+// Freeze messages to the starved replica — and the closed window
 // is asserted directly on the engine's defense, FreezeAckBudget (the ack is
 // withheld while the freeze redelivers). No live cluster, no
 // timing-dependent checker.
 
-// freezeStarver returns an InProc filter dropping freeze-carrying ExtBatch
-// envelopes addressed to victim while blocked holds, plus the flag itself.
+// freezeStarver returns an InProc filter dropping Freeze envelopes addressed
+// to victim while blocked holds, plus the flag itself.
 func freezeStarver(victim wire.NodeID) (*atomic.Bool, func(from, to wire.NodeID, env wire.Envelope) bool) {
 	blocked := &atomic.Bool{}
 	blocked.Store(true)
@@ -35,7 +35,7 @@ func freezeStarver(victim wire.NodeID) (*atomic.Bool, func(from, to wire.NodeID,
 		if to != victim || !blocked.Load() {
 			return true
 		}
-		if eb, ok := env.Msg.(*wire.ExtBatch); ok && len(eb.Freezes) > 0 {
+		if _, ok := env.Msg.(*wire.Freeze); ok {
 			return false // the lossy link: freeze never arrives
 		}
 		return true

@@ -242,8 +242,8 @@ func puppetDrain(t *testing.T, puppet *Node, txn wire.TxnID, commitVC vclock.VC,
 	return freezeVC
 }
 
-// puppetFreeze broadcasts the freeze round — the one-element wire.ExtBatch a
-// real coordinator's freeze fan-out sends — without
+// puppetFreeze broadcasts the freeze round — the wire.Freeze a real
+// coordinator's freeze fan-out sends — without
 // waiting for its acks (gated replicas block in their re-drain until the gate
 // readers complete; the puppet's Close fails whatever is still outstanding).
 func puppetFreeze(puppet *Node, txn wire.TxnID, freezeVC vclock.VC, writeNodes []wire.NodeID) {
@@ -252,7 +252,7 @@ func puppetFreeze(puppet *Node, txn wire.TxnID, freezeVC vclock.VC, writeNodes [
 		go func() {
 			fctx, fcancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer fcancel()
-			_, _ = puppet.rpc.Call(fctx, to, &wire.ExtBatch{Freezes: []wire.ExtFreeze{{Txn: txn, VC: freezeVC}}})
+			_, _ = puppet.rpc.Call(fctx, to, &wire.Freeze{Txn: txn, VC: freezeVC})
 		}()
 	}
 }

@@ -587,7 +587,7 @@ func (nd *Node) handleDecide(from wire.NodeID, rid uint64, m *wire.Decide) {
 
 	gated := nd.preCommit(m, pt)
 	// The W entries stay parked until the coordinator's freeze and purge
-	// (wire.ExtBatch); record which keys they cover.
+	// (wire.Freeze, wire.Purge); record which keys they cover.
 	st.mu.Lock()
 	st.parked[m.Txn] = parkedState{keys: pt.localWKey, sid: m.VC[nd.idx], vc: m.VC.Clone()}
 	st.mu.Unlock()
@@ -668,7 +668,7 @@ func (nd *Node) preCommit(m *wire.Decide, pt *participantTxn) bool {
 // already clear. The ack returns this node's drain-stage frontier; the
 // coordinator joins the frontiers with the commit clock into the freeze
 // vector. (The stage normally rides the decide round, Decide.Drain; freeze
-// and purge arrive as wire.ExtBatch — handleExtBatch.)
+// and purge arrive as wire.Freeze and wire.Purge — handleFreeze, purgeParked.)
 func (nd *Node) handleDrainRound(from wire.NodeID, rid uint64, m *wire.ExtCommit) {
 	st := nd.stripeOf(m.Txn)
 	st.mu.Lock()

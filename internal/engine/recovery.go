@@ -35,7 +35,7 @@ type walTxn struct {
 type coordRecord struct {
 	commitVC vclock.VC
 	freezeVC vclock.VC // nil until the freeze vector is formed
-	know     vclock.VC // the freeze order's ExtFreeze.Know; nil when none
+	know     vclock.VC // the freeze order's Freeze.Know; nil when none
 }
 
 // maxCoordStatus bounds the coordinator-status table. Eviction is FIFO: an
@@ -352,7 +352,7 @@ func (nd *Node) Recover() error {
 
 	// Phase 3b: recover missing freeze vectors. A transaction can be
 	// decided here with no freeze record durable: this replica acked its
-	// freeze before the record's fsync (applyFreezeBatch) and crashed within
+	// freeze before the record's fsync (applyFreeze) and crashed within
 	// the WAL's lag bound, or this node crashed before the coordinator's
 	// freeze reached it and the freeze-ack budget released the client reply
 	// rather than wedging the commit (awaitFreezeAcks) — either way the
@@ -478,7 +478,7 @@ func (nd *Node) localWrites(writes []wire.KV) []string {
 
 // withKnow is a recovered freeze's external-clock contribution: the commit
 // clock joined with the order's Know — exactly the VC a write replica's own
-// freeze record would have carried (applyFreezeBatch).
+// freeze record would have carried (applyFreeze).
 func (nd *Node) withKnow(commitVC, know vclock.VC) vclock.VC {
 	if len(know) != nd.n {
 		return commitVC

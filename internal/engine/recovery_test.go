@@ -700,7 +700,7 @@ func TestClockCatchupPeerReadyLate(t *testing.T) {
 
 // TestRecoverRestoresFreezeKnow pins the WAL half of the dependency-lifetime
 // rule: what a committer learned by waiting out its pending writers reaches a
-// write replica's external-knowledge clock through ExtFreeze.Know, and — since
+// write replica's external-knowledge clock through Freeze.Know, and — since
 // readers of the purged version rely on that clock instead of a dependency set
 // — it must come back from the replica's freeze record after a crash.
 func TestRecoverRestoresFreezeKnow(t *testing.T) {
@@ -729,9 +729,9 @@ func TestRecoverRestoresFreezeKnow(t *testing.T) {
 	const learned = 1000 // far above any slot or stamp this node assigns
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if _, err := nd1.rpc.Call(ctx, 0, &wire.ExtBatch{Freezes: []wire.ExtFreeze{
-		{Txn: txn, VC: puppetDrain(t, nd1, txn, commitVC, []wire.NodeID{0}), Know: vclock.VC{learned}},
-	}}); err != nil {
+	if _, err := nd1.rpc.Call(ctx, 0, &wire.Freeze{
+		Txn: txn, VC: puppetDrain(t, nd1, txn, commitVC, []wire.NodeID{0}), Know: vclock.VC{learned},
+	}); err != nil {
 		t.Fatalf("freeze: %v", err)
 	}
 	if got := nd1.log.ExternalVC()[0]; got != learned {

@@ -461,16 +461,12 @@ func TestCrashAfterReplyRestoresKnow(t *testing.T) {
 	var holdD atomic.Bool
 	holdD.Store(true)
 	filter := func(from, to wire.NodeID, env wire.Envelope) bool {
-		b, ok := env.Msg.(*wire.ExtBatch)
+		f, ok := env.Msg.(*wire.Freeze)
 		if !ok || !holdD.Load() || from != X || to != 1 {
 			return true
 		}
-		for _, f := range b.Freezes {
-			if d := dID.Load(); d != nil && f.Txn == *d {
-				return false
-			}
-		}
-		return true
+		d := dID.Load()
+		return d == nil || f.Txn != *d
 	}
 	dc := bootDurableNet(t, freshDirs(t, 4),
 		Config{VoteTimeout: 200 * time.Millisecond, FreezeAckBudget: time.Minute},

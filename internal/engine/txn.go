@@ -283,7 +283,7 @@ func (nd *Node) waitExternal(w wire.TxnID) {
 		return
 	}
 	// What w's coordinator knew at w's external commit — w's freeze vector and
-	// whatever w waited out — is now known here: the committer's ExtFreeze.Know.
+	// whatever w waited out — is now known here: the committer's Freeze.Know.
 	if ack, ok := resp.(*wire.WaitExternalAck); ok && len(ack.VC) == nd.n {
 		nd.log.RecordExternal(ack.VC)
 	}
@@ -787,7 +787,7 @@ func (t *Txn) commitUpdate() error {
 		nd.recordCoordFreeze(t.id, freezeVC, know)
 		coordSeq = nd.wal.Append(&wal.Record{Type: wal.RecFreeze, Txn: t.id, VC: freezeVC, VC2: know})
 	}
-	msgs := newExtMsgs(wire.ExtFreeze{Txn: t.id, VC: freezeVC, Know: know})
+	msgs := newExtMsgs(wire.Freeze{Txn: t.id, VC: freezeVC, Know: know})
 	fan := nd.rpc.Multi(writeNodes, &msgs.freeze)
 	var freezeSyncErr error
 	if nd.wal != nil {

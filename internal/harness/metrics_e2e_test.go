@@ -161,9 +161,11 @@ func TestMetricsExposition(t *testing.T) {
 	if drains < float64(total) {
 		t.Errorf("cluster drains (piggybacked+rounds) = %.0f, want >= commits = %d", drains, total)
 	}
+	// A Freeze message carries one transaction: the two counters move
+	// together, one per freeze a replica receives.
 	if b, txns := merged.Counter("sss_commit_rounds_freeze_batches_total"),
-		merged.Counter("sss_commit_rounds_freeze_batch_txns_total"); b > txns {
-		t.Errorf("freeze batches %.0f > freeze batch txns %.0f", b, txns)
+		merged.Counter("sss_commit_rounds_freeze_batch_txns_total"); b != txns || b == 0 {
+		t.Errorf("freeze batches %.0f, freeze batch txns %.0f: want equal and > 0", b, txns)
 	}
 	if wals := merged.Hists["sss_stage_wal_sync_seconds"]; wals == nil || wals.Count == 0 {
 		t.Error("durable cluster recorded no sss_stage_wal_sync_seconds observations")

@@ -434,7 +434,7 @@ type Engine struct {
 
 	// CommitRounds breaks down the update-commit round structure: how many
 	// drain stages rode a decide ack vs paid a standalone round trip, and
-	// how many freezes and purges the replicas' ExtBatches carried.
+	// how many freezes and purges the replicas received.
 	CommitRounds CommitRounds
 
 	// Latency (begin → external commit), the paper's Figure 4(b).
@@ -510,9 +510,11 @@ func (s *Stages) Snapshot() StagesSnapshot {
 // CommitRounds counts the acked round structure of the update-commit path.
 // DrainsPiggybacked/DrainRounds are replica-side counts of drain stages
 // served inside a decide ack vs by a standalone ExtCommit drain round;
-// FreezeBatches/FreezeBatchTxns/PurgeBatchTxns count the replica-side
-// ExtBatch envelopes carrying freezes and the freezes/purges they carried
-// (a coordinator sends one freeze per batch, so txns per batch reads 1).
+// FreezeBatches and FreezeBatchTxns each count one per wire.Freeze a
+// replica receives, PurgeBatchTxns one per wire.Purge: a message carries one
+// transaction, so the two freeze counters are equal and txns per batch reads
+// 1 by construction. The names are kept for the reports and /metrics series
+// that read them.
 type CommitRounds struct {
 	DrainsPiggybacked atomic.Uint64
 	DrainRounds       atomic.Uint64

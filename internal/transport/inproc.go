@@ -32,7 +32,7 @@ type InProcConfig struct {
 	// Filter, when non-nil, is consulted for every remote message before
 	// scheduling: returning false drops it silently, the deterministic
 	// lossy-link seam for puppet fault tests (e.g. starving one replica
-	// of its freeze batch). Tests carry their own state in the closure;
+	// of its freezes). Tests carry their own state in the closure;
 	// it is called without transport locks held beyond the send path's
 	// read lock.
 	Filter func(from, to wire.NodeID, env wire.Envelope) bool
@@ -53,7 +53,7 @@ type InProc struct {
 	cfg InProcConfig
 
 	mu      sync.RWMutex
-	nodes   map[wire.NodeID]*inprocNode
+	nodes   map[wire.NodeID]*dispatcher
 	pipes   map[[2]wire.NodeID]*inprocPipe
 	closed  bool
 	closing chan struct{}
@@ -63,22 +63,19 @@ type InProc struct {
 	stats metrics.Transport
 }
 
-type inprocNode struct {
-	disp  *dispatcher
-	stats *metrics.Transport
-}
-
 var _ Network = (*InProc)(nil)
 
 // NewInProc builds a simulated network with the given configuration.
 func NewInProc(cfg InProcConfig) *InProc {
-	if cfg.Latency == 0 && !cfg.DisableLatency {
+	if cfg.DisableLatency {
+		cfg.Latency = 0
+	} else if cfg.Latency == 0 {
 		cfg.Latency = DefaultLatency
 	}
 	cfg.tuning = cfg.tuning.withDefaults()
 	return &InProc{
 		cfg:     cfg,
-		nodes:   make(map[wire.NodeID]*inprocNode),
+		nodes:   make(map[wire.NodeID]*dispatcher),
 		pipes:   make(map[[2]wire.NodeID]*inprocPipe),
 		closing: make(chan struct{}),
 	}
@@ -97,10 +94,7 @@ func (n *InProc) Join(id wire.NodeID, h Handler) (Endpoint, error) {
 	if _, dup := n.nodes[id]; dup {
 		return nil, fmt.Errorf("transport: node %d already joined", id)
 	}
-	n.nodes[id] = &inprocNode{
-		disp:  newDispatcher(n.cfg.tuning.Workers, h, &n.wg, &n.stats),
-		stats: &n.stats,
-	}
+	n.nodes[id] = newDispatcher(n.cfg.tuning.Workers, h, &n.wg, &n.stats)
 	return &inprocEndpoint{net: n, id: id}, nil
 }
 
@@ -117,9 +111,9 @@ func (n *InProc) Close() error {
 	for _, p := range n.pipes {
 		pipes = append(pipes, p)
 	}
-	nodes := make([]*inprocNode, 0, len(n.nodes))
-	for _, nd := range n.nodes {
-		nodes = append(nodes, nd)
+	nodes := make([]*dispatcher, 0, len(n.nodes))
+	for _, d := range n.nodes {
+		nodes = append(nodes, d)
 	}
 	n.mu.Unlock()
 
@@ -127,25 +121,14 @@ func (n *InProc) Close() error {
 		p.stop()
 	}
 	n.wg.Wait()
-	for _, nd := range nodes {
-		nd.disp.stop()
+	for _, d := range nodes {
+		d.stop()
 	}
 	return nil
 }
 
 // Metrics returns the network-wide batching counters.
 func (n *InProc) Metrics() *metrics.Transport { return &n.stats }
-
-// PeerMetrics returns the batching counters of the from→to pipe, or nil if
-// that pair has never exchanged a remote message.
-func (n *InProc) PeerMetrics(from, to wire.NodeID) *metrics.Transport {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	if p := n.pipes[[2]wire.NodeID{from, to}]; p != nil {
-		return &p.stats
-	}
-	return nil
-}
 
 // send routes env from→to. Self-sends bypass latency and the pipe, going
 // straight to the destination dispatcher.
@@ -163,7 +146,7 @@ func (n *InProc) send(from, to wire.NodeID, env wire.Envelope) error {
 	if from == to {
 		n.wg.Add(1)
 		n.mu.RUnlock()
-		dst.disp.dispatch(env)
+		dst.dispatch(env)
 		return nil
 	}
 	if n.cfg.Filter != nil && !n.cfg.Filter(from, to, env) {
@@ -191,10 +174,6 @@ func (n *InProc) send(from, to wire.NodeID, env wire.Envelope) error {
 		}
 	}
 
-	delay := time.Duration(0)
-	if !n.cfg.DisableLatency {
-		delay = n.cfg.Latency
-	}
 	for i := 0; i < copies; i++ {
 		send := env
 		if copies > 1 {
@@ -213,7 +192,7 @@ func (n *InProc) send(from, to wire.NodeID, env wire.Envelope) error {
 		}
 		// A closed pipe refuses the push: release the delivery slots of
 		// this copy and the ones not yet sent.
-		if !pipe.q.Push(timedEnv{env: send, at: time.Now(), lag: delay}) {
+		if !pipe.q.Push(timedEnv{env: send, at: time.Now()}) {
 			for ; i < copies; i++ {
 				n.wg.Done()
 			}
@@ -234,7 +213,7 @@ func cloneEnvelope(env wire.Envelope) (wire.Envelope, error) {
 	return wire.DecodeEnvelope(buf)
 }
 
-func (n *InProc) makePipe(key [2]wire.NodeID, dst *inprocNode) *inprocPipe {
+func (n *InProc) makePipe(key [2]wire.NodeID, dst *dispatcher) *inprocPipe {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.closed {
@@ -249,27 +228,25 @@ func (n *InProc) makePipe(key [2]wire.NodeID, dst *inprocNode) *inprocPipe {
 }
 
 // inprocPipe is the ordered delivery channel of one sender→receiver pair:
-// a queue of (envelope, due time) drained by one goroutine that takes
-// whatever accumulated, then delivers each envelope at its own due instant,
-// first in, first out — the in-process analogue of the TCP sender's frame
-// coalescing.
+// a queue of (envelope, enqueue time) drained by one goroutine that takes
+// whatever accumulated, then delivers each envelope at its own due instant
+// (enqueue time plus the network's latency), first in, first out — the
+// in-process analogue of the TCP sender's frame coalescing.
 type inprocPipe struct {
 	net  *InProc
-	dst  *inprocNode
+	dst  *dispatcher
 	q    *batchq.Queue[timedEnv]
 	done sync.WaitGroup
 
 	maxBatch int
-	stats    metrics.Transport
 }
 
 type timedEnv struct {
 	env wire.Envelope
-	at  time.Time     // enqueue time
-	lag time.Duration // simulated delivery delay; due = at + lag
+	at  time.Time // enqueue time
 }
 
-func newInprocPipe(n *InProc, dst *inprocNode, maxBatch int) *inprocPipe {
+func newInprocPipe(n *InProc, dst *dispatcher, maxBatch int) *inprocPipe {
 	p := &inprocPipe{net: n, dst: dst, q: batchq.New[timedEnv](), maxBatch: maxBatch}
 	p.done.Add(1)
 	go p.run()
@@ -286,7 +263,7 @@ func (p *inprocPipe) run() {
 			return
 		}
 		for _, te := range batch {
-			if wait := time.Until(te.at.Add(te.lag)); wait > 0 {
+			if wait := time.Until(te.at.Add(p.net.cfg.Latency)); wait > 0 {
 				if timer == nil {
 					timer = time.NewTimer(wait)
 				} else {
@@ -300,13 +277,12 @@ func (p *inprocPipe) run() {
 					timer.Stop()
 				}
 			}
-			p.dst.disp.dispatch(te.env)
+			p.dst.dispatch(te.env)
 		}
-		for _, s := range []*metrics.Transport{&p.stats, &p.net.stats} {
-			s.Flushes.Add(1)
-			s.Envelopes.Add(uint64(len(batch)))
-			s.FlushLatency.Observe(time.Since(batch[0].at))
-		}
+		s := &p.net.stats
+		s.Flushes.Add(1)
+		s.Envelopes.Add(uint64(len(batch)))
+		s.FlushLatency.Observe(time.Since(batch[0].at))
 		clear(batch)
 	}
 }

@@ -36,7 +36,7 @@ const (
 	// Stamp is this node's external-commit stamp (the freeze vector's entry
 	// for this node), Keys the locally written keys to re-stamp on replay,
 	// and VC the external-clock contribution (the commit clock joined with
-	// the order's wire.ExtFreeze.Know); a write replica appends it unsynced.
+	// the order's wire.Freeze.Know); a write replica appends it unsynced.
 	// The coordinator writes the record with no keys (VC = full freeze
 	// vector, VC2 = the order's Know) and syncs it before the client reply:
 	// it is what in-doubt replies and a replica's lost record are rebuilt

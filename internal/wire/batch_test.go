@@ -34,7 +34,7 @@ func randomEnvelope(r *rand.Rand, n int) Envelope {
 		return b
 	}
 	var msg Msg
-	switch r.Intn(11) {
+	switch r.Intn(13) {
 	case 0:
 		hr := make([]bool, n)
 		for i := range hr {
@@ -68,21 +68,18 @@ func randomEnvelope(r *rand.Rand, n int) Envelope {
 	case 8:
 		msg = &WalterPropagate{Txn: txn, VC: vc, Writes: []KV{{Key: randKey(), Val: randVal()}}}
 	case 9:
-		m := &ExtBatch{}
-		for i := 0; i < r.Intn(4); i++ {
-			f := ExtFreeze{Txn: TxnID{Node: NodeID(r.Intn(n)), Seq: r.Uint64() % 1e6}}
-			if r.Intn(4) != 0 {
-				f.VC = vc
-			}
-			if r.Intn(2) == 0 {
-				f.Know = vc
-			}
-			m.Freezes = append(m.Freezes, f)
+		m := &Freeze{Txn: txn}
+		if r.Intn(4) != 0 {
+			m.VC = vc
 		}
-		for i := 0; i < r.Intn(4); i++ {
-			m.Purges = append(m.Purges, TxnID{Node: NodeID(r.Intn(n)), Seq: r.Uint64() % 1e6})
+		if r.Intn(2) == 0 {
+			m.Know = vc
 		}
 		msg = m
+	case 10:
+		msg = &Purge{Txn: txn}
+	case 11:
+		msg = &FreezeAck{}
 	default:
 		msg = &RococoDispatch{Txn: txn, ReadKeys: []string{randKey()}, Writes: []KV{{Key: randKey(), Val: randVal()}}}
 	}

@@ -98,16 +98,14 @@ func appendBody(buf []byte, msg Msg) ([]byte, error) {
 		buf = AppendTxnID(buf, m.RO)
 	case *ExtCommit:
 		buf = AppendTxnID(buf, m.Txn)
-	case *ExtBatch:
-		buf = binary.AppendUvarint(buf, uint64(len(m.Freezes)))
-		for _, f := range m.Freezes {
-			buf = AppendTxnID(buf, f.Txn)
-			buf = f.VC.AppendBinary(buf)
-			buf = f.Know.AppendBinary(buf)
-		}
-		buf = AppendTxnIDs(buf, m.Purges)
-	case *ExtBatchAck:
-		buf = binary.AppendUvarint(buf, m.Freezes)
+	case *Freeze:
+		buf = AppendTxnID(buf, m.Txn)
+		buf = m.VC.AppendBinary(buf)
+		buf = m.Know.AppendBinary(buf)
+	case *FreezeAck:
+		// No body.
+	case *Purge:
+		buf = AppendTxnID(buf, m.Txn)
 	case *WaitExternal:
 		buf = AppendTxnID(buf, m.Txn)
 	case *WaitExternalAck:
@@ -225,18 +223,12 @@ func decodeBody(d *Decoder, t MsgType) (Msg, error) {
 		return &FwdRemove{RO: d.TxnID()}, d.err
 	case MsgExtCommit:
 		return &ExtCommit{Txn: d.TxnID()}, d.err
-	case MsgExtBatch:
-		m := &ExtBatch{}
-		if n := d.Count(); n > 0 {
-			m.Freezes = make([]ExtFreeze, n)
-			for i := range m.Freezes {
-				m.Freezes[i] = ExtFreeze{Txn: d.TxnID(), VC: d.VC(), Know: d.VC()}
-			}
-		}
-		m.Purges = d.TxnIDs()
-		return m, d.err
-	case MsgExtBatchAck:
-		return &ExtBatchAck{Freezes: d.Uvarint()}, d.err
+	case MsgFreeze:
+		return &Freeze{Txn: d.TxnID(), VC: d.VC(), Know: d.VC()}, d.err
+	case MsgFreezeAck:
+		return &FreezeAck{}, d.err
+	case MsgPurge:
+		return &Purge{Txn: d.TxnID()}, d.err
 	case MsgWaitExternal:
 		return &WaitExternal{Txn: d.TxnID()}, d.err
 	case MsgWaitExternalAck:

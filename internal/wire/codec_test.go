@@ -46,13 +46,12 @@ func TestRoundTripAllMessageTypes(t *testing.T) {
 		{From: 1, Msg: &Remove{Txn: TxnID{1, 77}}},
 		{From: 1, Msg: &FwdRemove{RO: TxnID{2, 5}}},
 		{From: 0, RID: 11, Msg: &ExtCommit{Txn: TxnID{0, 1}}},
-		{From: 0, RID: 14, Msg: &ExtBatch{
-			// A nil Know round-trips to nil (DeepEqual tells nil from empty).
-			Freezes: []ExtFreeze{{Txn: TxnID{0, 1}, VC: vc}, {Txn: TxnID{0, 2}}, {Txn: TxnID{0, 3}, VC: vc, Know: vclock.VC{9, 9, 4}}},
-			Purges:  []TxnID{{1, 3}},
-		}},
-		{From: 0, Msg: &ExtBatch{Purges: []TxnID{{1, 4}, {2, 5}}}},
-		{From: 1, RID: 14, Resp: true, Msg: &ExtBatchAck{Freezes: 2}},
+		// A nil clock round-trips to nil (DeepEqual tells nil from empty).
+		{From: 0, RID: 14, Msg: &Freeze{Txn: TxnID{0, 2}}},
+		{From: 0, RID: 14, Msg: &Freeze{Txn: TxnID{0, 1}, VC: vc}},
+		{From: 0, RID: 14, Msg: &Freeze{Txn: TxnID{0, 3}, VC: vc, Know: vclock.VC{9, 9, 4}}},
+		{From: 1, RID: 14, Resp: true, Msg: &FreezeAck{}},
+		{From: 0, Msg: &Purge{Txn: TxnID{1, 4}}},
 		{From: 2, RID: 13, Msg: &WaitExternal{Txn: TxnID{2, 9}}},
 		{From: 0, RID: 13, Resp: true, Msg: &WaitExternalAck{Txn: TxnID{2, 9}}},
 		{From: 0, RID: 13, Resp: true, Msg: &WaitExternalAck{Txn: TxnID{2, 9}, VC: vc}},
@@ -215,17 +214,20 @@ func TestPropPrepareRoundTrip(t *testing.T) {
 
 // FuzzDecodeEnvelope feeds the decoder arbitrary bytes: it must never panic,
 // and whatever it accepts must survive re-encoding unchanged. The seeds cover
-// the optional clocks — ExtFreeze.Know, WaitExternalAck.VC,
-// TxnStatusReply.Know — set and nil.
+// the optional clocks — Freeze.VC and Freeze.Know, WaitExternalAck.VC,
+// TxnStatusReply.Know — set and nil, and the bodyless FreezeAck.
 func FuzzDecodeEnvelope(f *testing.F) {
 	vc := vclock.VC{3, 7, 1}
 	for _, msg := range []Msg{
-		&ExtBatch{Freezes: []ExtFreeze{{Txn: TxnID{0, 1}, VC: vc, Know: vclock.VC{9, 9, 4}}, {Txn: TxnID{0, 2}, VC: vc}}},
+		&Freeze{Txn: TxnID{0, 1}, VC: vc, Know: vclock.VC{9, 9, 4}},
 		&WaitExternalAck{Txn: TxnID{2, 9}, VC: vc},
 		&WaitExternalAck{Txn: TxnID{2, 9}},
 		&TxnStatusReply{Txn: TxnID{1, 6}, Known: true, Commit: true, VC: vc, FreezeVC: vc, Know: vclock.VC{9, 9, 4}},
 		&TxnStatusReply{Txn: TxnID{1, 6}, Known: true, Commit: true, VC: vc},
 		&ReadRequest{Txn: TxnID{1, 9}, Key: "k", VC: vc, Before: []ExWriter{{Txn: TxnID{0, 1}}, {Txn: TxnID{0, 2}, VC: vclock.VC{0, 8, 0}}}},
+		&Freeze{Txn: TxnID{0, 2}},
+		&Purge{Txn: TxnID{1, 4}},
+		&FreezeAck{},
 	} {
 		buf, err := EncodeEnvelope(nil, Envelope{From: 1, RID: 5, Msg: msg})
 		if err != nil {

@@ -82,8 +82,9 @@ const (
 	MsgRococoDispatchReply
 	MsgRococoCommit
 	MsgRococoCommitReply
-	MsgExtBatch
-	MsgExtBatchAck
+	MsgFreeze
+	MsgFreezeAck
+	MsgPurge
 	MsgTxnStatus
 	MsgTxnStatusReply
 	MsgClockSync
@@ -268,14 +269,19 @@ type Remove struct {
 // without announcing anything and returns its drain-stage frontier in
 // DecideAck.Ext. The coordinator normally piggybacks this stage onto the
 // decide round (Decide.Drain) and sends this message only to re-tighten a
-// contended or stale barrier. Freeze and purge ship as ExtBatch.
+// contended or stale barrier. Freeze and Purge carry the stages after it.
 type ExtCommit struct {
 	Txn TxnID
 }
 
-// ExtFreeze is one transaction's freeze order inside an ExtBatch. VC is the
-// coordinator-assigned freeze vector: the transaction's final commit clock
-// joined, per write replica, with that replica's drain-stage frontier.
+// Freeze is the freeze stage of Txn's external commit, sent by its
+// coordinator to each write replica as an acked call before the client
+// reply. VC is the coordinator-assigned freeze vector: the transaction's
+// final commit clock joined, per write replica, with that replica's
+// drain-stage frontier. The replica records VC[self] as the writer's
+// external-commit stamp *on arrival* (before its own gated re-drain), folds
+// the transaction's clock into its external-knowledge clock, re-drains, flags
+// the entries and answers with a FreezeAck.
 //
 // Because the vector is computed once by the coordinator, every replica of a
 // key stamps the same value at the same protocol step, and read-only
@@ -290,32 +296,21 @@ type ExtCommit struct {
 // freeze vectors. The replica joins it into its own, so a reader that meets
 // this transaction's version after its purge — and inherits no dependency set
 // — gets a clock covering every stamp in its ancestry. nil is one byte.
-type ExtFreeze struct {
+type Freeze struct {
 	Txn  TxnID
 	VC   vclock.VC
 	Know vclock.VC
 }
 
-// ExtBatch carries external-commit traffic from a coordinator to a write
-// replica: freeze orders and purge notifications. The engine's coordinator
-// sends each transaction's freeze as an acked batch of one, before it
-// replies to its client, and its purge as a one-way batch of one after that
-// replica's freeze ack; a batch may carry several of either. The replica
-// records VC[self] of every freeze as the writer's external-commit stamp *on
-// arrival* (before its own gated re-drain), folds all their clocks into its
-// external-knowledge clock with a single republish, runs the re-drains one
-// after another, flags the entries, and answers with one ExtBatchAck
-// covering the whole batch. Purges delete the entries; a batch with no
-// freezes is a one-way purge notification.
-type ExtBatch struct {
-	Freezes []ExtFreeze
-	Purges  []TxnID
-}
+// FreezeAck answers a Freeze once the writer's entries are stamped,
+// re-drained and flagged. The call it answers names the transaction.
+type FreezeAck struct{}
 
-// ExtBatchAck answers an ExtBatch once every freeze in it has been stamped,
-// re-drained and flagged. Freezes echoes the number of freezes applied.
-type ExtBatchAck struct {
-	Freezes uint64
+// Purge is the last stage of Txn's external commit: a one-way notification
+// that deletes the writer's W entries and parked state at a write replica.
+// The coordinator sends it to a replica only after that replica's FreezeAck.
+type Purge struct {
+	Txn TxnID
 }
 
 // WaitExternal subscribes to Txn's external commit at its coordinator. The
@@ -398,7 +393,7 @@ type TxnStatus struct {
 // already ran — the coordinator-assigned freeze vector, so the recovering
 // replica re-stamps the transaction's versions with the same
 // replica-independent stamp every live replica recorded. Know is the freeze
-// order's ExtFreeze.Know (nil when the committer waited for nobody): the
+// order's Freeze.Know (nil when the committer waited for nobody): the
 // replica folds it into its external clock as the lost freeze record would
 // have.
 type TxnStatusReply struct {
@@ -442,8 +437,9 @@ var (
 	_ Msg = (*RococoDispatchReply)(nil)
 	_ Msg = (*RococoCommit)(nil)
 	_ Msg = (*RococoCommitReply)(nil)
-	_ Msg = (*ExtBatch)(nil)
-	_ Msg = (*ExtBatchAck)(nil)
+	_ Msg = (*Freeze)(nil)
+	_ Msg = (*FreezeAck)(nil)
+	_ Msg = (*Purge)(nil)
 	_ Msg = (*ClockSync)(nil)
 	_ Msg = (*ClockSyncReply)(nil)
 	_ Msg = (*TxnStatus)(nil)
@@ -499,10 +495,13 @@ func (*RococoCommit) Type() MsgType { return MsgRococoCommit }
 func (*RococoCommitReply) Type() MsgType { return MsgRococoCommitReply }
 
 // Type implements Msg.
-func (*ExtBatch) Type() MsgType { return MsgExtBatch }
+func (*Freeze) Type() MsgType { return MsgFreeze }
 
 // Type implements Msg.
-func (*ExtBatchAck) Type() MsgType { return MsgExtBatchAck }
+func (*FreezeAck) Type() MsgType { return MsgFreezeAck }
+
+// Type implements Msg.
+func (*Purge) Type() MsgType { return MsgPurge }
 
 // Type implements Msg.
 func (*TxnStatus) Type() MsgType { return MsgTxnStatus }

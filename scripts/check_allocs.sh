@@ -144,6 +144,12 @@ check ./internal/batchq 'BenchmarkQueue' 10000x \
 check ./internal/clientproto '^BenchmarkCodecRoundTrip$' 20000x \
   'BenchmarkCodecRoundTrip' 3
 
+# Peer message encoding: one envelope, and a batch frame of envelopes, into
+# a pooled buffer allocate nothing (measured 0 and 0).
+check ./internal/wire '^BenchmarkEncode(Envelope|Batch)$' 10000x \
+  'BenchmarkEncodeEnvelope' 0 \
+  'BenchmarkEncodeBatch' 0
+
 # WAL record encoding: a prepare of three writes and two dependencies into
 # a reused buffer allocates nothing.
 check ./internal/wal '^BenchmarkAppendPayload$' 20000x \
