@@ -76,7 +76,7 @@ func BenchmarkAblation_ReadOnlyShare(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res := runPoint(b, EngineSSS, 3, 2, w, 10)
 				b.ReportMetric(res.Throughput, "txn/s")
-				b.ReportMetric(float64(res.ExternalWaits), "ext-waits")
+				b.ReportMetric(float64(res.Stats.ExternalWaits.Load()), "ext-waits")
 			}
 		})
 	}

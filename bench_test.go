@@ -119,8 +119,8 @@ func BenchmarkFig5_Breakdown(b *testing.B) {
 			w := ycsb.Config{Keys: 5000, ReadOnlyPct: 50}
 			for i := 0; i < b.N; i++ {
 				res := runPoint(b, EngineSSS, 4, 2, w, clients)
-				internal := float64(res.InternalLatency.Mean.Microseconds())
-				wait := float64(res.PreCommitWait.Mean.Microseconds())
+				internal := float64(res.Stats.InternalLatency.Mean().Microseconds())
+				wait := float64(res.Stats.PreCommitWait.Mean().Microseconds())
 				b.ReportMetric(internal, "µs-internal")
 				b.ReportMetric(wait, "µs-precommit")
 				if internal+wait > 0 {

@@ -11,10 +11,11 @@
 // benchmark/run.sh (BENCHMARK.json).
 //
 // With -json, every figure additionally writes a machine-readable
-// BENCH_figure<N>.json snapshot (throughput, latency percentiles, transport
-// batching and lock-contention metrics per data point) for perf-trajectory
-// tracking across commits. The -cpuprofile/-mutexprofile/-blockprofile
-// flags capture pprof profiles of the whole run.
+// BENCH_figure<N>.json snapshot for perf-trajectory tracking across commits:
+// per data point (bench.Point) its throughput and latency percentiles, plus
+// the engine and transport metric families as metrics.Walk renders them.
+// The -cpuprofile/-mutexprofile/-blockprofile flags capture pprof profiles
+// of the whole run.
 package main
 
 import (
@@ -42,7 +43,6 @@ var (
 	nodesCSV = flag.String("nodes", "2,4,6", "node counts to sweep (paper: 5,10,15,20)")
 	clients  = flag.Int("clients", 10, "closed-loop clients per node (paper: 10)")
 	seed     = flag.Int64("seed", 1, "workload seed")
-	netStats = flag.Bool("net-stats", false, "print per-point transport batching stats")
 	jsonOut  = flag.Bool("json", false, "write BENCH_figure<N>.json snapshots per figure")
 
 	cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
@@ -110,22 +110,6 @@ func parseInts(csv string) ([]int, error) {
 	return out, nil
 }
 
-// benchPoint is one measurement in the machine-readable snapshot: the
-// point's identity, the harness result and the network's transport counters.
-type benchPoint struct {
-	Series            string  `json:"series"`
-	Engine            string  `json:"engine"`
-	Nodes             int     `json:"nodes"`
-	ReplicationDegree int     `json:"replication_degree"`
-	ClientsPerNode    int     `json:"clients_per_node"`
-	Keys              int     `json:"keys"`
-	ReadOnlyPct       int     `json:"read_only_pct"`
-	ReadOnlyOps       int     `json:"read_only_ops,omitempty"`
-	Locality          float64 `json:"locality,omitempty"`
-	bench.Result
-	Transport metrics.TransportSnapshot `json:"transport"`
-}
-
 // benchReport is the BENCH_<name>.json document: one figure's points plus
 // the run configuration that produced them.
 type benchReport struct {
@@ -134,13 +118,13 @@ type benchReport struct {
 	Duration    time.Duration `json:"duration_ns"`
 	Warmup      time.Duration `json:"warmup_ns"`
 	Seed        int64         `json:"seed"`
-	Points      []benchPoint  `json:"points"`
+	Points      []bench.Point `json:"points"`
 }
 
 // reporter accumulates one figure's points and writes the snapshot file.
 type reporter struct {
 	name   string
-	points []benchPoint
+	points []bench.Point
 }
 
 func newReporter(name string) *reporter { return &reporter{name: name} }
@@ -190,12 +174,10 @@ func point(rep *reporter, series string, eng sss.Engine, nodes, degree int, w yc
 		Seed:           *seed,
 		Lookup:         cluster.NewLookup(nodes, degree),
 	})
-	net := c.TransportMetrics().Snapshot()
-	if *netStats {
-		fmt.Printf("    [net %s n=%d] %s | %s | %s\n", eng, nodes, net, res.Contention, res.CommitRounds)
-	}
 	if rep != nil {
-		rep.points = append(rep.points, benchPoint{
+		net := &metrics.Transport{}
+		metrics.Merge(net, c.TransportMetrics())
+		rep.points = append(rep.points, bench.Point{
 			Series:            series,
 			Engine:            string(eng),
 			Nodes:             nodes,
@@ -284,8 +266,8 @@ func figure5() {
 	fmt.Printf("%-10s%14s%14s%8s\n", "clients", "internal", "pre-commit", "wait%")
 	for _, cpn := range []int{1, 3, 5, 10} {
 		res := point(rep, "breakdown", sss.EngineSSS, 4, 2, ycsb.Config{Keys: 5000, ReadOnlyPct: 50}, cpn)
-		in := res.InternalLatency.Mean.Microseconds()
-		wa := res.PreCommitWait.Mean.Microseconds()
+		in := res.Stats.InternalLatency.Mean().Microseconds()
+		wa := res.Stats.PreCommitWait.Mean().Microseconds()
 		pct := 0.0
 		if in+wa > 0 {
 			pct = 100 * float64(wa) / float64(in+wa)

@@ -41,7 +41,7 @@ type Options struct {
 }
 
 // Result summarizes one run. Its JSON form is the measurement part of a
-// sss-bench snapshot point.
+// Point.
 type Result struct {
 	// Throughput is committed transactions (update + read-only) per
 	// second over the measured window.
@@ -55,30 +55,26 @@ type Result struct {
 
 	UpdateLatency   metrics.HistogramSnapshot `json:"update_latency"`
 	ReadOnlyLatency metrics.HistogramSnapshot `json:"read_only_latency"`
-	// InternalLatency is begin → commit decision; PreCommitWait is the
-	// decision → external-commit interval (snapshot-queuing delay).
-	InternalLatency metrics.HistogramSnapshot `json:"internal_latency"`
-	PreCommitWait   metrics.HistogramSnapshot `json:"pre_commit_wait"`
-	ExternalWaits   uint64                    `json:"external_waits"`
-	DrainTimeouts   uint64                    `json:"drain_timeouts"`
-	// Contention aggregates the nodes' lock/wait contention counters
-	// (commitlog waiter registry, snapshot-queue drains).
-	Contention metrics.ContentionSnapshot `json:"contention"`
-	// CommitRounds aggregates the update-commit round structure:
-	// piggybacked vs standalone drain stages and the freeze/purge
-	// group-commit batching factors.
-	CommitRounds metrics.CommitRoundsSnapshot `json:"commit_rounds"`
-	// EngineCounters is the nodes' aggregated scalar counter dump — the
-	// same view the sss-server SIGTERM line prints. Carries the freeze-ack
-	// discipline counters (withheld/budget-expired) so bench snapshots
-	// record how often the ack-vs-stamp window was exercised.
-	EngineCounters metrics.EngineCountersSnapshot `json:"engine_counters"`
-	// Stages is the per-stage commit-path decomposition (vote, decide/drain,
-	// freeze, purge, WAL sync, client ack), aggregated across nodes — the
-	// live-exposition taxonomy mirrored into bench snapshots so the figure-3
-	// trajectory carries a stage breakdown. Nil when no stage observed
-	// anything (engines that don't instrument stages, pure read-only runs).
-	Stages *metrics.StagesSnapshot `json:"stages,omitempty"`
+	// Stats is every node's engine family merged into one (warmup
+	// included), rendered through metrics.Walk: every counter and histogram
+	// of metrics.Engine, under the names /metrics gives them.
+	Stats *metrics.Engine `json:"engine_stats"`
+}
+
+// Point is one measurement of a sss-bench snapshot: the point's identity,
+// the harness result and the network's transport family.
+type Point struct {
+	Series            string  `json:"series"`
+	Engine            string  `json:"engine"`
+	Nodes             int     `json:"nodes"`
+	ReplicationDegree int     `json:"replication_degree"`
+	ClientsPerNode    int     `json:"clients_per_node"`
+	Keys              int     `json:"keys"`
+	ReadOnlyPct       int     `json:"read_only_pct"`
+	ReadOnlyOps       int     `json:"read_only_ops,omitempty"`
+	Locality          float64 `json:"locality,omitempty"`
+	Result
+	Transport *metrics.Transport `json:"transport"`
 }
 
 // Run executes the workload against the given nodes and aggregates results.
@@ -163,26 +159,10 @@ func Run(nodes []Node, opts Options) Result {
 
 	// Latency histograms aggregate over the whole run (warmup included);
 	// they are engine-side and representative.
-	agg := aggregate(nodes)
-	res.UpdateLatency = agg.CommitLatency.Snapshot()
-	res.ReadOnlyLatency = agg.ReadOnlyLatency.Snapshot()
-	res.InternalLatency = agg.InternalLatency.Snapshot()
-	res.PreCommitWait = agg.PreCommitWait.Snapshot()
-	res.ExternalWaits = agg.ExternalWaits.Load()
-	res.DrainTimeouts = agg.DrainTimeouts.Load()
-	res.Contention = agg.Contention.Snapshot()
-	res.CommitRounds = agg.CommitRounds.Snapshot()
-	res.EngineCounters = agg.CountersSnapshot()
-	res.Stages = stagesOrNil(agg.Stage.Snapshot())
+	res.Stats = aggregate(nodes)
+	res.UpdateLatency = res.Stats.CommitLatency.Snapshot()
+	res.ReadOnlyLatency = res.Stats.ReadOnlyLatency.Snapshot()
 	return res
-}
-
-// stagesOrNil drops a stage snapshot that observed nothing.
-func stagesOrNil(s metrics.StagesSnapshot) *metrics.StagesSnapshot {
-	if s == (metrics.StagesSnapshot{}) {
-		return nil
-	}
-	return &s
 }
 
 type txnOutcome uint8

@@ -1,6 +1,9 @@
 package bench
 
 import (
+	"encoding/json"
+	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -122,4 +125,97 @@ func TestRunDefaults(t *testing.T) {
 	if res.ReadOnly == 0 {
 		t.Fatal("defaults should still drive work (10 clients/node)")
 	}
+}
+
+// TestPointRendersEveryLeaf fills every leaf of a point's engine and
+// transport families with a distinct value, marshals the point, and finds
+// each leaf exactly once, under its walk name and with its value, and
+// nothing else under the two families: a snapshot cannot drift from
+// metrics.Walk.
+func TestPointRendersEveryLeaf(t *testing.T) {
+	p := Point{Series: "s", Engine: "sss", Nodes: 1, Result: Result{Stats: &metrics.Engine{}}, Transport: &metrics.Transport{}}
+	want := map[string]uint64{}
+	v := uint64(0)
+	fill := func(key string, family any) {
+		metrics.Walk(family, func(l metrics.Leaf) {
+			v++
+			path := key
+			for _, f := range l.Path {
+				path += "." + metrics.SnakeCase(f)
+			}
+			switch {
+			case l.Counter != nil:
+				l.Counter.Store(v)
+				want[path] = v
+			case l.Gauge != nil:
+				l.Gauge.Store(int64(v))
+				want[path] = v
+			default:
+				for i := uint64(0); i < v; i++ {
+					l.Histogram.Observe(time.Duration(v) * time.Microsecond)
+				}
+				s := l.Histogram.Snapshot()
+				want[path+".count"] = s.Count
+				want[path+".mean_ns"] = uint64(s.Mean)
+				want[path+".p50_ns"] = uint64(s.P50)
+				want[path+".p99_ns"] = uint64(s.P99)
+				want[path+".max_ns"] = uint64(s.Max)
+			}
+		})
+	}
+	fill("engine_stats", p.Stats)
+	fill("transport", p.Transport)
+
+	buf, err := json.Marshal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string][]string{}
+	dec := json.NewDecoder(strings.NewReader(string(buf)))
+	dec.UseNumber()
+	if err := flattenJSON(dec, "", got); err != nil {
+		t.Fatalf("%v in %s", err, buf)
+	}
+	for path, w := range want {
+		if vals := got[path]; len(vals) != 1 || vals[0] != fmt.Sprint(w) {
+			t.Errorf("%s: rendered %v, want exactly one %d", path, vals, w)
+		}
+	}
+	for path := range got {
+		_, ok := want[path]
+		if !ok && (strings.HasPrefix(path, "engine_stats.") || strings.HasPrefix(path, "transport.")) {
+			t.Errorf("%s: rendered, but no leaf of the family has that name", path)
+		}
+	}
+}
+
+// flattenJSON records every scalar of the JSON value dec is at under its
+// dotted path, once per occurrence, so a duplicated key shows twice.
+func flattenJSON(dec *json.Decoder, path string, out map[string][]string) error {
+	tok, err := dec.Token()
+	if err != nil {
+		return err
+	}
+	if tok != json.Delim('{') {
+		if _, nested := tok.(json.Delim); nested {
+			return fmt.Errorf("%s: unexpected %v", path, tok)
+		}
+		out[path] = append(out[path], fmt.Sprint(tok))
+		return nil
+	}
+	for dec.More() {
+		key, err := dec.Token()
+		if err != nil {
+			return err
+		}
+		sub := key.(string)
+		if path != "" {
+			sub = path + "." + sub
+		}
+		if err := flattenJSON(dec, sub, out); err != nil {
+			return err
+		}
+	}
+	_, err = dec.Token() // the closing brace
+	return err
 }

@@ -67,7 +67,8 @@ type Server struct {
 	opts  ServerOptions
 	stats metrics.ClientNet
 
-	sem chan struct{} // saturationSlots tokens; a full sem makes dispatch count a spill
+	running atomic.Int64 // request handlers started and not yet returned
+	spillAt int64        // saturationSlots(): a request starting with this many running spills
 
 	mu       sync.Mutex
 	ln       net.Listener
@@ -82,7 +83,7 @@ func NewServer(store kv.Store, opts ServerOptions) *Server {
 	return &Server{
 		store:    store,
 		opts:     opts,
-		sem:      make(chan struct{}, saturationSlots()),
+		spillAt:  int64(saturationSlots()),
 		sessions: make(map[*session]struct{}),
 	}
 }
@@ -259,22 +260,17 @@ func (ss *session) route(req Request) {
 	}
 }
 
-// dispatch runs fn on its own goroutine, holding a sem token when one is
-// free and counting a spill when none is (see saturationSlots).
+// dispatch runs fn on its own goroutine, counting a spill when
+// saturationSlots or more handlers are already running.
 func (ss *session) dispatch(fn func()) {
-	ss.srv.wg.Add(1)
-	held := true
-	select {
-	case ss.srv.sem <- struct{}{}:
-	default:
-		held = false
-		ss.srv.stats.Spills.Add(1)
+	srv := ss.srv
+	srv.wg.Add(1)
+	if srv.running.Add(1) > srv.spillAt {
+		srv.stats.Spills.Add(1)
 	}
 	go func() {
-		defer ss.srv.wg.Done()
-		if held {
-			defer func() { <-ss.srv.sem }()
-		}
+		defer srv.wg.Done()
+		defer srv.running.Add(-1)
 		fn()
 	}()
 }

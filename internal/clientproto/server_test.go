@@ -454,3 +454,75 @@ func waitCond(t *testing.T, cond func() bool) {
 	}
 	t.Fatal("condition not reached within deadline")
 }
+
+// parkedTxn is a kv.Txn whose Commit parks until release is closed, as an
+// engine commit parks until its external commit.
+type parkedTxn struct{ release <-chan struct{} }
+
+func (p parkedTxn) Read(string) ([]byte, bool, error) { return nil, false, nil }
+func (p parkedTxn) Write(string, []byte) error        { return nil }
+func (p parkedTxn) Commit() error                     { <-p.release; return nil }
+func (p parkedTxn) Abort() error                      { return nil }
+
+// TestServerCountsSpills parks more Commits than saturationSlots behind an
+// engine that does not answer: every request that starts with
+// saturationSlots or more handlers running is a spill. Once the handlers
+// drain, sequential requests spill no more.
+func TestServerCountsSpills(t *testing.T) {
+	release := make(chan struct{})
+	srv := NewServer(storeFunc(func(bool) kv.Txn { return parkedTxn{release} }), ServerOptions{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = srv.Serve(ln) }()
+	t.Cleanup(func() { _ = srv.Close() })
+	var once sync.Once
+	unpark := func() { once.Do(func() { close(release) }) }
+	t.Cleanup(unpark) // before Close, which waits for the handlers
+	tc := dialTest(t, ln.Addr().String())
+
+	slots := saturationSlots()
+	n := slots + 8
+	txns := make([]uint64, n)
+	for i := range txns {
+		txns[i] = tc.begin(false)
+	}
+	if s := srv.Metrics().Spills.Load(); s != 0 {
+		t.Fatalf("%d sequential begins spilled %d times", n, s)
+	}
+	for i, txn := range txns {
+		if err := WriteRequest(tc.bw, &Request{Op: OpCommit, ReqID: uint64(1000 + i), Txn: txn}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tc.bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	waitCond(t, func() bool { return srv.running.Load() == int64(n) })
+	// A begin handler may still be returning when the first commits start.
+	if s := srv.Metrics().Spills.Load(); s < uint64(n-slots) || s > uint64(n) {
+		t.Fatalf("%d parked commits over %d slots spilled %d times, want %d..%d", n, slots, s, n-slots, n)
+	}
+
+	unpark()
+	for i := 0; i < n; i++ {
+		rep, err := ReadReply(tc.br)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Kind != ReplyOK {
+			t.Fatalf("commit %d: %+v", rep.ReqID, rep)
+		}
+	}
+	waitCond(t, func() bool { return srv.running.Load() == 0 })
+	spilled := srv.Metrics().Spills.Load()
+	for i := 0; i < 2*slots; i++ {
+		if rep := tc.roundTrip(Request{Op: OpPing}); rep.Kind != ReplyOK {
+			t.Fatalf("ping: %+v", rep)
+		}
+	}
+	if s := srv.Metrics().Spills.Load(); s != spilled {
+		t.Fatalf("%d sequential pings after the drain spilled %d times", 2*slots, s-spilled)
+	}
+}

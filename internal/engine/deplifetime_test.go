@@ -132,8 +132,10 @@ func TestLateStampExclusionClosure(t *testing.T) {
 // that include it. Every generation used to hand its whole ancestry to the
 // next — Prepare.Deps and ReadRequest.Seen grew by one entry per commit, past a
 // thousand within this run, and each transaction cost more than the last. A
-// set now lives only while its writers are parked together, so both stay small
-// and the run does not slow down.
+// set now lives only while its writers are parked together, so both stay
+// small, and the entries a request carries do not grow from the first half of
+// the run to the second. The cost is counted in list entries, not wall time,
+// so the bound holds on a machine of any speed.
 func TestDependencySetsStayBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs 3000 contended commits")
@@ -149,11 +151,25 @@ func TestDependencySetsStayBounded(t *testing.T) {
 		commits = 3000
 		maxSet  = 32
 	)
+	// cost is what the requests sent so far carried: Prepare.Deps and
+	// ReadRequest.Seen entries over prepares (one per Commit call) plus
+	// read-only read requests.
+	type cost struct{ entries, requests uint64 }
+	costSoFar := func(prepares uint64) cost {
+		c := cost{requests: prepares}
+		for _, nd := range nodes {
+			c.entries += nd.stats.PrepareDeps.Load() + nd.stats.ReadSeenEntries.Load()
+			c.requests += nd.stats.ReadRequests.Load()
+		}
+		return c
+	}
 	var (
-		mu       sync.Mutex
-		done     []time.Time // completion time of each commit, in order
-		depsHigh int
-		seenHigh int
+		mu        sync.Mutex
+		committed int
+		prepares  uint64
+		half      cost // at the commits/2-th commit
+		depsHigh  int
+		seenHigh  int
 	)
 	stop := make(chan struct{})
 	var writers, reader sync.WaitGroup
@@ -178,13 +194,16 @@ func TestDependencySetsStayBounded(t *testing.T) {
 					return
 				}
 				mu.Lock()
+				prepares++
 				if n := len(tx.deps); n > depsHigh {
 					depsHigh = n
 				}
 				if err == nil {
-					done = append(done, time.Now())
+					if committed++; committed == commits/2 {
+						half = costSoFar(prepares)
+					}
 				}
-				finished := len(done) >= commits
+				finished := committed >= commits
 				mu.Unlock()
 				if finished {
 					return
@@ -227,15 +246,19 @@ func TestDependencySetsStayBounded(t *testing.T) {
 	}
 	if depsHigh > maxSet || seenHigh > maxSet {
 		t.Fatalf("high-water len(Prepare.Deps) = %d, len(ReadRequest.Seen) = %d over %d commits; want both <= %d",
-			depsHigh, seenHigh, len(done), maxSet)
+			depsHigh, seenHigh, committed, maxSet)
 	}
-	// Halves, not the first and last 500: on a shared two-core box the time
-	// 500 contended commits take swings by 2x from one window to the next.
-	early, late := done[commits/2-1].Sub(done[0]), done[commits-1].Sub(done[commits/2])
-	t.Logf("deps high-water %d, seen high-water %d; first %d commits %v, last %d %v",
-		depsHigh, seenHigh, commits/2, early, commits/2, late)
-	if late > early*3/2 {
-		t.Fatalf("the last %d commits took %v, the first %d took %v: cost per transaction is growing", commits/2, late, commits/2, early)
+	// The bound: the second half's requests carry at most one entry more on
+	// average than the first half's. Sets that grew by one entry per commit
+	// would add hundreds.
+	end := costSoFar(prepares)
+	early := float64(half.entries) / float64(half.requests)
+	late := float64(end.entries-half.entries) / float64(end.requests-half.requests)
+	t.Logf("deps high-water %d, seen high-water %d; entries per request: first %d commits %.3f, last %d %.3f",
+		depsHigh, seenHigh, commits/2, early, commits-commits/2, late)
+	if late > early+1 {
+		t.Fatalf("requests carried %.3f dependency entries each over the last %d commits, %.3f over the first %d: sets are growing",
+			late, commits-commits/2, early, commits/2)
 	}
 }
 

@@ -422,8 +422,9 @@ func TestInDoubtResolution(t *testing.T) {
 
 // TestFreezeResolution covers the decided-but-unfrozen WAL state: the
 // replica logged prepare AND decide, but crashed before any freeze record
-// became durable (commitq.go's extSender tolerates exactly this — it acks
-// the client even when a replica's freeze call failed). Recovery must not
+// became durable (the coordinator's awaitFreezeAcks allows exactly this — it
+// releases the client reply once the FreezeAckBudget runs out with a replica
+// still unacked, and keeps redelivering the freeze). Recovery must not
 // settle for the floor stamp while the coordinator is alive: phase 3b asks
 // it for the freeze vector, so the restarted replica re-stamps with the
 // same replica-independent stamp every live replica recorded. Only when

@@ -5,12 +5,16 @@
 package metrics
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/bits"
 	"reflect"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
+	"unicode"
 )
 
 // numBuckets covers 1ns..~18s in half-decade-ish log2 buckets.
@@ -245,6 +249,74 @@ func Merge(dst, src any) {
 	})
 }
 
+// SnakeCase is the one naming rule for a metric field outside Go: /metrics
+// series and JSON reports both name a field by it. It keeps acronym runs
+// together: Commits → commits, WalSyncFailures → wal_sync_failures, SQWaits
+// → sq_waits.
+func SnakeCase(name string) string {
+	var b strings.Builder
+	rs := []rune(name)
+	for i, c := range rs {
+		if unicode.IsUpper(c) {
+			prevLower := i > 0 && !unicode.IsUpper(rs[i-1])
+			nextLower := i+1 < len(rs) && unicode.IsLower(rs[i+1])
+			if i > 0 && (prevLower || nextLower) {
+				b.WriteByte('_')
+			}
+			b.WriteRune(unicode.ToLower(c))
+		} else {
+			b.WriteRune(c)
+		}
+	}
+	return b.String()
+}
+
+// marshalJSON renders family as one JSON object through Walk, in field
+// order: each field under its SnakeCase name, counters and gauges as numbers,
+// histograms as a HistogramSnapshot and nested structs as nested objects.
+func marshalJSON(family any) ([]byte, error) {
+	b := []byte{'{'}
+	var open []string // the nested objects the last leaf sat in
+	Walk(family, func(l Leaf) {
+		dir, name := l.Path[:len(l.Path)-1], l.Path[len(l.Path)-1]
+		same := 0
+		for same < len(open) && same < len(dir) && open[same] == dir[same] {
+			same++
+		}
+		for ; len(open) > same; open = open[:len(open)-1] {
+			b = append(b, '}')
+		}
+		for _, f := range dir[same:] {
+			b = appendKey(b, f)
+			b = append(b, '{')
+			open = append(open, f)
+		}
+		b = appendKey(b, name)
+		switch {
+		case l.Counter != nil:
+			b = strconv.AppendUint(b, l.Counter.Load(), 10)
+		case l.Gauge != nil:
+			b = strconv.AppendInt(b, l.Gauge.Load(), 10)
+		default:
+			// A HistogramSnapshot holds integers only: Marshal cannot fail.
+			h, _ := json.Marshal(l.Histogram.Snapshot())
+			b = append(b, h...)
+		}
+	})
+	for range open {
+		b = append(b, '}')
+	}
+	return append(b, '}'), nil
+}
+
+// appendKey appends field's JSON key, after a comma unless it opens an object.
+func appendKey(b []byte, field string) []byte {
+	if b[len(b)-1] != '{' {
+		b = append(b, ',')
+	}
+	return append(strconv.AppendQuote(b, SnakeCase(field)), ':')
+}
+
 // Transport aggregates the batching/pooling counters of one messaging path
 // (one peer of one endpoint, or a whole network when merged).
 type Transport struct {
@@ -288,6 +360,9 @@ type Transport struct {
 	FlushLatency Histogram
 }
 
+// MarshalJSON renders the family through Walk (marshalJSON).
+func (t *Transport) MarshalJSON() ([]byte, error) { return marshalJSON(t) }
+
 // EnvelopesPerFlush returns the mean batch size so far (0 when idle).
 func (t *Transport) EnvelopesPerFlush() float64 {
 	f := t.Flushes.Load()
@@ -297,21 +372,24 @@ func (t *Transport) EnvelopesPerFlush() float64 {
 	return float64(t.Envelopes.Load()) / float64(f)
 }
 
-// TransportSnapshot is a point-in-time transport summary for reporting.
+// TransportSnapshot is a point-in-time copy of a Transport for its String
+// rendering. Both exist only for sss-server's `transport:` SIGTERM line, whose
+// shape benchmark/stats.go parses; every other report renders the family
+// through Walk.
 type TransportSnapshot struct {
-	Flushes           uint64            `json:"flushes"`
-	Envelopes         uint64            `json:"envelopes"`
-	Spills            uint64            `json:"spills"`
-	EnvelopesPerFlush float64           `json:"envelopes_per_flush"`
-	Dials             uint64            `json:"dials"`
-	Redials           uint64            `json:"redials"`
-	DiscardedConns    uint64            `json:"discarded_conns"`
-	LostBatches       uint64            `json:"lost_batches"`
-	HealedWrites      uint64            `json:"healed_writes"`
-	BatchResends      uint64            `json:"batch_resends"`
-	PingsSent         uint64            `json:"pings_sent"`
-	PeerUnresponsive  uint64            `json:"peer_unresponsive"`
-	FlushLatency      HistogramSnapshot `json:"flush_latency"`
+	Flushes           uint64
+	Envelopes         uint64
+	Spills            uint64
+	EnvelopesPerFlush float64
+	Dials             uint64
+	Redials           uint64
+	DiscardedConns    uint64
+	LostBatches       uint64
+	HealedWrites      uint64
+	BatchResends      uint64
+	PingsSent         uint64
+	PeerUnresponsive  uint64
+	FlushLatency      HistogramSnapshot
 }
 
 // Snapshot copies the counters into a plain struct.
@@ -333,7 +411,8 @@ func (t *Transport) Snapshot() TransportSnapshot {
 	}
 }
 
-// String renders the snapshot compactly.
+// String renders the `transport:` SIGTERM line. benchmark/stats.go parses it
+// with regexes: change it only together with that parser.
 func (s TransportSnapshot) String() string {
 	return fmt.Sprintf("flushes=%d envelopes=%d (%.2f/flush) spills=%d dials=%d (redials %d) discardedConns=%d lostBatches=%d healedWrites=%d batchResends=%d pingsSent=%d peerUnresponsive=%d flushLat{%v}",
 		s.Flushes, s.Envelopes, s.EnvelopesPerFlush, s.Spills, s.Dials, s.Redials,
@@ -360,32 +439,6 @@ type Contention struct {
 	// the safety cap.
 	SQWaits        atomic.Uint64
 	SQWaitTimeouts atomic.Uint64
-}
-
-// ContentionSnapshot is a point-in-time copy of the contention counters.
-type ContentionSnapshot struct {
-	LogWaits        uint64 `json:"log_waits"`
-	LogWakeups      uint64 `json:"log_wakeups"`
-	LogWaitTimeouts uint64 `json:"log_wait_timeouts"`
-	SQWaits         uint64 `json:"sq_waits"`
-	SQWaitTimeouts  uint64 `json:"sq_wait_timeouts"`
-}
-
-// Snapshot copies the counters into a plain struct.
-func (c *Contention) Snapshot() ContentionSnapshot {
-	return ContentionSnapshot{
-		LogWaits:        c.LogWaits.Load(),
-		LogWakeups:      c.LogWakeups.Load(),
-		LogWaitTimeouts: c.LogWaitTimeouts.Load(),
-		SQWaits:         c.SQWaits.Load(),
-		SQWaitTimeouts:  c.SQWaitTimeouts.Load(),
-	}
-}
-
-// String renders the snapshot compactly.
-func (s ContentionSnapshot) String() string {
-	return fmt.Sprintf("logWaits=%d wakeups=%d timeouts=%d sqWaits=%d sqTimeouts=%d",
-		s.LogWaits, s.LogWakeups, s.LogWaitTimeouts, s.SQWaits, s.SQWaitTimeouts)
 }
 
 // Engine aggregates the per-engine counters the evaluation reports.
@@ -485,28 +538,6 @@ type Stages struct {
 	ClientAck Histogram
 }
 
-// StagesSnapshot is a point-in-time copy of the per-stage histograms.
-type StagesSnapshot struct {
-	Vote      HistogramSnapshot `json:"vote"`
-	Decide    HistogramSnapshot `json:"decide"`
-	Freeze    HistogramSnapshot `json:"freeze"`
-	Purge     HistogramSnapshot `json:"purge"`
-	WalSync   HistogramSnapshot `json:"wal_sync"`
-	ClientAck HistogramSnapshot `json:"client_ack"`
-}
-
-// Snapshot copies the stage histograms into a plain struct.
-func (s *Stages) Snapshot() StagesSnapshot {
-	return StagesSnapshot{
-		Vote:      s.Vote.Snapshot(),
-		Decide:    s.Decide.Snapshot(),
-		Freeze:    s.Freeze.Snapshot(),
-		Purge:     s.Purge.Snapshot(),
-		WalSync:   s.WalSync.Snapshot(),
-		ClientAck: s.ClientAck.Snapshot(),
-	}
-}
-
 // CommitRounds counts the acked round structure of the update-commit path.
 // DrainsPiggybacked/DrainRounds are replica-side counts of drain stages
 // served inside a decide ack vs by a standalone ExtCommit drain round;
@@ -523,61 +554,8 @@ type CommitRounds struct {
 	PurgeBatchTxns    atomic.Uint64
 }
 
-// CommitRoundsSnapshot is a point-in-time copy of the commit-round counters.
-type CommitRoundsSnapshot struct {
-	DrainsPiggybacked uint64  `json:"drains_piggybacked"`
-	DrainRounds       uint64  `json:"drain_rounds_separate"`
-	FreezeBatches     uint64  `json:"freeze_batches"`
-	FreezeBatchTxns   uint64  `json:"freeze_batch_txns"`
-	FreezesPerBatch   float64 `json:"freezes_per_batch"`
-	PurgeBatchTxns    uint64  `json:"purge_batch_txns"`
-}
-
-// Snapshot copies the counters into a plain struct.
-func (c *CommitRounds) Snapshot() CommitRoundsSnapshot {
-	s := CommitRoundsSnapshot{
-		DrainsPiggybacked: c.DrainsPiggybacked.Load(),
-		DrainRounds:       c.DrainRounds.Load(),
-		FreezeBatches:     c.FreezeBatches.Load(),
-		FreezeBatchTxns:   c.FreezeBatchTxns.Load(),
-		PurgeBatchTxns:    c.PurgeBatchTxns.Load(),
-	}
-	if s.FreezeBatches > 0 {
-		s.FreezesPerBatch = float64(s.FreezeBatchTxns) / float64(s.FreezeBatches)
-	}
-	return s
-}
-
-// String renders the snapshot compactly.
-func (s CommitRoundsSnapshot) String() string {
-	return fmt.Sprintf("drainsPiggy=%d drainRounds=%d freezeBatches=%d (%.2f txn/batch) purges=%d",
-		s.DrainsPiggybacked, s.DrainRounds, s.FreezeBatches, s.FreezesPerBatch, s.PurgeBatchTxns)
-}
-
-// EngineCountersSnapshot is the scalar engine counters without the latency
-// histograms, as sss-bench's JSON points carry them.
-type EngineCountersSnapshot struct {
-	Commits                uint64 `json:"commits"`
-	Aborts                 uint64 `json:"aborts"`
-	ReadOnlyRuns           uint64 `json:"read_only_runs"`
-	DrainTimeouts          uint64 `json:"drain_timeouts"`
-	FreezeRetries          uint64 `json:"freeze_retries"`
-	FreezeAckWithheld      uint64 `json:"freeze_ack_withheld"`
-	FreezeAckBudgetExpired uint64 `json:"freeze_ack_budget_expired"`
-}
-
-// CountersSnapshot copies the scalar counters into a plain struct.
-func (e *Engine) CountersSnapshot() EngineCountersSnapshot {
-	return EngineCountersSnapshot{
-		Commits:                e.Commits.Load(),
-		Aborts:                 e.Aborts.Load(),
-		ReadOnlyRuns:           e.ReadOnlyRuns.Load(),
-		DrainTimeouts:          e.DrainTimeouts.Load(),
-		FreezeRetries:          e.FreezeRetries.Load(),
-		FreezeAckWithheld:      e.FreezeAckWithheld.Load(),
-		FreezeAckBudgetExpired: e.FreezeAckBudgetExpired.Load(),
-	}
-}
+// MarshalJSON renders the family through Walk (marshalJSON).
+func (e *Engine) MarshalJSON() ([]byte, error) { return marshalJSON(e) }
 
 // AbortRate returns aborts / (commits + aborts) for update transactions.
 func (e *Engine) AbortRate() float64 {
@@ -704,27 +682,30 @@ func (d *Durability) RecordsPerSync() float64 {
 	return float64(d.WalSyncedRecords.Load()) / float64(s)
 }
 
-// DurabilitySnapshot is a point-in-time copy for reporting.
+// DurabilitySnapshot is a point-in-time copy of a Durability for its String
+// rendering. Both exist only for sss-server's `durability:` SIGTERM line,
+// whose shape benchmark/stats.go parses; every other report renders the
+// family through Walk.
 type DurabilitySnapshot struct {
-	WalAppends        uint64            `json:"wal_appends"`
-	WalBytes          uint64            `json:"wal_bytes"`
-	WalSyncs          uint64            `json:"wal_syncs"`
-	WalSyncedRecords  uint64            `json:"wal_synced_records"`
-	WalSyncFailures   uint64            `json:"wal_sync_failures"`
-	RecordsPerSync    float64           `json:"records_per_sync"`
-	SyncLatency       HistogramSnapshot `json:"sync_latency"`
-	Checkpoints       uint64            `json:"checkpoints"`
-	CheckpointRecords uint64            `json:"checkpoint_records"`
-	CheckpointErrors  uint64            `json:"checkpoint_errors"`
-	ReplayRecords     uint64            `json:"replay_records"`
-	ReplayedCommits   uint64            `json:"replayed_commits"`
-	InDoubt           uint64            `json:"in_doubt"`
-	InDoubtCommitted  uint64            `json:"in_doubt_committed"`
-	InDoubtAborted    uint64            `json:"in_doubt_aborted"`
-	FreezeResolved    uint64            `json:"freeze_resolved"`
-	FreezeUnresolved  uint64            `json:"freeze_unresolved"`
-	ClockSyncPeers    uint64            `json:"clock_sync_peers"`
-	ClockSyncMisses   uint64            `json:"clock_sync_misses"`
+	WalAppends        uint64
+	WalBytes          uint64
+	WalSyncs          uint64
+	WalSyncedRecords  uint64
+	WalSyncFailures   uint64
+	RecordsPerSync    float64
+	SyncLatency       HistogramSnapshot
+	Checkpoints       uint64
+	CheckpointRecords uint64
+	CheckpointErrors  uint64
+	ReplayRecords     uint64
+	ReplayedCommits   uint64
+	InDoubt           uint64
+	InDoubtCommitted  uint64
+	InDoubtAborted    uint64
+	FreezeResolved    uint64
+	FreezeUnresolved  uint64
+	ClockSyncPeers    uint64
+	ClockSyncMisses   uint64
 }
 
 // Snapshot copies the counters into a plain struct.
@@ -752,7 +733,8 @@ func (d *Durability) Snapshot() DurabilitySnapshot {
 	}
 }
 
-// String renders the snapshot compactly.
+// String renders the `durability:` SIGTERM line. benchmark/stats.go parses
+// it with regexes: change it only together with that parser.
 func (s DurabilitySnapshot) String() string {
 	return fmt.Sprintf("walAppends=%d (%d B) syncs=%d (%.2f rec/sync, %d failed) syncLat{%v} checkpoints=%d (%d rec) replay=%d rec/%d commits inDoubt=%d (committed %d, aborted %d) freezeResolve=%d/%d clockSync=%d/%d",
 		s.WalAppends, s.WalBytes, s.WalSyncs, s.RecordsPerSync, s.WalSyncFailures, s.SyncLatency,

@@ -29,8 +29,8 @@ func TestSnake(t *testing.T) {
 		"ClientAck":        "client_ack",
 	}
 	for in, want := range cases {
-		if got := snake(in); got != want {
-			t.Errorf("snake(%q) = %q, want %q", in, got, want)
+		if got := metrics.SnakeCase(in); got != want {
+			t.Errorf("SnakeCase(%q) = %q, want %q", in, got, want)
 		}
 	}
 }

@@ -15,9 +15,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
-	"unicode"
 
 	"github.com/sss-paper/sss/internal/metrics"
 )
@@ -86,7 +84,7 @@ func seriesPrefix(subsystem string) string {
 }
 
 // walk hands add one metric per leaf of family (metrics.Walk), named
-// prefix + the snake-cased field path, with the _total suffix on counters
+// prefix + the field path in metrics.SnakeCase joined by underscores, with the _total suffix on counters
 // and _seconds on histograms.
 func walk(prefix string, family any, add func(metric)) {
 	metrics.Walk(family, func(l metrics.Leaf) {
@@ -95,7 +93,7 @@ func walk(prefix string, family any, add func(metric)) {
 			if i > 0 {
 				name += "_"
 			}
-			name += snake(f)
+			name += metrics.SnakeCase(f)
 		}
 		switch {
 		case l.Counter != nil:
@@ -117,27 +115,6 @@ func (r *Registry) claim(name string) {
 		panic(fmt.Sprintf("obs: duplicate metric name %s", name))
 	}
 	r.names[name] = struct{}{}
-}
-
-// snake converts a Go exported identifier to snake_case, keeping acronym
-// runs together: Commits → commits, WalSyncFailures → wal_sync_failures,
-// SQWaits → sq_waits.
-func snake(name string) string {
-	var b strings.Builder
-	rs := []rune(name)
-	for i, c := range rs {
-		if unicode.IsUpper(c) {
-			prevLower := i > 0 && !unicode.IsUpper(rs[i-1])
-			nextLower := i+1 < len(rs) && unicode.IsLower(rs[i+1])
-			if i > 0 && (prevLower || nextLower) {
-				b.WriteByte('_')
-			}
-			b.WriteRune(unicode.ToLower(c))
-		} else {
-			b.WriteRune(c)
-		}
-	}
-	return b.String()
 }
 
 // Render writes the registry in Prometheus text exposition format

@@ -13,7 +13,12 @@
 #     (nodes, clients_per_node, read_only_ops) strictly increases — figures
 #     3, 6 and 7 sweep nodes, 4(b) and 5 clients per node, 8 the read-only
 #     size, each with the others fixed
-#   - optional per-stage breakdown ("stages"): same histogram shape per leg
+#   - per-stage breakdown: the six legs (vote, decide, freeze, purge,
+#     wal_sync, client_ack), each with the histogram shape, wherever the
+#     snapshot puts them — under "engine_stats"."stage" (the engine family as
+#     metrics.Walk renders it, always present in a fresh snapshot) or under
+#     "stages" (older snapshots, which omit it on points that observed no
+#     stage)
 #
 # Usage: scripts/check_bench_json.sh [file...]   (default: BENCH_*.json)
 set -euo pipefail
@@ -81,11 +86,17 @@ def check_file(path):
             if field not in p:
                 fail(f"{where}: missing {field}")
             check_hist(f"{where} {field}", p[field])
-        if "stages" in p and p["stages"] is not None:
+        if "engine_stats" in p:
+            stages_at, stages = "engine_stats.stage", p["engine_stats"].get("stage")
+            if not isinstance(stages, dict):
+                fail(f"{where}: missing {stages_at}")
+        else:
+            stages_at, stages = "stages", p.get("stages")
+        if stages is not None:
             for leg in STAGE_KEYS:
-                if leg not in p["stages"]:
-                    fail(f"{where} stages: missing leg {leg}")
-                check_hist(f"{where} stages.{leg}", p["stages"][leg])
+                if leg not in stages:
+                    fail(f"{where} {stages_at}: missing leg {leg}")
+                check_hist(f"{where} {stages_at}.{leg}", stages[leg])
 
         series = p["series"]
         x = (p["nodes"], p["clients_per_node"], p.get("read_only_ops", 0))
