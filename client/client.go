@@ -19,15 +19,17 @@
 // server-side state lives in that session — so a mid-transaction disconnect
 // surfaces kv.ErrUnavailable and the server aborts the transaction.
 //
-// Two mechanisms keep the wire cost of a transaction near its round-trip
-// floor. Every connection runs a coalescing send queue (the batchq.Queue
-// the node-to-node transport's peer links use): concurrent transactions'
-// frames accumulated while the sender was busy go out as one buffered
-// write with a single flush (at most 64 frames), observable via Metrics.
-// And a whole read-only transaction can be collapsed into one round trip
-// with SnapshotRead (kv.SnapshotReader), which begins, reads and finishes
-// server-side; within an interactive transaction, Txn.MultiRead
-// (kv.MultiReader) pipelines independent read legs the same way.
+// Three mechanisms keep the wire cost of a transaction near its round-trip
+// floor. A transaction's writes are buffered client-side and ride its next
+// Read or MultiRead or its Commit, and Txn.MultiRead (kv.MultiReader) sends
+// every key in one request, so an update transaction costs three requests:
+// Begin, one read, Commit. Every connection runs a coalescing send queue
+// (the batchq.Queue the node-to-node transport's peer links use):
+// concurrent transactions' frames accumulated while the sender was busy go
+// out as one buffered write with a single flush (at most 64 frames),
+// observable via Metrics. And a whole read-only transaction can be
+// collapsed into one round trip with SnapshotRead (kv.SnapshotReader),
+// which begins, reads and finishes server-side.
 package client
 
 import (
@@ -42,6 +44,7 @@ import (
 	"github.com/sss-paper/sss/internal/batchq"
 	"github.com/sss-paper/sss/internal/clientproto"
 	"github.com/sss-paper/sss/internal/metrics"
+	"github.com/sss-paper/sss/internal/wire"
 	"github.com/sss-paper/sss/kv"
 )
 
@@ -152,8 +155,8 @@ func (c *Client) SnapshotRead(keys []string) ([]kv.ReadResult, error) {
 	if len(keys) == 0 {
 		return nil, nil
 	}
-	if len(keys) > clientproto.MaxSnapshotKeys {
-		return nil, fmt.Errorf("client: snapshot read of %d keys exceeds the %d-key limit", len(keys), clientproto.MaxSnapshotKeys)
+	if len(keys) > clientproto.MaxKeys {
+		return nil, fmt.Errorf("client: snapshot read of %d keys exceeds the %d-key limit", len(keys), clientproto.MaxKeys)
 	}
 	cn, err := c.pick()
 	if err != nil {
@@ -256,45 +259,41 @@ type Txn struct {
 	readOnly bool
 	err      error // sticky: set by a failed begin or a broken connection
 	done     bool
-	// writes holds the reply channels of Writes started but not yet
-	// collected (see Write).
-	writes []chan clientproto.Reply
+	// writes holds the Writes not sent yet, and writeBytes their frame
+	// size: they ride the next read or the commit.
+	writes     []wire.KV
+	writeBytes int
 }
-
-// maxPipelinedWrites bounds the Writes one transaction keeps in flight
-// before collecting: each occupies a server handler slot until its turn in
-// the handle's FIFO.
-const maxPipelinedWrites = 64
 
 var (
 	_ kv.Txn         = (*Txn)(nil)
 	_ kv.MultiReader = (*Txn)(nil)
 )
 
-// Read implements kv.Txn.
+// Frame-size accounting for buffered writes and read keys: every count,
+// length and integer of a request is a uvarint of at most 10 bytes.
+const (
+	requestOverhead = 64
+	fieldOverhead   = 10
+)
+
+// Read implements kv.Txn: a MultiRead of one key.
 func (t *Txn) Read(key string) ([]byte, bool, error) {
-	if err := t.usable(); err != nil {
-		return nil, false, err
-	}
-	if err := t.collectWrites(); err != nil {
-		return nil, false, err
-	}
-	rep, err := t.call(&clientproto.Request{Op: clientproto.OpRead, Txn: t.handle, Key: key})
+	vals, err := t.MultiRead([]string{key})
 	if err != nil {
 		return nil, false, err
 	}
-	if rep.Kind != clientproto.ReplyValue {
-		return nil, false, replyError(rep)
-	}
-	return rep.Val, rep.Exists, nil
+	return vals[0].Val, vals[0].Exists, nil
 }
 
-// MultiRead implements kv.MultiReader: it issues every read leg before
-// awaiting any reply, so independent reads of one transaction pipeline on
-// the connection — and, via the send queue, typically share a single wire
-// frame — costing ~1 round trip instead of one per key. The server
-// serializes same-handle requests in arrival order, so the results are
-// exactly those of sequential Reads on the same snapshot.
+// MultiRead implements kv.MultiReader: every key goes in one Read request,
+// carrying the transaction's buffered writes, so a transaction's reads cost
+// one round trip and the server reads them as one engine MultiRead — for an
+// update transaction, one fan-out to the replicas. Results are exactly
+// those of sequential Reads, positionally aligned with keys. More keys than
+// one request may carry (clientproto.MaxKeys, or a frame's worth) are split
+// into several requests, pipelined on the connection; the server runs them
+// in order.
 func (t *Txn) MultiRead(keys []string) ([]kv.ReadResult, error) {
 	if err := t.usable(); err != nil {
 		return nil, err
@@ -302,47 +301,98 @@ func (t *Txn) MultiRead(keys []string) ([]kv.ReadResult, error) {
 	if len(keys) == 0 {
 		return nil, nil
 	}
-	if err := t.collectWrites(); err != nil {
-		return nil, err
+	size := requestOverhead + t.writeBytes
+	for _, k := range keys {
+		if requestOverhead+len(k)+fieldOverhead > clientproto.MaxFrame {
+			return nil, fmt.Errorf("client: read of a %d-byte key exceeds the %d-byte frame limit", len(k), clientproto.MaxFrame)
+		}
+		size += len(k) + fieldOverhead
 	}
-	reqs := make([]clientproto.Request, len(keys))
-	chs := make([]chan clientproto.Reply, len(keys))
-	for i, k := range keys {
-		reqs[i] = clientproto.Request{Op: clientproto.OpRead, Txn: t.handle, Key: k}
-		ch, err := t.cn.start(&reqs[i])
+	if len(keys) <= clientproto.MaxKeys && size <= clientproto.MaxFrame {
+		// The common case, one request: its reply's values are the result.
+		req := &clientproto.Request{Op: clientproto.OpRead, Txn: t.handle, Keys: keys, Writes: t.takeWrites()}
+		return t.readReply(req, nil)
+	}
+	reqs := t.readRequests(keys)
+	chs := make([]chan clientproto.Reply, len(reqs))
+	for i, req := range reqs {
+		ch, err := t.cn.start(req)
 		if err != nil {
 			t.err = err
 			return nil, err
 		}
 		chs[i] = ch
 	}
-	out := make([]kv.ReadResult, len(keys))
+	out := make([]kv.ReadResult, 0, len(keys))
 	for i, ch := range chs {
-		rep, err := t.cn.await(ch, t.c.opts.RequestTimeout)
+		vals, err := t.readReply(reqs[i], ch)
 		if err != nil {
-			t.err = err
+			// Later requests' replies, if any, land in their buffered
+			// channels and are dropped with them — no goroutine is left
+			// waiting.
 			return nil, err
 		}
-		if rep.Kind != clientproto.ReplyValue {
-			// Later legs' replies, if any, land in their buffered channels
-			// and are dropped with them — no goroutine is left waiting.
-			return nil, replyError(rep)
-		}
-		out[i] = kv.ReadResult{Val: rep.Val, Exists: rep.Exists}
+		out = append(out, vals...)
 	}
 	return out, nil
 }
 
-// Write implements kv.Txn without a round trip: the request starts on the
-// pipelined connection and its reply is collected by the transaction's next
-// Read, MultiRead, Commit or Abort — the server executes same-handle
-// requests in arrival order, so later operations still observe the write,
-// and it refuses to commit a handle on which it refused a Write.
-// Everything the client can know is checked here (finished handle, read-only
-// handle, frame limit); any other failure of a Write surfaces at the
-// collecting call. Oversized payloads must fail alone without being sent: an
-// over-limit frame would make the server hang up on the whole multiplexed
-// connection, aborting every other transaction pipelined on it.
+// readRequests splits keys into Read requests within both bounds of a
+// request, clientproto.MaxKeys and a frame's worth of bytes; the first
+// carries the buffered writes.
+func (t *Txn) readRequests(keys []string) []*clientproto.Request {
+	size := requestOverhead + t.writeBytes
+	req := &clientproto.Request{Op: clientproto.OpRead, Txn: t.handle, Writes: t.takeWrites()}
+	reqs := []*clientproto.Request{req}
+	start := 0
+	for i, k := range keys {
+		ks := len(k) + fieldOverhead
+		if i > start && (i-start == clientproto.MaxKeys || size+ks > clientproto.MaxFrame) {
+			req.Keys = keys[start:i]
+			req = &clientproto.Request{Op: clientproto.OpRead, Txn: t.handle}
+			reqs = append(reqs, req)
+			start, size = i, requestOverhead
+		}
+		size += ks
+	}
+	req.Keys = keys[start:]
+	return reqs
+}
+
+// readReply awaits the reply to read request req on ch — or, with a nil ch,
+// sends req and awaits its reply — and returns its values.
+func (t *Txn) readReply(req *clientproto.Request, ch chan clientproto.Reply) ([]kv.ReadResult, error) {
+	var rep clientproto.Reply
+	var err error
+	if ch == nil {
+		rep, err = t.call(req)
+	} else if rep, err = t.cn.await(ch, t.c.opts.RequestTimeout); err != nil {
+		t.err = err
+	}
+	if err != nil {
+		return nil, err
+	}
+	if rep.Kind != clientproto.ReplyValues {
+		return nil, replyError(rep)
+	}
+	if len(rep.Vals) != len(req.Keys) {
+		return nil, fmt.Errorf("client: read answered %d values for %d keys", len(rep.Vals), len(req.Keys))
+	}
+	return rep.Vals, nil
+}
+
+// Write implements kv.Txn without a round trip: the write is buffered and
+// rides the transaction's next Read, MultiRead or Commit, and the server
+// applies it before that read or commit — so later reads observe it. Like
+// the embedded engine's Write, it keeps val, which the caller must not
+// modify afterwards. Everything the client can know is checked here
+// (finished handle, read-only handle, frame limit). A write the server
+// refuses fails the request that carried it and aborts the transaction, so
+// it never commits without it. Oversized payloads must fail alone without
+// being sent: an over-limit frame would make the server hang up on the
+// whole multiplexed connection, aborting every other transaction pipelined
+// on it. When the buffered writes would outgrow one frame, they are sent
+// first in a read of no keys.
 func (t *Txn) Write(key string, val []byte) error {
 	if err := t.usable(); err != nil {
 		return err
@@ -350,55 +400,41 @@ func (t *Txn) Write(key string, val []byte) error {
 	if t.readOnly {
 		return kv.ErrReadOnlyWrite
 	}
-	if len(key)+len(val)+64 > clientproto.MaxFrame {
+	size := len(key) + len(val) + 2*fieldOverhead
+	if requestOverhead+size > clientproto.MaxFrame {
 		return fmt.Errorf("client: write of %d bytes exceeds the %d-byte frame limit", len(val), clientproto.MaxFrame)
 	}
-	if len(t.writes) >= maxPipelinedWrites {
-		if err := t.collectWrites(); err != nil {
-			return err
-		}
-	}
-	ch, err := t.cn.start(&clientproto.Request{Op: clientproto.OpWrite, Txn: t.handle, Key: key, Val: val})
-	if err != nil {
-		t.err = err
-		return err
-	}
-	t.writes = append(t.writes, ch)
-	return nil
-}
-
-// collectWrites awaits the replies of every Write still in flight and
-// returns the first failure. Replies behind a failed one land in their
-// buffered channels and are dropped with them.
-func (t *Txn) collectWrites() error {
-	writes := t.writes
-	t.writes = nil
-	for _, ch := range writes {
-		rep, err := t.cn.await(ch, t.c.opts.RequestTimeout)
+	if requestOverhead+t.writeBytes+size > clientproto.MaxFrame {
+		rep, err := t.call(&clientproto.Request{Op: clientproto.OpRead, Txn: t.handle, Writes: t.takeWrites()})
 		if err != nil {
-			t.err = err
 			return err
 		}
-		if rep.Kind != clientproto.ReplyOK {
+		if rep.Kind != clientproto.ReplyValues {
 			return replyError(rep)
 		}
 	}
+	t.writes = append(t.writes, wire.KV{Key: key, Val: val})
+	t.writeBytes += size
 	return nil
 }
 
+// takeWrites hands over the buffered writes for a request to carry.
+func (t *Txn) takeWrites() []wire.KV {
+	w := t.writes
+	t.writes, t.writeBytes = nil, 0
+	return w
+}
+
 // Commit implements kv.Txn. Like the embedded engine, it returns only at
-// external commit. The request rides the pipeline behind the Writes still in
-// flight instead of waiting a round trip for their acknowledgements: the
-// server runs same-handle requests in arrival order, and answers a Commit that
-// follows a Write it refused by aborting the transaction and repeating that
-// Write's error — so a refused write still never commits without it.
+// external commit. The request carries the transaction's buffered writes;
+// the server applies them before committing, and a write it refuses aborts
+// the transaction and is the commit's error.
 func (t *Txn) Commit() error {
 	if err := t.usable(); err != nil {
 		return err
 	}
 	t.done = true
-	t.writes = nil // the commit's reply answers for them; theirs land in buffered channels
-	rep, err := t.call(&clientproto.Request{Op: clientproto.OpCommit, Txn: t.handle})
+	rep, err := t.call(&clientproto.Request{Op: clientproto.OpCommit, Txn: t.handle, Writes: t.takeWrites()})
 	if err != nil {
 		return err
 	}
@@ -408,7 +444,8 @@ func (t *Txn) Commit() error {
 	return nil
 }
 
-// Abort implements kv.Txn. Safe to call after a failed Commit (the server
+// Abort implements kv.Txn: it drops the buffered writes and aborts the
+// transaction server-side. Safe to call after a failed Commit (the server
 // then reports the handle unknown, which Abort swallows, matching the
 // embedded engines' idempotent Abort).
 func (t *Txn) Abort() error {
@@ -416,7 +453,7 @@ func (t *Txn) Abort() error {
 		return nil
 	}
 	t.done = true
-	_ = t.collectWrites() // aborting either way
+	t.takeWrites()
 	rep, err := t.call(&clientproto.Request{Op: clientproto.OpAbort, Txn: t.handle})
 	if err != nil {
 		return nil // connection gone: the server aborts it for us

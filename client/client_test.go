@@ -1,6 +1,7 @@
 package client
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -256,7 +257,7 @@ func TestClientSnapshotRead(t *testing.T) {
 		t.Fatalf("empty snapshot read: %v %v", res, err)
 	}
 	// Over-limit key sets are rejected client-side.
-	if _, err := c.SnapshotRead(make([]string, clientproto.MaxSnapshotKeys+1)); err == nil {
+	if _, err := c.SnapshotRead(make([]string, clientproto.MaxKeys+1)); err == nil {
 		t.Fatal("over-limit snapshot read accepted")
 	}
 
@@ -635,13 +636,11 @@ func startGatedServer(t *testing.T, gs *gatedStore) (string, *clientproto.Server
 	return ln.Addr().String(), srv
 }
 
-// TestClientWritePipelined pins that Write costs no round trip: it returns
-// while the server is still executing it, and the next operation on the
-// handle — executed behind it by the server's per-handle FIFO — both collects
-// its reply and observes its effect.
+// TestClientWritePipelined pins that Write costs no round trip: it issues
+// no request, and the buffered writes ride the transaction's next read and
+// its commit — an update transaction is Begin, one read, Commit.
 func TestClientWritePipelined(t *testing.T) {
-	gs := &gatedStore{gate: make(chan struct{})}
-	addr, _ := startGatedServer(t, gs)
+	addr, srv := startServer(t)
 	c, err := Dial(addr, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -649,37 +648,194 @@ func TestClientWritePipelined(t *testing.T) {
 	defer func() { _ = c.Close() }()
 
 	tx := c.Begin(false)
+	served := srv.Metrics().Requests.Load()
+	for i := 0; i < 200; i++ {
+		if err := tx.Write(fmt.Sprintf("w%03d", i), []byte("x")); err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+	}
+	if got := srv.Metrics().Requests.Load() - served; got != 0 {
+		t.Fatalf("200 writes issued %d requests, want none", got)
+	}
+	res, err := tx.(kv.MultiReader).MultiRead([]string{"w000", "k00", "w199"})
+	if err != nil || !res[0].Exists || string(res[1].Val) != "init" || !res[2].Exists {
+		t.Fatalf("read behind buffered writes: %+v %v", res, err)
+	}
 	if err := tx.Write("k00", []byte("piped")); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	// Write returned; the server is provably still inside it.
-	for gs.writesInProgress.Load() == 0 {
-		time.Sleep(time.Millisecond)
+	if err := tx.Commit(); err != nil {
+		t.Fatalf("commit: %v", err)
 	}
-	close(gs.gate)
-	if v, ok, err := tx.Read("k00"); err != nil || !ok || string(v) != "piped" {
-		t.Fatalf("read-your-write behind a pipelined write: %q %v %v", v, ok, err)
+	if got := srv.Metrics().Requests.Load() - served; got != 2 {
+		t.Fatalf("200 writes, a read and a commit cost %d requests, want 2", got)
 	}
-	// More writes than one collection window, then commit.
-	for i := 0; i < 3*maxPipelinedWrites; i++ {
-		if err := tx.Write(fmt.Sprintf("w%03d", i), []byte("x")); err != nil {
+	res, err = c.SnapshotRead([]string{"k00", "w000", "w199"})
+	if err != nil || string(res[0].Val) != "piped" || !res[1].Exists || !res[2].Exists {
+		t.Fatalf("after commit: %+v %v", res, err)
+	}
+}
+
+// TestClientReadYourWrites: a transaction's Read and MultiRead observe its
+// own buffered writes, and a key written twice reads the last write.
+func TestClientReadYourWrites(t *testing.T) {
+	addr, _ := startServer(t)
+	c, err := Dial(addr, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+
+	tx := c.Begin(false)
+	for _, w := range []struct{ k, v string }{{"k00", "a"}, {"fresh", "b"}, {"k00", "c"}} {
+		if err := tx.Write(w.k, []byte(w.v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if v, ok, err := tx.Read("k00"); err != nil || !ok || string(v) != "c" {
+		t.Fatalf("read of a written key: %q %v %v", v, ok, err)
+	}
+	if err := tx.Write("k01", []byte("d")); err != nil {
+		t.Fatal(err)
+	}
+	res, err := tx.(kv.MultiReader).MultiRead([]string{"fresh", "k01", "k02"})
+	if err != nil || string(res[0].Val) != "b" || string(res[1].Val) != "d" || string(res[2].Val) != "init" {
+		t.Fatalf("multi-read of written keys: %+v %v", res, err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestClientAbortDropsWrites: Abort discards the buffered writes with the
+// transaction, so a later transaction does not see them.
+func TestClientAbortDropsWrites(t *testing.T) {
+	addr, _ := startServer(t)
+	c, err := Dial(addr, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+
+	tx := c.Begin(false)
+	if _, _, err := tx.Read("k05"); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"k05", "dropped"} {
+		if err := tx.Write(k, []byte("never")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	next := c.Begin(false)
+	res, err := next.(kv.MultiReader).MultiRead([]string{"k05", "dropped"})
+	if err != nil || string(res[0].Val) != "init" || res[1].Exists {
+		t.Fatalf("after the abort: %+v %v", res, err)
+	}
+	if err := next.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestClientWritesSplitAcrossFrames buffers more write bytes than one frame
+// holds: the writes that would overflow it go ahead in a read of no keys,
+// and every write commits.
+func TestClientWritesSplitAcrossFrames(t *testing.T) {
+	addr, srv := startServer(t)
+	c, err := Dial(addr, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+
+	val := make([]byte, 1<<20)
+	n := clientproto.MaxFrame/len(val) + 1
+	tx := c.Begin(false)
+	served := srv.Metrics().Requests.Load()
+	for i := range n {
+		val[0] = byte(i)
+		if err := tx.Write(fmt.Sprintf("big%02d", i), bytes.Clone(val)); err != nil {
 			t.Fatalf("write %d: %v", i, err)
 		}
 	}
 	if err := tx.Commit(); err != nil {
 		t.Fatalf("commit: %v", err)
 	}
-	res, err := c.SnapshotRead([]string{"k00", "w000", fmt.Sprintf("w%03d", 3*maxPipelinedWrites-1)})
-	if err != nil || string(res[0].Val) != "piped" || !res[1].Exists || !res[2].Exists {
-		t.Fatalf("after commit: %+v %v", res, err)
+	if got := srv.Metrics().Requests.Load() - served; got != 2 {
+		t.Fatalf("%d one-MiB writes and a commit cost %d requests, want 2 (one keyless read, one commit)", n, got)
+	}
+	for i := range n {
+		res, err := c.SnapshotRead([]string{fmt.Sprintf("big%02d", i)})
+		if err != nil || !res[0].Exists || len(res[0].Val) != len(val) || res[0].Val[0] != byte(i) {
+			t.Fatalf("write %d after commit: exists=%v len=%d err=%v", i, res[0].Exists, len(res[0].Val), err)
+		}
+	}
+}
+
+// TestClientMultiReadSplit reads more keys than one request may carry: the
+// client splits the read, and the results keep request order — duplicate
+// keys, keys the transaction wrote and missing keys included.
+func TestClientMultiReadSplit(t *testing.T) {
+	addr, srv := startServer(t)
+	c, err := Dial(addr, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+
+	tx := c.Begin(false)
+	if err := tx.Write("k07", []byte("written")); err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, clientproto.MaxKeys+37)
+	for i := range keys {
+		switch i % 4 {
+		case 0:
+			keys[i] = fmt.Sprintf("k%02d", i%32) // preloaded, k07 written
+		case 1:
+			keys[i] = "k03" // a duplicate throughout
+		case 2:
+			keys[i] = fmt.Sprintf("missing%d", i)
+		default:
+			keys[i] = "k07"
+		}
+	}
+	served := srv.Metrics().Requests.Load()
+	res, err := tx.(kv.MultiReader).MultiRead(keys)
+	if err != nil {
+		t.Fatalf("multi-read: %v", err)
+	}
+	if got := srv.Metrics().Requests.Load() - served; got != 2 {
+		t.Fatalf("a read of %d keys cost %d requests, want 2", len(keys), got)
+	}
+	if len(res) != len(keys) {
+		t.Fatalf("%d results for %d keys", len(res), len(keys))
+	}
+	for i, k := range keys {
+		want, exists := "init", true
+		switch {
+		case k == "k07":
+			want = "written"
+		case strings.HasPrefix(k, "missing"):
+			want, exists = "", false
+		}
+		if res[i].Exists != exists || string(res[i].Val) != want {
+			t.Fatalf("result %d (%s): %+v, want %q", i, k, res[i], want)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // TestClientWriteErrors pins where a Write's errors surface: what the client
 // can know fails in Write itself, without a request; what only the server
-// knows fails at the collecting call — and a Commit behind a refused write
-// returns that write's error, the server having aborted the transaction
-// instead of committing without it, for one request and no extra Abort.
+// knows fails the request that carried the write — a read, or a Commit,
+// which then returns that write's error, the server having aborted the
+// transaction instead of committing without it, for one request and no
+// extra Abort.
 func TestClientWriteErrors(t *testing.T) {
 	gs := &gatedStore{writeErr: errors.New("disk on fire")}
 	addr, srv := startGatedServer(t, gs)
@@ -709,11 +865,10 @@ func TestClientWriteErrors(t *testing.T) {
 	served := srv.Metrics().Requests.Load()
 	err = tx.Commit()
 	if err == nil || !strings.Contains(err.Error(), "disk on fire") {
-		t.Fatalf("commit after a refused write: %v", err)
+		t.Fatalf("commit carrying a refused write: %v", err)
 	}
-	// The Write may still have been in flight when served was sampled.
-	if got := srv.Metrics().Requests.Load() - served; got > 2 {
-		t.Fatalf("commit after a refused write cost %d requests, want the Commit alone", got)
+	if got := srv.Metrics().Requests.Load() - served; got != 1 {
+		t.Fatalf("commit carrying a refused write cost %d requests, want the Commit alone", got)
 	}
 	if err := tx.Write("k00", []byte("late")); !errors.Is(err, kv.ErrTxnDone) {
 		t.Fatalf("write after commit: %v", err)
@@ -721,15 +876,28 @@ func TestClientWriteErrors(t *testing.T) {
 	if gs.commits.Load() != 0 || gs.aborts.Load() != 2 {
 		t.Fatalf("server saw %d commits, %d aborts; want 0 and 2", gs.commits.Load(), gs.aborts.Load())
 	}
+
+	// A read that carries a refused write fails with it, and the
+	// transaction can no longer commit.
+	tx = c.Begin(false)
+	if err := tx.Write("k00", []byte("refused")); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := tx.Read("k00"); err == nil || !strings.Contains(err.Error(), "disk on fire") {
+		t.Fatalf("read carrying a refused write: %v", err)
+	}
+	if err := tx.Commit(); !errors.Is(err, kv.ErrTxnDone) {
+		t.Fatalf("commit after a refused write: %v", err)
+	}
 	if res, err := c.SnapshotRead([]string{"k00"}); err != nil || string(res[0].Val) != "init" {
-		t.Fatalf("k00 after the aborted commit: %+v %v", res, err)
+		t.Fatalf("k00 after the aborted transactions: %+v %v", res, err)
 	}
 }
 
-// TestClientCommitPipelined pins that Commit costs one round trip: it is on
-// the wire while the server is still executing the Write before it — the
-// server has read both requests and entered neither Commit nor Abort — and it
-// succeeds once the Write does.
+// TestClientCommitPipelined pins that Commit costs one round trip: it is the
+// one request that carries the buffered write — the server has read it and
+// is applying the write, not yet committing — and it succeeds once the write
+// is applied.
 func TestClientCommitPipelined(t *testing.T) {
 	gs := &gatedStore{gate: make(chan struct{})}
 	addr, srv := startGatedServer(t, gs)
@@ -750,12 +918,14 @@ func TestClientCommitPipelined(t *testing.T) {
 	committed := make(chan error, 1)
 	go func() { committed <- tx.Commit() }()
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.Metrics().Requests.Load() < served+2 || gs.writesInProgress.Load() == 0 {
+	for gs.writesInProgress.Load() == 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("server read %d requests with the write parked; Commit is waiting for the Write's reply",
-				srv.Metrics().Requests.Load()-served)
+			t.Fatal("the commit's write never reached the server")
 		}
 		time.Sleep(time.Millisecond)
+	}
+	if got := srv.Metrics().Requests.Load() - served; got != 1 {
+		t.Fatalf("server read %d requests for a write and a commit, want 1", got)
 	}
 	if n := gs.commits.Load() + gs.aborts.Load(); n != 0 {
 		t.Fatalf("server ended the transaction (%d) ahead of its parked write", n)

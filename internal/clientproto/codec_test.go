@@ -8,20 +8,25 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/sss-paper/sss/internal/wire"
 	"github.com/sss-paper/sss/kv"
 )
 
-// goldenRequests and goldenReplies pin the client protocol's bytes: one
-// request per Op and one reply per ReplyKind, next to the body each encodes
-// to. Deployed clients and servers speak exactly these bytes.
+// goldenRequests and goldenReplies pin the client protocol's bytes: every
+// Op and ReplyKind, with and without its optional lists, next to the body
+// each encodes to. Deployed clients and servers speak exactly these bytes.
 var goldenRequests = []struct {
 	req Request
 	hex string
 }{
 	{Request{Op: OpBegin, ReqID: 1, ReadOnly: true}, "010101"},
-	{Request{Op: OpRead, ReqID: 2, Txn: 300, Key: "key"}, "0202ac02036b6579"},
-	{Request{Op: OpWrite, ReqID: 3, Txn: 7, Key: "k", Val: []byte{0, 1, 0xff}}, "030307016b030001ff"},
-	{Request{Op: OpCommit, ReqID: 1 << 35, Txn: 8}, "0480808080800108"},
+	{Request{Op: OpRead, ReqID: 2, Txn: 300, Keys: []string{"key"}}, "0802ac0201036b657900"},
+	{Request{Op: OpRead, ReqID: 3, Txn: 7, Keys: []string{"a", "b"},
+		Writes: []wire.KV{{Key: "k", Val: []byte{0, 1, 0xff}}}}, "080307020161016201016b030001ff"},
+	{Request{Op: OpRead, ReqID: 3, Txn: 7, Writes: []wire.KV{{Key: "k"}, {Key: "j", Val: []byte("v")}}},
+		"0803070002016b00016a0176"},
+	{Request{Op: OpCommit, ReqID: 1 << 35, Txn: 8}, "048080808080010800"},
+	{Request{Op: OpCommit, ReqID: 4, Txn: 8, Writes: []wire.KV{{Key: "k", Val: []byte("v")}}}, "04040801016b0176"},
 	{Request{Op: OpAbort, ReqID: 5, Txn: 9}, "050509"},
 	{Request{Op: OpPing, ReqID: 6}, "0606"},
 	{Request{Op: OpSnapshotRead, ReqID: 7, Keys: []string{"a", "", "ccc"}}, "07070301610003636363"},
@@ -32,10 +37,10 @@ var goldenReplies = []struct {
 	hex string
 }{
 	{Reply{Kind: ReplyOK, ReqID: 1, Txn: 129}, "01018101"},
-	{Reply{Kind: ReplyValue, ReqID: 2, Exists: true, Val: []byte("value")}, "0202010576616c7565"},
 	{Reply{Kind: ReplyErr, ReqID: 3, Code: CodeUnknownTxn, Msg: "no such txn"}, "0303050b6e6f20737563682074786e"},
 	{Reply{Kind: ReplyValues, ReqID: 4, Vals: []kv.ReadResult{
 		{Exists: true, Val: []byte("x")}, {}, {Exists: true}}}, "04040301017800000100"},
+	{Reply{Kind: ReplyValues, ReqID: 5}, "040500"},
 }
 
 func TestGoldenEncodings(t *testing.T) {
@@ -113,13 +118,14 @@ func FuzzDecodeReply(f *testing.F) {
 	})
 }
 
-// BenchmarkCodecRoundTrip frames a Write request and the Value reply that
-// answers a read of it, each through the pooled writer and the frame
-// reader: the codec work one request and one reply cost a connection.
+// BenchmarkCodecRoundTrip frames a one-key Read carrying one write and the
+// one-value reply that answers it, each through the pooled writer and the
+// frame reader: the codec work one request and one reply cost a connection.
 func BenchmarkCodecRoundTrip(b *testing.B) {
 	val := bytes.Repeat([]byte{'v'}, 100)
-	req := Request{Op: OpWrite, ReqID: 1 << 20, Txn: 1 << 10, Key: "key-000042", Val: val}
-	rep := Reply{Kind: ReplyValue, ReqID: 1 << 20, Exists: true, Val: val}
+	req := Request{Op: OpRead, ReqID: 1 << 20, Txn: 1 << 10, Keys: []string{"key-000042"},
+		Writes: []wire.KV{{Key: "key-000042", Val: val}}}
+	rep := Reply{Kind: ReplyValues, ReqID: 1 << 20, Vals: []kv.ReadResult{{Exists: true, Val: val}}}
 	var stream bytes.Buffer
 	w := bufio.NewWriter(&stream)
 	r := bufio.NewReader(&stream)

@@ -2,13 +2,17 @@
 // sss-server and its session-manager implementation.
 //
 // Unlike internal/wire — the inter-node vocabulary of the replication
-// protocol — clientproto frames the five transactional verbs a client
-// program needs (Begin, Read, Write, Commit, Abort, plus Ping for health
-// probes) over a single multiplexed TCP connection. Frames are
-// length-prefixed; bodies are written with internal/wire's append helpers,
-// read with its Decoder and framed in by its ReadFrame, on the same pooled
-// buffers as the node-to-node transport, so the steady-state encode/decode
-// path allocates nothing beyond the decoded payloads.
+// protocol — clientproto frames the four transactional verbs a client
+// program needs (Begin, Read, Commit, Abort, plus SnapshotRead for a whole
+// read-only transaction and Ping for health probes) over a single
+// multiplexed TCP connection. A transaction's writes have no request of
+// their own: the client buffers them and they ride its next Read or its
+// Commit, so an update transaction costs three requests — Begin, one Read
+// carrying every key, and Commit. Frames are length-prefixed; bodies are
+// written with internal/wire's append helpers, read with its Decoder and
+// framed in by its ReadFrame, on the same pooled buffers as the
+// node-to-node transport, so the steady-state encode/decode path allocates
+// nothing beyond the decoded payloads.
 //
 // Framing (all integers uvarint, strings/bytes length-prefixed):
 //
@@ -39,28 +43,39 @@ const MaxFrame = 16 << 20
 // Op tags a client request.
 type Op uint8
 
-// Request operations.
+// Request operations. Tags 2 and 3 are retired — a single-key read and a
+// single write, each answered on its own — and decode as unknown, so a
+// client of an older build is answered CodeBadRequest rather than
+// mis-decoded.
 const (
-	OpBegin Op = iota + 1
-	OpRead
-	OpWrite
-	OpCommit
-	OpAbort
+	OpBegin  Op = 1
+	OpCommit Op = 4
+	OpAbort  Op = 5
 	// OpPing is a no-op round trip: the readiness/health probe used by the
 	// harness and client keep-alive checks.
-	OpPing
+	OpPing Op = 6
 	// OpSnapshotRead runs one complete read-only transaction server-side —
 	// begin, read every key in Keys, finish — and answers with ReplyValues
 	// carrying all results. It is the one-round form of the paper's
 	// abort-free read-only transaction: the client pays a single round trip
-	// where the interactive form pays 2+N (begin + each read + commit).
-	OpSnapshotRead
+	// where the interactive form pays three (begin, read, commit).
+	OpSnapshotRead Op = 7
+	// OpRead applies the transaction's buffered Writes, in order, then reads
+	// every key in Keys and answers with ReplyValues. Keys may be empty: a
+	// read that only carries writes.
+	OpRead Op = 8
 )
 
-// MaxSnapshotKeys bounds the keys of one SnapshotRead request; beyond it
-// the server answers CodeBadRequest (a snapshot that large should be an
-// interactive read-only transaction).
-const MaxSnapshotKeys = 4096
+// OpWrite is the retired single-write tag: no request encodes it and the
+// server answers it CodeBadRequest. The name stays only because the
+// benchmark module's codec probe (benchmark/probes.go) builds its request
+// from it.
+const OpWrite Op = 3
+
+// MaxKeys bounds the keys of one Read or SnapshotRead request, and the
+// values of its reply; beyond it the request does not decode and the server
+// answers CodeBadRequest. The client splits a larger MultiRead.
+const MaxKeys = 4096
 
 // String names the op for error messages.
 func (o Op) String() string {
@@ -69,8 +84,6 @@ func (o Op) String() string {
 		return "BEGIN"
 	case OpRead:
 		return "READ"
-	case OpWrite:
-		return "WRITE"
 	case OpCommit:
 		return "COMMIT"
 	case OpAbort:
@@ -87,18 +100,17 @@ func (o Op) String() string {
 // ReplyKind tags a server reply.
 type ReplyKind uint8
 
-// Reply kinds.
+// Reply kinds. Tag 2, the retired one-value reply to a single-key read,
+// decodes as unknown.
 const (
-	// ReplyOK acknowledges Begin (carrying the new handle), Write, Commit,
-	// Abort and Ping.
-	ReplyOK ReplyKind = iota + 1
-	// ReplyValue answers a Read: Exists + Val.
-	ReplyValue
+	// ReplyOK acknowledges Begin (carrying the new handle), Commit, Abort
+	// and Ping.
+	ReplyOK ReplyKind = 1
 	// ReplyErr reports a typed failure for the request it echoes.
-	ReplyErr
-	// ReplyValues answers a SnapshotRead: one result per requested key, in
-	// request order.
-	ReplyValues
+	ReplyErr ReplyKind = 3
+	// ReplyValues answers a Read or a SnapshotRead: one result per
+	// requested key, in request order.
+	ReplyValues ReplyKind = 4
 )
 
 // ErrCode is the typed error vocabulary of ReplyErr. The client package
@@ -139,16 +151,20 @@ func (c ErrCode) String() string {
 }
 
 // Request is one client frame. Fields beyond Op/ReqID are op-specific:
-// Begin uses ReadOnly; Read/Write/Commit/Abort use Txn; Read and Write use
-// Key; Write uses Val; SnapshotRead uses Keys.
+// Begin uses ReadOnly; Read/Commit/Abort use Txn; Read and SnapshotRead use
+// Keys; Read and Commit use Writes, the buffered writes the server applies
+// in order before the read or the commit.
 type Request struct {
 	Op       Op
 	ReqID    uint64
 	Txn      uint64
 	ReadOnly bool
-	Key      string
-	Val      []byte
 	Keys     []string
+	Writes   []wire.KV
+	// Key and Val are encoded by no op: like OpWrite they remain only for
+	// the benchmark module's codec probe.
+	Key string
+	Val []byte
 }
 
 // Reply is one server frame, echoing the request's ReqID.
@@ -157,13 +173,11 @@ type Reply struct {
 	ReqID uint64
 	// Txn carries the new handle on a Begin ack.
 	Txn uint64
-	// Exists/Val answer a Read.
-	Exists bool
-	Val    []byte
 	// Code/Msg describe a ReplyErr.
 	Code ErrCode
 	Msg  string
-	// Vals answers a SnapshotRead, positionally aligned with Request.Keys.
+	// Vals answers a Read or SnapshotRead, positionally aligned with
+	// Request.Keys.
 	Vals []kv.ReadResult
 }
 
@@ -176,12 +190,12 @@ func AppendRequest(buf []byte, req *Request) []byte {
 		buf = wire.AppendBool(buf, req.ReadOnly)
 	case OpRead:
 		buf = binary.AppendUvarint(buf, req.Txn)
-		buf = wire.AppendString(buf, req.Key)
-	case OpWrite:
+		buf = wire.AppendStrings(buf, req.Keys)
+		buf = wire.AppendKVs(buf, req.Writes)
+	case OpCommit:
 		buf = binary.AppendUvarint(buf, req.Txn)
-		buf = wire.AppendString(buf, req.Key)
-		buf = wire.AppendBytes(buf, req.Val)
-	case OpCommit, OpAbort:
+		buf = wire.AppendKVs(buf, req.Writes)
+	case OpAbort:
 		buf = binary.AppendUvarint(buf, req.Txn)
 	case OpPing:
 	case OpSnapshotRead:
@@ -200,27 +214,24 @@ func DecodeRequest(buf []byte) (Request, error) {
 		req.ReadOnly = d.Bool()
 	case OpRead:
 		req.Txn = d.Uvarint()
-		req.Key = d.Str()
-	case OpWrite:
+		keys, err := decodeKeys(d)
+		if err != nil {
+			return Request{}, err
+		}
+		req.Keys = keys
+		req.Writes = d.KVs()
+	case OpCommit:
 		req.Txn = d.Uvarint()
-		req.Key = d.Str()
-		req.Val = d.Bytes()
-	case OpCommit, OpAbort:
+		req.Writes = d.KVs()
+	case OpAbort:
 		req.Txn = d.Uvarint()
 	case OpPing:
 	case OpSnapshotRead:
-		n := d.Uvarint()
-		// The count bound keeps a hostile frame from forcing a huge
-		// allocation before the per-key checks run.
-		if n > MaxSnapshotKeys {
-			return Request{}, fmt.Errorf("clientproto: snapshot-read of %d keys exceeds limit %d", n, MaxSnapshotKeys)
+		keys, err := decodeKeys(d)
+		if err != nil {
+			return Request{}, err
 		}
-		if n > 0 {
-			req.Keys = make([]string, n)
-			for i := range req.Keys {
-				req.Keys[i] = d.Str()
-			}
-		}
+		req.Keys = keys
 	default:
 		return Request{}, fmt.Errorf("clientproto: unknown op %d", uint8(req.Op))
 	}
@@ -233,6 +244,23 @@ func DecodeRequest(buf []byte) (Request, error) {
 	return req, nil
 }
 
+// decodeKeys reads a request's key list. The count bound keeps a hostile
+// frame from forcing a huge allocation before the per-key checks run.
+func decodeKeys(d *wire.Decoder) ([]string, error) {
+	n := d.Uvarint()
+	if n > MaxKeys {
+		return nil, fmt.Errorf("clientproto: read of %d keys exceeds limit %d", n, MaxKeys)
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = d.Str()
+	}
+	return keys, nil
+}
+
 // AppendReply appends the body encoding of rep to buf.
 func AppendReply(buf []byte, rep *Reply) []byte {
 	buf = append(buf, byte(rep.Kind))
@@ -240,9 +268,6 @@ func AppendReply(buf []byte, rep *Reply) []byte {
 	switch rep.Kind {
 	case ReplyOK:
 		buf = binary.AppendUvarint(buf, rep.Txn)
-	case ReplyValue:
-		buf = wire.AppendBool(buf, rep.Exists)
-		buf = wire.AppendBytes(buf, rep.Val)
 	case ReplyErr:
 		buf = append(buf, byte(rep.Code))
 		buf = wire.AppendString(buf, rep.Msg)
@@ -263,16 +288,13 @@ func DecodeReply(buf []byte) (Reply, error) {
 	switch rep.Kind {
 	case ReplyOK:
 		rep.Txn = d.Uvarint()
-	case ReplyValue:
-		rep.Exists = d.Bool()
-		rep.Val = d.Bytes()
 	case ReplyErr:
 		rep.Code = ErrCode(d.Byte())
 		rep.Msg = d.Str()
 	case ReplyValues:
 		n := d.Uvarint()
-		if n > MaxSnapshotKeys {
-			return Reply{}, fmt.Errorf("clientproto: snapshot-read reply of %d values exceeds limit %d", n, MaxSnapshotKeys)
+		if n > MaxKeys {
+			return Reply{}, fmt.Errorf("clientproto: reply of %d values exceeds limit %d", n, MaxKeys)
 		}
 		if n > 0 {
 			rep.Vals = make([]kv.ReadResult, n)

@@ -4,51 +4,69 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 
+	"github.com/sss-paper/sss/internal/wire"
 	"github.com/sss-paper/sss/kv"
 )
 
 func randomRequest(rng *rand.Rand) Request {
-	ops := []Op{OpBegin, OpRead, OpWrite, OpCommit, OpAbort, OpPing, OpSnapshotRead}
+	ops := []Op{OpBegin, OpRead, OpCommit, OpAbort, OpPing, OpSnapshotRead}
 	req := Request{Op: ops[rng.Intn(len(ops))], ReqID: rng.Uint64() >> uint(rng.Intn(64))}
 	switch req.Op {
 	case OpBegin:
 		req.ReadOnly = rng.Intn(2) == 0
 	case OpRead:
 		req.Txn = rng.Uint64() >> uint(rng.Intn(64))
-		req.Key = randString(rng, rng.Intn(64))
-	case OpWrite:
+		req.Keys = randKeys(rng)
+		req.Writes = randWrites(rng)
+	case OpCommit:
 		req.Txn = rng.Uint64() >> uint(rng.Intn(64))
-		req.Key = randString(rng, rng.Intn(64))
-		req.Val = randBytes(rng, rng.Intn(1024))
-	case OpCommit, OpAbort:
+		req.Writes = randWrites(rng)
+	case OpAbort:
 		req.Txn = rng.Uint64() >> uint(rng.Intn(64))
 	case OpSnapshotRead:
-		// A zero count decodes to a nil slice; keep the generator aligned so
-		// DeepEqual round trips.
-		if n := rng.Intn(9); n > 0 {
-			req.Keys = make([]string, n)
-			for i := range req.Keys {
-				req.Keys[i] = randString(rng, rng.Intn(48))
-			}
-		}
+		req.Keys = randKeys(rng)
 	}
 	return req
 }
 
+// randKeys and randWrites return nil for an empty list: a zero count
+// decodes to a nil slice, and DeepEqual tells nil from empty.
+func randKeys(rng *rand.Rand) []string {
+	n := rng.Intn(9)
+	if n == 0 {
+		return nil
+	}
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = randString(rng, rng.Intn(48))
+	}
+	return keys
+}
+
+func randWrites(rng *rand.Rand) []wire.KV {
+	n := rng.Intn(4)
+	if n == 0 {
+		return nil
+	}
+	writes := make([]wire.KV, n)
+	for i := range writes {
+		writes[i] = wire.KV{Key: randString(rng, rng.Intn(64)), Val: randBytes(rng, rng.Intn(1024))}
+	}
+	return writes
+}
+
 func randomReply(rng *rand.Rand) Reply {
-	kinds := []ReplyKind{ReplyOK, ReplyValue, ReplyErr, ReplyValues}
+	kinds := []ReplyKind{ReplyOK, ReplyErr, ReplyValues}
 	rep := Reply{Kind: kinds[rng.Intn(len(kinds))], ReqID: rng.Uint64() >> uint(rng.Intn(64))}
 	switch rep.Kind {
 	case ReplyOK:
 		rep.Txn = rng.Uint64() >> uint(rng.Intn(64))
-	case ReplyValue:
-		rep.Exists = rng.Intn(2) == 0
-		rep.Val = randBytes(rng, rng.Intn(1024))
 	case ReplyErr:
 		rep.Code = ErrCode(rng.Intn(int(CodeInternal)) + 1)
 		rep.Msg = randString(rng, rng.Intn(128))
@@ -197,40 +215,63 @@ func TestDecodeGarbage(t *testing.T) {
 	}
 }
 
-// TestSnapshotReadKeyBound rejects snapshot-read frames whose declared key
-// count exceeds MaxSnapshotKeys — before allocating the slice — and accepts
-// exactly MaxSnapshotKeys.
+// TestSnapshotReadKeyBound rejects snapshot-read and read frames whose
+// declared key count exceeds MaxKeys — before allocating the slice — and
+// accepts exactly MaxKeys.
 func TestSnapshotReadKeyBound(t *testing.T) {
-	// Hand-build a request header declaring MaxSnapshotKeys+1 keys.
-	buf := []byte{byte(OpSnapshotRead)}
-	buf = binary.AppendUvarint(buf, 7) // ReqID
-	buf = binary.AppendUvarint(buf, MaxSnapshotKeys+1)
-	if _, err := DecodeRequest(buf); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
-		t.Fatalf("oversized snapshot-read accepted: %v", err)
+	for _, op := range []Op{OpSnapshotRead, OpRead} {
+		// Hand-build a request header declaring MaxKeys+1 keys.
+		buf := []byte{byte(op)}
+		buf = binary.AppendUvarint(buf, 7) // ReqID
+		if op == OpRead {
+			buf = binary.AppendUvarint(buf, 3) // Txn
+		}
+		buf = binary.AppendUvarint(buf, MaxKeys+1)
+		if _, err := DecodeRequest(buf); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+			t.Fatalf("oversized %v accepted: %v", op, err)
+		}
+
+		// Exactly at the bound round-trips.
+		req := Request{Op: op, ReqID: 9, Keys: make([]string, MaxKeys)}
+		for i := range req.Keys {
+			req.Keys[i] = "k"
+		}
+		out, err := DecodeRequest(AppendRequest(nil, &req))
+		if err != nil || len(out.Keys) != MaxKeys {
+			t.Fatalf("at-bound %v: %d keys, %v", op, len(out.Keys), err)
+		}
 	}
 
 	// Same for a reply declaring too many values.
-	buf = []byte{byte(ReplyValues)}
+	buf := []byte{byte(ReplyValues)}
 	buf = binary.AppendUvarint(buf, 7)
-	buf = binary.AppendUvarint(buf, MaxSnapshotKeys+1)
+	buf = binary.AppendUvarint(buf, MaxKeys+1)
 	if _, err := DecodeReply(buf); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
-		t.Fatalf("oversized snapshot-read reply accepted: %v", err)
+		t.Fatalf("oversized reply accepted: %v", err)
 	}
-
-	// Exactly at the bound round-trips.
-	req := Request{Op: OpSnapshotRead, ReqID: 9, Keys: make([]string, MaxSnapshotKeys)}
-	for i := range req.Keys {
-		req.Keys[i] = "k"
-	}
-	out, err := DecodeRequest(AppendRequest(nil, &req))
-	if err != nil || len(out.Keys) != MaxSnapshotKeys {
-		t.Fatalf("at-bound snapshot-read: %d keys, %v", len(out.Keys), err)
-	}
-
-	rep := Reply{Kind: ReplyValues, ReqID: 9, Vals: make([]kv.ReadResult, MaxSnapshotKeys)}
+	rep := Reply{Kind: ReplyValues, ReqID: 9, Vals: make([]kv.ReadResult, MaxKeys)}
 	outRep, err := DecodeReply(AppendReply(nil, &rep))
-	if err != nil || len(outRep.Vals) != MaxSnapshotKeys {
-		t.Fatalf("at-bound snapshot-read reply: %d vals, %v", len(outRep.Vals), err)
+	if err != nil || len(outRep.Vals) != MaxKeys {
+		t.Fatalf("at-bound reply: %d vals, %v", len(outRep.Vals), err)
+	}
+}
+
+// TestRetiredTagsDoNotDecode: the single-key read and single-write request
+// tags and the one-value reply tag of older builds are unknown, so an old
+// client's frame fails to decode instead of decoding as something else.
+func TestRetiredTagsDoNotDecode(t *testing.T) {
+	for _, raw := range []string{
+		"0202ac02036b6579",   // a single-key read: op 2, reqID 2, txn 300, "key"
+		"030307016b030001ff", // a single write: op 3, reqID 3, txn 7, "k" = 00 01 ff
+	} {
+		buf, _ := hex.DecodeString(raw)
+		if _, err := DecodeRequest(buf); err == nil || !strings.Contains(err.Error(), "unknown op") {
+			t.Errorf("retired request %s decoded: %v", raw, err)
+		}
+	}
+	buf, _ := hex.DecodeString("0202010576616c7565") // a one-value reply: kind 2
+	if _, err := DecodeReply(buf); err == nil || !strings.Contains(err.Error(), "unknown reply kind") {
+		t.Errorf("retired reply decoded: %v", err)
 	}
 }
 

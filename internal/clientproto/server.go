@@ -54,11 +54,12 @@ func saturationSlots() int {
 //   - Requests on distinct transaction handles run concurrently; requests
 //     on the same handle are serialized in arrival order (kv.Txn handles
 //     are single-goroutine objects).
-//   - Every request is acknowledged — including Write — either with its
-//     success reply or with a typed ReplyErr.
-//   - A Commit on a handle that had a Write refused aborts the transaction
-//     and is answered with that Write's error: a client may pipeline Commit
-//     behind its Writes without waiting to learn whether they were accepted.
+//   - Every request is acknowledged, either with its success reply or with
+//     a typed ReplyErr.
+//   - A Read or Commit applies the writes it carries, in order, before it
+//     reads or commits. A write the engine refuses aborts the transaction,
+//     and the request that carried it is answered with the write's error:
+//     a refused write never commits without it.
 //   - When the connection drops (EOF, reset, or a failed reply write),
 //     every transaction still open on it is aborted, so a vanished client
 //     can never leave locks or snapshot-queue entries behind.
@@ -188,12 +189,11 @@ type session struct {
 // each handle-targeted request behind the previous one's completion
 // channel, so pipelined requests on the same handle execute in arrival
 // order even though each runs on its own pooled goroutine, while other
-// handles proceed concurrently. tail is guarded by session.mu; writeErr, like
-// tx, by the handle's FIFO turn.
+// handles proceed concurrently. tail is guarded by session.mu; tx by the
+// handle's FIFO turn.
 type sessTxn struct {
-	tx       kv.Txn
-	tail     chan struct{} // completion of the last enqueued op; nil when idle
-	writeErr error         // the first Write the engine refused, for Commit to answer with
+	tx   kv.Txn
+	tail chan struct{} // completion of the last enqueued op; nil when idle
 }
 
 func (ss *session) readLoop() {
@@ -227,7 +227,7 @@ func (ss *session) readLoop() {
 // the engine call itself runs on the pool.
 func (ss *session) route(req Request) {
 	switch req.Op {
-	case OpRead, OpWrite, OpCommit, OpAbort:
+	case OpRead, OpCommit, OpAbort:
 		ss.mu.Lock()
 		st, ok := ss.txns[req.Txn]
 		var wait, done chan struct{}
@@ -279,48 +279,63 @@ func (ss *session) dispatch(fn func()) {
 // handle's FIFO turn, so st.tx is never entered concurrently.
 func (ss *session) handleTxnOp(req Request, st *sessTxn) {
 	tx := st.tx
-	switch req.Op {
-	case OpRead:
-		val, exists, err := tx.Read(req.Key)
-		if err != nil {
-			ss.replyKvErr(req.ReqID, err)
-			return
-		}
-		ss.reply(&Reply{Kind: ReplyValue, ReqID: req.ReqID, Exists: exists, Val: val})
-	case OpWrite:
-		if err := tx.Write(req.Key, req.Val); err != nil {
-			if st.writeErr == nil {
-				st.writeErr = err
-			}
+	if req.Op == OpAbort {
+		if err := tx.Abort(); err != nil {
 			ss.replyKvErr(req.ReqID, err)
 			return
 		}
 		ss.reply(&Reply{Kind: ReplyOK, ReqID: req.ReqID})
-	case OpCommit, OpAbort:
-		var err error
-		var commitStart time.Time
-		switch {
-		case req.Op == OpAbort:
-			err = tx.Abort()
-		case st.writeErr != nil:
+		return
+	}
+	for _, w := range req.Writes {
+		if err := tx.Write(w.Key, w.Val); err != nil {
 			// A write the server refused must not commit without it.
 			_ = tx.Abort()
-			err = st.writeErr
-		default:
-			if ss.srv.opts.CommitAck != nil {
-				commitStart = time.Now()
-			}
-			err = tx.Commit()
+			ss.replyKvErr(req.ReqID, err)
+			return
 		}
+	}
+	if req.Op == OpRead {
+		vals, err := readKeys(tx, req.Keys)
 		if err != nil {
 			ss.replyKvErr(req.ReqID, err)
 			return
 		}
-		ss.reply(&Reply{Kind: ReplyOK, ReqID: req.ReqID})
-		if !commitStart.IsZero() {
-			ss.srv.opts.CommitAck.Observe(time.Since(commitStart))
-		}
+		ss.reply(&Reply{Kind: ReplyValues, ReqID: req.ReqID, Vals: vals})
+		return
 	}
+	var commitStart time.Time
+	if ss.srv.opts.CommitAck != nil {
+		commitStart = time.Now()
+	}
+	if err := tx.Commit(); err != nil {
+		ss.replyKvErr(req.ReqID, err)
+		return
+	}
+	ss.reply(&Reply{Kind: ReplyOK, ReqID: req.ReqID})
+	if !commitStart.IsZero() {
+		ss.srv.opts.CommitAck.Observe(time.Since(commitStart))
+	}
+}
+
+// readKeys reads keys in tx, in one MultiRead when the engine's transaction
+// offers one.
+func readKeys(tx kv.Txn, keys []string) ([]kv.ReadResult, error) {
+	if len(keys) == 0 {
+		return nil, nil
+	}
+	if mr, ok := tx.(kv.MultiReader); ok {
+		return mr.MultiRead(keys)
+	}
+	vals := make([]kv.ReadResult, len(keys))
+	for i, k := range keys {
+		v, exists, err := tx.Read(k)
+		if err != nil {
+			return nil, err
+		}
+		vals[i] = kv.ReadResult{Val: v, Exists: exists}
+	}
+	return vals, nil
 }
 
 func (ss *session) handle(req Request) {
@@ -358,15 +373,11 @@ func (ss *session) handle(req Request) {
 func (ss *session) handleSnapshotRead(req Request) {
 	ss.srv.stats.SnapshotReads.Add(1)
 	tx := ss.srv.store.Begin(true)
-	vals := make([]kv.ReadResult, len(req.Keys))
-	for i, k := range req.Keys {
-		v, exists, err := tx.Read(k)
-		if err != nil {
-			_ = tx.Abort()
-			ss.replyKvErr(req.ReqID, err)
-			return
-		}
-		vals[i] = kv.ReadResult{Val: v, Exists: exists}
+	vals, err := readKeys(tx, req.Keys)
+	if err != nil {
+		_ = tx.Abort()
+		ss.replyKvErr(req.ReqID, err)
+		return
 	}
 	if err := tx.Commit(); err != nil {
 		ss.replyKvErr(req.ReqID, err)

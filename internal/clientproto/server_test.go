@@ -2,6 +2,7 @@ package clientproto
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
@@ -11,6 +12,7 @@ import (
 	"github.com/sss-paper/sss/internal/cluster"
 	"github.com/sss-paper/sss/internal/engine"
 	"github.com/sss-paper/sss/internal/transport"
+	"github.com/sss-paper/sss/internal/wire"
 	"github.com/sss-paper/sss/kv"
 )
 
@@ -92,6 +94,17 @@ func (tc *testConn) begin(ro bool) uint64 {
 	return rep.Txn
 }
 
+// read1 reads one key in txn and returns its value, failing the test on
+// anything but a one-value reply.
+func (tc *testConn) read1(txn uint64, key string, writes ...wire.KV) kv.ReadResult {
+	tc.t.Helper()
+	rep := tc.roundTrip(Request{Op: OpRead, Txn: txn, Keys: []string{key}, Writes: writes})
+	if rep.Kind != ReplyValues || len(rep.Vals) != 1 {
+		tc.t.Fatalf("read %s: %+v", key, rep)
+	}
+	return rep.Vals[0]
+}
+
 func TestServerBasicOps(t *testing.T) {
 	_, addr := newTestServer(t)
 	tc := dialTest(t, addr)
@@ -100,24 +113,39 @@ func TestServerBasicOps(t *testing.T) {
 	if rep := tc.roundTrip(Request{Op: OpPing}); rep.Kind != ReplyOK {
 		t.Fatalf("ping: %+v", rep)
 	}
-	// Update txn: read, write (acknowledged!), commit.
+	// Update txn: a read of two keys, then a commit carrying the write.
 	txn := tc.begin(false)
-	if rep := tc.roundTrip(Request{Op: OpRead, Txn: txn, Key: "k00"}); rep.Kind != ReplyValue || !rep.Exists || string(rep.Val) != "init" {
+	rep := tc.roundTrip(Request{Op: OpRead, Txn: txn, Keys: []string{"k00", "k01"}})
+	if rep.Kind != ReplyValues || len(rep.Vals) != 2 || !rep.Vals[0].Exists || string(rep.Vals[0].Val) != "init" {
 		t.Fatalf("read: %+v", rep)
 	}
-	if rep := tc.roundTrip(Request{Op: OpWrite, Txn: txn, Key: "k00", Val: []byte("v1")}); rep.Kind != ReplyOK {
-		t.Fatalf("write not acknowledged: %+v", rep)
-	}
-	if rep := tc.roundTrip(Request{Op: OpCommit, Txn: txn}); rep.Kind != ReplyOK {
+	if rep := tc.roundTrip(Request{Op: OpCommit, Txn: txn, Writes: []wire.KV{{Key: "k00", Val: []byte("v1")}}}); rep.Kind != ReplyOK {
 		t.Fatalf("commit: %+v", rep)
 	}
 	// RO txn observes the write.
 	ro := tc.begin(true)
-	if rep := tc.roundTrip(Request{Op: OpRead, Txn: ro, Key: "k00"}); rep.Kind != ReplyValue || string(rep.Val) != "v1" {
-		t.Fatalf("ro read: %+v", rep)
+	if v := tc.read1(ro, "k00"); string(v.Val) != "v1" {
+		t.Fatalf("ro read: %+v", v)
 	}
 	if rep := tc.roundTrip(Request{Op: OpCommit, Txn: ro}); rep.Kind != ReplyOK {
 		t.Fatalf("ro commit: %+v", rep)
+	}
+	// A read carrying writes applies them first: the transaction reads its
+	// own write, and a read of no keys only applies.
+	txn = tc.begin(false)
+	if v := tc.read1(txn, "k01", wire.KV{Key: "k01", Val: []byte("mine")}); string(v.Val) != "mine" {
+		t.Fatalf("read-your-write: %+v", v)
+	}
+	if rep := tc.roundTrip(Request{Op: OpRead, Txn: txn, Writes: []wire.KV{{Key: "k02", Val: []byte("w2")}}}); rep.Kind != ReplyValues || len(rep.Vals) != 0 {
+		t.Fatalf("keyless read: %+v", rep)
+	}
+	if rep := tc.roundTrip(Request{Op: OpCommit, Txn: txn}); rep.Kind != ReplyOK {
+		t.Fatalf("commit: %+v", rep)
+	}
+	ro = tc.begin(true)
+	rep = tc.roundTrip(Request{Op: OpRead, Txn: ro, Keys: []string{"k01", "k02"}})
+	if rep.Kind != ReplyValues || string(rep.Vals[0].Val) != "mine" || string(rep.Vals[1].Val) != "w2" {
+		t.Fatalf("ro read of the carried writes: %+v", rep)
 	}
 }
 
@@ -125,39 +153,72 @@ func TestServerTypedErrors(t *testing.T) {
 	_, addr := newTestServer(t)
 	tc := dialTest(t, addr)
 
-	// Write in a read-only txn.
+	// A write carried by a read of a read-only txn is refused, and the read
+	// fails with the write's error.
 	ro := tc.begin(true)
-	if rep := tc.roundTrip(Request{Op: OpWrite, Txn: ro, Key: "k01", Val: []byte("x")}); rep.Kind != ReplyErr || rep.Code != CodeReadOnlyWrite {
+	x := []wire.KV{{Key: "k01", Val: []byte("x")}}
+	if rep := tc.roundTrip(Request{Op: OpRead, Txn: ro, Keys: []string{"k01"}, Writes: x}); rep.Kind != ReplyErr || rep.Code != CodeReadOnlyWrite {
 		t.Fatalf("ro write: %+v", rep)
 	}
-	// Unknown handle.
-	if rep := tc.roundTrip(Request{Op: OpRead, Txn: 999, Key: "k01"}); rep.Kind != ReplyErr || rep.Code != CodeUnknownTxn {
-		t.Fatalf("unknown txn: %+v", rep)
-	}
-	// Commit after a refused write on the handle repeats that write's error
-	// instead of committing without it. (Until client.Txn.Commit was pipelined
-	// behind its Writes this expected ReplyOK here: the client collected every
-	// Write reply first and never sent the Commit. Now the Commit is already
-	// on the wire when the refusal arrives, so the server must hold the line.)
-	if rep := tc.roundTrip(Request{Op: OpCommit, Txn: ro}); rep.Kind != ReplyErr || rep.Code != CodeReadOnlyWrite {
+	// The refusal aborted the transaction: it can never commit without the
+	// write.
+	if rep := tc.roundTrip(Request{Op: OpCommit, Txn: ro}); rep.Kind != ReplyErr || rep.Code != CodeTxnDone {
 		t.Fatalf("commit after a refused write: %+v", rep)
 	}
 	// Commit is terminal either way: a second one finds the handle gone.
 	if rep := tc.roundTrip(Request{Op: OpCommit, Txn: ro}); rep.Kind != ReplyErr || rep.Code != CodeUnknownTxn {
 		t.Fatalf("double commit: %+v", rep)
 	}
-	// A handle nothing was refused on still commits, and Abort after a
-	// refused write is just an abort.
+	// Unknown handle, with and without writes.
+	if rep := tc.roundTrip(Request{Op: OpRead, Txn: 999, Keys: []string{"k01"}}); rep.Kind != ReplyErr || rep.Code != CodeUnknownTxn {
+		t.Fatalf("unknown txn: %+v", rep)
+	}
+	for _, op := range []Op{OpRead, OpCommit} {
+		if rep := tc.roundTrip(Request{Op: op, Txn: 999, Writes: x}); rep.Kind != ReplyErr || rep.Code != CodeUnknownTxn {
+			t.Fatalf("%v carrying writes on an unknown txn: %+v", op, rep)
+		}
+	}
+	// A commit that carries a refused write aborts and answers the write's
+	// error; a handle nothing was refused on still commits, and Abort after
+	// a refused write is just an abort.
+	refusedCommit := tc.begin(true)
+	if rep := tc.roundTrip(Request{Op: OpCommit, Txn: refusedCommit, Writes: x}); rep.Kind != ReplyErr || rep.Code != CodeReadOnlyWrite {
+		t.Fatalf("commit carrying a refused write: %+v", rep)
+	}
 	clean := tc.begin(true)
 	if rep := tc.roundTrip(Request{Op: OpCommit, Txn: clean}); rep.Kind != ReplyOK {
 		t.Fatalf("ro commit: %+v", rep)
 	}
 	refused := tc.begin(true)
-	if rep := tc.roundTrip(Request{Op: OpWrite, Txn: refused, Key: "k01", Val: []byte("x")}); rep.Kind != ReplyErr {
+	if rep := tc.roundTrip(Request{Op: OpRead, Txn: refused, Writes: x}); rep.Kind != ReplyErr {
 		t.Fatalf("ro write: %+v", rep)
 	}
 	if rep := tc.roundTrip(Request{Op: OpAbort, Txn: refused}); rep.Kind != ReplyOK {
 		t.Fatalf("abort after a refused write: %+v", rep)
+	}
+}
+
+// TestServerRetiredWriteTag sends a frame with the retired single-write tag,
+// as a client of an older build would: it is answered CodeBadRequest, never
+// decoded as another op.
+func TestServerRetiredWriteTag(t *testing.T) {
+	_, addr := newTestServer(t)
+	tc := dialTest(t, addr)
+	txn := tc.begin(false)
+	body := []byte{byte(OpWrite), 2}
+	body = binary.AppendUvarint(body, txn)
+	body = wire.AppendString(body, "k00")
+	body = wire.AppendBytes(body, []byte("old"))
+	if err := writeFrame(tc.bw, body); err != nil {
+		t.Fatal(err)
+	}
+	_ = tc.bw.Flush()
+	rep, err := ReadReply(tc.br)
+	if err != nil {
+		t.Fatalf("expected bad-request reply, got read error %v", err)
+	}
+	if rep.Kind != ReplyErr || rep.Code != CodeBadRequest {
+		t.Fatalf("retired write tag: %+v", rep)
 	}
 }
 
@@ -194,24 +255,17 @@ func TestServerDisconnectAbortsSessions(t *testing.T) {
 
 	ro := dialTest(t, addr)
 	roTxn := ro.begin(true)
-	if rep := ro.roundTrip(Request{Op: OpRead, Txn: roTxn, Key: "k02"}); rep.Kind != ReplyValue {
-		t.Fatalf("ro read: %+v", rep)
-	}
+	ro.read1(roTxn, "k02")
 	// Vanish without commit: the R entry for k02 must be cleaned up.
 	_ = ro.c.Close()
 	waitCond(t, func() bool { return srv.Metrics().DisconnectAborts.Load() >= 1 })
 
 	w := dialTest(t, addr)
 	txn := w.begin(false)
-	if rep := w.roundTrip(Request{Op: OpRead, Txn: txn, Key: "k02"}); rep.Kind != ReplyValue {
-		t.Fatalf("read: %+v", rep)
-	}
-	if rep := w.roundTrip(Request{Op: OpWrite, Txn: txn, Key: "k02", Val: []byte("after")}); rep.Kind != ReplyOK {
-		t.Fatalf("write: %+v", rep)
-	}
+	w.read1(txn, "k02")
 	done := make(chan Reply, 1)
 	go func() {
-		done <- w.roundTrip(Request{Op: OpCommit, Txn: txn})
+		done <- w.roundTrip(Request{Op: OpCommit, Txn: txn, Writes: []wire.KV{{Key: "k02", Val: []byte("after")}}})
 	}()
 	select {
 	case rep := <-done:
@@ -321,19 +375,17 @@ func TestServerPipelinedInterleavedTxns(t *testing.T) {
 				return
 			}
 			txn := rep.Txn
+			var writes []wire.KV
 			for j := 0; j < 4; j++ {
-				if rep, ok = d.call(t, Request{Op: OpRead, Txn: txn, Key: key}); !ok || rep.Kind != ReplyValue {
+				if rep, ok = d.call(t, Request{Op: OpRead, Txn: txn, Keys: []string{key}, Writes: writes}); !ok || rep.Kind != ReplyValues {
 					t.Errorf("read: %+v ok=%v", rep, ok)
 					return
 				}
 				if !ro {
-					if rep, ok = d.call(t, Request{Op: OpWrite, Txn: txn, Key: key, Val: []byte{byte(i), byte(j)}}); !ok || rep.Kind != ReplyOK {
-						t.Errorf("write: %+v ok=%v", rep, ok)
-						return
-					}
+					writes = []wire.KV{{Key: key, Val: []byte{byte(i), byte(j)}}}
 				}
 			}
-			rep, ok = d.call(t, Request{Op: OpCommit, Txn: txn})
+			rep, ok = d.call(t, Request{Op: OpCommit, Txn: txn, Writes: writes})
 			if !ok || (rep.Kind != ReplyOK && !(rep.Kind == ReplyErr && rep.Code == CodeAborted)) {
 				t.Errorf("commit: %+v ok=%v", rep, ok)
 			}
@@ -342,20 +394,21 @@ func TestServerPipelinedInterleavedTxns(t *testing.T) {
 	wg.Wait()
 }
 
-// TestServerSameHandlePipelineOrder pipelines WRITE, WRITE, COMMIT on one
-// handle without awaiting replies: the protocol contract is arrival-order
-// execution per handle, so all three must succeed and the second write must
-// be the committed value (a reordered COMMIT would orphan the writes as
-// unknown-txn).
+// TestServerSameHandlePipelineOrder pipelines READ, READ, COMMIT on one
+// handle without awaiting replies, each carrying a write of the same key:
+// the protocol contract is arrival-order execution per handle, so all three
+// must succeed, the second read must see the first write, and the commit's
+// write must be the committed value (a reordered COMMIT would orphan the
+// reads as unknown-txn).
 func TestServerSameHandlePipelineOrder(t *testing.T) {
 	_, addr := newTestServer(t)
 	for round := 0; round < 20; round++ {
 		tc := dialTest(t, addr)
 		txn := tc.begin(false)
 		reqs := []Request{
-			{Op: OpWrite, ReqID: 101, Txn: txn, Key: "k03", Val: []byte("first")},
-			{Op: OpWrite, ReqID: 102, Txn: txn, Key: "k03", Val: []byte("second")},
-			{Op: OpCommit, ReqID: 103, Txn: txn},
+			{Op: OpRead, ReqID: 101, Txn: txn, Writes: []wire.KV{{Key: "k03", Val: []byte("first")}}},
+			{Op: OpRead, ReqID: 102, Txn: txn, Keys: []string{"k03"}, Writes: []wire.KV{{Key: "k04", Val: []byte("x")}}},
+			{Op: OpCommit, ReqID: 103, Txn: txn, Writes: []wire.KV{{Key: "k03", Val: []byte("second")}}},
 		}
 		for i := range reqs {
 			if err := WriteRequest(tc.bw, &reqs[i]); err != nil {
@@ -373,15 +426,18 @@ func TestServerSameHandlePipelineOrder(t *testing.T) {
 			}
 			got[rep.ReqID] = rep
 		}
-		for _, id := range []uint64{101, 102, 103} {
-			if rep := got[id]; rep.Kind != ReplyOK {
-				t.Fatalf("round %d: request %d not OK: %+v", round, id, rep)
-			}
+		if rep := got[101]; rep.Kind != ReplyValues {
+			t.Fatalf("round %d: first read: %+v", round, rep)
+		}
+		if rep := got[102]; rep.Kind != ReplyValues || len(rep.Vals) != 1 || string(rep.Vals[0].Val) != "first" {
+			t.Fatalf("round %d: second read did not see the first write: %+v", round, rep)
+		}
+		if rep := got[103]; rep.Kind != ReplyOK {
+			t.Fatalf("round %d: commit: %+v", round, rep)
 		}
 		ro := tc.begin(true)
-		rep := tc.roundTrip(Request{Op: OpRead, Txn: ro, Key: "k03"})
-		if rep.Kind != ReplyValue || string(rep.Val) != "second" {
-			t.Fatalf("round %d: committed value %q (%+v)", round, rep.Val, rep)
+		if v := tc.read1(ro, "k03"); string(v.Val) != "second" {
+			t.Fatalf("round %d: committed value %q", round, v.Val)
 		}
 		if rep := tc.roundTrip(Request{Op: OpCommit, Txn: ro}); rep.Kind != ReplyOK {
 			t.Fatalf("ro commit: %+v", rep)
@@ -417,7 +473,7 @@ func TestServerConcurrentSessions(t *testing.T) {
 				}
 				txn := rep.Txn
 				key := fmt.Sprintf("k%02d", (i*7+round)%16)
-				if rep, ok = d.call(t, Request{Op: OpRead, Txn: txn, Key: key}); !ok || rep.Kind != ReplyValue {
+				if rep, ok = d.call(t, Request{Op: OpRead, Txn: txn, Keys: []string{key}}); !ok || rep.Kind != ReplyValues {
 					t.Errorf("read: %+v ok=%v", rep, ok)
 					return
 				}
@@ -426,13 +482,11 @@ func TestServerConcurrentSessions(t *testing.T) {
 					_ = c.Close()
 					return
 				}
+				var writes []wire.KV
 				if !ro {
-					if rep, ok = d.call(t, Request{Op: OpWrite, Txn: txn, Key: key, Val: []byte{byte(i)}}); !ok || rep.Kind != ReplyOK {
-						t.Errorf("write: %+v ok=%v", rep, ok)
-						return
-					}
+					writes = []wire.KV{{Key: key, Val: []byte{byte(i)}}}
 				}
-				rep, ok = d.call(t, Request{Op: OpCommit, Txn: txn})
+				rep, ok = d.call(t, Request{Op: OpCommit, Txn: txn, Writes: writes})
 				if !ok || (rep.Kind != ReplyOK && !(rep.Kind == ReplyErr && rep.Code == CodeAborted)) {
 					t.Errorf("commit: %+v ok=%v", rep, ok)
 				}

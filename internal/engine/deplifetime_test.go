@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/sss-paper/sss/internal/cluster"
-	"github.com/sss-paper/sss/internal/vclock"
 	"github.com/sss-paper/sss/internal/wire"
 	"github.com/sss-paper/sss/kv"
 )
@@ -68,12 +67,11 @@ func TestLateStampExclusionClosure(t *testing.T) {
 	// T reads d's provisional version through the real update-read path and
 	// carries what that reply hands it into its Prepare, as Txn.Read does.
 	tID := wire.TxnID{Node: 3, Seq: 1<<43 + 1}
-	resp, err := puppet.rpc.Call(ctx, Y, &wire.ReadRequest{Txn: tID, Key: kC,
-		VC: vclock.New(puppet.n), HasRead: make([]bool, puppet.n), IsUpdate: true})
+	resp, err := puppet.rpc.Call(ctx, Y, &wire.UpdateRead{Keys: []string{kC}})
 	if err != nil {
 		t.Fatalf("T's read of %s: %v", kC, err)
 	}
-	rr := resp.(*wire.ReadReturn)
+	rr := &resp.(*wire.UpdateReadReply).Results[0]
 	if rr.PendingWriter != d || string(rr.Val) != "d" {
 		t.Fatalf("T's read of %s: val=%q pending=%v, want d's provisional version", kC, rr.Val, rr.PendingWriter)
 	}

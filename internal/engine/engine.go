@@ -392,6 +392,8 @@ func (nd *Node) serve(from wire.NodeID, rid uint64, msg wire.Msg) {
 	switch m := msg.(type) {
 	case *wire.ReadRequest:
 		nd.handleRead(from, rid, m)
+	case *wire.UpdateRead:
+		nd.handleUpdateRead(from, rid, m)
 	case *wire.Prepare:
 		nd.handlePrepare(from, rid, m)
 	case *wire.Decide:

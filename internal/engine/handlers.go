@@ -9,13 +9,9 @@ import (
 	"github.com/sss-paper/sss/internal/wire"
 )
 
-// handleRead implements the server side of a read operation: the version
+// handleRead implements the server side of a read-only read: the version
 // selection logic of Algorithm 6.
 func (nd *Node) handleRead(from wire.NodeID, rid uint64, m *wire.ReadRequest) {
-	if m.IsUpdate {
-		nd.handleUpdateRead(from, rid, m)
-		return
-	}
 	nd.roAdmission(m.Key)
 
 	// Wait until every transaction inside T's current visibility bound has
@@ -215,11 +211,23 @@ func (nd *Node) pendingWriterOf(key string, res mvstore.ReadResult) wire.TxnID {
 	return wire.TxnID{}
 }
 
-// handleUpdateRead implements Algorithm 6 lines 24–27: update transactions
-// read the latest committed version and collect the key's queued read-only
-// transactions (PropagatedSet) — their anti-dependencies must travel with
-// the writer.
-func (nd *Node) handleUpdateRead(from wire.NodeID, rid uint64, m *wire.ReadRequest) {
+// handleUpdateRead serves an update transaction's reads at this replica:
+// one updateRead per key, answered in one reply.
+func (nd *Node) handleUpdateRead(from wire.NodeID, rid uint64, m *wire.UpdateRead) {
+	results := make([]wire.UpdateResult, len(m.Keys))
+	for i, key := range m.Keys {
+		results[i] = nd.updateRead(from, key)
+	}
+	_ = nd.rpc.Reply(from, rid, &wire.UpdateReadReply{Results: results})
+}
+
+// updateRead implements Algorithm 6 lines 24–27 for one key, read on behalf
+// of an update transaction coordinated at node from: it returns the latest
+// committed version and collects the key's queued read-only transactions
+// (PropagatedSet) — their anti-dependencies must travel with the writer.
+// It runs in handleUpdateRead, or inline on the coordinator when this node
+// replicates the key.
+func (nd *Node) updateRead(from wire.NodeID, key string) wire.UpdateResult {
 	// A writer prepared on the key is about to replace its latest version,
 	// and a read of that version could only fail validation. Wait, within
 	// the lock timeout, for the writer's apply or abort to release the key:
@@ -227,7 +235,7 @@ func (nd *Node) handleUpdateRead(from wire.NodeID, rid uint64, m *wire.ReadReque
 	// below) or a version that is still current. The reader holds no lock,
 	// so the wait cannot deadlock; prepare validation still judges
 	// staleness.
-	if waited, _ := nd.locks.WaitUnlocked(m.Key, nd.cfg.LockTimeout); waited {
+	if waited, _ := nd.locks.WaitUnlocked(key, nd.cfg.LockTimeout); waited {
 		nd.stats.UpdateReadWaits.Add(1)
 	}
 
@@ -237,7 +245,7 @@ func (nd *Node) handleUpdateRead(from wire.NodeID, rid uint64, m *wire.ReadReque
 	// either sees the forward record or left the tombstone that suppresses
 	// the propagation. Distinct readers need no mutual atomicity, so each
 	// is handled under its own stripe.
-	prop := nd.store.SQReadEntries(m.Key)
+	prop := nd.store.SQReadEntries(key)
 	if len(prop) > 0 {
 		filtered := prop[:0]
 		for _, e := range prop {
@@ -259,7 +267,7 @@ func (nd *Node) handleUpdateRead(from wire.NodeID, rid uint64, m *wire.ReadReque
 		prop = filtered
 	}
 
-	res := nd.store.Latest(m.Key)
+	res := nd.store.Latest(key)
 	// The bound folded into the updater's clock is the returned version's
 	// own commit clock — its true read-from dependency — joined with this
 	// node's externally-committed knowledge. NOT the whole applied
@@ -274,21 +282,20 @@ func (nd *Node) handleUpdateRead(from wire.NodeID, rid uint64, m *wire.ReadReque
 	// clock covers the writer's freeze and its Know (the freeze folds both in
 	// before the purge can run). The other way round, a freeze and purge
 	// landing in between would pair "not parked" with a pre-stamp clock.
-	pending := nd.pendingWriterOf(m.Key, res)
+	pending := nd.pendingWriterOf(key, res)
 	replyVC := nd.log.ExternalVC()
 	if res.VC != nil {
 		replyVC.MaxInto(res.VC)
 	}
-	_ = nd.rpc.Reply(from, rid, &wire.ReadReturn{
+	return wire.UpdateResult{
 		Val:           res.Val,
 		Exists:        res.Exists,
 		Writer:        res.Writer,
 		VC:            replyVC,
-		VerVC:         res.VC,
-		VerDeps:       depsWhileParked(pending, res.Deps),
 		Propagated:    prop,
 		PendingWriter: pending,
-	})
+		VerDeps:       depsWhileParked(pending, res.Deps),
+	}
 }
 
 // roAdmission's schedule: a writer parked longer than starvationAge delays

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/sss-paper/sss/internal/transport"
 	"github.com/sss-paper/sss/internal/vclock"
 	"github.com/sss-paper/sss/internal/wal"
 	"github.com/sss-paper/sss/internal/wire"
@@ -66,21 +67,28 @@ type readVal struct {
 	writer wire.TxnID
 }
 
-var _ kv.Txn = (*Txn)(nil)
+var (
+	_ kv.Txn         = (*Txn)(nil)
+	_ kv.MultiReader = (*Txn)(nil)
+)
 
 // Begin starts a transaction on this node. Read-only transactions must be
 // declared; they are never aborted by the concurrency control.
 func (nd *Node) Begin(readOnly bool) *Txn {
-	// ws is allocated lazily in Write: read-only transactions never need it.
-	return &Txn{
+	// ws is allocated lazily in Write: read-only transactions never need it,
+	// and only they keep per-node first-contact flags.
+	t := &Txn{
 		nd:        nd,
 		id:        wire.TxnID{Node: nd.id, Seq: nd.txnSeq.Add(1)},
 		readOnly:  readOnly,
-		hasRead:   make([]bool, nd.n),
 		firstRead: true,
 		rs:        make(map[string]readVal),
 		begin:     time.Now(),
 	}
+	if readOnly {
+		t.hasRead = make([]bool, nd.n)
+	}
+	return t
 }
 
 // ID returns the transaction's identifier.
@@ -103,128 +111,379 @@ func (t *Txn) WriteKeys() []string {
 	return out
 }
 
-// Read implements kv.Txn (Algorithm 5).
+// Read implements kv.Txn: a MultiRead of one key.
 func (t *Txn) Read(key string) ([]byte, bool, error) {
-	if t.done {
-		return nil, false, kv.ErrTxnDone
+	keys := [1]string{key}
+	var out [1]kv.ReadResult
+	if err := t.read(keys[:], out[:]); err != nil {
+		return nil, false, err
 	}
-	if v, ok := t.ws[key]; ok {
-		return v, true, nil
-	}
-	if v, ok := t.rs[key]; ok {
-		return v.val, v.exists, nil
-	}
-	if t.firstRead {
-		// Algorithm 5 lines 5–7: adopt the latest locally-committed
-		// snapshot as the initial visibility bound — including commits this
-		// node merely coordinated, whose client replies already happened.
-		t.vc = t.nd.log.SnapshotVC()
-		t.initVC = t.vc.Clone()
-		t.firstRead = false
-	}
+	return out[0].Val, out[0].Exists, nil
+}
 
-	if t.readOnly {
-		t.touched = append(t.touched, key)
+// MultiRead implements kv.MultiReader (Algorithm 5): the results are those
+// of Reads of keys in order. An update transaction's reads take no
+// snapshot, so they go out as one fan-out (updateReads); a read-only
+// transaction's reads stay one after another, because each read's
+// first-contact bound depends on the reads before it.
+func (t *Txn) MultiRead(keys []string) ([]kv.ReadResult, error) {
+	out := make([]kv.ReadResult, len(keys))
+	if err := t.read(keys, out); err != nil {
+		return nil, err
 	}
+	return out, nil
+}
+
+func (t *Txn) read(keys []string, out []kv.ReadResult) error {
+	if t.done {
+		return kv.ErrTxnDone
+	}
+	if !t.readOnly {
+		return t.updateReads(keys, out)
+	}
+	for i, key := range keys {
+		if v, ok := t.rs[key]; ok {
+			out[i] = kv.ReadResult{Val: v.val, Exists: v.exists}
+			continue
+		}
+		t.snapshot()
+		v, exists, err := t.readOnlyRead(key)
+		if err != nil {
+			return err
+		}
+		out[i] = kv.ReadResult{Val: v, Exists: exists}
+	}
+	return nil
+}
+
+// snapshot adopts, before the transaction's first read leaves it, the latest
+// locally-committed snapshot as the initial visibility bound (Algorithm 5
+// lines 5–7) — including commits this node merely coordinated, whose client
+// replies already happened.
+func (t *Txn) snapshot() {
+	if !t.firstRead {
+		return
+	}
+	t.firstRead = false
+	t.vc = t.nd.log.SnapshotVC()
+	if t.readOnly {
+		t.initVC = t.vc.Clone()
+	}
+}
+
+// readOnlyRead reads key at every replica for a read-only transaction and
+// folds the adopted reply into the transaction's bound, observed clock and
+// exclusion sets.
+func (t *Txn) readOnlyRead(key string) ([]byte, bool, error) {
+	t.touched = append(t.touched, key)
 	resp, from, err := t.readRemote(key)
 	if err != nil {
 		return nil, false, err
 	}
-
-	if t.readOnly {
-		// Fold the returned bound into entries of nodes not read yet; the
-		// entries of already-read nodes stay *frozen* at their
-		// first-contact value. Raising a read node's entry afterwards
-		// would retroactively loosen the visibility filter and admit
-		// versions inconsistent with earlier reads (docs/CONSISTENCY.md §2).
-		for w, x := range resp.VC {
-			if !t.hasRead[w] && wire.NodeID(w) != from && x > t.vc[w] {
-				t.vc[w] = x
-			}
+	// Fold the returned bound into entries of nodes not read yet; the
+	// entries of already-read nodes stay *frozen* at their first-contact
+	// value. Raising a read node's entry afterwards would retroactively
+	// loosen the visibility filter and admit versions inconsistent with
+	// earlier reads (docs/CONSISTENCY.md §2).
+	for w, x := range resp.VC {
+		if !t.hasRead[w] && wire.NodeID(w) != from && x > t.vc[w] {
+			t.vc[w] = x
 		}
-		if !t.hasRead[from] {
-			// First contact with the serving node: its entry freezes at
-			// the *server's* visible bound, even when gossiped clocks had
-			// pushed our knowledge higher — the read only covered
-			// versions up to what the server actually exposed, and a
-			// higher frozen bound would let a later read admit versions
-			// this one never saw. The initial snapshot is the floor: the
-			// server has applied at least up to it (WaitMostRecent), so
-			// everything beneath it was exposed, and freezing below it
-			// would drop commits that externally preceded our begin.
-			t.vc[from] = resp.VC[from]
-			if t.initVC[from] > t.vc[from] {
-				t.vc[from] = t.initVC[from]
-			}
+	}
+	if !t.hasRead[from] {
+		// First contact with the serving node: its entry freezes at the
+		// *server's* visible bound, even when gossiped clocks had pushed our
+		// knowledge higher — the read only covered versions up to what the
+		// server actually exposed, and a higher frozen bound would let a
+		// later read admit versions this one never saw. The initial snapshot
+		// is the floor: the server has applied at least up to it
+		// (WaitMostRecent), so everything beneath it was exposed, and
+		// freezing below it would drop commits that externally preceded our
+		// begin.
+		t.vc[from] = resp.VC[from]
+		if t.initVC[from] > t.vc[from] {
+			t.vc[from] = t.initVC[from]
 		}
-	} else {
-		t.vc.MaxInto(resp.VC)
 	}
 	t.hasRead[from] = true
 	t.rs[key] = readVal{val: resp.Val, exists: resp.Exists, writer: resp.Writer}
 	t.rsOrder = append(t.rsOrder, key)
-	for _, e := range resp.Propagated {
-		t.addPropagated(e)
-	}
 	if !resp.PendingWriter.IsZero() {
-		// Completion-delay obligation: we observed a provisional version,
-		// so our completion must follow its writer's (handled at commit,
-		// after the Removes, which keeps the wait graph acyclic).
-		if t.pendingWriters == nil {
-			t.pendingWriters = make(map[wire.TxnID]struct{})
-		}
-		t.pendingWriters[resp.PendingWriter] = struct{}{}
+		// Completion-delay obligation: we observed a provisional version, so
+		// our completion must follow its writer's (handled at commit, after
+		// the Removes, which keeps the wait graph acyclic).
+		t.addPendingWriter(resp.PendingWriter)
 	}
-	if !t.readOnly && !resp.PendingWriter.IsZero() {
-		// A dependency is taken only on a writer still parked, with the set
-		// stored on its version; a purged writer's version hands over
-		// nothing (resp.VC covers its freeze and all it waited out).
-		if t.deps == nil {
-			t.deps = make(map[wire.TxnID]struct{})
+	if !resp.Writer.IsZero() || len(resp.VerDeps) > 0 {
+		if t.seen == nil {
+			t.seen = make(map[wire.TxnID]struct{})
 		}
-		t.deps[resp.PendingWriter] = struct{}{}
+		if !resp.Writer.IsZero() {
+			t.seen[resp.Writer] = struct{}{}
+		}
+		// The observed version's read-from closure is observed too: having
+		// serialized after the version, the reader serialized after every
+		// writer it (transitively) read from, so those writers must never be
+		// excluded — even while still parked. (Past the version's own purge
+		// nothing is sent: the closure is then stamped everywhere and
+		// beneath the observed clock.)
 		for _, d := range resp.VerDeps {
-			t.deps[d] = struct{}{}
+			t.seen[d] = struct{}{}
 		}
 	}
-	if t.readOnly {
-		if !resp.Writer.IsZero() || len(resp.VerDeps) > 0 {
-			if t.seen == nil {
-				t.seen = make(map[wire.TxnID]struct{})
-			}
-			if !resp.Writer.IsZero() {
-				t.seen[resp.Writer] = struct{}{}
-			}
-			// The observed version's read-from closure is observed too:
-			// having serialized after the version, the reader serialized
-			// after every writer it (transitively) read from, so those
-			// writers must never be excluded — even while still parked.
-			// (Past the version's own purge nothing is sent: the closure is
-			// then stamped everywhere and beneath the observed clock.)
-			for _, d := range resp.VerDeps {
-				t.seen[d] = struct{}{}
-			}
+	if resp.VerVC != nil {
+		if t.obs == nil {
+			t.obs = vclock.New(t.nd.n)
 		}
-		if resp.VerVC != nil {
-			if t.obs == nil {
-				t.obs = vclock.New(t.nd.n)
-			}
-			t.obs.MaxInto(resp.VerVC)
+		t.obs.MaxInto(resp.VerVC)
+	}
+	for _, ex := range resp.Excluded {
+		if _, already := t.seen[ex.Txn]; already {
+			continue // a Seen writer is never re-excluded by replicas
 		}
-		for _, ex := range resp.Excluded {
-			if _, already := t.seen[ex.Txn]; already {
-				continue // a Seen writer is never re-excluded by replicas
-			}
-			if t.before == nil {
-				t.before = make(map[wire.TxnID]vclock.VC)
-			}
-			// A record that carries a stamp replaces one that does not.
-			if prev, dup := t.before[ex.Txn]; !dup || prev == nil {
-				t.before[ex.Txn] = ex.VC
-			}
+		if t.before == nil {
+			t.before = make(map[wire.TxnID]vclock.VC)
+		}
+		// A record that carries a stamp replaces one that does not.
+		if prev, dup := t.before[ex.Txn]; !dup || prev == nil {
+			t.before[ex.Txn] = ex.VC
 		}
 	}
 	return resp.Val, resp.Exists, nil
+}
+
+// keyRead is one key of an update transaction's read: where it is read
+// first, in which fan-out round it was sent, and the result once one came.
+type keyRead struct {
+	res   wire.UpdateResult
+	first wire.NodeID
+	state keyReadState
+	round uint8 // the round the key was last sent in: 1 first replica, 2 the others
+}
+
+type keyReadState uint8
+
+const (
+	keyOwn     keyReadState = iota // answered by the transaction's own write or read set
+	keyPending                     // not read yet
+	keyDone                        // res holds the result
+)
+
+// updateReads reads keys for an update transaction. Its reads return the
+// latest version with no snapshot, so they do not depend on each other's
+// order and go out as one fan-out. Keys the transaction wrote or read
+// already are answered from its own sets. Every other key goes to one
+// replica: this node when it replicates the key, served inline with no
+// message, otherwise a transaction-spread choice. Each remote replica gets
+// one UpdateRead carrying all of its keys, and every leg is sent before the
+// local keys are served and before any reply is awaited. They insert no
+// snapshot-queue entries, so none of the read-only redundancy arguments
+// apply, and because read-only reads park their entries at every replica,
+// any single replica's PropagatedSet is complete: one server visit collects
+// the full anti-dependency set (§III-C). Staleness is caught by prepare
+// validation.
+//
+// The first round gets one VoteTimeout-scale slice of the DrainTimeout
+// budget, not all of it: against a dead or mid-restart replica a leg only
+// ends at its deadline, and burning the whole budget on one dead leg would
+// turn a single restart into a long read stall. The keys of a leg that
+// failed or timed out, and this node's keys while it is closed or
+// recovering, then race their remaining replicas with the rest of the
+// budget. Results are adopted in key order, so the read set, and with it
+// Prepare.ReadKeys and ReadFrom, come out exactly as from sequential Reads.
+// A key that appears twice is read twice and adopted once.
+func (t *Txn) updateReads(keys []string, out []kv.ReadResult) error {
+	nd := t.nd
+	var small [4]keyRead
+	reads := small[:0]
+	if len(keys) > len(small) {
+		reads = make([]keyRead, 0, len(keys))
+	}
+	pending := 0
+	for _, key := range keys {
+		kr := keyRead{state: keyOwn}
+		if _, ok := t.ws[key]; !ok {
+			if _, ok := t.rs[key]; !ok {
+				kr.state, kr.first = keyPending, t.firstReplica(key)
+				pending++
+			}
+		}
+		reads = append(reads, kr)
+	}
+	var lastErr error
+	if pending > 0 {
+		t.snapshot()
+		budget := nd.cfg.DrainTimeout
+		end := time.Now().Add(budget)
+		first := budget
+		if nd.lookup.Degree() > 1 {
+			first = min(budget, nd.cfg.VoteTimeout)
+		}
+		if pending, lastErr = t.updateRound(keys, reads, 1, first); pending > 0 && nd.lookup.Degree() > 1 {
+			_, lastErr = t.updateRound(keys, reads, 2, time.Until(end))
+		}
+	}
+	for i, key := range keys {
+		kr := &reads[i]
+		if kr.state == keyPending {
+			return fmt.Errorf("%w: read %q: %v", kv.ErrUnavailable, key, lastErr)
+		}
+		if _, dup := t.rs[key]; kr.state == keyDone && !dup {
+			t.adoptUpdate(key, &kr.res)
+		}
+		if v, ok := t.ws[key]; ok {
+			out[i] = kv.ReadResult{Val: v, Exists: true}
+		} else {
+			v := t.rs[key]
+			out[i] = kv.ReadResult{Val: v.val, Exists: v.exists}
+		}
+	}
+	return nil
+}
+
+// firstReplica is the replica an update read of key goes to first: this
+// node when it replicates the key (zero network hops), otherwise a
+// transaction-spread choice among the key's replicas.
+func (t *Txn) firstReplica(key string) wire.NodeID {
+	l := t.nd.lookup
+	if l.IsReplica(key, t.nd.id) {
+		return t.nd.id
+	}
+	return wire.NodeID((int(l.Primary(key)) + int(t.id.Seq%uint64(l.Degree()))) % l.N())
+}
+
+// readsAt reports whether a key sent in the given round was sent to node
+// to: round 1 reads each key at its first replica, round 2 at every other
+// replica.
+func (t *Txn) readsAt(key string, kr *keyRead, round uint8, to wire.NodeID) bool {
+	if round == 1 {
+		return kr.first == to
+	}
+	return to != kr.first && t.nd.lookup.IsReplica(key, to)
+}
+
+// updateRound sends the pending keys of reads in one fan-out — one
+// UpdateRead per remote replica — serves this node's keys inline in round
+// 1, and then collects replies until every sent key has a result or the
+// wait exceeds within. A key answered by several replicas adopts the first
+// answer. It returns how many keys are still pending and why, if any are.
+func (t *Txn) updateRound(keys []string, reads []keyRead, round uint8, within time.Duration) (int, error) {
+	nd := t.nd
+	var tos []wire.NodeID
+	var msgs []wire.Msg
+	sent := 0
+	for to := range nd.n {
+		to := wire.NodeID(to)
+		if to == nd.id {
+			continue
+		}
+		var leg []string
+		for i := range reads {
+			kr := &reads[i]
+			if kr.state == keyPending && t.readsAt(keys[i], kr, round, to) {
+				leg = append(leg, keys[i])
+				kr.round = round
+			}
+		}
+		if leg != nil {
+			tos = append(tos, to)
+			msgs = append(msgs, &wire.UpdateRead{Keys: leg})
+		}
+	}
+	for i := range reads {
+		if reads[i].state == keyPending && reads[i].round == round {
+			sent++
+		}
+	}
+	var m *transport.Multi
+	if len(tos) > 0 {
+		m = nd.rpc.Multi(tos, msgs...)
+		defer m.Release()
+	}
+	// This node's keys are served here, on the calling goroutine, while the
+	// remote legs are in flight. A closed or recovering node serves nothing
+	// (serve's gates), so its keys wait for round 2 like those of an
+	// unreachable replica.
+	pending := 0
+	servable := !nd.closed.Load() && !nd.recovering.Load()
+	for i := range reads {
+		kr := &reads[i]
+		if kr.state != keyPending || kr.round == round {
+			continue
+		}
+		if round == 1 && kr.first == nd.id && servable {
+			kr.res, kr.state = nd.updateRead(nd.id, keys[i]), keyDone
+			continue
+		}
+		pending++
+	}
+	var err error
+	deadline := time.Now().Add(within)
+	for m != nil && sent > 0 {
+		leg, resp, nerr := m.Next(deadline)
+		if nerr != nil {
+			err = nerr
+			break
+		}
+		rep, ok := resp.(*wire.UpdateReadReply)
+		if !ok {
+			err = fmt.Errorf("engine: unexpected update read response %T", resp)
+			continue
+		}
+		r := 0
+		for i := range reads {
+			kr := &reads[i]
+			if kr.round != round || !t.readsAt(keys[i], kr, round, tos[leg]) {
+				continue
+			}
+			if r == len(rep.Results) {
+				break
+			}
+			if kr.state == keyPending {
+				kr.res, kr.state = rep.Results[r], keyDone
+				sent--
+			}
+			r++
+		}
+	}
+	return pending + sent, err
+}
+
+// adoptUpdate folds one update read's result into the transaction. Every
+// step is order-independent — a clock join, set unions and a minimum — so
+// the fan-out's replies could be folded in any order; they are folded in
+// key order only so the read set's order matches sequential Reads.
+func (t *Txn) adoptUpdate(key string, r *wire.UpdateResult) {
+	t.vc.MaxInto(r.VC)
+	t.rs[key] = readVal{val: r.Val, exists: r.Exists, writer: r.Writer}
+	t.rsOrder = append(t.rsOrder, key)
+	for _, e := range r.Propagated {
+		t.addPropagated(e)
+	}
+	if r.PendingWriter.IsZero() {
+		return
+	}
+	t.addPendingWriter(r.PendingWriter)
+	// A dependency is taken only on a writer still parked, with the set
+	// stored on its version; a purged writer's version hands over nothing
+	// (r.VC covers its freeze and all it waited out).
+	if t.deps == nil {
+		t.deps = make(map[wire.TxnID]struct{})
+	}
+	t.deps[r.PendingWriter] = struct{}{}
+	for _, d := range r.VerDeps {
+		t.deps[d] = struct{}{}
+	}
+}
+
+// addPendingWriter records the completion-delay obligation of having
+// observed a provisional version of w: this transaction completes only after
+// w's external commit.
+func (t *Txn) addPendingWriter(w wire.TxnID) {
+	if t.pendingWriters == nil {
+		t.pendingWriters = make(map[wire.TxnID]struct{})
+	}
+	t.pendingWriters[w] = struct{}{}
 }
 
 // addPropagated records one snapshot-queue entry returned by an update
@@ -289,8 +548,9 @@ func (nd *Node) waitExternal(w wire.TxnID) {
 	}
 }
 
-// readRemote contacts every replica of key and returns the fastest answer
-// (§V: "SSS's read operations are handled by the fastest replying server").
+// readRemote contacts every replica of key for a read-only transaction and
+// returns the fastest answer (§V: "SSS's read operations are handled by the
+// fastest replying server").
 func (t *Txn) readRemote(key string) (*wire.ReadReturn, wire.NodeID, error) {
 	targets := t.nd.lookup.Replicas(key)
 	// Clone the mutable transaction state: over the in-process transport
@@ -299,25 +559,21 @@ func (t *Txn) readRemote(key string) (*wire.ReadReturn, wire.NodeID, error) {
 	hasRead := make([]bool, len(t.hasRead))
 	copy(hasRead, t.hasRead)
 	req := &wire.ReadRequest{
-		Txn:      t.id,
-		Key:      key,
-		VC:       t.vc.Clone(),
-		HasRead:  hasRead,
-		IsUpdate: !t.readOnly,
+		Txn:     t.id,
+		Key:     key,
+		VC:      t.vc.Clone(),
+		HasRead: hasRead,
 	}
-	if t.readOnly {
-		for s := range t.seen {
-			req.Seen = append(req.Seen, s)
-		}
-		for id, vc := range t.before {
-			req.Before = append(req.Before, wire.ExWriter{Txn: id, VC: vc})
-		}
-		req.ObsVC = t.obs.Clone()
-		t.nd.stats.ReadRequests.Add(1)
-		t.nd.stats.ReadSeenEntries.Add(uint64(len(req.Seen)))
+	for s := range t.seen {
+		req.Seen = append(req.Seen, s)
 	}
+	for id, vc := range t.before {
+		req.Before = append(req.Before, wire.ExWriter{Txn: id, VC: vc})
+	}
+	req.ObsVC = t.obs.Clone()
+	t.nd.stats.ReadRequests.Add(1)
+	t.nd.stats.ReadSeenEntries.Add(uint64(len(req.Seen)))
 	budget := t.nd.cfg.DrainTimeout
-	deadline := time.Now().Add(budget)
 
 	if len(targets) == 1 {
 		// Single replica: no fan-out race to win, call synchronously.
@@ -331,67 +587,15 @@ func (t *Txn) readRemote(key string) (*wire.ReadReturn, wire.NodeID, error) {
 		}
 		return rr, targets[0], nil
 	}
-
-	if t.readOnly {
-		// Read-only reads keep the full fan-out: besides the fastest-reply
-		// latency and the informed merge, every contacted replica inserts
-		// the reader's R entry, and that redundancy is load-bearing — a
-		// reader that excludes a freezing writer at one replica gates the
-		// writer's drain acks at *every* replica it visited, which is what
-		// keeps blanket exclusions temporally separated from the freeze
-		// issue (docs/CONSISTENCY.md §5). A single-replica read-only read
-		// measurably widens the residual freeze-skew window.
-		return t.readMerge(deadline, key, req, targets)
-	}
-
-	// Update reads go to a single replica — the local one when it
-	// replicates the key (zero network hops), otherwise a
-	// transaction-spread choice. They insert no snapshot-queue entries, so
-	// none of the read-only redundancy arguments apply, and because
-	// read-only reads park their entries at every replica, any single
-	// replica's PropagatedSet is complete: one server visit collects the
-	// full anti-dependency set (§III-C). Staleness is caught by prepare
-	// validation exactly as under fastest-reply adoption. Only an
-	// unreachable preferred replica falls back to the fan-out.
-	preferred := targets[int(t.id.Seq)%len(targets)]
-	for _, to := range targets {
-		if to == t.nd.id {
-			preferred = to
-			break
-		}
-	}
-	// The preferred call gets one VoteTimeout-scale slice of the budget, not
-	// all of it: against a dead or mid-restart replica the call only ends at
-	// its deadline, and burning the whole DrainTimeout on one dead leg turns
-	// a single restart into a 30s read stall (ROADMAP lever (a)). On expiry
-	// the fan-out below races the remaining replicas with the rest of the
-	// budget.
-	resp, lastErr := t.nd.rpc.CallWithin(min(budget, t.nd.cfg.VoteTimeout), preferred, req)
-	if lastErr == nil {
-		rr, ok := resp.(*wire.ReadReturn)
-		if !ok {
-			return nil, 0, fmt.Errorf("engine: unexpected read response %T", resp)
-		}
-		return rr, preferred, nil
-	}
-	rest := make([]wire.NodeID, 0, len(targets)-1)
-	for _, to := range targets {
-		if to != preferred {
-			rest = append(rest, to)
-		}
-	}
-	m := t.nd.rpc.Multi(rest, req)
-	defer m.Release()
-	for {
-		leg, resp, err := m.Next(deadline)
-		if err != nil {
-			return nil, 0, fmt.Errorf("%w: read %q: %v", kv.ErrUnavailable, key, lastErr)
-		}
-		if rr, ok := resp.(*wire.ReadReturn); ok {
-			return rr, rest[leg], nil
-		}
-		lastErr = fmt.Errorf("engine: unexpected read response %T", resp)
-	}
+	// Read-only reads keep the full fan-out: besides the fastest-reply
+	// latency and the informed merge, every contacted replica inserts the
+	// reader's R entry, and that redundancy is load-bearing — a reader that
+	// excludes a freezing writer at one replica gates the writer's drain
+	// acks at *every* replica it visited, which is what keeps blanket
+	// exclusions temporally separated from the freeze issue
+	// (docs/CONSISTENCY.md §5). A single-replica read-only read measurably
+	// widens the residual freeze-skew window.
+	return t.readMerge(time.Now().Add(budget), key, req, targets)
 }
 
 // readAnswer is one replica's reply in a fan-out read.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"testing"
 	"time"
 )
@@ -263,4 +264,87 @@ func TestReserveHoldsRelayPorts(t *testing.T) {
 		}
 		_ = conn.Close()
 	}
+}
+
+// BenchmarkLinkRelayRTT reports the round trip of a small message through
+// one relay pair at the delay the benchmark's peer-delay workloads set on
+// every directed peer link (SetLinkDelay(…, time.Millisecond), a 2 ms RTT):
+// the request crosses relay A→B and the reply crosses relay B→A on B's own
+// connection, as a peer RPC does over the two one-way peer links. ns/op is
+// the mean round trip; p50_ms and p99_ms are its quantiles, and max2_ms is
+// the mean of the slower of two consecutive round trips: what a stage that
+// waits for two remote legs pays for the relay alone.
+func BenchmarkLinkRelayRTT(b *testing.B) {
+	listen := func() net.Listener {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { _ = ln.Close() })
+		return ln
+	}
+	aIn, bIn := listen(), listen()
+	ab := startLinkRelay(listen(), bIn.Addr().String())
+	ba := startLinkRelay(listen(), aIn.Addr().String())
+	b.Cleanup(ab.close)
+	b.Cleanup(ba.close)
+	ab.setDelay(time.Millisecond)
+	ba.setDelay(time.Millisecond)
+
+	// B answers every request on its own link back to A.
+	go func() {
+		in, err := bIn.Accept()
+		if err != nil {
+			return
+		}
+		defer func() { _ = in.Close() }()
+		out, err := net.Dial("tcp", ba.Addr())
+		if err != nil {
+			return
+		}
+		defer func() { _ = out.Close() }()
+		_, _ = io.Copy(out, in)
+	}()
+	req, err := net.Dial("tcp", ab.Addr())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer func() { _ = req.Close() }()
+	msg := make([]byte, 64)
+	if _, err := req.Write(msg); err != nil { // opens both links
+		b.Fatal(err)
+	}
+	reply, err := aIn.Accept()
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer func() { _ = reply.Close() }()
+	if _, err := io.ReadFull(reply, msg); err != nil {
+		b.Fatal(err)
+	}
+
+	var rtts []time.Duration
+	for b.Loop() {
+		start := time.Now()
+		if _, err := req.Write(msg); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := io.ReadFull(reply, msg); err != nil {
+			b.Fatal(err)
+		}
+		rtts = append(rtts, time.Since(start))
+	}
+	var max2 time.Duration
+	for i := 1; i < len(rtts); i += 2 {
+		max2 += max(rtts[i-1], rtts[i])
+	}
+	if n := len(rtts) / 2; n > 0 {
+		b.ReportMetric(float64(max2)/float64(n)/float64(time.Millisecond), "max2_ms")
+	}
+	slices.Sort(rtts)
+	quantile := func(q float64) float64 {
+		return float64(rtts[int(q*float64(len(rtts)-1))]) / float64(time.Millisecond)
+	}
+	b.ReportMetric(quantile(0.5), "p50_ms")
+	b.ReportMetric(quantile(0.99), "p99_ms")
 }

@@ -110,10 +110,14 @@ var ErrTimeout = errors.New("transport: deadline exceeded")
 // allocates nothing per call.
 var multis = sync.Pool{New: func() any { return new(Multi) }}
 
-// Multi registers one response slot per target, sends msg to each, and
-// returns the fan-out to collect from. A leg whose send fails is not awaited;
-// Next reports the failure once the other legs are in.
-func (r *RPC) Multi(targets []wire.NodeID, msg wire.Msg) *Multi {
+// Multi registers one response slot per target, sends each target its
+// message, and returns the fan-out to collect from: one msg goes to every
+// target, otherwise msgs[i] goes to targets[i]. A leg whose send fails is
+// not awaited; Next reports the failure once the other legs are in.
+func (r *RPC) Multi(targets []wire.NodeID, msgs ...wire.Msg) *Multi {
+	if len(msgs) != 1 && len(msgs) != len(targets) {
+		panic(fmt.Sprintf("transport: Multi of %d messages to %d targets", len(msgs), len(targets)))
+	}
 	m := multis.Get().(*Multi)
 	m.r, m.err = r, errDone
 	if cap(m.ch) < len(targets) {
@@ -135,6 +139,10 @@ func (r *RPC) Multi(targets []wire.NodeID, msg wire.Msg) *Multi {
 	r.mu.Unlock()
 	m.open = len(targets)
 	for leg, to := range targets {
+		msg := msgs[0]
+		if len(msgs) > 1 {
+			msg = msgs[leg]
+		}
 		if err := r.ep.Send(to, wire.Envelope{RID: m.rids[leg], Msg: msg}); err != nil {
 			r.mu.Lock()
 			m.withdrawLocked(leg)

@@ -386,8 +386,10 @@ func TestTCPSelfSend(t *testing.T) {
 
 // multiNet is a client (node 0) and three servers (nodes 1..3) on one
 // network. Each server answers a request with a DecideAck naming itself
-// (Txn.Node), so a reply shows which leg it belongs to; a server with a hold
-// channel delays its answers until the channel is closed.
+// (Txn.Node), so a reply shows which leg it belongs to, and echoing the
+// request's Txn.Seq when it is a Remove, so a reply shows which message the
+// leg carried; a server with a hold channel delays its answers until the
+// channel is closed.
 type multiNet struct {
 	cli  *RPC
 	hold [4]chan struct{}
@@ -434,14 +436,18 @@ func forEachMultiNet(t *testing.T, cfg InProcConfig, held []wire.NodeID, f func(
 			})
 			for id := wire.NodeID(0); id < 4; id++ {
 				id := id
-				r, err := NewRPC(nw, id, func(from wire.NodeID, rid uint64, _ wire.Msg) {
+				r, err := NewRPC(nw, id, func(from wire.NodeID, rid uint64, msg wire.Msg) {
 					if rid == 0 {
 						return
 					}
 					if ch := mn.hold[id]; ch != nil {
 						<-ch
 					}
-					_ = rpcs[id].Reply(from, rid, &wire.DecideAck{Txn: wire.TxnID{Node: id}})
+					var seq uint64
+					if rm, ok := msg.(*wire.Remove); ok {
+						seq = rm.Txn.Seq
+					}
+					_ = rpcs[id].Reply(from, rid, &wire.DecideAck{Txn: wire.TxnID{Node: id, Seq: seq}})
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -501,6 +507,26 @@ func TestMultiTagsRepliesByLeg(t *testing.T) {
 			m.Release()
 			if n := mn.cli.Pending(); n != 0 {
 				t.Fatalf("round %d: %d slots left registered", round, n)
+			}
+		}
+	})
+}
+
+// TestMultiPerLegMessages: a fan-out given one message per target sends
+// msgs[i] to targets[i].
+func TestMultiPerLegMessages(t *testing.T) {
+	forEachMultiNet(t, InProcConfig{DisableLatency: true}, nil, func(t *testing.T, mn *multiNet) {
+		m := mn.cli.Multi(multiTargets,
+			&wire.Remove{Txn: wire.TxnID{Seq: 10}}, &wire.Remove{Txn: wire.TxnID{Seq: 11}}, &wire.Remove{Txn: wire.TxnID{Seq: 12}})
+		defer m.Release()
+		deadline := time.Now().Add(5 * time.Second)
+		for range multiTargets {
+			leg, resp, err := m.Next(deadline)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := resp.(*wire.DecideAck).Txn.Seq; got != uint64(10+leg) {
+				t.Fatalf("leg %d (node %d) was sent message %d, want %d", leg, multiTargets[leg], got, 10+leg)
 			}
 		}
 	})

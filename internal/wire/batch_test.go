@@ -40,10 +40,10 @@ func randomEnvelope(r *rand.Rand, n int) Envelope {
 		for i := range hr {
 			hr[i] = r.Intn(2) == 0
 		}
-		msg = &ReadRequest{Txn: txn, Key: randKey(), VC: vc, HasRead: hr, IsUpdate: r.Intn(2) == 0}
+		msg = &ReadRequest{Txn: txn, Key: randKey(), VC: vc, HasRead: hr}
 	case 1:
-		msg = &ReadReturn{Val: randVal(), Exists: r.Intn(2) == 0, Writer: txn, VC: vc,
-			Propagated: []SQEntry{{Txn: txn, SID: r.Uint64() % 1e4, Kind: EntryRead}}}
+		msg = &UpdateReadReply{Results: []UpdateResult{{Val: randVal(), Exists: r.Intn(2) == 0, Writer: txn, VC: vc,
+			Propagated: []SQEntry{{Txn: txn, SID: r.Uint64() % 1e4, Kind: EntryRead}}}}}
 	case 2:
 		m := &Prepare{Txn: txn, VC: vc}
 		for i := 0; i < r.Intn(4); i++ {

@@ -52,7 +52,6 @@ func appendBody(buf []byte, msg Msg) ([]byte, error) {
 		buf = AppendString(buf, m.Key)
 		buf = m.VC.AppendBinary(buf)
 		buf = appendBools(buf, m.HasRead)
-		buf = AppendBool(buf, m.IsUpdate)
 		buf = AppendTxnIDs(buf, m.Seen)
 		buf = appendExWriters(buf, m.Before)
 		buf = m.ObsVC.AppendBinary(buf)
@@ -61,12 +60,25 @@ func appendBody(buf []byte, msg Msg) ([]byte, error) {
 		buf = AppendBool(buf, m.Exists)
 		buf = AppendTxnID(buf, m.Writer)
 		buf = m.VC.AppendBinary(buf)
-		buf = appendSQEntries(buf, m.Propagated)
 		buf = binary.AppendUvarint(buf, m.Ver)
 		buf = AppendTxnID(buf, m.PendingWriter)
 		buf = appendExWriters(buf, m.Excluded)
 		buf = m.VerVC.AppendBinary(buf)
 		buf = AppendTxnIDs(buf, m.VerDeps)
+	case *UpdateRead:
+		buf = AppendStrings(buf, m.Keys)
+	case *UpdateReadReply:
+		buf = binary.AppendUvarint(buf, uint64(len(m.Results)))
+		for i := range m.Results {
+			r := &m.Results[i]
+			buf = AppendBytes(buf, r.Val)
+			buf = AppendBool(buf, r.Exists)
+			buf = AppendTxnID(buf, r.Writer)
+			buf = r.VC.AppendBinary(buf)
+			buf = appendSQEntries(buf, r.Propagated)
+			buf = AppendTxnID(buf, r.PendingWriter)
+			buf = AppendTxnIDs(buf, r.VerDeps)
+		}
 	case *Prepare:
 		buf = AppendTxnID(buf, m.Txn)
 		buf = m.VC.AppendBinary(buf)
@@ -168,7 +180,6 @@ func decodeBody(d *Decoder, t MsgType) (Msg, error) {
 		m.Key = d.Str()
 		m.VC = d.VC()
 		m.HasRead = d.bools()
-		m.IsUpdate = d.Bool()
 		m.Seen = d.TxnIDs()
 		m.Before = d.exWriters()
 		m.ObsVC = d.VC()
@@ -179,12 +190,29 @@ func decodeBody(d *Decoder, t MsgType) (Msg, error) {
 		m.Exists = d.Bool()
 		m.Writer = d.TxnID()
 		m.VC = d.VC()
-		m.Propagated = d.sqEntries()
 		m.Ver = d.Uvarint()
 		m.PendingWriter = d.TxnID()
 		m.Excluded = d.exWriters()
 		m.VerVC = d.VC()
 		m.VerDeps = d.TxnIDs()
+		return m, d.err
+	case MsgUpdateRead:
+		return &UpdateRead{Keys: d.Strs()}, d.err
+	case MsgUpdateReadReply:
+		m := &UpdateReadReply{}
+		if n := d.Count(); n > 0 {
+			m.Results = make([]UpdateResult, n)
+			for i := range m.Results {
+				r := &m.Results[i]
+				r.Val = d.Bytes()
+				r.Exists = d.Bool()
+				r.Writer = d.TxnID()
+				r.VC = d.VC()
+				r.Propagated = d.sqEntries()
+				r.PendingWriter = d.TxnID()
+				r.VerDeps = d.TxnIDs()
+			}
+		}
 		return m, d.err
 	case MsgPrepare:
 		m := &Prepare{}

@@ -26,12 +26,20 @@ func TestRoundTripAllMessageTypes(t *testing.T) {
 	vc := vclock.VC{3, 7, 1}
 	envs := []Envelope{
 		{From: 1, RID: 42, Msg: &ReadRequest{
-			Txn: TxnID{1, 9}, Key: "k1", VC: vc, HasRead: []bool{true, false, true}, IsUpdate: true,
+			Txn: TxnID{1, 9}, Key: "k1", VC: vc, HasRead: []bool{true, false, true},
 		}},
 		{From: 2, RID: 42, Resp: true, Msg: &ReadReturn{
 			Val: []byte("v"), Exists: true, Writer: TxnID{2, 3}, VC: vc,
-			Propagated: []SQEntry{{Txn: TxnID{0, 5}, SID: 7, Kind: EntryRead}},
 		}},
+		{From: 1, RID: 43, Msg: &UpdateRead{Keys: []string{"k1", "", "k3"}}},
+		{From: 2, RID: 43, Resp: true, Msg: &UpdateReadReply{Results: []UpdateResult{
+			{Val: []byte("v"), Exists: true, Writer: TxnID{2, 3}, VC: vc,
+				Propagated:    []SQEntry{{Txn: TxnID{0, 5}, SID: 7, Kind: EntryRead}},
+				PendingWriter: TxnID{2, 3}, VerDeps: []TxnID{{1, 1}}},
+			{},
+			{Exists: true, VC: vc},
+		}}},
+		{From: 2, RID: 44, Resp: true, Msg: &UpdateReadReply{}},
 		{From: 0, RID: 7, Msg: &Prepare{
 			Txn: TxnID{0, 1}, VC: vc, ReadKeys: []string{"a", "b"},
 			Writes: []KV{{Key: "c", Val: []byte("x")}, {Key: "d", Val: nil}},
@@ -156,7 +164,7 @@ func TestPropReadRequestRoundTrip(t *testing.T) {
 			RID:  uint64(r.Intn(1 << 30)),
 			Msg: &ReadRequest{
 				Txn: TxnID{NodeID(r.Intn(n)), uint64(r.Intn(1000))}, Key: string(key),
-				VC: vc, HasRead: hr, IsUpdate: r.Intn(2) == 0,
+				VC: vc, HasRead: hr,
 			},
 		}
 		buf, err := EncodeEnvelope(nil, env)
@@ -228,6 +236,9 @@ func FuzzDecodeEnvelope(f *testing.F) {
 		&Freeze{Txn: TxnID{0, 2}},
 		&Purge{Txn: TxnID{1, 4}},
 		&FreezeAck{},
+		&UpdateRead{Keys: []string{"a", "b"}},
+		&UpdateReadReply{Results: []UpdateResult{{Val: []byte("v"), Exists: true, VC: vc,
+			Propagated: []SQEntry{{Txn: TxnID{0, 5}, SID: 7, Kind: EntryRead}}}, {}}},
 	} {
 		buf, err := EncodeEnvelope(nil, Envelope{From: 1, RID: 5, Msg: msg})
 		if err != nil {

@@ -89,6 +89,8 @@ const (
 	MsgTxnStatusReply
 	MsgClockSync
 	MsgClockSyncReply
+	MsgUpdateRead
+	MsgUpdateReadReply
 )
 
 // Msg is implemented by every wire message.
@@ -105,15 +107,14 @@ type Envelope struct {
 	Msg  Msg
 }
 
-// ReadRequest asks a replica of Key for a version visible to transaction
-// Txn. VC and HasRead carry the transaction's current visibility bound;
-// IsUpdate selects the update-transaction fast path of Algorithm 6.
+// ReadRequest asks a replica of Key for a version visible to read-only
+// transaction Txn. VC and HasRead carry the transaction's current visibility
+// bound. An update transaction reads with UpdateRead instead.
 type ReadRequest struct {
-	Txn      TxnID
-	Key      string
-	VC       vclock.VC
-	HasRead  []bool
-	IsUpdate bool
+	Txn     TxnID
+	Key     string
+	VC      vclock.VC
+	HasRead []bool
 	// Seen lists writers whose versions this read-only transaction has
 	// already observed: their versions must never be excluded again even
 	// if their snapshot-queue entries are still unflagged here.
@@ -141,17 +142,14 @@ type ExWriter struct {
 }
 
 // ReadReturn answers a ReadRequest. VC is the maxVC of Algorithm 6 (the
-// bound the reader folds into T.VC); Propagated carries the snapshot-queue
-// R-entries an update transaction must propagate (its transitive
-// anti-dependencies); Writer identifies the transaction that produced the
-// returned version; Exists distinguishes a genuine version from "no such
-// key".
+// bound the reader folds into T.VC); Writer identifies the transaction that
+// produced the returned version; Exists distinguishes a genuine version from
+// "no such key".
 type ReadReturn struct {
-	Val        []byte
-	Exists     bool
-	Writer     TxnID
-	VC         vclock.VC
-	Propagated []SQEntry
+	Val    []byte
+	Exists bool
+	Writer TxnID
+	VC     vclock.VC
 	// Ver is the replica-local version counter of the key; used by the
 	// single-version 2PC-baseline competitor instead of VC.
 	Ver uint64
@@ -172,6 +170,37 @@ type ReadReturn struct {
 	// that writer is purged at the serving replica the reply's VC covers
 	// every stamp in its ancestry instead (docs/CONSISTENCY.md §4 item 1).
 	VerDeps []TxnID
+}
+
+// UpdateRead asks a replica for the latest version of each of Keys on
+// behalf of an update transaction (Algorithm 6 lines 24–27). An update read
+// takes no snapshot, so the reply depends only on the keys and the
+// replica's state: the request carries nothing else, and one request serves
+// every key a transaction reads at that replica.
+type UpdateRead struct {
+	Keys []string
+}
+
+// UpdateReadReply answers an UpdateRead with one result per key, in request
+// order.
+type UpdateReadReply struct {
+	Results []UpdateResult
+}
+
+// UpdateResult is one key's latest version at the serving replica. VC is the
+// version's commit clock joined with the replica's externally-committed
+// knowledge, the bound the reader folds into T.VC; Propagated carries the
+// key's snapshot-queue R-entries, which the updater must propagate (its
+// transitive anti-dependencies); PendingWriter and VerDeps are as in
+// ReadReturn.
+type UpdateResult struct {
+	Val           []byte
+	Exists        bool
+	Writer        TxnID
+	VC            vclock.VC
+	Propagated    []SQEntry
+	PendingWriter TxnID
+	VerDeps       []TxnID
 }
 
 // KV is one buffered write shipped in a Prepare.
@@ -444,6 +473,8 @@ var (
 	_ Msg = (*ClockSyncReply)(nil)
 	_ Msg = (*TxnStatus)(nil)
 	_ Msg = (*TxnStatusReply)(nil)
+	_ Msg = (*UpdateRead)(nil)
+	_ Msg = (*UpdateReadReply)(nil)
 )
 
 // Type implements Msg.
@@ -514,3 +545,9 @@ func (*ClockSync) Type() MsgType { return MsgClockSync }
 
 // Type implements Msg.
 func (*ClockSyncReply) Type() MsgType { return MsgClockSyncReply }
+
+// Type implements Msg.
+func (*UpdateRead) Type() MsgType { return MsgUpdateRead }
+
+// Type implements Msg.
+func (*UpdateReadReply) Type() MsgType { return MsgUpdateReadReply }

@@ -77,11 +77,15 @@ check ./internal/engine 'BenchmarkReadOnlyTxn/ops' 2000x \
 # context each, and 59-60/77-78 and 84 once the freeze became a plain fan-out
 # instead of a per-peer commit queue: no waiter channel per write replica,
 # but a local commit's purge is its own envelope, which sometimes spills
-# onto a transport goroutine.
+# onto a transport goroutine. An update read of a key the coordinator
+# replicates is served inline, with no request, reply or envelope: 50-54,
+# 62-66 and 75 over 31 runs (parent 58-59, 77-78 and 82). The spread left
+# is the commit's own self-sends spilling (1.1-1.7 spills per local
+# commit, down from 1.7-2.4).
 check ./internal/engine 'BenchmarkUpdateTxnCommit' 2000x \
-  'BenchmarkUpdateTxnCommit/ops=1' 64 \
-  'BenchmarkUpdateTxnCommit/ops=2' 85 \
-  'BenchmarkUpdateTxnCommitRemote' 90
+  'BenchmarkUpdateTxnCommit/ops=1' 54 \
+  'BenchmarkUpdateTxnCommit/ops=2' 66 \
+  'BenchmarkUpdateTxnCommitRemote' 75
 
 # One three-leg RPC fan-out and its wait (transport.RPC.Gather, in-process,
 # latency off): the pooled Multi carries its reply channel and deadline
@@ -92,11 +96,14 @@ check ./internal/transport 'BenchmarkRPCGather' 5000x \
 # Client path over loopback TCP (wire codec, coalescing send queue, reply
 # demux; the server side of the connection is included). Measured 60/73/130
 # allocs/op when the lane was added (PR-6: auto-batching + one-round
-# SnapshotRead).
+# SnapshotRead). The update transaction measured 96 while each Write was a
+# request with its own reply, and 88 once the writes ride the read and the
+# commit; a read is now a key list answered by a value list, so the
+# interactive read-only transaction measures 53 (was 49).
 check ./client 'BenchmarkClientPath' 2000x \
   'BenchmarkClientPath/ro-txn' 70 \
   'BenchmarkClientPath/snapshot-read' 85 \
-  'BenchmarkClientPath/update-txn' 150
+  'BenchmarkClientPath/update-txn' 88
 
 # Lock table: the single-key and canonicalizing acquire paths and release
 # are allocation-free (pooled scratch, recycled lock states, waiter-gated
@@ -137,12 +144,15 @@ check ./internal/engine 'BenchmarkTombstone' 200000x \
 check ./internal/batchq 'BenchmarkQueue' 10000x \
   'BenchmarkQueue' 0
 
-# Client protocol codec: a framed Write request and Value reply (100-byte
-# values) written and read back. Measured 3 allocs/op: the decoded key and
-# two decoded values. It was 5 while each frame write heap-allocated its
-# length header; the header now goes into the writer's spare buffer.
+# Client protocol codec: a framed one-key Read carrying one write and its
+# one-value reply (100-byte values) written and read back. Measured 7
+# allocs/op: the decoded read key, write key, write value and reply value,
+# and the three lists holding them (keys, writes, values). Until the
+# protocol lost its Write request the benchmark framed a Write and a
+# one-value reply, with no lists: 3 allocs/op (5 while each frame write
+# heap-allocated its length header).
 check ./internal/clientproto '^BenchmarkCodecRoundTrip$' 20000x \
-  'BenchmarkCodecRoundTrip' 3
+  'BenchmarkCodecRoundTrip' 7
 
 # Peer message encoding: one envelope, and a batch frame of envelopes, into
 # a pooled buffer allocate nothing (measured 0 and 0).
