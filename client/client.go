@@ -150,7 +150,8 @@ func (c *Client) Metrics() *metrics.ClientNet { return &c.stats }
 // key, finish — as a single request/reply round trip: the transaction
 // executes entirely server-side, inheriting SSS's abort-free read-only
 // guarantee, and the client pays 1 RTT where the interactive form pays
-// 2+len(keys). Results align positionally with keys.
+// three. Values too large to share one reply frame are read in the
+// interactive form instead. Results align positionally with keys.
 func (c *Client) SnapshotRead(keys []string) ([]kv.ReadResult, error) {
 	if len(keys) == 0 {
 		return nil, nil
@@ -170,10 +171,29 @@ func (c *Client) SnapshotRead(keys []string) ([]kv.ReadResult, error) {
 	if rep.Kind != clientproto.ReplyValues {
 		return nil, replyError(rep)
 	}
-	if len(rep.Vals) != len(keys) {
+	if len(rep.Vals) > len(keys) || len(rep.Vals) == 0 {
 		return nil, fmt.Errorf("client: snapshot read answered %d values for %d keys", len(rep.Vals), len(keys))
 	}
+	if len(rep.Vals) < len(keys) {
+		// The values outgrow one reply frame: read them in an interactive
+		// read-only transaction instead, whose reads may span several.
+		return c.readOnly(keys)
+	}
 	return rep.Vals, nil
+}
+
+// readOnly reads keys in one interactive read-only transaction.
+func (c *Client) readOnly(keys []string) ([]kv.ReadResult, error) {
+	tx := c.Begin(true).(*Txn)
+	vals, err := tx.MultiRead(keys)
+	if err != nil {
+		_ = tx.Abort()
+		return nil, err
+	}
+	if err := tx.Commit(); err != nil {
+		return nil, err
+	}
+	return vals, nil
 }
 
 // Ping performs one round trip on a pooled connection — the health /
@@ -293,7 +313,8 @@ func (t *Txn) Read(key string) ([]byte, bool, error) {
 // those of sequential Reads, positionally aligned with keys. More keys than
 // one request may carry (clientproto.MaxKeys, or a frame's worth) are split
 // into several requests, pipelined on the connection; the server runs them
-// in order.
+// in order. Keys whose values did not fit in their reply's frame are read
+// again, from the transaction's read set.
 func (t *Txn) MultiRead(keys []string) ([]kv.ReadResult, error) {
 	if err := t.usable(); err != nil {
 		return nil, err
@@ -311,7 +332,11 @@ func (t *Txn) MultiRead(keys []string) ([]kv.ReadResult, error) {
 	if len(keys) <= clientproto.MaxKeys && size <= clientproto.MaxFrame {
 		// The common case, one request: its reply's values are the result.
 		req := &clientproto.Request{Op: clientproto.OpRead, Txn: t.handle, Keys: keys, Writes: t.takeWrites()}
-		return t.readReply(req, nil)
+		vals, err := t.readReply(req, nil)
+		if err != nil || len(vals) == len(keys) {
+			return vals, err
+		}
+		return t.readRest(keys, vals)
 	}
 	reqs := t.readRequests(keys)
 	chs := make([]chan clientproto.Reply, len(reqs))
@@ -326,6 +351,9 @@ func (t *Txn) MultiRead(keys []string) ([]kv.ReadResult, error) {
 	out := make([]kv.ReadResult, 0, len(keys))
 	for i, ch := range chs {
 		vals, err := t.readReply(reqs[i], ch)
+		if err == nil && len(vals) < len(reqs[i].Keys) {
+			vals, err = t.readRest(reqs[i].Keys, vals)
+		}
 		if err != nil {
 			// Later requests' replies, if any, land in their buffered
 			// channels and are dropped with them — no goroutine is left
@@ -337,9 +365,22 @@ func (t *Txn) MultiRead(keys []string) ([]kv.ReadResult, error) {
 	return out, nil
 }
 
+// readRest completes a read of keys whose reply carried only the values
+// that fit in one frame, vals, by reading the remaining keys again. The
+// server read them already, so the transaction answers them from its read
+// set.
+func (t *Txn) readRest(keys []string, vals []kv.ReadResult) ([]kv.ReadResult, error) {
+	rest, err := t.MultiRead(keys[len(vals):])
+	if err != nil {
+		return nil, err
+	}
+	return append(vals, rest...), nil
+}
+
 // readRequests splits keys into Read requests within both bounds of a
 // request, clientproto.MaxKeys and a frame's worth of bytes; the first
-// carries the buffered writes.
+// carries the buffered writes, and no keys when they leave no room for the
+// first key.
 func (t *Txn) readRequests(keys []string) []*clientproto.Request {
 	size := requestOverhead + t.writeBytes
 	req := &clientproto.Request{Op: clientproto.OpRead, Txn: t.handle, Writes: t.takeWrites()}
@@ -347,7 +388,7 @@ func (t *Txn) readRequests(keys []string) []*clientproto.Request {
 	start := 0
 	for i, k := range keys {
 		ks := len(k) + fieldOverhead
-		if i > start && (i-start == clientproto.MaxKeys || size+ks > clientproto.MaxFrame) {
+		if i-start == clientproto.MaxKeys || size+ks > clientproto.MaxFrame {
 			req.Keys = keys[start:i]
 			req = &clientproto.Request{Op: clientproto.OpRead, Txn: t.handle}
 			reqs = append(reqs, req)
@@ -360,7 +401,8 @@ func (t *Txn) readRequests(keys []string) []*clientproto.Request {
 }
 
 // readReply awaits the reply to read request req on ch — or, with a nil ch,
-// sends req and awaits its reply — and returns its values.
+// sends req and awaits its reply — and returns its values: one per key, or
+// those of a prefix of the keys when all would not fit in one frame.
 func (t *Txn) readReply(req *clientproto.Request, ch chan clientproto.Reply) ([]kv.ReadResult, error) {
 	var rep clientproto.Reply
 	var err error
@@ -375,7 +417,7 @@ func (t *Txn) readReply(req *clientproto.Request, ch chan clientproto.Reply) ([]
 	if rep.Kind != clientproto.ReplyValues {
 		return nil, replyError(rep)
 	}
-	if len(rep.Vals) != len(req.Keys) {
+	if len(rep.Vals) > len(req.Keys) || len(rep.Vals) == 0 && len(req.Keys) > 0 {
 		return nil, fmt.Errorf("client: read answered %d values for %d keys", len(rep.Vals), len(req.Keys))
 	}
 	return rep.Vals, nil

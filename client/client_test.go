@@ -938,3 +938,99 @@ func TestClientCommitPipelined(t *testing.T) {
 		t.Fatalf("after commit: %+v %v", res, err)
 	}
 }
+
+// TestClientReadValuesBeyondOneFrame reads two 9 MiB values, more than one
+// reply frame holds, with one MultiRead: the server answers the value that
+// fits and the client reads the other again, in an update transaction, in
+// a read-only one and in a SnapshotRead. The connection survives, and so
+// does a transaction open beside them on it.
+func TestClientReadValuesBeyondOneFrame(t *testing.T) {
+	addr, srv := startServer(t)
+	c, err := Dial(addr, Options{Conns: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+
+	keys := []string{"huge0", "huge1"}
+	tx := c.Begin(false)
+	for i, k := range keys {
+		val := make([]byte, 9<<20)
+		val[0] = byte(i + 1)
+		if err := tx.Write(k, val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatalf("commit: %v", err)
+	}
+	check := func(what string, res []kv.ReadResult, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		for i := range keys {
+			if !res[i].Exists || len(res[i].Val) != 9<<20 || res[i].Val[0] != byte(i+1) {
+				t.Fatalf("%s: result %d exists=%v len=%d", what, i, res[i].Exists, len(res[i].Val))
+			}
+		}
+	}
+
+	beside := c.Begin(false)
+	if _, _, err := beside.Read("k00"); err != nil {
+		t.Fatal(err)
+	}
+	for _, ro := range []bool{false, true} {
+		tx := c.Begin(ro)
+		served := srv.Metrics().Requests.Load()
+		res, err := tx.(kv.MultiReader).MultiRead(keys)
+		check(fmt.Sprintf("multi-read (read-only %v)", ro), res, err)
+		if got := srv.Metrics().Requests.Load() - served; got != 2 {
+			t.Fatalf("read-only %v: the read cost %d requests, want 2", ro, got)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatalf("read-only %v: commit: %v", ro, err)
+		}
+	}
+	res, err := c.SnapshotRead(keys)
+	check("snapshot read", res, err)
+	if err := beside.Write("k00", []byte("beside")); err != nil {
+		t.Fatal(err)
+	}
+	if err := beside.Commit(); err != nil {
+		t.Fatalf("the transaction beside the large reads: %v", err)
+	}
+}
+
+// TestClientWriteNearFrameThenLongKey buffers a write that nearly fills a
+// frame and then reads a key longer than the frame estimate's slack: the
+// write goes ahead in a read of no keys, the key in a read of its own, and
+// no frame passes the limit (the server would hang up on the connection).
+func TestClientWriteNearFrameThenLongKey(t *testing.T) {
+	addr, srv := startServer(t)
+	c, err := Dial(addr, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+
+	key := strings.Repeat("x", 4096)
+	val := make([]byte, clientproto.MaxFrame-requestOverhead-len("k00")-2*fieldOverhead)
+	tx := c.Begin(false)
+	if err := tx.Write("k00", val); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	served := srv.Metrics().Requests.Load()
+	if _, ok, err := tx.Read(key); err != nil || ok {
+		t.Fatalf("read of a long missing key: %v %v", ok, err)
+	}
+	if got := srv.Metrics().Requests.Load() - served; got != 2 {
+		t.Fatalf("the read cost %d requests, want 2 (the write, then the key)", got)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatalf("commit: %v", err)
+	}
+	if res, err := c.SnapshotRead([]string{"k00"}); err != nil || len(res[0].Val) != len(val) {
+		t.Fatalf("k00 after commit: %v", err)
+	}
+}

@@ -109,7 +109,8 @@ const (
 	// ReplyErr reports a typed failure for the request it echoes.
 	ReplyErr ReplyKind = 3
 	// ReplyValues answers a Read or a SnapshotRead: one result per
-	// requested key, in request order.
+	// requested key, in request order — for every key, or for the prefix
+	// of them whose values fit in one frame (FitValues).
 	ReplyValues ReplyKind = 4
 )
 
@@ -279,6 +280,20 @@ func AppendReply(buf []byte, rep *Reply) []byte {
 		}
 	}
 	return buf
+}
+
+// FitValues returns how many of vals, from the first, one ReplyValues frame
+// carries within MaxFrame. Each count and length is budgeted at its longest
+// uvarint.
+func FitValues(vals []kv.ReadResult) int {
+	size := 1 + 2*binary.MaxVarintLen64 // kind, request ID, value count
+	for i, v := range vals {
+		size += 1 + binary.MaxVarintLen64 + len(v.Val)
+		if size > MaxFrame {
+			return i
+		}
+	}
+	return len(vals)
 }
 
 // DecodeReply parses one reply body. The returned reply does not retain buf.

@@ -298,3 +298,28 @@ func appendUvarintForTest(buf []byte, x uint64) []byte {
 	}
 	return append(buf, byte(x))
 }
+
+// TestFitValues pins the reply bound: values fit while their encoded frame
+// stays within MaxFrame, and the prefix that fits encodes within it.
+func TestFitValues(t *testing.T) {
+	big := kv.ReadResult{Val: make([]byte, 9<<20), Exists: true}
+	for _, tc := range []struct {
+		vals []kv.ReadResult
+		want int
+	}{
+		{nil, 0},
+		{[]kv.ReadResult{{}, {Exists: true, Val: []byte("v")}}, 2},
+		{[]kv.ReadResult{big}, 1},
+		{[]kv.ReadResult{big, big, big}, 1},
+		{[]kv.ReadResult{{Val: make([]byte, MaxFrame)}}, 0},
+	} {
+		n := FitValues(tc.vals)
+		if n != tc.want {
+			t.Fatalf("FitValues of %d values: %d, want %d", len(tc.vals), n, tc.want)
+		}
+		body := AppendReply(nil, &Reply{Kind: ReplyValues, ReqID: ^uint64(0), Vals: tc.vals[:n]})
+		if len(body) > MaxFrame {
+			t.Fatalf("the %d values that fit encode to %d bytes", n, len(body))
+		}
+	}
+}

@@ -60,6 +60,9 @@ func saturationSlots() int {
 //     reads or commits. A write the engine refuses aborts the transaction,
 //     and the request that carried it is answered with the write's error:
 //     a refused write never commits without it.
+//   - No reply outgrows MaxFrame: a Read or SnapshotRead whose values would
+//     is answered with the prefix that fits, and the client asks again
+//     for the rest — a transaction answers keys it read from its read set.
 //   - When the connection drops (EOF, reset, or a failed reply write),
 //     every transaction still open on it is aborted, so a vanished client
 //     can never leave locks or snapshot-queue entries behind.
@@ -301,7 +304,7 @@ func (ss *session) handleTxnOp(req Request, st *sessTxn) {
 			ss.replyKvErr(req.ReqID, err)
 			return
 		}
-		ss.reply(&Reply{Kind: ReplyValues, ReqID: req.ReqID, Vals: vals})
+		ss.replyValues(req.ReqID, vals)
 		return
 	}
 	var commitStart time.Time
@@ -383,7 +386,19 @@ func (ss *session) handleSnapshotRead(req Request) {
 		ss.replyKvErr(req.ReqID, err)
 		return
 	}
-	ss.reply(&Reply{Kind: ReplyValues, ReqID: req.ReqID, Vals: vals})
+	ss.replyValues(req.ReqID, vals)
+}
+
+// replyValues answers a read with the values that fit in one frame: all of
+// them, or the prefix FitValues allows. A value that alone outgrows a frame
+// fails the request.
+func (ss *session) replyValues(reqID uint64, vals []kv.ReadResult) {
+	n := FitValues(vals)
+	if n == 0 && len(vals) > 0 {
+		ss.replyErr(reqID, CodeInternal, fmt.Sprintf("a %d-byte value exceeds the %d-byte frame limit", len(vals[0].Val), MaxFrame))
+		return
+	}
+	ss.reply(&Reply{Kind: ReplyValues, ReqID: reqID, Vals: vals[:n]})
 }
 
 func (ss *session) replyErr(reqID uint64, code ErrCode, msg string) {

@@ -211,12 +211,27 @@ func (nd *Node) pendingWriterOf(key string, res mvstore.ReadResult) wire.TxnID {
 	return wire.TxnID{}
 }
 
+// updateReadReplyBytes bounds the values one UpdateReadReply carries before
+// the replica stops serving its keys: a reply then holds at most this much
+// plus one value (a client write is below 16 MiB), about the size of one
+// read-only ReadReturn's worst case and well under the TCP transport's
+// 64 MiB frame bound.
+const updateReadReplyBytes = 1 << 20
+
 // handleUpdateRead serves an update transaction's reads at this replica:
-// one updateRead per key, answered in one reply.
+// one updateRead per key, in order, answered in one reply. Once the values
+// served reach updateReadReplyBytes it stops, and the reply answers a
+// prefix of the keys; the coordinator sends the rest again.
 func (nd *Node) handleUpdateRead(from wire.NodeID, rid uint64, m *wire.UpdateRead) {
-	results := make([]wire.UpdateResult, len(m.Keys))
-	for i, key := range m.Keys {
-		results[i] = nd.updateRead(from, key)
+	results := make([]wire.UpdateResult, 0, len(m.Keys))
+	size := 0
+	for _, key := range m.Keys {
+		if size >= updateReadReplyBytes {
+			break
+		}
+		res := nd.updateRead(from, key)
+		size += len(res.Val)
+		results = append(results, res)
 	}
 	_ = nd.rpc.Reply(from, rid, &wire.UpdateReadReply{Results: results})
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/sss-paper/sss/internal/transport"
@@ -253,12 +254,11 @@ func (t *Txn) readOnlyRead(key string) ([]byte, bool, error) {
 }
 
 // keyRead is one key of an update transaction's read: where it is read
-// first, in which fan-out round it was sent, and the result once one came.
+// first, and the result once one came.
 type keyRead struct {
 	res   wire.UpdateResult
 	first wire.NodeID
 	state keyReadState
-	round uint8 // the round the key was last sent in: 1 first replica, 2 the others
 }
 
 type keyReadState uint8
@@ -299,19 +299,28 @@ func (t *Txn) updateReads(keys []string, out []kv.ReadResult) error {
 	if len(keys) > len(small) {
 		reads = make([]keyRead, 0, len(keys))
 	}
-	pending := 0
-	for _, key := range keys {
+	// legs[to] lists the pending keys read first at remote node to.
+	var legBuf [8][]int
+	legs := legBuf[:min(nd.n, len(legBuf))]
+	if nd.n > len(legBuf) {
+		legs = make([][]int, nd.n)
+	}
+	pending := false
+	for i, key := range keys {
 		kr := keyRead{state: keyOwn}
 		if _, ok := t.ws[key]; !ok {
 			if _, ok := t.rs[key]; !ok {
 				kr.state, kr.first = keyPending, t.firstReplica(key)
-				pending++
+				if kr.first != nd.id {
+					legs[kr.first] = append(legs[kr.first], i)
+				}
+				pending = true
 			}
 		}
 		reads = append(reads, kr)
 	}
 	var lastErr error
-	if pending > 0 {
+	if pending {
 		t.snapshot()
 		budget := nd.cfg.DrainTimeout
 		end := time.Now().Add(budget)
@@ -319,8 +328,20 @@ func (t *Txn) updateReads(keys []string, out []kv.ReadResult) error {
 		if nd.lookup.Degree() > 1 {
 			first = min(budget, nd.cfg.VoteTimeout)
 		}
-		if pending, lastErr = t.updateRound(keys, reads, 1, first); pending > 0 && nd.lookup.Degree() > 1 {
-			_, lastErr = t.updateRound(keys, reads, 2, time.Until(end))
+		if lastErr = t.updateRound(keys, reads, legs, true, first); nd.lookup.Degree() > 1 {
+			clear(legs)
+			for i := range reads {
+				if kr := &reads[i]; kr.state == keyPending {
+					for _, to := range nd.lookup.Replicas(keys[i]) {
+						if to != kr.first {
+							legs[to] = append(legs[to], i)
+						}
+					}
+				}
+			}
+			if slices.ContainsFunc(legs, func(leg []int) bool { return leg != nil }) {
+				lastErr = t.updateRound(keys, reads, legs, false, time.Until(end))
+			}
 		}
 	}
 	for i, key := range keys {
@@ -352,101 +373,98 @@ func (t *Txn) firstReplica(key string) wire.NodeID {
 	return wire.NodeID((int(l.Primary(key)) + int(t.id.Seq%uint64(l.Degree()))) % l.N())
 }
 
-// readsAt reports whether a key sent in the given round was sent to node
-// to: round 1 reads each key at its first replica, round 2 at every other
-// replica.
-func (t *Txn) readsAt(key string, kr *keyRead, round uint8, to wire.NodeID) bool {
-	if round == 1 {
-		return kr.first == to
-	}
-	return to != kr.first && t.nd.lookup.IsReplica(key, to)
-}
-
-// updateRound sends the pending keys of reads in one fan-out — one
-// UpdateRead per remote replica — serves this node's keys inline in round
-// 1, and then collects replies until every sent key has a result or the
-// wait exceeds within. A key answered by several replicas adopts the first
-// answer. It returns how many keys are still pending and why, if any are.
-func (t *Txn) updateRound(keys []string, reads []keyRead, round uint8, within time.Duration) (int, error) {
+// updateRound reads the keys of legs in one fan-out: legs[to] lists the
+// indices in keys of the keys remote node to is asked for, and each gets
+// one UpdateRead, all sent before anything is awaited. With local set, the
+// pending keys read first at this node are then served inline, unless it is
+// closed or recovering (serve's gates). A replica whose values outgrow one
+// reply answers a prefix of its leg, and the rest goes to it again in a
+// further fan-out. The round ends when no key it sent is pending, when a
+// reply failed to come, or when the wait exceeds within. A key sent to
+// several replicas adopts the first answer. It returns why a key may still
+// be pending.
+func (t *Txn) updateRound(keys []string, reads []keyRead, legs [][]int, local bool, within time.Duration) error {
 	nd := t.nd
-	var tos []wire.NodeID
-	var msgs []wire.Msg
-	sent := 0
-	for to := range nd.n {
-		to := wire.NodeID(to)
-		if to == nd.id {
-			continue
-		}
-		var leg []string
-		for i := range reads {
-			kr := &reads[i]
-			if kr.state == keyPending && t.readsAt(keys[i], kr, round, to) {
-				leg = append(leg, keys[i])
-				kr.round = round
-			}
-		}
-		if leg != nil {
-			tos = append(tos, to)
-			msgs = append(msgs, &wire.UpdateRead{Keys: leg})
-		}
-	}
-	for i := range reads {
-		if reads[i].state == keyPending && reads[i].round == round {
-			sent++
-		}
-	}
-	var m *transport.Multi
-	if len(tos) > 0 {
-		m = nd.rpc.Multi(tos, msgs...)
-		defer m.Release()
-	}
-	// This node's keys are served here, on the calling goroutine, while the
-	// remote legs are in flight. A closed or recovering node serves nothing
-	// (serve's gates), so its keys wait for round 2 like those of an
-	// unreachable replica.
-	pending := 0
-	servable := !nd.closed.Load() && !nd.recovering.Load()
-	for i := range reads {
-		kr := &reads[i]
-		if kr.state != keyPending || kr.round == round {
-			continue
-		}
-		if round == 1 && kr.first == nd.id && servable {
-			kr.res, kr.state = nd.updateRead(nd.id, keys[i]), keyDone
-			continue
-		}
-		pending++
-	}
-	var err error
 	deadline := time.Now().Add(within)
-	for m != nil && sent > 0 {
-		leg, resp, nerr := m.Next(deadline)
-		if nerr != nil {
-			err = nerr
-			break
-		}
-		rep, ok := resp.(*wire.UpdateReadReply)
-		if !ok {
-			err = fmt.Errorf("engine: unexpected update read response %T", resp)
-			continue
-		}
-		r := 0
-		for i := range reads {
-			kr := &reads[i]
-			if kr.round != round || !t.readsAt(keys[i], kr, round, tos[leg]) {
+	var tosBuf [8]wire.NodeID
+	var msgBuf [8]wire.Msg
+	var rest [][]int // the unanswered keys of short replies, by node
+	for {
+		tos, msgs := tosBuf[:0], msgBuf[:0]
+		for to, leg := range legs {
+			if leg == nil {
 				continue
 			}
-			if r == len(rep.Results) {
+			ks := make([]string, len(leg))
+			for j, i := range leg {
+				ks[j] = keys[i]
+			}
+			tos = append(tos, wire.NodeID(to))
+			msgs = append(msgs, &wire.UpdateRead{Keys: ks})
+		}
+		var m *transport.Multi
+		if len(tos) > 0 {
+			m = nd.rpc.Multi(tos, msgs...)
+		}
+		if local && !nd.closed.Load() && !nd.recovering.Load() {
+			for i := range reads {
+				if kr := &reads[i]; kr.state == keyPending && kr.first == nd.id {
+					kr.res, kr.state = nd.updateRead(nd.id, keys[i]), keyDone
+				}
+			}
+		}
+		local = false
+		more := false
+		var err error
+		for m != nil && slices.ContainsFunc(tos, func(to wire.NodeID) bool { return anyPending(reads, legs[to]) }) {
+			k, resp, nerr := m.Next(deadline)
+			if nerr != nil {
+				err = nerr
 				break
 			}
-			if kr.state == keyPending {
-				kr.res, kr.state = rep.Results[r], keyDone
-				sent--
+			leg := legs[tos[k]]
+			rep, ok := resp.(*wire.UpdateReadReply)
+			if !ok || len(rep.Results) == 0 || len(rep.Results) > len(leg) {
+				err = fmt.Errorf("engine: malformed update read response %T", resp)
+				legs[tos[k]] = nil
+				continue
 			}
-			r++
+			for r, i := range leg[:len(rep.Results)] {
+				if reads[i].state == keyPending {
+					reads[i].res, reads[i].state = rep.Results[r], keyDone
+				}
+			}
+			if len(rep.Results) < len(leg) {
+				if rest == nil {
+					rest = make([][]int, len(legs))
+				}
+				rest[tos[k]], more = leg[len(rep.Results):], true
+			}
+			legs[tos[k]] = nil // answered: no longer awaited
+		}
+		if m != nil {
+			m.Release()
+		}
+		if err != nil || !more {
+			return err
+		}
+		if !time.Now().Before(deadline) {
+			return transport.ErrTimeout
+		}
+		legs, rest = rest, legs
+		clear(rest)
+		for to, leg := range legs {
+			if leg = slices.DeleteFunc(leg, func(i int) bool { return reads[i].state != keyPending }); len(leg) == 0 {
+				leg = nil
+			}
+			legs[to] = leg
 		}
 	}
-	return pending + sent, err
+}
+
+// anyPending reports whether a key of leg still awaits its result.
+func anyPending(reads []keyRead, leg []int) bool {
+	return slices.ContainsFunc(leg, func(i int) bool { return reads[i].state == keyPending })
 }
 
 // adoptUpdate folds one update read's result into the transaction. Every

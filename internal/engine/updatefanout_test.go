@@ -398,3 +398,56 @@ func TestUpdateReadOnClosedCoordinatorFallsBack(t *testing.T) {
 		})
 	}
 }
+
+// TestUpdateReadReplyBoundedBySize reads three 768 KiB values held only by
+// node 1 (replication 1) from node 0: node 1 stops serving once its reply
+// holds updateReadReplyBytes (1 MiB) of values, so its first reply answers
+// the first two keys, and node 0 sends the third to it again in a second
+// leg.
+func TestUpdateReadReplyBoundedBySize(t *testing.T) {
+	nodes, net := newSpyCluster(t, 3, 1, Config{})
+	lookup := cluster.NewLookup(3, 1)
+	keys := keysBy(t, lookup, []wire.NodeID{1}, "big", 3)
+	for i, k := range keys {
+		val := make([]byte, 768<<10)
+		val[0] = byte(i)
+		nodes[1].Preload(k, val)
+	}
+
+	net.reset()
+	tx := nodes[0].Begin(false)
+	res, err := tx.MultiRead(keys)
+	if err != nil {
+		t.Fatalf("multi-read: %v", err)
+	}
+	for i, k := range keys {
+		if !res[i].Exists || len(res[i].Val) != 768<<10 || res[i].Val[0] != byte(i) {
+			t.Fatalf("result %d (%s): exists=%v len=%d", i, k, res[i].Exists, len(res[i].Val))
+		}
+	}
+	var legs [][]string
+	for _, e := range net.sent() {
+		if m, ok := e.msg.(*wire.UpdateRead); ok {
+			if e.from != 0 || e.to != 1 {
+				t.Fatalf("update read from %d to %d, want from 0 to 1", e.from, e.to)
+			}
+			legs = append(legs, m.Keys)
+		}
+		if m, ok := e.msg.(*wire.UpdateReadReply); ok {
+			size := 0
+			for _, r := range m.Results {
+				size += len(r.Val)
+			}
+			if size > updateReadReplyBytes+768<<10 {
+				t.Fatalf("a reply carried %d bytes of values", size)
+			}
+		}
+	}
+	if want := [][]string{keys, keys[2:]}; !reflect.DeepEqual(legs, want) {
+		t.Fatalf("legs %q, want %q", legs, want)
+	}
+	if !slices.Equal(tx.rsOrder, keys) {
+		t.Fatalf("read set order %q, want %q", tx.rsOrder, keys)
+	}
+	_ = tx.Abort()
+}

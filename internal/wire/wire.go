@@ -182,7 +182,8 @@ type UpdateRead struct {
 }
 
 // UpdateReadReply answers an UpdateRead with one result per key, in request
-// order.
+// order: for every key, or for a prefix of them when their values would
+// outgrow one reply, and the reader asks again for the rest.
 type UpdateReadReply struct {
 	Results []UpdateResult
 }
