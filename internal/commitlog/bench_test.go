@@ -1,7 +1,6 @@
 package commitlog
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -11,11 +10,15 @@ import (
 
 // fillLog appends `count` commits to a fresh log of the given capacity,
 // mimicking steady-state traffic: ascending own slots with drifting remote
-// entries, as produced by a cluster of n nodes.
-func fillLog(capacity, count, n int, seed int64) *Log {
+// entries, as produced by a cluster of n nodes. With lag > 0 each decide is
+// followed by the freeze of the commit lag decides back (RecordExternal, as
+// a replica's freeze does), so lag updates stay in flight; with lag 0 no
+// freeze ever lands and the log fills to its capacity.
+func fillLog(capacity, count, n, lag int, seed int64) *Log {
 	l := New(0, n, capacity)
 	r := rand.New(rand.NewSource(seed))
 	remote := make([]uint64, n)
+	var decided []vclock.VC
 	for i := 1; i <= count; i++ {
 		id := wire.TxnID{Node: wire.NodeID(r.Intn(n)), Seq: uint64(i)}
 		vc := l.Prepare(id, true, nil)
@@ -27,18 +30,28 @@ func fillLog(capacity, count, n int, seed int64) *Log {
 			final[w] = remote[w]
 		}
 		l.Decide(id, final, true, true)
+		if lag > 0 {
+			decided = append(decided, final)
+			if len(decided) > lag {
+				l.RecordExternal(decided[0])
+				decided = decided[1:]
+			}
+		}
 	}
 	return l
 }
 
-// BenchmarkVisibleMax measures Algorithm 6's bound computation at the
-// default NLog capacity with the ring full — the per-first-read cost on the
-// read-only hot path. The seed implementation scanned all 65536 entries per
-// call; the indexed implementation must not scale with capacity.
+// BenchmarkVisibleMax measures Algorithm 6's bound computation, the
+// per-first-read cost on the read-only hot path, in the two shapes a node's
+// log has: steady, a few updates in flight (each freeze landing 8 decides
+// behind its commit), and worst, DefaultCapacity commits no freeze covers.
 func BenchmarkVisibleMax(b *testing.B) {
 	const n = 4
-	for _, capacity := range []int{4096, DefaultCapacity} {
-		l := fillLog(capacity, capacity, n, 1)
+	for _, shape := range []struct {
+		name string
+		lag  int
+	}{{"steady", 8}, {"worst", 0}} {
+		l := fillLog(DefaultCapacity, DefaultCapacity+100, n, shape.lag, 1)
 		frontier := l.MostRecentVC()
 
 		// A realistic constrained bound: two contacted nodes, bound near the
@@ -52,45 +65,26 @@ func BenchmarkVisibleMax(b *testing.B) {
 		// A small exclusion set naming recent writers, as produced by parked
 		// update transactions on the key being read.
 		excluded := map[wire.TxnID]struct{}{
-			{Node: 1, Seq: uint64(capacity - 3)}: {},
-			{Node: 2, Seq: uint64(capacity - 7)}: {},
+			{Node: 1, Seq: DefaultCapacity + 97}: {},
+			{Node: 2, Seq: DefaultCapacity + 93}: {},
 		}
 
-		b.Run(fmt.Sprintf("cap=%d/unconstrained", capacity), func(b *testing.B) {
+		b.Run(shape.name+"/unconstrained", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				_ = l.VisibleMax(nil, nil, nil)
 			}
 		})
-		b.Run(fmt.Sprintf("cap=%d/bounded", capacity), func(b *testing.B) {
+		b.Run(shape.name+"/bounded", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				_ = l.VisibleMax(hasRead, bound, nil)
 			}
 		})
-		b.Run(fmt.Sprintf("cap=%d/excluded", capacity), func(b *testing.B) {
+		b.Run(shape.name+"/excluded", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				_ = l.VisibleMax(nil, nil, excluded)
-			}
-		})
-		// The seed's linear ring scan, for the speedup comparison.
-		b.Run(fmt.Sprintf("cap=%d/naive-unconstrained", capacity), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_ = l.visibleMaxNaive(nil, nil, nil)
-			}
-		})
-		b.Run(fmt.Sprintf("cap=%d/naive-bounded", capacity), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_ = l.visibleMaxNaive(hasRead, bound, nil)
-			}
-		})
-		b.Run(fmt.Sprintf("cap=%d/naive-excluded", capacity), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_ = l.visibleMaxNaive(nil, nil, excluded)
 			}
 		})
 	}
@@ -99,7 +93,7 @@ func BenchmarkVisibleMax(b *testing.B) {
 // BenchmarkClockReads measures the read-side clock accessors that every
 // transaction begin and read-reply touches.
 func BenchmarkClockReads(b *testing.B) {
-	l := fillLog(4096, 4096, 4, 1)
+	l := fillLog(4096, 4096, 4, 8, 1)
 	b.Run("SnapshotVC", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -122,9 +116,9 @@ func BenchmarkClockReads(b *testing.B) {
 }
 
 // BenchmarkNew measures building a node's commit machinery at the default
-// capacity. The ring and its txn→seq index grow with the retained entries,
-// so construction must not allocate for the capacity up front;
-// scripts/check_allocs.sh holds its bytes/op under a ceiling.
+// capacity. The NLog grows with its uncovered entries, so construction must
+// not allocate for the capacity up front; scripts/check_allocs.sh holds its
+// bytes/op under a ceiling.
 func BenchmarkNew(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

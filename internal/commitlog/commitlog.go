@@ -9,20 +9,20 @@
 // ascending commit vector clock entry vc[i] on node i — immediately before
 // appending its entry to the NLog.
 //
-// Read-side accesses avoid that mutex entirely:
+// Read-side accesses avoid that mutex, except VisibleMax:
 //
 //   - The clock reads every transaction begin and read reply performs
 //     (NodeVC, MostRecentVC, SnapshotVC, ExternalVC, AppliedSelf) are served
 //     from an immutable snapshot republished through an atomic.Pointer on
 //     every mutation.
-//   - VisibleMax (Algorithm 6 lines 6–9) is answered from an incrementally
-//     maintained visibility index — a cumulative-max shortcut for
-//     unconstrained bounds plus per-bucket clock maxima over the ring — so
-//     its cost no longer scales with the NLog capacity.
 //   - WaitMostRecent (Algorithm 6 line 5) spins on an atomic apply-frontier
 //     fast path and, when it must block, registers in a per-bound waiter
 //     min-heap so a frontier advance wakes exactly the waiters it satisfies
 //     instead of broadcasting to all of them.
+//
+// VisibleMax (Algorithm 6 lines 6–9) scans the NLog under the mutex. The
+// NLog holds only the entries the external clock does not cover (see
+// below): a handful per update in flight, never the applied history.
 //
 // Invariants (see docs/CONSISTENCY.md §2):
 //
@@ -35,6 +35,13 @@
 //     commit (RecordExternal): unlike mostRecent it never names a parked
 //     stranger, so it is safe to fold into other transactions' clocks and
 //     read bounds without fabricating dependencies.
+//   - The NLog keeps an applied commit only while the external clock does
+//     not cover its commit clock. A first read folds the external clock
+//     into its bound after VisibleMax, so a covered entry can never change
+//     the answer: max(kept ∪ covered) ∨ external = max(kept) ∨ external.
+//     Decide folds each commit clock into NodeVC, so every later commit
+//     this node votes on carries a clock at or above it, and an entry is
+//     covered once its own freeze, or any later one, lands here.
 //   - Clocks loaded from the published snapshot are immutable; callers
 //     clone before mutating.
 package commitlog
@@ -93,17 +100,6 @@ type clockSnap struct {
 	applied  uint64
 }
 
-// bucketAgg is the visibility index's per-bucket aggregate: the entry-wise
-// clock maximum and minimum over the ring entries of one bucket epoch. The
-// max admits a bucket wholesale when it passes the visibility filter; the
-// min rejects a bucket wholesale when no entry can pass (a constrained
-// query near the frontier skips the buckets above its bound this way).
-type bucketAgg struct {
-	epoch uint64    // 1-based bucket epoch this slot currently aggregates; 0 = empty
-	max   vclock.VC // entry-wise max over the epoch's appended entries
-	min   vclock.VC // entry-wise min over the epoch's appended entries
-}
-
 // waiter is one blocked WaitMostRecent call: a channel closed when the
 // apply frontier reaches bound. index is the heap position (maintained by
 // waiterHeap), -1 once removed, so a timed-out caller can deregister
@@ -148,13 +144,10 @@ type Log struct {
 	nodeVC vclock.VC
 	q      []*qEntry // ordered by vc[self], ties by TxnID
 
-	genesis Entry // always-retained zero entry
-	// entries is the ring of applied commits. It grows by appending until
-	// it holds capacity entries (start stays 0 until then), so a node's
-	// footprint follows what it has retained, not the retention cap.
+	// entries holds the applied commits external does not cover, in apply
+	// order, at most capacity of them (a full log evicts its oldest). The
+	// implicit genesis entry, the zero clock, is always visible.
 	entries    []Entry
-	start      int // ring start index
-	count      int
 	capacity   int
 	mostRecent vclock.VC // entry-wise max over all applied commits
 	// external is the entry-wise max over the commit clocks of transactions
@@ -163,19 +156,7 @@ type Log struct {
 	// transaction on the same node could begin beneath a commit whose client
 	// reply it causally follows — an external-consistency violation.
 	external vclock.VC
-	applied  uint64 // total applied, for stats; doubles as the newest seq
-
-	// Visibility index (all mutated under mu). Applied commits are numbered
-	// 1.. in apply order (seq == applied at append time); the ring position
-	// of seq s is (s-1) % capacity, and bucket epoch (s-1)>>bucketShift
-	// groups 2^bucketShift consecutive seqs. Slots cycle through the epochs;
-	// slot sizing guarantees an epoch is fully evicted before its slot is
-	// reused (see New).
-	bucketShift uint
-	buckets     []bucketAgg
-	// txnSeq maps each retained entry's transaction to its seq, locating
-	// excluded writers' buckets in O(1).
-	txnSeq map[wire.TxnID]uint64
+	applied  uint64 // total applied, for stats
 
 	// clocks is the published immutable snapshot; frontier mirrors
 	// mostRecent[self] for the WaitMostRecent fast path.
@@ -191,14 +172,14 @@ type Log struct {
 	cstats *metrics.Contention // optional, set via SetContention
 }
 
-// DefaultCapacity is the default NLog retention: large enough that the
-// visibility index, not eviction, bounds what readers can cover.
-const DefaultCapacity = 65536
+// DefaultCapacity is the default bound on the uncovered NLog entries: an
+// entry stays uncovered only while its transaction's freeze has not landed
+// here, so a node holds about as many as it has updates in flight.
+const DefaultCapacity = 4096
 
 // New builds the commit machinery for node self of an n-node cluster.
-// capacity bounds NLog retention; 0 selects DefaultCapacity. Neither the
-// ring nor the txn→seq index is pre-sized: both grow with the retained
-// entries, up to capacity.
+// capacity bounds the uncovered NLog entries; 0 selects DefaultCapacity.
+// Nothing is sized for the capacity up front.
 func New(self, n, capacity int) *Log {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
@@ -210,27 +191,6 @@ func New(self, n, capacity int) *Log {
 		capacity:   capacity,
 		mostRecent: vclock.New(n),
 		external:   vclock.New(n),
-		// The genesis entry makes the visible set non-empty for any bound.
-		genesis: Entry{VC: vclock.New(n)},
-		txnSeq:  make(map[wire.TxnID]uint64),
-	}
-	// Bucket width ~sqrt(capacity), clamped to [1, 256]: a query folds
-	// ~capacity/width bucket maxima plus at most one partially-evicted head
-	// bucket of `width` entries.
-	l.bucketShift = 0
-	for (1<<(l.bucketShift+1))*(1<<(l.bucketShift+1)) <= capacity && l.bucketShift < 8 {
-		l.bucketShift++
-	}
-	width := 1 << l.bucketShift
-	// One epoch spans `width` seqs; an epoch's slot may only be reused once
-	// the epoch is fully evicted, which holds for slots >= capacity/width+2
-	// regardless of capacity/width divisibility.
-	slots := capacity/width + 2
-	l.buckets = make([]bucketAgg, slots)
-	clocks := make([]uint64, 2*slots*n) // one backing array for every aggregate
-	for i := range l.buckets {
-		l.buckets[i].max = vclock.VC(clocks[2*i*n : (2*i+1)*n : (2*i+1)*n])
-		l.buckets[i].min = vclock.VC(clocks[(2*i+1)*n : (2*i+2)*n : (2*i+2)*n])
 	}
 	l.publishLocked()
 	return l
@@ -282,6 +242,7 @@ func (l *Log) MostRecentVC() vclock.VC {
 func (l *Log) RecordExternal(vc vclock.VC) {
 	l.mu.Lock()
 	l.external.MaxInto(vc)
+	l.dropCoveredLocked()
 	l.publishLocked()
 	l.mu.Unlock()
 }
@@ -304,6 +265,7 @@ func (l *Log) FoldKnowledge(ext vclock.VC) {
 	l.mu.Lock()
 	l.nodeVC.MaxInto(ext)
 	l.external.MaxInto(ext)
+	l.dropCoveredLocked()
 	l.publishLocked()
 	l.mu.Unlock()
 }
@@ -444,51 +406,29 @@ func (l *Log) drainLocked(self wire.TxnID) bool {
 }
 
 func (l *Log) appendLocked(e Entry) {
-	if l.count == l.capacity {
-		// Evict the oldest entry; the separately-held genesis entry keeps
-		// the visible set non-empty regardless.
-		delete(l.txnSeq, l.entries[l.start].Txn)
-		l.entries[l.start] = e
-		l.start = (l.start + 1) % l.capacity
-	} else {
-		// Not yet full: start is 0 and the ring is the slice itself.
-		l.growLocked()
-		l.entries = append(l.entries, e)
-		l.count++
-	}
 	l.mostRecent.MaxInto(e.VC)
 	l.applied++
-	l.indexAppendLocked(e, l.applied)
+	if e.VC.LessEq(l.external) {
+		return // covered already: no read bound can need it
+	}
+	if len(l.entries) == l.capacity {
+		l.entries[0] = Entry{}
+		l.entries = l.entries[1:]
+	}
+	l.entries = append(l.entries, e)
 }
 
-// growLocked makes room for one more entry while the ring is below
-// capacity, doubling its backing array but never past capacity, so a full
-// ring costs exactly capacity entries.
-func (l *Log) growLocked() {
-	if len(l.entries) < cap(l.entries) {
-		return
+// dropCoveredLocked removes the entries external now covers, keeping the
+// rest in apply order. Called whenever external grows.
+func (l *Log) dropCoveredLocked() {
+	kept := l.entries[:0]
+	for _, e := range l.entries {
+		if !e.VC.LessEq(l.external) {
+			kept = append(kept, e)
+		}
 	}
-	grown := make([]Entry, len(l.entries), min(max(2*cap(l.entries), 16), l.capacity))
-	copy(grown, l.entries)
-	l.entries = grown
-}
-
-// indexAppendLocked folds the appended entry (seq = its 1-based apply
-// number) into the visibility index.
-func (l *Log) indexAppendLocked(e Entry, seq uint64) {
-	l.txnSeq[e.Txn] = seq
-	epoch := (seq - 1) >> l.bucketShift
-	b := &l.buckets[epoch%uint64(len(l.buckets))]
-	if b.epoch != epoch+1 {
-		// First entry of a new epoch: the slot's previous occupant is fully
-		// evicted by construction, so overwrite its aggregate.
-		b.epoch = epoch + 1
-		b.max.CopyFrom(e.VC)
-		b.min.CopyFrom(e.VC)
-		return
-	}
-	b.max.MaxInto(e.VC)
-	b.min.MinInto(e.VC)
+	clear(l.entries[len(kept):])
+	l.entries = kept
 }
 
 // wakeWaiters releases every registered waiter whose bound the apply
@@ -561,8 +501,10 @@ func (l *Log) deregister(w *waiter) {
 
 // VisibleMax computes Algorithm 6 lines 6–9: the entry-wise maximum over
 // NLog entries visible under (hasRead, bound), excluding entries written by
-// transactions in excluded. The genesis entry guarantees a result for any
-// bound. hasRead may be nil (no constraint).
+// transactions in excluded. The genesis entry (the zero clock) guarantees a
+// result for any bound. hasRead may be nil (no constraint). The NLog keeps
+// only the entries external does not cover, so the result is exact once
+// the caller joins ExternalVC, as the read path does.
 func (l *Log) VisibleMax(hasRead []bool, bound vclock.VC, excluded map[wire.TxnID]struct{}) vclock.VC {
 	out := vclock.New(l.n)
 	l.VisibleMaxInto(out, hasRead, bound, excluded)
@@ -572,125 +514,19 @@ func (l *Log) VisibleMax(hasRead []bool, bound vclock.VC, excluded map[wire.TxnI
 // VisibleMaxInto is VisibleMax folding into caller-provided dst (not reset:
 // dst's existing entries participate in the max, matching the fold-into-
 // bound use on the read path; pass a zeroed clock for a pure query).
-//
-// The visibility index answers it without scanning the ring:
-//
-//   - Unconstrained bounds with no exclusions are the cumulative max over
-//     the retained entries — mostRecent itself while nothing has been
-//     evicted, a fold of ~capacity/bucketWidth bucket maxima otherwise.
-//   - Constrained bounds fold each bucket's clock maximum wholesale when it
-//     passes the per-node visibility filter (every entry beneath it then
-//     passes too); only buckets straddling the bound are scanned entry-wise.
-//   - Excluded writers are located via the txn→seq side index and their
-//     buckets scanned entry-wise; exclusion sets are small (the parked
-//     writers of one key), so this touches O(1) buckets.
 func (l *Log) VisibleMaxInto(dst vclock.VC, hasRead []bool, bound vclock.VC, excluded map[wire.TxnID]struct{}) {
-	constrained := false
-	for _, r := range hasRead {
-		if r {
-			constrained = true
-			break
-		}
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.count == 0 {
-		return // genesis only: the zero clock
-	}
-	if !constrained && len(excluded) == 0 && l.applied <= uint64(l.capacity) {
-		// Nothing evicted: the ring is the full history, whose cumulative
-		// max is mostRecent.
-		dst.MaxInto(l.mostRecent)
-		return
-	}
-
-	liveLo := l.applied - uint64(l.count) + 1
-	// Buckets holding excluded writers must be scanned entry-wise. The set
-	// is tiny, so a small slice beats a map.
-	var exEpochs []uint64
-	for id := range excluded {
-		if seq, ok := l.txnSeq[id]; ok {
-			exEpochs = append(exEpochs, (seq-1)>>l.bucketShift)
-		}
-	}
-	width := uint64(1) << l.bucketShift
-	epochLo := (liveLo - 1) >> l.bucketShift
-	epochHi := (l.applied - 1) >> l.bucketShift
-	for epoch := epochLo; epoch <= epochHi; epoch++ {
-		bStart := epoch*width + 1
-		bEnd := bStart + width - 1
-		if bEnd > l.applied {
-			bEnd = l.applied
-		}
-		lo := bStart
-		if liveLo > lo {
-			lo = liveLo
-		}
-		b := &l.buckets[epoch%uint64(len(l.buckets))]
-		if constrained && noneVisible(b.min, hasRead, bound) {
-			// Every entry in the epoch exceeds the bound on a constrained
-			// component; the min covers evicted entries too, so this also
-			// holds for a partially-evicted head bucket.
-			continue
-		}
-		wholesale := lo == bStart && !containsEpoch(exEpochs, epoch) &&
-			(!constrained || visible(b.max, hasRead, bound))
-		if wholesale {
-			dst.MaxInto(b.max)
-			continue
-		}
-		for seq := lo; seq <= bEnd; seq++ {
-			e := &l.entries[(seq-1)%uint64(l.capacity)]
-			if constrained && !visible(e.VC, hasRead, bound) {
-				continue
-			}
-			if _, ex := excluded[e.Txn]; ex && !e.Txn.IsZero() {
-				continue
-			}
-			dst.MaxInto(e.VC)
-		}
-	}
-}
-
-func containsEpoch(epochs []uint64, epoch uint64) bool {
-	for _, e := range epochs {
-		if e == epoch {
-			return true
-		}
-	}
-	return false
-}
-
-// visibleMaxNaive is the seed's O(count) reference scan, retained as the
-// oracle for the index equivalence property test and the speedup benchmark.
-func (l *Log) visibleMaxNaive(hasRead []bool, bound vclock.VC, excluded map[wire.TxnID]struct{}) vclock.VC {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	maxVC := vclock.New(l.n)
-	// Genesis is always visible (all-zero clock) and never excluded.
-	for j := 0; j < l.count; j++ {
-		e := &l.entries[(l.start+j)%l.capacity]
+	for i := range l.entries {
+		e := &l.entries[i]
 		if !visible(e.VC, hasRead, bound) {
 			continue
 		}
 		if _, ex := excluded[e.Txn]; ex && !e.Txn.IsZero() {
 			continue
 		}
-		maxVC.MaxInto(e.VC)
+		dst.MaxInto(e.VC)
 	}
-	return maxVC
-}
-
-// noneVisible reports whether a bucket whose entry-wise minimum is min can
-// contain no visible entry: some constrained component already exceeds the
-// bound at the minimum.
-func noneVisible(min vclock.VC, hasRead []bool, bound vclock.VC) bool {
-	for w, read := range hasRead {
-		if read && min[w] > bound[w] {
-			return true
-		}
-	}
-	return false
 }
 
 func visible(vc vclock.VC, hasRead []bool, bound vclock.VC) bool {
@@ -711,8 +547,9 @@ func visible(vc vclock.VC, hasRead []bool, bound vclock.VC) bool {
 // committed knowledge clock. A synthetic "checkpoint barrier" NLog entry
 // carrying mostRecent stands in for every pre-checkpoint entry the
 // checkpoint compacted away, so VisibleMax over the restored log still
-// covers the checkpointed history; its zero TxnID never matches an
-// exclusion set. The single joined entry is a valid summary because the
+// covers the checkpointed history (unless external already does, when the
+// barrier is dropped like any covered entry); its zero TxnID never matches
+// an exclusion set. The single joined entry is a valid summary because the
 // apply frontier advances only in CommitQ order — every transaction it
 // covers had applied before the checkpoint cut.
 func (l *Log) Bootstrap(mostRecent, external vclock.VC) {
@@ -721,32 +558,19 @@ func (l *Log) Bootstrap(mostRecent, external vclock.VC) {
 	l.nodeVC.MaxInto(mostRecent)
 	l.nodeVC.MaxInto(external)
 	l.external.MaxInto(external)
+	l.dropCoveredLocked()
 	barrier := mostRecent.Clone()
 	barrier.MaxInto(l.mostRecent)
 	l.appendLocked(Entry{VC: barrier})
 	l.publishLocked()
 }
 
-// CommitClock returns the commit clock of a retained applied transaction.
-// ok is false when txn is unknown or its NLog entry has been evicted.
-// Recovery uses it as a secondary source when answering peers' in-doubt
-// TxnStatus queries.
-func (l *Log) CommitClock(txn wire.TxnID) (vclock.VC, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	seq, ok := l.txnSeq[txn]
-	if !ok {
-		return nil, false
-	}
-	e := &l.entries[(seq-1)%uint64(l.capacity)]
-	return e.VC.Clone(), true
-}
-
-// Len returns the number of retained NLog entries (excluding genesis).
+// Len returns the number of retained NLog entries: the applied commits
+// external does not cover yet (genesis excluded).
 func (l *Log) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.count
+	return len(l.entries)
 }
 
 // QueueLen returns the current CommitQ length (for tests and stats).

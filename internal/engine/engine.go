@@ -139,9 +139,8 @@ type Node struct {
 
 	// coordStatus answers peers' in-doubt TxnStatus queries (presumed-abort
 	// 2PC): transactions this node coordinated to a commit decision, with
-	// their commit and (once known) freeze vectors. Bounded FIFO; evicted
-	// entries fall back to the NLog, then to presumed abort. Maintained only
-	// when a WAL is attached.
+	// their commit and (once known) freeze vectors. Bounded FIFO; an evicted
+	// entry reads as presumed abort. Maintained only when a WAL is attached.
 	coordMu     sync.Mutex
 	coordStatus map[wire.TxnID]coordRecord
 	coordFIFO   []wire.TxnID

@@ -92,7 +92,9 @@ func (nd *Node) handleRead(from wire.NodeID, rid uint64, m *wire.ReadRequest) {
 		// any fresh reader's snapshot (stamps dominate slots, so the
 		// frontier covers both the stamp and the slot filters; the
 		// knowledge clock extends the same guarantee to the commits this
-		// node has merely witnessed).
+		// node has merely witnessed). The fold also stands in for every
+		// applied commit it covers: the NLog drops those, so VisibleMax
+		// alone is not the whole bound.
 		nd.log.FoldExternalInto(maxVC)
 		// ... except up to a stamp the reader serialized before (ExWriter.VC).
 		// A writer excluded by stamp gates nothing: what read from it can

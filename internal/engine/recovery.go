@@ -41,9 +41,9 @@ type coordRecord struct {
 // maxCoordStatus bounds the coordinator-status table. Eviction is FIFO: an
 // in-doubt peer only queries within its own restart window, so entries far
 // behind the decision stream answer nothing a live query can still need —
-// the NLog lookup, then presumed abort, covers the tail (documented
-// conservatism in docs/ARCHITECTURE.md).
-const maxCoordStatus = 1 << 14
+// presumed abort covers the tail (documented conservatism in
+// docs/ARCHITECTURE.md).
+const maxCoordStatus = 1 << 16
 
 // recordCoordDecision retains a commit decision this node coordinated.
 func (nd *Node) recordCoordDecision(txn wire.TxnID, commitVC vclock.VC) {
@@ -74,16 +74,14 @@ func (nd *Node) recordCoordFreeze(txn wire.TxnID, freezeVC, know vclock.VC) {
 // handleTxnStatus answers a recovering peer's in-doubt query: commit with
 // the commit vector (and, when formed, the freeze vector and Know) when this
 // node coordinated txn to a commit decision; otherwise unknown, which the
-// peer treats as presumed abort. The NLog is the fallback source for decisions evicted
-// from the status table but still retained as applied commits.
+// peer treats as presumed abort.
 //
 // While this node is itself mid-recovery (serve routes TxnStatus here once
-// statusReady), commit answers are definitive — coordStatus is fully
-// populated by then — but an unknown is not: the NLog fallback only exists
-// after the apply phases, so an entry FIFO-evicted during the scan would
-// read as a false abort. Unknowns are therefore dropped, not answered,
-// until recovery completes; the peer's timed-out call retries into a
-// definitive reply.
+// statusReady), the table already holds every durable decision the WAL scan
+// found, so a commit answer is definitive. An unknown is still dropped, not
+// answered, until recovery completes: presumed abort is final at the asking
+// peer, while a dropped query only costs it a retry into the reply of a
+// fully recovered node.
 func (nd *Node) handleTxnStatus(from wire.NodeID, rid uint64, m *wire.TxnStatus) {
 	rep := &wire.TxnStatusReply{Txn: m.Txn}
 	nd.coordMu.Lock()
@@ -92,11 +90,6 @@ func (nd *Node) handleTxnStatus(from wire.NodeID, rid uint64, m *wire.TxnStatus)
 		rep.VC, rep.FreezeVC, rep.Know = cr.commitVC, cr.freezeVC, cr.know
 	}
 	nd.coordMu.Unlock()
-	if !rep.Known {
-		if vc, ok := nd.log.CommitClock(m.Txn); ok {
-			rep.Known, rep.Commit, rep.VC = true, true, vc
-		}
-	}
 	if !rep.Known && nd.recovering.Load() {
 		return
 	}
@@ -383,9 +376,9 @@ func (nd *Node) Recover() error {
 	// Phase 4: apply committed transactions above the checkpoint frontier,
 	// ascending by their write slot here — the CommitQ order the live node
 	// applied them in. Each runs through the real Prepare/Decide machinery
-	// so the NLog, visibility index and clock snapshot come out as if the
-	// node had never crashed. Per-key version-identity dedupe absorbs the
-	// fuzzy-checkpoint overlap (a transaction both dumped and re-logged).
+	// so the NLog and clock snapshot come out as if the node had never
+	// crashed. Per-key version-identity dedupe absorbs the fuzzy-checkpoint
+	// overlap (a transaction both dumped and re-logged).
 	type applyItem struct {
 		txn wire.TxnID
 		d   *decideInfo

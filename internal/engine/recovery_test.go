@@ -220,8 +220,8 @@ func TestFullClusterRestartPreservesData(t *testing.T) {
 // rest of recovery is still running — otherwise a restarting participant's
 // retry budget can expire into presumed abort while its coordinator is
 // merely slow to replay. Unknowns stay unanswered (the query times out and
-// the peer retries) until recovery completes, because the NLog fallback for
-// evicted entries only exists after the apply phases.
+// the peer retries) until recovery completes: presumed abort is final at the
+// peer, a retry is not.
 func TestTxnStatusMidRecovery(t *testing.T) {
 	root := t.TempDir()
 	lookup := cluster.NewLookup(2, 2)
@@ -285,6 +285,57 @@ func TestTxnStatusMidRecovery(t *testing.T) {
 	}
 	if rep.Known {
 		t.Fatalf("post-recovery reply for unknown txn = %+v, want unknown", rep)
+	}
+}
+
+// TestTxnStatusAnswersOldDecisions pins the in-doubt window: the status table
+// alone answers a commit decision far behind the decision stream — more than
+// 1 << 14 decisions old — and forgets one only past maxCoordStatus.
+func TestTxnStatusAnswersOldDecisions(t *testing.T) {
+	net := transport.NewInProc(transport.InProcConfig{DisableLatency: true})
+	w := openWAL(t, t.TempDir(), 0)
+	nd, err := New(net, 0, 2, cluster.NewLookup(2, 2), Config{WAL: w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer, err := transport.NewRPC(net, 1, func(wire.NodeID, uint64, wire.Msg) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		_ = nd.Close()
+		_ = peer.Close()
+		_ = net.Close()
+		_ = w.Close()
+	})
+	if err := nd.Recover(); err != nil { // a fresh log: opens the node
+		t.Fatal(err)
+	}
+	query := func(txn wire.TxnID) *wire.TxnStatusReply {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		defer cancel()
+		resp, err := peer.Call(ctx, 0, &wire.TxnStatus{Txn: txn})
+		if err != nil {
+			t.Fatalf("TxnStatus %v: %v", txn, err)
+		}
+		return resp.(*wire.TxnStatusReply)
+	}
+	decide := func(seq uint64) {
+		nd.recordCoordDecision(wire.TxnID{Node: 0, Seq: seq}, vclock.VC{seq, 0})
+	}
+	old := wire.TxnID{Node: 0, Seq: 1}
+	for seq := uint64(1); seq <= 1<<14+1000; seq++ {
+		decide(seq)
+	}
+	if rep := query(old); !rep.Known || !rep.Commit || rep.VC[0] != 1 {
+		t.Fatalf("decision %d behind the stream: reply %+v, want known commit with VC[0]=1", 1<<14+999, rep)
+	}
+	for seq := uint64(1<<14 + 1001); seq <= maxCoordStatus+1; seq++ {
+		decide(seq)
+	}
+	if rep := query(old); rep.Known {
+		t.Fatalf("decision past maxCoordStatus: reply %+v, want unknown (evicted)", rep)
 	}
 }
 

@@ -65,10 +65,11 @@ func TestRetightenDrainRound(t *testing.T) {
 		if got := rounds.DrainRounds.Load(); got != 1 {
 			t.Fatalf("node %d: DrainRounds = %d, want 1 (one gated ack re-tightens every write replica)", w, got)
 		}
-		commitVC, ok := nodes[w].log.CommitClock(tx.ID())
-		if !ok {
-			t.Fatalf("node %d: commit clock of %v not in the NLog", w, tx.ID())
+		ver := nodes[w].store.Latest(key)
+		if ver.Writer != tx.ID() {
+			t.Fatalf("node %d: latest version of %s written by %v, want %v", w, key, ver.Writer, tx.ID())
 		}
+		commitVC := ver.VC
 		if resampled[w] <= commitVC[w] {
 			t.Fatalf("node %d: drain-round frontier %d did not move past the commit slot %d", w, resampled[w], commitVC[w])
 		}

@@ -612,7 +612,8 @@ func (c *ClientNet) RequestsPerFlush() float64 {
 }
 
 // Retained gauges what a node holds in memory right now, gathered at scrape
-// time: the NLog entries its commit log retains (up to the ring capacity),
+// time: the NLog entries its commit log retains (the applied commits its
+// external clock does not cover yet, about one per update in flight),
 // its tombstones (one bit each, at most a sliding window of sequence
 // numbers per coordinator epoch) and the calls its RPC layer still awaits
 // a reply for.

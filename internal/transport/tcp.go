@@ -362,6 +362,11 @@ type tcpPeer struct {
 // then written in place just in front of it, so each frame goes out as one
 // write straight from the pooled buffer: no per-peer write buffer and no
 // copy.
+//
+// A frame past maxFrame would make the receiver hang up, and a retained
+// frame is rewritten after every redial, so such a batch is split in halves
+// and each half sent as its own frame; an envelope past maxFrame on its own
+// is dropped and counted as a LostBatch.
 func (p *tcpPeer) flush(batch []wire.Envelope) {
 	bp := wire.GetBuf()
 	var err error
@@ -375,6 +380,16 @@ func (p *tcpPeer) flush(batch []wire.Envelope) {
 	*bp = frame
 	if err != nil {
 		wire.PutBuf(bp)
+		return
+	}
+	if len(frame)-prefixRoom > maxFrame {
+		wire.PutBuf(bp)
+		if len(batch) == 1 {
+			p.stats.LostBatches.Add(1)
+			return
+		}
+		p.flush(batch[:len(batch)/2])
+		p.flush(batch[len(batch)/2:])
 		return
 	}
 	n := binary.PutUvarint(room[:], uint64(len(frame)-prefixRoom))

@@ -173,6 +173,54 @@ func TestTCPOneConnectionPerPeer(t *testing.T) {
 	}
 }
 
+// TestTCPSplitsOversizedBatch sends five 14 MiB read replies to one peer in
+// one flush: encoded together they pass maxFrame, on which the receiver
+// hangs up, so the batch must go out as smaller frames over the one
+// connection. An envelope past maxFrame on its own is dropped and counted.
+func TestTCPSplitsOversizedBatch(t *testing.T) {
+	addrs := freePorts(t, 2)
+	nw := NewTCP(map[wire.NodeID]string{0: addrs[0], 1: addrs[1]})
+	defer func() { _ = nw.Close() }()
+	got := make(chan int, 8)
+	if _, err := nw.Join(1, func(env wire.Envelope) { got <- len(env.Msg.(*wire.ReadReturn).Val) }); err != nil {
+		t.Fatal(err)
+	}
+	ep0, err := nw.Join(0, func(wire.Envelope) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A peer link driven by hand, without its sender goroutine, so the five
+	// envelopes reach flush as one batch.
+	p := &tcpPeer{e: ep0.(*tcpEndpoint), to: 1, addr: addrs[1]}
+	const size = 14 << 20
+	batch := make([]wire.Envelope, 5)
+	for i := range batch {
+		batch[i] = wire.Envelope{From: 0, RID: uint64(i + 1), Msg: &wire.ReadReturn{Val: make([]byte, size), Exists: true}}
+	}
+	p.flush(batch)
+	for i := range batch {
+		select {
+		case n := <-got:
+			if n != size {
+				t.Fatalf("reply %d carries %d bytes, want %d", i, n, size)
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatalf("only %d of %d replies arrived", i, len(batch))
+		}
+	}
+	if d := p.stats.Dials.Load(); d != 1 {
+		t.Fatalf("Dials = %d, want 1: no frame may make the receiver hang up", d)
+	}
+
+	p.flush([]wire.Envelope{{From: 0, Msg: &wire.ReadReturn{Val: make([]byte, maxFrame), Exists: true}}})
+	if lost := p.stats.LostBatches.Load(); lost != 1 {
+		t.Fatalf("LostBatches = %d after an envelope past maxFrame, want 1", lost)
+	}
+	if len(p.pending) != 0 {
+		t.Fatalf("%d frames pending after the oversized envelope, want 0", len(p.pending))
+	}
+}
+
 // echoServer replies to every request with the same message.
 func echoServer(r **RPC) ServerFunc {
 	return func(from wire.NodeID, rid uint64, msg wire.Msg) {

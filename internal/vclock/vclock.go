@@ -63,18 +63,6 @@ func (v VC) MaxInto(other VC) {
 	}
 }
 
-// MinInto sets v to the entry-wise minimum of v and other, in place.
-func (v VC) MinInto(other VC) {
-	if len(v) != len(other) {
-		panic(fmt.Sprintf("vclock: width mismatch %d != %d", len(v), len(other)))
-	}
-	for i, x := range other {
-		if x < v[i] {
-			v[i] = x
-		}
-	}
-}
-
 // Max returns a fresh vector clock equal to the entry-wise maximum of a and b.
 func Max(a, b VC) VC {
 	out := a.Clone()

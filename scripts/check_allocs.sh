@@ -115,22 +115,26 @@ check ./internal/lockmgr 'BenchmarkAcquire/|BenchmarkRelease|BenchmarkWaitUnlock
   'BenchmarkRelease' 0 \
   'BenchmarkWaitUnlocked' 0
 
-# Commitlog visibility-index queries and lock-free clock reads: one result
-# clock per query, zero for the in-place folds.
-check ./internal/commitlog 'BenchmarkVisibleMax/cap=65536/(unconstrained|bounded|excluded)' 300x \
-  'BenchmarkVisibleMax/cap=65536/unconstrained' 1 \
-  'BenchmarkVisibleMax/cap=65536/bounded' 1 \
-  'BenchmarkVisibleMax/cap=65536/excluded' 2
+# Commitlog bound queries (a scan of the uncovered NLog entries, a few in
+# steady state and DefaultCapacity at worst) and lock-free clock reads: one
+# result clock per query, zero for the in-place folds.
+check ./internal/commitlog 'BenchmarkVisibleMax/(steady|worst)/' 300x \
+  'BenchmarkVisibleMax/steady/unconstrained' 1 \
+  'BenchmarkVisibleMax/steady/bounded' 1 \
+  'BenchmarkVisibleMax/steady/excluded' 1 \
+  'BenchmarkVisibleMax/worst/unconstrained' 1 \
+  'BenchmarkVisibleMax/worst/bounded' 1 \
+  'BenchmarkVisibleMax/worst/excluded' 1
 check ./internal/commitlog 'BenchmarkClockReads' 2000x \
   'BenchmarkClockReads/SnapshotVC' 1 \
   'BenchmarkClockReads/AppliedSelf' 0 \
   'BenchmarkClockReads/FoldExternalInto' 0
 
-# Commitlog construction at the default capacity: the NLog ring and its
-# txn→seq index grow with the retained entries, so an idle node's log is
-# its bucket index only. Measured 30 624 B/op; the pre-sized ring and
-# index were 6 145 922.
-check_bytes ./internal/commitlog '^BenchmarkNew$' 2000x 'BenchmarkNew' 65536
+# Commitlog construction at the default capacity: the NLog grows with its
+# uncovered entries, so an idle node's log is its clocks only. Measured
+# 504 B/op; the bucketed visibility index it replaced was 30 624, and the
+# pre-sized ring and index before that 6 145 922.
+check_bytes ./internal/commitlog '^BenchmarkNew$' 2000x 'BenchmarkNew' 1024
 
 # Tombstones: a steady-state tombstone and lookup reuse the window's
 # words (a window slides in place at its cap), so they allocate nothing.
