@@ -35,10 +35,10 @@ type Node struct {
 	Lookup cluster.Lookup
 	RPC    *transport.RPC
 
-	id     wire.NodeID
-	stats  metrics.Engine
-	txnSeq atomic.Uint64
-	closed atomic.Bool
+	id      wire.NodeID
+	stats   metrics.Engine
+	lastSeq atomic.Uint64
+	closed  atomic.Bool
 }
 
 // Join attaches the node to net as id and dispatches inbound messages to
@@ -75,7 +75,7 @@ func (nd *Node) Close() error {
 // NewTxn starts the skeleton of a transaction coordinated by this node.
 func (nd *Node) NewTxn(readOnly bool) Txn {
 	return Txn{
-		ID:       wire.TxnID{Node: nd.id, Seq: nd.txnSeq.Add(1)},
+		ID:       wire.TxnID{Node: nd.id, Seq: nd.lastSeq.Add(1)},
 		ReadOnly: readOnly,
 		stats:    &nd.stats,
 		begin:    time.Now(),

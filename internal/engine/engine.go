@@ -116,7 +116,9 @@ type Node struct {
 	locks  *lockmgr.Table
 	stats  *metrics.Engine
 
-	txnSeq atomic.Uint64
+	// lastSeq is the sequence number of the last transaction this node
+	// began; the next one takes lastSeq+1.
+	lastSeq atomic.Uint64
 	// extFrontier is the largest external-commit stamp flagged at this
 	// node. First-contact read bounds are raised to it so that a fresh
 	// reader always covers every transaction already externally committed

@@ -454,7 +454,7 @@ func (nd *Node) Recover() error {
 	if ownSeqMax > seqFloor {
 		seqFloor = ownSeqMax
 	}
-	nd.txnSeq.Store(seqFloor + 1<<32)
+	nd.lastSeq.Store(seqFloor + 1<<32)
 	return nil
 }
 
@@ -528,7 +528,7 @@ func (nd *Node) Checkpoint() error {
 			VC:    nd.log.MostRecentVC(),
 			VC2:   nd.log.ExternalVC(),
 			Stamp: nd.extFrontier.Load(),
-			Seq:   nd.txnSeq.Load(),
+			Seq:   nd.lastSeq.Load(),
 		}
 		if err := emit(meta); err != nil {
 			return err

@@ -80,7 +80,7 @@ func (nd *Node) Begin(readOnly bool) *Txn {
 	// and only they keep per-node first-contact flags.
 	t := &Txn{
 		nd:        nd,
-		id:        wire.TxnID{Node: nd.id, Seq: nd.txnSeq.Add(1)},
+		id:        wire.TxnID{Node: nd.id, Seq: nd.lastSeq.Add(1)},
 		readOnly:  readOnly,
 		firstRead: true,
 		rs:        make(map[string]readVal),
