@@ -174,6 +174,30 @@ func TestVisibleMaxGenesisAlwaysPresent(t *testing.T) {
 	}
 }
 
+// TestRingEviction overfills a capacity-4 log with commits the external
+// clock never covers: the log keeps only the last four, while Applied,
+// MostRecentVC and VisibleMax still reflect every commit.
+func TestRingEviction(t *testing.T) {
+	l := New(0, 1, 4)
+	for i := 1; i <= 20; i++ {
+		vc := l.Prepare(txn(0, i), true, nil)
+		l.Decide(txn(0, i), vc, true, true)
+	}
+	if got := l.Len(); got != 4 {
+		t.Fatalf("Len = %d, want 4", got)
+	}
+	if got := l.Applied(); got != 20 {
+		t.Fatalf("Applied = %d, want 20", got)
+	}
+	if got := l.MostRecentVC(); got[0] != 20 {
+		t.Fatalf("MostRecentVC = %v, want [20]", got)
+	}
+	// VisibleMax over retained entries must still work.
+	if got := l.VisibleMax(nil, nil, nil); got[0] != 20 {
+		t.Fatalf("VisibleMax = %v", got)
+	}
+}
+
 func TestStringSmoke(t *testing.T) {
 	l := New(0, 2, 0)
 	if s := l.String(); s == "" {
